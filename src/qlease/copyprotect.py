@@ -28,7 +28,7 @@ from typing import Literal
 import numpy as np
 
 from .designs import PairwisePermFamily
-from .qas import QasScheme, acceptance_by_index, accept_probability, scheme_params
+from .qas import QasScheme, acceptance_by_index, accept_probability, scheme_from_params, scheme_params
 from .qmath import (
     DensityOperator,
     DimensionMismatchError,
@@ -37,6 +37,7 @@ from .qmath import (
     matrix_to_jsonable,
     measure_projective,
     partial_trace,
+    two_outcome,
     zero_state,
 )
 
@@ -218,6 +219,10 @@ def accept_projector(scheme: QasScheme, x: int) -> np.ndarray:
     return a @ a.conj().T
 
 
+#: Reads the copied answer qubit O' (the last qubit of Y (x) O (x) O').
+_ANSWER_BIT = two_outcome(np.diag([0.0, 1.0]))
+
+
 def evaluate(program: ProtectedProgram, x: int, rng: np.random.Generator) -> int:
     """Destructive evaluation: verify with key ``x``, output 1 on accept.
 
@@ -281,15 +286,12 @@ def evaluate_preserving(
     circuit = _preserving_circuit(scheme, x)
     dim_y = scheme.total_dim
     q_total = scheme.total_qubits + 2
-    proj1 = np.kron(np.eye(dim_y * 2), np.diag([0.0, 1.0]))
-    proj0 = np.eye(dim_y * 4) - proj1
+    answer_bit = _ANSWER_BIT.on((q_total - 1,), q_total)
     if isinstance(program.state, PureState):
         full = np.zeros(dim_y * 4, dtype=complex)
         full[::4] = program.state.amplitudes
         full = circuit @ full
-        outcome, post = measure_projective(
-            PureState(full), [proj0, proj1], rng
-        )
+        outcome, post = measure_projective(PureState(full), answer_bit, rng)
         # O is uncomputed to |0> exactly; O' holds the measured bit.
         amps = post.amplitudes.reshape(dim_y, 4)[:, outcome]
         new_state: PureState | DensityOperator = PureState(amps)
@@ -297,7 +299,7 @@ def evaluate_preserving(
         rho = np.zeros((dim_y * 4, dim_y * 4), dtype=complex)
         rho[::4, ::4] = program.state.matrix
         rho = circuit @ rho @ circuit.conj().T
-        outcome, post = measure_projective(DensityOperator(rho), [proj0, proj1], rng)
+        outcome, post = measure_projective(DensityOperator(rho), answer_bit, rng)
         new_state = partial_trace(post, range(scheme.total_qubits))
     program.consumed = True
     return outcome, ProtectedProgram(
@@ -454,11 +456,11 @@ def program_to_json(program: ProtectedProgram) -> str:
 
 
 def program_from_json(data: str) -> ProtectedProgram:
-    from .qas import build_scheme
-
+    """Rebuild a program; raises ``ValueError`` when the serialized scheme
+    record does not match the scheme rebuilt from its parameters."""
     payload = json.loads(data)
     params = payload["scheme"]
-    scheme = build_scheme(params["m"], params["t"], params["k"])
+    scheme = scheme_from_params(params)
     arr = matrix_from_jsonable(payload["state"])
     state = PureState(arr) if payload["pure"] else DensityOperator(arr)
     perm = tuple(payload["perm_param"]) if payload["perm_param"] else None

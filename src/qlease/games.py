@@ -22,6 +22,7 @@ rational arithmetic whenever the distributions carry exact weights.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -44,12 +45,13 @@ from .leasing import SslScheme, verify_distribution
 from .qas import QasScheme
 from .qmath import (
     KrausChannel,
+    ProjectiveMeasurement,
     PureState,
     apply_channel,
-    embed_operator,
     measure_projective,
     spawn_rng,
     tensor,
+    two_outcome,
     zero_state,
 )
 
@@ -131,50 +133,49 @@ class PirateMap:
         return joint, self.bob_qubits, self.charlie_qubits, None
 
 
+def _accept_pairs(scheme: QasScheme) -> Callable[[int], ProjectiveMeasurement]:
+    """Honest evaluation at each challenge as a two-outcome measurement on
+    the program register (outcome 1 is acceptance), built and validated
+    once per challenge."""
+    return functools.cache(lambda x: two_outcome(accept_projector(scheme, x)))
+
+
 class MeasurementStrategy:
     """Charlie's side: one two-outcome projective measurement per
-    challenge, with the projector meaning "answer 1"."""
+    challenge, whose outcome 1 means "answer 1"."""
 
     name = "strategy"
 
-    def projector(self, x: int) -> np.ndarray | None:
+    def measurement(self, x: int) -> ProjectiveMeasurement:
         raise NotImplementedError
 
     def answer(self, state, qubits, x, side, rng) -> int:
-        proj = self.projector(x)
-        if proj is None:
-            raise NotImplementedError
-        total = state.qubits
-        lifted = embed_operator(proj, qubits, total)
-        eye = np.eye(1 << total)
-        outcome, _ = measure_projective(state, [eye - lifted, lifted], rng)
+        pair = self.measurement(x).on(qubits, state.qubits)
+        outcome, _ = measure_projective(state, pair, rng)
         return outcome
 
 
 class FixedAnswer(MeasurementStrategy):
-    """Always answers the same bit (the projector is I or 0)."""
+    """Always answers the same bit, without measuring."""
 
     def __init__(self, bit: int):
         self.bit = int(bit)
         self.name = f"fixed-{self.bit}"
-
-    def projector(self, x: int) -> np.ndarray | None:
-        return None
 
     def answer(self, state, qubits, x, side, rng) -> int:
         return self.bit
 
 
 class ProjectorTable(MeasurementStrategy):
-    """Arbitrary projectors supplied as a mapping or callable."""
+    """Arbitrary projectors, meaning "answer 1", supplied as a mapping or
+    callable; each is validated once, on first use."""
 
     def __init__(self, projectors: Callable[[int], np.ndarray], name: str = "table"):
-        self._projectors = projectors
+        self._pairs = functools.cache(lambda x: two_outcome(projectors(x)))
         self.name = name
 
-    def projector(self, x: int) -> np.ndarray:
-        p = self._projectors(x)
-        return p.matrix if hasattr(p, "matrix") else np.asarray(p)
+    def measurement(self, x: int) -> ProjectiveMeasurement:
+        return self._pairs(x)
 
 
 class HonestEvalStrategy(MeasurementStrategy):
@@ -183,14 +184,10 @@ class HonestEvalStrategy(MeasurementStrategy):
     def __init__(self, scheme: QasScheme):
         self.scheme = scheme
         self.name = "honest-eval"
-        self._cache: dict[int, np.ndarray] = {}
+        self._pairs = _accept_pairs(scheme)
 
-    def projector(self, x: int) -> np.ndarray:
-        proj = self._cache.get(x)
-        if proj is None:
-            proj = accept_projector(self.scheme, x)
-            self._cache[x] = proj
-        return proj
+    def measurement(self, x: int) -> ProjectiveMeasurement:
+        return self._pairs(x)
 
 
 class PointGuessStrategy(MeasurementStrategy):
@@ -198,9 +195,6 @@ class PointGuessStrategy(MeasurementStrategy):
     challenge equals it (0 when the search came up empty)."""
 
     name = "point-guess"
-
-    def projector(self, x: int) -> np.ndarray | None:
-        return None
 
     def answer(self, state, qubits, x, side, rng) -> int:
         return int(side is not None and x == side)
@@ -245,15 +239,10 @@ class KeysearchPirate:
         self.name = (
             f"keysearch-{budget_size if budget_size is not None else len(self.budget)}"
         )
-        self._projs: dict[int, list[np.ndarray]] = {}
+        self._pairs = _accept_pairs(scheme)
 
-    def _measurement(self, key: int) -> list[np.ndarray]:
-        pair = self._projs.get(key)
-        if pair is None:
-            proj = accept_projector(self.scheme, key)
-            pair = [np.eye(proj.shape[0]) - proj, proj]
-            self._projs[key] = pair
-        return pair
+    def _measurement(self, key: int) -> ProjectiveMeasurement:
+        return self._pairs(key)
 
     def _candidates(self, point: int, rng: np.random.Generator) -> list[int]:
         if self.budget is not None:
@@ -270,13 +259,14 @@ class KeysearchPirate:
     def split(self, program_state: PureState, point: int, rng: np.random.Generator):
         state = program_state
         found = None
+        n = self.scheme.total_qubits
         for key in self._candidates(point, rng):
-            outcome, state = measure_projective(state, self._measurement(key), rng)
+            pair = self._measurement(key).on(range(n), n)
+            outcome, state = measure_projective(state, pair, rng)
             if outcome == 1:
                 found = key
                 break
-        bob = tuple(range(self.scheme.total_qubits))
-        return state, bob, (), found
+        return state, tuple(range(n)), (), found
 
 
 # ---------------------------------------------------------------------------
@@ -316,13 +306,29 @@ def default_cp_spec(scheme: QasScheme, bob_r: float = 0.5) -> GameSpec:
     )
 
 
+def _flat_and_peak(dist: ChallengeDistribution) -> tuple[Fraction, int | None, Fraction]:
+    """(flat weight, peak, peak weight) of an exact-weight table: every
+    entry but the peak's carries the flat weight.  Uniform tables have no
+    peak."""
+    peak = None if dist.kind == "uniform" else dist.point
+    if peak is None:
+        flat = dist.prob_fraction(0)
+        return flat, None, flat
+    other = 1 if peak == 0 else 0
+    flat = dist.prob_fraction(other) if dist.size > 1 else Fraction(0)
+    return flat, peak, dist.prob_fraction(peak)
+
+
 def _best_guess_rate(
     circuit_dist: ChallengeDistribution, family: Family
 ) -> Fraction | float:
     """E over the challenge marginal of the best fixed guess of C(x).
 
-    Exhaustive over (point, challenge) pairs; exact rational arithmetic
-    when every weight is exact, floats otherwise.
+    Sums, over challenges x, the larger of the weights of (point = x, x)
+    and (point != x, x).  Exact rational arithmetic when every weight is
+    exact, floats otherwise.  Exact tables are flat apart from at most one
+    peak, so the challenge marginal is one flat sum plus the peaks, and
+    the exact branch costs O(2^k) rather than O(4^k).
     """
     size = circuit_dist.size
     tables = [family(p) for p in range(size)]
@@ -330,16 +336,17 @@ def _best_guess_rate(
         t.prob_fraction(0) is not None for t in tables
     )
     if exact:
+        circuit = [circuit_dist.prob_fraction(p) for p in range(size)]
+        shapes = [_flat_and_peak(t) for t in tables]
+        flat_marginal = sum((c * flat for c, (flat, _, _) in zip(circuit, shapes)), Fraction(0))
+        peaks: dict[int, Fraction] = {}
+        for c, (flat, peak, top) in zip(circuit, shapes):
+            if peak is not None:
+                peaks[peak] = peaks.get(peak, Fraction(0)) + c * (top - flat)
         total = Fraction(0)
-        for x in range(size):
-            w1 = Fraction(0)
-            w0 = Fraction(0)
-            for p in range(size):
-                w = circuit_dist.prob_fraction(p) * tables[p].prob_fraction(x)
-                if p == x:
-                    w1 += w
-                else:
-                    w0 += w
+        for x, (flat, peak, top) in enumerate(shapes):
+            w1 = circuit[x] * (top if peak == x else flat)
+            w0 = flat_marginal + peaks.get(x, Fraction(0)) - w1
             total += max(w1, w0)  # ties broken toward b=0; value unaffected
         return total
     weights = np.array([t.probs for t in tables]) * circuit_dist.probs[:, None]
@@ -444,14 +451,6 @@ def append_csv(report: GameReport, path: str | Path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _measure_bit(state, projector: np.ndarray, qubits, rng):
-    """Two-outcome measurement of an embedded projector; outcome 1 means
-    the projector fired."""
-    lifted = embed_operator(projector, qubits, state.qubits)
-    eye = np.eye(1 << state.qubits)
-    return measure_projective(state, [eye - lifted, lifted], rng)
-
-
 def run_experiment_free(
     spec: GameSpec,
     pirate,
@@ -475,30 +474,24 @@ def run_experiment_free(
     if not spec.honest_bob and bob_strategy is None:
         raise ValueError("malicious Bob needs a bob_strategy")
     scheme = spec.scheme
-    programs: dict[int, PureState] = {}
-    bob_projs: dict[int, np.ndarray] = {}
+    bob_pairs = _accept_pairs(scheme) if spec.honest_bob else bob_strategy.measurement
+
+    @functools.cache
+    def at_point(p: int):
+        program = protect(scheme, p).state
+        return program, PointFunction(p, scheme.key_bits), spec.bob_family(p), spec.charlie_family(p)
+
     wins = 0
     for i in range(trials):
         rng = spawn_rng(seed, i)
         p = spec.circuit_dist.sample(rng)
-        psi = programs.get(p)
-        if psi is None:
-            psi = protect(scheme, p).state
-            programs[p] = psi
+        psi, pf, bob_dist, charlie_dist = at_point(p)
         joint, bob_q, charlie_q, side = pirate.split(psi, p, rng)
-        x1, x2 = spec.bob_family(p).sample(rng), spec.charlie_family(p).sample(rng)
-        if spec.honest_bob:
-            if len(bob_q) != scheme.total_qubits:
-                raise ValueError("honest Bob needs a program-shaped register")
-            proj = bob_projs.get(x1)
-            if proj is None:
-                proj = accept_projector(scheme, x1)
-                bob_projs[x1] = proj
-            b1, post = _measure_bit(joint, proj, bob_q, rng)
-        else:
-            b1, post = _measure_bit(joint, bob_strategy.projector(x1), bob_q, rng)
+        x1, x2 = bob_dist.sample(rng), charlie_dist.sample(rng)
+        if spec.honest_bob and len(bob_q) != scheme.total_qubits:
+            raise ValueError("honest Bob needs a program-shaped register")
+        b1, post = measure_projective(joint, bob_pairs(x1).on(bob_q, joint.qubits), rng)
         b2 = charlie.answer(post, charlie_q, x2, side, rng)
-        pf = PointFunction(p, scheme.key_bits)
         if b1 == pf(x1) and b2 == pf(x2):
             wins += 1
     estimate = wins / trials
@@ -540,29 +533,28 @@ def run_experiment_ssl(
     if trials < 1:
         raise ValueError("need at least one trial")
     scheme = ssl_scheme.base
-    programs: dict[int, PureState] = {}
-    verify_projs: dict[int, np.ndarray] = {}
+    verify_pairs = _accept_pairs(scheme)
+
+    @functools.cache
+    def at_point(p: int):
+        pf = PointFunction(p, scheme.key_bits)
+        program = protect(scheme, p).state
+        return program, pf, verify_distribution(ssl_scheme, pf), challenge_family(p)
+
     wins = 0
     for i in range(trials):
         rng = spawn_rng(seed, i)
         p = circuit_dist.sample(rng)
-        psi = programs.get(p)
-        if psi is None:
-            psi = protect(scheme, p).state
-            programs[p] = psi
+        psi, pf, verify_dist, challenge_dist = at_point(p)
         joint, returned_q, kept_q, side = adversary.split(psi, p, rng)
         if len(returned_q) != scheme.total_qubits:
             raise ValueError("the returned register must be program-shaped")
-        pf = PointFunction(p, scheme.key_bits)
-        xv = verify_distribution(ssl_scheme, pf).sample(rng)
-        proj = verify_projs.get(xv)
-        if proj is None:
-            proj = accept_projector(scheme, xv)
-            verify_projs[xv] = proj
-        outcome, post = _measure_bit(joint, proj, returned_q, rng)
+        xv = verify_dist.sample(rng)
+        pair = verify_pairs(xv).on(returned_q, joint.qubits)
+        outcome, post = measure_projective(joint, pair, rng)
         if outcome != pf(xv):  # verification rejected: adversary loses
             continue
-        x = challenge_family(p).sample(rng)
+        x = challenge_dist.sample(rng)
         b = strategy.answer(post, kept_q, x, side, rng)
         if b == pf(x):
             wins += 1

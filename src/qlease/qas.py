@@ -328,7 +328,11 @@ def scheme_to_json(scheme: QasScheme) -> str:
 
 
 def scheme_from_params(params: dict) -> QasScheme:
+    """Rebuild a scheme from its parameter record.  The record's design
+    and epsilon must match the rebuilt scheme, else ``ValueError``."""
     scheme = build_scheme(params["m"], params["t"], params["k"])
+    if params.get("design_id") != scheme.design.design_id:
+        raise ValueError("serialized design_id does not match the rebuilt scheme")
     if abs(scheme.epsilon - params["epsilon"]) > ATOL:
         raise ValueError("serialized epsilon does not match the rebuilt scheme")
     return scheme

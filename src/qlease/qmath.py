@@ -5,6 +5,22 @@ numpy arrays wrapped in lightly validated containers.  Everything is dense
 and capped at a configurable total qubit count (default 12), which keeps
 the whole library inside comfortable double-precision territory.
 
+Validation
+----------
+Every container (states, operators, isometries, channels and projective
+measurements) is validated once, in its constructor.  Operations trust
+the containers they are given and do not re-check them, so build a
+measurement once and reuse it rather than passing raw projectors in a
+loop.  A measurement on some qubits of a register acts on those qubits
+of the reshaped state (:meth:`ProjectiveMeasurement.on`); it is never
+embedded into an operator of the register's size.
+
+Memory
+------
+Do not cache objects of the full register's size (``2**n`` amplitudes or
+``2**n x 2**n`` matrices) by point or by challenge: at 12 qubits one
+density operator is 256 MB.  Cache the small operators instead.
+
 Register ordering convention
 ----------------------------
 Qubit 0 is the *leftmost* register factor and the *most significant* bit
@@ -361,45 +377,126 @@ def state_distance(a, b) -> float:
     return trace_distance(da, db)
 
 
-def _validate_projectors(projectors: Sequence[np.ndarray], dim: int) -> list[np.ndarray]:
-    mats = [p.matrix if hasattr(p, "matrix") else np.asarray(p, dtype=complex) for p in projectors]
-    total = np.zeros((dim, dim), dtype=complex)
-    for p in mats:
-        if p.shape != (dim, dim):
+@dataclass(frozen=True)
+class ProjectiveMeasurement:
+    """A complete set of orthogonal projectors on ``qubits`` qubits.
+
+    Validated once, here: every operator is Hermitian and idempotent and
+    together they sum to the identity.  ``projectors`` is stored as one
+    read-only array of shape ``(outcomes, 2**qubits, 2**qubits)``.
+    :meth:`on` places the measurement on some qubits of a larger register
+    without copying or re-checking it.
+    """
+
+    projectors: np.ndarray
+    qubits: int = field(init=False)
+
+    def __post_init__(self):
+        mats = [p.matrix if hasattr(p, "matrix") else np.asarray(p) for p in self.projectors]
+        if not mats:
+            raise ValueError("measurement needs at least one projector")
+        shape = mats[0].shape
+        if len(shape) != 2 or shape[0] != shape[1] or any(p.shape != shape for p in mats):
+            raise DimensionMismatchError("projectors must share one square shape")
+        q = _qubits_for_dim(shape[0])
+        stack = _frozen(mats)
+        for p in stack:
+            if np.max(np.abs(p - p.conj().T)) > ATOL or np.max(np.abs(p @ p - p)) > ATOL:
+                raise ValueError("measurement operator is not an orthogonal projector")
+        if np.max(np.abs(stack.sum(axis=0) - np.eye(shape[0]))) > ATOL:
+            raise ValueError("projectors do not sum to identity")
+        object.__setattr__(self, "projectors", stack)
+        object.__setattr__(self, "qubits", q)
+
+    def on(self, positions: Iterable[int], total_qubits: int) -> "LocalMeasurement":
+        """This measurement on ``positions`` of a ``total_qubits`` register:
+        its own qubit ``i`` is the register's qubit ``positions[i]``."""
+        return LocalMeasurement(self, tuple(positions), total_qubits)
+
+
+@dataclass(frozen=True)
+class LocalMeasurement:
+    """A validated measurement placed on some qubits of a register."""
+
+    measurement: ProjectiveMeasurement
+    positions: tuple[int, ...]
+    total_qubits: int
+
+    def __post_init__(self):
+        if len(self.positions) != self.measurement.qubits:
+            raise DimensionMismatchError("measurement size does not match positions")
+        if len(set(self.positions)) != len(self.positions) or any(
+            p < 0 or p >= self.total_qubits for p in self.positions
+        ):
+            raise ValueError("positions must be distinct and in range")
+
+
+def two_outcome(projector) -> ProjectiveMeasurement:
+    """The validated pair ``(I - P, P)``: outcome 1 means ``P`` fired."""
+    p = projector.matrix if hasattr(projector, "matrix") else np.asarray(projector)
+    return ProjectiveMeasurement((np.eye(p.shape[0]) - p, p))
+
+
+def _as_local(measurement, qubits: int) -> LocalMeasurement:
+    """Place ``measurement`` on a ``qubits``-qubit register.  A plain
+    sequence of projectors is validated here; a bare
+    :class:`ProjectiveMeasurement` acts on the whole register."""
+    if not isinstance(measurement, LocalMeasurement):
+        if not isinstance(measurement, ProjectiveMeasurement):
+            measurement = ProjectiveMeasurement(measurement)
+        if measurement.qubits != qubits:
             raise DimensionMismatchError("projector shape mismatch")
-        if np.max(np.abs(p - p.conj().T)) > ATOL or np.max(np.abs(p @ p - p)) > ATOL:
-            raise ValueError("measurement operator is not an orthogonal projector")
-        total += p
-    if np.max(np.abs(total - np.eye(dim))) > ATOL:
-        raise ValueError("projectors do not sum to identity")
-    return mats
+        measurement = measurement.on(range(qubits), qubits)
+    if measurement.total_qubits != qubits:
+        raise DimensionMismatchError("measurement register does not match the state")
+    return measurement
 
 
-def measure_projective(state, projectors: Sequence, rng: np.random.Generator):
+def measure_projective(state, measurement, rng: np.random.Generator):
     """Projective measurement: sample an outcome, return (index, post-state).
 
+    ``measurement`` is a :class:`LocalMeasurement`, a
+    :class:`ProjectiveMeasurement` on the whole register, or a plain
+    sequence of full-register projectors (validated on entry).  The
+    projectors act on the measured qubits of the reshaped state, so no
+    operator of the register's size is built.
+
     Outcome ``i`` occurs with the Born probability ``Tr(P_i rho)``; the
-    post-state is the renormalized projection.  Outcomes with probability
-    below 1e-12 are never sampled.  Pure states stay pure.
+    post-state is the renormalized projection ``P rho P``.  Outcomes with
+    probability below 1e-12 are never sampled.  Pure states stay pure.
     """
+    q = state.qubits
+    local = _as_local(measurement, q)
+    stack = local.measurement.projectors
+    d = stack.shape[1]
+    rest = [i for i in range(q) if i not in local.positions]
+    order = list(local.positions) + rest
+    back = [order.index(i) for i in range(q)]
     pure = isinstance(state, PureState)
-    dim = state.dim
-    mats = _validate_projectors(projectors, dim)
     if pure:
-        branches = [p @ state.amplitudes for p in mats]
+        # rows: measured qubits; columns: the rest
+        psi = state.amplitudes.reshape((2,) * q).transpose(order).reshape(d, -1)
+        branches = stack @ psi
         probs = np.array([float(np.vdot(b, b).real) for b in branches])
     else:
-        probs = np.array([float(np.trace(p @ state.matrix).real) for p in mats])
-    probs = np.clip(probs, 0.0, None)
-    probs[probs < 1e-12] = 0.0
+        # rows: measured qubits then the rest; columns: the rest then measured
+        cols = rest + list(local.positions)
+        rho = state.matrix.reshape((2,) * (2 * q)).transpose(order + [q + i for i in cols])
+        rho = rho.reshape(d, -1)
+        r = (1 << q) // d
+        reduced = np.trace(rho.reshape(d, r, r, d), axis1=1, axis2=2)
+        # Tr(P reduced) = sum_ab P[a, b] reduced[b, a], for every P at once
+        probs = (stack.reshape(len(stack), -1) @ reduced.T.reshape(-1)).real
+    probs = np.where(probs < 1e-12, 0.0, probs)
     probs /= probs.sum()
-    outcome = int(rng.choice(len(mats), p=probs))
+    outcome = int(rng.choice(len(stack), p=probs))
     if pure:
-        post = PureState(branches[outcome] / np.sqrt(probs[outcome]))
-    else:
-        m = mats[outcome] @ state.matrix @ mats[outcome]
-        post = DensityOperator(m / np.trace(m).real)
-    return outcome, post
+        t = (branches[outcome] / np.sqrt(probs[outcome])).reshape((2,) * q)
+        return outcome, PureState(t.transpose(back).reshape(-1))
+    p = stack[outcome]
+    m = ((p @ rho).reshape(-1, d) @ p).reshape((2,) * (2 * q))
+    m = m.transpose(back + [q + cols.index(i) for i in range(q)]).reshape(1 << q, 1 << q)
+    return outcome, DensityOperator(m / np.trace(m).real)
 
 
 def apply_isometry(v: Isometry, state):

@@ -1,6 +1,8 @@
 """Tests for point-function protection, the reuse circuit, exact
 correctness, the permutation wrapper and the challenge distributions."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -358,6 +360,16 @@ def test_program_json_round_trip(scheme):
     assert np.allclose(rebuilt.state.amplitudes, prog.state.amplitudes)
     rng = spawn_rng(15)
     assert cp.evaluate(rebuilt, 44, rng) == 1
+
+
+@pytest.mark.parametrize(
+    "field,bogus", [("design_id", "clifford-enum-q3-v1"), ("epsilon", 0.25)]
+)
+def test_program_json_rejects_a_mismatched_scheme(scheme, field, bogus):
+    payload = json.loads(cp.program_to_json(cp.protect(scheme, 44)))
+    payload["scheme"][field] = bogus
+    with pytest.raises(ValueError, match=field):
+        cp.program_from_json(json.dumps(payload))
 
 
 def test_mixed_program_json_round_trip(scheme):

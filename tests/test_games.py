@@ -110,6 +110,52 @@ def test_p_ind_matches_p_marg_on_shared_shape(spec):
     assert p_ind(cp.uniform_points(2), lambda p: cp.uniform_points(2)) == Fraction(3, 4)
 
 
+def _enumerated_best_guess(circuit_dist, family) -> Fraction:
+    """Oracle: the 4^k enumeration over (point, challenge) pairs."""
+    size = circuit_dist.size
+    tables = [family(p) for p in range(size)]
+    total = Fraction(0)
+    for x in range(size):
+        w1 = Fraction(0)
+        w0 = Fraction(0)
+        for p in range(size):
+            w = circuit_dist.prob_fraction(p) * tables[p].prob_fraction(x)
+            if p == x:
+                w1 += w
+            else:
+                w0 += w
+        total += max(w1, w0)
+    return total
+
+
+def _exact_kinds(bits: int) -> dict:
+    """Named families of exact-weight tables, indexed by the point; some
+    peak away from the point."""
+    n = 1 << bits
+    return {
+        "uniform": lambda p: cp.uniform_points(bits),
+        "dhalf": lambda p: cp.dhalf(p, bits),
+        "dhalf-shifted": lambda p: cp.dhalf((p + 1) % n, bits),
+        "dhalf-fixed": lambda p: cp.dhalf(n - 1, bits),
+        "biased-0.75": lambda p: cp.biased_point(p, bits, 0.75),
+        "biased-0.125": lambda p: cp.biased_point(p, bits, 0.125),
+        "point-mass": lambda p: cp.point_mass(p, bits),
+        "zero-mass": lambda p: cp.biased_point(p, bits, 0.0),
+    }
+
+
+@pytest.mark.parametrize("bits", [1, 2, 3, 5])
+def test_best_guess_rate_matches_enumeration(bits):
+    kinds = _exact_kinds(bits)
+    circuits = [kinds[name](0) for name in ("uniform", "dhalf", "biased-0.75", "point-mass")]
+    circuits.append(cp.dhalf((1 << bits) - 1, bits))
+    for circuit in circuits:
+        for name, family in kinds.items():
+            value = p_marg(circuit, family)
+            assert isinstance(value, Fraction), name
+            assert value == _enumerated_best_guess(circuit, family), name
+
+
 def test_baseline_float_fallback():
     table = cp.ChallengeDistribution(2, np.array([0.4, 0.3, 0.2, 0.1]))
     value = p_marg(table, lambda p: cp.uniform_points(2))

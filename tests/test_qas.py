@@ -214,3 +214,13 @@ def test_scheme_serialization_round_trip(scheme):
     rebuilt = qas.scheme_from_params(json.loads(qas.scheme_to_json(scheme)))
     assert rebuilt.scheme_id == scheme.scheme_id
     assert rebuilt.epsilon == scheme.epsilon
+
+
+def test_scheme_from_params_checks_the_design(scheme):
+    params = qas.scheme_params(scheme)
+    params["design_id"] = "bogus"
+    with pytest.raises(ValueError, match="design_id"):
+        qas.scheme_from_params(params)
+    del params["design_id"]
+    with pytest.raises(ValueError, match="design_id"):
+        qas.scheme_from_params(params)

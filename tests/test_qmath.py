@@ -12,6 +12,7 @@ from qlease.qmath import (
     DimensionMismatchError,
     Isometry,
     KrausChannel,
+    ProjectiveMeasurement,
     PureState,
     QubitCapError,
     apply_channel,
@@ -301,6 +302,110 @@ def test_measure_never_samples_negligible_outcome():
     for _ in range(200):
         outcome, _ = measure_projective(ket("0"), projs, rng)
         assert outcome == 0
+
+
+class _ForcedChoice:
+    """Stands in for a generator: records the outcome probabilities and
+    returns a chosen outcome."""
+
+    def __init__(self, outcome: int):
+        self.outcome = outcome
+        self.p = None
+
+    def choice(self, n, p):
+        self.p = np.asarray(p)
+        return self.outcome
+
+
+def _random_pair(qubits: int, rng) -> list[np.ndarray]:
+    d = 1 << qubits
+    u = haar_unitary(d, rng)
+    rank = int(rng.integers(1, d)) if d > 1 else 1
+    p1 = u[:, :rank] @ u[:, :rank].conj().T
+    return [np.eye(d) - p1, p1]
+
+
+@pytest.mark.parametrize("pure", [True, False])
+@pytest.mark.parametrize(
+    "positions,total",
+    [
+        ((0, 1), 4),  # contiguous, leading
+        ((2, 3), 4),  # trailing
+        ((0, 2), 4),  # non-contiguous
+        ((3, 1), 4),  # reordered
+        ((2,), 3),  # a single middle qubit
+        ((1, 0, 2), 3),  # the whole register, permuted
+    ],
+)
+def test_local_measurement_matches_dense_lift(pure, positions, total):
+    rng = spawn_rng(70, len(positions), total, int(pure))
+    projs = _random_pair(len(positions), rng)
+    state = random_pure_state(total, rng) if pure else random_density(total, rng)
+    rho = state.density().matrix if pure else state.matrix
+    lifted = [embed_operator(p, positions, total) for p in projs]
+    local = ProjectiveMeasurement(projs).on(positions, total)
+    for outcome, big in enumerate(lifted):
+        forced = _ForcedChoice(outcome)
+        got, post = measure_projective(state, local, forced)
+        assert got == outcome
+        expected_probs = [np.trace(lp @ rho).real for lp in lifted]
+        assert np.allclose(forced.p, expected_probs, atol=qmath.ATOL, rtol=0)
+        m = big @ rho @ big
+        expected = m / np.trace(m).real
+        got_rho = post.density().matrix if pure else post.matrix
+        assert isinstance(post, PureState if pure else DensityOperator)
+        assert np.max(np.abs(got_rho - expected)) < qmath.ATOL
+
+
+def test_full_register_forms_agree():
+    # a plain list, a bare measurement and the positions = range(n) view
+    rng = spawn_rng(71)
+    projs = _random_pair(2, rng)
+    state = random_density(2, rng)
+    m = ProjectiveMeasurement(projs)
+    results = [
+        measure_projective(state, form, spawn_rng(72))
+        for form in (projs, m, m.on(range(2), 2))
+    ]
+    assert len({outcome for outcome, _ in results}) == 1
+    for _, post in results[1:]:
+        assert np.array_equal(post.matrix, results[0][1].matrix)
+
+
+@pytest.mark.parametrize(
+    "projs",
+    [
+        [np.array([[0, 1], [0, 0]]), np.array([[1, -1], [0, 1]])],  # not Hermitian
+        [np.eye(2) * 0.5, np.eye(2) * 0.5],  # not idempotent
+        [ket("0").density().matrix],  # incomplete
+    ],
+)
+def test_projective_measurement_rejects_bad_sets(projs):
+    with pytest.raises(ValueError):
+        ProjectiveMeasurement(projs)
+
+
+def test_projective_measurement_shape_mismatches():
+    with pytest.raises(DimensionMismatchError):
+        ProjectiveMeasurement([np.eye(2), np.zeros((4, 4))])
+    with pytest.raises(DimensionMismatchError):
+        ProjectiveMeasurement([np.zeros((3, 3)), np.eye(3)])
+    pair = ProjectiveMeasurement([ket("0").density().matrix, ket("1").density().matrix])
+    rng = spawn_rng(73)
+    with pytest.raises(DimensionMismatchError):
+        measure_projective(bell_state(), pair, rng)  # one qubit against two
+    with pytest.raises(DimensionMismatchError):
+        measure_projective(bell_state(), pair.on((0,), 3), rng)
+    with pytest.raises(DimensionMismatchError):
+        pair.on((0, 1), 2)
+    with pytest.raises(ValueError):
+        pair.on((2,), 2)
+
+
+def test_projective_measurement_is_read_only():
+    m = ProjectiveMeasurement([np.eye(2), np.zeros((2, 2))])
+    with pytest.raises(ValueError):
+        m.projectors[0][0, 0] = 0.0
 
 
 # ---------------------------------------------------------------------------
