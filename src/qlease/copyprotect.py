@@ -37,6 +37,7 @@ from .qmath import (
     matrix_to_jsonable,
     measure_projective,
     partial_trace,
+    sample_bit,
     two_outcome,
     zero_state,
 )
@@ -166,15 +167,6 @@ def point_mass(point: int, bits: int) -> ChallengeDistribution:
     return biased_point(point, bits, 1.0)
 
 
-def sample_pair(
-    first: ChallengeDistribution,
-    second: ChallengeDistribution,
-    rng: np.random.Generator,
-) -> tuple[int, int]:
-    """Independent draw from the product of two distributions."""
-    return first.sample(rng), second.sample(rng)
-
-
 # ---------------------------------------------------------------------------
 # Programs
 # ---------------------------------------------------------------------------
@@ -231,13 +223,14 @@ def evaluate(program: ProtectedProgram, x: int, rng: np.random.Generator) -> int
     program._claim()
     if program.kind == "mixed":
         raise ValueError("mixed programs evaluate through mix_evaluate")
+    return _consume_at(program, x, rng)
+
+
+def _consume_at(program: ProtectedProgram, x: int, rng: np.random.Generator) -> int:
+    """Verify the program with key ``x``, consume it, and sample the bit."""
     p = accept_probability(program.scheme, x, program.state)
     program.consumed = True
-    if p >= 1 - 1e-12:
-        return 1
-    if p < 1e-12:
-        return 0
-    return int(rng.random() < p)
+    return sample_bit(p, rng)
 
 
 def _preserving_circuit(scheme: QasScheme, x: int) -> np.ndarray:
@@ -405,14 +398,7 @@ def mix_evaluate(program: ProtectedProgram, x: int, rng: np.random.Generator) ->
     if program.kind != "mixed":
         raise ValueError("mix_evaluate needs a mixed program")
     program._claim()
-    hx = program.family.apply(program.perm_param, x)
-    p = accept_probability(program.scheme, hx, program.state)
-    program.consumed = True
-    if p >= 1 - 1e-12:
-        return 1
-    if p < 1e-12:
-        return 0
-    return int(rng.random() < p)
+    return _consume_at(program, program.family.apply(program.perm_param, x), rng)
 
 
 def mix_error_exact(

@@ -185,11 +185,6 @@ class PairwisePermFamily:
         return gf_mul(m, x, self.bits, self.poly) ^ b
 
 
-def pairwise_apply(family: PairwisePermFamily, r: tuple[int, int], x: int) -> int:
-    """Apply the permutation with parameter ``r`` to ``x``."""
-    return family.apply(r, x)
-
-
 # ---------------------------------------------------------------------------
 # Almost-uniform key maps
 # ---------------------------------------------------------------------------
@@ -244,11 +239,6 @@ class EpsUniformMap:
         out = np.full(self.range_size, q, dtype=np.int64)
         out[:rem] += 1
         return out
-
-
-def eps_uniform_build(domain_bits: int, range_size: int) -> EpsUniformMap:
-    """Build the mod map together with its exact statistical distance."""
-    return EpsUniformMap(domain_bits, range_size)
 
 
 # ---------------------------------------------------------------------------

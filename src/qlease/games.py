@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import csv
 import functools
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields, replace
 from fractions import Fraction
 from pathlib import Path
 from statistics import NormalDist
@@ -56,20 +56,6 @@ from .qmath import (
 )
 
 CSV_SCHEMA_VERSION = 1
-CSV_HEADER = [
-    "schema_version",
-    "game",
-    "scheme",
-    "adversary",
-    "trials",
-    "wins",
-    "estimate",
-    "ci_lo",
-    "ci_hi",
-    "baseline",
-    "bound",
-    "seed",
-]
 
 
 def wilson_interval(wins: int, trials: int, confidence: float = 0.99) -> tuple[float, float]:
@@ -329,30 +315,38 @@ def _best_guess_rate(
     exact, floats otherwise.  Exact tables are flat apart from at most one
     peak, so the challenge marginal is one flat sum plus the peaks, and
     the exact branch costs O(2^k) rather than O(4^k).
+
+    One pass over the points builds each table once and keeps none of
+    them: the float weights are summed by challenge row by row, as
+    ``weights.sum(axis=0)`` adds the rows of the full weight matrix.
     """
     size = circuit_dist.size
-    tables = [family(p) for p in range(size)]
-    exact = circuit_dist.prob_fraction(0) is not None and all(
-        t.prob_fraction(0) is not None for t in tables
-    )
-    if exact:
-        circuit = [circuit_dist.prob_fraction(p) for p in range(size)]
-        shapes = [_flat_and_peak(t) for t in tables]
-        flat_marginal = sum((c * flat for c, (flat, _, _) in zip(circuit, shapes)), Fraction(0))
-        peaks: dict[int, Fraction] = {}
-        for c, (flat, peak, top) in zip(circuit, shapes):
+    exact = circuit_dist.prob_fraction(0) is not None
+    diag = np.empty(size)
+    col = np.zeros(size)
+    hits: list[Fraction] = []  # exact weight of (point = x, challenge = x)
+    flat_marginal = Fraction(0)
+    peaks: dict[int, Fraction] = {}
+    for p in range(size):
+        table = family(p)
+        row = table.probs * circuit_dist.probs[p]
+        diag[p] = row[p]
+        col += row
+        exact = exact and table.prob_fraction(0) is not None
+        if exact:
+            c = circuit_dist.prob_fraction(p)
+            flat, peak, top = _flat_and_peak(table)
+            flat_marginal += c * flat
             if peak is not None:
                 peaks[peak] = peaks.get(peak, Fraction(0)) + c * (top - flat)
-        total = Fraction(0)
-        for x, (flat, peak, top) in enumerate(shapes):
-            w1 = circuit[x] * (top if peak == x else flat)
-            w0 = flat_marginal + peaks.get(x, Fraction(0)) - w1
-            total += max(w1, w0)  # ties broken toward b=0; value unaffected
-        return total
-    weights = np.array([t.probs for t in tables]) * circuit_dist.probs[:, None]
-    diag = np.diag(weights)
-    col = weights.sum(axis=0) - diag
-    return float(np.maximum(diag, col).sum())
+            hits.append(c * (top if peak == p else flat))
+    if exact:
+        # ties broken toward b=0; value unaffected
+        return sum(
+            (max(w1, flat_marginal + peaks.get(x, Fraction(0)) - w1) for x, w1 in enumerate(hits)),
+            Fraction(0),
+        )
+    return float(np.maximum(diag, col - diag).sum())
 
 
 def p_marg(
@@ -402,37 +396,14 @@ class GameReport:
     params: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema_version": CSV_SCHEMA_VERSION,
-            "game": self.game,
-            "scheme": self.scheme,
-            "adversary": self.adversary,
-            "trials": self.trials,
-            "wins": self.wins,
-            "estimate": self.estimate,
-            "ci_lo": self.ci_lo,
-            "ci_hi": self.ci_hi,
-            "baseline": self.baseline,
-            "bound": self.bound,
-            "seed": self.seed,
-            "params": self.params,
-        }
+        return {"schema_version": CSV_SCHEMA_VERSION, **asdict(self)}
 
     def csv_row(self) -> list:
-        return [
-            CSV_SCHEMA_VERSION,
-            self.game,
-            self.scheme,
-            self.adversary,
-            self.trials,
-            self.wins,
-            repr(self.estimate),
-            repr(self.ci_lo),
-            repr(self.ci_hi),
-            repr(self.baseline),
-            repr(self.bound),
-            self.seed,
-        ]
+        return [CSV_SCHEMA_VERSION, *(getattr(self, name) for name in CSV_HEADER[1:])]
+
+
+#: CSV columns: the schema version, then every report field but ``params``.
+CSV_HEADER = ["schema_version", *(f.name for f in fields(GameReport) if f.name != "params")]
 
 
 def append_csv(report: GameReport, path: str | Path) -> None:
@@ -654,31 +625,23 @@ def cheat_double_program(scheme: QasScheme) -> tuple[object, MeasurementStrategy
     return _Cloner(scheme), HonestEvalStrategy(scheme)
 
 
+# In the leasing game the lessor's verification plays honest Bob: the
+# returned register is Bob's, the kept one Charlie's.  The leasing
+# adversaries are the pirating ones under their leasing names.
+
+
 def honest_return(ssl_scheme: SslScheme) -> tuple[PirateMap, MeasurementStrategy]:
-    """Return the program untouched, keep a fresh qubit, always answer 0."""
-    n = ssl_scheme.base.total_qubits
-    adv = PirateMap(
-        bob_qubits=tuple(range(n)),
-        charlie_qubits=(n,),
-        unitary=np.eye(1 << (n + 1)),
-        ancilla_qubits=1,
-        name="honest-return",
-    )
-    return adv, FixedAnswer(0)
+    """:func:`trivial_forward`: return the program untouched, keep a fresh
+    qubit, always answer 0."""
+    pirate, strategy = trivial_forward(ssl_scheme.base)
+    return replace(pirate, name="honest-return"), strategy
 
 
 def keep_program(ssl_scheme: SslScheme) -> tuple[PirateMap, MeasurementStrategy]:
-    """Return a maximally mixed dummy, keep the program, answer by honest
-    evaluation on the kept copy."""
-    scheme = ssl_scheme.base
-    n = scheme.total_qubits
-    adv = PirateMap(
-        bob_qubits=tuple(range(n)),
-        charlie_qubits=tuple(range(n, 2 * n)),
-        channel=_mix_and_keep_channel(scheme),
-        name="keep-program",
-    )
-    return adv, HonestEvalStrategy(scheme)
+    """:func:`give_to_charlie`: return a maximally mixed dummy, keep the
+    program, answer by honest evaluation on the kept copy."""
+    pirate, strategy = give_to_charlie(ssl_scheme.base)
+    return replace(pirate, name="keep-program"), strategy
 
 
 # ---------------------------------------------------------------------------
@@ -746,19 +709,27 @@ def oracle_cheat_double_program(spec: GameSpec) -> float:
     return total
 
 
+def _leasing_spec(
+    ssl_scheme: SslScheme, circuit_dist: ChallengeDistribution, challenge_family: Family
+) -> GameSpec:
+    """The leasing game as a pirating game: verification is honest Bob,
+    challenged from the verification distribution."""
+    bits = ssl_scheme.base.key_bits
+    return GameSpec(
+        scheme=ssl_scheme.base,
+        circuit_dist=circuit_dist,
+        bob_family=lambda p: verify_distribution(ssl_scheme, PointFunction(p, bits)),
+        charlie_family=challenge_family,
+    )
+
+
 def oracle_honest_return(
     ssl_scheme: SslScheme, circuit_dist: ChallengeDistribution, challenge_family: Family
 ) -> float:
     """Verification accepts the intact program at its exact correctness
     under the verification distribution; the fixed 0 answer is right when
     the challenge misses the point."""
-    scheme = ssl_scheme.base
-    total = 0.0
-    for p in range(circuit_dist.size):
-        vd = verify_distribution(ssl_scheme, PointFunction(p, scheme.key_bits))
-        v = correctness_exact(scheme, p, vd)
-        total += circuit_dist.prob(p) * v * (1.0 - challenge_family(p).prob(p))
-    return total
+    return oracle_trivial_forward(_leasing_spec(ssl_scheme, circuit_dist, challenge_family))
 
 
 def oracle_keep_program(
@@ -766,12 +737,4 @@ def oracle_keep_program(
 ) -> float:
     """Verification sees a maximally mixed register; the kept program
     answers at its exact correctness."""
-    scheme = ssl_scheme.base
-    total = 0.0
-    for p in range(circuit_dist.size):
-        vd = verify_distribution(ssl_scheme, PointFunction(p, scheme.key_bits))
-        v = _mixed_state_honest_correct(scheme, vd, p)
-        total += circuit_dist.prob(p) * v * correctness_exact(
-            scheme, p, challenge_family(p)
-        )
-    return total
+    return oracle_give_to_charlie(_leasing_spec(ssl_scheme, circuit_dist, challenge_family))

@@ -42,11 +42,6 @@ class SslScheme:
     verify_r: float = 1.0
 
 
-def ssl_gen(scheme: SslScheme) -> None:
-    """Key generation: the secret key is empty."""
-    return None
-
-
 @dataclass(frozen=True)
 class CompareFunction:
     """CC_{f,y}: outputs 1 on x iff f(x) = y, with f an explicit table."""

@@ -32,7 +32,6 @@ from .designs import (
     EpsUniformMap,
     UnitaryDesign,
     clifford_design,
-    eps_uniform_build,
     irreducible_poly,
 )
 from .qmath import (
@@ -45,6 +44,7 @@ from .qmath import (
     SubnormalizedOperator,
     maximally_mixed,
     qubit_cap,
+    sample_bit,
 )
 
 #: Exact key-space averaging is allowed up to this many keys.
@@ -124,7 +124,7 @@ def build_scheme(
         raise QubitCapError(f"{total} qubits exceeds the cap of {qubit_cap()}")
     if design is None:
         design = clifford_design(total)
-    key_map = eps_uniform_build(key_bits, design.cardinality)
+    key_map = EpsUniformMap(key_bits, design.cardinality)
     epsilon = design_epsilon(trap_qubits) + float(key_map.epsilon_prime)
     return QasScheme(message_qubits, trap_qubits, key_bits, design, key_map, epsilon)
 
@@ -233,8 +233,7 @@ def verify(
     p = min(max(branch.weight, 0.0), 1.0)
     mixed = maximally_mixed(scheme.message_qubits)
     if rng is not None:
-        accepted = bool(rng.random() < p) if 1e-12 < p < 1 - 1e-12 else p >= 0.5
-        if accepted:
+        if sample_bit(p, rng):
             return VerifyOutcome(True, DensityOperator(branch.matrix / p), p)
         return VerifyOutcome(False, mixed, p)
     if p > 1e-12:

@@ -107,6 +107,16 @@ def spawn_rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 
+def sample_bit(p: float, rng: np.random.Generator) -> int:
+    """A bit that is 1 with probability ``p``.  Within 1e-12 of 0 or 1 the
+    bit is fixed and no draw is made; otherwise one ``rng.random()``."""
+    if p >= 1 - 1e-12:
+        return 1
+    if p < 1e-12:
+        return 0
+    return int(rng.random() < p)
+
+
 # ---------------------------------------------------------------------------
 # Container types
 # ---------------------------------------------------------------------------

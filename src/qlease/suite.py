@@ -169,7 +169,7 @@ def c05_eps_uniform(seed: int) -> CriterionResult:
     for _ in range(1000):
         k = int(rng.integers(1, 17))
         b = int(rng.integers(1, 4 * (1 << k) + 1))
-        m = designs.eps_uniform_build(k, b)
+        m = designs.EpsUniformMap(k, b)
         worst = max(worst, m.epsilon_prime - m.bound)
     return CriterionResult(
         name="eps-uniform-bound",
@@ -257,19 +257,12 @@ def c08_reusability(seed: int) -> CriterionResult:
         exact_dev = max(exact_dev, state_distance(post.state, original))
         if bit != 1:
             exact_dev = max(exact_dev, 1.0)
-        # Exact damage: sum over challenges of dist weight times the trace
-        # distance to the dephased program, grouped by design index (every
-        # x with the same index dephases identically).
+        # Exact damage: dephasing a pure program across the accept split of
+        # key x moves it by sqrt(a_x (1 - a_x)) in trace distance, a_x its
+        # acceptance probability.
         dist = cp.dhalf(p, 14)
-        n = scheme.design.cardinality
-        idx = np.arange(1 << 14) % n
-        index_weight = np.bincount(idx, weights=dist.probs, minlength=n)
-        rho = original.density()
-        damage = sum(
-            w * trace_distance(rho, cp.post_evaluation_state(scheme, original, i))
-            for i, w in enumerate(index_weight)
-            if w > 0
-        )
+        acc = np.clip(cp.acceptance_per_input(scheme, original), 0, 1)
+        damage = float(dist.probs @ np.sqrt(acc * (1 - acc)))
         eta = 1.0 - cp.correctness_exact(scheme, p, dist)
         worst_excess = max(worst_excess, damage - 4 * eta)
         worst_const = max(worst_const, damage / eta)

@@ -90,7 +90,7 @@ def test_uniform_chi2():
 def test_sample_pair_independent_product():
     d1, d2 = cp.point_mass(1, 3), cp.uniform_points(3)
     rng = spawn_rng(3)
-    first, second = zip(*(cp.sample_pair(d1, d2, rng) for _ in range(500)))
+    first, second = zip(*((d1.sample(rng), d2.sample(rng)) for _ in range(500)))
     assert set(first) == {1}
     assert len(set(second)) == 8
 
@@ -230,6 +230,24 @@ def test_dephasing_damage_closed_form(scheme):
         # compare squared to dodge the cancellation at a ~ 1
         assert abs(damage**2 - a * (1 - a)) < 1e-9
         assert damage <= 2 * np.sqrt(a) + 1e-9
+
+
+def test_reusability_damage_closed_form_matches_brute_force(scheme):
+    # the closed form the reusability criterion sums; sqrt amplifies the
+    # ~1e-15 rounding of 1 - a near a = 1 to a few 1e-8 per key
+    rng = spawn_rng(15)
+    for _ in range(3):
+        p = int(rng.integers(64))
+        dist = cp.dhalf(p, 6)
+        state = cp.protect(scheme, p).state
+        acc = np.clip(cp.acceptance_per_input(scheme, state), 0, 1)
+        closed = float(dist.probs @ np.sqrt(acc * (1 - acc)))
+        brute = sum(
+            dist.prob(x)
+            * trace_distance(state.density(), cp.post_evaluation_state(scheme, state, x))
+            for x in range(64)
+        )
+        assert abs(closed - brute) < 1e-7
 
 
 def test_average_damage_within_constant_of_eta(scheme):

@@ -10,19 +10,18 @@ from hypothesis import given, settings, strategies as st
 
 from qlease import designs
 from qlease.designs import (
+    EpsUniformMap,
     IndexedCliffordDesign,
     PairwisePermFamily,
     canonical_phase,
     clifford_enumerate,
     clifford_sample,
-    eps_uniform_build,
     frame_potential,
     gf_mul,
     irreducible_poly,
     is_irreducible,
     load_design,
     num_symplectics,
-    pairwise_apply,
     random_unitary_set,
     save_design,
 )
@@ -84,8 +83,8 @@ def test_family_size():
 def test_identity_and_additive_params():
     fam = PairwisePermFamily(4)
     for x in range(16):
-        assert pairwise_apply(fam, (1, 0), x) == x
-        assert pairwise_apply(fam, (1, 9), x) == x ^ 9
+        assert fam.apply((1, 0), x) == x
+        assert fam.apply((1, 9), x) == x ^ 9
 
 
 def test_zero_multiplier_rejected():
@@ -138,12 +137,12 @@ def test_sampled_param_in_range():
 
 
 def test_eps_uniform_exact_divisor():
-    assert eps_uniform_build(4, 16).epsilon_prime == 0
+    assert EpsUniformMap(4, 16).epsilon_prime == 0
 
 
 def test_eps_uniform_known_value():
     # preimage-count oracle: |A|=16 onto |B|=12 gives distance 1/6
-    m = eps_uniform_build(4, 12)
+    m = EpsUniformMap(4, 12)
     counts = [m.preimage_count(b) for b in range(12)]
     assert sorted(set(counts)) == [1, 2]
     oracle = Fraction(1, 2) * sum(
@@ -155,11 +154,11 @@ def test_eps_uniform_known_value():
 
 
 def test_eps_uniform_singleton_range():
-    assert eps_uniform_build(1, 1).epsilon_prime == 0
+    assert EpsUniformMap(1, 1).epsilon_prime == 0
 
 
 def test_eps_uniform_preimages_differ_by_at_most_one():
-    m = eps_uniform_build(10, 7)
+    m = EpsUniformMap(10, 7)
     counts = m.preimage_counts()
     assert counts.max() - counts.min() <= 1
     assert counts.sum() == 1 << 10
@@ -168,7 +167,7 @@ def test_eps_uniform_preimages_differ_by_at_most_one():
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 16), st.integers(1, 2**18))
 def test_eps_uniform_bound_property(k, b):
-    m = eps_uniform_build(k, b)
+    m = EpsUniformMap(k, b)
     assert m.epsilon_prime <= m.bound
 
 

@@ -1,6 +1,8 @@
 """Tests for the game harnesses, baselines and the adversary zoo."""
 
 import json
+import tracemalloc
+from dataclasses import fields
 from fractions import Fraction
 from statistics import NormalDist
 
@@ -34,7 +36,7 @@ from qlease.games import (
     trivial_forward,
     wilson_interval,
 )
-from qlease.leasing import SslScheme
+from qlease.leasing import SslScheme, verify_distribution
 from qlease.qmath import KrausChannel
 
 TRIALS = 4000
@@ -154,6 +156,30 @@ def test_best_guess_rate_matches_enumeration(bits):
             value = p_marg(circuit, family)
             assert isinstance(value, Fraction), name
             assert value == _enumerated_best_guess(circuit, family), name
+
+
+def test_best_guess_rate_keeps_no_tables():
+    # at k = 12 the 2^12 tables of 2^12 floats would take 128 MiB together
+    tracemalloc.start()
+    try:
+        value = p_marg(cp.uniform_points(12), lambda p: cp.dhalf(p, 12))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == Fraction(1, 2)
+    assert peak < 8 * 2**20
+
+
+def test_best_guess_rate_float_matches_weight_matrix():
+    # reference: the whole weight matrix, summed over points at once
+    rng = np.random.default_rng(5)
+    rows = rng.random((8, 8))
+    tables = [cp.ChallengeDistribution(3, row / row.sum()) for row in rows]
+    circuit = cp.ChallengeDistribution(3, rows[0] / rows[0].sum())
+    weights = np.array([t.probs for t in tables]) * circuit.probs[:, None]
+    diag = np.diag(weights)
+    expected = float(np.maximum(diag, weights.sum(axis=0) - diag).sum())
+    assert p_marg(circuit, lambda p: tables[p]) == expected
 
 
 def test_baseline_float_fallback():
@@ -317,6 +343,47 @@ def test_keep_program_matches_oracle(ssl, spec):
     )
     oracle = oracle_keep_program(ssl, spec.circuit_dist, spec.charlie_family)
     assert rep.ci_lo <= oracle <= rep.ci_hi
+
+
+def _same_value(a, b) -> bool:
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b)
+    if isinstance(a, KrausChannel):
+        return a.trace_preserving == b.trace_preserving and all(
+            np.array_equal(x, y) for x, y in zip(a.kraus_ops, b.kraus_ops, strict=True)
+        )
+    return a == b
+
+
+@pytest.mark.parametrize(
+    "leasing,pirating,name",
+    [(honest_return, trivial_forward, "honest-return"), (keep_program, give_to_charlie, "keep-program")],
+)
+def test_leasing_adversaries_are_pirating_ones_renamed(ssl, scheme, leasing, pirating, name):
+    adv, strategy = leasing(ssl)
+    pirate, pirate_strategy = pirating(scheme)
+    assert adv.name == name
+    for f in fields(PirateMap):
+        if f.name != "name":
+            assert _same_value(getattr(adv, f.name), getattr(pirate, f.name)), f.name
+    assert type(strategy) is type(pirate_strategy)
+    assert vars(strategy).keys() == vars(pirate_strategy).keys()
+    assert strategy.name == pirate_strategy.name
+
+
+@pytest.mark.parametrize("verify_r", [1.0, 0.75])
+def test_leasing_oracles_are_pirating_oracles(scheme, spec, verify_r):
+    ssl = SslScheme(scheme, verify_r)
+    bits = scheme.key_bits
+    leasing_spec = GameSpec(
+        scheme=scheme,
+        circuit_dist=spec.circuit_dist,
+        bob_family=lambda p: verify_distribution(ssl, cp.PointFunction(p, bits)),
+        charlie_family=spec.charlie_family,
+    )
+    args = (ssl, spec.circuit_dist, spec.charlie_family)
+    assert oracle_honest_return(*args) == oracle_trivial_forward(leasing_spec)
+    assert oracle_keep_program(*args) == oracle_give_to_charlie(leasing_spec)
 
 
 def test_ssl_abort_counts_as_loss(ssl, spec, scheme):

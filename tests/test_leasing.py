@@ -17,7 +17,6 @@ from qlease.leasing import (
     leased_to_json,
     pushforward,
     ssl_eval,
-    ssl_gen,
     ssl_lease,
     ssl_verify,
     verify_distribution,
@@ -34,10 +33,6 @@ def scheme():
 @pytest.fixture(scope="module")
 def ssl(scheme):
     return SslScheme(scheme)
-
-
-def test_gen_outputs_empty_key(ssl):
-    assert ssl_gen(ssl) is None
 
 
 def test_lease_is_protect_passthrough(ssl, scheme):

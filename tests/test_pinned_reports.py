@@ -1,10 +1,10 @@
 """Same-seed game reports, pinned across commits.
 
-Each run below writes its JSON report through the CLI; the win count and
-the sha256 of the file must equal the values recorded here.  A change
-that moves one of them changes what a seed produces (the RNG call
-sequence, a sampled distribution, a measurement or a baseline), which
-needs a stated reason, never a re-pin to make the check pass.
+Each run below writes its JSON report, or its CSV file, through the CLI;
+the win count and the sha256 of the file must equal the values recorded
+here.  A change that moves one of them changes what a seed produces (the
+RNG call sequence, a sampled distribution, a measurement or a baseline),
+which needs a stated reason, never a re-pin to make the check pass.
 """
 
 import hashlib
@@ -61,3 +61,24 @@ def test_same_seed_report_is_pinned(tmp_path, argv, wins, sha256):
     data = out.read_bytes()
     assert json.loads(data)["wins"] == wins
     assert hashlib.sha256(data).hexdigest() == sha256
+
+
+#: The ``--csv`` file of one run of each game (header plus one row).
+PINNED_CSV = [
+    (
+        ["cp", "--adversary", "give-to-charlie", "--scheme", "1,1,6"],
+        "a06b2c17bfa79b65e8371a861bdf11247d458afaf9faf6cc05b799af629a5a4e",
+    ),
+    (
+        ["ssl", "--adversary", "keep-program", "--scheme", "1,1,6"],
+        "18f39800647194da30f5cb0f913443838c45294a5f73d7fa0ba8ea6ff08773ed",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,sha256", PINNED_CSV, ids=[argv[0] for argv, _ in PINNED_CSV])
+def test_same_seed_csv_is_pinned(tmp_path, argv, sha256):
+    out = tmp_path / "rows.csv"
+    rc = main([*argv, "--trials", TRIALS, "--seed", SEED, "--csv", str(out)])
+    assert rc == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256

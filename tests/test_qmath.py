@@ -512,3 +512,18 @@ def test_spawn_rng_deterministic_and_split():
     c = spawn_rng(7, 2).random(4)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("p,bit", [(0.0, 0), (1e-13, 0), (1 - 1e-13, 1), (1.0, 1)])
+def test_sample_bit_draws_nothing_at_the_edges(p, bit):
+    rng = spawn_rng(13)
+    before = rng.bit_generator.state
+    assert qmath.sample_bit(p, rng) == bit
+    assert rng.bit_generator.state == before
+
+
+def test_sample_bit_draws_once_inside():
+    rng, reference = spawn_rng(14), spawn_rng(14)
+    bit = qmath.sample_bit(0.5, rng)
+    assert bit == int(reference.random() < 0.5)
+    assert rng.bit_generator.state == reference.bit_generator.state
