@@ -7,10 +7,14 @@ encoded point always evaluates to 1 and other inputs reject at the
 wrong-key rate of the underlying scheme.
 
 Two evaluation modes exist.  :func:`evaluate` is the destructive one: it
-consumes the program.  :func:`evaluate_preserving` implements the
-copy-out-the-answer circuit (purified verify, CNOT the accept bit onto a
-fresh qubit, uncompute) and hands the program back; on the encoded point
-the program is returned exactly intact.
+consumes the program.  :func:`evaluate_preserving` hands the program back.
+The construction's copy-out-the-answer circuit (purified verify, CNOT the
+accept bit onto a fresh qubit, uncompute) leaves the ancillas in |0> and
+acts on the program register exactly as the two-outcome measurement
+{I - A_x A_x†, A_x A_x†} of :func:`evaluation_measurement`, so that
+measurement is what runs: the same bit distribution and post-states
+without a circuit on a register four times the program's size.  On the
+encoded point the program is returned exactly intact.
 
 :func:`mix_protect` wraps a program with a pairwise independent
 permutation: the point is first pushed through a uniformly random
@@ -21,7 +25,7 @@ parameter rides along as classical metadata.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Literal
 
@@ -32,11 +36,11 @@ from .qas import QasScheme, acceptance_by_index, accept_probability, scheme_from
 from .qmath import (
     DensityOperator,
     DimensionMismatchError,
+    ProjectiveMeasurement,
     PureState,
     matrix_from_jsonable,
     matrix_to_jsonable,
     measure_projective,
-    partial_trace,
     sample_bit,
     two_outcome,
     zero_state,
@@ -211,8 +215,10 @@ def accept_projector(scheme: QasScheme, x: int) -> np.ndarray:
     return a @ a.conj().T
 
 
-#: Reads the copied answer qubit O' (the last qubit of Y (x) O (x) O').
-_ANSWER_BIT = two_outcome(np.diag([0.0, 1.0]))
+def evaluation_measurement(scheme: QasScheme, x: int) -> ProjectiveMeasurement:
+    """Honest evaluation at ``x`` as a validated two-outcome measurement on
+    the program register: outcome 1 is acceptance (``A_x A_x†``)."""
+    return two_outcome(accept_projector(scheme, x))
 
 
 def evaluate(program: ProtectedProgram, x: int, rng: np.random.Generator) -> int:
@@ -233,75 +239,20 @@ def _consume_at(program: ProtectedProgram, x: int, rng: np.random.Generator) -> 
     return sample_bit(p, rng)
 
 
-def _preserving_circuit(scheme: QasScheme, x: int) -> np.ndarray:
-    """The reuse circuit on Y (x) O (x) O': purified verify writes the
-    trap check into O, a CNOT copies it to O', then everything uncomputes.
-    (The purification needs no extra workspace, so the Z register of the
-    construction is empty here.)
-    """
-    u = scheme.design.element(scheme.key_index(x))
-    dim_y = scheme.total_dim
-    t = scheme.trap_qubits
-    dim = dim_y * 4
-    # MCX: flip O when every trap bit (the 2^t least significant block of
-    # the Y index) is zero.
-    perm = np.arange(dim)
-    for y in range(dim_y):
-        if y % (1 << t) == 0:
-            base = y * 4
-            perm[base + 0], perm[base + 2] = perm[base + 2], perm[base + 0]  # |o=0,o'=0> <-> |o=1,o'=0>
-            perm[base + 1], perm[base + 3] = perm[base + 3], perm[base + 1]  # |o=0,o'=1> <-> |o=1,o'=1>
-    mcx = np.zeros((dim, dim))
-    mcx[perm, np.arange(dim)] = 1.0
-    # CNOT O -> O'
-    perm2 = np.arange(dim)
-    for y in range(dim_y):
-        base = y * 4
-        perm2[base + 2], perm2[base + 3] = perm2[base + 3], perm2[base + 2]
-    cnot = np.zeros((dim, dim))
-    cnot[perm2, np.arange(dim)] = 1.0
-    eye4 = np.eye(4)
-    u_full = np.kron(u, eye4)
-    return u_full @ mcx @ cnot @ mcx @ u_full.conj().T
-
-
 def evaluate_preserving(
     program: ProtectedProgram, x: int, rng: np.random.Generator
 ) -> tuple[int, ProtectedProgram]:
-    """Program-preserving evaluation via the copy-and-uncompute circuit.
-
-    Measures only the copied answer qubit O'; returns the bit and a fresh
-    program holding the post-evaluation Y state.  On the encoded point the
-    state comes back exactly unchanged.
-    """
+    """Program-preserving evaluation: measure :func:`evaluation_measurement`
+    on the program and return the bit with a fresh program holding the
+    post-measurement state.  On the encoded point the state comes back
+    exactly unchanged."""
     program._claim()
-    scheme = program.scheme
-    circuit = _preserving_circuit(scheme, x)
-    dim_y = scheme.total_dim
-    q_total = scheme.total_qubits + 2
-    answer_bit = _ANSWER_BIT.on((q_total - 1,), q_total)
-    if isinstance(program.state, PureState):
-        full = np.zeros(dim_y * 4, dtype=complex)
-        full[::4] = program.state.amplitudes
-        full = circuit @ full
-        outcome, post = measure_projective(PureState(full), answer_bit, rng)
-        # O is uncomputed to |0> exactly; O' holds the measured bit.
-        amps = post.amplitudes.reshape(dim_y, 4)[:, outcome]
-        new_state: PureState | DensityOperator = PureState(amps)
-    else:
-        rho = np.zeros((dim_y * 4, dim_y * 4), dtype=complex)
-        rho[::4, ::4] = program.state.matrix
-        rho = circuit @ rho @ circuit.conj().T
-        outcome, post = measure_projective(DensityOperator(rho), answer_bit, rng)
-        new_state = partial_trace(post, range(scheme.total_qubits))
-    program.consumed = True
-    return outcome, ProtectedProgram(
-        state=new_state,
-        scheme=scheme,
-        kind=program.kind,
-        perm_param=program.perm_param,
-        family=program.family,
+    outcome, state = measure_projective(
+        program.state, evaluation_measurement(program.scheme, x), rng
     )
+    post = replace(program, state=state)
+    program.consumed = True
+    return outcome, post
 
 
 def post_evaluation_state(
@@ -311,10 +262,9 @@ def post_evaluation_state(
     dephased across the accept/reject split of key ``x``.  This is what
     one round of evaluation does to the program when nobody looks at the
     answer bit."""
-    proj = accept_projector(scheme, x)
     rho = state.density().matrix if isinstance(state, PureState) else state.matrix
-    comp = np.eye(scheme.total_dim) - proj
-    return DensityOperator(proj @ rho @ proj + comp @ rho @ comp)
+    pair = evaluation_measurement(scheme, x)
+    return DensityOperator(sum(p @ rho @ p for p in pair.projectors))
 
 
 # ---------------------------------------------------------------------------

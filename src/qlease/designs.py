@@ -289,6 +289,28 @@ def _generators(qubits: int) -> list[np.ndarray]:
     raise ValueError("explicit enumeration supports 1 or 2 qubits only")
 
 
+def uniform_index(n: int, rng: np.random.Generator, size: int | None = None):
+    """Uniform integer in ``[0, n)`` (``size`` of them as a sequence).
+
+    ``rng.integers`` draws it while ``n`` fits its int64 range.  Larger
+    ``n`` (the Clifford groups at 5 and 6 qubits) is drawn by rejection:
+    ``rng.bytes`` supplies the bit length of ``n - 1`` in random bits, and
+    values at or above ``n`` are redrawn, fewer than one in two.
+    """
+    if n <= 1 << 63:
+        return rng.integers(n, size=size)
+    bits = (n - 1).bit_length()
+    nbytes = (bits + 7) // 8
+
+    def draw() -> int:
+        while True:
+            v = int.from_bytes(rng.bytes(nbytes), "little") >> (8 * nbytes - bits)
+            if v < n:
+                return v
+
+    return draw() if size is None else [draw() for _ in range(size)]
+
+
 class UnitaryDesign:
     """Finite set of unitaries addressable by a canonical index.
 
@@ -304,7 +326,7 @@ class UnitaryDesign:
         raise NotImplementedError
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
-        return self.element(int(rng.integers(self.cardinality)))
+        return self.element(int(uniform_index(self.cardinality, rng)))
 
 
 class EnumeratedDesign(UnitaryDesign):
@@ -569,6 +591,10 @@ def random_unitary_set(
 # ---------------------------------------------------------------------------
 
 
+#: Sampled pairs per gathered block in :func:`frame_potential`.
+_PAIR_CHUNK = 1 << 16
+
+
 def frame_potential(
     design: UnitaryDesign,
     samples: int | None = None,
@@ -592,11 +618,15 @@ def frame_potential(
         return total / design.cardinality**2
     if rng is None:
         raise ValueError("sampled frame potential needs an rng")
-    ii = rng.integers(design.cardinality, size=samples)
-    jj = rng.integers(design.cardinality, size=samples)
+    ii = uniform_index(design.cardinality, rng, samples)
+    jj = uniform_index(design.cardinality, rng, samples)
     if isinstance(design, EnumeratedDesign):
+        # gathered rows in bounded chunks: 10^6 pairs at once take ~500 MB
         flat = design.elements().reshape(design.cardinality, -1)
-        overlaps = np.einsum("ni,ni->n", flat[ii].conj(), flat[jj])
+        overlaps = np.empty(samples, dtype=complex)
+        for lo in range(0, samples, _PAIR_CHUNK):
+            rows = slice(lo, lo + _PAIR_CHUNK)
+            overlaps[rows] = np.einsum("ni,ni->n", flat[ii[rows]].conj(), flat[jj[rows]])
     else:
         overlaps = np.array(
             [

@@ -34,10 +34,10 @@ import numpy as np
 from .copyprotect import (
     ChallengeDistribution,
     PointFunction,
-    accept_projector,
     correctness_exact,
     dhalf,
     biased_point,
+    evaluation_measurement,
     protect,
     uniform_points,
 )
@@ -120,10 +120,9 @@ class PirateMap:
 
 
 def _accept_pairs(scheme: QasScheme) -> Callable[[int], ProjectiveMeasurement]:
-    """Honest evaluation at each challenge as a two-outcome measurement on
-    the program register (outcome 1 is acceptance), built and validated
-    once per challenge."""
-    return functools.cache(lambda x: two_outcome(accept_projector(scheme, x)))
+    """:func:`evaluation_measurement` at each challenge, built and validated
+    once per challenge for one run."""
+    return functools.cache(functools.partial(evaluation_measurement, scheme))
 
 
 class MeasurementStrategy:
@@ -227,9 +226,6 @@ class KeysearchPirate:
         )
         self._pairs = _accept_pairs(scheme)
 
-    def _measurement(self, key: int) -> ProjectiveMeasurement:
-        return self._pairs(key)
-
     def _candidates(self, point: int, rng: np.random.Generator) -> list[int]:
         if self.budget is not None:
             return list(self.budget)
@@ -247,7 +243,7 @@ class KeysearchPirate:
         found = None
         n = self.scheme.total_qubits
         for key in self._candidates(point, rng):
-            pair = self._measurement(key).on(range(n), n)
+            pair = self._pairs(key).on(range(n), n)
             outcome, state = measure_projective(state, pair, rng)
             if outcome == 1:
                 found = key

@@ -1,8 +1,9 @@
 """Software leasing built on the copy-protection scheme.
 
 Leasing a point function hands out exactly the protected program; the
-secret key is empty.  Evaluation is the program-preserving circuit, so an
-honest lessee can keep using the program.  Verification of a returned
+secret key is empty.  Evaluation preserves the program (the two-outcome
+measurement of :func:`evaluate_preserving`), so an honest lessee can keep
+using it.  Verification of a returned
 state samples a challenge from a per-circuit verification distribution
 (default: the point itself) and destructively evaluates — an intact
 program at the point passes with probability one.

@@ -40,10 +40,11 @@ from .qmath import (
     DimensionMismatchError,
     Isometry,
     PureState,
+    QUBIT_CAP,
     QubitCapError,
     SubnormalizedOperator,
+    apply_isometry,
     maximally_mixed,
-    qubit_cap,
     sample_bit,
 )
 
@@ -120,8 +121,8 @@ def build_scheme(
     if key_bits < 1:
         raise ValueError("need at least one key bit")
     total = message_qubits + trap_qubits
-    if total > qubit_cap():
-        raise QubitCapError(f"{total} qubits exceeds the cap of {qubit_cap()}")
+    if total > QUBIT_CAP:
+        raise QubitCapError(f"{total} qubits exceeds the cap of {QUBIT_CAP}")
     if design is None:
         design = clifford_design(total)
     key_map = EpsUniformMap(key_bits, design.cardinality)
@@ -150,16 +151,7 @@ def auth_isometry(scheme: QasScheme, key: int) -> Isometry:
 
 def auth(scheme: QasScheme, key: int, state):
     """Authenticate a message state; pure in, pure out."""
-    a = auth_isometry(scheme, key).matrix
-    if isinstance(state, PureState):
-        if state.dim != scheme.message_dim:
-            raise DimensionMismatchError("message state has the wrong dimension")
-        return PureState(a @ state.amplitudes)
-    if isinstance(state, DensityOperator):
-        if state.dim != scheme.message_dim:
-            raise DimensionMismatchError("message state has the wrong dimension")
-        return DensityOperator(a @ state.matrix @ a.conj().T)
-    raise TypeError("expected PureState or DensityOperator")
+    return apply_isometry(auth_isometry(scheme, key), state)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 States, operators, channels, measurement and trace distance, all as plain
 numpy arrays wrapped in lightly validated containers.  Everything is dense
-and capped at a configurable total qubit count (default 12), which keeps
-the whole library inside comfortable double-precision territory.
+and capped at 12 total qubits (:data:`QUBIT_CAP`), which keeps the whole
+library inside comfortable double-precision territory.
 
 Validation
 ----------
@@ -50,11 +50,9 @@ import numpy as np
 ATOL = 1e-9
 #: Composed identities (sums of several exact pieces) get one digit of slack.
 ATOL_COMPOSED = 1e-8
-#: Hard cap on total qubits of any constructed object.  Configurable by the
-#: caller, but everything in this library fits comfortably below it.
-DEFAULT_QUBIT_CAP = 12
-
-_QUBIT_CAP = DEFAULT_QUBIT_CAP
+#: Hard cap on total qubits of any constructed object; everything in this
+#: library fits comfortably below it.
+QUBIT_CAP = 12
 
 
 class DimensionMismatchError(ValueError):
@@ -62,25 +60,12 @@ class DimensionMismatchError(ValueError):
 
 
 class QubitCapError(ValueError):
-    """An operation would exceed the configured total-qubit cap."""
-
-
-def qubit_cap() -> int:
-    """Current total-qubit cap."""
-    return _QUBIT_CAP
-
-
-def set_qubit_cap(cap: int) -> None:
-    """Reconfigure the total-qubit cap (affects subsequent constructions)."""
-    global _QUBIT_CAP
-    if cap < 1:
-        raise ValueError("qubit cap must be positive")
-    _QUBIT_CAP = cap
+    """An operation would exceed the total-qubit cap."""
 
 
 def _check_cap(qubits: int) -> None:
-    if qubits > _QUBIT_CAP:
-        raise QubitCapError(f"{qubits} qubits exceeds the cap of {_QUBIT_CAP}")
+    if qubits > QUBIT_CAP:
+        raise QubitCapError(f"{qubits} qubits exceeds the cap of {QUBIT_CAP}")
 
 
 def _qubits_for_dim(dim: int) -> int:

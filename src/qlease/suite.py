@@ -365,33 +365,13 @@ def _keysearch_reports(seed: int, trials: int = 10000) -> dict[int, games.GameRe
     return out
 
 
-class _BatteryCache:
-    """Monte Carlo results shared between the criteria that need them."""
-
-    def __init__(self, seed: int, trials: int):
-        self.seed = seed
-        self.trials = trials
-        self._zoo = None
-        self._keysearch = None
-
-    def zoo(self):
-        if self._zoo is None:
-            self._zoo = _zoo_reports(self.seed, self.trials)
-        return self._zoo
-
-    def keysearch(self):
-        if self._keysearch is None:
-            self._keysearch = _keysearch_reports(self.seed, self.trials)
-        return self._keysearch
-
-
-def c11_harness_vs_oracles(seed: int, cache: _BatteryCache) -> CriterionResult:
+def c11_harness_vs_oracles(zoo: list[tuple[games.GameReport, float]]) -> CriterionResult:
     """Monte Carlo estimates of the four standard adversaries land inside
     the 99% Wilson interval around their closed-form values."""
     worst = 0.0
     inside = True
     names = []
-    for rep, oracle in cache.zoo():
+    for rep, oracle in zoo:
         worst = max(worst, abs(rep.estimate - oracle))
         ok = rep.ci_lo <= oracle <= rep.ci_hi
         inside = inside and ok
@@ -399,13 +379,15 @@ def c11_harness_vs_oracles(seed: int, cache: _BatteryCache) -> CriterionResult:
     return CriterionResult(
         name="harness-vs-oracles",
         measured=worst,
-        bound=max(r.ci_hi - r.ci_lo for r, _ in cache.zoo()) / 2,
+        bound=max(r.ci_hi - r.ci_lo for r, _ in zoo) / 2,
         passed=inside,
         note="; ".join(names),
     )
 
 
-def c12_security_sanity(seed: int, cache: _BatteryCache) -> CriterionResult:
+def c12_security_sanity(
+    zoo: list[tuple[games.GameReport, float]], keysearch: dict[int, games.GameReport]
+) -> CriterionResult:
     """No shipped adversary beats the theorem bound plus interval slack.
 
     A finite zoo can only falsify the universally quantified theorems,
@@ -413,9 +395,7 @@ def c12_security_sanity(seed: int, cache: _BatteryCache) -> CriterionResult:
     recorded epsilon makes the bounds loose.
     """
     worst = -np.inf
-    for rep, _ in cache.zoo():
-        worst = max(worst, rep.estimate - rep.bound - (rep.ci_hi - rep.estimate))
-    for rep in cache.keysearch().values():
+    for rep in [r for r, _ in zoo] + list(keysearch.values()):
         worst = max(worst, rep.estimate - rep.bound - (rep.ci_hi - rep.estimate))
     return CriterionResult(
         name="security-sanity",
@@ -426,11 +406,10 @@ def c12_security_sanity(seed: int, cache: _BatteryCache) -> CriterionResult:
     )
 
 
-def c13_bruteforce_degradation(seed: int, cache: _BatteryCache) -> CriterionResult:
+def c13_bruteforce_degradation(keysearch: dict[int, games.GameReport]) -> CriterionResult:
     """Key-search win rates decay as the budget grows: wrong-key checks
     damage the program and mislead the guesser, so errors accumulate."""
-    reports = cache.keysearch()
-    rates = {size: reports[size].estimate for size in (1, 4, 16, 64)}
+    rates = {size: keysearch[size].estimate for size in (1, 4, 16, 64)}
     monotone = all(rates[a] >= rates[b] for a, b in ((1, 4), (4, 16), (16, 64)))
     gap = rates[1] - rates[64]
     return CriterionResult(
@@ -449,7 +428,8 @@ def c13_bruteforce_degradation(seed: int, cache: _BatteryCache) -> CriterionResu
 
 def run_battery(seed: int = 0, trials: int = 10000) -> list[CriterionResult]:
     """Criteria 1-13, in order, sharing the Monte Carlo runs."""
-    cache = _BatteryCache(seed, trials)
+    zoo = _zoo_reports(seed, trials)
+    keysearch = _keysearch_reports(seed, trials)
     return [
         c01_qas_correctness(seed),
         c02_wrong_key_bound(seed),
@@ -461,9 +441,9 @@ def run_battery(seed: int = 0, trials: int = 10000) -> list[CriterionResult]:
         c08_reusability(seed),
         c09_mix_correctness(seed),
         c10_baselines(seed),
-        c11_harness_vs_oracles(seed, cache),
-        c12_security_sanity(seed, cache),
-        c13_bruteforce_degradation(seed, cache),
+        c11_harness_vs_oracles(zoo),
+        c12_security_sanity(zoo, keysearch),
+        c13_bruteforce_degradation(keysearch),
     ]
 
 

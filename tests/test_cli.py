@@ -25,6 +25,12 @@ def test_design_check_sampled_two_qubits(tmp_path):
     assert abs(payload["frame_potential"] - 2.0) < 0.05
 
 
+@pytest.mark.parametrize("qubits", ["5", "6"])
+def test_design_check_sampled_beyond_int64(qubits, capsys):
+    assert main(["design-check", "--qubits", qubits, "--pairs", "10", "--seed", "1"]) == EXIT_OK
+    assert f"clifford-ks-q{qubits}-v1" in capsys.readouterr().out
+
+
 def test_design_check_invalid_qubits_usage_error():
     with pytest.raises(SystemExit) as err:
         main(["design-check", "--qubits", "9"])

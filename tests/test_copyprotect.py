@@ -1,4 +1,4 @@
-"""Tests for point-function protection, the reuse circuit, exact
+"""Tests for point-function protection, preserving evaluation, exact
 correctness, the permutation wrapper and the challenge distributions."""
 
 import json
@@ -10,7 +10,10 @@ from qlease import copyprotect as cp
 from qlease import qas
 from qlease.designs import PairwisePermFamily
 from qlease.qmath import (
+    ATOL,
+    DensityOperator,
     PureState,
+    random_density,
     spawn_rng,
     state_distance,
     trace_distance,
@@ -204,6 +207,36 @@ def test_preserving_matches_projective_oracle(scheme):
         assert state_distance(post.state, PureState(branch / norm)) < 1e-9
         # measured frequency sanity is covered by the damage test below
         assert 0.0 <= a <= 1.0 + 1e-12
+
+
+def test_preserving_mixed_program(scheme):
+    # a mixed program: a random mixed message authenticated under the point
+    rng = spawn_rng(16)
+    for _ in range(10):
+        p, x = (int(v) for v in rng.integers(64, size=2))
+        if scheme.key_index(x) == scheme.key_index(p):
+            continue
+        state = qas.auth(scheme, p, random_density(1, rng))
+        bit, post = cp.evaluate_preserving(cp.ProtectedProgram(state, scheme), p, rng)
+        assert bit == 1
+        assert isinstance(post.state, DensityOperator)
+        assert state_distance(post.state, state) < ATOL
+        # at another input: the post-state is P rho P / Tr(P rho) for the
+        # projector P of the outcome that occurred
+        bit, post = cp.evaluate_preserving(cp.ProtectedProgram(state, scheme), x, rng)
+        proj = cp.accept_projector(scheme, x)
+        proj = proj if bit else np.eye(4) - proj
+        branch = proj @ state.matrix @ proj
+        weight = np.trace(branch).real
+        assert weight > 1e-9
+        assert np.max(np.abs(post.state.matrix - branch / weight)) < ATOL
+
+
+def test_evaluation_measurement_outcome_one_accepts(scheme):
+    pair = cp.evaluation_measurement(scheme, 5)
+    proj = cp.accept_projector(scheme, 5)
+    assert np.array_equal(pair.projectors[1], proj)
+    assert np.max(np.abs(pair.projectors[0] + proj - np.eye(4))) < ATOL
 
 
 def test_preserving_reusable_many_times(scheme):

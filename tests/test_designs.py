@@ -24,6 +24,7 @@ from qlease.designs import (
     num_symplectics,
     random_unitary_set,
     save_design,
+    uniform_index,
 )
 from qlease.qmath import spawn_rng
 
@@ -253,6 +254,28 @@ def test_sample_unitary_at_three_qubits():
         assert np.max(np.abs(u.conj().T @ u - np.eye(8))) < 1e-9
 
 
+@pytest.mark.parametrize("qubits", [5, 6])
+def test_sample_beyond_int64_in_range_and_deterministic(qubits):
+    # the Clifford cardinality at 5 and 6 qubits exceeds int64
+    n = IndexedCliffordDesign(qubits).cardinality
+    assert n > 1 << 63
+    draws = uniform_index(n, spawn_rng(12), 200)
+    assert draws == uniform_index(n, spawn_rng(12), 200)
+    assert all(0 <= i < n for i in draws)
+    # the top bit of the index range is reached, so the draws span it
+    assert max(draws) >= n // 2
+    a = clifford_sample(qubits, spawn_rng(13))
+    assert np.array_equal(a, clifford_sample(qubits, spawn_rng(13)))
+    assert np.max(np.abs(a.conj().T @ a - np.eye(1 << qubits))) < 1e-9
+
+
+def test_uniform_index_within_int64_is_rng_integers():
+    # same draws as rng.integers, so reports at <= 4 qubits keep their bits
+    n = IndexedCliffordDesign(4).cardinality
+    assert np.array_equal(uniform_index(n, spawn_rng(14), 50), spawn_rng(14).integers(n, size=50))
+    assert uniform_index(1 << 63, spawn_rng(15)) == spawn_rng(15).integers(1 << 63)
+
+
 def test_sample_uniform_chi2_one_qubit():
     from scipy import stats
 
@@ -291,6 +314,19 @@ def test_frame_potential_single_element():
 def test_frame_potential_negative_control():
     control = random_unitary_set(1, 24, spawn_rng(7))
     assert frame_potential(control) > 2.1
+
+
+def test_frame_potential_sampled_chunks_match_one_gather():
+    # pairs are gathered in blocks; the estimate equals one gather of all
+    design = clifford_enumerate(2)
+    samples = designs._PAIR_CHUNK + 1000
+    est = frame_potential(design, samples=samples, rng=spawn_rng(16))
+    rng = spawn_rng(16)
+    ii = rng.integers(design.cardinality, size=samples)
+    jj = rng.integers(design.cardinality, size=samples)
+    flat = design.elements().reshape(design.cardinality, -1)
+    overlaps = np.einsum("ni,ni->n", flat[ii].conj(), flat[jj])
+    assert est == float(np.mean(np.abs(overlaps) ** 4))
 
 
 def test_frame_potential_sampled_estimator():

@@ -67,6 +67,11 @@ def test_auth_dimension_mismatch(scheme):
         qas.auth(scheme, 7, zero_state(2))
 
 
+def test_auth_rejects_non_state(scheme):
+    with pytest.raises(TypeError):
+        qas.auth(scheme, 7, np.array([1.0, 0.0]))
+
+
 def test_correctness_round_trip(scheme):
     rng = spawn_rng(3)
     for _ in range(200):
