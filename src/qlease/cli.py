@@ -31,22 +31,23 @@ class ConfigError(Exception):
     pass
 
 
-def _parse_scheme(text: str) -> tuple[int, int, int]:
+def _scheme_params(text: str) -> tuple[int, int, int]:
+    """``m,t,k`` from ``--scheme``, checked against the supported ranges."""
     try:
         m, t, k = (int(part) for part in text.split(","))
     except ValueError as exc:
         raise ConfigError(f"--scheme expects m,t,k (got {text!r})") from exc
-    return m, t, k
-
-
-def _build_scheme(text: str) -> qas.QasScheme:
-    m, t, k = _parse_scheme(text)
     if not (1 <= m and 1 <= t):
         raise ConfigError("scheme needs m >= 1 and t >= 1")
     if m + t > 6:
         raise ConfigError("m + t above 6 qubits is outside dense design range")
     if not 1 <= k <= 20:
         raise ConfigError("key bits must lie in 1..20 for exact enumeration")
+    return m, t, k
+
+
+def _build_scheme(text: str) -> qas.QasScheme:
+    m, t, k = _scheme_params(text)
     try:
         return qas.build_scheme(m, t, k)
     except (QubitCapError, ValueError) as exc:
@@ -89,6 +90,8 @@ def _emit(args, payload: dict | list) -> None:
 
 def cmd_design_check(args) -> int:
     q = args.qubits
+    if args.pairs is not None and args.pairs < 1:
+        raise ConfigError("--pairs must be positive")
     if q <= 2:
         design = designs.clifford_enumerate(q)
         fp = designs.frame_potential(design, samples=args.pairs, rng=spawn_rng(args.seed, 0) if args.pairs else None)
@@ -207,9 +210,12 @@ def _print_report(rep: games.GameReport) -> None:
 
 
 def cmd_cp(args) -> int:
-    scheme = _build_scheme(args.scheme)
     if not 0.5 <= args.r <= 1.0:
         raise ConfigError("--r (Bob's point mass) must lie in [0.5, 1]")
+    key_bits = _scheme_params(args.scheme)[2]
+    if args.adversary == "keysearch" and not 1 <= args.budget <= 1 << key_bits:
+        raise ConfigError(f"--budget must lie in 1..{1 << key_bits} (2^k keys)")
+    scheme = _build_scheme(args.scheme)
     spec = games.default_cp_spec(scheme, bob_r=args.r)
     pirate, strategy = _cp_adversary(args.adversary, scheme, args)
     rep = games.run_experiment_free(spec, pirate, strategy, args.trials, args.seed)
@@ -330,6 +336,8 @@ def main(argv: list[str] | None = None) -> int:
         _merge_config(args, parser)
         if getattr(args, "trials", None) is not None and args.trials < 1:
             raise ConfigError("--trials must be positive")
+        if args.seed < 0:
+            raise ConfigError("--seed must be non-negative")
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

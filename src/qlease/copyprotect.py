@@ -245,8 +245,11 @@ def evaluate_preserving(
     """Program-preserving evaluation: measure :func:`evaluation_measurement`
     on the program and return the bit with a fresh program holding the
     post-measurement state.  On the encoded point the state comes back
-    exactly unchanged."""
+    exactly unchanged.  Mixed programs are rejected, as in
+    :func:`evaluate`."""
     program._claim()
+    if program.kind == "mixed":
+        raise ValueError("mixed programs evaluate through mix_evaluate")
     outcome, state = measure_projective(
         program.state, evaluation_measurement(program.scheme, x), rng
     )

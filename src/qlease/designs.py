@@ -34,15 +34,6 @@ from .qmath import matrix_from_jsonable, matrix_to_jsonable
 
 GENERATOR_SET_VERSION = "v1"
 
-#: Fixed field representations.  Other bit lengths get the lexicographically
-#: smallest irreducible polynomial, computed on demand.
-IRREDUCIBLE_POLYS = {
-    2: 0b111,        # x^2 + x + 1
-    3: 0b1011,       # x^3 + x + 1
-    4: 0b10011,      # x^4 + x + 1
-    8: 0b100011011,  # x^8 + x^4 + x^3 + x + 1
-}
-
 
 # ---------------------------------------------------------------------------
 # GF(2)[x] and GF(2^l)
@@ -118,21 +109,19 @@ def is_irreducible(poly: int, bits: int) -> bool:
 
 @lru_cache(maxsize=None)
 def irreducible_poly(bits: int) -> int:
-    """The field-defining polynomial used for GF(2^bits)."""
+    """The field-defining polynomial used for GF(2^bits): the smallest
+    irreducible one of that degree (``x^8 + x^4 + x^3 + x + 1`` at 8 bits)."""
     if bits < 1:
         raise ValueError("bits must be >= 1")
-    if bits in IRREDUCIBLE_POLYS:
-        return IRREDUCIBLE_POLYS[bits]
     for candidate in range((1 << bits) + 1, 1 << (bits + 1)):
         if is_irreducible(candidate, bits):
             return candidate
     raise RuntimeError(f"no irreducible polynomial of degree {bits} found")
 
 
-def gf_mul(a: int, b: int, bits: int, poly: int | None = None) -> int:
-    """Product in GF(2^bits) under the fixed irreducible polynomial."""
-    mod = irreducible_poly(bits) if poly is None else poly
-    return _poly_mod(_poly_mul(a, b), mod)
+def gf_mul(a: int, b: int, bits: int) -> int:
+    """Product in GF(2^bits) under :func:`irreducible_poly`."""
+    return _poly_mod(_poly_mul(a, b), irreducible_poly(bits))
 
 
 # ---------------------------------------------------------------------------
@@ -150,15 +139,10 @@ class PairwisePermFamily:
     """
 
     bits: int
-    poly: int = -1
 
     def __post_init__(self):
         if self.bits < 1:
             raise ValueError("bits must be >= 1")
-        if self.poly == -1:
-            object.__setattr__(self, "poly", irreducible_poly(self.bits))
-        elif not is_irreducible(self.poly, self.bits):
-            raise ValueError("poly is not irreducible of the right degree")
 
     @property
     def size(self) -> int:
@@ -182,7 +166,7 @@ class PairwisePermFamily:
             raise ValueError("parameter out of range (m must be nonzero)")
         if not 0 <= x < n:
             raise ValueError("input out of range")
-        return gf_mul(m, x, self.bits, self.poly) ^ b
+        return gf_mul(m, x, self.bits) ^ b
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,15 @@
 """Security-game harnesses, trivial-guess baselines and an adversary zoo.
 
-Two games are playable.  In the pirating game a pirate splits one
+Two games are playable, both in the paper's honest-malicious form: one
+evaluator is always honest.  In the pirating game a pirate splits one
 protected program into a register for Bob, who evaluates honestly, and a
 register for Charlie, who measures however he likes; they win by both
 answering their independent challenges correctly.  In the leasing game an
-adversary returns a register to the lessor, survives verification, and
-then has to answer a challenge from what he kept.
+adversary returns a register to the lessor, survives verification (the
+honest evaluator), and then has to answer a challenge from what he kept.
+
+The shipped pirates hand over the program next to a fixed ancilla
+(:class:`PirateMap`), or search for the key (:class:`KeysearchPirate`).
 
 Every Monte Carlo estimate here is reproducible: trial ``i`` of a run
 with master seed ``s`` uses the generator ``spawn_rng(s, i)``, so serial
@@ -27,7 +31,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from fractions import Fraction
 from pathlib import Path
 from statistics import NormalDist
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -44,14 +48,13 @@ from .copyprotect import (
 from .leasing import SslScheme, verify_distribution
 from .qas import QasScheme
 from .qmath import (
-    KrausChannel,
+    DensityOperator,
     ProjectiveMeasurement,
     PureState,
-    apply_channel,
+    maximally_mixed,
     measure_projective,
     spawn_rng,
     tensor,
-    two_outcome,
     zero_state,
 )
 
@@ -79,25 +82,22 @@ def wilson_interval(wins: int, trials: int, confidence: float = 0.99) -> tuple[f
 
 @dataclass(frozen=True)
 class PirateMap:
-    """A CPTP splitter from the program space into named registers.
+    """A splitter that places the program next to a fixed ancilla.
 
-    Either a Kraus channel or a unitary acting on the program plus
-    ``ancilla_qubits`` fresh zero qubits.  ``bob_qubits`` and
-    ``charlie_qubits`` say which output qubits go to which party (in the
-    leasing game they are the returned and kept registers).  Qubits in
-    neither list are environment: nobody measures them.
+    The joint state is ``program (x) ancilla``: the program on the first
+    qubits, the ancilla after them.  ``bob_qubits`` and ``charlie_qubits``
+    say which qubits go to which party (in the leasing game they are the
+    returned and kept registers).  Qubits in neither list are
+    environment: nobody measures them.  Any object with a ``split``
+    method of the same signature can play the pirate.
     """
 
     bob_qubits: tuple[int, ...]
     charlie_qubits: tuple[int, ...]
-    channel: KrausChannel | None = None
-    unitary: np.ndarray | None = None
-    ancilla_qubits: int = 0
+    ancilla: PureState | DensityOperator
     name: str = "pirate"
 
     def __post_init__(self):
-        if (self.channel is None) == (self.unitary is None):
-            raise ValueError("specify exactly one of channel or unitary")
         if set(self.bob_qubits) & set(self.charlie_qubits):
             raise ValueError("register split must be disjoint")
 
@@ -109,13 +109,7 @@ class PirateMap:
         :class:`KeysearchPirate` and :func:`cheat_double_program`) which
         say so explicitly.
         """
-        if self.unitary is not None:
-            full = program_state
-            if self.ancilla_qubits:
-                full = tensor(program_state, zero_state(self.ancilla_qubits))
-            joint = PureState(self.unitary @ full.amplitudes)
-        else:
-            joint = apply_channel(self.channel, program_state.density())
+        joint = tensor(program_state, self.ancilla)
         return joint, self.bob_qubits, self.charlie_qubits, None
 
 
@@ -151,18 +145,6 @@ class FixedAnswer(MeasurementStrategy):
         return self.bit
 
 
-class ProjectorTable(MeasurementStrategy):
-    """Arbitrary projectors, meaning "answer 1", supplied as a mapping or
-    callable; each is validated once, on first use."""
-
-    def __init__(self, projectors: Callable[[int], np.ndarray], name: str = "table"):
-        self._pairs = functools.cache(lambda x: two_outcome(projectors(x)))
-        self.name = name
-
-    def measurement(self, x: int) -> ProjectiveMeasurement:
-        return self._pairs(x)
-
-
 class HonestEvalStrategy(MeasurementStrategy):
     """Runs the honest evaluation measurement on a program-shaped register."""
 
@@ -189,13 +171,11 @@ class KeysearchPirate:
     """Brute-force key search: try candidate keys one by one, coherently,
     stopping at the first acceptance.
 
-    Each trial draws a fresh candidate list.  With ``include_point`` (the
-    default) the true point is planted at a uniformly random position
-    among ``budget_size`` slots — modeling the brute-forcer who would
-    eventually reach the right key — so a budget of 1 is the lucky guess
-    and a full budget is the whole key space in random order.  An explicit
-    ``budget`` list is used verbatim instead (and an empty one degenerates
-    to the trivial forwarder).
+    Each trial draws a fresh candidate list: the true point planted at a
+    uniformly random position among ``budget_size`` slots, the others
+    distinct wrong keys — modeling the brute-forcer who would eventually
+    reach the right key — so a budget of 1 is the lucky guess and a full
+    budget is the whole key space in random order.
 
     Every candidate test is the projective accept-check for that key;
     wrong-key tests damage the program and may stop the search at a false
@@ -203,35 +183,16 @@ class KeysearchPirate:
     exists to demonstrate.
     """
 
-    def __init__(
-        self,
-        scheme: QasScheme,
-        budget_size: int | None = None,
-        budget: Sequence[int] | None = None,
-        include_point: bool = True,
-    ):
-        if (budget_size is None) == (budget is None):
-            raise ValueError("specify exactly one of budget_size or budget")
-        space = 1 << scheme.key_bits
-        if budget_size is not None and not 1 <= budget_size <= space:
+    def __init__(self, scheme: QasScheme, budget_size: int):
+        if not 1 <= budget_size <= 1 << scheme.key_bits:
             raise ValueError("budget_size outside the key space")
-        if budget is not None and any(not 0 <= k < space for k in budget):
-            raise ValueError("budget keys outside the key space")
         self.scheme = scheme
         self.budget_size = budget_size
-        self.budget = None if budget is None else list(budget)
-        self.include_point = include_point
-        self.name = (
-            f"keysearch-{budget_size if budget_size is not None else len(self.budget)}"
-        )
+        self.name = f"keysearch-{budget_size}"
         self._pairs = _accept_pairs(scheme)
 
     def _candidates(self, point: int, rng: np.random.Generator) -> list[int]:
-        if self.budget is not None:
-            return list(self.budget)
         space = 1 << self.scheme.key_bits
-        if not self.include_point:
-            return [int(k) for k in rng.permutation(space)[: self.budget_size]]
         others = np.delete(np.arange(space), point)
         rng.shuffle(others)
         keys = [int(k) for k in others[: self.budget_size - 1]]
@@ -260,16 +221,14 @@ Family = Callable[[int], ChallengeDistribution]
 
 @dataclass(frozen=True)
 class GameSpec:
-    """Distributions of the game: the circuit (point) distribution, Bob's
-    and Charlie's challenge families for the pirating game (Charlie's
-    alone is the challenge in the leasing game), and whether Bob is the
-    honest evaluator."""
+    """Distributions of the game: the circuit (point) distribution, and
+    Bob's and Charlie's challenge families for the pirating game
+    (Charlie's alone is the challenge in the leasing game)."""
 
     scheme: QasScheme
     circuit_dist: ChallengeDistribution
     bob_family: Family
     charlie_family: Family
-    honest_bob: bool = True
 
 
 def default_cp_spec(scheme: QasScheme, bob_r: float = 0.5) -> GameSpec:
@@ -424,24 +383,18 @@ def run_experiment_free(
     charlie: MeasurementStrategy,
     trials: int,
     seed: int,
-    bob_strategy: MeasurementStrategy | None = None,
 ) -> GameReport:
     """Monte Carlo run of the pirating game.
 
     Per trial: sample a point, protect it, let the pirate split, sample
-    the challenge pair, let Bob evaluate honestly on his register (or,
-    when ``spec.honest_bob`` is off, measure ``bob_strategy``), let
+    the challenge pair, let Bob evaluate honestly on his register, let
     Charlie measure, and score a win iff both answers match the point
     function.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    if spec.honest_bob and bob_strategy is not None:
-        raise ValueError("bob_strategy needs a GameSpec with honest_bob=False")
-    if not spec.honest_bob and bob_strategy is None:
-        raise ValueError("malicious Bob needs a bob_strategy")
     scheme = spec.scheme
-    bob_pairs = _accept_pairs(scheme) if spec.honest_bob else bob_strategy.measurement
+    bob_pairs = _accept_pairs(scheme)
 
     @functools.cache
     def at_point(p: int):
@@ -455,7 +408,7 @@ def run_experiment_free(
         psi, pf, bob_dist, charlie_dist = at_point(p)
         joint, bob_q, charlie_q, side = pirate.split(psi, p, rng)
         x1, x2 = bob_dist.sample(rng), charlie_dist.sample(rng)
-        if spec.honest_bob and len(bob_q) != scheme.total_qubits:
+        if len(bob_q) != scheme.total_qubits:
             raise ValueError("honest Bob needs a program-shaped register")
         b1, post = measure_projective(joint, bob_pairs(x1).on(bob_q, joint.qubits), rng)
         b2 = charlie.answer(post, charlie_q, x2, side, rng)
@@ -561,19 +514,10 @@ def trivial_forward(scheme: QasScheme) -> tuple[PirateMap, MeasurementStrategy]:
     pirate = PirateMap(
         bob_qubits=tuple(range(n)),
         charlie_qubits=(n,),
-        unitary=np.eye(1 << (n + 1)),
-        ancilla_qubits=1,
+        ancilla=zero_state(1),
         name="trivial-forward",
     )
     return pirate, FixedAnswer(0)
-
-
-def _mix_and_keep_channel(scheme: QasScheme) -> KrausChannel:
-    """rho -> (I/d) (x) rho: the first register is scrambled to maximally
-    mixed, the second keeps the program."""
-    d = scheme.total_dim
-    ops = [np.kron(np.eye(d)[:, [i]], np.eye(d)) / np.sqrt(d) for i in range(d)]
-    return KrausChannel(tuple(ops))
 
 
 def give_to_charlie(scheme: QasScheme) -> tuple[PirateMap, MeasurementStrategy]:
@@ -581,24 +525,18 @@ def give_to_charlie(scheme: QasScheme) -> tuple[PirateMap, MeasurementStrategy]:
     maximally mixed dummy."""
     n = scheme.total_qubits
     pirate = PirateMap(
-        bob_qubits=tuple(range(n)),
-        charlie_qubits=tuple(range(n, 2 * n)),
-        channel=_mix_and_keep_channel(scheme),
+        bob_qubits=tuple(range(n, 2 * n)),
+        charlie_qubits=tuple(range(n)),
+        ancilla=maximally_mixed(n),
         name="give-to-charlie",
     )
     return pirate, HonestEvalStrategy(scheme)
 
 
 def keysearch_adversary(
-    scheme: QasScheme,
-    budget_size: int | None = None,
-    budget: Sequence[int] | None = None,
-    include_point: bool = True,
+    scheme: QasScheme, budget_size: int
 ) -> tuple[KeysearchPirate, MeasurementStrategy]:
-    pirate = KeysearchPirate(scheme, budget_size, budget, include_point)
-    if budget is not None and len(budget) == 0:
-        return pirate, FixedAnswer(0)
-    return pirate, PointGuessStrategy()
+    return KeysearchPirate(scheme, budget_size), PointGuessStrategy()
 
 
 def cheat_double_program(scheme: QasScheme) -> tuple[object, MeasurementStrategy]:

@@ -149,6 +149,31 @@ def test_invalid_r_usage_error():
     assert main(["ssl", "--r", "1.5"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cp", "--adversary", "keysearch", "--budget", "0"],
+        ["cp", "--adversary", "keysearch", "--budget", "65"],
+        ["design-check", "--qubits", "1", "--pairs", "0"],
+        ["design-check", "--qubits", "1", "--pairs", "-5"],
+        ["cp", "--seed", "-1"],
+        ["ssl", "--seed", "-1"],
+        ["qas-verify", "--seed", "-1"],
+        ["design-check", "--qubits", "1", "--seed", "-1"],
+        ["suite", "--seed", "-1"],
+    ],
+    ids=" ".join,
+)
+def test_out_of_range_values_are_usage_errors(argv, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built before the usage check")
+
+    monkeypatch.setattr("qlease.qas.build_scheme", refuse)
+    monkeypatch.setattr("qlease.designs.clifford_enumerate", refuse)
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_suite_json_outputs_are_byte_identical(tmp_path):
     # low trial count: some statistical criteria may fail, which is fine;
     # the point is that same-seed runs serialize identically

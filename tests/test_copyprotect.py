@@ -373,6 +373,8 @@ def test_mix_kind_checks(scheme):
     prog = cp.mix_protect(scheme, fam, 3, rng)
     with pytest.raises(ValueError):
         cp.evaluate(prog, 3, rng)
+    with pytest.raises(ValueError):
+        cp.evaluate_preserving(prog, 3, rng)
     plain = cp.protect(scheme, 3)
     with pytest.raises(ValueError):
         cp.mix_evaluate(plain, 3, rng)
