@@ -54,8 +54,27 @@ def _build_scheme(text: str) -> qas.QasScheme:
         raise ConfigError(str(exc)) from exc
 
 
+def _config_value(action: argparse.Action, key: str, value):
+    """``value`` from the config file, checked against its option's type:
+    flags take booleans, integer options integers, float options numbers,
+    string options strings, and ``choices`` apply."""
+    if action.nargs == 0:
+        ok = isinstance(value, bool)
+    elif action.type is int:
+        ok = isinstance(value, int) and not isinstance(value, bool)
+    elif action.type is float:
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+        value = float(value) if ok else value
+    else:
+        ok = isinstance(value, str)
+    if not ok or (action.choices is not None and value not in action.choices):
+        raise ConfigError(f"config key {key!r} has an invalid value {value!r}")
+    return value
+
+
 def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    """Fill unset options from the JSON file given by --config."""
+    """Fill unset options from the JSON file given by --config, each value
+    typed as its option's parser would type it."""
     path = getattr(args, "config", None)
     if not path:
         return
@@ -66,10 +85,12 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     if not isinstance(loaded, dict):
         raise ConfigError("config file must hold a JSON object")
     sub = args._command_parser
+    options = {a.dest: a for a in sub._actions if a.default is not argparse.SUPPRESS}
     for key, value in loaded.items():
         attr = key.replace("-", "_")
-        if not hasattr(args, attr) or attr.startswith("_"):
+        if attr not in options:
             raise ConfigError(f"unknown config key {key!r}")
+        value = _config_value(options[attr], key, value)
         # flags given on the command line override the file
         if sub.get_default(attr) == getattr(args, attr):
             setattr(args, attr, value)

@@ -304,20 +304,6 @@ def wrong_key_average_excluding(scheme: QasScheme, point: int) -> float:
     return float((acc.sum() - acc[point]) / (n - 1))
 
 
-def per_input_error(scheme: QasScheme, point: int) -> np.ndarray:
-    """Probability of the wrong answer at every input, exactly.
-
-    Correctness guarantees here are average-case; worst-case per-input
-    numbers are reported for inspection (the maximum of this array) but
-    nothing asserts a bound on them for the plain scheme.
-    """
-    program = protect(scheme, point)
-    acc = acceptance_per_input(scheme, program.state)
-    err = acc.copy()
-    err[point] = 1.0 - acc[point]
-    return err
-
-
 # ---------------------------------------------------------------------------
 # MIX wrapper
 # ---------------------------------------------------------------------------

@@ -21,16 +21,12 @@ this canonical form.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from pathlib import Path
 from typing import Iterator
 
 import numpy as np
-
-from .qmath import matrix_from_jsonable, matrix_to_jsonable
 
 GENERATOR_SET_VERSION = "v1"
 
@@ -549,13 +545,6 @@ def clifford_design(qubits: int) -> UnitaryDesign:
     return IndexedCliffordDesign(qubits)
 
 
-def clifford_sample(qubits: int, rng: np.random.Generator) -> np.ndarray:
-    """A uniformly random Clifford element in canonical phase (<= 6 qubits)."""
-    if qubits > 6:
-        raise ValueError("dense Clifford sampling supports at most 6 qubits")
-    return clifford_design(qubits).sample(rng)
-
-
 def random_unitary_set(
     qubits: int, size: int, rng: np.random.Generator
 ) -> EnumeratedDesign:
@@ -619,27 +608,3 @@ def frame_potential(
             ]
         )
     return float(np.mean(np.abs(overlaps) ** 4))
-
-
-# ---------------------------------------------------------------------------
-# Disk cache (JSON matrix format)
-# ---------------------------------------------------------------------------
-
-
-def save_design(design: EnumeratedDesign, path: str | Path) -> None:
-    payload = {
-        "design_id": design.design_id,
-        "qubits": design.qubits,
-        "cardinality": design.cardinality,
-        "elements": [matrix_to_jsonable(u) for u in design.elements()],
-    }
-    Path(path).write_text(json.dumps(payload))
-
-
-def load_design(path: str | Path) -> EnumeratedDesign:
-    payload = json.loads(Path(path).read_text())
-    elements = np.stack([matrix_from_jsonable(m) for m in payload["elements"]])
-    design = EnumeratedDesign(payload["qubits"], elements, payload["design_id"])
-    if design.cardinality != payload["cardinality"]:
-        raise ValueError("cached design is inconsistent")
-    return design

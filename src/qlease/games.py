@@ -1,12 +1,15 @@
 """Security-game harnesses, trivial-guess baselines and an adversary zoo.
 
-Two games are playable, both in the paper's honest-malicious form: one
-evaluator is always honest.  In the pirating game a pirate splits one
-protected program into a register for Bob, who evaluates honestly, and a
-register for Charlie, who measures however he likes; they win by both
-answering their independent challenges correctly.  In the leasing game an
-adversary returns a register to the lessor, survives verification (the
-honest evaluator), and then has to answer a challenge from what he kept.
+One game is played, the paper's honest-malicious pirating game: a pirate
+splits one protected program into a register for Bob, who evaluates
+honestly, and a register for Charlie, who measures however he likes;
+they win by both answering their independent challenges correctly.  The
+leasing game is the same game on :func:`leasing_spec`: the lessor's
+verification is honest Bob on the returned register, and the lessee
+answers the challenge from the kept register as Charlie.  Both forms run
+through one trial loop, whose draws come in a fixed order: the point, the
+pirate's split, Bob's challenge, Charlie's challenge, Bob's measurement,
+then Charlie's answer; a trial is won iff both answers are right.
 
 The shipped pirates hand over the program next to a fixed ancilla
 (:class:`PirateMap`), or search for the key (:class:`KeysearchPirate`).
@@ -222,8 +225,8 @@ Family = Callable[[int], ChallengeDistribution]
 @dataclass(frozen=True)
 class GameSpec:
     """Distributions of the game: the circuit (point) distribution, and
-    Bob's and Charlie's challenge families for the pirating game
-    (Charlie's alone is the challenge in the leasing game)."""
+    Bob's and Charlie's challenge families (in the leasing game,
+    verification's and the lessee's; see :func:`leasing_spec`)."""
 
     scheme: QasScheme
     circuit_dist: ChallengeDistribution
@@ -244,6 +247,22 @@ def default_cp_spec(scheme: QasScheme, bob_r: float = 0.5) -> GameSpec:
         circuit_dist=uniform_points(bits),
         bob_family=bob,
         charlie_family=lambda p: dhalf(p, bits),
+    )
+
+
+def leasing_spec(
+    ssl_scheme: SslScheme, circuit_dist: ChallengeDistribution, challenge_family: Family
+) -> GameSpec:
+    """The leasing game as a pirating game: the lessor's verification is
+    honest Bob, challenged from the verification distribution; the
+    returned register is Bob's, the kept one Charlie's, and the lessee's
+    challenge is Charlie's."""
+    bits = ssl_scheme.base.key_bits
+    return GameSpec(
+        scheme=ssl_scheme.base,
+        circuit_dist=circuit_dist,
+        bob_family=lambda p: verify_distribution(ssl_scheme, PointFunction(p, bits)),
+        charlie_family=challenge_family,
     )
 
 
@@ -377,19 +396,16 @@ def append_csv(report: GameReport, path: str | Path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def run_experiment_free(
-    spec: GameSpec,
-    pirate,
-    charlie: MeasurementStrategy,
-    trials: int,
-    seed: int,
-) -> GameReport:
-    """Monte Carlo run of the pirating game.
+def _play(spec: GameSpec, pirate, charlie: MeasurementStrategy, trials: int, seed: int) -> int:
+    """Wins in ``trials`` Monte Carlo trials of the honest-malicious game.
 
-    Per trial: sample a point, protect it, let the pirate split, sample
-    the challenge pair, let Bob evaluate honestly on his register, let
-    Charlie measure, and score a win iff both answers match the point
-    function.
+    Trial ``i`` uses ``spawn_rng(seed, i)`` and draws, in order: the
+    point, the pirate's split, Bob's challenge, Charlie's challenge,
+    Bob's honest measurement on his register, and Charlie's answer from
+    what Bob's measurement left.  The trial is won iff both answers are
+    right.  Charlie answers in every trial, also when Bob is already
+    wrong; since each trial has its own generator, skipping Charlie then
+    would change no report.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -414,23 +430,53 @@ def run_experiment_free(
         b2 = charlie.answer(post, charlie_q, x2, side, rng)
         if b1 == pf(x1) and b2 == pf(x2):
             wins += 1
-    estimate = wins / trials
+    return wins
+
+
+def _report(
+    game: str,
+    spec: GameSpec,
+    pirate,
+    charlie: MeasurementStrategy,
+    trials: int,
+    seed: int,
+    wins: int,
+    baseline: float,
+    bound: float,
+    **params,
+) -> GameReport:
+    """The report of one run; ``params`` extend the scheme's m, t, k."""
+    scheme = spec.scheme
     lo, hi = wilson_interval(wins, trials)
-    baseline = float(p_marg(spec.circuit_dist, spec.charlie_family))
     return GameReport(
-        game="free",
+        game=game,
         scheme=scheme.scheme_id,
         adversary=getattr(pirate, "name", "pirate") + "/" + charlie.name,
         trials=trials,
         wins=wins,
-        estimate=estimate,
+        estimate=wins / trials,
         ci_lo=lo,
         ci_hi=hi,
         baseline=baseline,
-        bound=cp_security_bound(baseline, scheme.epsilon),
+        bound=bound,
         seed=seed,
-        params={"m": scheme.message_qubits, "t": scheme.trap_qubits, "k": scheme.key_bits},
+        params={"m": scheme.message_qubits, "t": scheme.trap_qubits, "k": scheme.key_bits, **params},
     )
+
+
+def run_experiment_free(
+    spec: GameSpec,
+    pirate,
+    charlie: MeasurementStrategy,
+    trials: int,
+    seed: int,
+) -> GameReport:
+    """Monte Carlo run of the pirating game (see :func:`_play`), against
+    the baseline :func:`p_marg` and the bound :func:`cp_security_bound`."""
+    wins = _play(spec, pirate, charlie, trials, seed)
+    baseline = float(p_marg(spec.circuit_dist, spec.charlie_family))
+    bound = cp_security_bound(baseline, spec.scheme.epsilon)
+    return _report("free", spec, pirate, charlie, trials, seed, wins, baseline, bound)
 
 
 def run_experiment_ssl(
@@ -442,63 +488,23 @@ def run_experiment_ssl(
     trials: int,
     seed: int,
 ) -> GameReport:
-    """Monte Carlo run of the leasing game.
+    """Monte Carlo run of the leasing game: the pirating game's trials
+    (:func:`_play`) on :func:`leasing_spec`, against the baseline
+    :func:`p_ind` and the bound :func:`ssl_security_bound`.
 
-    Per trial: lease a point program, let the adversary split into a
-    returned register and a kept one, verify the returned register
-    (failed verification is a loss), then challenge the adversary, who
-    measures his kept register.  A win needs verification to pass and
-    the answer to be correct.
+    The adversary's returned register is verified (a rejection loses the
+    trial), and the adversary answers the challenge from the kept
+    register.  The challenge is drawn before verification measures; it
+    is independent of everything drawn before it, so its distribution is
+    the same as if it were drawn after.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    scheme = ssl_scheme.base
-    verify_pairs = _accept_pairs(scheme)
-
-    @functools.cache
-    def at_point(p: int):
-        pf = PointFunction(p, scheme.key_bits)
-        program = protect(scheme, p).state
-        return program, pf, verify_distribution(ssl_scheme, pf), challenge_family(p)
-
-    wins = 0
-    for i in range(trials):
-        rng = spawn_rng(seed, i)
-        p = circuit_dist.sample(rng)
-        psi, pf, verify_dist, challenge_dist = at_point(p)
-        joint, returned_q, kept_q, side = adversary.split(psi, p, rng)
-        if len(returned_q) != scheme.total_qubits:
-            raise ValueError("the returned register must be program-shaped")
-        xv = verify_dist.sample(rng)
-        pair = verify_pairs(xv).on(returned_q, joint.qubits)
-        outcome, post = measure_projective(joint, pair, rng)
-        if outcome != pf(xv):  # verification rejected: adversary loses
-            continue
-        x = challenge_dist.sample(rng)
-        b = strategy.answer(post, kept_q, x, side, rng)
-        if b == pf(x):
-            wins += 1
-    estimate = wins / trials
-    lo, hi = wilson_interval(wins, trials)
+    spec = leasing_spec(ssl_scheme, circuit_dist, challenge_family)
+    wins = _play(spec, adversary, strategy, trials, seed)
     baseline = float(p_ind(circuit_dist, challenge_family))
-    return GameReport(
-        game="ssl",
-        scheme=scheme.scheme_id,
-        adversary=getattr(adversary, "name", "adversary") + "/" + strategy.name,
-        trials=trials,
-        wins=wins,
-        estimate=estimate,
-        ci_lo=lo,
-        ci_hi=hi,
-        baseline=baseline,
-        bound=ssl_security_bound(baseline, scheme.epsilon),
-        seed=seed,
-        params={
-            "m": scheme.message_qubits,
-            "t": scheme.trap_qubits,
-            "k": scheme.key_bits,
-            "verify_r": ssl_scheme.verify_r,
-        },
+    bound = ssl_security_bound(baseline, spec.scheme.epsilon)
+    return _report(
+        "ssl", spec, adversary, strategy, trials, seed, wins, baseline, bound,
+        verify_r=ssl_scheme.verify_r,
     )
 
 
@@ -643,27 +649,13 @@ def oracle_cheat_double_program(spec: GameSpec) -> float:
     return total
 
 
-def _leasing_spec(
-    ssl_scheme: SslScheme, circuit_dist: ChallengeDistribution, challenge_family: Family
-) -> GameSpec:
-    """The leasing game as a pirating game: verification is honest Bob,
-    challenged from the verification distribution."""
-    bits = ssl_scheme.base.key_bits
-    return GameSpec(
-        scheme=ssl_scheme.base,
-        circuit_dist=circuit_dist,
-        bob_family=lambda p: verify_distribution(ssl_scheme, PointFunction(p, bits)),
-        charlie_family=challenge_family,
-    )
-
-
 def oracle_honest_return(
     ssl_scheme: SslScheme, circuit_dist: ChallengeDistribution, challenge_family: Family
 ) -> float:
     """Verification accepts the intact program at its exact correctness
     under the verification distribution; the fixed 0 answer is right when
     the challenge misses the point."""
-    return oracle_trivial_forward(_leasing_spec(ssl_scheme, circuit_dist, challenge_family))
+    return oracle_trivial_forward(leasing_spec(ssl_scheme, circuit_dist, challenge_family))
 
 
 def oracle_keep_program(
@@ -671,4 +663,4 @@ def oracle_keep_program(
 ) -> float:
     """Verification sees a maximally mixed register; the kept program
     answers at its exact correctness."""
-    return oracle_give_to_charlie(_leasing_spec(ssl_scheme, circuit_dist, challenge_family))
+    return oracle_give_to_charlie(leasing_spec(ssl_scheme, circuit_dist, challenge_family))

@@ -40,7 +40,6 @@ schedules see identical randomness).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -557,11 +556,3 @@ def matrix_to_jsonable(m: np.ndarray) -> list:
 def matrix_from_jsonable(data: list) -> np.ndarray:
     arr = np.asarray(data, dtype=float)
     return arr[..., 0] + 1j * arr[..., 1]
-
-
-def matrix_to_json(m: np.ndarray) -> str:
-    return json.dumps(matrix_to_jsonable(m))
-
-
-def matrix_from_json(s: str) -> np.ndarray:
-    return matrix_from_jsonable(json.loads(s))

@@ -140,6 +140,31 @@ def test_config_unknown_key_is_usage_error(tmp_path):
     assert main(["cp", "--config", str(cfg)]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "command,config,code",
+    [
+        ("cp", {"seed": "x"}, EXIT_USAGE),
+        ("cp", {"budget": "3", "adversary": "keysearch"}, EXIT_USAGE),
+        ("cp", {"trials": 1.5}, EXIT_USAGE),
+        ("ssl", {"trials": 20, "r": 1, "json": True, "adversary": "keep-program"}, EXIT_OK),
+    ],
+    ids=["str-seed", "str-budget", "float-trials", "valid"],
+)
+def test_config_values_take_the_option_types(tmp_path, capsys, command, config, code):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main([command, "--config", str(cfg)]) == code
+    captured = capsys.readouterr()
+    if code == EXIT_USAGE:
+        assert captured.err.startswith("error: ")
+        return
+    payload = json.loads(captured.out[captured.out.index("{") :])
+    assert payload["trials"] == 20
+    assert "keep-program" in payload["adversary"]
+    # an integer for a float option is typed as the parser types it
+    assert type(payload["params"]["verify_r"]) is float
+
+
 def test_invalid_trials_usage_error():
     assert main(["cp", "--trials", "0"]) == EXIT_USAGE
 

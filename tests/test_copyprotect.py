@@ -325,16 +325,6 @@ def test_correctness_uniform_off_point(scheme):
     assert abs(corr - (1.0 - cp.wrong_key_average_excluding(scheme, p))) < 1e-9
 
 
-def test_per_input_error_profile(scheme):
-    # worst-case numbers are reported, only the average is bounded
-    p = 30
-    err = cp.per_input_error(scheme, p)
-    assert err[p] < 1e-12  # the point itself never errs
-    avg = 0.5 * err[p] + 0.5 * (err.sum() - err[p]) / 63
-    assert abs((1 - avg) - cp.correctness_exact(scheme, p, cp.dhalf(p, 6))) < 1e-9
-    assert err.max() <= 1.0 + 1e-12  # no bound asserted beyond sanity
-
-
 def test_correctness_one_minus_epsilon_gate(scheme):
     # the lower bound only binds when the recorded epsilon is <= 1/2
     if scheme.epsilon <= 0.5:

@@ -14,16 +14,14 @@ from qlease.designs import (
     IndexedCliffordDesign,
     PairwisePermFamily,
     canonical_phase,
+    clifford_design,
     clifford_enumerate,
-    clifford_sample,
     frame_potential,
     gf_mul,
     irreducible_poly,
     is_irreducible,
-    load_design,
     num_symplectics,
     random_unitary_set,
-    save_design,
     uniform_index,
 )
 from qlease.qmath import spawn_rng
@@ -214,7 +212,7 @@ def test_enumeration_range_errors():
     with pytest.raises(ValueError):
         clifford_enumerate(3)
     with pytest.raises(ValueError):
-        clifford_sample(7, spawn_rng(0))
+        clifford_design(7)
 
 
 def test_indexed_design_matches_enumeration_at_one_qubit():
@@ -242,15 +240,15 @@ def test_symplectic_group_orders():
 
 
 def test_sample_determinism():
-    a = clifford_sample(3, spawn_rng(9))
-    b = clifford_sample(3, spawn_rng(9))
+    a = clifford_design(3).sample(spawn_rng(9))
+    b = clifford_design(3).sample(spawn_rng(9))
     assert np.array_equal(a, b)
 
 
 def test_sample_unitary_at_three_qubits():
     rng = spawn_rng(4)
     for _ in range(10):
-        u = clifford_sample(3, rng)
+        u = clifford_design(3).sample(rng)
         assert np.max(np.abs(u.conj().T @ u - np.eye(8))) < 1e-9
 
 
@@ -264,8 +262,8 @@ def test_sample_beyond_int64_in_range_and_deterministic(qubits):
     assert all(0 <= i < n for i in draws)
     # the top bit of the index range is reached, so the draws span it
     assert max(draws) >= n // 2
-    a = clifford_sample(qubits, spawn_rng(13))
-    assert np.array_equal(a, clifford_sample(qubits, spawn_rng(13)))
+    a = clifford_design(qubits).sample(spawn_rng(13))
+    assert np.array_equal(a, clifford_design(qubits).sample(spawn_rng(13)))
     assert np.max(np.abs(a.conj().T @ a - np.eye(1 << qubits))) < 1e-9
 
 
@@ -282,7 +280,7 @@ def test_sample_uniform_chi2_one_qubit():
     rng = spawn_rng(5)
     counts: dict[bytes, int] = {}
     for _ in range(10**4):
-        key = designs._dedup_key(clifford_sample(1, rng))
+        key = designs._dedup_key(clifford_design(1).sample(rng))
         counts[key] = counts.get(key, 0) + 1
     assert len(counts) == 24
     assert stats.chisquare(list(counts.values())).pvalue > 1e-3
@@ -291,7 +289,7 @@ def test_sample_uniform_chi2_one_qubit():
 def test_canonical_phase_first_entry_positive():
     rng = spawn_rng(6)
     for _ in range(20):
-        u = canonical_phase(clifford_sample(2, rng) * np.exp(0.7j))
+        u = canonical_phase(clifford_design(2).sample(rng) * np.exp(0.7j))
         col = u[:, 0]
         lead = col[np.argmax(np.abs(col) > 1e-12)]
         assert abs(lead.imag) < 1e-12 and lead.real > 0
@@ -333,18 +331,3 @@ def test_frame_potential_sampled_estimator():
     rng = spawn_rng(8)
     est = frame_potential(clifford_enumerate(1), samples=200000, rng=rng)
     assert abs(est - 2.0) < 0.1
-
-
-# ---------------------------------------------------------------------------
-# cache
-# ---------------------------------------------------------------------------
-
-
-def test_design_save_load_roundtrip(tmp_path):
-    design = clifford_enumerate(1)
-    path = tmp_path / "c1.json"
-    save_design(design, path)
-    loaded = load_design(path)
-    assert loaded.design_id == design.design_id
-    assert loaded.cardinality == 24
-    assert np.allclose(loaded.elements(), design.elements())

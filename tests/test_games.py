@@ -13,7 +13,6 @@ from qlease import copyprotect as cp
 from qlease import games, qas
 from qlease.games import (
     FixedAnswer,
-    GameSpec,
     HonestEvalStrategy,
     PirateMap,
     append_csv,
@@ -23,6 +22,7 @@ from qlease.games import (
     honest_return,
     keep_program,
     keysearch_adversary,
+    leasing_spec,
     oracle_cheat_double_program,
     oracle_give_to_charlie,
     oracle_honest_return,
@@ -35,7 +35,7 @@ from qlease.games import (
     trivial_forward,
     wilson_interval,
 )
-from qlease.leasing import SslScheme, verify_distribution
+from qlease.leasing import SslScheme
 from qlease.qmath import (
     ATOL,
     DensityOperator,
@@ -272,7 +272,7 @@ def test_generalized_bob_marginal(scheme):
     assert rep.ci_lo <= oracle <= rep.ci_hi
 
 
-def test_harness_register_shape_check(spec, scheme):
+def test_harness_register_shape_check(spec, scheme, ssl):
     bad = PirateMap(
         bob_qubits=(0,),
         charlie_qubits=(1, 2),
@@ -281,6 +281,11 @@ def test_harness_register_shape_check(spec, scheme):
     )
     with pytest.raises(ValueError):
         run_experiment_free(spec, bad, FixedAnswer(0), 10, seed=47)
+    # in the leasing game the returned register is Bob's
+    with pytest.raises(ValueError):
+        run_experiment_ssl(
+            ssl, spec.circuit_dist, spec.charlie_family, bad, FixedAnswer(0), 10, seed=47
+        )
 
 
 def test_zero_trials_rejected(spec, scheme):
@@ -369,16 +374,21 @@ def test_leasing_adversaries_are_pirating_ones_renamed(ssl, scheme, leasing, pir
 @pytest.mark.parametrize("verify_r", [1.0, 0.75])
 def test_leasing_oracles_are_pirating_oracles(scheme, spec, verify_r):
     ssl = SslScheme(scheme, verify_r)
-    bits = scheme.key_bits
-    leasing_spec = GameSpec(
-        scheme=scheme,
-        circuit_dist=spec.circuit_dist,
-        bob_family=lambda p: verify_distribution(ssl, cp.PointFunction(p, bits)),
-        charlie_family=spec.charlie_family,
-    )
     args = (ssl, spec.circuit_dist, spec.charlie_family)
-    assert oracle_honest_return(*args) == oracle_trivial_forward(leasing_spec)
-    assert oracle_keep_program(*args) == oracle_give_to_charlie(leasing_spec)
+    leasing = leasing_spec(*args)
+    assert oracle_honest_return(*args) == oracle_trivial_forward(leasing)
+    assert oracle_keep_program(*args) == oracle_give_to_charlie(leasing)
+
+
+@pytest.mark.parametrize("verify_r", [1.0, 0.75])
+@pytest.mark.parametrize("adversary", [honest_return, keep_program])
+def test_leasing_harness_is_pirating_harness(scheme, spec, adversary, verify_r):
+    # one trial loop: the leasing game is the pirating game on leasing_spec
+    ssl = SslScheme(scheme, verify_r)
+    args = (ssl, spec.circuit_dist, spec.charlie_family)
+    leased = run_experiment_ssl(*args, *adversary(ssl), 300, seed=61)
+    pirated = run_experiment_free(leasing_spec(*args), *adversary(ssl), 300, seed=61)
+    assert leased.wins == pirated.wins
 
 
 def test_ssl_abort_counts_as_loss(ssl, spec, scheme):

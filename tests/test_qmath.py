@@ -20,8 +20,8 @@ from qlease.qmath import (
     embed_operator,
     haar_unitary,
     ket,
-    matrix_from_json,
-    matrix_to_json,
+    matrix_from_jsonable,
+    matrix_to_jsonable,
     maximally_mixed,
     measure_projective,
     partial_trace,
@@ -496,14 +496,14 @@ def test_embed_operator_swapped_positions():
 def test_matrix_json_roundtrip():
     rng = spawn_rng(12)
     m = haar_unitary(4, rng)
-    assert np.allclose(matrix_from_json(matrix_to_json(m)), m)
+    assert np.allclose(matrix_from_jsonable(matrix_to_jsonable(m)), m)
 
 
 def test_matrix_json_golden():
     m = np.array([[1.0, 1j], [0.0, -0.5]])
     golden = "[[[1.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], [-0.5, 0.0]]]"
-    assert matrix_to_json(m) == golden
-    assert json.loads(golden) == json.loads(matrix_to_json(m))
+    assert json.dumps(matrix_to_jsonable(m)) == golden
+    assert json.loads(golden) == json.loads(json.dumps(matrix_to_jsonable(m)))
 
 
 def test_spawn_rng_deterministic_and_split():
