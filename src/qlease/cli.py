@@ -72,9 +72,20 @@ def _config_value(action: argparse.Action, key: str, value):
     return value
 
 
-def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    """Fill unset options from the JSON file given by --config, each value
-    typed as its option's parser would type it."""
+def _given_options(sub: argparse.ArgumentParser, argv: list[str], command: str) -> set[str]:
+    """The options ``argv`` gives the subcommand ``command``, whatever their
+    values: its arguments are parsed again over a namespace that holds a
+    marker in every option, and argparse keeps the marker where no option
+    is given instead of writing the default."""
+    unset = object()
+    marked = argparse.Namespace(**{a.dest: unset for a in sub._actions})
+    sub.parse_args(argv[argv.index(command) + 1 :], marked)
+    return {dest for dest, value in vars(marked).items() if value is not unset}
+
+
+def _merge_config(args: argparse.Namespace, argv: list[str]) -> None:
+    """Fill the options not given in ``argv`` from the JSON file given by
+    --config, each value typed as its option's parser would type it."""
     path = getattr(args, "config", None)
     if not path:
         return
@@ -86,13 +97,14 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         raise ConfigError("config file must hold a JSON object")
     sub = args._command_parser
     options = {a.dest: a for a in sub._actions if a.default is not argparse.SUPPRESS}
+    given = _given_options(sub, argv, args.command)
     for key, value in loaded.items():
         attr = key.replace("-", "_")
         if attr not in options:
             raise ConfigError(f"unknown config key {key!r}")
         value = _config_value(options[attr], key, value)
         # flags given on the command line override the file
-        if sub.get_default(attr) == getattr(args, attr):
+        if attr not in given:
             setattr(args, attr, value)
 
 
@@ -351,10 +363,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(argv)
     try:
-        _merge_config(args, parser)
+        _merge_config(args, argv)
         if getattr(args, "trials", None) is not None and args.trials < 1:
             raise ConfigError("--trials must be positive")
         if args.seed < 0:

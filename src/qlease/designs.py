@@ -327,33 +327,58 @@ class EnumeratedDesign(UnitaryDesign):
         return self._elements
 
 
+#: Frontier elements multiplied out at once by :func:`clifford_enumerate`;
+#: bounds the product stack at 256 x 5 generators x 4 x 4 complex (320 KiB).
+_CLOSURE_BLOCK = 256
+
+
 @lru_cache(maxsize=4)
 def clifford_enumerate(qubits: int) -> EnumeratedDesign:
     """The full Clifford group modulo phase, by closure under generators.
 
     Cardinality is 24 at one qubit and 11520 at two; anything larger is
     out of enumeration range.
+
+    The closure is breadth-first and blocked: each level's frontier is
+    taken ``_CLOSURE_BLOCK`` elements at a time, one stacked matmul gives
+    every ``g @ u`` of the block in (u, g) order, the phases and the
+    6-decimal keys are fixed for the whole stack, and one pass over its
+    rows appends the unseen ones in the order they are met.  That is the
+    order of the element-by-element loop (for u in the frontier, for g in
+    the generators), so the indices the key maps use are unchanged.  The
+    phase factor is ``abs(z) / z`` on each numpy scalar, as
+    :func:`canonical_phase` computes it: the array expression
+    ``np.abs(z) / z`` differs from it in the last bit, and the element
+    bytes must not move.
     """
     if qubits not in (1, 2):
         raise ValueError("clifford_enumerate supports qubits in {1, 2}")
-    gens = _generators(qubits)
+    gens = np.stack(_generators(qubits))
     dim = 1 << qubits
     start = canonical_phase(np.eye(dim, dtype=complex))
-    seen = {_dedup_key(start): start}
-    frontier = [start]
-    while frontier:
+    seen = {_dedup_key(start)}
+    levels = [start[None]]
+    frontier = levels[0]
+    while len(frontier):
         nxt = []
-        for u in frontier:
-            for g in gens:
-                v = canonical_phase(g @ u)
-                key = _dedup_key(v)
+        for lo in range(0, len(frontier), _CLOSURE_BLOCK):
+            block = frontier[lo : lo + _CLOSURE_BLOCK]
+            prods = np.matmul(gens, block[:, None]).reshape(-1, dim, dim)
+            col = prods[:, :, 0]
+            z = col[np.arange(len(col)), np.argmax(np.abs(col) > 1e-12, axis=1)]
+            prods *= np.array([abs(c) / c for c in z])[:, None, None]
+            keys = np.round(prods, 6) + 0.0  # as _dedup_key
+            fresh = []
+            for i, key in enumerate(keys):
+                key = key.tobytes()
                 if key not in seen:
-                    seen[key] = v
-                    nxt.append(v)
-        frontier = nxt
-    elements = np.stack(list(seen.values()))
+                    seen.add(key)
+                    fresh.append(i)
+            nxt.append(prods[fresh])
+        frontier = np.concatenate(nxt)
+        levels.append(frontier)
     return EnumeratedDesign(
-        qubits, elements, f"clifford-enum-q{qubits}-{GENERATOR_SET_VERSION}"
+        qubits, np.concatenate(levels), f"clifford-enum-q{qubits}-{GENERATOR_SET_VERSION}"
     )
 
 

@@ -13,7 +13,10 @@ the containers they are given and do not re-check them, so build a
 measurement once and reuse it rather than passing raw projectors in a
 loop.  A measurement on some qubits of a register acts on those qubits
 of the reshaped state (:meth:`ProjectiveMeasurement.on`); it is never
-embedded into an operator of the register's size.
+embedded into an operator of the register's size.  Results that are
+density operators by construction, the mixed post-state of
+:func:`measure_projective` and the :func:`tensor` of two density
+operators, are not re-checked either (no eigenvalue decomposition).
 
 Memory
 ------
@@ -161,6 +164,19 @@ class DensityOperator:
         if np.min(np.linalg.eigvalsh(mat)) < -ATOL:
             raise ValueError("density operator has a negative eigenvalue")
         object.__setattr__(self, "matrix", mat)
+
+    @classmethod
+    def _trusted(cls, matrix: np.ndarray) -> "DensityOperator":
+        """Freeze ``matrix`` in place, without the checks.  Only for fresh
+        complex matrices that are density operators by construction from
+        validated ones (a product of two, or a renormalized projection of
+        one); the bytes are those the public constructor would keep."""
+        obj = object.__new__(cls)
+        mat = np.asarray(matrix, dtype=complex)
+        mat.setflags(write=False)
+        object.__setattr__(obj, "matrix", mat)
+        object.__setattr__(obj, "qubits", _qubits_for_dim(mat.shape[0]))
+        return obj
 
     @property
     def dim(self) -> int:
@@ -320,7 +336,7 @@ def tensor(a, b):
         da = a.density() if isinstance(a, PureState) else a
         db = b.density() if isinstance(b, PureState) else b
         _check_cap(da.qubits + db.qubits)
-        return DensityOperator(np.kron(da.matrix, db.matrix))
+        return DensityOperator._trusted(np.kron(da.matrix, db.matrix))
     ma = a.matrix if hasattr(a, "matrix") else np.asarray(a)
     mb = b.matrix if hasattr(b, "matrix") else np.asarray(b)
     if ma.ndim == 2 and mb.ndim == 2:
@@ -490,7 +506,7 @@ def measure_projective(state, measurement, rng: np.random.Generator):
     p = stack[outcome]
     m = ((p @ rho).reshape(-1, d) @ p).reshape((2,) * (2 * q))
     m = m.transpose(back + [q + cols.index(i) for i in range(q)]).reshape(1 << q, 1 << q)
-    return outcome, DensityOperator(m / np.trace(m).real)
+    return outcome, DensityOperator._trusted(m / np.trace(m).real)
 
 
 def apply_isometry(v: Isometry, state):

@@ -134,6 +134,26 @@ def test_config_file_with_flag_override(tmp_path):
     assert "give-to-charlie" in payload["adversary"]
 
 
+@pytest.mark.parametrize(
+    "flags,seed,adversary",
+    [
+        (["--seed", "0"], 0, "give-to-charlie"),  # the default value, given
+        (["--seed=0", "--adversary", "trivial-forward"], 0, "trivial-forward"),
+        ([], 9, "give-to-charlie"),  # absent: the file's value
+    ],
+    ids=["default-value-flag", "default-value-flags", "absent"],
+)
+def test_config_yields_to_flags_given_at_their_default(tmp_path, capsys, flags, seed, adversary):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 9, "trials": 20, "adversary": "give-to-charlie"}))
+    assert main(["cp", "--config", str(cfg), "--json", *flags]) == EXIT_OK
+    out = capsys.readouterr().out
+    payload = json.loads(out[out.index("{") :])
+    assert payload["seed"] == seed
+    assert payload["trials"] == 20
+    assert adversary in payload["adversary"]
+
+
 def test_config_unknown_key_is_usage_error(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"no-such-option": 1}))

@@ -1,6 +1,8 @@
 """Tests for the design ingredients: Clifford groups, pairwise
 independent permutations, and almost-uniform maps."""
 
+import hashlib
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations
 
@@ -206,6 +208,58 @@ def test_clifford_closed_under_product_and_inverse():
         i = int(rng.integers(design.cardinality))
         inv = canonical_phase(design.element(i).conj().T)
         assert designs._dedup_key(inv) in keys
+
+
+def _enumerate_one_by_one(qubits: int) -> np.ndarray:
+    """The element-by-element closure: for u in the frontier, for g in the
+    generators, keep canonical_phase(g @ u) if its key is new."""
+    gens = designs._generators(qubits)
+    start = canonical_phase(np.eye(1 << qubits, dtype=complex))
+    seen = {designs._dedup_key(start): start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for g in gens:
+                v = canonical_phase(g @ u)
+                key = designs._dedup_key(v)
+                if key not in seen:
+                    seen[key] = v
+                    nxt.append(v)
+        frontier = nxt
+    return np.stack(list(seen.values()))
+
+
+# sha256 of elements().tobytes(); the key maps index these elements
+ENUMERATION_SHA256 = {
+    1: "2fff30a148906276f74249b8c1e836560df8b2892566219e8847895d9547ebb3",
+    2: "63fe2608bf96ca592e9d690452b4e593374f93c1de546e1189eb77d050dff8e8",
+}
+
+
+@pytest.mark.parametrize("qubits", [1, 2])
+def test_enumerated_elements_are_pinned(qubits):
+    data = clifford_enumerate(qubits).elements().tobytes()
+    assert hashlib.sha256(data).hexdigest() == ENUMERATION_SHA256[qubits]
+
+
+@pytest.mark.parametrize("qubits", [1, 2])
+def test_blocked_closure_equals_one_by_one_loop(qubits):
+    got = clifford_enumerate(qubits).elements()
+    want = _enumerate_one_by_one(qubits)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_enumeration_memory_peak():
+    # the element-by-element loop peaked at 12.8 MiB (tracemalloc)
+    tracemalloc.start()
+    try:
+        clifford_enumerate.__wrapped__(2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12.8 * 2**20
 
 
 def test_enumeration_range_errors():

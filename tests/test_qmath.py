@@ -357,6 +357,49 @@ def test_local_measurement_matches_dense_lift(pure, positions, total):
         assert np.max(np.abs(got_rho - expected)) < qmath.ATOL
 
 
+def _assert_density(m: np.ndarray) -> None:
+    assert np.max(np.abs(m - m.conj().T)) <= qmath.ATOL
+    assert abs(np.trace(m).real - 1.0) <= qmath.ATOL
+    assert np.min(np.linalg.eigvalsh(m)) >= -qmath.ATOL
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds, st.integers(2, 4), st.sampled_from(["pure", "rank-one", "mixed"]), st.data())
+def test_post_states_are_density_operators(seed, total, kind, data):
+    # the mixed post-state and the tensor product skip the constructor's
+    # eigenvalue check; this is where that check is kept
+    rng = spawn_rng(seed)
+    if kind == "pure":
+        state = random_pure_state(total, rng)
+    elif kind == "rank-one":
+        state = random_pure_state(total, rng).density()
+    else:
+        state = random_density(total, rng, rank=int(rng.integers(1, (1 << total) + 1)))
+    size = data.draw(st.integers(1, total))
+    positions = data.draw(st.permutations(range(total)))[:size]
+    local = ProjectiveMeasurement(_random_pair(size, rng)).on(positions, total)
+    for outcome in range(2):
+        got, post = measure_projective(state, local, _ForcedChoice(outcome))
+        assert got == outcome
+        if kind == "pure":
+            assert isinstance(post, PureState)
+            _assert_density(post.density().matrix)
+            continue
+        _assert_density(post.matrix)
+        assert post.qubits == total
+        assert not post.matrix.flags.writeable
+        assert post.matrix.tobytes() == DensityOperator(post.matrix).matrix.tobytes()
+        product = tensor(post, state)
+        _assert_density(product.matrix)
+        assert product.matrix.tobytes() == DensityOperator(np.kron(post.matrix, state.matrix)).matrix.tobytes()
+        # the public constructor still rejects a negative eigenvalue
+        w, v = np.linalg.eigh(post.matrix)
+        w[-1] += w[0] + 0.01
+        w[0] = -0.01
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            DensityOperator((v * w) @ v.conj().T)
+
+
 def test_full_register_forms_agree():
     # a plain list, a bare measurement and the positions = range(n) view
     rng = spawn_rng(71)
