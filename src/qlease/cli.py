@@ -371,6 +371,10 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError("--trials must be positive")
         if args.seed < 0:
             raise ConfigError("--seed must be non-negative")
+        for option in ("out", "csv"):
+            path = getattr(args, option, None)
+            if path and not Path(path).parent.is_dir():
+                raise ConfigError(f"--{option}: directory {Path(path).parent} does not exist")
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

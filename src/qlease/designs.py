@@ -532,11 +532,15 @@ def _clifford_from_tableau(g: np.ndarray, signs: np.ndarray) -> np.ndarray:
     return canonical_phase(u)
 
 
+#: Bytes of built elements one :class:`IndexedCliffordDesign` keeps
+#: (1024 elements at 6 qubits).
+ELEMENT_CACHE_BYTES = 64 << 20
+
+
 class IndexedCliffordDesign(UnitaryDesign):
     """Clifford group accessed through the canonical (symplectic, sign)
-    index without enumeration; supports 1..6 qubits."""
-
-    _CACHE_LIMIT = 1 << 16
+    index without enumeration; supports 1..6 qubits.  Built elements are
+    kept until they fill :data:`ELEMENT_CACHE_BYTES`."""
 
     def __init__(self, qubits: int):
         if not 1 <= qubits <= 6:
@@ -546,6 +550,7 @@ class IndexedCliffordDesign(UnitaryDesign):
         self.cardinality = self._num_sympl * (1 << (2 * qubits))
         self.design_id = f"clifford-ks-q{qubits}-{GENERATOR_SET_VERSION}"
         self._cache: dict[int, np.ndarray] = {}
+        self._cache_bytes = 0
 
     def element(self, i: int) -> np.ndarray:
         if not 0 <= i < self.cardinality:
@@ -558,8 +563,9 @@ class IndexedCliffordDesign(UnitaryDesign):
         signs = _int_to_bits(sign_idx, 2 * self.qubits)
         u = _clifford_from_tableau(g, signs)
         u.setflags(write=False)
-        if len(self._cache) < self._CACHE_LIMIT:
+        if self._cache_bytes + u.nbytes <= ELEMENT_CACHE_BYTES:
             self._cache[i] = u
+            self._cache_bytes += u.nbytes
         return u
 
 

@@ -11,8 +11,15 @@ through one trial loop, whose draws come in a fixed order: the point, the
 pirate's split, Bob's challenge, Charlie's challenge, Bob's measurement,
 then Charlie's answer; a trial is won iff both answers are right.
 
-The shipped pirates hand over the program next to a fixed ancilla
-(:class:`PirateMap`), or search for the key (:class:`KeysearchPirate`).
+Each party holds its own register: a pirate's ``split`` returns Bob's
+state and Charlie's state, and each party measures its whole register
+and nothing else, so Bob's measurement leaves Charlie's register
+untouched.
+This covers every pirate shipped here, whose two registers are separate
+tensor factors; a pirate that entangles them would need a joint register.
+The shipped pirates hand one party the program and the other a fixed
+ancilla (:class:`PirateMap`), or search for the key
+(:class:`KeysearchPirate`).
 
 Every Monte Carlo estimate here is reproducible: trial ``i`` of a run
 with master seed ``s`` uses the generator ``spawn_rng(s, i)``, so serial
@@ -57,7 +64,6 @@ from .qmath import (
     maximally_mixed,
     measure_projective,
     spawn_rng,
-    tensor,
     zero_state,
 )
 
@@ -85,35 +91,31 @@ def wilson_interval(wins: int, trials: int, confidence: float = 0.99) -> tuple[f
 
 @dataclass(frozen=True)
 class PirateMap:
-    """A splitter that places the program next to a fixed ancilla.
+    """A splitter that hands one party the program and the other a fixed
+    ancilla.
 
-    The joint state is ``program (x) ancilla``: the program on the first
-    qubits, the ancilla after them.  ``bob_qubits`` and ``charlie_qubits``
-    say which qubits go to which party (in the leasing game they are the
-    returned and kept registers).  Qubits in neither list are
-    environment: nobody measures them.  Any object with a ``split``
-    method of the same signature can play the pirate.
+    Bob gets the program and Charlie the ancilla; with ``keep`` the
+    program is kept for Charlie and Bob gets the ancilla (in the leasing
+    game Bob's register is the returned one, Charlie's the kept one).
+    Any object with a ``split`` method of the same signature can play the
+    pirate.
     """
 
-    bob_qubits: tuple[int, ...]
-    charlie_qubits: tuple[int, ...]
     ancilla: PureState | DensityOperator
+    keep: bool = False
     name: str = "pirate"
 
-    def __post_init__(self):
-        if set(self.bob_qubits) & set(self.charlie_qubits):
-            raise ValueError("register split must be disjoint")
-
     def split(self, program_state: PureState, point: int, rng: np.random.Generator):
-        """Apply the map; returns (joint state, bob, charlie, side info).
+        """Apply the map; returns (Bob's state, Charlie's state, side info).
 
         ``point`` is the encoded point.  A real pirate never reads it; it
         is threaded through for modeling adversaries (see
         :class:`KeysearchPirate` and :func:`cheat_double_program`) which
         say so explicitly.
         """
-        joint = tensor(program_state, self.ancilla)
-        return joint, self.bob_qubits, self.charlie_qubits, None
+        if self.keep:
+            return self.ancilla, program_state, None
+        return program_state, self.ancilla, None
 
 
 def _accept_pairs(scheme: QasScheme) -> Callable[[int], ProjectiveMeasurement]:
@@ -131,9 +133,10 @@ class MeasurementStrategy:
     def measurement(self, x: int) -> ProjectiveMeasurement:
         raise NotImplementedError
 
-    def answer(self, state, qubits, x, side, rng) -> int:
-        pair = self.measurement(x).on(qubits, state.qubits)
-        outcome, _ = measure_projective(state, pair, rng)
+    def answer(self, state, x, side, rng) -> int:
+        """Measure :meth:`measurement` at challenge ``x`` on Charlie's
+        whole register ``state``."""
+        outcome, _ = measure_projective(state, self.measurement(x), rng)
         return outcome
 
 
@@ -144,7 +147,7 @@ class FixedAnswer(MeasurementStrategy):
         self.bit = int(bit)
         self.name = f"fixed-{self.bit}"
 
-    def answer(self, state, qubits, x, side, rng) -> int:
+    def answer(self, state, x, side, rng) -> int:
         return self.bit
 
 
@@ -166,7 +169,7 @@ class PointGuessStrategy(MeasurementStrategy):
 
     name = "point-guess"
 
-    def answer(self, state, qubits, x, side, rng) -> int:
+    def answer(self, state, x, side, rng) -> int:
         return int(side is not None and x == side)
 
 
@@ -203,16 +206,16 @@ class KeysearchPirate:
         return keys
 
     def split(self, program_state: PureState, point: int, rng: np.random.Generator):
+        """Returns the searched program for Bob, no register for Charlie,
+        and the key found (None if the search came up empty)."""
         state = program_state
         found = None
-        n = self.scheme.total_qubits
         for key in self._candidates(point, rng):
-            pair = self._pairs(key).on(range(n), n)
-            outcome, state = measure_projective(state, pair, rng)
+            outcome, state = measure_projective(state, self._pairs(key), rng)
             if outcome == 1:
                 found = key
                 break
-        return state, tuple(range(n)), (), found
+        return state, None, found
 
 
 # ---------------------------------------------------------------------------
@@ -402,10 +405,10 @@ def _play(spec: GameSpec, pirate, charlie: MeasurementStrategy, trials: int, see
     Trial ``i`` uses ``spawn_rng(seed, i)`` and draws, in order: the
     point, the pirate's split, Bob's challenge, Charlie's challenge,
     Bob's honest measurement on his register, and Charlie's answer from
-    what Bob's measurement left.  The trial is won iff both answers are
-    right.  Charlie answers in every trial, also when Bob is already
-    wrong; since each trial has its own generator, skipping Charlie then
-    would change no report.
+    his own register, which Bob's measurement leaves untouched.  The
+    trial is won iff both answers are right.  Charlie answers in every
+    trial, also when Bob is already wrong; since each trial has its own
+    generator, skipping Charlie then would change no report.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -422,12 +425,10 @@ def _play(spec: GameSpec, pirate, charlie: MeasurementStrategy, trials: int, see
         rng = spawn_rng(seed, i)
         p = spec.circuit_dist.sample(rng)
         psi, pf, bob_dist, charlie_dist = at_point(p)
-        joint, bob_q, charlie_q, side = pirate.split(psi, p, rng)
+        bob, charlie_state, side = pirate.split(psi, p, rng)
         x1, x2 = bob_dist.sample(rng), charlie_dist.sample(rng)
-        if len(bob_q) != scheme.total_qubits:
-            raise ValueError("honest Bob needs a program-shaped register")
-        b1, post = measure_projective(joint, bob_pairs(x1).on(bob_q, joint.qubits), rng)
-        b2 = charlie.answer(post, charlie_q, x2, side, rng)
+        b1, _ = measure_projective(bob, bob_pairs(x1), rng)
+        b2 = charlie.answer(charlie_state, x2, side, rng)
         if b1 == pf(x1) and b2 == pf(x2):
             wins += 1
     return wins
@@ -516,26 +517,13 @@ def run_experiment_ssl(
 def trivial_forward(scheme: QasScheme) -> tuple[PirateMap, MeasurementStrategy]:
     """Program straight to Bob; Charlie gets a fresh qubit and always
     answers 0."""
-    n = scheme.total_qubits
-    pirate = PirateMap(
-        bob_qubits=tuple(range(n)),
-        charlie_qubits=(n,),
-        ancilla=zero_state(1),
-        name="trivial-forward",
-    )
-    return pirate, FixedAnswer(0)
+    return PirateMap(zero_state(1), name="trivial-forward"), FixedAnswer(0)
 
 
 def give_to_charlie(scheme: QasScheme) -> tuple[PirateMap, MeasurementStrategy]:
     """Charlie gets the intact program and evaluates honestly; Bob gets a
     maximally mixed dummy."""
-    n = scheme.total_qubits
-    pirate = PirateMap(
-        bob_qubits=tuple(range(n, 2 * n)),
-        charlie_qubits=tuple(range(n)),
-        ancilla=maximally_mixed(n),
-        name="give-to-charlie",
-    )
+    pirate = PirateMap(maximally_mixed(scheme.total_qubits), keep=True, name="give-to-charlie")
     return pirate, HonestEvalStrategy(scheme)
 
 
@@ -558,9 +546,7 @@ def cheat_double_program(scheme: QasScheme) -> tuple[object, MeasurementStrategy
             self.scheme = scheme
 
         def split(self, program_state: PureState, point: int, rng):
-            n = self.scheme.total_qubits
-            joint = tensor(program_state, protect(self.scheme, point).state)
-            return joint, tuple(range(n)), tuple(range(n, 2 * n)), None
+            return program_state, protect(self.scheme, point).state, None
 
     return _Cloner(scheme), HonestEvalStrategy(scheme)
 

@@ -11,12 +11,13 @@ Every container (states, operators, isometries, channels and projective
 measurements) is validated once, in its constructor.  Operations trust
 the containers they are given and do not re-check them, so build a
 measurement once and reuse it rather than passing raw projectors in a
-loop.  A measurement on some qubits of a register acts on those qubits
-of the reshaped state (:meth:`ProjectiveMeasurement.on`); it is never
-embedded into an operator of the register's size.  Results that are
-density operators by construction, the mixed post-state of
-:func:`measure_projective` and the :func:`tensor` of two density
-operators, are not re-checked either (no eigenvalue decomposition).
+loop.  A measurement acts on a whole register: a party that holds its
+own register is measured on that register alone, never on a joint state
+with the registers of others.  Results that are density operators by
+construction, the outer product of :meth:`PureState.density`, the mixed
+post-state of :func:`measure_projective` and the :func:`tensor` of two
+density operators, are not re-checked either (no eigenvalue
+decomposition).
 
 Memory
 ------
@@ -136,7 +137,8 @@ class PureState:
         return self.amplitudes.size
 
     def density(self) -> "DensityOperator":
-        return DensityOperator(np.outer(self.amplitudes, self.amplitudes.conj()))
+        """``|psi><psi|``, a density operator by construction (not re-checked)."""
+        return DensityOperator._trusted(np.outer(self.amplitudes, self.amplitudes.conj()))
 
 
 @dataclass(frozen=True)
@@ -169,8 +171,9 @@ class DensityOperator:
     def _trusted(cls, matrix: np.ndarray) -> "DensityOperator":
         """Freeze ``matrix`` in place, without the checks.  Only for fresh
         complex matrices that are density operators by construction from
-        validated ones (a product of two, or a renormalized projection of
-        one); the bytes are those the public constructor would keep."""
+        validated ones (the outer product of a unit vector, a product of
+        two, or a renormalized projection of one); the bytes are those the
+        public constructor would keep."""
         obj = object.__new__(cls)
         mat = np.asarray(matrix, dtype=complex)
         mat.setflags(write=False)
@@ -394,8 +397,6 @@ class ProjectiveMeasurement:
     Validated once, here: every operator is Hermitian and idempotent and
     together they sum to the identity.  ``projectors`` is stored as one
     read-only array of shape ``(outcomes, 2**qubits, 2**qubits)``.
-    :meth:`on` places the measurement on some qubits of a larger register
-    without copying or re-checking it.
     """
 
     projectors: np.ndarray
@@ -418,28 +419,6 @@ class ProjectiveMeasurement:
         object.__setattr__(self, "projectors", stack)
         object.__setattr__(self, "qubits", q)
 
-    def on(self, positions: Iterable[int], total_qubits: int) -> "LocalMeasurement":
-        """This measurement on ``positions`` of a ``total_qubits`` register:
-        its own qubit ``i`` is the register's qubit ``positions[i]``."""
-        return LocalMeasurement(self, tuple(positions), total_qubits)
-
-
-@dataclass(frozen=True)
-class LocalMeasurement:
-    """A validated measurement placed on some qubits of a register."""
-
-    measurement: ProjectiveMeasurement
-    positions: tuple[int, ...]
-    total_qubits: int
-
-    def __post_init__(self):
-        if len(self.positions) != self.measurement.qubits:
-            raise DimensionMismatchError("measurement size does not match positions")
-        if len(set(self.positions)) != len(self.positions) or any(
-            p < 0 or p >= self.total_qubits for p in self.positions
-        ):
-            raise ValueError("positions must be distinct and in range")
-
 
 def two_outcome(projector) -> ProjectiveMeasurement:
     """The validated pair ``(I - P, P)``: outcome 1 means ``P`` fired."""
@@ -447,65 +426,38 @@ def two_outcome(projector) -> ProjectiveMeasurement:
     return ProjectiveMeasurement((np.eye(p.shape[0]) - p, p))
 
 
-def _as_local(measurement, qubits: int) -> LocalMeasurement:
-    """Place ``measurement`` on a ``qubits``-qubit register.  A plain
-    sequence of projectors is validated here; a bare
-    :class:`ProjectiveMeasurement` acts on the whole register."""
-    if not isinstance(measurement, LocalMeasurement):
-        if not isinstance(measurement, ProjectiveMeasurement):
-            measurement = ProjectiveMeasurement(measurement)
-        if measurement.qubits != qubits:
-            raise DimensionMismatchError("projector shape mismatch")
-        measurement = measurement.on(range(qubits), qubits)
-    if measurement.total_qubits != qubits:
-        raise DimensionMismatchError("measurement register does not match the state")
-    return measurement
-
-
 def measure_projective(state, measurement, rng: np.random.Generator):
-    """Projective measurement: sample an outcome, return (index, post-state).
+    """Projective measurement of a whole register: sample an outcome,
+    return (index, post-state).
 
-    ``measurement`` is a :class:`LocalMeasurement`, a
-    :class:`ProjectiveMeasurement` on the whole register, or a plain
-    sequence of full-register projectors (validated on entry).  The
-    projectors act on the measured qubits of the reshaped state, so no
-    operator of the register's size is built.
+    ``measurement`` is a :class:`ProjectiveMeasurement` or a plain
+    sequence of projectors (validated on entry); either must act on all
+    of the state's qubits.
 
     Outcome ``i`` occurs with the Born probability ``Tr(P_i rho)``; the
     post-state is the renormalized projection ``P rho P``.  Outcomes with
     probability below 1e-12 are never sampled.  Pure states stay pure.
     """
-    q = state.qubits
-    local = _as_local(measurement, q)
-    stack = local.measurement.projectors
-    d = stack.shape[1]
-    rest = [i for i in range(q) if i not in local.positions]
-    order = list(local.positions) + rest
-    back = [order.index(i) for i in range(q)]
+    if not isinstance(measurement, ProjectiveMeasurement):
+        measurement = ProjectiveMeasurement(measurement)
+    if measurement.qubits != state.qubits:
+        raise DimensionMismatchError("measurement register does not match the state")
+    stack = measurement.projectors
     pure = isinstance(state, PureState)
     if pure:
-        # rows: measured qubits; columns: the rest
-        psi = state.amplitudes.reshape((2,) * q).transpose(order).reshape(d, -1)
-        branches = stack @ psi
+        branches = stack @ state.amplitudes.reshape(-1, 1)
         probs = np.array([float(np.vdot(b, b).real) for b in branches])
     else:
-        # rows: measured qubits then the rest; columns: the rest then measured
-        cols = rest + list(local.positions)
-        rho = state.matrix.reshape((2,) * (2 * q)).transpose(order + [q + i for i in cols])
-        rho = rho.reshape(d, -1)
-        r = (1 << q) // d
-        reduced = np.trace(rho.reshape(d, r, r, d), axis1=1, axis2=2)
-        # Tr(P reduced) = sum_ab P[a, b] reduced[b, a], for every P at once
-        probs = (stack.reshape(len(stack), -1) @ reduced.T.reshape(-1)).real
+        rho = state.matrix
+        # Tr(P rho) = sum_ab P[a, b] rho[b, a], for every P at once
+        probs = (stack.reshape(len(stack), -1) @ rho.T.reshape(-1)).real
     probs = np.where(probs < 1e-12, 0.0, probs)
     probs /= probs.sum()
     outcome = int(rng.choice(len(stack), p=probs))
     if pure:
-        t = (branches[outcome] / np.sqrt(probs[outcome])).reshape((2,) * q)
-        return outcome, PureState(t.transpose(back).reshape(-1))
+        return outcome, PureState(branches[outcome].reshape(-1) / np.sqrt(probs[outcome]))
     p = stack[outcome]
-    m = ((p @ rho).reshape(-1, d) @ p).reshape((2,) * (2 * q))
-    m = m.transpose(back + [q + cols.index(i) for i in range(q)]).reshape(1 << q, 1 << q)
+    m = p @ rho @ p
     return outcome, DensityOperator._trusted(m / np.trace(m).real)
 
 

@@ -219,6 +219,19 @@ def test_out_of_range_values_are_usage_errors(argv, capsys, monkeypatch):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("flag", ["--out", "--csv"])
+def test_missing_output_directory_is_usage_error(flag, tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built before the usage check")
+
+    monkeypatch.setattr("qlease.qas.build_scheme", refuse)
+    target = tmp_path / "missing" / "report"
+    argv = ["cp", "--scheme", "1,1,6", "--trials", "3", flag, str(target)]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not target.parent.exists()
+
+
 def test_suite_json_outputs_are_byte_identical(tmp_path):
     # low trial count: some statistical criteria may fail, which is fine;
     # the point is that same-seed runs serialize identically

@@ -321,6 +321,19 @@ def test_sample_beyond_int64_in_range_and_deterministic(qubits):
     assert np.max(np.abs(a.conj().T @ a - np.eye(1 << qubits))) < 1e-9
 
 
+def test_indexed_element_cache_is_capped_by_bytes(monkeypatch):
+    # a 4-qubit element is 16 x 16 complex, 4 KiB; cap the cache at three
+    monkeypatch.setattr(designs, "ELEMENT_CACHE_BYTES", 3 * 16 * 16 * 16)
+    design = IndexedCliffordDesign(4)
+    indices = [7919 * i for i in range(5)]
+    built = [design.element(i) for i in indices]
+    held = sum(m.nbytes for m in design._cache.values())
+    assert held == design._cache_bytes <= designs.ELEMENT_CACHE_BYTES
+    assert sorted(design._cache) == indices[:3]
+    # past the cap, elements are rebuilt with the same bytes
+    assert all(np.array_equal(design.element(i), m) for i, m in zip(indices, built))
+
+
 def test_uniform_index_within_int64_is_rng_integers():
     # same draws as rng.integers, so reports at <= 4 qubits keep their bits
     n = IndexedCliffordDesign(4).cardinality

@@ -42,6 +42,10 @@ from qlease.qmath import (
     KrausChannel,
     PureState,
     apply_channel,
+    embed_operator,
+    measure_projective,
+    spawn_rng,
+    tensor,
     zero_state,
 )
 
@@ -200,18 +204,13 @@ def test_baseline_float_fallback():
 # ---------------------------------------------------------------------------
 
 
-def test_pirate_map_register_overlap_rejected():
-    with pytest.raises(ValueError):
-        PirateMap(bob_qubits=(0, 1), charlie_qubits=(1,), ancilla=zero_state(1))
-
-
 def test_trivial_forward_split_is_program_then_zero(scheme):
     psi = cp.protect(scheme, 5).state
-    joint, bob_q, charlie_q, side = trivial_forward(scheme)[0].split(psi, 5, None)
-    n = scheme.total_qubits
-    assert isinstance(joint, PureState)
-    assert np.array_equal(joint.amplitudes, np.kron(psi.amplitudes, [1, 0]))
-    assert (bob_q, charlie_q, side) == (tuple(range(n)), (n,), None)
+    bob, charlie, side = trivial_forward(scheme)[0].split(psi, 5, None)
+    assert bob is psi
+    assert isinstance(charlie, PureState)
+    assert np.array_equal(charlie.amplitudes, [1, 0])
+    assert side is None
 
 
 def _mix_and_keep_reference(scheme, psi) -> np.ndarray:
@@ -226,12 +225,84 @@ def _mix_and_keep_reference(scheme, psi) -> np.ndarray:
 @pytest.mark.parametrize("params", [(1, 1, 6), (2, 1, 6)])
 def test_give_to_charlie_split_matches_kraus_channel(params):
     scheme = qas.build_scheme(*params)
-    n = scheme.total_qubits
     psi = cp.protect(scheme, 9).state
-    joint, bob_q, charlie_q, side = give_to_charlie(scheme)[0].split(psi, 9, None)
-    assert isinstance(joint, DensityOperator)
+    bob, charlie, side = give_to_charlie(scheme)[0].split(psi, 9, None)
+    assert charlie is psi  # the kept program
+    assert isinstance(bob, DensityOperator) and bob.qubits == scheme.total_qubits
+    joint = tensor(charlie, bob)
     assert np.max(np.abs(joint.matrix - _mix_and_keep_reference(scheme, psi))) <= ATOL
-    assert (bob_q, charlie_q, side) == (tuple(range(n, 2 * n)), tuple(range(n)), None)
+    assert side is None
+
+
+def _joint_register_wins(spec, pirate, charlie, trials, seed) -> int:
+    """The trial loop on one joint register, as the harness once ran it:
+    the two parties' registers tensored, each party's measurement lifted
+    onto its qubits with embed_operator and applied to the joint state,
+    Charlie measuring what Bob's measurement left."""
+    scheme = spec.scheme
+    wins = 0
+    for i in range(trials):
+        rng = spawn_rng(seed, i)
+        p = spec.circuit_dist.sample(rng)
+        pf = cp.PointFunction(p, scheme.key_bits)
+        bob, charlie_state, side = pirate.split(cp.protect(scheme, p).state, p, rng)
+        x1, x2 = spec.bob_family(p).sample(rng), spec.charlie_family(p).sample(rng)
+        joint = bob if charlie_state is None else tensor(bob, charlie_state)
+        n, total = bob.qubits, joint.qubits
+
+        def lifted(pair, positions):
+            return [embed_operator(proj, positions, total) for proj in pair.projectors]
+
+        bob_pair = lifted(cp.evaluation_measurement(scheme, x1), range(n))
+        b1, post = measure_projective(joint, bob_pair, rng)
+        if isinstance(charlie, HonestEvalStrategy):
+            b2, _ = measure_projective(post, lifted(charlie.measurement(x2), range(n, total)), rng)
+        else:
+            b2 = charlie.answer(None, x2, side, rng)
+        wins += b1 == pf(x1) and b2 == pf(x2)
+    return wins
+
+
+@pytest.mark.parametrize("params", [(1, 1, 6), (2, 1, 6)])
+@pytest.mark.parametrize("seed", [3, 17])
+def test_party_registers_match_joint_register(params, seed):
+    # measuring each party on its own register wins exactly the trials
+    # that measuring the lifted pairs on the joint register wins
+    scheme = qas.build_scheme(*params)
+    spec = default_cp_spec(scheme)
+    ssl = SslScheme(scheme, 0.75)
+    leasing = leasing_spec(ssl, spec.circuit_dist, spec.charlie_family)
+    trials = 150
+    for adversary in (trivial_forward, give_to_charlie):
+        rep = run_experiment_free(spec, *adversary(scheme), trials, seed)
+        assert rep.wins == _joint_register_wins(spec, *adversary(scheme), trials, seed)
+    for adversary in (honest_return, keep_program):
+        rep = run_experiment_ssl(
+            ssl, spec.circuit_dist, spec.charlie_family, *adversary(ssl), trials, seed
+        )
+        assert rep.wins == _joint_register_wins(leasing, *adversary(ssl), trials, seed)
+
+
+@pytest.mark.parametrize("game,adversary", [("cp", give_to_charlie), ("ssl", keep_program)])
+def test_six_qubit_game_memory_is_bounded(game, adversary):
+    # 3,3,6: each party's register is 64 x 64; a joint of the two would be
+    # 4096 x 4096 complex, 256 MiB
+    scheme = qas.build_scheme(3, 3, 6)
+    spec = default_cp_spec(scheme)
+    ssl = SslScheme(scheme)
+    tracemalloc.start()
+    try:
+        if game == "cp":
+            rep = run_experiment_free(spec, *adversary(scheme), 20, seed=5)
+        else:
+            rep = run_experiment_ssl(
+                ssl, spec.circuit_dist, spec.charlie_family, *adversary(ssl), 20, seed=5
+            )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.trials == 20
+    assert peak < 64 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -273,12 +344,7 @@ def test_generalized_bob_marginal(scheme):
 
 
 def test_harness_register_shape_check(spec, scheme, ssl):
-    bad = PirateMap(
-        bob_qubits=(0,),
-        charlie_qubits=(1, 2),
-        ancilla=zero_state(1),
-        name="bad-split",
-    )
+    bad = PirateMap(zero_state(1), keep=True, name="bad-split")  # Bob gets one qubit
     with pytest.raises(ValueError):
         run_experiment_free(spec, bad, FixedAnswer(0), 10, seed=47)
     # in the leasing game the returned register is Bob's
@@ -394,13 +460,8 @@ def test_leasing_harness_is_pirating_harness(scheme, spec, adversary, verify_r):
 def test_ssl_abort_counts_as_loss(ssl, spec, scheme):
     # an adversary that returns garbage fails verification and never wins,
     # even though his kept program would answer perfectly
-    n = scheme.total_qubits
-    swap_in_garbage = PirateMap(
-        bob_qubits=tuple(range(n, 2 * n)),  # returns the fresh ancilla
-        charlie_qubits=tuple(range(n)),  # keeps the program
-        ancilla=zero_state(n),
-        name="return-garbage",
-    )
+    # returns a fresh ancilla, keeps the program
+    swap_in_garbage = PirateMap(zero_state(scheme.total_qubits), keep=True, name="return-garbage")
     rep = run_experiment_ssl(
         ssl,
         spec.circuit_dist,

@@ -338,23 +338,34 @@ def _random_pair(qubits: int, rng) -> list[np.ndarray]:
     ],
 )
 def test_local_measurement_matches_dense_lift(pure, positions, total):
+    # a party holding the register on ``positions`` of a product state is
+    # measured on that register alone; this matches the measurement lifted
+    # onto the joint register, and leaves the other register untouched
     rng = spawn_rng(70, len(positions), total, int(pure))
-    projs = _random_pair(len(positions), rng)
-    state = random_pure_state(total, rng) if pure else random_density(total, rng)
-    rho = state.density().matrix if pure else state.matrix
+    size = len(positions)
+    projs = _random_pair(size, rng)
+    make = random_pure_state if pure else random_density
+    own, other = make(size, rng), make(total - size, rng)
+    rest = [i for i in range(total) if i not in positions]
+    back = [(list(positions) + rest).index(i) for i in range(total)]
+
+    def placed(joint):  # qubits of ``joint`` in the order positions + rest
+        t = joint.density().matrix if pure else joint.matrix
+        d = 1 << total
+        return t.reshape((2,) * (2 * total)).transpose(back + [total + i for i in back]).reshape(d, d)
+
+    rho = placed(tensor(own, other))
     lifted = [embed_operator(p, positions, total) for p in projs]
-    local = ProjectiveMeasurement(projs).on(positions, total)
     for outcome, big in enumerate(lifted):
         forced = _ForcedChoice(outcome)
-        got, post = measure_projective(state, local, forced)
+        got, post = measure_projective(own, ProjectiveMeasurement(projs), forced)
         assert got == outcome
         expected_probs = [np.trace(lp @ rho).real for lp in lifted]
         assert np.allclose(forced.p, expected_probs, atol=qmath.ATOL, rtol=0)
         m = big @ rho @ big
         expected = m / np.trace(m).real
-        got_rho = post.density().matrix if pure else post.matrix
         assert isinstance(post, PureState if pure else DensityOperator)
-        assert np.max(np.abs(got_rho - expected)) < qmath.ATOL
+        assert np.max(np.abs(placed(tensor(post, other)) - expected)) < qmath.ATOL
 
 
 def _assert_density(m: np.ndarray) -> None:
@@ -363,27 +374,34 @@ def _assert_density(m: np.ndarray) -> None:
     assert np.min(np.linalg.eigvalsh(m)) >= -qmath.ATOL
 
 
+def _assert_outer_product(state: PureState) -> None:
+    rho = state.density()
+    _assert_density(rho.matrix)
+    assert not rho.matrix.flags.writeable
+    outer = np.outer(state.amplitudes, state.amplitudes.conj())
+    assert rho.matrix.tobytes() == DensityOperator(outer).matrix.tobytes()
+
+
 @settings(max_examples=40, deadline=None)
-@given(seeds, st.integers(2, 4), st.sampled_from(["pure", "rank-one", "mixed"]), st.data())
-def test_post_states_are_density_operators(seed, total, kind, data):
-    # the mixed post-state and the tensor product skip the constructor's
-    # eigenvalue check; this is where that check is kept
+@given(seeds, st.integers(1, 4), st.sampled_from(["pure", "rank-one", "mixed"]))
+def test_post_states_are_density_operators(seed, total, kind):
+    # PureState.density, the mixed post-state and the tensor product skip
+    # the constructor's eigenvalue check; this is where that check is kept
     rng = spawn_rng(seed)
     if kind == "pure":
         state = random_pure_state(total, rng)
+        _assert_outer_product(state)
     elif kind == "rank-one":
         state = random_pure_state(total, rng).density()
     else:
         state = random_density(total, rng, rank=int(rng.integers(1, (1 << total) + 1)))
-    size = data.draw(st.integers(1, total))
-    positions = data.draw(st.permutations(range(total)))[:size]
-    local = ProjectiveMeasurement(_random_pair(size, rng)).on(positions, total)
+    pair = ProjectiveMeasurement(_random_pair(total, rng))
     for outcome in range(2):
-        got, post = measure_projective(state, local, _ForcedChoice(outcome))
+        got, post = measure_projective(state, pair, _ForcedChoice(outcome))
         assert got == outcome
         if kind == "pure":
             assert isinstance(post, PureState)
-            _assert_density(post.density().matrix)
+            _assert_outer_product(post)
             continue
         _assert_density(post.matrix)
         assert post.qubits == total
@@ -401,18 +419,19 @@ def test_post_states_are_density_operators(seed, total, kind, data):
 
 
 def test_full_register_forms_agree():
-    # a plain list, a bare measurement and the positions = range(n) view
+    # a plain list and a validated measurement give the same draw and bytes
     rng = spawn_rng(71)
     projs = _random_pair(2, rng)
-    state = random_density(2, rng)
-    m = ProjectiveMeasurement(projs)
-    results = [
-        measure_projective(state, form, spawn_rng(72))
-        for form in (projs, m, m.on(range(2), 2))
-    ]
-    assert len({outcome for outcome, _ in results}) == 1
-    for _, post in results[1:]:
-        assert np.array_equal(post.matrix, results[0][1].matrix)
+    for state in (random_pure_state(2, rng), random_density(2, rng)):
+        (a, post_a), (b, post_b) = (
+            measure_projective(state, form, spawn_rng(72)) for form in (projs, ProjectiveMeasurement(projs))
+        )
+        assert a == b
+        assert type(post_a) is type(post_b)
+        if isinstance(post_a, PureState):
+            assert post_a.amplitudes.tobytes() == post_b.amplitudes.tobytes()
+        else:
+            assert post_a.matrix.tobytes() == post_b.matrix.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -438,11 +457,9 @@ def test_projective_measurement_shape_mismatches():
     with pytest.raises(DimensionMismatchError):
         measure_projective(bell_state(), pair, rng)  # one qubit against two
     with pytest.raises(DimensionMismatchError):
-        measure_projective(bell_state(), pair.on((0,), 3), rng)
+        measure_projective(bell_state().density(), pair, rng)
     with pytest.raises(DimensionMismatchError):
-        pair.on((0, 1), 2)
-    with pytest.raises(ValueError):
-        pair.on((2,), 2)
+        measure_projective(ket("0"), [np.eye(4), np.zeros((4, 4))], rng)  # plain list
 
 
 def test_projective_measurement_is_read_only():
