@@ -10,6 +10,11 @@ symplectic enumeration, which also gives exactly uniform sampling:
     R. Koenig and J. A. Smolin, "How to efficiently select an arbitrary
     Clifford group element", J. Math. Phys. 55, 122202 (2014).
 
+An indexed element is built as a tableau, following Aaronson and
+Gottesman (2004): each row of the binary symplectic matrix is one int of
+2n bits, and each signed image Pauli acts on the dense matrix as a row
+permutation times a phase vector, so no Pauli is ever built densely.
+
 Being a 2-design is not taken on faith: :func:`frame_potential` computes
 the pair-averaged fourth overlap moment, which equals 2 exactly for any
 exact 2-design and exceeds it for anything else.
@@ -21,6 +26,7 @@ this canonical form.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -230,12 +236,6 @@ _S = np.array([[1, 0], [0, 1j]], dtype=complex)
 _CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
 )
-_PAULI_1Q = {
-    (0, 0): np.eye(2, dtype=complex),
-    (1, 0): np.array([[0, 1], [1, 0]], dtype=complex),
-    (0, 1): np.array([[1, 0], [0, -1]], dtype=complex),
-    (1, 1): np.array([[0, -1j], [1j, 0]], dtype=complex),
-}
 
 
 def canonical_phase(u: np.ndarray) -> np.ndarray:
@@ -383,70 +383,48 @@ def clifford_enumerate(qubits: int) -> EnumeratedDesign:
 
 
 # --- Koenig-Smolin symplectic enumeration (interleaved x,z convention) -----
+#
+# A vector of GF(2)^(2n) is one int: bit 2j is the X part of qubit j and
+# bit 2j+1 its Z part.  A symplectic matrix is the list of its 2n rows.
+
+_EVEN_BITS = 0x5555_5555_5555_5555
 
 
-def _sympl_inner(v: np.ndarray, w: np.ndarray) -> int:
-    t = 0
-    for i in range(v.size >> 1):
-        t += int(v[2 * i]) * int(w[2 * i + 1])
-        t += int(w[2 * i]) * int(v[2 * i + 1])
-    return t % 2
+def _sympl_inner(v: int, w: int) -> int:
+    """Symplectic form: the parity of v against w with each (x, z) pair swapped."""
+    swapped = ((w & _EVEN_BITS) << 1) | ((w >> 1) & _EVEN_BITS)
+    return (v & swapped).bit_count() & 1
 
 
-def _transvection(k: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return (v + _sympl_inner(k, v) * k) % 2
+def _transvection(k: int, v: int) -> int:
+    return v ^ k if _sympl_inner(k, v) else v
 
 
-def _int_to_bits(i: int, n: int) -> np.ndarray:
-    out = np.zeros(n, dtype=np.int8)
-    for j in range(n):
-        out[j] = i & 1
-        i >>= 1
-    return out
-
-
-def _find_transvection(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _find_transvection(x: int, y: int) -> tuple[int, int]:
     """Vectors h0, h1 with ``y = Z_h0 Z_h1 x`` (Z the transvection map)."""
-    out = np.zeros((2, x.size), dtype=np.int8)
-    if np.array_equal(x, y):
-        return out
-    if _sympl_inner(x, y) == 1:
-        out[0] = (x + y) % 2
-        return out
-    z = np.zeros(x.size, dtype=np.int8)
-    for i in range(x.size >> 1):
-        ii = 2 * i
-        if (x[ii] + x[ii + 1]) != 0 and (y[ii] + y[ii + 1]) != 0:
-            z[ii] = (x[ii] + y[ii]) % 2
-            z[ii + 1] = (x[ii + 1] + y[ii + 1]) % 2
-            if (z[ii] + z[ii + 1]) == 0:
-                z[ii + 1] = 1
-                if x[ii] != x[ii + 1]:
-                    z[ii] = 1
-            out[0] = (x + z) % 2
-            out[1] = (y + z) % 2
-            return out
-    for i in range(x.size >> 1):
-        ii = 2 * i
-        if (x[ii] + x[ii + 1]) != 0 and (y[ii] + y[ii + 1]) == 0:
-            if x[ii] == x[ii + 1]:
-                z[ii + 1] = 1
-            else:
-                z[ii + 1] = x[ii]
-                z[ii] = x[ii + 1]
+    if x == y:
+        return 0, 0
+    if _sympl_inner(x, y):
+        return x ^ y, 0
+    # (shift, x pair, y pair) per qubit; a pair is x_j + 2 z_j
+    pairs = [(s, (x >> s) & 3, (y >> s) & 3) for s in range(0, (x | y).bit_length(), 2)]
+    for s, xp, yp in pairs:
+        if xp and yp:
+            # equal pairs take one that anticommutes with both
+            zp = xp ^ yp or (3 if xp != 3 else 2)
+            return x ^ (zp << s), y ^ (zp << s)
+    # else one pair anticommuting with x's first nonzero pair where y has
+    # none, and one with y's first nonzero pair where x has none
+    z = 0
+    for s, xp, yp in pairs:
+        if xp and not yp:
+            z |= (1 if xp == 2 else 2) << s
             break
-    for i in range(x.size >> 1):
-        ii = 2 * i
-        if (x[ii] + x[ii + 1]) == 0 and (y[ii] + y[ii + 1]) != 0:
-            if y[ii] == y[ii + 1]:
-                z[ii + 1] = 1
-            else:
-                z[ii + 1] = y[ii]
-                z[ii] = y[ii + 1]
+    for s, xp, yp in pairs:
+        if yp and not xp:
+            z |= (1 if yp == 2 else 2) << s
             break
-    out[0] = (x + z) % 2
-    out[1] = (y + z) % 2
-    return out
+    return x ^ z, y ^ z
 
 
 def num_symplectics(n: int) -> int:
@@ -457,79 +435,72 @@ def num_symplectics(n: int) -> int:
     return x
 
 
-def _symplectic_matrix(i: int, n: int) -> np.ndarray:
-    """The i-th 2n x 2n binary symplectic matrix (rows are basis images)."""
+def _symplectic_matrix(i: int, n: int) -> list[int]:
+    """The i-th 2n x 2n binary symplectic matrix, as its rows (the images
+    of the basis vectors)."""
     nn = 2 * n
     s = (1 << nn) - 1
-    k = (i % s) + 1
+    f1 = (i % s) + 1
     i //= s
-    f1 = _int_to_bits(k, nn)
-    e1 = np.zeros(nn, dtype=np.int8)
-    e1[0] = 1
-    tv = _find_transvection(e1, f1)
-    bits = _int_to_bits(i % (1 << (nn - 1)), nn - 1)
+    tv0, tv1 = _find_transvection(1, f1)
+    bits = i % (1 << (nn - 1))
     i //= 1 << (nn - 1)
-    eprime = e1.copy()
-    for j in range(2, nn):
-        eprime[j] = bits[j - 1]
-    h0 = _transvection(tv[0], eprime)
-    h0 = _transvection(tv[1], h0)
-    if bits[0] == 1:
-        f1 = f1 * 0
-    id2 = np.eye(2, dtype=np.int8)
+    h0 = _transvection(tv1, _transvection(tv0, 1 | ((bits >> 1) << 2)))
+    if bits & 1:
+        f1 = 0
+    g = [1, 2]
     if n != 1:
-        rest = _symplectic_matrix(i, n - 1)
-        g = np.zeros((nn, nn), dtype=np.int8)
-        g[:2, :2] = id2
-        g[2:, 2:] = rest
-    else:
-        g = id2.copy()
-    for j in range(nn):
-        g[j] = _transvection(tv[0], g[j])
-        g[j] = _transvection(tv[1], g[j])
-        g[j] = _transvection(h0, g[j])
-        g[j] = _transvection(f1, g[j])
-    return g
+        g += [row << 2 for row in _symplectic_matrix(i, n - 1)]
+    return [
+        _transvection(f1, _transvection(h0, _transvection(tv1, _transvection(tv0, row))))
+        for row in g
+    ]
 
 
-def _pauli_matrix(vec: np.ndarray) -> np.ndarray:
-    """Hermitian Pauli for an interleaved (x, z) symplectic vector."""
-    n = vec.size // 2
-    out = np.array([[1.0 + 0j]])
-    for j in range(n):
-        out = np.kron(out, _PAULI_1Q[(int(vec[2 * j]), int(vec[2 * j + 1]))])
-    return out
+def _clifford_from_tableau(
+    rows: list[int], signs: int, parity: np.ndarray
+) -> np.ndarray:
+    """Dense unitary mapping X_j, Z_j to the signed Paulis of the
+    symplectic rows (row 2j for X_j, row 2j+1 for Z_j; bit r of ``signs``
+    negates row r).  ``parity[c]`` is (-1)^popcount(c) over the 2^n basis
+    indices.
 
-
-def _clifford_from_tableau(g: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """Dense unitary mapping X_j, Z_j to the signed Paulis encoded by
-    the symplectic rows (row 2j for X_j, row 2j+1 for Z_j).
-
-    The unitary is pinned down column by column: the image of |0...0> is
-    the joint +1 eigenvector of the Z images, and the remaining columns
-    follow by applying X images.
+    No Pauli is built densely.  A signed Pauli i^#Y (-1)^sign X^x Z^z
+    (qubit 0 the most significant bit of the masks x and z) is a row
+    permutation and a phase: ``P @ M = phase[:, None] * M[perm]`` with
+    ``perm = r ^ x`` and ``phase = i^#Y (-1)^(sign + popcount(z & perm))``.
+    The image of |0...0> is the joint +1 eigenvector of the Z images: the
+    projector is built one ``(1 + Z') / 2`` at a time, and its first nonzero
+    column normalised.  The other columns follow by doubling: for qubit j,
+    the columns with j's bit set are X'_j applied to those already built.
     """
-    n = g.shape[0] // 2
-    dim = 1 << n
-    x_imgs = []
-    z_imgs = []
+    n = len(rows) // 2
+    r = np.arange(1 << n)
+
+    def image(row: int) -> tuple[np.ndarray, np.ndarray]:
+        v, x, z, ys = rows[row], 0, 0, 0
+        for j in range(n):
+            xj, zj = (v >> 2 * j) & 1, (v >> (2 * j + 1)) & 1
+            x |= xj << (n - 1 - j)
+            z |= zj << (n - 1 - j)
+            ys += xj & zj
+        perm = r ^ x
+        i_power = ys + 2 * ((signs >> row) & 1)
+        return perm, (1, 1j, -1, -1j)[i_power % 4] * parity[z & perm]
+
+    proj = np.eye(1 << n, dtype=complex)
     for j in range(n):
-        x_imgs.append(((-1) ** int(signs[2 * j])) * _pauli_matrix(g[2 * j]))
-        z_imgs.append(((-1) ** int(signs[2 * j + 1])) * _pauli_matrix(g[2 * j + 1]))
-    proj = np.eye(dim, dtype=complex)
-    for zi in z_imgs:
-        proj = proj @ (np.eye(dim) + zi) / 2
+        perm, phase = image(2 * j + 1)
+        proj = (proj + phase[:, None] * proj[perm]) / 2
     col = int(np.argmax(np.linalg.norm(proj, axis=0) > 1e-9))
     u0 = proj[:, col]
-    u0 = u0 / np.linalg.norm(u0)
-    u = np.zeros((dim, dim), dtype=complex)
-    for b in range(dim):
-        v = u0
-        for j in range(n):
-            if (b >> (n - 1 - j)) & 1:  # qubit 0 is the most significant bit
-                v = x_imgs[j] @ v
-        u[:, b] = v
-    return canonical_phase(u)
+    u = np.empty_like(proj)
+    u[:, 0] = u0 / np.linalg.norm(u0)
+    for j in range(n):
+        perm, phase = image(2 * j)
+        built = r[: 1 << j] << (n - j)
+        u[:, built | (1 << (n - 1 - j))] = phase[:, None] * u[perm[:, None], built]
+    return canonical_phase(u) + 0.0  # normalize -0.0
 
 
 #: Bytes of built elements one :class:`IndexedCliffordDesign` keeps
@@ -549,19 +520,21 @@ class IndexedCliffordDesign(UnitaryDesign):
         self._num_sympl = num_symplectics(qubits)
         self.cardinality = self._num_sympl * (1 << (2 * qubits))
         self.design_id = f"clifford-ks-q{qubits}-{GENERATOR_SET_VERSION}"
+        self._parity = np.array([(-1) ** c.bit_count() for c in range(1 << qubits)])
         self._cache: dict[int, np.ndarray] = {}
         self._cache_bytes = 0
 
     def element(self, i: int) -> np.ndarray:
+        i = operator.index(i)
         if not 0 <= i < self.cardinality:
             raise IndexError("design index out of range")
         cached = self._cache.get(i)
         if cached is not None:
             return cached
         sympl_idx, sign_idx = i % self._num_sympl, i // self._num_sympl
-        g = _symplectic_matrix(sympl_idx, self.qubits)
-        signs = _int_to_bits(sign_idx, 2 * self.qubits)
-        u = _clifford_from_tableau(g, signs)
+        u = _clifford_from_tableau(
+            _symplectic_matrix(sympl_idx, self.qubits), sign_idx, self._parity
+        )
         u.setflags(write=False)
         if self._cache_bytes + u.nbytes <= ELEMENT_CACHE_BYTES:
             self._cache[i] = u

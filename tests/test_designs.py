@@ -26,7 +26,7 @@ from qlease.designs import (
     random_unitary_set,
     uniform_index,
 )
-from qlease.qmath import spawn_rng
+from qlease.qmath import ATOL, spawn_rng
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +332,231 @@ def test_indexed_element_cache_is_capped_by_bytes(monkeypatch):
     assert sorted(design._cache) == indices[:3]
     # past the cap, elements are rebuilt with the same bytes
     assert all(np.array_equal(design.element(i), m) for i, m in zip(indices, built))
+
+
+# --- the dense tableau builder, kept as the reference for the bitmask one ---
+
+_REF_PAULI_1Q = {
+    (0, 0): np.eye(2, dtype=complex),
+    (1, 0): np.array([[0, 1], [1, 0]], dtype=complex),
+    (0, 1): np.array([[1, 0], [0, -1]], dtype=complex),
+    (1, 1): np.array([[0, -1j], [1j, 0]], dtype=complex),
+}
+
+
+def _ref_sympl_inner(v, w):
+    t = 0
+    for i in range(v.size >> 1):
+        t += int(v[2 * i]) * int(w[2 * i + 1])
+        t += int(w[2 * i]) * int(v[2 * i + 1])
+    return t % 2
+
+
+def _ref_transvection(k, v):
+    return (v + _ref_sympl_inner(k, v) * k) % 2
+
+
+def _ref_int_to_bits(i, n):
+    out = np.zeros(n, dtype=np.int8)
+    for j in range(n):
+        out[j] = i & 1
+        i >>= 1
+    return out
+
+
+def _ref_find_transvection(x, y):
+    out = np.zeros((2, x.size), dtype=np.int8)
+    if np.array_equal(x, y):
+        return out
+    if _ref_sympl_inner(x, y) == 1:
+        out[0] = (x + y) % 2
+        return out
+    z = np.zeros(x.size, dtype=np.int8)
+    for i in range(x.size >> 1):
+        ii = 2 * i
+        if (x[ii] + x[ii + 1]) != 0 and (y[ii] + y[ii + 1]) != 0:
+            z[ii] = (x[ii] + y[ii]) % 2
+            z[ii + 1] = (x[ii + 1] + y[ii + 1]) % 2
+            if (z[ii] + z[ii + 1]) == 0:
+                z[ii + 1] = 1
+                if x[ii] != x[ii + 1]:
+                    z[ii] = 1
+            out[0] = (x + z) % 2
+            out[1] = (y + z) % 2
+            return out
+    for i in range(x.size >> 1):
+        ii = 2 * i
+        if (x[ii] + x[ii + 1]) != 0 and (y[ii] + y[ii + 1]) == 0:
+            if x[ii] == x[ii + 1]:
+                z[ii + 1] = 1
+            else:
+                z[ii + 1] = x[ii]
+                z[ii] = x[ii + 1]
+            break
+    for i in range(x.size >> 1):
+        ii = 2 * i
+        if (x[ii] + x[ii + 1]) == 0 and (y[ii] + y[ii + 1]) != 0:
+            if y[ii] == y[ii + 1]:
+                z[ii + 1] = 1
+            else:
+                z[ii + 1] = y[ii]
+                z[ii] = y[ii + 1]
+            break
+    out[0] = (x + z) % 2
+    out[1] = (y + z) % 2
+    return out
+
+
+def _ref_symplectic_matrix(i, n):
+    nn = 2 * n
+    s = (1 << nn) - 1
+    k = (i % s) + 1
+    i //= s
+    f1 = _ref_int_to_bits(k, nn)
+    e1 = np.zeros(nn, dtype=np.int8)
+    e1[0] = 1
+    tv = _ref_find_transvection(e1, f1)
+    bits = _ref_int_to_bits(i % (1 << (nn - 1)), nn - 1)
+    i //= 1 << (nn - 1)
+    eprime = e1.copy()
+    for j in range(2, nn):
+        eprime[j] = bits[j - 1]
+    h0 = _ref_transvection(tv[0], eprime)
+    h0 = _ref_transvection(tv[1], h0)
+    if bits[0] == 1:
+        f1 = f1 * 0
+    id2 = np.eye(2, dtype=np.int8)
+    if n != 1:
+        rest = _ref_symplectic_matrix(i, n - 1)
+        g = np.zeros((nn, nn), dtype=np.int8)
+        g[:2, :2] = id2
+        g[2:, 2:] = rest
+    else:
+        g = id2.copy()
+    for j in range(nn):
+        g[j] = _ref_transvection(tv[0], g[j])
+        g[j] = _ref_transvection(tv[1], g[j])
+        g[j] = _ref_transvection(h0, g[j])
+        g[j] = _ref_transvection(f1, g[j])
+    return g
+
+
+def _ref_pauli_matrix(vec):
+    """Hermitian Pauli for an interleaved (x, z) vector, qubit 0 leftmost."""
+    out = np.array([[1.0 + 0j]])
+    for j in range(vec.size // 2):
+        out = np.kron(out, _REF_PAULI_1Q[(int(vec[2 * j]), int(vec[2 * j + 1]))])
+    return out
+
+
+def _ref_clifford_from_tableau(g, signs):
+    n = g.shape[0] // 2
+    dim = 1 << n
+    x_imgs = []
+    z_imgs = []
+    for j in range(n):
+        x_imgs.append(((-1) ** int(signs[2 * j])) * _ref_pauli_matrix(g[2 * j]))
+        z_imgs.append(((-1) ** int(signs[2 * j + 1])) * _ref_pauli_matrix(g[2 * j + 1]))
+    proj = np.eye(dim, dtype=complex)
+    for zi in z_imgs:
+        proj = proj @ (np.eye(dim) + zi) / 2
+    col = int(np.argmax(np.linalg.norm(proj, axis=0) > 1e-9))
+    u0 = proj[:, col]
+    u0 = u0 / np.linalg.norm(u0)
+    u = np.zeros((dim, dim), dtype=complex)
+    for b in range(dim):
+        v = u0
+        for j in range(n):
+            if (b >> (n - 1 - j)) & 1:
+                v = x_imgs[j] @ v
+        u[:, b] = v
+    return canonical_phase(u)
+
+
+def _ref_element(qubits, i):
+    num = num_symplectics(qubits)
+    g = _ref_symplectic_matrix(i % num, qubits)
+    return _ref_clifford_from_tableau(g, _ref_int_to_bits(i // num, 2 * qubits))
+
+
+def _rows_as_bits(rows, qubits):
+    return np.array([_ref_int_to_bits(r, 2 * qubits) for r in rows], dtype=np.int8)
+
+
+def _has_negative_zero(u):
+    parts = np.concatenate([u.real.ravel(), u.imag.ravel()])
+    return bool(np.any(np.signbit(parts[parts == 0])))
+
+
+@pytest.mark.parametrize("qubits", [1, 2])
+def test_symplectic_matrices_equal_reference(qubits):
+    for i in range(num_symplectics(qubits)):
+        got = _rows_as_bits(designs._symplectic_matrix(i, qubits), qubits)
+        assert np.array_equal(got, _ref_symplectic_matrix(i, qubits)), i
+
+
+# elements compared byte for byte with the dense builder, per qubit count
+_REFERENCE_SAMPLE = {2: 300, 3: 120, 4: 60, 5: 30, 6: 12}
+
+
+@pytest.mark.parametrize("qubits", [1, 2, 3, 4, 5, 6])
+def test_elements_equal_reference_bytes(qubits):
+    design = IndexedCliffordDesign(qubits)
+    n = design.cardinality
+    if qubits == 1:
+        indices = list(range(n))
+    else:
+        rng = spawn_rng(20 + qubits)
+        indices = [0, n - 1] + [int(i) for i in uniform_index(n, rng, _REFERENCE_SAMPLE[qubits])]
+        if n > 1 << 63:
+            indices += [(1 << 63) + 12345, n - (1 << 40)]
+    for i in indices:
+        u = design.element(i)
+        assert u.tobytes() == _ref_element(qubits, i).tobytes(), i
+        assert not _has_negative_zero(u), i
+
+
+def test_capped_rebuilds_equal_reference_bytes(monkeypatch):
+    # no element fits the cache: every call builds anew
+    monkeypatch.setattr(designs, "ELEMENT_CACHE_BYTES", 0)
+    design = IndexedCliffordDesign(5)
+    for i in [0, 7919, 2**40 + 17, design.cardinality - 1]:
+        first, again = design.element(i), design.element(i)
+        assert first is not again
+        want = _ref_element(5, i).tobytes()
+        assert first.tobytes() == again.tobytes() == want
+    assert design._cache == {}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 6), st.data())
+def test_elements_conjugate_paulis_to_the_tableau(qubits, data):
+    # U X_j U^dagger and U Z_j U^dagger are the signed Paulis of tableau
+    # rows 2j and 2j+1, all built densely here
+    design = IndexedCliffordDesign(qubits)
+    i = data.draw(st.integers(0, design.cardinality - 1))
+    num = num_symplectics(qubits)
+    rows = _rows_as_bits(designs._symplectic_matrix(i % num, qubits), qubits)
+    signs = _ref_int_to_bits(i // num, 2 * qubits)
+    u = design.element(i)
+    for j in range(qubits):
+        for row, unit in ((2 * j, (1, 0)), (2 * j + 1, (0, 1))):
+            basis = np.zeros(2 * qubits, dtype=np.int8)
+            basis[2 * j : 2 * j + 2] = unit
+            image = (-1) ** int(signs[row]) * _ref_pauli_matrix(rows[row])
+            conj = u @ _ref_pauli_matrix(basis) @ u.conj().T
+            assert np.max(np.abs(conj - image)) < ATOL, (i, row)
+
+
+@pytest.mark.parametrize("qubits", [3, 4, 5, 6])
+def test_element_takes_numpy_integer_indices(qubits):
+    n = IndexedCliffordDesign(qubits).cardinality
+    for i in (12345, ((1 << 62) + 99) % n):
+        # fresh designs, so the numpy index is built, not served from a cache
+        want = IndexedCliffordDesign(qubits).element(i)
+        assert np.array_equal(IndexedCliffordDesign(qubits).element(np.int64(i)), want)
+    with pytest.raises(TypeError):
+        IndexedCliffordDesign(qubits).element(3.0)
 
 
 def test_uniform_index_within_int64_is_rng_integers():
