@@ -125,14 +125,13 @@ def cmd_design_check(args) -> int:
     q = args.qubits
     if args.pairs is not None and args.pairs < 1:
         raise ConfigError("--pairs must be positive")
-    if q <= 2:
-        design = designs.clifford_enumerate(q)
-        fp = designs.frame_potential(design, samples=args.pairs, rng=spawn_rng(args.seed, 0) if args.pairs else None)
-    else:
-        design = designs.clifford_design(q)
-        if not args.pairs:
-            raise ConfigError("qubits > 2 needs --pairs for a sampled estimate")
+    design = designs.clifford_design(q)
+    if args.pairs:
         fp = designs.frame_potential(design, samples=args.pairs, rng=spawn_rng(args.seed, 0))
+    elif q <= 2:
+        fp = designs.clifford_frame_potential(q)
+    else:
+        raise ConfigError("qubits > 2 needs --pairs for a sampled estimate")
     print(f"design        {design.design_id}")
     print(f"cardinality   {design.cardinality}")
     print(f"frame_potential {fp:.6f}  (exact 2-design value: 2)")
@@ -288,7 +287,8 @@ def cmd_ssl(args) -> int:
 
 
 def cmd_suite(args) -> int:
-    results = suite.run_suite(seed=args.seed, trials=args.trials)
+    timings = {} if args.timings else None
+    results = suite.run_suite(seed=args.seed, trials=args.trials, timings=timings)
     width = max(len(r.name) for r in results)
     for r in results:
         flag = "PASS" if r.passed else "FAIL"
@@ -298,6 +298,10 @@ def cmd_suite(args) -> int:
     if failed:
         print("failed:", ", ".join(failed))
     _emit(args, [r.to_json_dict() for r in results])
+    if timings is not None:
+        width = max(map(len, timings))
+        for name, seconds in timings.items():
+            print(f"time  {name:{width}s}  {seconds:8.3f} s", file=sys.stderr)
     return EXIT_OK if not failed else EXIT_FAIL
 
 
@@ -357,6 +361,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("suite", help="run the acceptance battery")
     common(p, scheme_default=None)
     p.add_argument("--trials", type=int, default=10000, help="Monte Carlo trials per game")
+    p.add_argument(
+        "--timings", action="store_true", help="print each criterion's wall time to stderr (never to the report)"
+    )
     p.set_defaults(func=cmd_suite)
 
     return parser

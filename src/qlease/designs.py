@@ -17,7 +17,9 @@ permutation times a phase vector, so no Pauli is ever built densely.
 
 Being a 2-design is not taken on faith: :func:`frame_potential` computes
 the pair-averaged fourth overlap moment, which equals 2 exactly for any
-exact 2-design and exceeds it for anything else.
+exact 2-design and exceeds it for anything else.  For the enumerated
+Clifford groups :func:`clifford_frame_potential` gives the same moment
+exactly from one trace per element.
 
 Global phases are fixed throughout by making the first nonzero entry of
 the first column real and positive; deduplication and determinism rely on
@@ -570,6 +572,9 @@ def random_unitary_set(
 
 #: Sampled pairs per gathered block in :func:`frame_potential`.
 _PAIR_CHUNK = 1 << 16
+#: Overlaps per block of the exhaustive Gram in :func:`frame_potential`
+#: (16 MiB of complex at most).
+_GRAM_BLOCK = 1 << 20
 
 
 def frame_potential(
@@ -582,13 +587,16 @@ def frame_potential(
     Exhaustive over all N^2 ordered pairs when ``samples`` is None (needs
     an enumerated design); otherwise a Monte Carlo estimate over uniformly
     sampled index pairs.  Exact 2-designs give exactly 2 in any dimension.
+    The enumerated Clifford groups have the exact value from
+    :func:`clifford_frame_potential`; the exhaustive sum is for sets that
+    are not groups.
     """
     if samples is None:
         if not isinstance(design, EnumeratedDesign):
             raise ValueError("exhaustive frame potential needs an enumerated design")
         flat = design.elements().reshape(design.cardinality, -1)
         total = 0.0
-        block = 2048
+        block = max(1, _GRAM_BLOCK // design.cardinality)
         for lo in range(0, design.cardinality, block):
             overlaps = flat[lo : lo + block].conj() @ flat.T
             total += float(np.sum(np.abs(overlaps) ** 4))
@@ -612,3 +620,15 @@ def frame_potential(
             ]
         )
     return float(np.mean(np.abs(overlaps) ** 4))
+
+
+def clifford_frame_potential(qubits: int) -> float:
+    """Exact frame potential of the enumerated Clifford group on 1 or 2
+    qubits, as (1/|G|) sum_g |Tr g|^4.
+
+    In a group (here modulo phase, which ``|Tr|`` ignores) ``U†V`` runs
+    over every element once as ``V`` does, for each ``U``, so the N^2
+    pair sum of :func:`frame_potential` collapses to N traces.
+    """
+    traces = np.trace(clifford_enumerate(qubits).elements(), axis1=1, axis2=2)
+    return float(np.mean(np.abs(traces) ** 4))

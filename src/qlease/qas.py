@@ -146,7 +146,7 @@ def auth_isometry(scheme: QasScheme, key: int) -> Isometry:
     """The encoding isometry for one key, message space into Y."""
     if not 0 <= key < (1 << scheme.key_bits):
         raise ValueError("key outside the key space")
-    return Isometry(_auth_matrix(scheme, key))
+    return Isometry._trusted(_auth_matrix(scheme, key))
 
 
 def auth(scheme: QasScheme, key: int, state):
@@ -203,7 +203,7 @@ def verify_accept_branch(scheme: QasScheme, key: int, state) -> SubnormalizedOpe
     acceptance probability."""
     rho = _as_density_on_y(scheme, state)
     a = _auth_matrix(scheme, key)
-    return SubnormalizedOperator(a.conj().T @ rho @ a)
+    return SubnormalizedOperator._trusted(a.conj().T @ rho @ a)
 
 
 def verify(
@@ -220,17 +220,17 @@ def verify(
     corresponding normalized branch returned; without one the outcome
     stays unsampled (``accepted=None``) and the accept-branch decode is
     reported alongside the exact probability.
+
+    The state is validated where it was built; the accept branch and its
+    renormalization are positive by construction and are not re-checked,
+    and the maximally mixed state is built only when it is returned.
     """
     branch = verify_accept_branch(scheme, key, state)
     p = min(max(branch.weight, 0.0), 1.0)
-    mixed = maximally_mixed(scheme.message_qubits)
-    if rng is not None:
-        if sample_bit(p, rng):
-            return VerifyOutcome(True, DensityOperator(branch.matrix / p), p)
-        return VerifyOutcome(False, mixed, p)
-    if p > 1e-12:
-        return VerifyOutcome(None, DensityOperator(branch.matrix / p), p)
-    return VerifyOutcome(None, mixed, p)
+    accepted = None if rng is None else bool(sample_bit(p, rng))
+    if accepted or (accepted is None and p > 1e-12):
+        return VerifyOutcome(accepted, DensityOperator._trusted(branch.matrix / p), p)
+    return VerifyOutcome(accepted, maximally_mixed(scheme.message_qubits), p)
 
 
 # ---------------------------------------------------------------------------

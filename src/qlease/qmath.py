@@ -15,9 +15,13 @@ loop.  A measurement acts on a whole register: a party that holds its
 own register is measured on that register alone, never on a joint state
 with the registers of others.  Results that are density operators by
 construction, the outer product of :meth:`PureState.density`, the mixed
-post-state of :func:`measure_projective` and the :func:`tensor` of two
-density operators, are not re-checked either (no eigenvalue
-decomposition).
+post-state of :func:`measure_projective`, the :func:`tensor` of two
+density operators and the density branch of :func:`apply_isometry`, are
+not re-checked either (no eigenvalue decomposition).  The same holds for
+the authentication scheme's results in ``qas``: its encoding isometry
+(``Isometry._trusted``, still a contiguous copy), the accept branch
+(``SubnormalizedOperator._trusted``) and the renormalized branch that
+``verify`` returns.  The public constructors keep every check.
 
 Memory
 ------
@@ -209,6 +213,17 @@ class SubnormalizedOperator:
             raise ValueError(f"trace {tr} outside [0, 1]")
         object.__setattr__(self, "matrix", mat)
 
+    @classmethod
+    def _trusted(cls, matrix: np.ndarray) -> "SubnormalizedOperator":
+        """Freeze ``matrix`` in place, without the checks.  Only for fresh
+        complex matrices that are subnormalized by construction (a
+        validated density operator compressed by an isometry's adjoint)."""
+        obj = object.__new__(cls)
+        mat = np.asarray(matrix, dtype=complex)
+        mat.setflags(write=False)
+        object.__setattr__(obj, "matrix", mat)
+        return obj
+
     @property
     def weight(self) -> float:
         return float(np.trace(self.matrix).real)
@@ -230,6 +245,15 @@ class Isometry:
         if np.max(np.abs(gram - np.eye(mat.shape[1]))) > ATOL:
             raise ValueError("matrix is not an isometry within tolerance")
         object.__setattr__(self, "matrix", mat)
+
+    @classmethod
+    def _trusted(cls, matrix: np.ndarray) -> "Isometry":
+        """A contiguous read-only copy of ``matrix``, without the gram
+        check.  Only for columns taken from a design unitary; the copy
+        is kept because products with a strided view round differently."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "matrix", _frozen(matrix))
+        return obj
 
     @property
     def qubits_in(self) -> int:
@@ -462,7 +486,8 @@ def measure_projective(state, measurement, rng: np.random.Generator):
 
 
 def apply_isometry(v: Isometry, state):
-    """``V |psi>`` for pure input, ``V rho V†`` for density input."""
+    """``V |psi>`` for pure input, ``V rho V†`` for density input (a
+    density operator by construction, not re-checked)."""
     mat = v.matrix
     if isinstance(state, PureState):
         if state.dim != mat.shape[1]:
@@ -471,7 +496,7 @@ def apply_isometry(v: Isometry, state):
     if isinstance(state, DensityOperator):
         if state.dim != mat.shape[1]:
             raise DimensionMismatchError("state does not match isometry domain")
-        return DensityOperator(mat @ state.matrix @ mat.conj().T)
+        return DensityOperator._trusted(mat @ state.matrix @ mat.conj().T)
     raise TypeError("expected PureState or DensityOperator")
 
 

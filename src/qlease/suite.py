@@ -18,6 +18,7 @@ checks for that reason.
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -111,20 +112,20 @@ def c02_wrong_key_bound(seed: int) -> CriterionResult:
 
 
 def c03_design_certificate(seed: int) -> CriterionResult:
-    """Frame potential 2 for the Clifford groups; a random unitary set of
-    the same size lands visibly above (negative control)."""
+    """Frame potential 2, exactly, for the Clifford groups on 1 and 2
+    qubits; a random unitary set of the same size as the 1-qubit group
+    lands visibly above (negative control)."""
     rng = spawn_rng(seed, 3)
-    fp1 = designs.frame_potential(designs.clifford_enumerate(1))
-    fp2 = designs.frame_potential(designs.clifford_enumerate(2), samples=10**6, rng=rng)
+    dev1 = abs(designs.clifford_frame_potential(1) - 2.0)
+    dev2 = abs(designs.clifford_frame_potential(2) - 2.0)
     control = designs.frame_potential(designs.random_unitary_set(1, 24, rng))
-    dev = abs(fp2 - 2.0)
-    passed = abs(fp1 - 2.0) < 1e-9 and dev < 0.05 and control > 2.1
+    dev = max(dev1, dev2)
     return CriterionResult(
         name="design-certificate",
         measured=dev,
-        bound=0.05,
-        passed=passed,
-        note=f"fp1 dev {abs(fp1 - 2.0):.2e} (<1e-9), sampled fp2 {fp2:.4f}, control {control:.3f} (>2.1)",
+        bound=1e-9,
+        passed=dev < 1e-9 and control > 2.1,
+        note=f"group fp dev {dev1:.2e} at q=1, {dev2:.2e} at q=2 (<1e-9), control {control:.3f} (>2.1)",
     )
 
 
@@ -426,24 +427,41 @@ def c13_bruteforce_degradation(keysearch: dict[int, games.GameReport]) -> Criter
 # ---------------------------------------------------------------------------
 
 
-def run_battery(seed: int = 0, trials: int = 10000) -> list[CriterionResult]:
-    """Criteria 1-13, in order, sharing the Monte Carlo runs."""
-    zoo = _zoo_reports(seed, trials)
-    keysearch = _keysearch_reports(seed, trials)
-    return [
-        c01_qas_correctness(seed),
-        c02_wrong_key_bound(seed),
-        c03_design_certificate(seed),
-        c04_pairwise_independence(seed),
-        c05_eps_uniform(seed),
-        c06_protection_correctness(seed),
-        c07_trace_distance_orthogonal(seed),
-        c08_reusability(seed),
-        c09_mix_correctness(seed),
-        c10_baselines(seed),
-        c11_harness_vs_oracles(zoo),
-        c12_security_sanity(zoo, keysearch),
-        c13_bruteforce_degradation(keysearch),
+def run_battery(
+    seed: int = 0, trials: int = 10000, timings: dict[str, float] | None = None
+) -> list[CriterionResult]:
+    """Criteria 1-13, in order, sharing the Monte Carlo runs.
+
+    A ``timings`` dict receives the wall time in seconds of each
+    criterion, under its name, and of the shared game runs, under
+    ``zoo-games`` and ``keysearch-games``.  The results do not depend on it.
+    """
+    clock = {} if timings is None else timings
+
+    def timed(label, criterion, *args):
+        start = time.perf_counter()
+        out = criterion(*args)
+        clock[label or out.name] = time.perf_counter() - start
+        return out
+
+    zoo = timed("zoo-games", _zoo_reports, seed, trials)
+    keysearch = timed("keysearch-games", _keysearch_reports, seed, trials)
+    seeded = (
+        c01_qas_correctness,
+        c02_wrong_key_bound,
+        c03_design_certificate,
+        c04_pairwise_independence,
+        c05_eps_uniform,
+        c06_protection_correctness,
+        c07_trace_distance_orthogonal,
+        c08_reusability,
+        c09_mix_correctness,
+        c10_baselines,
+    )
+    return [timed(None, criterion, seed) for criterion in seeded] + [
+        timed(None, c11_harness_vs_oracles, zoo),
+        timed(None, c12_security_sanity, zoo, keysearch),
+        timed(None, c13_bruteforce_degradation, keysearch),
     ]
 
 
@@ -451,12 +469,19 @@ def battery_json(results: list[CriterionResult]) -> str:
     return json.dumps([r.to_json_dict() for r in results], indent=2)
 
 
-def run_suite(seed: int = 0, trials: int = 10000) -> list[CriterionResult]:
+def run_suite(
+    seed: int = 0, trials: int = 10000, timings: dict[str, float] | None = None
+) -> list[CriterionResult]:
     """The full battery plus the determinism criterion, which re-runs the
-    battery with the same seed and byte-compares the serialized results."""
-    results = run_battery(seed, trials)
+    battery with the same seed and byte-compares the serialized results.
+    ``timings`` is filled as by :func:`run_battery`, with the re-run's
+    time under ``determinism``."""
+    results = run_battery(seed, trials, timings)
     first = battery_json(results)
+    start = time.perf_counter()
     second = battery_json(run_battery(seed, trials))
+    if timings is not None:
+        timings["determinism"] = time.perf_counter() - start
     identical = first == second
     results.append(
         CriterionResult(

@@ -33,10 +33,29 @@ CRITERIA = [
 
 
 @pytest.fixture(scope="module")
-def results():
-    out = {r.name: r for r in suite.run_suite(seed=SEED, trials=TRIALS)}
+def timed_results():
+    timings = {}
+    out = {r.name: r for r in suite.run_suite(seed=SEED, trials=TRIALS, timings=timings)}
     assert set(out) == set(CRITERIA)
-    return out
+    return out, timings
+
+
+@pytest.fixture(scope="module")
+def results(timed_results):
+    return timed_results[0]
+
+
+def test_timings_cover_every_criterion(timed_results):
+    timings = timed_results[1]
+    assert list(timings) == ["zoo-games", "keysearch-games", *CRITERIA]
+    assert all(seconds >= 0 for seconds in timings.values())
+
+
+@pytest.mark.parametrize("seed,measured", [(1, 2.220446049250313e-15), (4, 2.1094237467877974e-15)])
+def test_qas_correctness_measured_is_pinned(seed, measured):
+    # the encoding isometry is a contiguous copy of the key's columns:
+    # products with the strided column view round differently and move these
+    assert suite.c01_qas_correctness(seed).measured == measured
 
 
 @pytest.mark.parametrize("name", CRITERIA)

@@ -25,6 +25,15 @@ def test_design_check_sampled_two_qubits(tmp_path):
     assert abs(payload["frame_potential"] - 2.0) < 0.05
 
 
+def test_design_check_two_qubits_is_exact(tmp_path):
+    # the whole group through the group identity, not 11520^2 pairs
+    out = tmp_path / "fp.json"
+    assert main(["design-check", "--qubits", "2", "--out", str(out)]) == EXIT_OK
+    payload = json.loads(out.read_text())
+    assert payload["pairs"] is None
+    assert abs(payload["frame_potential"] - 2.0) < 1e-12
+
+
 @pytest.mark.parametrize("qubits", ["5", "6"])
 def test_design_check_sampled_beyond_int64(qubits, capsys):
     assert main(["design-check", "--qubits", qubits, "--pairs", "10", "--seed", "1"]) == EXIT_OK
@@ -232,13 +241,18 @@ def test_missing_output_directory_is_usage_error(flag, tmp_path, capsys, monkeyp
     assert not target.parent.exists()
 
 
-def test_suite_json_outputs_are_byte_identical(tmp_path):
+def test_suite_json_outputs_are_byte_identical(tmp_path, capsys):
     # low trial count: some statistical criteria may fail, which is fine;
-    # the point is that same-seed runs serialize identically
+    # the point is that same-seed runs serialize identically, with or
+    # without --timings, whose lines go to stderr only
     a, b = tmp_path / "s1.json", tmp_path / "s2.json"
     base = ["suite", "--seed", "4", "--trials", "400"]
     main(base + ["--out", str(a)])
-    main(base + ["--out", str(b)])
+    assert capsys.readouterr().err == ""
+    main(base + ["--timings", "--out", str(b)])
+    timed = [line.split()[1] for line in capsys.readouterr().err.splitlines()]
+    assert timed[:3] == ["zoo-games", "keysearch-games", "qas-correctness"]
+    assert timed[-1] == "determinism"
     assert a.read_bytes() == b.read_bytes()
     payload = json.loads(a.read_text())
     assert [c["name"] for c in payload][:2] == ["qas-correctness", "wrong-key-bound"]

@@ -596,6 +596,23 @@ def test_frame_potential_exact_design():
     assert abs(frame_potential(clifford_enumerate(1)) - 2.0) < 1e-9
 
 
+@pytest.mark.parametrize("qubits", [1, 2])
+def test_group_frame_potential_matches_the_exhaustive_gram(qubits):
+    # the one-trace-per-element identity against all N^2 ordered pairs;
+    # the Gram is taken in bounded blocks (11520^2 overlaps at q = 2)
+    exact = designs.clifford_frame_potential(qubits)
+    assert abs(exact - 2.0) < 1e-12
+    design = clifford_enumerate(qubits)
+    tracemalloc.start()
+    try:
+        gram = frame_potential(design)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert abs(gram - exact) < 1e-12
+    assert peak < 64 << 20
+
+
 def test_frame_potential_single_element():
     trivial = designs.EnumeratedDesign(1, np.stack([np.eye(2, dtype=complex)]), "id")
     assert abs(frame_potential(trivial) - 16.0) < 1e-12

@@ -9,8 +9,12 @@ import pytest
 from qlease import qas
 from qlease.designs import clifford_enumerate
 from qlease.qmath import (
+    DensityOperator,
     DimensionMismatchError,
+    Isometry,
     PureState,
+    SubnormalizedOperator,
+    apply_isometry,
     maximally_mixed,
     random_density,
     random_pure_state,
@@ -140,6 +144,36 @@ def test_sampled_verify_branches(scheme):
     rho = maximally_mixed(2)
     accepts = sum(qas.verify(scheme, 2, rho, rng).accepted for _ in range(2000))
     assert 850 < accepts < 1150  # accept probability is exactly 1/2
+
+
+@pytest.mark.parametrize("params", [(1, 1, 14), (1, 2, 14), (2, 1, 6)], ids=str)
+def test_trusted_results_pass_the_public_checks(params):
+    # auth_isometry, apply_isometry, the accept branch and verify build
+    # their results without re-validation; each must be a contiguous
+    # read-only matrix that the public constructor (gram, Hermiticity,
+    # trace and eigenvalue checks at ATOL) accepts and keeps byte for byte
+    scheme = qas.build_scheme(*params)
+    rng = spawn_rng(21)
+    key = int(rng.integers(1 << scheme.key_bits))
+    iso = qas.auth_isometry(scheme, key)
+    encoded = apply_isometry(iso, random_density(scheme.message_qubits, rng))
+    u = scheme.design.element(scheme.key_index(key))
+    partial = maximally_mixed(scheme.total_qubits)  # accepted with probability 2^-t
+    rejected = PureState(u[:, 1])  # a trap qubit reads 1
+    unsampled = [qas.verify(scheme, key, s) for s in (encoded, partial, rejected)]
+    assert [o.accepted for o in unsampled] == [None] * 3
+    assert unsampled[2].accept_probability < 1e-12
+    sampled = [qas.verify(scheme, key, partial, spawn_rng(21, i)) for i in range(40)]
+    assert {o.accepted for o in sampled} == {True, False}
+    results = [
+        (iso.matrix, Isometry),
+        (encoded.matrix, DensityOperator),
+        (qas.verify_accept_branch(scheme, key, partial).matrix, SubnormalizedOperator),
+    ] + [(o.message_state.matrix, DensityOperator) for o in unsampled + sampled]
+    for mat, public in results:
+        assert mat.flags.c_contiguous and not mat.flags.writeable
+        assert mat.tobytes() == public(mat).matrix.tobytes()
+    assert iso.matrix.tobytes() == Isometry(qas._auth_matrix(scheme, key)).matrix.tobytes()
 
 
 def test_wrong_key_design_average_exact(scheme):
