@@ -2,8 +2,9 @@
 
 Subcommands configure schemes and games, run them, and emit both a human
 table on stdout and machine-readable artifacts on request (JSON via
---out, CSV appends via --csv).  Exit codes: 0 success, 1 a criterion or
-invariant failed, 2 usage or configuration error.
+--out, CSV appends via --csv).  Under --json stdout holds only the JSON
+report and the human table goes to stderr.  Exit codes: 0 success, 1 a
+criterion or invariant failed, 2 usage or configuration error.
 
 All randomness flows from --seed; reports carry no timestamps, so two
 runs with the same arguments produce byte-identical files.  Options may
@@ -108,9 +109,15 @@ def _merge_config(args: argparse.Namespace, argv: list[str]) -> None:
             setattr(args, attr, value)
 
 
+def _say(args, line: str) -> None:
+    """Print a human-readable line: to stderr under --json, whose report
+    is then all of stdout."""
+    print(line, file=sys.stderr if args.json else sys.stdout)
+
+
 def _emit(args, payload: dict | list) -> None:
     text = json.dumps(payload, indent=2)
-    if getattr(args, "json", False):
+    if args.json:
         print(text)
     if getattr(args, "out", None):
         Path(args.out).write_text(text + "\n", encoding="utf-8")
@@ -125,16 +132,16 @@ def cmd_design_check(args) -> int:
     q = args.qubits
     if args.pairs is not None and args.pairs < 1:
         raise ConfigError("--pairs must be positive")
+    if args.pairs is None and q > 2:
+        raise ConfigError("qubits > 2 needs --pairs for a sampled estimate")
     design = designs.clifford_design(q)
     if args.pairs:
         fp = designs.frame_potential(design, samples=args.pairs, rng=spawn_rng(args.seed, 0))
-    elif q <= 2:
-        fp = designs.clifford_frame_potential(q)
     else:
-        raise ConfigError("qubits > 2 needs --pairs for a sampled estimate")
-    print(f"design        {design.design_id}")
-    print(f"cardinality   {design.cardinality}")
-    print(f"frame_potential {fp:.6f}  (exact 2-design value: 2)")
+        fp = designs.clifford_frame_potential(q)
+    _say(args, f"design        {design.design_id}")
+    _say(args, f"cardinality   {design.cardinality}")
+    _say(args, f"frame_potential {fp:.6f}  (exact 2-design value: 2)")
     _emit(
         args,
         {
@@ -198,9 +205,9 @@ def cmd_qas_verify(args) -> int:
     checks.append(("verify-determinism", float(det), 1.0, det))
 
     all_ok = all(ok for _, _, _, ok in checks)
-    print(f"scheme {scheme.scheme_id}  epsilon={scheme.epsilon:.4f}")
+    _say(args, f"scheme {scheme.scheme_id}  epsilon={scheme.epsilon:.4f}")
     for name, measured, bound, ok in checks:
-        print(f"  {'PASS' if ok else 'FAIL'}  {name:24s} measured={measured:.6g} bound={bound:.6g}")
+        _say(args, f"  {'PASS' if ok else 'FAIL'}  {name:24s} measured={measured:.6g} bound={bound:.6g}")
     _emit(
         args,
         {
@@ -233,12 +240,12 @@ def _cp_adversary(name: str, scheme: qas.QasScheme, args):
     raise ConfigError(f"unknown cp adversary {name!r}")
 
 
-def _print_report(rep: games.GameReport) -> None:
-    print(f"game      {rep.game}   adversary {rep.adversary}")
-    print(f"scheme    {rep.scheme}")
-    print(f"trials    {rep.trials}   wins {rep.wins}")
-    print(f"estimate  {rep.estimate:.4f}   wilson99 [{rep.ci_lo:.4f}, {rep.ci_hi:.4f}]")
-    print(f"baseline  {rep.baseline:.4f}   theorem bound {rep.bound:.4f}")
+def _print_report(args, rep: games.GameReport) -> None:
+    _say(args, f"game      {rep.game}   adversary {rep.adversary}")
+    _say(args, f"scheme    {rep.scheme}")
+    _say(args, f"trials    {rep.trials}   wins {rep.wins}")
+    _say(args, f"estimate  {rep.estimate:.4f}   wilson99 [{rep.ci_lo:.4f}, {rep.ci_hi:.4f}]")
+    _say(args, f"baseline  {rep.baseline:.4f}   theorem bound {rep.bound:.4f}")
 
 
 def cmd_cp(args) -> int:
@@ -251,7 +258,7 @@ def cmd_cp(args) -> int:
     spec = games.default_cp_spec(scheme, bob_r=args.r)
     pirate, strategy = _cp_adversary(args.adversary, scheme, args)
     rep = games.run_experiment_free(spec, pirate, strategy, args.trials, args.seed)
-    _print_report(rep)
+    _print_report(args, rep)
     _emit(args, rep.to_json_dict())
     if args.csv:
         games.append_csv(rep, args.csv)
@@ -259,9 +266,9 @@ def cmd_cp(args) -> int:
 
 
 def cmd_ssl(args) -> int:
-    scheme = _build_scheme(args.scheme)
     if not 0.0 <= args.r <= 1.0:
         raise ConfigError("--r (verification point mass) must lie in [0, 1]")
+    scheme = _build_scheme(args.scheme)
     ssl_scheme = SslScheme(scheme, verify_r=args.r)
     circuit = cp.uniform_points(scheme.key_bits)
     challenge = lambda p: cp.dhalf(p, scheme.key_bits)
@@ -274,7 +281,7 @@ def cmd_ssl(args) -> int:
     rep = games.run_experiment_ssl(
         ssl_scheme, circuit, challenge, adv, strategy, args.trials, args.seed
     )
-    _print_report(rep)
+    _print_report(args, rep)
     _emit(args, rep.to_json_dict())
     if args.csv:
         games.append_csv(rep, args.csv)
@@ -292,11 +299,11 @@ def cmd_suite(args) -> int:
     width = max(len(r.name) for r in results)
     for r in results:
         flag = "PASS" if r.passed else "FAIL"
-        print(f"{flag}  {r.name:{width}s}  measured={r.measured:.6g}  bound={r.bound:.6g}  {r.note}")
+        _say(args, f"{flag}  {r.name:{width}s}  measured={r.measured:.6g}  bound={r.bound:.6g}  {r.note}")
     failed = [r.name for r in results if not r.passed]
-    print(f"{len(results) - len(failed)}/{len(results)} criteria passed")
+    _say(args, f"{len(results) - len(failed)}/{len(results)} criteria passed")
     if failed:
-        print("failed:", ", ".join(failed))
+        _say(args, "failed: " + ", ".join(failed))
     _emit(args, [r.to_json_dict() for r in results])
     if timings is not None:
         width = max(map(len, timings))
@@ -320,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser, scheme_default="1,1,14") -> None:
         p.add_argument("--seed", type=int, default=0, help="master seed (all randomness)")
         p.add_argument("--out", type=str, default=None, help="write the JSON report here")
-        p.add_argument("--json", action="store_true", help="print the JSON report to stdout")
+        p.add_argument("--json", action="store_true", help="print only the JSON report to stdout")
         p.add_argument("--config", type=str, default=None, help="JSON file with option defaults")
         if scheme_default is not None:
             p.add_argument("--scheme", type=str, default=scheme_default, help="m,t,k")

@@ -24,7 +24,6 @@ parameter rides along as classical metadata.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Literal
@@ -32,14 +31,12 @@ from typing import Literal
 import numpy as np
 
 from .designs import PairwisePermFamily
-from .qas import QasScheme, acceptance_by_index, accept_probability, scheme_from_params, scheme_params
+from .qas import QasScheme, acceptance_by_index, accept_probability
 from .qmath import (
     DensityOperator,
     DimensionMismatchError,
     ProjectiveMeasurement,
     PureState,
-    matrix_from_jsonable,
-    matrix_to_jsonable,
     measure_projective,
     sample_bit,
     two_outcome,
@@ -61,13 +58,6 @@ class PointFunction:
     def __post_init__(self):
         if self.bits < 1 or not 0 <= self.point < (1 << self.bits):
             raise ValueError("point outside {0,1}^bits")
-
-    @classmethod
-    def from_string(cls, bits: str) -> "PointFunction":
-        return cls(int(bits, 2), len(bits))
-
-    def to_string(self) -> str:
-        return format(self.point, f"0{self.bits}b")
 
     def __call__(self, x: int) -> int:
         return 1 if x == self.point else 0
@@ -283,17 +273,24 @@ def acceptance_per_input(scheme: QasScheme, program_state) -> np.ndarray:
     return by_index[idx]
 
 
+def correctness_from_answers(
+    prob_one: np.ndarray, point: int, dist: ChallengeDistribution
+) -> float:
+    """E_{x<-dist} Pr[the answer at x is P_p(x)], from the probability
+    ``prob_one[x]`` of answering 1 at every challenge x."""
+    correct = 1.0 - prob_one
+    correct[point] = prob_one[point]
+    return float(dist.probs @ correct)
+
+
 def correctness_exact(
     scheme: QasScheme, point: int, dist: ChallengeDistribution
 ) -> float:
     """E_{x<-dist} Pr[evaluate outputs P_p(x)], computed analytically."""
     if dist.bits != scheme.key_bits:
         raise DimensionMismatchError("distribution bit-length mismatch")
-    program = protect(scheme, point)
-    acc = acceptance_per_input(scheme, program.state)
-    correct = 1.0 - acc
-    correct[point] = acc[point]
-    return float(dist.probs @ correct)
+    acc = acceptance_per_input(scheme, protect(scheme, point).state)
+    return correctness_from_answers(acc, point, dist)
 
 
 def wrong_key_average_excluding(scheme: QasScheme, point: int) -> float:
@@ -358,43 +355,3 @@ def mix_error_exact(
         prob_one = acc[hx]
         total += (1.0 - prob_one) if x == point else prob_one
     return total / family.size
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-
-def program_to_json(program: ProtectedProgram) -> str:
-    state = program.state
-    payload = {
-        "scheme": scheme_params(program.scheme),
-        "kind": program.kind,
-        "perm_param": list(program.perm_param) if program.perm_param else None,
-        "pure": isinstance(state, PureState),
-        "state": matrix_to_jsonable(
-            state.amplitudes if isinstance(state, PureState) else state.matrix
-        ),
-        "consumed": program.consumed,
-    }
-    return json.dumps(payload)
-
-
-def program_from_json(data: str) -> ProtectedProgram:
-    """Rebuild a program; raises ``ValueError`` when the serialized scheme
-    record does not match the scheme rebuilt from its parameters."""
-    payload = json.loads(data)
-    params = payload["scheme"]
-    scheme = scheme_from_params(params)
-    arr = matrix_from_jsonable(payload["state"])
-    state = PureState(arr) if payload["pure"] else DensityOperator(arr)
-    perm = tuple(payload["perm_param"]) if payload["perm_param"] else None
-    family = PairwisePermFamily(params["k"]) if payload["kind"] == "mixed" else None
-    return ProtectedProgram(
-        state=state,
-        scheme=scheme,
-        kind=payload["kind"],
-        perm_param=perm,
-        family=family,
-        consumed=payload["consumed"],
-    )

@@ -23,10 +23,11 @@ ancilla (:class:`PirateMap`), or search for the key
 
 Every Monte Carlo estimate here is reproducible: trial ``i`` of a run
 with master seed ``s`` uses the generator ``spawn_rng(s, i)``, so serial
-and parallel schedules produce identical reports.  For the simple
-adversaries the module also provides closed-form winning probabilities
-(``oracle_*``), computed purely from exact design averages — an
-independent route against which the harness is checked.
+and parallel schedules produce identical reports.  For a pirate that
+hands out fixed registers, :func:`exact_win` gives the exact winning
+probability from each register's acceptance at every challenge, computed
+from the enumerated design: an independent route against which the
+trial loop is checked.
 
 Baselines ``p_marg`` and ``p_ind`` are the best challenge-only guessing
 probabilities; they are computed by exhaustive enumeration, in exact
@@ -48,13 +49,15 @@ import numpy as np
 from .copyprotect import (
     ChallengeDistribution,
     PointFunction,
-    correctness_exact,
+    acceptance_per_input,
+    correctness_from_answers,
     dhalf,
     biased_point,
     evaluation_measurement,
     protect,
     uniform_points,
 )
+from .designs import EnumeratedDesign
 from .leasing import SslScheme, verify_distribution
 from .qas import QasScheme
 from .qmath import (
@@ -571,82 +574,78 @@ def keep_program(ssl_scheme: SslScheme) -> tuple[PirateMap, MeasurementStrategy]
 
 
 # ---------------------------------------------------------------------------
-# Analytic oracles (independent closed forms for the simple adversaries)
+# Exact winning probabilities
 # ---------------------------------------------------------------------------
 
 
-def mean_correctness(
-    scheme: QasScheme, circuit_dist: ChallengeDistribution, family: Family
-) -> float:
-    """E over the circuit distribution of the exact per-point correctness."""
-    return float(
-        sum(
-            circuit_dist.prob(p) * correctness_exact(scheme, p, family(p))
-            for p in range(circuit_dist.size)
+class _NoDraws:
+    """The generator :func:`exact_win` hands a pirate's split: any draw
+    raises, since the formula needs registers fixed by the point."""
+
+    def __getattr__(self, name):
+        raise ValueError("exact_win needs a pirate whose split draws no randomness")
+
+
+def exact_win(spec: GameSpec, pirate, charlie: MeasurementStrategy) -> float:
+    """Exact winning probability of a pirate that hands out fixed registers.
+
+    Each party measures only its own register, so the win rate is
+    ``sum_p w_p Pr[Bob correct | beta_p] Pr[Charlie correct | sigma_p]``
+    for the registers ``(beta_p, sigma_p)`` the pirate hands out at point
+    ``p``.  Bob evaluates honestly; Charlie answers a fixed bit
+    (:class:`FixedAnswer`) or evaluates honestly
+    (:class:`HonestEvalStrategy`).  Each factor comes from the register's
+    acceptance at every challenge, computed once per register object, so
+    an ancilla shared across points is evaluated once.
+
+    Raises ``ValueError`` for a split that draws randomness (such as
+    :class:`KeysearchPirate`), another Charlie, or a design that is not
+    enumerated.
+    """
+    scheme = spec.scheme
+    if not isinstance(scheme.design, EnumeratedDesign):
+        raise ValueError("exact_win needs an enumerated design")
+    if not isinstance(charlie, (FixedAnswer, HonestEvalStrategy)):
+        raise ValueError("exact_win needs Charlie to answer a fixed bit or evaluate honestly")
+    accepts: dict[int, tuple[object, np.ndarray]] = {}
+
+    def answer_one(register) -> np.ndarray:
+        # keyed by id; the entry holds the register so its id stays unique
+        if id(register) not in accepts:
+            accepts[id(register)] = register, acceptance_per_input(scheme, register)
+        return accepts[id(register)][1]
+
+    fixed = np.full(1 << scheme.key_bits, float(charlie.bit)) if isinstance(charlie, FixedAnswer) else None
+    total = 0.0
+    for p in range(spec.circuit_dist.size):
+        bob, held, _ = pirate.split(protect(scheme, p).state, p, _NoDraws())
+        charlie_one = answer_one(held) if fixed is None else fixed
+        total += (
+            spec.circuit_dist.prob(p)
+            * correctness_from_answers(answer_one(bob), p, spec.bob_family(p))
+            * correctness_from_answers(charlie_one, p, spec.charlie_family(p))
         )
-    )
+    return total
 
 
-def _mixed_state_honest_correct(scheme: QasScheme, dist: ChallengeDistribution, p: int) -> float:
-    """Honest evaluation on a maximally mixed register accepts any key
-    with probability exactly 2^-t, so correctness depends only on how
-    often the challenge hits the point."""
-    hit = dist.prob(p)
-    acc = 2.0 ** (-scheme.trap_qubits)
-    return hit * acc + (1.0 - hit) * (1.0 - acc)
+# The benchmark's zoo checks (perfbench/workloads.py) call these by name.
 
 
 def oracle_trivial_forward(spec: GameSpec) -> float:
-    """Bob correct (exact correctness) times Charlie's fixed 0 being
-    right (challenge misses the point); independent challenges make the
-    product exact."""
-    scheme = spec.scheme
-    total = 0.0
-    for p in range(spec.circuit_dist.size):
-        bob = correctness_exact(scheme, p, spec.bob_family(p))
-        charlie = 1.0 - spec.charlie_family(p).prob(p)
-        total += spec.circuit_dist.prob(p) * bob * charlie
-    return total
+    return exact_win(spec, *trivial_forward(spec.scheme))
 
 
 def oracle_give_to_charlie(spec: GameSpec) -> float:
-    """Bob evaluates a maximally mixed register; Charlie evaluates the
-    intact program honestly."""
-    scheme = spec.scheme
-    total = 0.0
-    for p in range(spec.circuit_dist.size):
-        bob = _mixed_state_honest_correct(scheme, spec.bob_family(p), p)
-        charlie = correctness_exact(scheme, p, spec.charlie_family(p))
-        total += spec.circuit_dist.prob(p) * bob * charlie
-    return total
-
-
-def oracle_cheat_double_program(spec: GameSpec) -> float:
-    """Both parties honest on intact programs: product of two exact
-    correctness values."""
-    scheme = spec.scheme
-    total = 0.0
-    for p in range(spec.circuit_dist.size):
-        total += (
-            spec.circuit_dist.prob(p)
-            * correctness_exact(scheme, p, spec.bob_family(p))
-            * correctness_exact(scheme, p, spec.charlie_family(p))
-        )
-    return total
+    return exact_win(spec, *give_to_charlie(spec.scheme))
 
 
 def oracle_honest_return(
     ssl_scheme: SslScheme, circuit_dist: ChallengeDistribution, challenge_family: Family
 ) -> float:
-    """Verification accepts the intact program at its exact correctness
-    under the verification distribution; the fixed 0 answer is right when
-    the challenge misses the point."""
-    return oracle_trivial_forward(leasing_spec(ssl_scheme, circuit_dist, challenge_family))
+    return exact_win(leasing_spec(ssl_scheme, circuit_dist, challenge_family), *honest_return(ssl_scheme))
 
 
 def oracle_keep_program(
     ssl_scheme: SslScheme, circuit_dist: ChallengeDistribution, challenge_family: Family
 ) -> float:
-    """Verification sees a maximally mixed register; the kept program
-    answers at its exact correctness."""
-    return oracle_give_to_charlie(leasing_spec(ssl_scheme, circuit_dist, challenge_family))
+    return exact_win(leasing_spec(ssl_scheme, circuit_dist, challenge_family), *keep_program(ssl_scheme))

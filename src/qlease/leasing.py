@@ -15,7 +15,6 @@ table of ``f`` travels with the program in the clear.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,38 +181,3 @@ def epsilon_f(p_triv_cc: float, p_triv_pf: float, epsilon: float) -> float:
     compute-and-compare wrapper must be ``epsilon``-secure: the gap
     between the two trivial-guess baselines is added on top."""
     return (p_triv_cc - p_triv_pf) + epsilon
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-
-def leased_to_json(program: LeasedProgram) -> str:
-    from .copyprotect import program_to_json
-
-    payload = {
-        "point": program.point.to_string(),
-        "compare": None
-        if program.compare is None
-        else {
-            "table": list(program.compare.table),
-            "out_bits": program.compare.out_bits,
-            "target": program.compare.target,
-        },
-        "program": json.loads(program_to_json(program.point_program)),
-    }
-    return json.dumps(payload)
-
-
-def leased_from_json(data: str) -> LeasedProgram:
-    from .copyprotect import program_from_json
-
-    payload = json.loads(data)
-    pf = PointFunction.from_string(payload["point"])
-    compare = None
-    if payload["compare"] is not None:
-        c = payload["compare"]
-        compare = CompareFunction(tuple(c["table"]), c["out_bits"], c["target"])
-    inner = program_from_json(json.dumps(payload["program"]))
-    return LeasedProgram(point_program=inner, point=pf, compare=compare)

@@ -20,7 +20,6 @@ pretending it is small.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Literal
@@ -35,7 +34,6 @@ from .designs import (
     irreducible_poly,
 )
 from .qmath import (
-    ATOL,
     DensityOperator,
     DimensionMismatchError,
     Isometry,
@@ -292,7 +290,7 @@ def avg_wrong_key_accept(
 
 
 # ---------------------------------------------------------------------------
-# Serialization
+# Parameter record
 # ---------------------------------------------------------------------------
 
 
@@ -312,18 +310,3 @@ def scheme_params(scheme: QasScheme) -> dict:
         "epsilon": scheme.epsilon,
         "epsilon_prime": float(scheme.key_map.epsilon_prime),
     }
-
-
-def scheme_to_json(scheme: QasScheme) -> str:
-    return json.dumps(scheme_params(scheme))
-
-
-def scheme_from_params(params: dict) -> QasScheme:
-    """Rebuild a scheme from its parameter record.  The record's design
-    and epsilon must match the rebuilt scheme, else ``ValueError``."""
-    scheme = build_scheme(params["m"], params["t"], params["k"])
-    if params.get("design_id") != scheme.design.design_id:
-        raise ValueError("serialized design_id does not match the rebuilt scheme")
-    if abs(scheme.epsilon - params["epsilon"]) > ATOL:
-        raise ValueError("serialized epsilon does not match the rebuilt scheme")
-    return scheme

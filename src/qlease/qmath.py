@@ -55,8 +55,6 @@ import numpy as np
 
 #: Structural identities (norms, traces, unitarity) hold to this tolerance.
 ATOL = 1e-9
-#: Composed identities (sums of several exact pieces) get one digit of slack.
-ATOL_COMPOSED = 1e-8
 #: Hard cap on total qubits of any constructed object; everything in this
 #: library fits comfortably below it.
 QUBIT_CAP = 12
@@ -532,20 +530,3 @@ def embed_operator(op: np.ndarray, positions: Sequence[int], total_qubits: int) 
     t = t.transpose(perm + [total_qubits + p for p in perm])
     d = 1 << total_qubits
     return t.reshape(d, d)
-
-
-# ---------------------------------------------------------------------------
-# JSON debug format: row-major nested lists of [re, im] pairs
-# ---------------------------------------------------------------------------
-
-
-def matrix_to_jsonable(m: np.ndarray) -> list:
-    m = np.asarray(m, dtype=complex)
-    if m.ndim == 1:
-        return [[float(z.real), float(z.imag)] for z in m]
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
-
-
-def matrix_from_jsonable(data: list) -> np.ndarray:
-    arr = np.asarray(data, dtype=float)
-    return arr[..., 0] + 1j * arr[..., 1]

@@ -320,37 +320,20 @@ def c10_baselines(seed: int) -> CriterionResult:
 
 
 def _zoo_reports(seed: int, trials: int = 10000) -> list[tuple[games.GameReport, float]]:
-    """The four standard adversaries with their closed-form oracles."""
+    """The four standard adversaries, each with its exact win rate."""
     scheme = _game_scheme()
     spec = games.default_cp_spec(scheme)
     ssl = SslScheme(scheme)
+    leasing = games.leasing_spec(ssl, spec.circuit_dist, spec.charlie_family)
     out = []
-    rep = games.run_experiment_free(
-        spec, *games.trivial_forward(scheme), trials, _sub_seed(seed, 111)
-    )
-    out.append((rep, games.oracle_trivial_forward(spec)))
-    rep = games.run_experiment_free(
-        spec, *games.give_to_charlie(scheme), trials, _sub_seed(seed, 112)
-    )
-    out.append((rep, games.oracle_give_to_charlie(spec)))
-    rep = games.run_experiment_ssl(
-        ssl,
-        spec.circuit_dist,
-        spec.charlie_family,
-        *games.honest_return(ssl),
-        trials,
-        _sub_seed(seed, 113),
-    )
-    out.append((rep, games.oracle_honest_return(ssl, spec.circuit_dist, spec.charlie_family)))
-    rep = games.run_experiment_ssl(
-        ssl,
-        spec.circuit_dist,
-        spec.charlie_family,
-        *games.keep_program(ssl),
-        trials,
-        _sub_seed(seed, 114),
-    )
-    out.append((rep, games.oracle_keep_program(ssl, spec.circuit_dist, spec.charlie_family)))
+    for k, adversary in enumerate((games.trivial_forward(scheme), games.give_to_charlie(scheme))):
+        rep = games.run_experiment_free(spec, *adversary, trials, _sub_seed(seed, 111 + k))
+        out.append((rep, games.exact_win(spec, *adversary)))
+    for k, adversary in enumerate((games.honest_return(ssl), games.keep_program(ssl))):
+        rep = games.run_experiment_ssl(
+            ssl, spec.circuit_dist, spec.charlie_family, *adversary, trials, _sub_seed(seed, 113 + k)
+        )
+        out.append((rep, games.exact_win(leasing, *adversary)))
     return out
 
 
@@ -368,7 +351,7 @@ def _keysearch_reports(seed: int, trials: int = 10000) -> dict[int, games.GameRe
 
 def c11_harness_vs_oracles(zoo: list[tuple[games.GameReport, float]]) -> CriterionResult:
     """Monte Carlo estimates of the four standard adversaries land inside
-    the 99% Wilson interval around their closed-form values."""
+    the 99% Wilson interval around their exact values (:func:`games.exact_win`)."""
     worst = 0.0
     inside = True
     names = []

@@ -215,6 +215,8 @@ def test_invalid_r_usage_error():
         ["qas-verify", "--seed", "-1"],
         ["design-check", "--qubits", "1", "--seed", "-1"],
         ["suite", "--seed", "-1"],
+        ["ssl", "--r", "1.5"],
+        ["design-check", "--qubits", "4"],
     ],
     ids=" ".join,
 )
@@ -224,6 +226,7 @@ def test_out_of_range_values_are_usage_errors(argv, capsys, monkeypatch):
 
     monkeypatch.setattr("qlease.qas.build_scheme", refuse)
     monkeypatch.setattr("qlease.designs.clifford_enumerate", refuse)
+    monkeypatch.setattr("qlease.designs.clifford_design", refuse)
     assert main(argv) == EXIT_USAGE
     assert capsys.readouterr().err.startswith("error: ")
 
@@ -239,6 +242,24 @@ def test_missing_output_directory_is_usage_error(flag, tmp_path, capsys, monkeyp
     assert main(argv) == EXIT_USAGE
     assert capsys.readouterr().err.startswith("error: ")
     assert not target.parent.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cp", "--trials", "20"],
+        ["ssl", "--trials", "20"],
+        ["qas-verify", "--scheme", "1,1,6"],
+        ["design-check", "--qubits", "1"],
+        ["suite", "--trials", "20"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_json_flag_prints_only_the_report(argv, capsys):
+    main([*argv, "--seed", "1", "--json"])
+    captured = capsys.readouterr()
+    json.loads(captured.out)
+    assert captured.err  # the human-readable lines
 
 
 def test_suite_json_outputs_are_byte_identical(tmp_path, capsys):

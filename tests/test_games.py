@@ -14,16 +14,17 @@ from qlease import games, qas
 from qlease.games import (
     FixedAnswer,
     HonestEvalStrategy,
+    KeysearchPirate,
     PirateMap,
     append_csv,
     cheat_double_program,
     default_cp_spec,
+    exact_win,
     give_to_charlie,
     honest_return,
     keep_program,
     keysearch_adversary,
     leasing_spec,
-    oracle_cheat_double_program,
     oracle_give_to_charlie,
     oracle_honest_return,
     oracle_keep_program,
@@ -306,6 +307,84 @@ def test_six_qubit_game_memory_is_bounded(game, adversary):
 
 
 # ---------------------------------------------------------------------------
+# exact win rates
+# ---------------------------------------------------------------------------
+
+
+def _mean_correctness(scheme, circuit_dist, family) -> float:
+    """E over the circuit distribution of the exact per-point correctness."""
+    return sum(
+        circuit_dist.prob(p) * cp.correctness_exact(scheme, p, family(p))
+        for p in range(circuit_dist.size)
+    )
+
+
+def _closed_form_trivial_forward(spec) -> float:
+    """Reference: Bob's exact correctness times Charlie's fixed 0 being
+    right, which it is when his challenge misses the point."""
+    return sum(
+        spec.circuit_dist.prob(p)
+        * cp.correctness_exact(spec.scheme, p, spec.bob_family(p))
+        * (1.0 - spec.charlie_family(p).prob(p))
+        for p in range(spec.circuit_dist.size)
+    )
+
+
+def _closed_form_give_to_charlie(spec) -> float:
+    """Reference: honest evaluation of a maximally mixed register accepts
+    every key with probability exactly 2^-t, so Bob is right with
+    hit * 2^-t + (1 - hit)(1 - 2^-t), hit being his challenge's mass at
+    the point; Charlie evaluates the intact program."""
+    acc = 2.0 ** (-spec.scheme.trap_qubits)
+    total = 0.0
+    for p in range(spec.circuit_dist.size):
+        hit = spec.bob_family(p).prob(p)
+        bob = hit * acc + (1.0 - hit) * (1.0 - acc)
+        total += spec.circuit_dist.prob(p) * bob * cp.correctness_exact(spec.scheme, p, spec.charlie_family(p))
+    return total
+
+
+@pytest.mark.parametrize("bob_r", [0.5, 0.9])
+def test_exact_win_matches_closed_forms(scheme, bob_r):
+    spec = default_cp_spec(scheme, bob_r)
+    assert abs(exact_win(spec, *trivial_forward(scheme)) - _closed_form_trivial_forward(spec)) <= 1e-15
+    assert abs(exact_win(spec, *give_to_charlie(scheme)) - _closed_form_give_to_charlie(spec)) <= 1e-15
+
+
+@pytest.mark.parametrize("verify_r", [1.0, 0.75])
+def test_exact_win_matches_closed_forms_in_leasing(scheme, spec, verify_r):
+    ssl = SslScheme(scheme, verify_r)
+    leasing = leasing_spec(ssl, spec.circuit_dist, spec.charlie_family)
+    assert abs(exact_win(leasing, *honest_return(ssl)) - _closed_form_trivial_forward(leasing)) <= 1e-15
+    assert abs(exact_win(leasing, *keep_program(ssl)) - _closed_form_give_to_charlie(leasing)) <= 1e-15
+
+
+@pytest.mark.parametrize("game", ["cp", "ssl"])
+def test_return_garbage_matches_exact_win(scheme, spec, ssl, game):
+    # no closed form covers this split: Bob gets |0...0>, Charlie the program
+    pirate = PirateMap(zero_state(scheme.total_qubits), keep=True, name="return-garbage")
+    charlie = HonestEvalStrategy(scheme)
+    if game == "cp":
+        rep = run_experiment_free(spec, pirate, charlie, TRIALS, seed=62)
+        exact = exact_win(spec, pirate, charlie)
+    else:
+        args = (ssl, spec.circuit_dist, spec.charlie_family)
+        rep = run_experiment_ssl(*args, pirate, charlie, TRIALS, seed=63)
+        exact = exact_win(leasing_spec(*args), pirate, charlie)
+    assert rep.ci_lo <= exact <= rep.ci_hi
+
+
+def test_exact_win_rejects_random_splits_and_sampled_designs(scheme, spec):
+    with pytest.raises(ValueError, match="randomness"):
+        exact_win(spec, KeysearchPirate(scheme, 4), FixedAnswer(0))
+    with pytest.raises(ValueError):
+        exact_win(spec, *keysearch_adversary(scheme, 4))
+    wide = qas.build_scheme(2, 1, 6)
+    with pytest.raises(ValueError, match="enumerated"):
+        exact_win(default_cp_spec(wide), *trivial_forward(wide))
+
+
+# ---------------------------------------------------------------------------
 # CP harness vs oracles
 # ---------------------------------------------------------------------------
 
@@ -325,8 +404,16 @@ def test_give_to_charlie_matches_oracle(spec, scheme):
 
 def test_cheat_double_program_validates_harness(spec, scheme):
     rep = run_experiment_free(spec, *cheat_double_program(scheme), TRIALS, seed=43)
-    oracle = oracle_cheat_double_program(spec)
+    oracle = exact_win(spec, *cheat_double_program(scheme))
     assert rep.ci_lo <= oracle <= rep.ci_hi
+    # both parties honest on intact programs: the product of two correctness values
+    product = sum(
+        spec.circuit_dist.prob(p)
+        * cp.correctness_exact(scheme, p, spec.bob_family(p))
+        * cp.correctness_exact(scheme, p, spec.charlie_family(p))
+        for p in range(spec.circuit_dist.size)
+    )
+    assert abs(oracle - product) <= 1e-15
 
 
 def test_report_determinism(spec, scheme):
@@ -370,7 +457,7 @@ def test_keysearch_lucky_guess_is_envelope(spec, scheme):
     rep = run_experiment_free(
         spec, *keysearch_adversary(scheme, budget_size=1), TRIALS, seed=49
     )
-    envelope = games.mean_correctness(scheme, spec.circuit_dist, spec.bob_family)
+    envelope = _mean_correctness(scheme, spec.circuit_dist, spec.bob_family)
     assert rep.ci_lo <= envelope <= rep.ci_hi
 
 
@@ -474,7 +561,7 @@ def test_ssl_abort_counts_as_loss(ssl, spec, scheme):
     # |00> is accepted under key x only at its overlap; wins are gated by
     # the verification, so the rate sits well below the kept-program
     # correctness alone
-    kept_alone = games.mean_correctness(scheme, spec.circuit_dist, spec.charlie_family)
+    kept_alone = _mean_correctness(scheme, spec.circuit_dist, spec.charlie_family)
     assert rep.estimate < kept_alone - 0.1
 
 

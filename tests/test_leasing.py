@@ -13,8 +13,6 @@ from qlease.leasing import (
     cc_lease,
     cc_verify,
     epsilon_f,
-    leased_from_json,
-    leased_to_json,
     pushforward,
     ssl_eval,
     ssl_lease,
@@ -244,15 +242,3 @@ def test_compare_function_validation():
         CompareFunction((0, 4), 2, 0)  # value outside range
     with pytest.raises(ValueError):
         CompareFunction((0, 1), 2, 9)  # target outside range
-
-
-def test_leased_json_round_trip(ssl):
-    cf = make_cf()
-    leased = cc_lease(ssl, cf)
-    rebuilt = leased_from_json(leased_to_json(leased))
-    assert rebuilt.point.point == cf.target
-    assert rebuilt.compare.table == cf.table
-    assert np.allclose(
-        rebuilt.point_program.state.amplitudes,
-        leased.point_program.state.amplitudes,
-    )

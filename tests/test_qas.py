@@ -1,13 +1,12 @@
 """Tests for the trap-code authentication scheme."""
 
-import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from qlease import qas
-from qlease.designs import clifford_enumerate
+from qlease.designs import clifford_enumerate, irreducible_poly
 from qlease.qmath import (
     DensityOperator,
     DimensionMismatchError,
@@ -246,20 +245,10 @@ def test_design_epsilon_values():
     assert abs(qas.design_epsilon(6) - 1.0) < 1e-15
 
 
-def test_scheme_serialization_round_trip(scheme):
+def test_scheme_params_fields(scheme):
     params = qas.scheme_params(scheme)
     assert params["m"] == 1 and params["t"] == 1 and params["k"] == 14
     assert params["design_id"] == "clifford-enum-q2-v1"
-    rebuilt = qas.scheme_from_params(json.loads(qas.scheme_to_json(scheme)))
-    assert rebuilt.scheme_id == scheme.scheme_id
-    assert rebuilt.epsilon == scheme.epsilon
-
-
-def test_scheme_from_params_checks_the_design(scheme):
-    params = qas.scheme_params(scheme)
-    params["design_id"] = "bogus"
-    with pytest.raises(ValueError, match="design_id"):
-        qas.scheme_from_params(params)
-    del params["design_id"]
-    with pytest.raises(ValueError, match="design_id"):
-        qas.scheme_from_params(params)
+    assert params["epsilon"] == scheme.epsilon
+    assert params["epsilon_prime"] == float(scheme.key_map.epsilon_prime)
+    assert params["irreducible_poly"] == irreducible_poly(14)

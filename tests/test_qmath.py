@@ -1,7 +1,5 @@
 """Tests for the dense linear-algebra layer."""
 
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,8 +18,6 @@ from qlease.qmath import (
     embed_operator,
     haar_unitary,
     ket,
-    matrix_from_jsonable,
-    matrix_to_jsonable,
     maximally_mixed,
     measure_projective,
     partial_trace,
@@ -549,21 +545,8 @@ def test_embed_operator_swapped_positions():
 
 
 # ---------------------------------------------------------------------------
-# serialization and rng
+# rng
 # ---------------------------------------------------------------------------
-
-
-def test_matrix_json_roundtrip():
-    rng = spawn_rng(12)
-    m = haar_unitary(4, rng)
-    assert np.allclose(matrix_from_jsonable(matrix_to_jsonable(m)), m)
-
-
-def test_matrix_json_golden():
-    m = np.array([[1.0, 1j], [0.0, -0.5]])
-    golden = "[[[1.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], [-0.5, 0.0]]]"
-    assert json.dumps(matrix_to_jsonable(m)) == golden
-    assert json.loads(golden) == json.loads(json.dumps(matrix_to_jsonable(m)))
 
 
 def test_spawn_rng_deterministic_and_split():
