@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import csv
 import functools
+from contextvars import ContextVar
 from dataclasses import asdict, dataclass, field, fields, replace
 from fractions import Fraction
 from pathlib import Path
@@ -121,10 +122,21 @@ class PirateMap:
         return program_state, self.ancilla, None
 
 
-def _accept_pairs(scheme: QasScheme) -> Callable[[int], ProjectiveMeasurement]:
-    """:func:`evaluation_measurement` at each challenge, built and validated
-    once per challenge for one run."""
-    return functools.cache(functools.partial(evaluation_measurement, scheme))
+#: The evaluation measurements of the run in progress, as (scheme, lookup):
+#: :func:`_play` sets one cache per run, which Bob, honest Charlie and the
+#: keysearch pirate share, and drops it when the run ends.
+_RUN_PAIRS: ContextVar[tuple[QasScheme, Callable[[int], ProjectiveMeasurement]] | None] = (
+    ContextVar("_RUN_PAIRS", default=None)
+)
+
+
+def _evaluation_pair(scheme: QasScheme, x: int) -> ProjectiveMeasurement:
+    """:func:`evaluation_measurement` at ``x``: from the run's cache during
+    a run of ``scheme``, built and validated afresh otherwise."""
+    run = _RUN_PAIRS.get()
+    if run is not None and run[0] is scheme:
+        return run[1](x)
+    return evaluation_measurement(scheme, x)
 
 
 class MeasurementStrategy:
@@ -160,10 +172,9 @@ class HonestEvalStrategy(MeasurementStrategy):
     def __init__(self, scheme: QasScheme):
         self.scheme = scheme
         self.name = "honest-eval"
-        self._pairs = _accept_pairs(scheme)
 
     def measurement(self, x: int) -> ProjectiveMeasurement:
-        return self._pairs(x)
+        return _evaluation_pair(self.scheme, x)
 
 
 class PointGuessStrategy(MeasurementStrategy):
@@ -198,13 +209,13 @@ class KeysearchPirate:
         self.scheme = scheme
         self.budget_size = budget_size
         self.name = f"keysearch-{budget_size}"
-        self._pairs = _accept_pairs(scheme)
 
     def _candidates(self, point: int, rng: np.random.Generator) -> list[int]:
-        space = 1 << self.scheme.key_bits
-        others = np.delete(np.arange(space), point)
+        # every key but the point, in order, then shuffled
+        others = np.arange((1 << self.scheme.key_bits) - 1)
+        others[point:] += 1
         rng.shuffle(others)
-        keys = [int(k) for k in others[: self.budget_size - 1]]
+        keys = others[: self.budget_size - 1].tolist()
         keys.insert(int(rng.integers(self.budget_size)), point)
         return keys
 
@@ -214,7 +225,7 @@ class KeysearchPirate:
         state = program_state
         found = None
         for key in self._candidates(point, rng):
-            outcome, state = measure_projective(state, self._pairs(key), rng)
+            outcome, state = measure_projective(state, _evaluation_pair(self.scheme, key), rng)
             if outcome == 1:
                 found = key
                 break
@@ -412,11 +423,15 @@ def _play(spec: GameSpec, pirate, charlie: MeasurementStrategy, trials: int, see
     trial is won iff both answers are right.  Charlie answers in every
     trial, also when Bob is already wrong; since each trial has its own
     generator, skipping Charlie then would change no report.
+
+    Each evaluation measurement is built and validated once per run, and
+    the parties share it (see :func:`_evaluation_pair`); no cache
+    outlives the run.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     scheme = spec.scheme
-    bob_pairs = _accept_pairs(scheme)
+    bob_pairs = functools.cache(functools.partial(evaluation_measurement, scheme))
 
     @functools.cache
     def at_point(p: int):
@@ -424,16 +439,20 @@ def _play(spec: GameSpec, pirate, charlie: MeasurementStrategy, trials: int, see
         return program, PointFunction(p, scheme.key_bits), spec.bob_family(p), spec.charlie_family(p)
 
     wins = 0
-    for i in range(trials):
-        rng = spawn_rng(seed, i)
-        p = spec.circuit_dist.sample(rng)
-        psi, pf, bob_dist, charlie_dist = at_point(p)
-        bob, charlie_state, side = pirate.split(psi, p, rng)
-        x1, x2 = bob_dist.sample(rng), charlie_dist.sample(rng)
-        b1, _ = measure_projective(bob, bob_pairs(x1), rng)
-        b2 = charlie.answer(charlie_state, x2, side, rng)
-        if b1 == pf(x1) and b2 == pf(x2):
-            wins += 1
+    token = _RUN_PAIRS.set((scheme, bob_pairs))
+    try:
+        for i in range(trials):
+            rng = spawn_rng(seed, i)
+            p = spec.circuit_dist.sample(rng)
+            psi, pf, bob_dist, charlie_dist = at_point(p)
+            bob, charlie_state, side = pirate.split(psi, p, rng)
+            x1, x2 = bob_dist.sample(rng), charlie_dist.sample(rng)
+            b1, _ = measure_projective(bob, bob_pairs(x1), rng)
+            b2 = charlie.answer(charlie_state, x2, side, rng)
+            if b1 == pf(x1) and b2 == pf(x2):
+                wins += 1
+    finally:
+        _RUN_PAIRS.reset(token)
     return wins
 
 

@@ -13,11 +13,15 @@ the containers they are given and do not re-check them, so build a
 measurement once and reuse it rather than passing raw projectors in a
 loop.  A measurement acts on a whole register: a party that holds its
 own register is measured on that register alone, never on a joint state
-with the registers of others.  Results that are density operators by
-construction, the outer product of :meth:`PureState.density`, the mixed
-post-state of :func:`measure_projective`, the :func:`tensor` of two
+with the registers of others.  Results that are states by construction,
+the outer product of :meth:`PureState.density`, the mixed and the pure
+post-state of :func:`measure_projective` (``PureState._trusted``: the
+branch divided by the norm computed from it), the :func:`tensor` of two
 density operators and the density branch of :func:`apply_isometry`, are
-not re-checked either (no eigenvalue decomposition).  The same holds for
+not re-checked either (no eigenvalue decomposition, no norm).  Nor are
+a measurement's outcome probabilities: they sum to 1 by construction,
+so the outcome is drawn with ``Generator.choice``'s arithmetic, without
+its re-checks (:func:`_draw`).  The same holds for
 the authentication scheme's results in ``qas``: its encoding isometry
 (``Isometry._trusted``, still a contiguous copy), the accept branch
 (``SubnormalizedOperator._trusted``) and the renormalized branch that
@@ -48,6 +52,7 @@ schedules see identical randomness).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -133,6 +138,19 @@ class PureState:
         if abs(nrm - 1.0) > ATOL:
             raise ValueError(f"state norm {nrm} is not 1 within {ATOL}")
         object.__setattr__(self, "amplitudes", amps)
+
+    @classmethod
+    def _trusted(cls, amplitudes: np.ndarray) -> "PureState":
+        """Freeze ``amplitudes`` in place, without the checks.  Only for
+        fresh complex vectors that are unit by construction (a branch of a
+        validated state divided by the norm computed from that same
+        branch); the bytes are those the public constructor would keep."""
+        obj = object.__new__(cls)
+        amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
+        amps.setflags(write=False)
+        object.__setattr__(obj, "amplitudes", amps)
+        object.__setattr__(obj, "qubits", _qubits_for_dim(amps.size))
+        return obj
 
     @property
     def dim(self) -> int:
@@ -448,6 +466,46 @@ def two_outcome(projector) -> ProjectiveMeasurement:
     return ProjectiveMeasurement((np.eye(p.shape[0]) - p, p))
 
 
+def outcome_probabilities(
+    state, measurement: ProjectiveMeasurement
+) -> tuple[list[float], np.ndarray | None]:
+    """The probabilities :func:`measure_projective` samples from, and for a
+    pure state the unnormalized branches ``P_i |psi>`` (``None`` for a
+    density operator).
+
+    Each probability is the Born probability ``Tr(P_i rho)``; those below
+    1e-12 are set to 0 and the rest renormalized to sum to 1.  The sum is
+    taken in numpy's order, so the values are those of
+    ``probs / probs.sum()`` on the array of Born probabilities.
+    """
+    stack = measurement.projectors
+    if isinstance(state, PureState):
+        branches = stack @ state.amplitudes.reshape(-1, 1)
+        born = [float(np.vdot(b, b).real) for b in branches]
+    else:
+        branches = None
+        # Tr(P rho) = sum_ab P[a, b] rho[b, a], for every P at once
+        born = (stack.reshape(len(stack), -1) @ state.matrix.T.reshape(-1)).real.tolist()
+    kept = [0.0 if w < 1e-12 else w for w in born]
+    # two terms add in one order only; longer sums go through numpy's
+    total = kept[0] + kept[1] if len(kept) == 2 else float(np.sum(kept))
+    return [w / total for w in kept], branches
+
+
+def _draw(probs: list[float], rng: np.random.Generator) -> int:
+    """``rng.choice(len(probs), p=probs)`` without its checks of ``probs``.
+
+    The same arithmetic on the same single ``rng.random()`` draw: the
+    running sum of ``probs``, divided by its last entry, and the first
+    index whose entry exceeds the draw.  So the outcome and the
+    generator's state afterwards are those of ``Generator.choice``.
+    """
+    u = rng.random()
+    cdf = list(itertools.accumulate(probs))
+    last = cdf[-1]
+    return next(i for i, c in enumerate(cdf) if c / last > u)
+
+
 def measure_projective(state, measurement, rng: np.random.Generator):
     """Projective measurement of a whole register: sample an outcome,
     return (index, post-state).
@@ -458,28 +516,21 @@ def measure_projective(state, measurement, rng: np.random.Generator):
 
     Outcome ``i`` occurs with the Born probability ``Tr(P_i rho)``; the
     post-state is the renormalized projection ``P rho P``.  Outcomes with
-    probability below 1e-12 are never sampled.  Pure states stay pure.
+    probability below 1e-12 are never sampled (see
+    :func:`outcome_probabilities`).  Pure states stay pure.  The outcome
+    is drawn as ``rng.choice(outcomes, p=probs)`` would draw it, from one
+    ``rng.random()``.
     """
     if not isinstance(measurement, ProjectiveMeasurement):
         measurement = ProjectiveMeasurement(measurement)
     if measurement.qubits != state.qubits:
         raise DimensionMismatchError("measurement register does not match the state")
-    stack = measurement.projectors
-    pure = isinstance(state, PureState)
-    if pure:
-        branches = stack @ state.amplitudes.reshape(-1, 1)
-        probs = np.array([float(np.vdot(b, b).real) for b in branches])
-    else:
-        rho = state.matrix
-        # Tr(P rho) = sum_ab P[a, b] rho[b, a], for every P at once
-        probs = (stack.reshape(len(stack), -1) @ rho.T.reshape(-1)).real
-    probs = np.where(probs < 1e-12, 0.0, probs)
-    probs /= probs.sum()
-    outcome = int(rng.choice(len(stack), p=probs))
-    if pure:
-        return outcome, PureState(branches[outcome].reshape(-1) / np.sqrt(probs[outcome]))
-    p = stack[outcome]
-    m = p @ rho @ p
+    probs, branches = outcome_probabilities(state, measurement)
+    outcome = _draw(probs, rng)
+    if branches is not None:
+        return outcome, PureState._trusted(branches[outcome] / np.sqrt(probs[outcome]))
+    p = measurement.projectors[outcome]
+    m = p @ state.matrix @ p
     return outcome, DensityOperator._trusted(m / np.trace(m).real)
 
 

@@ -471,6 +471,48 @@ def test_keysearch_damage_reduces_wins(spec, scheme):
     assert full.estimate < lucky.estimate - 0.05
 
 
+def _candidates_by_delete(pirate, point, rng) -> list[int]:
+    """Keysearch's candidate list as ``np.delete`` of the point builds it."""
+    others = np.delete(np.arange(1 << pirate.scheme.key_bits), point)
+    rng.shuffle(others)
+    keys = [int(k) for k in others[: pirate.budget_size - 1]]
+    keys.insert(int(rng.integers(pirate.budget_size)), point)
+    return keys
+
+
+@pytest.mark.parametrize("point", [0, 32, 63])
+@pytest.mark.parametrize("budget", [1, 4, 64])
+def test_keysearch_candidates_match_delete(scheme, point, budget):
+    pirate = KeysearchPirate(scheme, budget)
+    for seed in range(5):
+        ours, theirs = spawn_rng(53, seed), spawn_rng(53, seed)
+        keys = pirate._candidates(point, ours)
+        assert keys == _candidates_by_delete(pirate, point, theirs)
+        assert all(type(k) is int for k in keys)
+        assert ours.random() == theirs.random()
+
+
+def test_evaluation_measurements_are_built_once_per_run(spec, scheme, monkeypatch):
+    # Bob, honest Charlie and the keysearch pirate share one cache per run
+    built = []
+
+    def counted(s, x):
+        built.append(x)
+        return cp.evaluation_measurement(s, x)
+
+    monkeypatch.setattr(games, "evaluation_measurement", counted)
+    for adversary in (give_to_charlie(scheme), keysearch_adversary(scheme, budget_size=64)):
+        built.clear()
+        run_experiment_free(spec, *adversary, 200, seed=54)
+        assert len(built) == len(set(built)) <= 64
+        assert games._RUN_PAIRS.get() is None  # the cache ends with the run
+    # outside a run each lookup builds afresh
+    strategy = HonestEvalStrategy(scheme)
+    built.clear()
+    strategy.measurement(3), strategy.measurement(3)
+    assert built == [3, 3]
+
+
 def test_keysearch_budget_validation(scheme):
     with pytest.raises(ValueError):
         keysearch_adversary(scheme, budget_size=0)

@@ -51,12 +51,31 @@ PINNED = [
         71,
         "a8af165496ea2ef12941bc518c606f18d9ac8df0d1b19facb95a7761c2cd24b2",
     ),
+    # Long chains of projections of one pure register (up to 64 key
+    # checks per trial).
+    (
+        ["cp", "--adversary", "keysearch", "--budget", "64", "--scheme", "1,1,6"],
+        67,
+        "163228f34c158ad620f04b141f1f08e34daf3c68680642d58b66f2706e145778",
+    ),
+    # Measurements of 64-dimensional mixed registers.
+    (
+        ["ssl", "--adversary", "keep-program", "--scheme", "3,3,6"],
+        10,
+        "6ae0b906569521127f9e662aaf30916cf7e5473b4327571e7437cb96f0cfff74",
+    ),
 ]
 
 
-@pytest.mark.parametrize(
-    "argv,wins,sha256", PINNED, ids=[f"{argv[0]}-{argv[2]}-{argv[-1]}" for argv, _, _ in PINNED]
-)
+def _pin_id(argv):
+    """``game-adversary-scheme``, with ``-budgetB`` after the adversary
+    when the budget is not the CLI default of 4."""
+    budget = argv[argv.index("--budget") + 1] if "--budget" in argv else "4"
+    adversary = argv[2] if budget == "4" else f"{argv[2]}-budget{budget}"
+    return f"{argv[0]}-{adversary}-{argv[-1]}"
+
+
+@pytest.mark.parametrize("argv,wins,sha256", PINNED, ids=[_pin_id(argv) for argv, _, _ in PINNED])
 def test_same_seed_report_is_pinned(tmp_path, argv, wins, sha256):
     out = tmp_path / "report.json"
     rc = main([*argv, "--trials", TRIALS, "--seed", SEED, "--out", str(out)])

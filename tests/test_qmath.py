@@ -300,17 +300,16 @@ def test_measure_never_samples_negligible_outcome():
         assert outcome == 0
 
 
-class _ForcedChoice:
-    """Stands in for a generator: records the outcome probabilities and
-    returns a chosen outcome."""
+class _ForcedDraw:
+    """Stands in for a generator whose one ``random()`` draw forces the
+    first outcome (0.0) or the last (the largest double below 1) of a
+    measurement whose outcomes all have nonzero probability."""
 
     def __init__(self, outcome: int):
-        self.outcome = outcome
-        self.p = None
+        self.u = 0.0 if outcome == 0 else np.nextafter(1.0, 0.0)
 
-    def choice(self, n, p):
-        self.p = np.asarray(p)
-        return self.outcome
+    def random(self):
+        return self.u
 
 
 def _random_pair(qubits: int, rng) -> list[np.ndarray]:
@@ -352,12 +351,13 @@ def test_local_measurement_matches_dense_lift(pure, positions, total):
 
     rho = placed(tensor(own, other))
     lifted = [embed_operator(p, positions, total) for p in projs]
+    measurement = ProjectiveMeasurement(projs)
+    probs, _ = qmath.outcome_probabilities(own, measurement)
+    expected_probs = [np.trace(lp @ rho).real for lp in lifted]
+    assert np.allclose(probs, expected_probs, atol=qmath.ATOL, rtol=0)
     for outcome, big in enumerate(lifted):
-        forced = _ForcedChoice(outcome)
-        got, post = measure_projective(own, ProjectiveMeasurement(projs), forced)
+        got, post = measure_projective(own, measurement, _ForcedDraw(outcome))
         assert got == outcome
-        expected_probs = [np.trace(lp @ rho).real for lp in lifted]
-        assert np.allclose(forced.p, expected_probs, atol=qmath.ATOL, rtol=0)
         m = big @ rho @ big
         expected = m / np.trace(m).real
         assert isinstance(post, PureState if pure else DensityOperator)
@@ -393,7 +393,7 @@ def test_post_states_are_density_operators(seed, total, kind):
         state = random_density(total, rng, rank=int(rng.integers(1, (1 << total) + 1)))
     pair = ProjectiveMeasurement(_random_pair(total, rng))
     for outcome in range(2):
-        got, post = measure_projective(state, pair, _ForcedChoice(outcome))
+        got, post = measure_projective(state, pair, _ForcedDraw(outcome))
         assert got == outcome
         if kind == "pure":
             assert isinstance(post, PureState)
@@ -412,6 +412,98 @@ def test_post_states_are_density_operators(seed, total, kind):
         w[0] = -0.01
         with pytest.raises(ValueError, match="negative eigenvalue"):
             DensityOperator((v * w) @ v.conj().T)
+
+
+def _grouped_measurement(qubits: int, outcomes: int, rng) -> list[np.ndarray]:
+    """``outcomes`` projectors onto the spans of disjoint groups of columns
+    of a Haar unitary, every group non-empty."""
+    d = 1 << qubits
+    u = haar_unitary(d, rng)
+    cuts = np.sort(rng.choice(np.arange(1, d), outcomes - 1, replace=False))
+    return [g @ g.conj().T for g in np.split(u, cuts, axis=1)]
+
+
+def _state_with_weights(projs, weights, rng) -> np.ndarray:
+    """A unit vector with Born weight ``weights[i]`` in outcome ``i``."""
+    parts = []
+    for p, w in zip(projs, weights):
+        v = p @ (rng.standard_normal(len(p)) + 1j * rng.standard_normal(len(p)))
+        parts.append(np.sqrt(w) * v / np.linalg.norm(v))
+    v = sum(parts)
+    return v / np.linalg.norm(v)
+
+
+def _reference_probs(state, stack) -> np.ndarray:
+    """The sampling probabilities as an array expression: Born weights,
+    those below 1e-12 set to 0, divided by their numpy sum."""
+    if isinstance(state, PureState):
+        probs = np.array([float(np.vdot(b, b).real) for b in stack @ state.amplitudes.reshape(-1, 1)])
+    else:
+        probs = (stack.reshape(len(stack), -1) @ state.matrix.T.reshape(-1)).real
+    probs = np.where(probs < 1e-12, 0.0, probs)
+    return probs / probs.sum()
+
+
+def test_draw_is_generator_choice():
+    # 2-8 outcomes, pure and mixed registers, some outcome weights at or
+    # below the 1e-12 cutoff; 10^4 draws on twin generators
+    rng = spawn_rng(74)
+    cases = []
+    for outcomes in range(2, 9):
+        for tiny in (0.0, 1e-13, 5e-12, None):
+            projs = _grouped_measurement(3, outcomes, rng)
+            weights = rng.random(outcomes) + 0.05
+            if tiny is not None:
+                weights[rng.integers(outcomes)] = tiny
+            weights /= weights.sum()
+            vecs = [_state_with_weights(projs, weights, rng) for _ in range(3)]
+            mix = rng.random(3)
+            rho = sum(w * np.outer(v, v.conj()) for w, v in zip(mix / mix.sum(), vecs))
+            cases += [(PureState(vecs[0]), projs), (DensityOperator(rho), projs)]
+    draws = 0
+    for case, (state, projs) in enumerate(cases):
+        measurement = ProjectiveMeasurement(projs)
+        probs, _ = qmath.outcome_probabilities(state, measurement)
+        assert np.array(probs).tobytes() == _reference_probs(state, measurement.projectors).tobytes()
+        for seed in range(180):
+            ours, theirs = np.random.default_rng([case, seed]), np.random.default_rng([case, seed])
+            got, _ = measure_projective(state, measurement, ours)
+            assert got == theirs.choice(len(projs), p=probs)
+            assert probs[got] > 0
+            assert ours.random() == theirs.random()
+            draws += 1
+    assert draws >= 10**4
+
+
+def test_draw_divides_by_the_running_total():
+    # probabilities summing to just below 1, the first exactly at the draw:
+    # only choice's division by the last running sum makes outcome 0
+    u = np.random.default_rng(0).random()
+    rest = 1.0 - u
+    while u + rest >= 1.0:
+        rest = np.nextafter(rest, 0.0)
+    probs = [u, float(rest)]
+    assert np.random.default_rng(0).choice(2, p=probs) == 0
+    assert qmath._draw(probs, np.random.default_rng(0)) == 0
+
+
+@pytest.mark.parametrize("qubits", [1, 3, 6])
+def test_pure_post_state_is_trusted_and_exact(qubits):
+    # the pure post-state skips the constructor's norm check: its bytes are
+    # what the constructor keeps, read-only, and its norm is 1 to 1e-14
+    rng = spawn_rng(75, qubits)
+    measurement = ProjectiveMeasurement(_grouped_measurement(qubits, 2, rng))
+    for _ in range(20):
+        state = random_pure_state(qubits, rng)
+        probs, branches = qmath.outcome_probabilities(state, measurement)
+        for outcome in range(2):
+            got, post = measure_projective(state, measurement, _ForcedDraw(outcome))
+            assert got == outcome
+            assert isinstance(post, PureState) and post.qubits == qubits
+            assert not post.amplitudes.flags.writeable
+            checked = PureState(branches[outcome].reshape(-1) / np.sqrt(probs[outcome]))
+            assert post.amplitudes.tobytes() == checked.amplitudes.tobytes()
+            assert abs(np.linalg.norm(post.amplitudes) - 1.0) <= 1e-14
 
 
 def test_full_register_forms_agree():
