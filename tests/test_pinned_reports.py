@@ -64,14 +64,34 @@ PINNED = [
         10,
         "6ae0b906569521127f9e662aaf30916cf7e5473b4327571e7437cb96f0cfff74",
     ),
+    # Point-centred challenges away from the default mass, and a key space
+    # of 2^14 points: the sampled challenges and the exact baselines.
+    (
+        ["cp", "--adversary", "trivial-forward", "--r", "0.75", "--scheme", "1,1,6"],
+        101,
+        "2123b3111e05935e2de524e9b3386e5b930b226ce8aea3bf1e91e5c80b56a644",
+    ),
+    (
+        ["ssl", "--adversary", "honest-return", "--r", "0.5", "--scheme", "1,1,6"],
+        83,
+        "bfbdb95355fe173fb362344c65f4a2472bfc4cec9718b50d8a9e45faf1f355cb",
+    ),
+    (
+        ["cp", "--adversary", "trivial-forward", "--scheme", "1,1,14"],
+        86,
+        "68f280f9eb4baa24029265542893f053e074a5e7580edd72c098fb1886beebe0",
+    ),
 ]
 
 
 def _pin_id(argv):
     """``game-adversary-scheme``, with ``-budgetB`` after the adversary
-    when the budget is not the CLI default of 4."""
+    when the budget is not the CLI default of 4, and ``-rR`` when the
+    point mass is given."""
     budget = argv[argv.index("--budget") + 1] if "--budget" in argv else "4"
     adversary = argv[2] if budget == "4" else f"{argv[2]}-budget{budget}"
+    if "--r" in argv:
+        adversary += f"-r{argv[argv.index('--r') + 1]}"
     return f"{argv[0]}-{adversary}-{argv[-1]}"
 
 
