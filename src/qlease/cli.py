@@ -240,12 +240,17 @@ def _cp_adversary(name: str, scheme: qas.QasScheme, args):
     raise ConfigError(f"unknown cp adversary {name!r}")
 
 
-def _print_report(args, rep: games.GameReport) -> None:
+def _report_game(args, rep: games.GameReport) -> int:
+    """Print the report of one game run, emit it, and append its CSV row."""
     _say(args, f"game      {rep.game}   adversary {rep.adversary}")
     _say(args, f"scheme    {rep.scheme}")
     _say(args, f"trials    {rep.trials}   wins {rep.wins}")
     _say(args, f"estimate  {rep.estimate:.4f}   wilson99 [{rep.ci_lo:.4f}, {rep.ci_hi:.4f}]")
     _say(args, f"baseline  {rep.baseline:.4f}   theorem bound {rep.bound:.4f}")
+    _emit(args, rep.to_json_dict())
+    if args.csv:
+        games.append_csv(rep, args.csv)
+    return EXIT_OK
 
 
 def cmd_cp(args) -> int:
@@ -257,12 +262,7 @@ def cmd_cp(args) -> int:
     scheme = _build_scheme(args.scheme)
     spec = games.default_cp_spec(scheme, bob_r=args.r)
     pirate, strategy = _cp_adversary(args.adversary, scheme, args)
-    rep = games.run_experiment_free(spec, pirate, strategy, args.trials, args.seed)
-    _print_report(args, rep)
-    _emit(args, rep.to_json_dict())
-    if args.csv:
-        games.append_csv(rep, args.csv)
-    return EXIT_OK
+    return _report_game(args, games.run_experiment_free(spec, pirate, strategy, args.trials, args.seed))
 
 
 def cmd_ssl(args) -> int:
@@ -272,20 +272,10 @@ def cmd_ssl(args) -> int:
     ssl_scheme = SslScheme(scheme, verify_r=args.r)
     circuit = cp.uniform_points(scheme.key_bits)
     challenge = lambda p: cp.dhalf(p, scheme.key_bits)
-    if args.adversary == "honest-return":
-        adv, strategy = games.honest_return(ssl_scheme)
-    elif args.adversary == "keep-program":
-        adv, strategy = games.keep_program(ssl_scheme)
-    else:
-        raise ConfigError(f"unknown ssl adversary {args.adversary!r}")
-    rep = games.run_experiment_ssl(
-        ssl_scheme, circuit, challenge, adv, strategy, args.trials, args.seed
-    )
-    _print_report(args, rep)
-    _emit(args, rep.to_json_dict())
-    if args.csv:
-        games.append_csv(rep, args.csv)
-    return EXIT_OK
+    # the parser and the config check keep the adversary among the choices
+    adversary = {"honest-return": games.honest_return, "keep-program": games.keep_program}[args.adversary]
+    rep = games.run_experiment_ssl(ssl_scheme, circuit, challenge, *adversary(ssl_scheme), args.trials, args.seed)
+    return _report_game(args, rep)
 
 
 # ---------------------------------------------------------------------------

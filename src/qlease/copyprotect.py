@@ -24,6 +24,7 @@ parameter rides along as classical metadata.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Literal
@@ -70,91 +71,113 @@ class PointFunction:
 
 @dataclass(frozen=True)
 class ChallengeDistribution:
-    """A finite distribution on {0,1}^bits with an explicit table.
+    """A finite distribution on {0,1}^bits: an explicit table, or a shape
+    that holds none.
 
-    Structured kinds remember their shape so that sampling is constant
-    time and downstream baselines can use exact rational weights:
-
+    - ``table``: the validated 2^bits probabilities in ``table``,
     - ``uniform``: every string 1/2^l,
-    - ``dhalf``: the point with mass 1/2, the rest uniform,
     - ``biased``: the point with mass r, the rest uniform (r=1 is the
-      point mass).
+      point mass, r=1/2 the half-point distribution).
+
+    The shapes sample in constant time, give the baselines their
+    :meth:`exact_shape`, and build :attr:`probs` afresh on each read.
     """
 
     bits: int
-    probs: np.ndarray
-    kind: Literal["table", "uniform", "dhalf", "biased"] = "table"
+    table: np.ndarray | None = None
+    kind: Literal["table", "uniform", "biased"] = "table"
     point: int | None = None
     r: float | None = None
 
     def __post_init__(self):
-        probs = np.array(self.probs, dtype=float)
-        probs.setflags(write=False)
-        if probs.size != (1 << self.bits):
-            raise DimensionMismatchError("table size must be 2^bits")
-        if np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-12:
-            raise ValueError("probabilities must be nonnegative and sum to 1")
-        object.__setattr__(self, "probs", probs)
+        biased = self.kind == "biased"
+        given = (self.table is not None, self.point is not None, self.r is not None)
+        if self.kind not in ("table", "uniform", "biased") or given != (self.kind == "table", biased, biased):
+            raise ValueError("kind 'table' takes a table, 'biased' a point and r, 'uniform' neither")
+        if not isinstance(self.bits, int) or self.bits < 1:
+            raise ValueError("bits must be a positive integer")
+        if biased and not (0 <= self.point < self.size and 0.0 <= self.r <= 1.0):
+            raise ValueError("need a point in {0,1}^bits and r in [0, 1]")
+        if self.kind == "table":
+            probs = np.array(self.table, dtype=float)
+            probs.setflags(write=False)
+            if probs.size != self.size:
+                raise DimensionMismatchError("table size must be 2^bits")
+            if np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-12:
+                raise ValueError("probabilities must be nonnegative and sum to 1")
+            object.__setattr__(self, "table", probs)
 
     @property
     def size(self) -> int:
         return 1 << self.bits
 
+    @property
+    def probs(self) -> np.ndarray:
+        if self.kind == "table":
+            return self.table
+        probs = np.full(self.size, self._flat())
+        if self.point is not None:
+            probs[self.point] = self.r
+        return probs
+
+    def _flat(self) -> float:
+        return 1.0 / self.size if self.r is None else (1.0 - self.r) / (self.size - 1)
+
     def prob(self, x: int) -> float:
-        return float(self.probs[x])
+        if self.kind == "table":
+            return float(self.table[x])
+        return self.r if x == self.point else self._flat()
+
+    def exact_shape(self) -> tuple[Fraction, int | None, Fraction] | None:
+        """(flat, peak, peak weight) in exact rationals: every string but
+        the peak has the flat weight, and the uniform kind has no peak.
+        None for tables, and for an ``r`` that no rational with
+        denominator at most 10^12 rounds back to."""
+        if self.kind == "uniform":
+            return Fraction(1, self.size), None, Fraction(1, self.size)
+        weights = _biased_weights(self.bits, self.r) if self.kind == "biased" else None
+        return None if weights is None else (weights[0], self.point, weights[1])
 
     def prob_fraction(self, x: int) -> Fraction | None:
-        """Exact weight for structured kinds; None for raw tables."""
-        n = self.size
-        if self.kind == "uniform":
-            return Fraction(1, n)
-        if self.kind == "dhalf":
-            return Fraction(1, 2) if x == self.point else Fraction(1, 2 * (n - 1))
-        if self.kind == "biased":
-            fr = Fraction(self.r).limit_denominator(10**12)
-            if float(fr) != self.r:
-                return None
-            return fr if x == self.point else (1 - fr) / (n - 1)
-        return None
+        """Exact weight of ``x``; None where :meth:`exact_shape` is."""
+        shape = self.exact_shape()
+        if shape is None:
+            return None
+        return shape[2] if x == shape[1] else shape[0]
 
     def sample(self, rng: np.random.Generator) -> int:
+        if self.kind == "table":
+            return int(rng.choice(self.size, p=self.table))
         if self.kind == "uniform":
             return int(rng.integers(self.size))
-        if self.kind in ("dhalf", "biased"):
-            r = 0.5 if self.kind == "dhalf" else self.r
-            if rng.random() < r:
-                return self.point
-            other = int(rng.integers(self.size - 1))
-            return other + (other >= self.point)
-        return int(rng.choice(self.size, p=self.probs))
+        if rng.random() < self.r:
+            return self.point
+        other = int(rng.integers(self.size - 1))
+        return other + (other >= self.point)
+
+
+@functools.lru_cache(maxsize=256)
+def _biased_weights(bits: int, r: float) -> tuple[Fraction, Fraction] | None:
+    """Exact (flat, peak) weights of mass ``r`` on one of 2^bits strings."""
+    top = Fraction(r).limit_denominator(10**12)
+    return None if float(top) != r else ((1 - top) / ((1 << bits) - 1), top)
 
 
 def uniform_points(bits: int) -> ChallengeDistribution:
     """The uniform distribution on {0,1}^bits (used both for challenge
     inputs and for drawing the encoded point itself)."""
-    n = 1 << bits
-    return ChallengeDistribution(bits, np.full(n, 1.0 / n), kind="uniform")
+    return ChallengeDistribution(bits, kind="uniform")
+
+
+def biased_point(point: int, bits: int, r: float) -> ChallengeDistribution:
+    """Mass ``r`` on the point, uniform elsewhere."""
+    return ChallengeDistribution(bits, kind="biased", point=point, r=r)
 
 
 def dhalf(point: int, bits: int) -> ChallengeDistribution:
     """Mass 1/2 on the point, uniform elsewhere, so the function value is
     a fair coin."""
-    n = 1 << bits
-    probs = np.full(n, 0.5 / (n - 1))
-    probs[point] = 0.5
-    return ChallengeDistribution(bits, probs, kind="dhalf", point=point)
-
-
-def biased_point(point: int, bits: int, r: float) -> ChallengeDistribution:
-    """Mass ``r`` on the point, uniform elsewhere."""
-    if not 0.0 <= r <= 1.0:
-        raise ValueError("r must lie in [0, 1]")
-    n = 1 << bits
-    if n == 1:
-        return ChallengeDistribution(bits, np.array([1.0]), kind="biased", point=point, r=1.0)
-    probs = np.full(n, (1.0 - r) / (n - 1))
-    probs[point] = r
-    return ChallengeDistribution(bits, probs, kind="biased", point=point, r=r)
+    return biased_point(point, bits, 0.5)
 
 
 def point_mass(point: int, bits: int) -> ChallengeDistribution:
@@ -343,15 +366,9 @@ def mix_error_exact(
     """Exact per-input error of the mixed scheme at (p, x): the chance,
     over the permutation parameter and the evaluation, that mix_evaluate
     disagrees with P_p(x).  Needs an enumerable family."""
-    by_index_cache: dict[int, np.ndarray] = {}
+    acceptance = functools.cache(lambda hp: acceptance_per_input(scheme, protect(scheme, hp).state))
     total = 0.0
     for r in family.params():
-        hp = family.apply(r, point)
-        hx = family.apply(r, x)
-        acc = by_index_cache.get(hp)
-        if acc is None:
-            acc = acceptance_per_input(scheme, protect(scheme, hp).state)
-            by_index_cache[hp] = acc
-        prob_one = acc[hx]
+        prob_one = acceptance(family.apply(r, point))[family.apply(r, x)]
         total += (1.0 - prob_one) if x == point else prob_one
     return total / family.size

@@ -30,14 +30,17 @@ from the enumerated design: an independent route against which the
 trial loop is checked.
 
 Baselines ``p_marg`` and ``p_ind`` are the best challenge-only guessing
-probabilities; they are computed by exhaustive enumeration, in exact
-rational arithmetic whenever the distributions carry exact weights.
+probabilities.  When every distribution has an exact shape ("mass r on
+the point, uniform elsewhere") they are computed in exact rational
+arithmetic from the shapes, in O(2^k) time; otherwise from the tables in
+floats, in O(4^k).
 """
 
 from __future__ import annotations
 
 import csv
 import functools
+from collections import Counter
 from contextvars import ContextVar
 from dataclasses import asdict, dataclass, field, fields, replace
 from fractions import Fraction
@@ -114,8 +117,7 @@ class PirateMap:
 
         ``point`` is the encoded point.  A real pirate never reads it; it
         is threaded through for modeling adversaries (see
-        :class:`KeysearchPirate` and :func:`cheat_double_program`) which
-        say so explicitly.
+        :class:`KeysearchPirate`) which say so explicitly.
         """
         if self.keep:
             return self.ancilla, program_state, None
@@ -256,13 +258,10 @@ def default_cp_spec(scheme: QasScheme, bob_r: float = 0.5) -> GameSpec:
     distribution; Bob's marginal generalized to mass ``bob_r`` at the
     point (0.5 recovers the product of two half-point draws)."""
     bits = scheme.key_bits
-    bob: Family = (
-        (lambda p: dhalf(p, bits)) if bob_r == 0.5 else (lambda p: biased_point(p, bits, bob_r))
-    )
     return GameSpec(
         scheme=scheme,
         circuit_dist=uniform_points(bits),
-        bob_family=bob,
+        bob_family=lambda p: biased_point(p, bits, bob_r),
         charlie_family=lambda p: dhalf(p, bits),
     )
 
@@ -283,17 +282,49 @@ def leasing_spec(
     )
 
 
-def _flat_and_peak(dist: ChallengeDistribution) -> tuple[Fraction, int | None, Fraction]:
-    """(flat weight, peak, peak weight) of an exact-weight table: every
-    entry but the peak's carries the flat weight.  Uniform tables have no
-    peak."""
-    peak = None if dist.kind == "uniform" else dist.point
-    if peak is None:
-        flat = dist.prob_fraction(0)
-        return flat, None, flat
-    other = 1 if peak == 0 else 0
-    flat = dist.prob_fraction(other) if dist.size > 1 else Fraction(0)
-    return flat, peak, dist.prob_fraction(peak)
+def _exact_best_guess(circuit_dist: ChallengeDistribution, family: Family) -> Fraction | None:
+    """:func:`_best_guess_rate` in exact rationals, or None when a weight
+    is inexact.
+
+    Row p of the weights is c_p times a shape that is flat but for one
+    peak, so challenge x's term depends only on row x's (c_x, shape, peak
+    at x or not) and on the peaks that other rows put at x.  Rows are
+    counted by the former; the latter, which point-centred families never
+    have, are corrected one challenge at a time.  O(2^k) time, and memory
+    for the distinct rows and off-centre peaks only.
+    """
+    circuit = circuit_dist.exact_shape()
+    if circuit is None:
+        return None
+
+    def row(p: int):
+        """(c_p, flat, peak weight, peak) of row p, or None."""
+        shape = family(p).exact_shape()
+        if shape is not None:
+            return circuit[2] if p == circuit[1] else circuit[0], shape[0], shape[2], shape[1]
+
+    rows: Counter = Counter()
+    off_peaks: dict[int, Fraction] = {}
+    for p in range(circuit_dist.size):
+        if (weights := row(p)) is None:
+            return None
+        c, flat, top, peak = weights
+        rows[c, flat, top, peak == p] += 1
+        if peak not in (None, p):
+            off_peaks[peak] = off_peaks.get(peak, 0) + c * (top - flat)
+    flat_marginal = sum(n * c * flat for (c, flat, _, _), n in rows.items())
+
+    def best(c, flat, top, centred, peaks=0):
+        # the larger weight of (point = x, x) and (point != x, x); ties
+        # broken toward b=0, value unaffected
+        hit = c * (top if centred else flat)
+        return max(hit, flat_marginal + peaks - c * flat)
+
+    total = sum(n * best(*key) for key, n in rows.items())
+    for x, peaks in off_peaks.items():
+        c, flat, top, peak = row(x)
+        total += best(c, flat, top, peak == x, peaks) - best(c, flat, top, peak == x)
+    return total
 
 
 def _best_guess_rate(
@@ -302,41 +333,21 @@ def _best_guess_rate(
     """E over the challenge marginal of the best fixed guess of C(x).
 
     Sums, over challenges x, the larger of the weights of (point = x, x)
-    and (point != x, x).  Exact rational arithmetic when every weight is
-    exact, floats otherwise.  Exact tables are flat apart from at most one
-    peak, so the challenge marginal is one flat sum plus the peaks, and
-    the exact branch costs O(2^k) rather than O(4^k).
-
-    One pass over the points builds each table once and keeps none of
-    them: the float weights are summed by challenge row by row, as
-    ``weights.sum(axis=0)`` adds the rows of the full weight matrix.
+    and (point != x, x): from the shapes when every weight is exact
+    (:func:`_exact_best_guess`), otherwise in floats from the tables, one
+    point's row at a time, as ``weights.sum(axis=0)`` adds the rows of
+    the full weight matrix, in O(4^k).
     """
-    size = circuit_dist.size
-    exact = circuit_dist.prob_fraction(0) is not None
-    diag = np.empty(size)
-    col = np.zeros(size)
-    hits: list[Fraction] = []  # exact weight of (point = x, challenge = x)
-    flat_marginal = Fraction(0)
-    peaks: dict[int, Fraction] = {}
-    for p in range(size):
-        table = family(p)
-        row = table.probs * circuit_dist.probs[p]
+    exact = _exact_best_guess(circuit_dist, family)
+    if exact is not None:
+        return exact
+    circuit = circuit_dist.probs
+    diag = np.empty(circuit.size)
+    col = np.zeros(circuit.size)
+    for p in range(circuit.size):
+        row = family(p).probs * circuit[p]
         diag[p] = row[p]
         col += row
-        exact = exact and table.prob_fraction(0) is not None
-        if exact:
-            c = circuit_dist.prob_fraction(p)
-            flat, peak, top = _flat_and_peak(table)
-            flat_marginal += c * flat
-            if peak is not None:
-                peaks[peak] = peaks.get(peak, Fraction(0)) + c * (top - flat)
-            hits.append(c * (top if peak == p else flat))
-    if exact:
-        # ties broken toward b=0; value unaffected
-        return sum(
-            (max(w1, flat_marginal + peaks.get(x, Fraction(0)) - w1) for x, w1 in enumerate(hits)),
-            Fraction(0),
-        )
     return float(np.maximum(diag, col - diag).sum())
 
 
@@ -553,24 +564,6 @@ def keysearch_adversary(
     scheme: QasScheme, budget_size: int
 ) -> tuple[KeysearchPirate, MeasurementStrategy]:
     return KeysearchPirate(scheme, budget_size), PointGuessStrategy()
-
-
-def cheat_double_program(scheme: QasScheme) -> tuple[object, MeasurementStrategy]:
-    """Harness-validation fixture only: hands BOTH parties an honest
-    program, which no physical pirate can do.  With an identity pirate
-    this makes the win rate the product of two exact correctness values,
-    validating the plumbing independently of any security claim."""
-
-    class _Cloner:
-        name = "cheat-double-program"
-
-        def __init__(self, scheme: QasScheme):
-            self.scheme = scheme
-
-        def split(self, program_state: PureState, point: int, rng):
-            return program_state, protect(self.scheme, point).state, None
-
-    return _Cloner(scheme), HonestEvalStrategy(scheme)
 
 
 # In the leasing game the lessor's verification plays honest Bob: the

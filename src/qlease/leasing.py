@@ -170,10 +170,7 @@ def pushforward(cf: CompareFunction, dist: ChallengeDistribution) -> ChallengeDi
     """
     if dist.bits != cf.in_bits:
         raise DimensionMismatchError("distribution must live on f's domain")
-    probs = np.zeros(1 << cf.out_bits)
-    for x, p in enumerate(dist.probs):
-        probs[cf.table[x]] += p
-    return ChallengeDistribution(cf.out_bits, probs)
+    return ChallengeDistribution(cf.out_bits, np.bincount(cf.table, dist.probs, 1 << cf.out_bits))
 
 
 def epsilon_f(p_triv_cc: float, p_triv_pf: float, epsilon: float) -> float:

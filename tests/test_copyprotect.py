@@ -1,8 +1,11 @@
 """Tests for point-function protection, preserving evaluation, exact
 correctness, the permutation wrapper and the challenge distributions."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qlease import copyprotect as cp
 from qlease import qas
@@ -96,13 +99,122 @@ def test_sample_pair_independent_product():
 
 
 def test_prob_fraction_structured():
-    from fractions import Fraction
-
     assert cp.uniform_points(3).prob_fraction(5) == Fraction(1, 8)
     assert cp.dhalf(0, 3).prob_fraction(0) == Fraction(1, 2)
     assert cp.dhalf(0, 3).prob_fraction(1) == Fraction(1, 14)
     table = cp.ChallengeDistribution(1, np.array([0.3, 0.7]))
     assert table.prob_fraction(0) is None
+
+
+#: Distributions that must be refused when they are built.
+INVALID_DISTRIBUTIONS = {
+    "negative-point": lambda: cp.biased_point(-1, 3, 0.5),
+    "point-too-large": lambda: cp.dhalf(9, 3),
+    "zero-bits-dhalf": lambda: cp.dhalf(0, 0),
+    "zero-bits-biased": lambda: cp.biased_point(0, 0, 0.3),
+    "r-above-one": lambda: cp.biased_point(0, 3, 1.5),
+    "zero-bits-uniform": lambda: cp.uniform_points(0),
+    "unknown-kind": lambda: cp.ChallengeDistribution(2, [0.25] * 4, kind="dhalf", point=1),
+    "biased-without-r": lambda: cp.ChallengeDistribution(2, kind="biased", point=1),
+    "biased-without-point": lambda: cp.ChallengeDistribution(2, kind="biased", r=0.5),
+    "uniform-with-table": lambda: cp.ChallengeDistribution(2, [0.25] * 4, kind="uniform"),
+    "table-with-point": lambda: cp.ChallengeDistribution(2, [0.25] * 4, point=1),
+    "table-without-table": lambda: cp.ChallengeDistribution(2),
+}
+
+
+@pytest.mark.parametrize("build", INVALID_DISTRIBUTIONS.values(), ids=INVALID_DISTRIBUTIONS.keys())
+def test_invalid_distributions_fail_at_construction(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_structured_distributions_hold_no_array():
+    for dist in (cp.uniform_points(20), cp.dhalf(3, 20), cp.biased_point(3, 20, 0.3), cp.point_mass(1, 20)):
+        assert not any(isinstance(value, np.ndarray) for value in vars(dist).values()), dist.kind
+    table = cp.ChallengeDistribution(1, [0.3, 0.7])
+    assert isinstance(table.table, np.ndarray) and table.probs is table.table
+
+
+class _ParentDistribution:
+    """The distributions as a dense table plus their kind, point and r,
+    with the probabilities, exact weights and draws they had as such:
+    the reference the shape-only distributions must reproduce."""
+
+    def __init__(self, bits, probs, kind, point=None, r=None):
+        self.bits, self.probs, self.kind, self.point, self.r = bits, probs, kind, point, r
+        self.size = 1 << bits
+
+    @classmethod
+    def uniform(cls, bits):
+        n = 1 << bits
+        return cls(bits, np.full(n, 1.0 / n), "uniform")
+
+    @classmethod
+    def dhalf(cls, point, bits):
+        n = 1 << bits
+        probs = np.full(n, 0.5 / (n - 1))
+        probs[point] = 0.5
+        return cls(bits, probs, "dhalf", point)
+
+    @classmethod
+    def biased(cls, point, bits, r):
+        n = 1 << bits
+        probs = np.full(n, (1.0 - r) / (n - 1))
+        probs[point] = r
+        return cls(bits, probs, "biased", point, r)
+
+    def prob(self, x):
+        return float(self.probs[x])
+
+    def prob_fraction(self, x):
+        n = self.size
+        if self.kind == "uniform":
+            return Fraction(1, n)
+        if self.kind == "dhalf":
+            return Fraction(1, 2) if x == self.point else Fraction(1, 2 * (n - 1))
+        fr = Fraction(self.r).limit_denominator(10**12)
+        if float(fr) != self.r:
+            return None
+        return fr if x == self.point else (1 - fr) / (n - 1)
+
+    def sample(self, rng):
+        if self.kind == "uniform":
+            return int(rng.integers(self.size))
+        r = 0.5 if self.kind == "dhalf" else self.r
+        if rng.random() < r:
+            return self.point
+        other = int(rng.integers(self.size - 1))
+        return other + (other >= self.point)
+
+
+@st.composite
+def _distribution_pairs(draw):
+    bits = draw(st.integers(1, 10))
+    point = draw(st.integers(0, (1 << bits) - 1))
+    kind = draw(st.sampled_from(["uniform", "dhalf", "biased"]))
+    if kind == "uniform":
+        return cp.uniform_points(bits), _ParentDistribution.uniform(bits)
+    if kind == "dhalf":
+        return cp.dhalf(point, bits), _ParentDistribution.dhalf(point, bits)
+    exact = st.sampled_from([0.0, 0.125, 0.3, 0.5, 0.75, 1.0])
+    r = draw(st.one_of(exact, st.floats(0.0, 1.0)))
+    return cp.biased_point(point, bits, r), _ParentDistribution.biased(point, bits, r)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_distribution_pairs(), st.integers(0, 2**32 - 1))
+def test_shapes_reproduce_the_dense_tables(pair, seed):
+    dist, parent = pair
+    assert dist.probs.tobytes() == parent.probs.tobytes()
+    n = dist.size
+    probe = {0, n - 1, *(x % n for x in (parent.point or 0, (parent.point or 0) + 1))}
+    for x in probe:
+        assert dist.prob(x) == parent.prob(x)
+        assert dist.prob_fraction(x) == parent.prob_fraction(x)
+    ours, theirs = spawn_rng(seed), spawn_rng(seed)
+    assert [dist.sample(ours) for _ in range(20)] == [parent.sample(theirs) for _ in range(20)]
+    assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 # ---------------------------------------------------------------------------
