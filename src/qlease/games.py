@@ -22,9 +22,10 @@ ancilla (:class:`PirateMap`), or search for the key
 (:class:`KeysearchPirate`).
 
 Every Monte Carlo estimate here is reproducible: trial ``i`` of a run
-with master seed ``s`` uses the generator ``spawn_rng(s, i)``, so serial
-and parallel schedules produce identical reports.  For a pirate that
-hands out fixed registers, :func:`exact_win` gives the exact winning
+with master seed ``s`` uses a generator equal to ``spawn_rng(s, i)``
+(derived in blocks by ``spawn_rngs``), so serial and parallel
+schedules produce identical reports.  For a pirate that hands out fixed
+registers, :func:`exact_win` gives the exact winning
 probability from each register's acceptance at every challenge, computed
 from the enumerated design: an independent route against which the
 trial loop is checked.
@@ -70,7 +71,7 @@ from .qmath import (
     PureState,
     maximally_mixed,
     measure_projective,
-    spawn_rng,
+    spawn_rngs,
     zero_state,
 )
 
@@ -289,9 +290,11 @@ def _exact_best_guess(circuit_dist: ChallengeDistribution, family: Family) -> Fr
     Row p of the weights is c_p times a shape that is flat but for one
     peak, so challenge x's term depends only on row x's (c_x, shape, peak
     at x or not) and on the peaks that other rows put at x.  Rows are
-    counted by the former; the latter, which point-centred families never
-    have, are corrected one challenge at a time.  O(2^k) time, and memory
-    for the distinct rows and off-centre peaks only.
+    counted by the former, under the numerators and denominators of its
+    weights (cheaper to hash than the ``Fraction``s), with one
+    representative row per key; the latter, which point-centred families
+    never have, are corrected one challenge at a time.  O(2^k) time, and
+    memory for the distinct rows and off-centre peaks only.
     """
     circuit = circuit_dist.exact_shape()
     if circuit is None:
@@ -303,16 +306,24 @@ def _exact_best_guess(circuit_dist: ChallengeDistribution, family: Family) -> Fr
         if shape is not None:
             return circuit[2] if p == circuit[1] else circuit[0], shape[0], shape[2], shape[1]
 
-    rows: Counter = Counter()
+    counts: Counter = Counter()
+    rows: dict[tuple, tuple[Fraction, Fraction, Fraction, bool]] = {}
     off_peaks: dict[int, Fraction] = {}
     for p in range(circuit_dist.size):
         if (weights := row(p)) is None:
             return None
         c, flat, top, peak = weights
-        rows[c, flat, top, peak == p] += 1
+        key = (
+            c.numerator, c.denominator, flat.numerator, flat.denominator,
+            top.numerator, top.denominator, peak == p,
+        )
+        counts[key] += 1
+        if key not in rows:
+            rows[key] = c, flat, top, peak == p
         if peak not in (None, p):
             off_peaks[peak] = off_peaks.get(peak, 0) + c * (top - flat)
-    flat_marginal = sum(n * c * flat for (c, flat, _, _), n in rows.items())
+    rows_counted = [(rows[key], n) for key, n in counts.items()]
+    flat_marginal = sum(n * c * flat for (c, flat, _, _), n in rows_counted)
 
     def best(c, flat, top, centred, peaks=0):
         # the larger weight of (point = x, x) and (point != x, x); ties
@@ -320,7 +331,7 @@ def _exact_best_guess(circuit_dist: ChallengeDistribution, family: Family) -> Fr
         hit = c * (top if centred else flat)
         return max(hit, flat_marginal + peaks - c * flat)
 
-    total = sum(n * best(*key) for key, n in rows.items())
+    total = sum(n * best(*weights) for weights, n in rows_counted)
     for x, peaks in off_peaks.items():
         c, flat, top, peak = row(x)
         total += best(c, flat, top, peak == x, peaks) - best(c, flat, top, peak == x)
@@ -427,7 +438,8 @@ def append_csv(report: GameReport, path: str | Path) -> None:
 def _play(spec: GameSpec, pirate, charlie: MeasurementStrategy, trials: int, seed: int) -> int:
     """Wins in ``trials`` Monte Carlo trials of the honest-malicious game.
 
-    Trial ``i`` uses ``spawn_rng(seed, i)`` and draws, in order: the
+    Trial ``i`` uses a generator equal to ``spawn_rng(seed, i)`` (from
+    :func:`~qlease.qmath.spawn_rngs`) and draws, in order: the
     point, the pirate's split, Bob's challenge, Charlie's challenge,
     Bob's honest measurement on his register, and Charlie's answer from
     his own register, which Bob's measurement leaves untouched.  The
@@ -452,8 +464,7 @@ def _play(spec: GameSpec, pirate, charlie: MeasurementStrategy, trials: int, see
     wins = 0
     token = _RUN_PAIRS.set((scheme, bob_pairs))
     try:
-        for i in range(trials):
-            rng = spawn_rng(seed, i)
+        for rng in spawn_rngs(seed, trials):
             p = spec.circuit_dist.sample(rng)
             psi, pf, bob_dist, charlie_dist = at_point(p)
             bob, charlie_state, side = pirate.split(psi, p, rng)

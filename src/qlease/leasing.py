@@ -36,10 +36,15 @@ from .qmath import DensityOperator, DimensionMismatchError, PureState
 class SslScheme:
     """Leasing scheme: the base authentication scheme plus the shape of
     the verification challenge T'_C = (point with mass ``verify_r``,
-    uniform elsewhere).  ``verify_r = 1`` verifies at the point itself."""
+    uniform elsewhere).  ``verify_r = 1`` verifies at the point itself;
+    a mass outside [0, 1] (or NaN) raises ``ValueError``."""
 
     base: QasScheme
     verify_r: float = 1.0
+
+    def __post_init__(self):
+        if not 0.0 <= self.verify_r <= 1.0:
+            raise ValueError(f"verify_r must lie in [0, 1], got {self.verify_r}")
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ pretending it is small.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Literal
@@ -236,24 +237,33 @@ def verify(
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=4)
+def _trap_zero_columns_conj(design: EnumeratedDesign, step: int) -> np.ndarray:
+    """The conjugated columns of every element at which the traps read
+    zero, ``elements()[:, :, ::step].conj()``, read-only."""
+    cols = design.elements()[:, :, ::step].conj()
+    cols.setflags(write=False)
+    return cols
+
+
 def acceptance_by_index(scheme: QasScheme, state) -> np.ndarray:
     """Acceptance probability of ``state`` for every design index.
 
     Needs an enumerated design; this is the workhorse behind exact
-    wrong-key averages and exact correctness numbers.
+    wrong-key averages and exact correctness numbers.  Only the columns
+    at which the traps read zero enter, conjugated once per design and
+    trap count.
     """
     design = scheme.design
     if not isinstance(design, EnumeratedDesign):
         raise ValueError("exact per-index acceptance needs an enumerated design")
     step = 1 << scheme.trap_qubits
-    arr = design.elements()
+    cols = _trap_zero_columns_conj(design, step)
     if isinstance(state, PureState):
-        amps = state.amplitudes
-        v = np.einsum("nji,j->ni", arr.conj(), amps)[:, ::step]
+        v = np.einsum("nji,j->ni", cols, state.amplitudes)
         return np.einsum("ni,ni->n", v.conj(), v).real
     rho = _as_density_on_y(scheme, state)
-    a = arr[:, :, ::step]
-    return np.einsum("nji,jk,nki->n", a.conj(), rho, a).real
+    return np.einsum("nji,jk,nki->n", cols, rho, design.elements()[:, :, ::step]).real
 
 
 def avg_wrong_key_accept(

@@ -47,14 +47,18 @@ Operations are pure functions.  The only stateful object is a
 ``numpy.random.Generator``; never share one between threads.  Derive
 per-worker generators with :func:`spawn_rng`, which maps ``(seed, *key)``
 to an independent stream deterministically (so parallel and serial
-schedules see identical randomness).
+schedules see identical randomness).  A game run's trial generators
+come from :func:`spawn_rngs`, which derives them in blocks of
+:data:`SPAWN_BLOCK` trials: trial ``i``'s generator equals
+``spawn_rng(seed, i)`` bit for bit, but its bit generator carries a
+non-spawnable seed stub in place of a ``SeedSequence``.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -100,6 +104,94 @@ def spawn_rng(seed: int, *key: int) -> np.random.Generator:
     the pair ``(seed, key)``, not on call order.
     """
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
+
+
+#: Trials whose generators :func:`spawn_rngs` derives in one vectorised
+#: step; a power of two, so no block straddles 2**32.
+SPAWN_BLOCK = 256
+
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+class _TrialSeed:
+    """A non-spawnable seed stub: hands ``PCG64`` the four state words
+    that ``SeedSequence(entropy=seed, spawn_key=(i,))`` would generate.
+
+    :func:`spawn_rngs` registers it as a
+    ``numpy.random.bit_generator.ISeedSequence`` on first use, not at
+    import, since numpy loads ``numpy.random`` lazily.
+    """
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("a trial seed holds exactly 4 uint64 words")
+        return self.words
+
+
+def _hash(value: np.ndarray, const: int, mult: int) -> tuple[np.ndarray, int]:
+    """SeedSequence's hash of uint32 words (``hashmix`` with ``_MULT_A``,
+    the output hash of ``generate_state`` with ``_MULT_B``); returns the
+    hashed words and the next constant."""
+    value = value ^ np.uint32(const)
+    const = const * mult & _MASK32
+    value *= np.uint32(const)
+    return value ^ value >> 16, const
+
+
+def _trial_states(seed: int, start: int, stop: int) -> np.ndarray:
+    """``SeedSequence(entropy=seed, spawn_key=(i,)).generate_state(4,
+    np.uint64)`` for every ``i`` in ``[start, stop)``, as rows, for
+    ``0 <= start <= stop <= 2**64``.
+
+    The seed's words fill the 4-word pool first (``SeedSequence(seed).pool``:
+    when the seed is shorter than the pool, its zero padding hashes as the
+    pool's own fill does), and each hash call advances one multiplier, so
+    only the index words are mixed here, all indices at once, in uint32
+    arithmetic.
+    """
+    pool = np.random.SeedSequence(seed).pool
+    seed_words = max(1, -(-seed.bit_length() // 32))
+    # 4 fill and 12 cross-mix hash calls, then 4 per seed word past the pool
+    const = _INIT_A * pow(_MULT_A, 16 + 4 * max(0, seed_words - 4), 1 << 32) & _MASK32
+    index = np.arange(start, stop, dtype=np.uint64)
+    mixer = [np.full(index.size, word, dtype=np.uint32) for word in pool]
+    for j in range(max(1, -(-(stop - 1).bit_length() // 32))):
+        word = (index >> np.uint64(32 * j) & np.uint64(_MASK32)).astype(np.uint32)
+        for dst in range(4):
+            hashed, const = _hash(word, const, _MULT_A)
+            mixed = np.uint32(_MIX_L) * mixer[dst] - np.uint32(_MIX_R) * hashed
+            mixed ^= mixed >> 16
+            # an index has only as many words as it needs
+            mixer[dst] = mixed if j == 0 else np.where(index >> np.uint64(32 * j) > 0, mixed, mixer[dst])
+    out = np.empty((index.size, 8), dtype=np.uint32)
+    const = _INIT_B
+    for j in range(8):
+        out[:, j], const = _hash(mixer[j % 4], const, _MULT_B)
+    return out.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def spawn_rngs(seed: int, trials: int) -> Iterator[np.random.Generator]:
+    """Yield ``spawn_rng(seed, i)`` for ``i`` in ``range(trials)``, each a
+    fresh generator equal to it bit for bit, derived
+    :data:`SPAWN_BLOCK` trials at a time.
+
+    Each block's ``PCG64`` state words come from :func:`_trial_states`;
+    numpy seeds the bit generator from them through a non-spawnable stub
+    (``Generator.spawn`` raises ``TypeError``).  Memory is O(block).
+    """
+    np.random.bit_generator.ISeedSequence.register(_TrialSeed)
+    for start in range(0, trials, SPAWN_BLOCK):
+        for words in _trial_states(seed, start, min(start + SPAWN_BLOCK, trials)):
+            yield np.random.Generator(np.random.PCG64(_TrialSeed(words)))
 
 
 def sample_bit(p: float, rng: np.random.Generator) -> int:

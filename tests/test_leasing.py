@@ -242,3 +242,14 @@ def test_compare_function_validation():
         CompareFunction((0, 4), 2, 0)  # value outside range
     with pytest.raises(ValueError):
         CompareFunction((0, 1), 2, 9)  # target outside range
+
+
+@pytest.mark.parametrize("r", [1.5, -0.1, float("nan")])
+def test_ssl_scheme_rejects_a_mass_outside_the_unit_interval(scheme, r):
+    with pytest.raises(ValueError, match="verify_r"):
+        SslScheme(scheme, verify_r=r)
+
+
+@pytest.mark.parametrize("r", [0.0, 0.5, 1.0])
+def test_ssl_scheme_accepts_the_unit_interval(scheme, r):
+    assert SslScheme(scheme, verify_r=r).verify_r == r

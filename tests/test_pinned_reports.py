@@ -81,24 +81,46 @@ PINNED = [
         86,
         "68f280f9eb4baa24029265542893f053e074a5e7580edd72c098fb1886beebe0",
     ),
+    # Master seeds of one, two and five 32-bit words: the trial
+    # generators are derived from each seed's words in blocks.
+    (
+        ["cp", "--adversary", "give-to-charlie", "--seed", "0", "--scheme", "1,1,6"],
+        70,
+        "c8f41d58be43ce1a6d30c9a74943caa731cd677712b6028f2ec1a3bf82bf356e",
+    ),
+    (
+        ["cp", "--adversary", "give-to-charlie", "--seed", "4294967296", "--scheme", "1,1,6"],
+        66,
+        "906aea87b78150567e206457b1807946989798cea8dec092de043c658491a480",
+    ),
+    (
+        [
+            "cp", "--adversary", "give-to-charlie",
+            "--seed", "340282366920938463463374607431768211457", "--scheme", "1,1,6",
+        ],
+        79,
+        "6e18279071a8bf76cbb913979b983de07f4194d49d2798a05d7a1b4c6f08a7ad",
+    ),
 ]
 
 
 def _pin_id(argv):
     """``game-adversary-scheme``, with ``-budgetB`` after the adversary
-    when the budget is not the CLI default of 4, and ``-rR`` when the
-    point mass is given."""
+    when the budget is not the CLI default of 4, ``-rR`` when the point
+    mass is given and ``-seedS`` when the seed is not :data:`SEED`."""
     budget = argv[argv.index("--budget") + 1] if "--budget" in argv else "4"
     adversary = argv[2] if budget == "4" else f"{argv[2]}-budget{budget}"
-    if "--r" in argv:
-        adversary += f"-r{argv[argv.index('--r') + 1]}"
+    for flag in ("--r", "--seed"):
+        if flag in argv:
+            adversary += f"-{flag[2:]}{argv[argv.index(flag) + 1]}"
     return f"{argv[0]}-{adversary}-{argv[-1]}"
 
 
 @pytest.mark.parametrize("argv,wins,sha256", PINNED, ids=[_pin_id(argv) for argv, _, _ in PINNED])
 def test_same_seed_report_is_pinned(tmp_path, argv, wins, sha256):
     out = tmp_path / "report.json"
-    rc = main([*argv, "--trials", TRIALS, "--seed", SEED, "--out", str(out)])
+    seed = [] if "--seed" in argv else ["--seed", SEED]
+    rc = main([*argv, "--trials", TRIALS, *seed, "--out", str(out)])
     assert rc == EXIT_OK
     data = out.read_bytes()
     assert json.loads(data)["wins"] == wins

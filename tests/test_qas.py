@@ -175,6 +175,21 @@ def test_trusted_results_pass_the_public_checks(params):
     assert iso.matrix.tobytes() == Isometry(qas._auth_matrix(scheme, key)).matrix.tobytes()
 
 
+def test_acceptance_by_index_equals_the_full_conjugate_expressions(scheme):
+    # reference: conjugate every element, then keep the trap-zero columns
+    arr = scheme.design.elements()
+    rng = spawn_rng(13)
+    for _ in range(20):
+        psi = random_pure_state(2, rng)
+        v = np.einsum("nji,j->ni", arr.conj(), psi.amplitudes)[:, ::2]
+        expect = np.einsum("ni,ni->n", v.conj(), v).real
+        assert np.array_equal(qas.acceptance_by_index(scheme, psi), expect)
+        rho = random_density(2, rng)
+        a = arr[:, :, ::2]
+        expect = np.einsum("nji,jk,nki->n", a.conj(), rho.matrix, a).real
+        assert np.array_equal(qas.acceptance_by_index(scheme, rho), expect)
+
+
 def test_wrong_key_design_average_exact(scheme):
     rng = spawn_rng(10)
     for _ in range(20):

@@ -1,5 +1,7 @@
 """Tests for the dense linear-algebra layer."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -647,6 +649,54 @@ def test_spawn_rng_deterministic_and_split():
     c = spawn_rng(7, 2).random(4)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize(
+    "seed", [0, 1, 2**32 - 1, 2**32, 2**64, 2**128 - 1, 2**128, 2**200]
+)
+def test_spawn_rngs_equal_spawn_rng(seed):
+    block = qmath.SPAWN_BLOCK
+    trials = 2 * block + 3  # the last block is short
+    checked = {0, block - 1, block, block + 1, trials - 1}
+    count = 0
+    for i, rng in enumerate(qmath.spawn_rngs(seed, trials)):
+        count += 1
+        if i in checked:
+            assert rng.bit_generator.state == spawn_rng(seed, i).bit_generator.state
+    assert count == trials
+
+
+@pytest.mark.parametrize("seed", [0, 2**32, 2**200])
+@pytest.mark.parametrize("start,stop", [(2**32 - 2, 2**32 + 2), (2**64 - 3, 2**64)])
+def test_trial_states_of_indices_past_one_word(seed, start, stop):
+    states = qmath._trial_states(seed, start, stop)
+    for row, i in zip(states, range(start, stop), strict=True):
+        reference = np.random.SeedSequence(entropy=seed, spawn_key=(i,))
+        assert np.array_equal(row, reference.generate_state(4, np.uint64))
+
+
+def test_spawn_rngs_gives_each_trial_its_own_generator():
+    rngs = list(qmath.spawn_rngs(3, qmath.SPAWN_BLOCK + 1))
+    assert len({id(rng) for rng in rngs}) == len(rngs)
+    assert len({id(rng.bit_generator) for rng in rngs}) == len(rngs)
+    with pytest.raises(TypeError):
+        rngs[0].spawn(1)  # the seed stub is not spawnable
+
+
+def test_spawn_rngs_memory_is_bounded_by_the_block():
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            for _ in qmath.spawn_rngs(5, trials):
+                pass
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(10)  # the first run registers the seed stub
+    small, large = peak(2_000), peak(20_000)
+    assert abs(large - small) <= 1024
+    assert large < 256 * qmath.SPAWN_BLOCK
 
 
 @pytest.mark.parametrize("p,bit", [(0.0, 0), (1e-13, 0), (1 - 1e-13, 1), (1.0, 1)])
