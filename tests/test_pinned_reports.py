@@ -101,6 +101,28 @@ PINNED = [
         79,
         "6e18279071a8bf76cbb913979b983de07f4194d49d2798a05d7a1b4c6f08a7ad",
     ),
+    # Indexed (not enumerated) designs at 3 and 6 qubits: the evaluation
+    # measurements come from elements built on demand.
+    (
+        ["cp", "--adversary", "keysearch", "--budget", "16", "--scheme", "2,1,6"],
+        62,
+        "2afd01704625eab029437856b030d23226124b24b0b0d63188d9d16f2144c532",
+    ),
+    (
+        ["cp", "--adversary", "keysearch", "--budget", "64", "--scheme", "3,3,6"],
+        58,
+        "bcabbc4adcb5256ea5a178e574e7c0bbd0ff74700ad595bc0806ed95da3356ed",
+    ),
+    (
+        ["ssl", "--adversary", "keep-program", "--scheme", "2,1,6"],
+        60,
+        "af93a13862670a26e0c27afb8b335912542a7edfd9fc1ba6f02d346af18aebdd",
+    ),
+    (
+        ["cp", "--adversary", "trivial-forward", "--scheme", "3,3,6"],
+        61,
+        "b9721abf2273db4387f90ce44640308776298a733e648faa9639dfe42d816b10",
+    ),
 ]
 
 
