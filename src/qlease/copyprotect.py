@@ -6,15 +6,17 @@ with ``x`` as the claimed key and outputs 1 exactly on acceptance, so the
 encoded point always evaluates to 1 and other inputs reject at the
 wrong-key rate of the underlying scheme.
 
-Two evaluation modes exist.  :func:`evaluate` is the destructive one: it
-consumes the program.  :func:`evaluate_preserving` hands the program back.
-The construction's copy-out-the-answer circuit (purified verify, CNOT the
-accept bit onto a fresh qubit, uncompute) leaves the ancillas in |0> and
-acts on the program register exactly as the two-outcome measurement
-{I - A_x A_x†, A_x A_x†} of :func:`evaluation_measurement`, so that
-measurement is what runs: the same bit distribution and post-states
-without a circuit on a register four times the program's size.  On the
-encoded point the program is returned exactly intact.
+Evaluation at ``x`` is the two-outcome measurement {I - A_x A_x†,
+A_x A_x†} that the key's encoding isometry ``A_x`` defines: outcome 1,
+acceptance, is the range of ``A_x``.  :func:`evaluation_measurement`
+gives it as ``A_x†``, a view of the per-design column stack that the
+exact acceptance vectors read.  The construction's copy-out-the-answer
+circuit (purified verify, CNOT the accept bit onto a fresh qubit,
+uncompute) leaves the ancillas in |0> and acts on the program register
+exactly as this measurement, so the measurement is what runs: the same
+bits and post-states without a circuit on a register four times the
+program's size.  :func:`evaluate_preserving` hands the program back,
+exactly intact on the encoded point; :func:`evaluate` consumes it.
 
 :func:`mix_protect` wraps a program with a pairwise independent
 permutation: the point is first pushed through a uniformly random
@@ -32,15 +34,12 @@ from typing import Literal
 import numpy as np
 
 from .designs import PairwisePermFamily
-from .qas import QasScheme, acceptance_by_index, accept_probability
+from .qas import QasScheme, acceptance_by_index, adjoint_isometry
 from .qmath import (
     DensityOperator,
     DimensionMismatchError,
-    ProjectiveMeasurement,
     PureState,
     measure_projective,
-    sample_bit,
-    two_outcome,
     zero_state,
 )
 
@@ -221,35 +220,29 @@ def protect(scheme: QasScheme, point: int) -> ProtectedProgram:
 
 
 def accept_projector(scheme: QasScheme, x: int) -> np.ndarray:
-    """Projector onto valid encodings under key ``x`` (``A_x A_x†``)."""
+    """Projector onto valid encodings under key ``x`` (``A_x A_x†``): the
+    dense reference, which evaluation does not build."""
     from .qas import auth_isometry
 
     a = auth_isometry(scheme, x).matrix
     return a @ a.conj().T
 
 
-def evaluation_measurement(scheme: QasScheme, x: int) -> ProjectiveMeasurement:
-    """Honest evaluation at ``x`` as a validated two-outcome measurement on
-    the program register: outcome 1 is acceptance (``A_x A_x†``)."""
-    return two_outcome(accept_projector(scheme, x))
+def evaluation_measurement(scheme: QasScheme, x: int) -> np.ndarray:
+    """Honest evaluation at ``x``, as :func:`~qlease.qmath.measure_projective`
+    takes it: ``A_x†`` (:func:`~qlease.qas.adjoint_isometry`), whose
+    outcome 1, acceptance, is the range of the encoding isometry ``A_x``."""
+    return adjoint_isometry(scheme, x)
 
 
 def evaluate(program: ProtectedProgram, x: int, rng: np.random.Generator) -> int:
     """Destructive evaluation: verify with key ``x``, output 1 on accept.
 
     The program is consumed; the encoded point always evaluates to 1.
+    The bit is that of :func:`evaluate_preserving`, whose returned
+    program is dropped.
     """
-    program._claim()
-    if program.kind == "mixed":
-        raise ValueError("mixed programs evaluate through mix_evaluate")
-    return _consume_at(program, x, rng)
-
-
-def _consume_at(program: ProtectedProgram, x: int, rng: np.random.Generator) -> int:
-    """Verify the program with key ``x``, consume it, and sample the bit."""
-    p = accept_probability(program.scheme, x, program.state)
-    program.consumed = True
-    return sample_bit(p, rng)
+    return evaluate_preserving(program, x, rng)[0]
 
 
 def evaluate_preserving(
@@ -279,8 +272,10 @@ def post_evaluation_state(
     one round of evaluation does to the program when nobody looks at the
     answer bit."""
     rho = state.density().matrix if isinstance(state, PureState) else state.matrix
-    pair = evaluation_measurement(scheme, x)
-    return DensityOperator(sum(p @ rho @ p for p in pair.projectors))
+    accept = evaluation_measurement(scheme, x)
+    p = accept.conj().T @ accept
+    q = np.eye(len(p)) - p
+    return DensityOperator(p @ rho @ p + q @ rho @ q)
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +352,10 @@ def mix_evaluate(program: ProtectedProgram, x: int, rng: np.random.Generator) ->
     if program.kind != "mixed":
         raise ValueError("mix_evaluate needs a mixed program")
     program._claim()
-    return _consume_at(program, program.family.apply(program.perm_param, x), rng)
+    h_x = program.family.apply(program.perm_param, x)
+    outcome, _ = measure_projective(program.state, evaluation_measurement(program.scheme, h_x), rng)
+    program.consumed = True
+    return outcome
 
 
 def mix_error_exact(

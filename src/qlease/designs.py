@@ -601,6 +601,8 @@ def frame_potential(
             overlaps = flat[lo : lo + block].conj() @ flat.T
             total += float(np.sum(np.abs(overlaps) ** 4))
         return total / design.cardinality**2
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     if rng is None:
         raise ValueError("sampled frame potential needs an rng")
     ii = uniform_index(design.cardinality, rng, samples)

@@ -42,7 +42,6 @@ from __future__ import annotations
 import csv
 import functools
 from collections import Counter
-from contextvars import ContextVar
 from dataclasses import asdict, dataclass, field, fields, replace
 from fractions import Fraction
 from pathlib import Path
@@ -67,7 +66,6 @@ from .leasing import SslScheme, verify_distribution
 from .qas import QasScheme
 from .qmath import (
     DensityOperator,
-    ProjectiveMeasurement,
     PureState,
     maximally_mixed,
     measure_projective,
@@ -125,30 +123,14 @@ class PirateMap:
         return program_state, self.ancilla, None
 
 
-#: The evaluation measurements of the run in progress, as (scheme, lookup):
-#: :func:`_play` sets one cache per run, which Bob, honest Charlie and the
-#: keysearch pirate share, and drops it when the run ends.
-_RUN_PAIRS: ContextVar[tuple[QasScheme, Callable[[int], ProjectiveMeasurement]] | None] = (
-    ContextVar("_RUN_PAIRS", default=None)
-)
-
-
-def _evaluation_pair(scheme: QasScheme, x: int) -> ProjectiveMeasurement:
-    """:func:`evaluation_measurement` at ``x``: from the run's cache during
-    a run of ``scheme``, built and validated afresh otherwise."""
-    run = _RUN_PAIRS.get()
-    if run is not None and run[0] is scheme:
-        return run[1](x)
-    return evaluation_measurement(scheme, x)
-
-
 class MeasurementStrategy:
     """Charlie's side: one two-outcome projective measurement per
-    challenge, whose outcome 1 means "answer 1"."""
+    challenge, as ``measure_projective`` takes it; outcome 1 means
+    "answer 1"."""
 
     name = "strategy"
 
-    def measurement(self, x: int) -> ProjectiveMeasurement:
+    def measurement(self, x: int) -> np.ndarray:
         raise NotImplementedError
 
     def answer(self, state, x, side, rng) -> int:
@@ -176,8 +158,8 @@ class HonestEvalStrategy(MeasurementStrategy):
         self.scheme = scheme
         self.name = "honest-eval"
 
-    def measurement(self, x: int) -> ProjectiveMeasurement:
-        return _evaluation_pair(self.scheme, x)
+    def measurement(self, x: int) -> np.ndarray:
+        return evaluation_measurement(self.scheme, x)
 
 
 class PointGuessStrategy(MeasurementStrategy):
@@ -228,7 +210,7 @@ class KeysearchPirate:
         state = program_state
         found = None
         for key in self._candidates(point, rng):
-            outcome, state = measure_projective(state, _evaluation_pair(self.scheme, key), rng)
+            outcome, state = measure_projective(state, evaluation_measurement(self.scheme, key), rng)
             if outcome == 1:
                 found = key
                 break
@@ -447,14 +429,13 @@ def _play(spec: GameSpec, pirate, charlie: MeasurementStrategy, trials: int, see
     trial, also when Bob is already wrong; since each trial has its own
     generator, skipping Charlie then would change no report.
 
-    Each evaluation measurement is built and validated once per run, and
-    the parties share it (see :func:`_evaluation_pair`); no cache
-    outlives the run.
+    Every measurement is read from the scheme's design (see
+    :func:`~qlease.copyprotect.evaluation_measurement`); the run keeps no
+    cache of its own beyond each point's program and distributions.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     scheme = spec.scheme
-    bob_pairs = functools.cache(functools.partial(evaluation_measurement, scheme))
 
     @functools.cache
     def at_point(p: int):
@@ -462,19 +443,15 @@ def _play(spec: GameSpec, pirate, charlie: MeasurementStrategy, trials: int, see
         return program, PointFunction(p, scheme.key_bits), spec.bob_family(p), spec.charlie_family(p)
 
     wins = 0
-    token = _RUN_PAIRS.set((scheme, bob_pairs))
-    try:
-        for rng in spawn_rngs(seed, trials):
-            p = spec.circuit_dist.sample(rng)
-            psi, pf, bob_dist, charlie_dist = at_point(p)
-            bob, charlie_state, side = pirate.split(psi, p, rng)
-            x1, x2 = bob_dist.sample(rng), charlie_dist.sample(rng)
-            b1, _ = measure_projective(bob, bob_pairs(x1), rng)
-            b2 = charlie.answer(charlie_state, x2, side, rng)
-            if b1 == pf(x1) and b2 == pf(x2):
-                wins += 1
-    finally:
-        _RUN_PAIRS.reset(token)
+    for rng in spawn_rngs(seed, trials):
+        p = spec.circuit_dist.sample(rng)
+        psi, pf, bob_dist, charlie_dist = at_point(p)
+        bob, charlie_state, side = pirate.split(psi, p, rng)
+        x1, x2 = bob_dist.sample(rng), charlie_dist.sample(rng)
+        b1, _ = measure_projective(bob, evaluation_measurement(scheme, x1), rng)
+        b2 = charlie.answer(charlie_state, x2, side, rng)
+        if b1 == pf(x1) and b2 == pf(x2):
+            wins += 1
     return wins
 
 

@@ -35,6 +35,7 @@ from .designs import (
     irreducible_poly,
 )
 from .qmath import (
+    NEGLIGIBLE,
     DensityOperator,
     DimensionMismatchError,
     Isometry,
@@ -42,9 +43,10 @@ from .qmath import (
     QUBIT_CAP,
     QubitCapError,
     SubnormalizedOperator,
+    accept_branch,
     apply_isometry,
+    draw_outcome,
     maximally_mixed,
-    sample_bit,
 )
 
 #: Exact key-space averaging is allowed up to this many keys.
@@ -148,6 +150,18 @@ def auth_isometry(scheme: QasScheme, key: int) -> Isometry:
     return Isometry._trusted(_auth_matrix(scheme, key))
 
 
+def adjoint_isometry(scheme: QasScheme, key: int) -> np.ndarray:
+    """``A_key†``, the adjoint of the encoding isometry, as a
+    ``(2**m, 2**(m+t))`` array.  For an enumerated design it is a
+    read-only view of one element of the conjugated trap-zero column
+    stack that :func:`acceptance_by_index` uses, so no call copies;
+    otherwise it is built from the design's element."""
+    design = scheme.design
+    if isinstance(design, EnumeratedDesign):
+        return _trap_zero_columns_conj(design, 1 << scheme.trap_qubits)[scheme.key_index(key)].T
+    return _auth_matrix(scheme, key).conj().T
+
+
 def auth(scheme: QasScheme, key: int, state):
     """Authenticate a message state; pure in, pure out."""
     return apply_isometry(auth_isometry(scheme, key), state)
@@ -173,28 +187,26 @@ class VerifyOutcome:
     accept_probability: float
 
 
+def _on_y(scheme: QasScheme, state):
+    """``state``, checked to be a state on the authenticated space."""
+    if not isinstance(state, (PureState, DensityOperator)):
+        raise TypeError("expected PureState or DensityOperator")
+    if state.dim != scheme.total_dim:
+        raise DimensionMismatchError("state is not on the authenticated space")
+    return state
+
+
 def _as_density_on_y(scheme: QasScheme, state) -> np.ndarray:
+    state = _on_y(scheme, state)
     if isinstance(state, PureState):
-        if state.dim != scheme.total_dim:
-            raise DimensionMismatchError("state is not on the authenticated space")
         return np.outer(state.amplitudes, state.amplitudes.conj())
-    if isinstance(state, DensityOperator):
-        if state.dim != scheme.total_dim:
-            raise DimensionMismatchError("state is not on the authenticated space")
-        return state.matrix
-    raise TypeError("expected PureState or DensityOperator")
+    return state.matrix
 
 
 def accept_probability(scheme: QasScheme, key: int, state) -> float:
-    """Probability that verification with this key accepts the state."""
-    a = _auth_matrix(scheme, key)
-    if isinstance(state, PureState):
-        if state.dim != scheme.total_dim:
-            raise DimensionMismatchError("state is not on the authenticated space")
-        v = a.conj().T @ state.amplitudes
-        return float(np.vdot(v, v).real)
-    rho = _as_density_on_y(scheme, state)
-    return float(np.trace(a.conj().T @ rho @ a).real)
+    """Probability that verification with this key accepts the state,
+    ``||A† psi||^2`` or ``Tr(A† rho A)`` (:func:`~qlease.qmath.accept_branch`)."""
+    return accept_branch(_on_y(scheme, state), adjoint_isometry(scheme, key))[0]
 
 
 def verify_accept_branch(scheme: QasScheme, key: int, state) -> SubnormalizedOperator:
@@ -215,10 +227,12 @@ def verify(
 
     Implements ``rho -> A† rho A (x) |Acc><Acc|
     + Tr[(I - A A†) rho] (I / 2^m) (x) |Rej><Rej|``.  With an ``rng`` the
-    accept/reject branch is sampled at its analytic probability and the
-    corresponding normalized branch returned; without one the outcome
-    stays unsampled (``accepted=None``) and the accept-branch decode is
-    reported alongside the exact probability.
+    accept/reject branch is sampled at its analytic probability (by
+    :func:`~qlease.qmath.draw_outcome`, the rule of every sampled bit)
+    and the corresponding normalized branch returned; without one the
+    outcome stays unsampled (``accepted=None``) and the accept-branch
+    decode is reported alongside the exact probability, unless that
+    probability is below :data:`~qlease.qmath.NEGLIGIBLE`.
 
     The state is validated where it was built; the accept branch and its
     renormalization are positive by construction and are not re-checked,
@@ -226,8 +240,8 @@ def verify(
     """
     branch = verify_accept_branch(scheme, key, state)
     p = min(max(branch.weight, 0.0), 1.0)
-    accepted = None if rng is None else bool(sample_bit(p, rng))
-    if accepted or (accepted is None and p > 1e-12):
+    accepted = None if rng is None else bool(draw_outcome(p, rng))
+    if accepted or (accepted is None and p >= NEGLIGIBLE):
         return VerifyOutcome(accepted, DensityOperator._trusted(branch.matrix / p), p)
     return VerifyOutcome(accepted, maximally_mixed(scheme.message_qubits), p)
 
@@ -281,6 +295,8 @@ def avg_wrong_key_accept(
     estimates the key average from that many sampled keys.
     """
     if isinstance(mode, int) and not isinstance(mode, bool):
+        if mode < 1:
+            raise ValueError(f"mode: a sampled average needs at least one key, got {mode}")
         if rng is None:
             raise ValueError("sampled averaging needs an rng")
         keys = rng.integers(1 << scheme.key_bits, size=mode)

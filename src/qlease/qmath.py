@@ -7,25 +7,25 @@ library inside comfortable double-precision territory.
 
 Validation
 ----------
-Every container (states, operators, isometries, channels and projective
-measurements) is validated once, in its constructor.  Operations trust
-the containers they are given and do not re-check them, so build a
-measurement once and reuse it rather than passing raw projectors in a
-loop.  A measurement acts on a whole register: a party that holds its
-own register is measured on that register alone, never on a joint state
-with the registers of others.  Results that are states by construction,
-the outer product of :meth:`PureState.density`, the mixed and the pure
-post-state of :func:`measure_projective` (``PureState._trusted``: the
-branch divided by the norm computed from it), the :func:`tensor` of two
-density operators and the density branch of :func:`apply_isometry`, are
-not re-checked either (no eigenvalue decomposition, no norm).  Nor are
-a measurement's outcome probabilities: they sum to 1 by construction,
-so the outcome is drawn with ``Generator.choice``'s arithmetic, without
-its re-checks (:func:`_draw`).  The same holds for
-the authentication scheme's results in ``qas``: its encoding isometry
-(``Isometry._trusted``, still a contiguous copy), the accept branch
-(``SubnormalizedOperator._trusted``) and the renormalized branch that
-``verify`` returns.  The public constructors keep every check.
+Every container (states, operators, isometries and channels) is
+validated once, in its constructor.  Operations trust the containers
+they are given and do not re-check them.  A measurement is the
+two-outcome one that an isometry ``V`` defines (outcome 1 is its range),
+given as the plain array ``V†``, whose orthonormal rows are trusted.  It
+acts on a whole register: a party that holds its own register is
+measured on that register alone, never on a joint state with the
+registers of others.  Results that are states by construction, the outer
+product of :meth:`PureState.density`, the post-states of
+:func:`measure_projective` (each branch divided by its norm or trace),
+the :func:`tensor` of two density operators and the density branch of
+:func:`apply_isometry`, are not re-checked either (no eigenvalue
+decomposition, no norm).  Every sampled bit comes from one rule,
+:func:`draw_outcome`: ``Generator.choice``'s arithmetic without its
+re-checks.  The same holds for the authentication scheme's results in
+``qas``: its encoding isometry (``Isometry._trusted``, still a
+contiguous copy), the accept branch (``SubnormalizedOperator._trusted``)
+and the renormalized branch that ``verify`` returns.  The public
+constructors keep every check.
 
 Memory
 ------
@@ -56,7 +56,6 @@ non-spawnable seed stub in place of a ``SeedSequence``.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -67,6 +66,11 @@ ATOL = 1e-9
 #: Hard cap on total qubits of any constructed object; everything in this
 #: library fits comfortably below it.
 QUBIT_CAP = 12
+#: A measurement outcome less likely than this counts as impossible: it is
+#: never sampled, and its branch never renormalized.  A probability computed
+#: from a unit vector or unit-trace operator of dimension d carries a rounding
+#: error of at most about d * 2.2e-16, below this up to :data:`QUBIT_CAP`.
+NEGLIGIBLE = 1e-12
 
 
 class DimensionMismatchError(ValueError):
@@ -192,16 +196,6 @@ def spawn_rngs(seed: int, trials: int) -> Iterator[np.random.Generator]:
     for start in range(0, trials, SPAWN_BLOCK):
         for words in _trial_states(seed, start, min(start + SPAWN_BLOCK, trials)):
             yield np.random.Generator(np.random.PCG64(_TrialSeed(words)))
-
-
-def sample_bit(p: float, rng: np.random.Generator) -> int:
-    """A bit that is 1 with probability ``p``.  Within 1e-12 of 0 or 1 the
-    bit is fixed and no draw is made; otherwise one ``rng.random()``."""
-    if p >= 1 - 1e-12:
-        return 1
-    if p < 1e-12:
-        return 0
-    return int(rng.random() < p)
 
 
 # ---------------------------------------------------------------------------
@@ -522,108 +516,63 @@ def state_distance(a, b) -> float:
     return trace_distance(da, db)
 
 
-@dataclass(frozen=True)
-class ProjectiveMeasurement:
-    """A complete set of orthogonal projectors on ``qubits`` qubits.
-
-    Validated once, here: every operator is Hermitian and idempotent and
-    together they sum to the identity.  ``projectors`` is stored as one
-    read-only array of shape ``(outcomes, 2**qubits, 2**qubits)``.
-    """
-
-    projectors: np.ndarray
-    qubits: int = field(init=False)
-
-    def __post_init__(self):
-        mats = [p.matrix if hasattr(p, "matrix") else np.asarray(p) for p in self.projectors]
-        if not mats:
-            raise ValueError("measurement needs at least one projector")
-        shape = mats[0].shape
-        if len(shape) != 2 or shape[0] != shape[1] or any(p.shape != shape for p in mats):
-            raise DimensionMismatchError("projectors must share one square shape")
-        q = _qubits_for_dim(shape[0])
-        stack = _frozen(mats)
-        for p in stack:
-            if np.max(np.abs(p - p.conj().T)) > ATOL or np.max(np.abs(p @ p - p)) > ATOL:
-                raise ValueError("measurement operator is not an orthogonal projector")
-        if np.max(np.abs(stack.sum(axis=0) - np.eye(shape[0]))) > ATOL:
-            raise ValueError("projectors do not sum to identity")
-        object.__setattr__(self, "projectors", stack)
-        object.__setattr__(self, "qubits", q)
-
-
-def two_outcome(projector) -> ProjectiveMeasurement:
-    """The validated pair ``(I - P, P)``: outcome 1 means ``P`` fired."""
-    p = projector.matrix if hasattr(projector, "matrix") else np.asarray(projector)
-    return ProjectiveMeasurement((np.eye(p.shape[0]) - p, p))
-
-
-def outcome_probabilities(
-    state, measurement: ProjectiveMeasurement
-) -> tuple[list[float], np.ndarray | None]:
-    """The probabilities :func:`measure_projective` samples from, and for a
-    pure state the unnormalized branches ``P_i |psi>`` (``None`` for a
-    density operator).
-
-    Each probability is the Born probability ``Tr(P_i rho)``; those below
-    1e-12 are set to 0 and the rest renormalized to sum to 1.  The sum is
-    taken in numpy's order, so the values are those of
-    ``probs / probs.sum()`` on the array of Born probabilities.
-    """
-    stack = measurement.projectors
+def accept_branch(state, accept: np.ndarray) -> tuple[float, np.ndarray]:
+    """``(p1, b)`` for an isometry ``V`` given as ``accept = V†``: the
+    branch ``b = V† psi`` (pure) or ``b = V† rho V`` (density) in ``V``'s
+    domain, and its weight ``p1 = ||b||^2`` or ``Tr(b)``, the probability
+    that the state lies in the range of ``V``.  With a key's encoding
+    isometry as ``V``, ``p1`` is the acceptance of verification with it."""
     if isinstance(state, PureState):
-        branches = stack @ state.amplitudes.reshape(-1, 1)
-        born = [float(np.vdot(b, b).real) for b in branches]
-    else:
-        branches = None
-        # Tr(P rho) = sum_ab P[a, b] rho[b, a], for every P at once
-        born = (stack.reshape(len(stack), -1) @ state.matrix.T.reshape(-1)).real.tolist()
-    kept = [0.0 if w < 1e-12 else w for w in born]
-    # two terms add in one order only; longer sums go through numpy's
-    total = kept[0] + kept[1] if len(kept) == 2 else float(np.sum(kept))
-    return [w / total for w in kept], branches
+        b = accept @ state.amplitudes
+        return float(np.vdot(b, b).real), b
+    b = accept @ state.matrix @ accept.conj().T
+    return float(b.trace().real), b
 
 
-def _draw(probs: list[float], rng: np.random.Generator) -> int:
-    """``rng.choice(len(probs), p=probs)`` without its checks of ``probs``.
+def draw_outcome(p1: float, rng: np.random.Generator) -> int:
+    """The outcome of a two-outcome measurement whose outcome 1 has
+    probability ``p1``: ``rng.choice(2, p=probs)`` without its checks of
+    ``probs``, where ``probs`` is ``[1 - p1, p1]`` with entries below
+    :data:`NEGLIGIBLE` set to 0, renormalized.  The same arithmetic on the
+    same single ``rng.random()`` draw, so the outcome and the generator's
+    state afterwards are those of ``Generator.choice``."""
+    p0 = 1.0 - p1
+    k0 = 0.0 if p0 < NEGLIGIBLE else p0
+    k1 = 0.0 if p1 < NEGLIGIBLE else p1
+    total = k0 + k1
+    q0, q1 = k0 / total, k1 / total
+    return int(q0 / (q0 + q1) <= rng.random())
 
-    The same arithmetic on the same single ``rng.random()`` draw: the
-    running sum of ``probs``, divided by its last entry, and the first
-    index whose entry exceeds the draw.  So the outcome and the
-    generator's state afterwards are those of ``Generator.choice``.
+
+def measure_projective(state, accept: np.ndarray, rng: np.random.Generator):
+    """Measure ``{I - V V†, V V†}`` on a whole register, for an isometry
+    ``V`` given as ``accept = V†``: sample an outcome, return (outcome,
+    post-state).
+
+    ``accept`` has orthonormal rows (it is trusted, not checked) and acts
+    on all of the state's qubits.  Outcome 1, the range of ``V``, has the
+    probability ``p1`` of :func:`accept_branch`, outcome 0 has
+    ``1 - p1``, and the outcome comes from :func:`draw_outcome`.  Only
+    the drawn branch's post-state is built: the branch divided by its norm
+    or trace.  Pure states stay pure.
     """
-    u = rng.random()
-    cdf = list(itertools.accumulate(probs))
-    last = cdf[-1]
-    return next(i for i, c in enumerate(cdf) if c / last > u)
-
-
-def measure_projective(state, measurement, rng: np.random.Generator):
-    """Projective measurement of a whole register: sample an outcome,
-    return (index, post-state).
-
-    ``measurement`` is a :class:`ProjectiveMeasurement` or a plain
-    sequence of projectors (validated on entry); either must act on all
-    of the state's qubits.
-
-    Outcome ``i`` occurs with the Born probability ``Tr(P_i rho)``; the
-    post-state is the renormalized projection ``P rho P``.  Outcomes with
-    probability below 1e-12 are never sampled (see
-    :func:`outcome_probabilities`).  Pure states stay pure.  The outcome
-    is drawn as ``rng.choice(outcomes, p=probs)`` would draw it, from one
-    ``rng.random()``.
-    """
-    if not isinstance(measurement, ProjectiveMeasurement):
-        measurement = ProjectiveMeasurement(measurement)
-    if measurement.qubits != state.qubits:
+    if accept.ndim != 2 or accept.shape[1] != state.dim:
         raise DimensionMismatchError("measurement register does not match the state")
-    probs, branches = outcome_probabilities(state, measurement)
-    outcome = _draw(probs, rng)
-    if branches is not None:
-        return outcome, PureState._trusted(branches[outcome] / np.sqrt(probs[outcome]))
-    p = measurement.projectors[outcome]
-    m = p @ state.matrix @ p
-    return outcome, DensityOperator._trusted(m / np.trace(m).real)
+    p1, inner = accept_branch(state, accept)
+    outcome = draw_outcome(p1, rng)
+    if isinstance(state, PureState):
+        # V V† psi, conjugating vectors rather than the matrix
+        branch = (inner.conj() @ accept).conj()
+        if outcome == 0:
+            branch = state.amplitudes - branch
+        return outcome, PureState._trusted(branch / np.sqrt(np.vdot(branch, branch).real))
+    v = accept.conj().T
+    if outcome == 1:
+        # Tr(V b V†) = Tr(b): the weight already computed
+        return outcome, DensityOperator._trusted(v @ (inner / p1) @ accept)
+    q = np.eye(state.dim) - v @ accept
+    m = q @ state.matrix @ q
+    return outcome, DensityOperator._trusted(m / m.trace().real)
 
 
 def apply_isometry(v: Isometry, state):

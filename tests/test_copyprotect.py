@@ -1,6 +1,7 @@
 """Tests for point-function protection, preserving evaluation, exact
 correctness, the permutation wrapper and the challenge distributions."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -341,11 +342,15 @@ def test_preserving_mixed_program(scheme):
         assert np.max(np.abs(post.state.matrix - branch / weight)) < ATOL
 
 
-def test_evaluation_measurement_outcome_one_accepts(scheme):
-    pair = cp.evaluation_measurement(scheme, 5)
-    proj = cp.accept_projector(scheme, 5)
-    assert np.array_equal(pair.projectors[1], proj)
-    assert np.max(np.abs(pair.projectors[0] + proj - np.eye(4))) < ATOL
+def test_evaluation_measurement_outcome_one_accepts():
+    # A_x† has orthonormal rows and its range projector is A_x A_x†, at
+    # enumerated (1,1,6) and indexed (2,1,6 and 3,3,6) designs
+    for params, x in itertools.product([(1, 1, 6), (2, 1, 6), (3, 3, 6)], (0, 5, 63)):
+        scheme = qas.build_scheme(*params)
+        accept = cp.evaluation_measurement(scheme, x)
+        assert accept.shape == (scheme.message_dim, scheme.total_dim)
+        assert np.max(np.abs(accept @ accept.conj().T - np.eye(scheme.message_dim))) < ATOL
+        assert np.max(np.abs(accept.conj().T @ accept - cp.accept_projector(scheme, x))) < ATOL
 
 
 def test_preserving_reusable_many_times(scheme):

@@ -618,6 +618,14 @@ def test_frame_potential_single_element():
     assert abs(frame_potential(trivial) - 16.0) < 1e-12
 
 
+@pytest.mark.parametrize("samples", [0, -5])
+def test_frame_potential_needs_a_sample(samples):
+    # no pair gives no estimate: an error naming the argument, not nan
+    for design in (clifford_enumerate(1), designs.IndexedCliffordDesign(3)):
+        with pytest.raises(ValueError, match="samples"):
+            frame_potential(design, samples=samples, rng=spawn_rng(16))
+
+
 def test_frame_potential_negative_control():
     control = random_unitary_set(1, 24, spawn_rng(7))
     assert frame_potential(control) > 2.1

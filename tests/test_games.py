@@ -42,7 +42,6 @@ from qlease.qmath import (
     KrausChannel,
     PureState,
     apply_channel,
-    embed_operator,
     measure_projective,
     spawn_rng,
     tensor,
@@ -238,8 +237,9 @@ def test_give_to_charlie_split_matches_kraus_channel(params):
 def _joint_register_wins(spec, pirate, charlie, trials, seed) -> int:
     """The trial loop on one joint register, as the harness once ran it:
     the two parties' registers tensored, each party's measurement lifted
-    onto its qubits with embed_operator and applied to the joint state,
-    Charlie measuring what Bob's measurement left."""
+    onto its qubits (``V†`` tensored with the identity on the other
+    party's) and applied to the joint state, Charlie measuring what Bob's
+    measurement left."""
     scheme = spec.scheme
     wins = 0
     for i in range(trials):
@@ -250,14 +250,10 @@ def _joint_register_wins(spec, pirate, charlie, trials, seed) -> int:
         x1, x2 = spec.bob_family(p).sample(rng), spec.charlie_family(p).sample(rng)
         joint = bob if charlie_state is None else tensor(bob, charlie_state)
         n, total = bob.qubits, joint.qubits
-
-        def lifted(pair, positions):
-            return [embed_operator(proj, positions, total) for proj in pair.projectors]
-
-        bob_pair = lifted(cp.evaluation_measurement(scheme, x1), range(n))
-        b1, post = measure_projective(joint, bob_pair, rng)
+        bob_accept = np.kron(cp.evaluation_measurement(scheme, x1), np.eye(1 << (total - n)))
+        b1, post = measure_projective(joint, bob_accept, rng)
         if isinstance(charlie, HonestEvalStrategy):
-            b2, _ = measure_projective(post, lifted(charlie.measurement(x2), range(n, total)), rng)
+            b2, _ = measure_projective(post, np.kron(np.eye(1 << n), charlie.measurement(x2)), rng)
         else:
             b2 = charlie.answer(None, x2, side, rng)
         wins += b1 == pf(x1) and b2 == pf(x2)
@@ -509,27 +505,6 @@ def test_keysearch_candidates_match_delete(scheme, point, budget):
         assert keys == _candidates_by_delete(pirate, point, theirs)
         assert all(type(k) is int for k in keys)
         assert ours.random() == theirs.random()
-
-
-def test_evaluation_measurements_are_built_once_per_run(spec, scheme, monkeypatch):
-    # Bob, honest Charlie and the keysearch pirate share one cache per run
-    built = []
-
-    def counted(s, x):
-        built.append(x)
-        return cp.evaluation_measurement(s, x)
-
-    monkeypatch.setattr(games, "evaluation_measurement", counted)
-    for adversary in (give_to_charlie(scheme), keysearch_adversary(scheme, budget_size=64)):
-        built.clear()
-        run_experiment_free(spec, *adversary, 200, seed=54)
-        assert len(built) == len(set(built)) <= 64
-        assert games._RUN_PAIRS.get() is None  # the cache ends with the run
-    # outside a run each lookup builds afresh
-    strategy = HonestEvalStrategy(scheme)
-    built.clear()
-    strategy.measurement(3), strategy.measurement(3)
-    assert built == [3, 3]
 
 
 def test_keysearch_budget_validation(scheme):

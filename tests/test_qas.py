@@ -215,6 +215,13 @@ def test_wrong_key_sampled_mode(scheme):
     assert abs(est - 0.5) < 1e-9  # every key accepts the mixed state at 2^-t
 
 
+@pytest.mark.parametrize("mode", [0, -3])
+def test_wrong_key_sampled_mode_needs_a_key(scheme, mode):
+    # no key gives no average: an error naming the argument, not nan
+    with pytest.raises(ValueError, match="mode"):
+        qas.avg_wrong_key_accept(scheme, maximally_mixed(2), mode=mode, rng=spawn_rng(12))
+
+
 def test_key_map_consistency(scheme):
     rng = spawn_rng(13)
     state = random_pure_state(1, rng)
