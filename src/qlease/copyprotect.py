@@ -9,14 +9,15 @@ wrong-key rate of the underlying scheme.
 Evaluation at ``x`` is the two-outcome measurement {I - A_x A_x†,
 A_x A_x†} that the key's encoding isometry ``A_x`` defines: outcome 1,
 acceptance, is the range of ``A_x``.  :func:`evaluation_measurement`
-gives it as ``A_x†``, a view of the per-design column stack that the
-exact acceptance vectors read.  The construction's copy-out-the-answer
-circuit (purified verify, CNOT the accept bit onto a fresh qubit,
-uncompute) leaves the ancillas in |0> and acts on the program register
-exactly as this measurement, so the measurement is what runs: the same
-bits and post-states without a circuit on a register four times the
-program's size.  :func:`evaluate_preserving` hands the program back,
-exactly intact on the encoded point; :func:`evaluate` consumes it.
+gives it as ``A_x†``, read from the design: a view of the column stack
+that the exact acceptance vectors read for an enumerated design, the
+cached element's columns for an indexed one.  The construction's
+copy-out-the-answer circuit (purified verify, CNOT the accept bit onto a
+fresh qubit, uncompute) leaves the ancillas in |0> and acts on the
+program register exactly as this measurement, so the measurement is what
+runs: the same bits and post-states without a circuit on a register four
+times the program's size.  :func:`evaluate_preserving` hands the program
+back, exactly intact on the encoded point; :func:`evaluate` consumes it.
 
 :func:`mix_protect` wraps a program with a pairwise independent
 permutation: the point is first pushed through a uniformly random
