@@ -271,7 +271,7 @@ def cmd_ssl(args) -> int:
     scheme = _build_scheme(args.scheme)
     ssl_scheme = SslScheme(scheme, verify_r=args.r)
     circuit = cp.uniform_points(scheme.key_bits)
-    challenge = lambda p: cp.dhalf(p, scheme.key_bits)
+    challenge = cp.PointFamily(scheme.key_bits, 0.5)
     # the parser and the config check keep the adversary among the choices
     adversary = {"honest-return": games.honest_return, "keep-program": games.keep_program}[args.adversary]
     rep = games.run_experiment_ssl(ssl_scheme, circuit, challenge, *adversary(ssl_scheme), args.trials, args.seed)

@@ -131,12 +131,13 @@ class ChallengeDistribution:
     def exact_shape(self) -> tuple[Fraction, int | None, Fraction] | None:
         """(flat, peak, peak weight) in exact rationals: every string but
         the peak has the flat weight, and the uniform kind has no peak.
-        None for tables, and for an ``r`` that no rational with
-        denominator at most 10^12 rounds back to."""
+        None for tables."""
         if self.kind == "uniform":
             return Fraction(1, self.size), None, Fraction(1, self.size)
-        weights = _biased_weights(self.bits, self.r) if self.kind == "biased" else None
-        return None if weights is None else (weights[0], self.point, weights[1])
+        if self.kind == "table":
+            return None
+        flat, top = _biased_weights(self.bits, self.r)
+        return flat, self.point, top
 
     def prob_fraction(self, x: int) -> Fraction | None:
         """Exact weight of ``x``; None where :meth:`exact_shape` is."""
@@ -157,10 +158,14 @@ class ChallengeDistribution:
 
 
 @functools.lru_cache(maxsize=256)
-def _biased_weights(bits: int, r: float) -> tuple[Fraction, Fraction] | None:
-    """Exact (flat, peak) weights of mass ``r`` on one of 2^bits strings."""
+def _biased_weights(bits: int, r: float) -> tuple[Fraction, Fraction]:
+    """Exact (flat, peak) weights of mass ``r`` on one of 2^bits strings:
+    the peak is the simplest rational with denominator at most 10^12 that
+    rounds back to ``r``, else the binary value of ``r`` itself."""
     top = Fraction(r).limit_denominator(10**12)
-    return None if float(top) != r else ((1 - top) / ((1 << bits) - 1), top)
+    if float(top) != r:
+        top = Fraction(r)
+    return (1 - top) / ((1 << bits) - 1), top
 
 
 def uniform_points(bits: int) -> ChallengeDistribution:
@@ -182,6 +187,31 @@ def dhalf(point: int, bits: int) -> ChallengeDistribution:
 
 def point_mass(point: int, bits: int) -> ChallengeDistribution:
     return biased_point(point, bits, 1.0)
+
+
+@dataclass(frozen=True)
+class PointFamily:
+    """The point-centred challenge family: at point ``p``, mass ``r`` on
+    ``p`` and uniform elsewhere.  Validated once, when it is built;
+    ``family(p)`` is :func:`biased_point`, and :meth:`weights` gives the
+    exact weights that every member shares."""
+
+    bits: int
+    r: float
+
+    def __post_init__(self):
+        if not isinstance(self.bits, int) or self.bits < 1:
+            raise ValueError("bits must be a positive integer")
+        if not 0.0 <= self.r <= 1.0:
+            raise ValueError(f"r must lie in [0, 1], got {self.r}")
+
+    def __call__(self, point: int) -> ChallengeDistribution:
+        return biased_point(point, self.bits, self.r)
+
+    def weights(self) -> tuple[Fraction, Fraction]:
+        """(flat, peak): the exact weights of every string but the point,
+        and of the point."""
+        return _biased_weights(self.bits, self.r)
 
 
 # ---------------------------------------------------------------------------

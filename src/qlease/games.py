@@ -31,38 +31,35 @@ from the enumerated design: an independent route against which the
 trial loop is checked.
 
 Baselines ``p_marg`` and ``p_ind`` are the best challenge-only guessing
-probabilities.  When every distribution has an exact shape ("mass r on
-the point, uniform elsewhere") they are computed in exact rational
-arithmetic from the shapes, in O(2^k) time; otherwise from the tables in
-floats, in O(4^k).
+probabilities, for a uniform or single-peak circuit distribution and a
+:class:`~qlease.copyprotect.PointFamily` of challenges ("mass r on the
+point, uniform elsewhere"): one closed form in exact rationals, O(1) in
+the key length.  Any other input raises ``ValueError``.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
-from collections import Counter
 from dataclasses import asdict, dataclass, field, fields, replace
 from fractions import Fraction
 from pathlib import Path
 from statistics import NormalDist
-from typing import Callable
 
 import numpy as np
 
 from .copyprotect import (
     ChallengeDistribution,
+    PointFamily,
     PointFunction,
     acceptance_per_input,
     correctness_from_answers,
-    dhalf,
-    biased_point,
     evaluation_measurement,
     protect,
     uniform_points,
 )
 from .designs import EnumeratedDesign
-from .leasing import SslScheme, verify_distribution
+from .leasing import SslScheme
 from .qas import QasScheme
 from .qmath import (
     DensityOperator,
@@ -221,9 +218,6 @@ class KeysearchPirate:
 # Game specification and baselines
 # ---------------------------------------------------------------------------
 
-Family = Callable[[int], ChallengeDistribution]
-
-
 @dataclass(frozen=True)
 class GameSpec:
     """Distributions of the game: the circuit (point) distribution, and
@@ -232,8 +226,8 @@ class GameSpec:
 
     scheme: QasScheme
     circuit_dist: ChallengeDistribution
-    bob_family: Family
-    charlie_family: Family
+    bob_family: PointFamily
+    charlie_family: PointFamily
 
 
 def default_cp_spec(scheme: QasScheme, bob_r: float = 0.5) -> GameSpec:
@@ -244,117 +238,58 @@ def default_cp_spec(scheme: QasScheme, bob_r: float = 0.5) -> GameSpec:
     return GameSpec(
         scheme=scheme,
         circuit_dist=uniform_points(bits),
-        bob_family=lambda p: biased_point(p, bits, bob_r),
-        charlie_family=lambda p: dhalf(p, bits),
+        bob_family=PointFamily(bits, bob_r),
+        charlie_family=PointFamily(bits, 0.5),
     )
 
 
 def leasing_spec(
-    ssl_scheme: SslScheme, circuit_dist: ChallengeDistribution, challenge_family: Family
+    ssl_scheme: SslScheme, circuit_dist: ChallengeDistribution, challenge_family: PointFamily
 ) -> GameSpec:
     """The leasing game as a pirating game: the lessor's verification is
     honest Bob, challenged from the verification distribution; the
     returned register is Bob's, the kept one Charlie's, and the lessee's
     challenge is Charlie's."""
-    bits = ssl_scheme.base.key_bits
     return GameSpec(
         scheme=ssl_scheme.base,
         circuit_dist=circuit_dist,
-        bob_family=lambda p: verify_distribution(ssl_scheme, PointFunction(p, bits)),
+        bob_family=PointFamily(ssl_scheme.base.key_bits, ssl_scheme.verify_r),
         charlie_family=challenge_family,
     )
 
 
-def _exact_best_guess(circuit_dist: ChallengeDistribution, family: Family) -> Fraction | None:
-    """:func:`_best_guess_rate` in exact rationals, or None when a weight
-    is inexact.
+def _best_guess_rate(circuit_dist: ChallengeDistribution, family: PointFamily) -> Fraction:
+    """E over the challenge marginal of the best fixed guess of C(x), in
+    exact rationals and O(1).
 
-    Row p of the weights is c_p times a shape that is flat but for one
-    peak, so challenge x's term depends only on row x's (c_x, shape, peak
-    at x or not) and on the peaks that other rows put at x.  Rows are
-    counted by the former, under the numerators and denominators of its
-    weights (cheaper to hash than the ``Fraction``s), with one
-    representative row per key; the latter, which point-centred families
-    never have, are corrected one challenge at a time.  O(2^k) time, and
-    memory for the distinct rows and off-centre peaks only.
+    The circuit has weight c at every point but one, of weight s (a
+    uniform circuit is any point with s = c), and the family puts mass r
+    on the point and f on each other string.  At challenge x the best
+    guess takes the larger of the weights of (point = x, x) and
+    (point != x, x): s*r against (n-1)*c*f at the circuit's peak, and
+    c*r against s*f + (n-2)*c*f at each of the n-1 other strings.
+
+    Raises ``ValueError`` for a table circuit, or a family that is not a
+    :class:`~qlease.copyprotect.PointFamily` on the circuit's strings.
     """
     circuit = circuit_dist.exact_shape()
     if circuit is None:
-        return None
-
-    def row(p: int):
-        """(c_p, flat, peak weight, peak) of row p, or None."""
-        shape = family(p).exact_shape()
-        if shape is not None:
-            return circuit[2] if p == circuit[1] else circuit[0], shape[0], shape[2], shape[1]
-
-    counts: Counter = Counter()
-    rows: dict[tuple, tuple[Fraction, Fraction, Fraction, bool]] = {}
-    off_peaks: dict[int, Fraction] = {}
-    for p in range(circuit_dist.size):
-        if (weights := row(p)) is None:
-            return None
-        c, flat, top, peak = weights
-        key = (
-            c.numerator, c.denominator, flat.numerator, flat.denominator,
-            top.numerator, top.denominator, peak == p,
-        )
-        counts[key] += 1
-        if key not in rows:
-            rows[key] = c, flat, top, peak == p
-        if peak not in (None, p):
-            off_peaks[peak] = off_peaks.get(peak, 0) + c * (top - flat)
-    rows_counted = [(rows[key], n) for key, n in counts.items()]
-    flat_marginal = sum(n * c * flat for (c, flat, _, _), n in rows_counted)
-
-    def best(c, flat, top, centred, peaks=0):
-        # the larger weight of (point = x, x) and (point != x, x); ties
-        # broken toward b=0, value unaffected
-        hit = c * (top if centred else flat)
-        return max(hit, flat_marginal + peaks - c * flat)
-
-    total = sum(n * best(*weights) for weights, n in rows_counted)
-    for x, peaks in off_peaks.items():
-        c, flat, top, peak = row(x)
-        total += best(c, flat, top, peak == x, peaks) - best(c, flat, top, peak == x)
-    return total
+        raise ValueError("baselines need a uniform or single-peak circuit distribution")
+    if not isinstance(family, PointFamily) or family.bits != circuit_dist.bits:
+        raise ValueError("baselines need a PointFamily on the circuit's strings")
+    c, _, s = circuit
+    f, r = family.weights()
+    n = circuit_dist.size
+    return max(s * r, (n - 1) * c * f) + (n - 1) * max(c * r, s * f + (n - 2) * c * f)
 
 
-def _best_guess_rate(
-    circuit_dist: ChallengeDistribution, family: Family
-) -> Fraction | float:
-    """E over the challenge marginal of the best fixed guess of C(x).
-
-    Sums, over challenges x, the larger of the weights of (point = x, x)
-    and (point != x, x): from the shapes when every weight is exact
-    (:func:`_exact_best_guess`), otherwise in floats from the tables, one
-    point's row at a time, as ``weights.sum(axis=0)`` adds the rows of
-    the full weight matrix, in O(4^k).
-    """
-    exact = _exact_best_guess(circuit_dist, family)
-    if exact is not None:
-        return exact
-    circuit = circuit_dist.probs
-    diag = np.empty(circuit.size)
-    col = np.zeros(circuit.size)
-    for p in range(circuit.size):
-        row = family(p).probs * circuit[p]
-        diag[p] = row[p]
-        col += row
-    return float(np.maximum(diag, col - diag).sum())
-
-
-def p_marg(
-    circuit_dist: ChallengeDistribution, charlie_family: Family
-) -> Fraction | float:
+def p_marg(circuit_dist: ChallengeDistribution, charlie_family: PointFamily) -> Fraction:
     """Charlie's best challenge-only guessing probability in the pirating
     game, from his challenge marginal."""
     return _best_guess_rate(circuit_dist, charlie_family)
 
 
-def p_ind(
-    circuit_dist: ChallengeDistribution, challenge_family: Family
-) -> Fraction | float:
+def p_ind(circuit_dist: ChallengeDistribution, challenge_family: PointFamily) -> Fraction:
     """The lessee's best challenge-only guessing probability in the
     leasing game."""
     return _best_guess_rate(circuit_dist, challenge_family)
@@ -495,8 +430,8 @@ def run_experiment_free(
 ) -> GameReport:
     """Monte Carlo run of the pirating game (see :func:`_play`), against
     the baseline :func:`p_marg` and the bound :func:`cp_security_bound`."""
-    wins = _play(spec, pirate, charlie, trials, seed)
     baseline = float(p_marg(spec.circuit_dist, spec.charlie_family))
+    wins = _play(spec, pirate, charlie, trials, seed)
     bound = cp_security_bound(baseline, spec.scheme.epsilon)
     return _report("free", spec, pirate, charlie, trials, seed, wins, baseline, bound)
 
@@ -504,7 +439,7 @@ def run_experiment_free(
 def run_experiment_ssl(
     ssl_scheme: SslScheme,
     circuit_dist: ChallengeDistribution,
-    challenge_family: Family,
+    challenge_family: PointFamily,
     adversary,
     strategy: MeasurementStrategy,
     trials: int,
@@ -520,9 +455,9 @@ def run_experiment_ssl(
     is independent of everything drawn before it, so its distribution is
     the same as if it were drawn after.
     """
+    baseline = float(p_ind(circuit_dist, challenge_family))
     spec = leasing_spec(ssl_scheme, circuit_dist, challenge_family)
     wins = _play(spec, adversary, strategy, trials, seed)
-    baseline = float(p_ind(circuit_dist, challenge_family))
     bound = ssl_security_bound(baseline, spec.scheme.epsilon)
     return _report(
         "ssl", spec, adversary, strategy, trials, seed, wins, baseline, bound,
@@ -640,12 +575,12 @@ def oracle_give_to_charlie(spec: GameSpec) -> float:
 
 
 def oracle_honest_return(
-    ssl_scheme: SslScheme, circuit_dist: ChallengeDistribution, challenge_family: Family
+    ssl_scheme: SslScheme, circuit_dist: ChallengeDistribution, challenge_family: PointFamily
 ) -> float:
     return exact_win(leasing_spec(ssl_scheme, circuit_dist, challenge_family), *honest_return(ssl_scheme))
 
 
 def oracle_keep_program(
-    ssl_scheme: SslScheme, circuit_dist: ChallengeDistribution, challenge_family: Family
+    ssl_scheme: SslScheme, circuit_dist: ChallengeDistribution, challenge_family: PointFamily
 ) -> float:
     return exact_win(leasing_spec(ssl_scheme, circuit_dist, challenge_family), *keep_program(ssl_scheme))

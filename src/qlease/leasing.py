@@ -21,9 +21,9 @@ import numpy as np
 
 from .copyprotect import (
     ChallengeDistribution,
+    PointFamily,
     PointFunction,
     ProtectedProgram,
-    biased_point,
     evaluate,
     evaluate_preserving,
     protect,
@@ -91,7 +91,7 @@ class LeasedProgram:
 
 def verify_distribution(scheme: SslScheme, pf: PointFunction) -> ChallengeDistribution:
     """The challenge distribution used by verification for this circuit."""
-    return biased_point(pf.point, pf.bits, scheme.verify_r)
+    return PointFamily(pf.bits, scheme.verify_r)(pf.point)
 
 
 def ssl_lease(scheme: SslScheme, pf: PointFunction) -> LeasedProgram:

@@ -42,7 +42,6 @@ from .qmath import (
     PureState,
     QUBIT_CAP,
     QubitCapError,
-    SubnormalizedOperator,
     accept_branch,
     apply_isometry,
     draw_outcome,
@@ -196,25 +195,10 @@ def _on_y(scheme: QasScheme, state):
     return state
 
 
-def _as_density_on_y(scheme: QasScheme, state) -> np.ndarray:
-    state = _on_y(scheme, state)
-    if isinstance(state, PureState):
-        return np.outer(state.amplitudes, state.amplitudes.conj())
-    return state.matrix
-
-
 def accept_probability(scheme: QasScheme, key: int, state) -> float:
     """Probability that verification with this key accepts the state,
     ``||A† psi||^2`` or ``Tr(A† rho A)`` (:func:`~qlease.qmath.accept_branch`)."""
     return accept_branch(_on_y(scheme, state), adjoint_isometry(scheme, key))[0]
-
-
-def verify_accept_branch(scheme: QasScheme, key: int, state) -> SubnormalizedOperator:
-    """The subnormalized accept branch ``A† rho A``; its trace is the
-    acceptance probability."""
-    rho = _as_density_on_y(scheme, state)
-    a = _auth_matrix(scheme, key)
-    return SubnormalizedOperator._trusted(a.conj().T @ rho @ a)
 
 
 def verify(
@@ -234,15 +218,20 @@ def verify(
     decode is reported alongside the exact probability, unless that
     probability is below :data:`~qlease.qmath.NEGLIGIBLE`.
 
-    The state is validated where it was built; the accept branch and its
-    renormalization are positive by construction and are not re-checked,
-    and the maximally mixed state is built only when it is returned.
+    The accept branch is :func:`~qlease.qmath.accept_branch` through
+    ``A†`` (:func:`adjoint_isometry`).  A pure state's ``b = A† psi``
+    decodes as ``outer(b, conj(b)) / p``, exactly Hermitian and rank one
+    at any ``p``; a density operator's ``b = A† rho A`` as ``b / p``,
+    whose rounding grows as ``p`` shrinks.  The state is validated where
+    it was built, the decoded branch is not re-checked, and the maximally
+    mixed state is built only when it is returned.
     """
-    branch = verify_accept_branch(scheme, key, state)
-    p = min(max(branch.weight, 0.0), 1.0)
+    p, b = accept_branch(_on_y(scheme, state), adjoint_isometry(scheme, key))
+    p = min(max(p, 0.0), 1.0)
     accepted = None if rng is None else bool(draw_outcome(p, rng))
     if accepted or (accepted is None and p >= NEGLIGIBLE):
-        return VerifyOutcome(accepted, DensityOperator._trusted(branch.matrix / p), p)
+        decoded = np.outer(b, b.conj()) if b.ndim == 1 else b
+        return VerifyOutcome(accepted, DensityOperator._trusted(decoded / p), p)
     return VerifyOutcome(accepted, maximally_mixed(scheme.message_qubits), p)
 
 
@@ -276,7 +265,7 @@ def acceptance_by_index(scheme: QasScheme, state) -> np.ndarray:
     if isinstance(state, PureState):
         v = np.einsum("nji,j->ni", cols, state.amplitudes)
         return np.einsum("ni,ni->n", v.conj(), v).real
-    rho = _as_density_on_y(scheme, state)
+    rho = _on_y(scheme, state).matrix
     return np.einsum("nji,jk,nki->n", cols, rho, design.elements()[:, :, ::step]).real
 
 

@@ -16,16 +16,14 @@ acts on a whole register: a party that holds its own register is
 measured on that register alone, never on a joint state with the
 registers of others.  Results that are states by construction, the outer
 product of :meth:`PureState.density`, the post-states of
-:func:`measure_projective` (each branch divided by its norm or trace),
-the :func:`tensor` of two density operators and the density branch of
-:func:`apply_isometry`, are not re-checked either (no eigenvalue
-decomposition, no norm).  Every sampled bit comes from one rule,
-:func:`draw_outcome`: ``Generator.choice``'s arithmetic without its
-re-checks.  The same holds for the authentication scheme's results in
-``qas``: its encoding isometry (``Isometry._trusted``, still a
-contiguous copy), the accept branch (``SubnormalizedOperator._trusted``)
-and the renormalized branch that ``verify`` returns.  The public
-constructors keep every check.
+:func:`measure_projective` (each branch divided by its norm or trace)
+and the density branch of :func:`apply_isometry`, are not re-checked
+either (no eigenvalue decomposition, no norm).  Every sampled bit comes
+from one rule, :func:`draw_outcome`: ``Generator.choice``'s arithmetic
+without its re-checks.  The same holds for the authentication scheme's
+results in ``qas``: its encoding isometry (``Isometry._trusted``, still
+a contiguous copy) and the renormalized accept branch that ``verify``
+returns.  The public constructors keep every check.
 
 Memory
 ------
@@ -37,8 +35,8 @@ Register ordering convention
 ----------------------------
 Qubit 0 is the *leftmost* register factor and the *most significant* bit
 of a basis-state index.  Concretely, the basis state ``|b0 b1 ... b_{q-1}>``
-sits at index ``sum(b_i * 2**(q-1-i))``, and ``tensor(a, b)`` places ``a``'s
-register in front (``numpy.kron(a, b)``).
+sits at index ``sum(b_i * 2**(q-1-i))``, so ``numpy.kron(a, b)`` places
+``a``'s register in front.
 
 Concurrency
 -----------
@@ -277,9 +275,9 @@ class DensityOperator:
     def _trusted(cls, matrix: np.ndarray) -> "DensityOperator":
         """Freeze ``matrix`` in place, without the checks.  Only for fresh
         complex matrices that are density operators by construction from
-        validated ones (the outer product of a unit vector, a product of
-        two, or a renormalized projection of one); the bytes are those the
-        public constructor would keep."""
+        validated ones (the outer product of a unit vector, or a
+        renormalized projection of one); the bytes are those the public
+        constructor would keep."""
         obj = object.__new__(cls)
         mat = np.asarray(matrix, dtype=complex)
         mat.setflags(write=False)
@@ -314,17 +312,6 @@ class SubnormalizedOperator:
         if tr < -ATOL or tr > 1.0 + ATOL:
             raise ValueError(f"trace {tr} outside [0, 1]")
         object.__setattr__(self, "matrix", mat)
-
-    @classmethod
-    def _trusted(cls, matrix: np.ndarray) -> "SubnormalizedOperator":
-        """Freeze ``matrix`` in place, without the checks.  Only for fresh
-        complex matrices that are subnormalized by construction (a
-        validated density operator compressed by an isometry's adjoint)."""
-        obj = object.__new__(cls)
-        mat = np.asarray(matrix, dtype=complex)
-        mat.setflags(write=False)
-        object.__setattr__(obj, "matrix", mat)
-        return obj
 
     @property
     def weight(self) -> float:
@@ -450,27 +437,6 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------
-
-
-def tensor(a, b):
-    """Kronecker product with ``a``'s register first (most significant).
-
-    Accepts pairs of :class:`PureState`, :class:`DensityOperator` or raw
-    matrices; mixed state/operator pairs are promoted to density operators.
-    """
-    if isinstance(a, PureState) and isinstance(b, PureState):
-        _check_cap(a.qubits + b.qubits)
-        return PureState(np.kron(a.amplitudes, b.amplitudes))
-    if isinstance(a, (PureState, DensityOperator)) and isinstance(b, (PureState, DensityOperator)):
-        da = a.density() if isinstance(a, PureState) else a
-        db = b.density() if isinstance(b, PureState) else b
-        _check_cap(da.qubits + db.qubits)
-        return DensityOperator._trusted(np.kron(da.matrix, db.matrix))
-    ma = a.matrix if hasattr(a, "matrix") else np.asarray(a)
-    mb = b.matrix if hasattr(b, "matrix") else np.asarray(b)
-    if ma.ndim == 2 and mb.ndim == 2:
-        _check_cap(_qubits_for_dim(ma.shape[0]) + _qubits_for_dim(mb.shape[0]))
-    return np.kron(ma, mb)
 
 
 def partial_trace(op: DensityOperator, keep: Iterable[int]) -> DensityOperator:

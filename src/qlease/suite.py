@@ -307,7 +307,7 @@ def c10_baselines(seed: int) -> CriterionResult:
     ok = True
     for bits in (3, GAME_BITS):
         d = cp.uniform_points(bits)
-        fam = lambda p, b=bits: cp.dhalf(p, b)
+        fam = cp.PointFamily(bits, 0.5)
         ok = ok and games.p_marg(d, fam) == Fraction(1, 2)
         ok = ok and games.p_ind(d, fam) == Fraction(1, 2)
     return CriterionResult(

@@ -51,10 +51,11 @@ def test_timings_cover_every_criterion(timed_results):
     assert all(seconds >= 0 for seconds in timings.values())
 
 
-@pytest.mark.parametrize("seed,measured", [(1, 2.220446049250313e-15), (4, 2.1094237467877974e-15)])
+@pytest.mark.parametrize("seed,measured", [(1, 2.220446049250313e-15), (4, 2.220446049250313e-15)])
 def test_qas_correctness_measured_is_pinned(seed, measured):
     # the encoding isometry is a contiguous copy of the key's columns:
-    # products with the strided column view round differently and move these
+    # products with the strided column view round differently and move these;
+    # verify decodes A† psi as outer(b, conj(b)) / p, whose rounding set seed 4's
     assert suite.c01_qas_correctness(seed).measured == measured
 
 

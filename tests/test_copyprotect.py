@@ -130,6 +130,21 @@ def test_invalid_distributions_fail_at_construction(build):
         build()
 
 
+def test_point_family_builds_biased_points():
+    family = cp.PointFamily(3, 0.75)
+    assert family(5) == cp.biased_point(5, 3, 0.75)
+    assert family.weights() == (Fraction(1, 28), Fraction(3, 4))
+    # an r with no short rational keeps its exact binary value
+    r = 0.1 + 2.0**-50
+    assert cp.PointFamily(3, r).weights()[1] == Fraction(r)
+
+
+@pytest.mark.parametrize("bits,r", [(0, 0.5), (-1, 0.5), (2.0, 0.5), (3, -0.1), (3, 1.5), (3, float("nan"))])
+def test_point_family_is_validated_when_built(bits, r):
+    with pytest.raises(ValueError):
+        cp.PointFamily(bits, r)
+
+
 def test_structured_distributions_hold_no_array():
     for dist in (cp.uniform_points(20), cp.dhalf(3, 20), cp.biased_point(3, 20, 0.3), cp.point_mass(1, 20)):
         assert not any(isinstance(value, np.ndarray) for value in vars(dist).values()), dist.kind
@@ -176,7 +191,7 @@ class _ParentDistribution:
             return Fraction(1, 2) if x == self.point else Fraction(1, 2 * (n - 1))
         fr = Fraction(self.r).limit_denominator(10**12)
         if float(fr) != self.r:
-            return None
+            fr = Fraction(self.r)
         return fr if x == self.point else (1 - fr) / (n - 1)
 
     def sample(self, rng):

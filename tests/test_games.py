@@ -44,7 +44,6 @@ from qlease.qmath import (
     apply_channel,
     measure_projective,
     spawn_rng,
-    tensor,
     zero_state,
 )
 
@@ -106,19 +105,20 @@ def test_p_marg_uniform_dhalf_is_exactly_half(spec):
 
 def test_p_marg_known_circuit_is_one():
     # a point-mass circuit distribution lets Charlie answer perfectly
-    value = p_marg(cp.point_mass(2, 3), lambda p: cp.dhalf(p, 3))
+    value = p_marg(cp.point_mass(2, 3), cp.PointFamily(3, 0.5))
     assert value == 1
 
 
 def test_p_marg_uniform_challenges_l2():
-    # exhaustive enumeration: max(Pr[P=0], Pr[P=1]) = 3/4 per challenge
-    value = p_marg(cp.uniform_points(2), lambda p: cp.uniform_points(2))
+    # exhaustive enumeration: max(Pr[P=0], Pr[P=1]) = 3/4 per challenge;
+    # mass 1/4 on the point of 4 strings is the uniform distribution
+    value = p_marg(cp.uniform_points(2), cp.PointFamily(2, 0.25))
     assert value == Fraction(3, 4)
 
 
 def test_p_ind_matches_p_marg_on_shared_shape(spec):
     assert p_ind(spec.circuit_dist, spec.charlie_family) == Fraction(1, 2)
-    assert p_ind(cp.uniform_points(2), lambda p: cp.uniform_points(2)) == Fraction(3, 4)
+    assert p_ind(cp.uniform_points(2), cp.PointFamily(2, 0.25)) == Fraction(3, 4)
 
 
 def _enumerated_best_guess(circuit_dist, family) -> Fraction:
@@ -139,32 +139,22 @@ def _enumerated_best_guess(circuit_dist, family) -> Fraction:
     return total
 
 
-def _exact_kinds(bits: int) -> dict:
-    """Named families of exact-weight tables, indexed by the point; some
-    peak away from the point."""
-    n = 1 << bits
-    return {
-        "uniform": lambda p: cp.uniform_points(bits),
-        "dhalf": lambda p: cp.dhalf(p, bits),
-        "dhalf-shifted": lambda p: cp.dhalf((p + 1) % n, bits),
-        "dhalf-fixed": lambda p: cp.dhalf(n - 1, bits),
-        "biased-0.75": lambda p: cp.biased_point(p, bits, 0.75),
-        "biased-0.125": lambda p: cp.biased_point(p, bits, 0.125),
-        "point-mass": lambda p: cp.point_mass(p, bits),
-        "zero-mass": lambda p: cp.biased_point(p, bits, 0.0),
-    }
-
-
 @pytest.mark.parametrize("bits", [1, 2, 3, 5])
 def test_best_guess_rate_matches_enumeration(bits):
-    kinds = _exact_kinds(bits)
-    circuits = [kinds[name](0) for name in ("uniform", "dhalf", "biased-0.75", "point-mass")]
-    circuits.append(cp.dhalf((1 << bits) - 1, bits))
+    n = 1 << bits
+    circuits = [
+        cp.uniform_points(bits),
+        cp.dhalf(0, bits),
+        cp.dhalf(n - 1, bits),
+        cp.biased_point(0, bits, 0.75),
+        cp.point_mass(0, bits),
+    ]
     for circuit in circuits:
-        for name, family in kinds.items():
+        for r in (0.0, 0.125, 0.5, 0.75, 1.0, 2.0**-bits):
+            family = cp.PointFamily(bits, r)
             value = p_marg(circuit, family)
-            assert isinstance(value, Fraction), name
-            assert value == _enumerated_best_guess(circuit, family), name
+            assert isinstance(value, Fraction), r
+            assert value == _enumerated_best_guess(circuit, family), r
 
 
 def test_best_guess_rate_keeps_no_tables():
@@ -172,7 +162,7 @@ def test_best_guess_rate_keeps_no_tables():
     # weight per challenge about 20 MiB; the shapes need a few KiB
     tracemalloc.start()
     try:
-        value = p_marg(cp.uniform_points(16), lambda p: cp.dhalf(p, 16))
+        value = p_marg(cp.uniform_points(16), cp.PointFamily(16, 0.5))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -180,23 +170,48 @@ def test_best_guess_rate_keeps_no_tables():
     assert peak < 64 * 2**10
 
 
-def test_best_guess_rate_float_matches_weight_matrix():
-    # reference: the whole weight matrix, summed over points at once
-    rng = np.random.default_rng(5)
-    rows = rng.random((8, 8))
-    tables = [cp.ChallengeDistribution(3, row / row.sum()) for row in rows]
-    circuit = cp.ChallengeDistribution(3, rows[0] / rows[0].sum())
-    weights = np.array([t.probs for t in tables]) * circuit.probs[:, None]
-    diag = np.diag(weights)
-    expected = float(np.maximum(diag, weights.sum(axis=0) - diag).sum())
-    assert p_marg(circuit, lambda p: tables[p]) == expected
+def test_best_guess_rate_builds_no_distribution(monkeypatch):
+    # the closed form reads the family's weights, not one distribution per point
+    circuit, family = cp.uniform_points(20), cp.PointFamily(20, 0.5)
+    built = []
+    check = cp.ChallengeDistribution.__post_init__
+    monkeypatch.setattr(cp.ChallengeDistribution, "__post_init__", lambda self: built.append(check(self)))
+    assert p_marg(circuit, family) == Fraction(1, 2)
+    assert p_ind(circuit, family) == Fraction(1, 2)
+    assert built == []
+    family(3)  # the count sees a build
+    assert len(built) == 1
 
 
-def test_baseline_float_fallback():
+def test_baselines_reject_tables_and_plain_callables():
     table = cp.ChallengeDistribution(2, np.array([0.4, 0.3, 0.2, 0.1]))
-    value = p_marg(table, lambda p: cp.uniform_points(2))
-    assert isinstance(value, float)
-    assert 0.5 <= value <= 1.0
+    for baseline in (p_marg, p_ind):
+        with pytest.raises(ValueError, match="circuit"):
+            baseline(table, cp.PointFamily(2, 0.5))
+        with pytest.raises(ValueError, match="PointFamily"):
+            baseline(cp.uniform_points(2), lambda p: cp.dhalf(p, 2))
+        with pytest.raises(ValueError, match="PointFamily"):
+            baseline(cp.uniform_points(2), cp.PointFamily(3, 0.5))
+
+
+class _NoSplit:
+    """A pirate whose split fails the test: no trial may start."""
+
+    name = "no-split"
+
+    def split(self, program_state, point, rng):
+        raise AssertionError("a trial ran before the baseline was checked")
+
+
+def test_bad_baseline_inputs_fail_before_any_trial(scheme, ssl):
+    table = cp.ChallengeDistribution(6, np.full(64, 1 / 64))
+    bad = games.GameSpec(scheme, table, cp.PointFamily(6, 0.5), cp.PointFamily(6, 0.5))
+    with pytest.raises(ValueError, match="circuit"):
+        run_experiment_free(bad, _NoSplit(), FixedAnswer(0), 10, seed=1)
+    with pytest.raises(ValueError, match="PointFamily"):
+        run_experiment_ssl(
+            ssl, cp.uniform_points(6), lambda p: cp.dhalf(p, 6), _NoSplit(), FixedAnswer(0), 10, seed=1
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +226,14 @@ def test_trivial_forward_split_is_program_then_zero(scheme):
     assert isinstance(charlie, PureState)
     assert np.array_equal(charlie.amplitudes, [1, 0])
     assert side is None
+
+
+def _joint(a, b):
+    """One register holding two, ``a``'s qubits first: their ``np.kron``."""
+    if isinstance(a, PureState) and isinstance(b, PureState):
+        return PureState(np.kron(a.amplitudes, b.amplitudes))
+    da, db = (s.density() if isinstance(s, PureState) else s for s in (a, b))
+    return DensityOperator(np.kron(da.matrix, db.matrix))
 
 
 def _mix_and_keep_reference(scheme, psi) -> np.ndarray:
@@ -229,7 +252,7 @@ def test_give_to_charlie_split_matches_kraus_channel(params):
     bob, charlie, side = give_to_charlie(scheme)[0].split(psi, 9, None)
     assert charlie is psi  # the kept program
     assert isinstance(bob, DensityOperator) and bob.qubits == scheme.total_qubits
-    joint = tensor(charlie, bob)
+    joint = _joint(charlie, bob)
     assert np.max(np.abs(joint.matrix - _mix_and_keep_reference(scheme, psi))) <= ATOL
     assert side is None
 
@@ -248,7 +271,7 @@ def _joint_register_wins(spec, pirate, charlie, trials, seed) -> int:
         pf = cp.PointFunction(p, scheme.key_bits)
         bob, charlie_state, side = pirate.split(cp.protect(scheme, p).state, p, rng)
         x1, x2 = spec.bob_family(p).sample(rng), spec.charlie_family(p).sample(rng)
-        joint = bob if charlie_state is None else tensor(bob, charlie_state)
+        joint = bob if charlie_state is None else _joint(bob, charlie_state)
         n, total = bob.qubits, joint.qubits
         bob_accept = np.kron(cp.evaluation_measurement(scheme, x1), np.eye(1 << (total - n)))
         b1, post = measure_projective(joint, bob_accept, rng)

@@ -12,7 +12,7 @@ from qlease.qmath import (
     DimensionMismatchError,
     Isometry,
     PureState,
-    SubnormalizedOperator,
+    accept_branch,
     apply_isometry,
     maximally_mixed,
     random_density,
@@ -103,30 +103,54 @@ def test_verify_maximally_mixed(scheme):
 
 def test_verify_trace_preserving(scheme):
     rng = spawn_rng(4)
+    a = qas.auth_isometry(scheme, 9).matrix
     for _ in range(10):
         rho = random_density(2, rng)
-        branch = qas.verify_accept_branch(scheme, 9, rho)
-        reject_mass = 1.0 - branch.weight
-        assert abs(branch.weight + reject_mass - 1.0) < 1e-9
-        assert 0.0 <= branch.weight <= 1.0 + 1e-12
+        p, branch = accept_branch(rho, qas.adjoint_isometry(scheme, 9))
+        reject_mass = np.trace((np.eye(4) - a @ a.conj().T) @ rho.matrix).real
+        assert abs(p + reject_mass - 1.0) < 1e-9
+        assert abs(np.trace(branch).real - p) < 1e-12
+        assert 0.0 <= p <= 1.0 + 1e-12
 
 
 def test_accept_branch_matches_probability(scheme):
-    # two code paths: branch trace vs direct probability
+    # two code paths: the adjoint's accept branch vs conjugation by the
+    # encoding isometry
     rng = spawn_rng(5)
     for _ in range(25):
         rho = random_density(2, rng)
         key = int(rng.integers(1 << 14))
-        branch = qas.verify_accept_branch(scheme, key, rho)
-        assert abs(branch.weight - qas.accept_probability(scheme, key, rho)) < 1e-10
+        a = qas.auth_isometry(scheme, key).matrix
+        expected = np.trace(a.conj().T @ rho.matrix @ a).real
+        assert abs(qas.verify(scheme, key, rho).accept_probability - expected) < 1e-10
+        assert abs(qas.accept_probability(scheme, key, rho) - expected) < 1e-10
 
 
 def test_accept_branch_on_authenticated(scheme):
     rng = spawn_rng(6)
     rho = random_density(1, rng)
-    branch = qas.verify_accept_branch(scheme, 3, qas.auth(scheme, 3, rho))
-    assert abs(branch.weight - 1.0) < 1e-9
-    assert np.allclose(branch.matrix, rho.matrix, atol=1e-9)
+    out = qas.verify(scheme, 3, qas.auth(scheme, 3, rho))
+    assert abs(out.accept_probability - 1.0) < 1e-9
+    assert np.allclose(out.message_state.matrix, rho.matrix, atol=1e-9)
+
+
+@pytest.mark.parametrize("p", [1e-7, 1e-8, 1e-10])
+def test_verify_decodes_small_pure_branches_as_states(scheme, p):
+    # a pure state accepted with probability p decodes as outer(b, conj(b)) / p,
+    # which is exactly Hermitian; A† |psi><psi| A / p rounds each entry on
+    # its own, and at p <= 1e-8 failed the Hermiticity check
+    a = qas.auth_isometry(scheme, 77).matrix
+    rng = spawn_rng(31)
+    for _ in range(50):
+        message = random_pure_state(1, rng)
+        rejected = random_pure_state(2, rng).amplitudes
+        rejected = rejected - a @ (a.conj().T @ rejected)
+        rejected /= np.linalg.norm(rejected)
+        state = PureState(np.sqrt(1 - p) * rejected + np.sqrt(p) * (a @ message.amplitudes))
+        out = qas.verify(scheme, 77, state)
+        assert out.accept_probability == pytest.approx(p, rel=1e-6)
+        decoded = DensityOperator(out.message_state.matrix)
+        assert state_distance(decoded, message) < 1e-6
 
 
 def test_sampled_verify_deterministic(scheme):
@@ -147,7 +171,7 @@ def test_sampled_verify_branches(scheme):
 
 @pytest.mark.parametrize("params", [(1, 1, 14), (1, 2, 14), (2, 1, 6)], ids=str)
 def test_trusted_results_pass_the_public_checks(params):
-    # auth_isometry, apply_isometry, the accept branch and verify build
+    # auth_isometry, apply_isometry and verify build
     # their results without re-validation; each must be a contiguous
     # read-only matrix that the public constructor (gram, Hermiticity,
     # trace and eigenvalue checks at ATOL) accepts and keeps byte for byte
@@ -159,15 +183,15 @@ def test_trusted_results_pass_the_public_checks(params):
     u = scheme.design.element(scheme.key_index(key))
     partial = maximally_mixed(scheme.total_qubits)  # accepted with probability 2^-t
     rejected = PureState(u[:, 1])  # a trap qubit reads 1
-    unsampled = [qas.verify(scheme, key, s) for s in (encoded, partial, rejected)]
-    assert [o.accepted for o in unsampled] == [None] * 3
+    encoded_pure = qas.auth(scheme, key, random_pure_state(scheme.message_qubits, rng))
+    unsampled = [qas.verify(scheme, key, s) for s in (encoded, partial, rejected, encoded_pure)]
+    assert [o.accepted for o in unsampled] == [None] * 4
     assert unsampled[2].accept_probability < 1e-12
     sampled = [qas.verify(scheme, key, partial, spawn_rng(21, i)) for i in range(40)]
     assert {o.accepted for o in sampled} == {True, False}
     results = [
         (iso.matrix, Isometry),
         (encoded.matrix, DensityOperator),
-        (qas.verify_accept_branch(scheme, key, partial).matrix, SubnormalizedOperator),
     ] + [(o.message_state.matrix, DensityOperator) for o in unsampled + sampled]
     for mat, public in results:
         assert mat.flags.c_contiguous and not mat.flags.writeable

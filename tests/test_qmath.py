@@ -25,7 +25,6 @@ from qlease.qmath import (
     random_density,
     random_pure_state,
     spawn_rng,
-    tensor,
     trace_distance,
     trace_norm,
     zero_state,
@@ -84,37 +83,6 @@ def test_qubit_cap_enforced():
 
 
 # ---------------------------------------------------------------------------
-# tensor
-# ---------------------------------------------------------------------------
-
-
-def test_tensor_basis_states():
-    out = tensor(ket("0"), ket("1"))
-    assert np.allclose(out.amplitudes, [0, 1, 0, 0])
-
-
-def test_tensor_identity_matrices():
-    assert np.allclose(tensor(np.eye(2), np.eye(2)), np.eye(4))
-
-
-def test_tensor_plus_states():
-    plus = PureState(np.array([1, 1]) / np.sqrt(2))
-    out = tensor(plus, plus)
-    assert np.allclose(out.amplitudes, [0.5, 0.5, 0.5, 0.5])
-
-
-def test_tensor_left_factor_most_significant():
-    # |1> (x) |0> must be index 2, not index 1
-    out = tensor(ket("1"), ket("0"))
-    assert np.argmax(np.abs(out.amplitudes)) == 2
-
-
-def test_tensor_respects_cap():
-    with pytest.raises(QubitCapError):
-        tensor(zero_state(7), zero_state(6))
-
-
-# ---------------------------------------------------------------------------
 # partial trace
 # ---------------------------------------------------------------------------
 
@@ -135,7 +103,7 @@ def test_partial_trace_recovers_factors():
     rng = spawn_rng(11)
     rho = random_density(1, rng)
     sigma = random_density(2, rng)
-    joint = tensor(rho, sigma)
+    joint = DensityOperator(np.kron(rho.matrix, sigma.matrix))
     first = partial_trace(joint, {0})
     assert np.allclose(first.matrix, rho.matrix, atol=1e-12)
     rest = partial_trace(joint, {1, 2})
@@ -351,12 +319,12 @@ def test_local_measurement_matches_dense_lift(pure, positions, total):
     rest = [i for i in range(total) if i not in positions]
     back = [(list(positions) + rest).index(i) for i in range(total)]
 
-    def placed(joint):  # qubits of ``joint`` in the order positions + rest
-        t = joint.density().matrix if pure else joint.matrix
+    def placed(a, b):  # a (x) b, its qubits in the order positions + rest
+        t = np.kron(*(s.density().matrix if pure else s.matrix for s in (a, b)))
         d = 1 << total
         return t.reshape((2,) * (2 * total)).transpose(back + [total + i for i in back]).reshape(d, d)
 
-    rho = placed(tensor(own, other))
+    rho = placed(own, other)
     lifted = [embed_operator(p, positions, total) for p in _dense_pair(v)]
     p1, _ = qmath.accept_branch(own, v.conj().T)
     assert abs(p1 - np.trace(lifted[1] @ rho).real) <= qmath.ATOL
@@ -366,7 +334,7 @@ def test_local_measurement_matches_dense_lift(pure, positions, total):
         m = big @ rho @ big
         expected = m / np.trace(m).real
         assert isinstance(post, PureState if pure else DensityOperator)
-        assert np.max(np.abs(placed(tensor(post, other)) - expected)) < qmath.ATOL
+        assert np.max(np.abs(placed(post, other) - expected)) < qmath.ATOL
 
 
 def _state_with_acceptance(v: np.ndarray, a: float, rng) -> np.ndarray:
@@ -460,9 +428,6 @@ def test_post_states_are_density_operators(seed, total, kind):
         assert post.qubits == total
         assert not post.matrix.flags.writeable
         assert post.matrix.tobytes() == DensityOperator(post.matrix).matrix.tobytes()
-        product = tensor(post, state)
-        _assert_density(product.matrix)
-        assert product.matrix.tobytes() == DensityOperator(np.kron(post.matrix, state.matrix)).matrix.tobytes()
         # the public constructor still rejects a negative eigenvalue
         w, v = np.linalg.eigh(post.matrix)
         w[-1] += w[0] + 0.01
