@@ -17,7 +17,8 @@ fresh qubit, uncompute) leaves the ancillas in |0> and acts on the
 program register exactly as this measurement, so the measurement is what
 runs: the same bits and post-states without a circuit on a register four
 times the program's size.  :func:`evaluate_preserving` hands the program
-back, exactly intact on the encoded point; :func:`evaluate` consumes it.
+back (:func:`~qlease.qmath.collapse`), exactly intact on the encoded
+point; :func:`evaluate` consumes it and builds no post-state.
 
 :func:`mix_protect` wraps a program with a pairwise independent
 permutation: the point is first pushed through a uniformly random
@@ -40,6 +41,7 @@ from .qmath import (
     DensityOperator,
     DimensionMismatchError,
     PureState,
+    collapse,
     measure_projective,
     zero_state,
 )
@@ -269,30 +271,24 @@ def evaluation_measurement(scheme: QasScheme, x: int) -> np.ndarray:
 def evaluate(program: ProtectedProgram, x: int, rng: np.random.Generator) -> int:
     """Destructive evaluation: verify with key ``x``, output 1 on accept.
 
-    The program is consumed; the encoded point always evaluates to 1.
-    The bit is that of :func:`evaluate_preserving`, whose returned
-    program is dropped.
+    The program is consumed and no post-state is built; the encoded
+    point always evaluates to 1.  Mixed programs are rejected: they
+    evaluate through :func:`mix_evaluate`.
     """
-    return evaluate_preserving(program, x, rng)[0]
+    if program.kind == "mixed":
+        raise ValueError("mixed programs evaluate through mix_evaluate")
+    return _consume(program, x, rng)
 
 
 def evaluate_preserving(
     program: ProtectedProgram, x: int, rng: np.random.Generator
 ) -> tuple[int, ProtectedProgram]:
-    """Program-preserving evaluation: measure :func:`evaluation_measurement`
-    on the program and return the bit with a fresh program holding the
-    post-measurement state.  On the encoded point the state comes back
-    exactly unchanged.  Mixed programs are rejected, as in
-    :func:`evaluate`."""
-    program._claim()
-    if program.kind == "mixed":
-        raise ValueError("mixed programs evaluate through mix_evaluate")
-    outcome, state = measure_projective(
-        program.state, evaluation_measurement(program.scheme, x), rng
-    )
-    post = replace(program, state=state)
-    program.consumed = True
-    return outcome, post
+    """Program-preserving evaluation: the bit of :func:`evaluate` (the same
+    draw), with a fresh program holding the post-measurement state.  On
+    the encoded point the state comes back exactly unchanged."""
+    outcome = evaluate(program, x, rng)
+    post = collapse(program.state, evaluation_measurement(program.scheme, x), outcome)
+    return outcome, replace(program, state=post, consumed=False)
 
 
 def post_evaluation_state(
@@ -382,9 +378,13 @@ def mix_evaluate(program: ProtectedProgram, x: int, rng: np.random.Generator) ->
     """Evaluate a mixed program: destructive evaluation at ``h_r(x)``."""
     if program.kind != "mixed":
         raise ValueError("mix_evaluate needs a mixed program")
+    return _consume(program, program.family.apply(program.perm_param, x), rng)
+
+
+def _consume(program: ProtectedProgram, key: int, rng: np.random.Generator) -> int:
+    """The bit of honest evaluation at ``key``; consumes the program."""
     program._claim()
-    h_x = program.family.apply(program.perm_param, x)
-    outcome, _ = measure_projective(program.state, evaluation_measurement(program.scheme, h_x), rng)
+    outcome = measure_projective(program.state, evaluation_measurement(program.scheme, key), rng)
     program.consumed = True
     return outcome
 

@@ -14,11 +14,11 @@ then Charlie's answer; a trial is won iff both answers are right.
 Each party holds its own register: a pirate's ``split`` returns Bob's
 state and Charlie's state, and each party measures its whole register
 and nothing else, so Bob's measurement leaves Charlie's register
-untouched.
-This covers every pirate shipped here, whose two registers are separate
-tensor factors; a pirate that entangles them would need a joint register.
-The shipped pirates hand one party the program and the other a fixed
-ancilla (:class:`PirateMap`), or search for the key
+untouched; a trial keeps only the two bits, so only keysearch's chain
+builds a post-state.  This covers every pirate shipped here, whose two
+registers are separate tensor factors; a pirate that entangles them would
+need a joint register.  The shipped pirates hand one party the program and
+the other a fixed ancilla (:class:`PirateMap`), or search for the key
 (:class:`KeysearchPirate`).
 
 Every Monte Carlo estimate here is reproducible: trial ``i`` of a run
@@ -64,6 +64,7 @@ from .qas import QasScheme
 from .qmath import (
     DensityOperator,
     PureState,
+    collapse,
     maximally_mixed,
     measure_projective,
     spawn_rngs,
@@ -123,7 +124,7 @@ class PirateMap:
 class MeasurementStrategy:
     """Charlie's side: one two-outcome projective measurement per
     challenge, as ``measure_projective`` takes it; outcome 1 means
-    "answer 1"."""
+    "answer 1", and the measured register is not kept."""
 
     name = "strategy"
 
@@ -132,9 +133,8 @@ class MeasurementStrategy:
 
     def answer(self, state, x, side, rng) -> int:
         """Measure :meth:`measurement` at challenge ``x`` on Charlie's
-        whole register ``state``."""
-        outcome, _ = measure_projective(state, self.measurement(x), rng)
-        return outcome
+        whole register ``state``; only the bit is kept."""
+        return measure_projective(state, self.measurement(x), rng)
 
 
 class FixedAnswer(MeasurementStrategy):
@@ -205,13 +205,13 @@ class KeysearchPirate:
         """Returns the searched program for Bob, no register for Charlie,
         and the key found (None if the search came up empty)."""
         state = program_state
-        found = None
         for key in self._candidates(point, rng):
-            outcome, state = measure_projective(state, evaluation_measurement(self.scheme, key), rng)
+            accept = evaluation_measurement(self.scheme, key)
+            outcome = measure_projective(state, accept, rng)
+            state = collapse(state, accept, outcome)
             if outcome == 1:
-                found = key
-                break
-        return state, None, found
+                return state, None, key
+        return state, None, None
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +383,7 @@ def _play(spec: GameSpec, pirate, charlie: MeasurementStrategy, trials: int, see
         psi, pf, bob_dist, charlie_dist = at_point(p)
         bob, charlie_state, side = pirate.split(psi, p, rng)
         x1, x2 = bob_dist.sample(rng), charlie_dist.sample(rng)
-        b1, _ = measure_projective(bob, evaluation_measurement(scheme, x1), rng)
+        b1 = measure_projective(bob, evaluation_measurement(scheme, x1), rng)
         b2 = charlie.answer(charlie_state, x2, side, rng)
         if b1 == pf(x1) and b2 == pf(x2):
             wins += 1

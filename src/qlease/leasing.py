@@ -122,8 +122,7 @@ def ssl_verify(
     """Check a returned state: sample x from the verification distribution
     and destructively evaluate; accept iff the output matches P_p(x)."""
     x = verify_distribution(scheme, pf).sample(rng)
-    probe = ProtectedProgram(state=returned, scheme=scheme.base)
-    outcome = evaluate(probe, x, rng)
+    outcome = evaluate(ProtectedProgram(state=returned, scheme=scheme.base), x, rng)
     accept = int(outcome == pf(x))
     if transcript is not None:
         transcript.append({"x": x, "outcome": outcome, "accept": accept})

@@ -15,12 +15,12 @@ given as the plain array ``V†``, whose orthonormal rows are trusted.  It
 acts on a whole register: a party that holds its own register is
 measured on that register alone, never on a joint state with the
 registers of others.  Results that are states by construction, the outer
-product of :meth:`PureState.density`, the post-states of
-:func:`measure_projective` (each branch divided by its norm or trace)
-and the density branch of :func:`apply_isometry`, are not re-checked
-either (no eigenvalue decomposition, no norm).  Every sampled bit comes
-from one rule, :func:`draw_outcome`: ``Generator.choice``'s arithmetic
-without its re-checks.  The same holds for the authentication scheme's
+product of :meth:`PureState.density`, the post-states of :func:`collapse`
+(built only where a caller keeps the register) and the density branch of
+:func:`apply_isometry`, are not re-checked either (no eigenvalue
+decomposition, no norm).  Every sampled bit comes from one rule,
+:func:`draw_outcome`: ``Generator.choice``'s arithmetic without its
+re-checks.  The same holds for the authentication scheme's
 results in ``qas``: its encoding isometry (``Isometry._trusted``, still
 a contiguous copy) and the renormalized accept branch that ``verify``
 returns.  The public constructors keep every check.
@@ -510,50 +510,51 @@ def draw_outcome(p1: float, rng: np.random.Generator) -> int:
     return int(q0 / (q0 + q1) <= rng.random())
 
 
-def measure_projective(state, accept: np.ndarray, rng: np.random.Generator):
+def measure_projective(state, accept: np.ndarray, rng: np.random.Generator) -> int:
     """Measure ``{I - V V†, V V†}`` on a whole register, for an isometry
-    ``V`` given as ``accept = V†``: sample an outcome, return (outcome,
-    post-state).
-
-    ``accept`` has orthonormal rows (it is trusted, not checked) and acts
-    on all of the state's qubits.  Outcome 1, the range of ``V``, has the
-    probability ``p1`` of :func:`accept_branch`, outcome 0 has
-    ``1 - p1``, and the outcome comes from :func:`draw_outcome`.  Only
-    the drawn branch's post-state is built: the branch divided by its norm
-    or trace.  Pure states stay pure.
-    """
+    ``V`` given as ``accept = V†`` (orthonormal rows, trusted, acting on
+    all of the state's qubits): the outcome that :func:`draw_outcome`
+    draws at the acceptance ``p1`` of :func:`accept_branch`.  Outcome 1 is
+    the range of ``V``.  No post-state is built (see :func:`collapse`)."""
     if accept.ndim != 2 or accept.shape[1] != state.dim:
         raise DimensionMismatchError("measurement register does not match the state")
+    return draw_outcome(accept_branch(state, accept)[0], rng)
+
+
+def collapse(state, accept: np.ndarray, outcome: int):
+    """The post-state of :func:`measure_projective` for a possible
+    ``outcome``: the branch divided by its norm or trace; pure states stay
+    pure.  A density branch is kept as its Hermitian part, since dividing
+    by a weight ``p`` rounds each entry by about ``d * 2.2e-16 / p``."""
     p1, inner = accept_branch(state, accept)
-    outcome = draw_outcome(p1, rng)
     if isinstance(state, PureState):
         # V V† psi, conjugating vectors rather than the matrix
         branch = (inner.conj() @ accept).conj()
         if outcome == 0:
             branch = state.amplitudes - branch
-        return outcome, PureState._trusted(branch / np.sqrt(np.vdot(branch, branch).real))
+        return PureState._trusted(branch / np.sqrt(np.vdot(branch, branch).real))
     v = accept.conj().T
     if outcome == 1:
         # Tr(V b V†) = Tr(b): the weight already computed
-        return outcome, DensityOperator._trusted(v @ (inner / p1) @ accept)
-    q = np.eye(state.dim) - v @ accept
-    m = q @ state.matrix @ q
-    return outcome, DensityOperator._trusted(m / m.trace().real)
+        m = v @ (inner / p1) @ accept
+    else:
+        q = np.eye(state.dim) - v @ accept
+        m = q @ state.matrix @ q
+        m = m / m.trace().real
+    return DensityOperator._trusted((m + m.conj().T) / 2)
 
 
 def apply_isometry(v: Isometry, state):
     """``V |psi>`` for pure input, ``V rho V†`` for density input (a
     density operator by construction, not re-checked)."""
     mat = v.matrix
+    if not isinstance(state, (PureState, DensityOperator)):
+        raise TypeError("expected PureState or DensityOperator")
+    if state.dim != mat.shape[1]:
+        raise DimensionMismatchError("state does not match isometry domain")
     if isinstance(state, PureState):
-        if state.dim != mat.shape[1]:
-            raise DimensionMismatchError("state does not match isometry domain")
         return PureState(mat @ state.amplitudes)
-    if isinstance(state, DensityOperator):
-        if state.dim != mat.shape[1]:
-            raise DimensionMismatchError("state does not match isometry domain")
-        return DensityOperator._trusted(mat @ state.matrix @ mat.conj().T)
-    raise TypeError("expected PureState or DensityOperator")
+    return DensityOperator._trusted(mat @ state.matrix @ mat.conj().T)
 
 
 def apply_channel(ch: KrausChannel, state: DensityOperator):

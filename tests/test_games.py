@@ -35,13 +35,16 @@ from qlease.games import (
     trivial_forward,
     wilson_interval,
 )
-from qlease.leasing import SslScheme
+from qlease.designs import PairwisePermFamily
+from qlease.leasing import SslScheme, ssl_verify
 from qlease.qmath import (
     ATOL,
     DensityOperator,
     KrausChannel,
     PureState,
     apply_channel,
+    collapse,
+    maximally_mixed,
     measure_projective,
     spawn_rng,
     zero_state,
@@ -274,9 +277,10 @@ def _joint_register_wins(spec, pirate, charlie, trials, seed) -> int:
         joint = bob if charlie_state is None else _joint(bob, charlie_state)
         n, total = bob.qubits, joint.qubits
         bob_accept = np.kron(cp.evaluation_measurement(scheme, x1), np.eye(1 << (total - n)))
-        b1, post = measure_projective(joint, bob_accept, rng)
+        b1 = measure_projective(joint, bob_accept, rng)
+        post = collapse(joint, bob_accept, b1)
         if isinstance(charlie, HonestEvalStrategy):
-            b2, _ = measure_projective(post, np.kron(np.eye(1 << n), charlie.measurement(x2)), rng)
+            b2 = measure_projective(post, np.kron(np.eye(1 << n), charlie.measurement(x2)), rng)
         else:
             b2 = charlie.answer(None, x2, side, rng)
         wins += b1 == pf(x1) and b2 == pf(x2)
@@ -622,6 +626,32 @@ def test_ssl_abort_counts_as_loss(ssl, spec, scheme):
     # correctness alone
     kept_alone = _mean_correctness(scheme, spec.circuit_dist, spec.charlie_family)
     assert rep.estimate < kept_alone - 0.1
+
+
+def test_sampled_bits_build_no_post_state(monkeypatch, scheme, spec, ssl):
+    # a trial keeps only the two answer bits, and a destructive evaluation
+    # only its bit: with collapse refused, the four zoo games, evaluate,
+    # mix_evaluate and ssl_verify still run, while the callers that keep
+    # the register (keysearch's chain, evaluate_preserving) stop
+    def refuse(*args):
+        raise AssertionError("a post-state was built")
+
+    monkeypatch.setattr(games, "collapse", refuse)
+    monkeypatch.setattr(cp, "collapse", refuse)
+    for adversary in (trivial_forward, give_to_charlie):
+        run_experiment_free(spec, *adversary(scheme), 200, seed=8)
+    for adversary in (honest_return, keep_program):
+        run_experiment_ssl(ssl, spec.circuit_dist, spec.charlie_family, *adversary(ssl), 200, seed=8)
+    rng = spawn_rng(9)
+    assert cp.evaluate(cp.protect(scheme, 3), 3, rng) == 1
+    assert cp.mix_evaluate(cp.mix_protect(scheme, PairwisePermFamily(6), 3, rng), 3, rng) == 1
+    pf = cp.PointFunction(3, scheme.key_bits)
+    assert ssl_verify(ssl, pf, cp.protect(scheme, 3).state, rng) == 1
+    assert ssl_verify(ssl, pf, maximally_mixed(scheme.total_qubits), rng) in (0, 1)
+    with pytest.raises(AssertionError, match="post-state"):
+        cp.evaluate_preserving(cp.protect(scheme, 3), 3, rng)
+    with pytest.raises(AssertionError, match="post-state"):
+        run_experiment_free(spec, *keysearch_adversary(scheme, 4), 10, seed=8)
 
 
 def test_ssl_report_fields(ssl, spec):

@@ -1,5 +1,6 @@
 """Tests for the dense linear-algebra layer."""
 
+import functools
 import tracemalloc
 
 import numpy as np
@@ -16,6 +17,7 @@ from qlease.qmath import (
     QubitCapError,
     apply_channel,
     apply_isometry,
+    collapse,
     embed_operator,
     haar_unitary,
     ket,
@@ -229,7 +231,8 @@ def test_measure_deterministic_outcome():
     rng = spawn_rng(1)
     accept = _adjoint(ket("1").amplitudes)  # outcome 1 is |1>
     for _ in range(20):
-        outcome, post = measure_projective(ket("0"), accept, rng)
+        outcome = measure_projective(ket("0"), accept, rng)
+        post = collapse(ket("0"), accept, outcome)
         assert outcome == 0
         assert np.allclose(post.amplitudes, ket("0").amplitudes)
 
@@ -241,7 +244,7 @@ def test_measure_plus_state_frequencies():
     plus = PureState(np.array([1, 1]) / np.sqrt(2))
     accept = _adjoint(ket("1").amplitudes)
     zeros = sum(
-        1 for _ in range(10**4) if measure_projective(plus, accept, rng)[0] == 0
+        1 for _ in range(10**4) if measure_projective(plus, accept, rng) == 0
     )
     lo, hi = wilson_interval(zeros, 10**4, 0.99)
     assert lo <= 0.5 <= hi
@@ -254,7 +257,8 @@ def test_measure_bell_first_qubit():
     accept = _adjoint(np.kron(ket("1").amplitudes.reshape(2, 1), np.eye(2)))  # first qubit 1
     counts = [0, 0]
     for _ in range(2000):
-        outcome, post = measure_projective(bell_state(), accept, rng)
+        outcome = measure_projective(bell_state(), accept, rng)
+        post = collapse(bell_state(), accept, outcome)
         counts[outcome] += 1
         expected = ket("00") if outcome == 0 else ket("11")
         assert qmath.state_distance(post, expected) < 1e-9
@@ -265,7 +269,7 @@ def test_measure_never_samples_negligible_outcome():
     rng = spawn_rng(5)
     accept = _adjoint(ket("1").amplitudes)
     for _ in range(200):
-        outcome, _ = measure_projective(ket("0"), accept, rng)
+        outcome = measure_projective(ket("0"), accept, rng)
         assert outcome == 0
 
 
@@ -329,7 +333,8 @@ def test_local_measurement_matches_dense_lift(pure, positions, total):
     p1, _ = qmath.accept_branch(own, v.conj().T)
     assert abs(p1 - np.trace(lifted[1] @ rho).real) <= qmath.ATOL
     for outcome, big in enumerate(lifted):
-        got, post = measure_projective(own, v.conj().T, _ForcedDraw(outcome))
+        got = measure_projective(own, v.conj().T, _ForcedDraw(outcome))
+        post = collapse(own, v.conj().T, got)
         assert got == outcome
         m = big @ rho @ big
         expected = m / np.trace(m).real
@@ -376,7 +381,8 @@ def test_measurement_matches_the_dense_pair(qubits, pure):
         assert abs(p1 - born[1]) <= 1e-12 and abs(p1 - weight) <= 1e-12
         possible = [w >= qmath.NEGLIGIBLE for w in born]
         for forced in range(2):
-            got, post = measure_projective(state, accept, _ForcedDraw(forced))
+            got = measure_projective(state, accept, _ForcedDraw(forced))
+            post = collapse(state, accept, got)
             assert possible[got]
             if all(possible):
                 assert got == forced
@@ -418,7 +424,8 @@ def test_post_states_are_density_operators(seed, total, kind):
         state = random_density(total, rng, rank=int(rng.integers(1, (1 << total) + 1)))
     accept = _random_isometry(total, rng).conj().T
     for outcome in range(2):
-        got, post = measure_projective(state, accept, _ForcedDraw(outcome))
+        got = measure_projective(state, accept, _ForcedDraw(outcome))
+        post = collapse(state, accept, got)
         assert got == outcome
         if kind == "pure":
             assert isinstance(post, PureState)
@@ -434,6 +441,101 @@ def test_post_states_are_density_operators(seed, total, kind):
         w[0] = -0.01
         with pytest.raises(ValueError, match="negative eigenvalue"):
             DensityOperator((v * w) @ v.conj().T)
+
+
+def _measure_and_collapse_at_once(state, accept, rng):
+    """The measurement as it was before it was split into
+    :func:`measure_projective` and :func:`collapse`: one call that draws
+    the outcome and builds its post-state, the reference for both."""
+    if accept.ndim != 2 or accept.shape[1] != state.dim:
+        raise DimensionMismatchError("measurement register does not match the state")
+    p1, inner = qmath.accept_branch(state, accept)
+    outcome = qmath.draw_outcome(p1, rng)
+    if isinstance(state, PureState):
+        branch = (inner.conj() @ accept).conj()
+        if outcome == 0:
+            branch = state.amplitudes - branch
+        return outcome, PureState._trusted(branch / np.sqrt(np.vdot(branch, branch).real))
+    v = accept.conj().T
+    if outcome == 1:
+        return outcome, DensityOperator._trusted(v @ (inner / p1) @ accept)
+    q = np.eye(state.dim) - v @ accept
+    m = q @ state.matrix @ q
+    return outcome, DensityOperator._trusted(m / m.trace().real)
+
+
+@functools.cache
+def _scheme(params):
+    from qlease import qas
+
+    return qas.build_scheme(*params)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([(1, 1, 6), (2, 1, 6), (3, 3, 6)]),
+    seeds,
+    st.integers(0, 63),
+    st.sampled_from(["pure", "mixed", "program"]),
+)
+def test_measure_then_collapse_is_the_single_call(params, seed, key, kind):
+    # the same outcome, the same generator state afterwards, and the same
+    # post-state bytes (a density branch as the Hermitian part of the
+    # single call's) as drawing and collapsing in one call
+    from qlease.copyprotect import evaluation_measurement, protect
+
+    scheme = _scheme(params)
+    accept = evaluation_measurement(scheme, key)
+    rng = spawn_rng(seed)
+    n = scheme.total_qubits
+    if kind == "pure":
+        state = random_pure_state(n, rng)
+    elif kind == "mixed":
+        state = random_density(n, rng, rank=int(rng.integers(1, (1 << n) + 1)))
+    else:  # a program, accepted with probability 1 at its own key
+        state = protect(scheme, int(rng.integers(1 << scheme.key_bits))).state
+    ours, theirs = spawn_rng(seed, 1), spawn_rng(seed, 1)
+    got = measure_projective(state, accept, ours)
+    expected, reference = _measure_and_collapse_at_once(state, accept, theirs)
+    assert got == expected
+    assert ours.bit_generator.state == theirs.bit_generator.state
+    post = collapse(state, accept, got)
+    if kind == "mixed":
+        m = reference.matrix
+        assert post.matrix.tobytes() == ((m + m.conj().T) / 2).tobytes()
+    else:
+        assert post.amplitudes.tobytes() == reference.amplitudes.tobytes()
+
+
+@pytest.mark.parametrize("outcome", [1, 0])
+@pytest.mark.parametrize("p", [1e-7, 1e-8, 1e-10])
+def test_collapse_keeps_small_density_branches_states(outcome, p):
+    # rank-2 states whose branch for ``outcome`` has weight p, at 1,1,14
+    # and key 77: dividing the branch by p rounds each entry on its own,
+    # about d * eps / p; before the Hermitian part was taken, 9/50 accept
+    # branches failed DensityOperator at p = 1e-8 and 50/50 at p = 1e-10
+    from qlease.copyprotect import evaluation_measurement
+
+    accept = evaluation_measurement(_scheme((1, 1, 14)), 77)
+    a = accept.conj().T
+    rng = spawn_rng(32)
+    bound = 10 * 4 * np.finfo(float).eps / p  # d = 4, ten times the rounding
+    for _ in range(50):
+        vecs, kept = [], []
+        for _ in range(2):
+            accepted = a @ random_pure_state(1, rng).amplitudes
+            rejected = random_pure_state(2, rng).amplitudes
+            rejected = rejected - a @ (accept @ rejected)
+            rejected /= np.linalg.norm(rejected)
+            w = p if outcome == 1 else 1 - p
+            vecs.append(np.sqrt(1 - w) * rejected + np.sqrt(w) * accepted)
+            kept.append(accepted if outcome == 1 else rejected)
+        mix = rng.random()
+        state = DensityOperator(sum(c * np.outer(x, x.conj()) for c, x in zip((mix, 1 - mix), vecs)))
+        post = collapse(state, accept, outcome)
+        assert post.matrix.tobytes() == DensityOperator(post.matrix).matrix.tobytes()
+        expected = sum(c * np.outer(x, x.conj()) for c, x in zip((mix, 1 - mix), kept))
+        assert trace_distance(post, expected) < bound
 
 
 def _reference_probs(p1: float) -> np.ndarray:
@@ -463,7 +565,7 @@ def test_draw_is_generator_choice():
         probs = _reference_probs(qmath.accept_branch(state, accept)[0])
         for seed in range(180):
             ours, theirs = np.random.default_rng([case, seed]), np.random.default_rng([case, seed])
-            got, _ = measure_projective(state, accept, ours)
+            got = measure_projective(state, accept, ours)
             assert got == theirs.choice(2, p=probs)
             assert probs[got] > 0
             assert ours.random() == theirs.random()
@@ -491,7 +593,8 @@ def test_pure_post_state_is_trusted_and_exact(qubits):
     for _ in range(20):
         state = random_pure_state(qubits, rng)
         for outcome in range(2):
-            got, post = measure_projective(state, accept, _ForcedDraw(outcome))
+            got = measure_projective(state, accept, _ForcedDraw(outcome))
+            post = collapse(state, accept, got)
             assert got == outcome
             assert isinstance(post, PureState) and post.qubits == qubits
             assert not post.amplitudes.flags.writeable
