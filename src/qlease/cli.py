@@ -73,40 +73,23 @@ def _config_value(action: argparse.Action, key: str, value):
     return value
 
 
-def _given_options(sub: argparse.ArgumentParser, argv: list[str], command: str) -> set[str]:
-    """The options ``argv`` gives the subcommand ``command``, whatever their
-    values: its arguments are parsed again over a namespace that holds a
-    marker in every option, and argparse keeps the marker where no option
-    is given instead of writing the default."""
-    unset = object()
-    marked = argparse.Namespace(**{a.dest: unset for a in sub._actions})
-    sub.parse_args(argv[argv.index(command) + 1 :], marked)
-    return {dest for dest, value in vars(marked).items() if value is not unset}
-
-
-def _merge_config(args: argparse.Namespace, argv: list[str]) -> None:
-    """Fill the options not given in ``argv`` from the JSON file given by
-    --config, each value typed as its option's parser would type it."""
-    path = getattr(args, "config", None)
-    if not path:
-        return
+def _config_defaults(args: argparse.Namespace) -> dict:
+    """The option defaults in the JSON file given by --config, each value
+    typed as its option's parser would type it."""
     try:
-        loaded = json.loads(Path(path).read_text())
+        loaded = json.loads(Path(args.config).read_text())
     except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
     if not isinstance(loaded, dict):
         raise ConfigError("config file must hold a JSON object")
-    sub = args._command_parser
-    options = {a.dest: a for a in sub._actions if a.default is not argparse.SUPPRESS}
-    given = _given_options(sub, argv, args.command)
+    options = {a.dest: a for a in args._command_parser._actions if a.default is not argparse.SUPPRESS}
+    values = {}
     for key, value in loaded.items():
         attr = key.replace("-", "_")
         if attr not in options:
             raise ConfigError(f"unknown config key {key!r}")
-        value = _config_value(options[attr], key, value)
-        # flags given on the command line override the file
-        if attr not in given:
-            setattr(args, attr, value)
+        values[attr] = _config_value(options[attr], key, value)
+    return values
 
 
 def _say(args, line: str) -> None:
@@ -368,9 +351,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
-        _merge_config(args, argv)
+        if args.config:
+            # the file's values become defaults, so flags given in argv win
+            args._command_parser.set_defaults(**_config_defaults(args))
+            args = parser.parse_args(argv)
         if getattr(args, "trials", None) is not None and args.trials < 1:
             raise ConfigError("--trials must be positive")
         if args.seed < 0:

@@ -35,7 +35,7 @@ from typing import Literal
 
 import numpy as np
 
-from .designs import PairwisePermFamily
+from .designs import EpsUniformMap, PairwisePermFamily
 from .qas import QasScheme, acceptance_by_index, adjoint_isometry
 from .qmath import (
     DensityOperator,
@@ -141,12 +141,18 @@ class ChallengeDistribution:
         flat, top = _biased_weights(self.bits, self.r)
         return flat, self.point, top
 
-    def prob_fraction(self, x: int) -> Fraction | None:
-        """Exact weight of ``x``; None where :meth:`exact_shape` is."""
-        shape = self.exact_shape()
-        if shape is None:
-            return None
-        return shape[2] if x == shape[1] else shape[0]
+    def class_weights(self, key_map: EpsUniformMap) -> np.ndarray:
+        """``Pr[key_map(x) = j]`` for every design index ``j``: a shape's
+        flat weight per preimage plus the peak's excess, a table summed."""
+        if key_map.domain_bits != self.bits:
+            raise DimensionMismatchError("distribution bit-length mismatch")
+        if self.kind == "table":
+            images = [key_map.apply(x) for x in range(self.size)]
+            return np.bincount(images, weights=self.table, minlength=key_map.range_size)
+        weights = key_map.preimage_counts() * self._flat()
+        if self.point is not None:
+            weights[key_map.apply(self.point)] += self.r - self._flat()
+        return weights
 
     def sample(self, rng: np.random.Generator) -> int:
         if self.kind == "table":
@@ -185,10 +191,6 @@ def dhalf(point: int, bits: int) -> ChallengeDistribution:
     """Mass 1/2 on the point, uniform elsewhere, so the function value is
     a fair coin."""
     return biased_point(point, bits, 0.5)
-
-
-def point_mass(point: int, bits: int) -> ChallengeDistribution:
-    return biased_point(point, bits, 1.0)
 
 
 @dataclass(frozen=True)
@@ -310,40 +312,29 @@ def post_evaluation_state(
 # ---------------------------------------------------------------------------
 
 
-def acceptance_per_input(scheme: QasScheme, program_state) -> np.ndarray:
-    """Acceptance probability of the program state for every possible
-    challenge input x in {0,1}^k (exact, via the design)."""
-    by_index = acceptance_by_index(scheme, program_state)
-    idx = np.arange(1 << scheme.key_bits) % scheme.design.cardinality
-    return by_index[idx]
-
-
 def correctness_from_answers(
-    prob_one: np.ndarray, point: int, dist: ChallengeDistribution
+    scheme: QasScheme, prob_one: np.ndarray, point: int, dist: ChallengeDistribution
 ) -> float:
     """E_{x<-dist} Pr[the answer at x is P_p(x)], from the probability
-    ``prob_one[x]`` of answering 1 at every challenge x."""
-    correct = 1.0 - prob_one
-    correct[point] = prob_one[point]
-    return float(dist.probs @ correct)
+    ``prob_one[j]`` of answering 1 at a challenge of design index j."""
+    one_at_point = prob_one[scheme.key_index(point)]
+    weights = dist.class_weights(scheme.key_map)
+    return float(weights @ (1.0 - prob_one) + dist.prob(point) * (2.0 * one_at_point - 1.0))
 
 
 def correctness_exact(
     scheme: QasScheme, point: int, dist: ChallengeDistribution
 ) -> float:
     """E_{x<-dist} Pr[evaluate outputs P_p(x)], computed analytically."""
-    if dist.bits != scheme.key_bits:
-        raise DimensionMismatchError("distribution bit-length mismatch")
-    acc = acceptance_per_input(scheme, protect(scheme, point).state)
-    return correctness_from_answers(acc, point, dist)
+    acc = acceptance_by_index(scheme, protect(scheme, point).state)
+    return correctness_from_answers(scheme, acc, point, dist)
 
 
 def wrong_key_average_excluding(scheme: QasScheme, point: int) -> float:
     """Mean acceptance of the program over uniformly random x != p."""
-    program = protect(scheme, point)
-    acc = acceptance_per_input(scheme, program.state)
-    n = acc.size
-    return float((acc.sum() - acc[point]) / (n - 1))
+    acc = acceptance_by_index(scheme, protect(scheme, point).state)
+    hits = scheme.key_map.preimage_counts() @ acc - acc[scheme.key_index(point)]
+    return float(hits / ((1 << scheme.key_bits) - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -395,9 +386,9 @@ def mix_error_exact(
     """Exact per-input error of the mixed scheme at (p, x): the chance,
     over the permutation parameter and the evaluation, that mix_evaluate
     disagrees with P_p(x).  Needs an enumerable family."""
-    acceptance = functools.cache(lambda hp: acceptance_per_input(scheme, protect(scheme, hp).state))
+    acceptance = functools.cache(lambda hp: acceptance_by_index(scheme, protect(scheme, hp).state))
     total = 0.0
     for r in family.params():
-        prob_one = acceptance(family.apply(r, point))[family.apply(r, x)]
+        prob_one = acceptance(family.apply(r, point))[scheme.key_index(family.apply(r, x))]
         total += (1.0 - prob_one) if x == point else prob_one
     return total / family.size

@@ -214,13 +214,6 @@ class EpsUniformMap:
             raise ValueError("input outside the domain")
         return x % self.range_size
 
-    def preimage_count(self, b: int) -> int:
-        if not 0 <= b < self.range_size:
-            raise ValueError("value outside the range")
-        a = 1 << self.domain_bits
-        q, rem = divmod(a, self.range_size)
-        return q + 1 if b < rem else q
-
     def preimage_counts(self) -> np.ndarray:
         a = 1 << self.domain_bits
         q, rem = divmod(a, self.range_size)

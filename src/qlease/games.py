@@ -26,9 +26,9 @@ with master seed ``s`` uses a generator equal to ``spawn_rng(s, i)``
 (derived in blocks by ``spawn_rngs``), so serial and parallel
 schedules produce identical reports.  For a pirate that hands out fixed
 registers, :func:`exact_win` gives the exact winning
-probability from each register's acceptance at every challenge, computed
-from the enumerated design: an independent route against which the
-trial loop is checked.
+probability from each register's acceptance at every design index,
+computed from the enumerated design: an independent route against which
+the trial loop is checked.
 
 Baselines ``p_marg`` and ``p_ind`` are the best challenge-only guessing
 probabilities, for a uniform or single-peak circuit distribution and a
@@ -52,7 +52,6 @@ from .copyprotect import (
     ChallengeDistribution,
     PointFamily,
     PointFunction,
-    acceptance_per_input,
     correctness_from_answers,
     evaluation_measurement,
     protect,
@@ -60,7 +59,7 @@ from .copyprotect import (
 )
 from .designs import EnumeratedDesign
 from .leasing import SslScheme
-from .qas import QasScheme
+from .qas import QasScheme, acceptance_by_index
 from .qmath import (
     DensityOperator,
     PureState,
@@ -529,12 +528,16 @@ def exact_win(spec: GameSpec, pirate, charlie: MeasurementStrategy) -> float:
     for the registers ``(beta_p, sigma_p)`` the pirate hands out at point
     ``p``.  Bob evaluates honestly; Charlie answers a fixed bit
     (:class:`FixedAnswer`) or evaluates honestly
-    (:class:`HonestEvalStrategy`).  Each factor comes from the register's
-    acceptance at every challenge, computed once per register object, so
-    an ancilla shared across points is evaluated once.
+    (:class:`HonestEvalStrategy`).  A split's registers may depend on the
+    point only through its program, which depends on it only through its
+    design index j; with point-centred families so does each factor.  So
+    the sum runs over the indices j the circuit reaches, at their class
+    weight, with j itself as the class's point.  A register handed out
+    again at the next index (a shared ancilla) keeps its acceptance.
 
     Raises ``ValueError`` for a split that draws randomness (such as
-    :class:`KeysearchPirate`), another Charlie, or a design that is not
+    :class:`KeysearchPirate`), another Charlie, a family that is not a
+    :class:`~qlease.copyprotect.PointFamily`, or a design that is not
     enumerated.
     """
     scheme = spec.scheme
@@ -542,25 +545,27 @@ def exact_win(spec: GameSpec, pirate, charlie: MeasurementStrategy) -> float:
         raise ValueError("exact_win needs an enumerated design")
     if not isinstance(charlie, (FixedAnswer, HonestEvalStrategy)):
         raise ValueError("exact_win needs Charlie to answer a fixed bit or evaluate honestly")
+    if not all(isinstance(family, PointFamily) for family in (spec.bob_family, spec.charlie_family)):
+        raise ValueError("exact_win needs PointFamily challenges")
+    fixed = np.full(scheme.design.cardinality, float(charlie.bit)) if isinstance(charlie, FixedAnswer) else None
+    weights = spec.circuit_dist.class_weights(scheme.key_map)
     accepts: dict[int, tuple[object, np.ndarray]] = {}
-
-    def answer_one(register) -> np.ndarray:
-        # keyed by id; the entry holds the register so its id stays unique
-        if id(register) not in accepts:
-            accepts[id(register)] = register, acceptance_per_input(scheme, register)
-        return accepts[id(register)][1]
-
-    fixed = np.full(1 << scheme.key_bits, float(charlie.bit)) if isinstance(charlie, FixedAnswer) else None
     total = 0.0
-    for p in range(spec.circuit_dist.size):
-        bob, held, _ = pirate.split(protect(scheme, p).state, p, _NoDraws())
-        charlie_one = answer_one(held) if fixed is None else fixed
+    for j in np.flatnonzero(weights).tolist():
+        bob, held, _ = pirate.split(protect(scheme, j).state, j, _NoDraws())
+        # keyed by id, this index's registers only; an entry holds its
+        # register, so the id stays unique while the entry is reused
+        accepts = {
+            id(r): accepts.get(id(r)) or (r, acceptance_by_index(scheme, r))
+            for r in ((bob,) if fixed is not None else (bob, held))
+        }
+        charlie_one = accepts[id(held)][1] if fixed is None else fixed
         total += (
-            spec.circuit_dist.prob(p)
-            * correctness_from_answers(answer_one(bob), p, spec.bob_family(p))
-            * correctness_from_answers(charlie_one, p, spec.charlie_family(p))
+            weights[j]
+            * correctness_from_answers(scheme, accepts[id(bob)][1], j, spec.bob_family(j))
+            * correctness_from_answers(scheme, charlie_one, j, spec.charlie_family(j))
         )
-    return total
+    return float(total)
 
 
 # The benchmark's zoo checks (perfbench/workloads.py) call these by name.

@@ -221,8 +221,9 @@ def verify(
     The accept branch is :func:`~qlease.qmath.accept_branch` through
     ``A†`` (:func:`adjoint_isometry`).  A pure state's ``b = A† psi``
     decodes as ``outer(b, conj(b)) / p``, exactly Hermitian and rank one
-    at any ``p``; a density operator's ``b = A† rho A`` as ``b / p``,
-    whose rounding grows as ``p`` shrinks.  The state is validated where
+    at any ``p``; a density operator's ``b = A† rho A`` as its Hermitian
+    part ``(b + b†) / (2p)``, since dividing by ``p`` rounds each entry by
+    about ``d * 2.2e-16 / p``.  The state is validated where
     it was built, the decoded branch is not re-checked, and the maximally
     mixed state is built only when it is returned.
     """
@@ -230,8 +231,8 @@ def verify(
     p = min(max(p, 0.0), 1.0)
     accepted = None if rng is None else bool(draw_outcome(p, rng))
     if accepted or (accepted is None and p >= NEGLIGIBLE):
-        decoded = np.outer(b, b.conj()) if b.ndim == 1 else b
-        return VerifyOutcome(accepted, DensityOperator._trusted(decoded / p), p)
+        decoded = np.outer(b, b.conj()) / p if b.ndim == 1 else (b + b.conj().T) / (2 * p)
+        return VerifyOutcome(accepted, DensityOperator._trusted(decoded), p)
     return VerifyOutcome(accepted, maximally_mixed(scheme.message_qubits), p)
 
 

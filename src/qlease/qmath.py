@@ -291,34 +291,6 @@ class DensityOperator:
 
 
 @dataclass(frozen=True)
-class SubnormalizedOperator:
-    """A positive semidefinite operator with trace in [0, 1].
-
-    Carries the conditional output of a trace non-increasing map; its
-    ``weight`` (the trace) is the probability of the branch it represents.
-    """
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        mat = _frozen(np.asarray(self.matrix))
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise DimensionMismatchError("operator must be square")
-        if np.max(np.abs(mat - mat.conj().T)) > ATOL:
-            raise ValueError("operator is not Hermitian within tolerance")
-        if np.min(np.linalg.eigvalsh(mat)) < -ATOL:
-            raise ValueError("operator is not positive semidefinite")
-        tr = np.trace(mat).real
-        if tr < -ATOL or tr > 1.0 + ATOL:
-            raise ValueError(f"trace {tr} outside [0, 1]")
-        object.__setattr__(self, "matrix", mat)
-
-    @property
-    def weight(self) -> float:
-        return float(np.trace(self.matrix).real)
-
-
-@dataclass(frozen=True)
 class Isometry:
     """A matrix ``V`` with ``V† V = I`` (possibly into a larger space)."""
 
@@ -344,25 +316,13 @@ class Isometry:
         object.__setattr__(obj, "matrix", _frozen(matrix))
         return obj
 
-    @property
-    def qubits_in(self) -> int:
-        return _qubits_for_dim(self.matrix.shape[1])
-
-    @property
-    def qubits_out(self) -> int:
-        return _qubits_for_dim(self.matrix.shape[0])
-
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """A channel ``rho -> sum_i K_i rho K_i†`` given by its Kraus operators.
-
-    Trace preserving channels satisfy ``sum K†K = I``; trace non-increasing
-    ones satisfy ``sum K†K <= I`` and must be flagged at construction.
-    """
+    """A trace-preserving channel ``rho -> sum_i K_i rho K_i†`` given by
+    its Kraus operators, which satisfy ``sum K†K = I``."""
 
     kraus_ops: tuple
-    trace_preserving: bool = True
 
     def __post_init__(self):
         ops = tuple(_frozen(np.asarray(k)) for k in self.kraus_ops)
@@ -372,13 +332,8 @@ class KrausChannel:
         if any(k.shape != shape for k in ops):
             raise DimensionMismatchError("Kraus operators must share one shape")
         gram = sum(k.conj().T @ k for k in ops)
-        eye = np.eye(shape[1])
-        if self.trace_preserving:
-            if np.max(np.abs(gram - eye)) > ATOL:
-                raise ValueError("Kraus operators do not sum to identity")
-        else:
-            if np.max(np.linalg.eigvalsh(gram - eye)) > ATOL:
-                raise ValueError("channel increases trace")
+        if np.max(np.abs(gram - np.eye(shape[1]))) > ATOL:
+            raise ValueError("Kraus operators do not sum to identity")
         object.__setattr__(self, "kraus_ops", ops)
 
     @property
@@ -558,14 +513,11 @@ def apply_isometry(v: Isometry, state):
 
 
 def apply_channel(ch: KrausChannel, state: DensityOperator):
-    """``sum_i K_i rho K_i†``; subnormalized output for non-TP channels."""
+    """``sum_i K_i rho K_i†``."""
     rho = state.density() if isinstance(state, PureState) else state
     if rho.dim != ch.dim_in:
         raise DimensionMismatchError("state does not match channel input")
-    out = sum(k @ rho.matrix @ k.conj().T for k in ch.kraus_ops)
-    if ch.trace_preserving:
-        return DensityOperator(out)
-    return SubnormalizedOperator(out)
+    return DensityOperator(sum(k @ rho.matrix @ k.conj().T for k in ch.kraus_ops))
 
 
 def embed_operator(op: np.ndarray, positions: Sequence[int], total_qubits: int) -> np.ndarray:

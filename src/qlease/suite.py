@@ -218,10 +218,9 @@ def c07_trace_distance_orthogonal(seed: int) -> CriterionResult:
     for _ in range(100):
         j = int(rng.integers(2, 5))
         basis = haar_unitary(dim_a, rng)[:, :j]
-        xs, ys, lhs = [], [], np.zeros((dim_a * 4, dim_a * 4), dtype=complex)
         rhs_sum = 0.0
-        lhs_x = np.zeros_like(lhs)
-        lhs_y = np.zeros_like(lhs)
+        lhs_x = np.zeros((dim_a * 4, dim_a * 4), dtype=complex)
+        lhs_y = np.zeros_like(lhs_x)
         for jj in range(j):
             gx = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
             gy = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
@@ -262,8 +261,8 @@ def c08_reusability(seed: int) -> CriterionResult:
         # key x moves it by sqrt(a_x (1 - a_x)) in trace distance, a_x its
         # acceptance probability.
         dist = cp.dhalf(p, 14)
-        acc = np.clip(cp.acceptance_per_input(scheme, original), 0, 1)
-        damage = float(dist.probs @ np.sqrt(acc * (1 - acc)))
+        acc = np.clip(qas.acceptance_by_index(scheme, original), 0, 1)
+        damage = float(dist.class_weights(scheme.key_map) @ np.sqrt(acc * (1 - acc)))
         eta = 1.0 - cp.correctness_exact(scheme, p, dist)
         worst_excess = max(worst_excess, damage - 4 * eta)
         worst_const = max(worst_const, damage / eta)

@@ -10,10 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 from qlease import copyprotect as cp
 from qlease import qas
-from qlease.designs import PairwisePermFamily
+from qlease.designs import EpsUniformMap, PairwisePermFamily
 from qlease.qmath import (
     ATOL,
     DensityOperator,
+    DimensionMismatchError,
     PureState,
     random_density,
     spawn_rng,
@@ -67,7 +68,7 @@ def test_biased_point_masses():
 
 
 def test_point_mass_always_returns_point():
-    dist = cp.point_mass(9, 5)
+    dist = cp.biased_point(9, 5, 1.0)
     rng = spawn_rng(0)
     assert all(dist.sample(rng) == 9 for _ in range(100))
 
@@ -92,19 +93,58 @@ def test_uniform_chi2():
 
 
 def test_sample_pair_independent_product():
-    d1, d2 = cp.point_mass(1, 3), cp.uniform_points(3)
+    d1, d2 = cp.biased_point(1, 3, 1.0), cp.uniform_points(3)
     rng = spawn_rng(3)
     first, second = zip(*((d1.sample(rng), d2.sample(rng)) for _ in range(500)))
     assert set(first) == {1}
     assert len(set(second)) == 8
 
 
-def test_prob_fraction_structured():
-    assert cp.uniform_points(3).prob_fraction(5) == Fraction(1, 8)
-    assert cp.dhalf(0, 3).prob_fraction(0) == Fraction(1, 2)
-    assert cp.dhalf(0, 3).prob_fraction(1) == Fraction(1, 14)
+def _exact_weight(dist, x):
+    """The exact weight of ``x`` read from :meth:`exact_shape`."""
+    flat, peak, top = dist.exact_shape()
+    return top if x == peak else flat
+
+
+def test_exact_shape_structured():
+    assert cp.uniform_points(3).exact_shape() == (Fraction(1, 8), None, Fraction(1, 8))
+    assert cp.dhalf(0, 3).exact_shape() == (Fraction(1, 14), 0, Fraction(1, 2))
     table = cp.ChallengeDistribution(1, np.array([0.3, 0.7]))
-    assert table.prob_fraction(0) is None
+    assert table.exact_shape() is None
+
+
+#: (domain bits, |B|): 2^k below, equal to and above the number of indices.
+CLASS_MAPS = [(4, 24), (5, 32), (6, 24), (7, 11)]
+
+
+def _class_distributions(bits):
+    n = 1 << bits
+    table = spawn_rng(bits).random(n)
+    return [
+        cp.uniform_points(bits),
+        cp.dhalf(3, bits),
+        cp.biased_point(n - 1, bits, 0.9),
+        cp.biased_point(0, bits, 1.0),
+        cp.biased_point(5, bits, 0.0),
+        cp.ChallengeDistribution(bits, table / table.sum()),
+    ]
+
+
+@pytest.mark.parametrize("bits,size", CLASS_MAPS)
+def test_class_weights_sum_probs_over_the_key_map(bits, size):
+    key_map = EpsUniformMap(bits, size)
+    images = [key_map.apply(x) for x in range(1 << bits)]
+    for dist in _class_distributions(bits):
+        weights = dist.class_weights(key_map)
+        expected = np.bincount(images, weights=dist.probs, minlength=size)
+        assert weights.shape == (size,)
+        assert np.max(np.abs(weights - expected)) <= 1e-15, dist.kind
+        assert abs(weights.sum() - 1.0) < 1e-12, dist.kind
+
+
+def test_class_weights_need_the_map_domain():
+    with pytest.raises(DimensionMismatchError):
+        cp.uniform_points(4).class_weights(EpsUniformMap(5, 24))
 
 
 #: Distributions that must be refused when they are built.
@@ -146,7 +186,7 @@ def test_point_family_is_validated_when_built(bits, r):
 
 
 def test_structured_distributions_hold_no_array():
-    for dist in (cp.uniform_points(20), cp.dhalf(3, 20), cp.biased_point(3, 20, 0.3), cp.point_mass(1, 20)):
+    for dist in (cp.uniform_points(20), cp.dhalf(3, 20), cp.biased_point(3, 20, 0.3), cp.biased_point(1, 20, 1.0)):
         assert not any(isinstance(value, np.ndarray) for value in vars(dist).values()), dist.kind
     table = cp.ChallengeDistribution(1, [0.3, 0.7])
     assert isinstance(table.table, np.ndarray) and table.probs is table.table
@@ -227,7 +267,7 @@ def test_shapes_reproduce_the_dense_tables(pair, seed):
     probe = {0, n - 1, *(x % n for x in (parent.point or 0, (parent.point or 0) + 1))}
     for x in probe:
         assert dist.prob(x) == parent.prob(x)
-        assert dist.prob_fraction(x) == parent.prob_fraction(x)
+        assert _exact_weight(dist, x) == parent.prob_fraction(x)
     ours, theirs = spawn_rng(seed), spawn_rng(seed)
     assert [dist.sample(ours) for _ in range(20)] == [parent.sample(theirs) for _ in range(20)]
     assert ours.bit_generator.state == theirs.bit_generator.state
@@ -286,16 +326,20 @@ def test_evaluate_consumes(scheme):
 
 
 def test_wrong_point_average_matches_design_average():
-    # two routes to E_{p, x != p}[accept]: per-input enumeration vs the
-    # key-space average with the correct-key term removed
+    # two routes to E_{p, x != p}[accept]: per-key enumeration vs the
+    # key-space average with the correct-key term removed; per point, the
+    # enumeration is also the index-class sum of wrong_key_average_excluding
     scheme = qas.build_scheme(1, 1, 4)
     n = 16
     total = 0.0
     key_avgs = 0.0
     for p in range(n):
-        acc = cp.acceptance_per_input(scheme, cp.protect(scheme, p).state)
-        total += (acc.sum() - acc[p]) / (n - 1)
-        key_avgs += qas.avg_wrong_key_accept(scheme, cp.protect(scheme, p).state, mode="keys")
+        state = cp.protect(scheme, p).state
+        acc = np.array([qas.accept_probability(scheme, x, state) for x in range(n)])
+        wrong = (acc.sum() - acc[p]) / (n - 1)
+        assert abs(wrong - cp.wrong_key_average_excluding(scheme, p)) < 1e-15
+        total += wrong
+        key_avgs += qas.avg_wrong_key_accept(scheme, state, mode="keys")
     via_enumeration = total / n
     via_key_average = (key_avgs / n * n - 1.0) / (n - 1)
     assert abs(via_enumeration - via_key_average) < 1e-9
@@ -395,21 +439,25 @@ def test_dephasing_damage_closed_form(scheme):
 
 
 def test_reusability_damage_closed_form_matches_brute_force(scheme):
-    # the closed form the reusability criterion sums; sqrt amplifies the
-    # ~1e-15 rounding of 1 - a near a = 1 to a few 1e-8 per key
+    # the closed form the reusability criterion sums, over index classes
+    # and over keys; sqrt amplifies the ~1e-15 rounding of 1 - a near
+    # a = 1 to a few 1e-8 per key
     rng = spawn_rng(15)
     for _ in range(3):
         p = int(rng.integers(64))
         dist = cp.dhalf(p, 6)
         state = cp.protect(scheme, p).state
-        acc = np.clip(cp.acceptance_per_input(scheme, state), 0, 1)
-        closed = float(dist.probs @ np.sqrt(acc * (1 - acc)))
+        acc = np.clip(qas.acceptance_by_index(scheme, state), 0, 1)
+        closed = float(dist.class_weights(scheme.key_map) @ np.sqrt(acc * (1 - acc)))
+        per_key = np.clip([qas.accept_probability(scheme, x, state) for x in range(64)], 0, 1)
+        by_key = float(dist.probs @ np.sqrt(per_key * (1 - per_key)))
         brute = sum(
             dist.prob(x)
             * trace_distance(state.density(), cp.post_evaluation_state(scheme, state, x))
             for x in range(64)
         )
         assert abs(closed - brute) < 1e-7
+        assert abs(by_key - brute) < 1e-7
 
 
 def test_average_damage_within_constant_of_eta(scheme):
@@ -433,7 +481,7 @@ def test_average_damage_within_constant_of_eta(scheme):
 
 
 def test_correctness_point_mass_is_one(scheme):
-    assert abs(cp.correctness_exact(scheme, 9, cp.point_mass(9, 6)) - 1.0) < 1e-12
+    assert abs(cp.correctness_exact(scheme, 9, cp.biased_point(9, 6, 1.0)) - 1.0) < 1e-12
 
 
 def test_correctness_identity_with_wrong_key_average(scheme):

@@ -144,7 +144,8 @@ def test_eps_uniform_exact_divisor():
 def test_eps_uniform_known_value():
     # preimage-count oracle: |A|=16 onto |B|=12 gives distance 1/6
     m = EpsUniformMap(4, 12)
-    counts = [m.preimage_count(b) for b in range(12)]
+    images = [m.apply(x) for x in range(16)]
+    counts = [images.count(b) for b in range(12)]
     assert sorted(set(counts)) == [1, 2]
     oracle = Fraction(1, 2) * sum(
         abs(Fraction(c, 16) - Fraction(1, 12)) for c in counts

@@ -108,7 +108,7 @@ def test_p_marg_uniform_dhalf_is_exactly_half(spec):
 
 def test_p_marg_known_circuit_is_one():
     # a point-mass circuit distribution lets Charlie answer perfectly
-    value = p_marg(cp.point_mass(2, 3), cp.PointFamily(3, 0.5))
+    value = p_marg(cp.biased_point(2, 3, 1.0), cp.PointFamily(3, 0.5))
     assert value == 1
 
 
@@ -124,6 +124,12 @@ def test_p_ind_matches_p_marg_on_shared_shape(spec):
     assert p_ind(cp.uniform_points(2), cp.PointFamily(2, 0.25)) == Fraction(3, 4)
 
 
+def _exact_weight(dist, x) -> Fraction:
+    """The exact weight of ``x`` read from :meth:`exact_shape`."""
+    flat, peak, top = dist.exact_shape()
+    return top if x == peak else flat
+
+
 def _enumerated_best_guess(circuit_dist, family) -> Fraction:
     """Oracle: the 4^k enumeration over (point, challenge) pairs."""
     size = circuit_dist.size
@@ -133,7 +139,7 @@ def _enumerated_best_guess(circuit_dist, family) -> Fraction:
         w1 = Fraction(0)
         w0 = Fraction(0)
         for p in range(size):
-            w = circuit_dist.prob_fraction(p) * tables[p].prob_fraction(x)
+            w = _exact_weight(circuit_dist, p) * _exact_weight(tables[p], x)
             if p == x:
                 w1 += w
             else:
@@ -150,7 +156,7 @@ def test_best_guess_rate_matches_enumeration(bits):
         cp.dhalf(0, bits),
         cp.dhalf(n - 1, bits),
         cp.biased_point(0, bits, 0.75),
-        cp.point_mass(0, bits),
+        cp.biased_point(0, bits, 1.0),
     ]
     for circuit in circuits:
         for r in (0.0, 0.125, 0.5, 0.75, 1.0, 2.0**-bits):
@@ -402,9 +408,114 @@ def test_exact_win_rejects_random_splits_and_sampled_designs(scheme, spec):
         exact_win(spec, KeysearchPirate(scheme, 4), FixedAnswer(0))
     with pytest.raises(ValueError):
         exact_win(spec, *keysearch_adversary(scheme, 4))
+    callable_family = games.GameSpec(scheme, spec.circuit_dist, lambda p: cp.dhalf(p, 6), spec.charlie_family)
+    with pytest.raises(ValueError, match="PointFamily"):
+        exact_win(callable_family, *trivial_forward(scheme))
     wide = qas.build_scheme(2, 1, 6)
     with pytest.raises(ValueError, match="enumerated"):
         exact_win(default_cp_spec(wide), *trivial_forward(wide))
+
+
+def _per_point_win(spec, pirate, charlie) -> float:
+    """Reference: the per-point sum, with a 2^k answer table per register
+    at every point of the circuit distribution."""
+    scheme = spec.scheme
+    keys = [scheme.key_index(x) for x in range(1 << scheme.key_bits)]
+
+    def answer_one(register):
+        return qas.acceptance_by_index(scheme, register)[keys]
+
+    def correctness(prob_one, p, dist):
+        correct = 1.0 - prob_one
+        correct[p] = prob_one[p]
+        return float(dist.probs @ correct)
+
+    fixed = isinstance(charlie, FixedAnswer)
+    total = 0.0
+    for p in range(spec.circuit_dist.size):
+        bob, held, _ = pirate.split(cp.protect(scheme, p).state, p, None)
+        charlie_one = np.full(len(keys), float(charlie.bit)) if fixed else answer_one(held)
+        total += (
+            spec.circuit_dist.prob(p)
+            * correctness(answer_one(bob), p, spec.bob_family(p))
+            * correctness(charlie_one, p, spec.charlie_family(p))
+        )
+    return total
+
+
+def _fixed_register_adversaries(scheme):
+    """The zoo's fixed-register splits, return-garbage and the cloner."""
+    garbage = PirateMap(zero_state(scheme.total_qubits), keep=True, name="return-garbage")
+    return [
+        trivial_forward(scheme),
+        give_to_charlie(scheme),
+        (garbage, HonestEvalStrategy(scheme)),
+        cheat_double_program(scheme),
+    ]
+
+
+@pytest.mark.parametrize("bits", [4, 6, 8])
+def test_exact_win_matches_per_point_sum(bits):
+    scheme = qas.build_scheme(1, 1, bits)
+    spec = default_cp_spec(scheme, 0.75)
+    ssl = SslScheme(scheme, 0.9)
+    leasing = leasing_spec(ssl, spec.circuit_dist, spec.charlie_family)
+    for adversary in _fixed_register_adversaries(scheme):
+        assert abs(exact_win(spec, *adversary) - _per_point_win(spec, *adversary)) <= 1e-15
+    for adversary in (honest_return(ssl), keep_program(ssl)):
+        assert abs(exact_win(leasing, *adversary) - _per_point_win(leasing, *adversary)) <= 1e-15
+
+
+def test_exact_win_matches_per_point_sum_on_other_circuits(scheme):
+    table = spawn_rng(64).random(64)
+    circuits = [cp.biased_point(37, 6, 0.3), cp.ChallengeDistribution(6, table / table.sum())]
+    for circuit in circuits:
+        spec = games.GameSpec(scheme, circuit, cp.PointFamily(6, 0.5), cp.PointFamily(6, 0.75))
+        for adversary in _fixed_register_adversaries(scheme):
+            assert abs(exact_win(spec, *adversary) - _per_point_win(spec, *adversary)) <= 1e-15, circuit.kind
+
+
+def test_point_mass_circuit_protects_one_point(monkeypatch):
+    # 2^16 points, one of which carries the circuit's whole mass: one
+    # design index, so one program
+    scheme = qas.build_scheme(1, 1, 16)
+    point = 40000
+    spec = games.GameSpec(scheme, cp.biased_point(point, 16, 1.0), cp.PointFamily(16, 0.5), cp.PointFamily(16, 0.5))
+    protected = []
+
+    def counted(scheme, p):
+        protected.append(p)
+        if len(protected) > 10:
+            raise AssertionError("exact_win protected more than ten points")
+        return cp.protect(scheme, p)
+
+    monkeypatch.setattr(games, "protect", counted)
+    value = exact_win(spec, *trivial_forward(scheme))
+    assert protected == [scheme.key_index(point)]
+    assert abs(value - 0.5 * cp.correctness_exact(scheme, point, spec.bob_family(point))) < 1e-12
+
+
+def test_exact_win_keeps_acceptance_of_one_index(monkeypatch):
+    # the shared ancilla's acceptance is computed once, and each program's
+    # is dropped after its index: 256 vectors of 11,520 floats would take
+    # 22 MiB
+    scheme = qas.build_scheme(1, 1, 8)
+    pirate, charlie = give_to_charlie(scheme)
+    shared = []
+
+    def counted(scheme, register):
+        shared.append(register is pirate.ancilla)
+        return qas.acceptance_by_index(scheme, register)
+
+    monkeypatch.setattr(games, "acceptance_by_index", counted)
+    tracemalloc.start()
+    try:
+        exact_win(default_cp_spec(scheme), pirate, charlie)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (shared.count(True), shared.count(False)) == (1, 256)
+    assert peak < 8 << 20
 
 
 # ---------------------------------------------------------------------------

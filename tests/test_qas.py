@@ -153,6 +153,33 @@ def test_verify_decodes_small_pure_branches_as_states(scheme, p):
         assert state_distance(decoded, message) < 1e-6
 
 
+@pytest.mark.parametrize("p", [1e-7, 1e-8, 1e-10, 1e-11])
+def test_verify_decodes_small_density_branches_as_states(scheme, p):
+    # a rank-2 state accepted with probability p decodes as the Hermitian
+    # part (b + b†) / (2p) of b = A† rho A; b / p alone rounds each entry
+    # by about d * eps / p, and failed the Hermiticity check at p <= 1e-8
+    a = qas.auth_isometry(scheme, 77).matrix
+    rng = spawn_rng(33)
+    bound = 10 * 4 * np.finfo(float).eps / p  # d = 4, ten times the rounding
+    for _ in range(50):
+        vecs, messages = [], []
+        for _ in range(2):
+            message = random_pure_state(1, rng).amplitudes
+            rejected = random_pure_state(2, rng).amplitudes
+            rejected = rejected - a @ (a.conj().T @ rejected)
+            rejected /= np.linalg.norm(rejected)
+            vecs.append(np.sqrt(1 - p) * rejected + np.sqrt(p) * (a @ message))
+            messages.append(message)
+        mix = rng.random()
+        weights = (mix, 1 - mix)
+        state = DensityOperator(sum(c * np.outer(v, v.conj()) for c, v in zip(weights, vecs)))
+        out = qas.verify(scheme, 77, state)
+        assert out.accept_probability == pytest.approx(p, rel=1e-6)
+        decoded = DensityOperator(out.message_state.matrix)
+        expected = sum(c * np.outer(m, m.conj()) for c, m in zip(weights, messages))
+        assert state_distance(decoded, DensityOperator(expected)) < bound
+
+
 def test_sampled_verify_deterministic(scheme):
     rng_state = spawn_rng(7)
     rho = random_density(2, rng_state)
