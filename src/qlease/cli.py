@@ -113,6 +113,8 @@ def _emit(args, payload: dict | list) -> None:
 
 def cmd_design_check(args) -> int:
     q = args.qubits
+    if q is None:
+        raise ConfigError("--qubits is required, on the command line or in --config")
     if args.pairs is not None and args.pairs < 1:
         raise ConfigError("--pairs must be positive")
     if args.pairs is None and q > 2:
@@ -307,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(_command_parser=p)
 
     p = sub.add_parser("design-check", help="cardinality and frame potential of the Clifford design")
-    p.add_argument("--qubits", type=int, required=True, choices=range(1, 7))
+    p.add_argument("--qubits", type=int, default=None, choices=range(1, 7))
     p.add_argument("--pairs", type=int, default=None, help="sample this many pairs instead of exhausting")
     common(p, scheme_default=None)
     p.set_defaults(func=cmd_design_check)

@@ -8,17 +8,18 @@ wrong-key rate of the underlying scheme.
 
 Evaluation at ``x`` is the two-outcome measurement {I - A_x A_x†,
 A_x A_x†} that the key's encoding isometry ``A_x`` defines: outcome 1,
-acceptance, is the range of ``A_x``.  :func:`evaluation_measurement`
-gives it as ``A_x†``, read from the design: a view of the column stack
-that the exact acceptance vectors read for an enumerated design, the
-cached element's columns for an indexed one.  The construction's
-copy-out-the-answer circuit (purified verify, CNOT the accept bit onto a
-fresh qubit, uncompute) leaves the ancillas in |0> and acts on the
-program register exactly as this measurement, so the measurement is what
-runs: the same bits and post-states without a circuit on a register four
-times the program's size.  :func:`evaluate_preserving` hands the program
-back (:func:`~qlease.qmath.collapse`), exactly intact on the encoded
-point; :func:`evaluate` consumes it and builds no post-state.
+acceptance, is the range of ``A_x``.  It is given as ``A_x†``
+(:func:`~qlease.qas.adjoint_isometry`), read from the design: a view of
+the column stack that the exact acceptance vectors read for an
+enumerated design, the cached element's columns for an indexed one.
+The construction's copy-out-the-answer circuit (purified verify, CNOT
+the accept bit onto a fresh qubit, uncompute) leaves the ancillas in |0>
+and acts on the program register exactly as this measurement, so the
+measurement is what runs: the same bits and post-states without a
+circuit on a register four times the program's size.
+:func:`evaluate_preserving` hands the program back
+(:func:`~qlease.qmath.collapse`), exactly intact on the encoded point;
+:func:`evaluate` consumes it and builds no post-state.
 
 :func:`mix_protect` wraps a program with a pairwise independent
 permutation: the point is first pushed through a uniformly random
@@ -36,7 +37,7 @@ from typing import Literal
 import numpy as np
 
 from .designs import EpsUniformMap, PairwisePermFamily
-from .qas import QasScheme, acceptance_by_index, adjoint_isometry
+from .qas import QasScheme, acceptance_by_index, adjoint_isometry, auth, auth_isometry
 from .qmath import (
     DensityOperator,
     DimensionMismatchError,
@@ -248,8 +249,6 @@ def protect(scheme: QasScheme, point: int) -> ProtectedProgram:
     """Encode a point: the pure state Auth_p |0^m>."""
     if not 0 <= point < (1 << scheme.key_bits):
         raise ValueError("point does not fit the scheme's key length")
-    from .qas import auth
-
     state = auth(scheme, point, zero_state(scheme.message_qubits))
     return ProtectedProgram(state=state, scheme=scheme)
 
@@ -257,17 +256,8 @@ def protect(scheme: QasScheme, point: int) -> ProtectedProgram:
 def accept_projector(scheme: QasScheme, x: int) -> np.ndarray:
     """Projector onto valid encodings under key ``x`` (``A_x A_x†``): the
     dense reference, which evaluation does not build."""
-    from .qas import auth_isometry
-
-    a = auth_isometry(scheme, x).matrix
+    a = auth_isometry(scheme, x)
     return a @ a.conj().T
-
-
-def evaluation_measurement(scheme: QasScheme, x: int) -> np.ndarray:
-    """Honest evaluation at ``x``, as :func:`~qlease.qmath.measure_projective`
-    takes it: ``A_x†`` (:func:`~qlease.qas.adjoint_isometry`), whose
-    outcome 1, acceptance, is the range of the encoding isometry ``A_x``."""
-    return adjoint_isometry(scheme, x)
 
 
 def evaluate(program: ProtectedProgram, x: int, rng: np.random.Generator) -> int:
@@ -289,7 +279,7 @@ def evaluate_preserving(
     draw), with a fresh program holding the post-measurement state.  On
     the encoded point the state comes back exactly unchanged."""
     outcome = evaluate(program, x, rng)
-    post = collapse(program.state, evaluation_measurement(program.scheme, x), outcome)
+    post = collapse(program.state, adjoint_isometry(program.scheme, x), outcome)
     return outcome, replace(program, state=post, consumed=False)
 
 
@@ -301,7 +291,7 @@ def post_evaluation_state(
     one round of evaluation does to the program when nobody looks at the
     answer bit."""
     rho = state.density().matrix if isinstance(state, PureState) else state.matrix
-    accept = evaluation_measurement(scheme, x)
+    accept = adjoint_isometry(scheme, x)
     p = accept.conj().T @ accept
     q = np.eye(len(p)) - p
     return DensityOperator(p @ rho @ p + q @ rho @ q)
@@ -375,7 +365,7 @@ def mix_evaluate(program: ProtectedProgram, x: int, rng: np.random.Generator) ->
 def _consume(program: ProtectedProgram, key: int, rng: np.random.Generator) -> int:
     """The bit of honest evaluation at ``key``; consumes the program."""
     program._claim()
-    outcome = measure_projective(program.state, evaluation_measurement(program.scheme, key), rng)
+    outcome = measure_projective(program.state, adjoint_isometry(program.scheme, key), rng)
     program.consumed = True
     return outcome
 

@@ -53,13 +53,12 @@ from .copyprotect import (
     PointFamily,
     PointFunction,
     correctness_from_answers,
-    evaluation_measurement,
     protect,
     uniform_points,
 )
 from .designs import EnumeratedDesign
 from .leasing import SslScheme
-from .qas import QasScheme, acceptance_by_index
+from .qas import QasScheme, acceptance_by_index, adjoint_isometry
 from .qmath import (
     DensityOperator,
     PureState,
@@ -155,7 +154,7 @@ class HonestEvalStrategy(MeasurementStrategy):
         self.name = "honest-eval"
 
     def measurement(self, x: int) -> np.ndarray:
-        return evaluation_measurement(self.scheme, x)
+        return adjoint_isometry(self.scheme, x)
 
 
 class PointGuessStrategy(MeasurementStrategy):
@@ -205,7 +204,7 @@ class KeysearchPirate:
         and the key found (None if the search came up empty)."""
         state = program_state
         for key in self._candidates(point, rng):
-            accept = evaluation_measurement(self.scheme, key)
+            accept = adjoint_isometry(self.scheme, key)
             outcome = measure_projective(state, accept, rng)
             state = collapse(state, accept, outcome)
             if outcome == 1:
@@ -363,9 +362,9 @@ def _play(spec: GameSpec, pirate, charlie: MeasurementStrategy, trials: int, see
     trial, also when Bob is already wrong; since each trial has its own
     generator, skipping Charlie then would change no report.
 
-    Every measurement is read from the scheme's design (see
-    :func:`~qlease.copyprotect.evaluation_measurement`); the run keeps no
-    cache of its own beyond each point's program and distributions.
+    Bob measures ``A_x†`` (:func:`~qlease.qas.adjoint_isometry`), read
+    from the scheme's design; the run keeps no cache of its own beyond
+    each point's program and distributions.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -382,7 +381,7 @@ def _play(spec: GameSpec, pirate, charlie: MeasurementStrategy, trials: int, see
         psi, pf, bob_dist, charlie_dist = at_point(p)
         bob, charlie_state, side = pirate.split(psi, p, rng)
         x1, x2 = bob_dist.sample(rng), charlie_dist.sample(rng)
-        b1 = measure_projective(bob, evaluation_measurement(scheme, x1), rng)
+        b1 = measure_projective(bob, adjoint_isometry(scheme, x1), rng)
         b2 = charlie.answer(charlie_state, x2, side, rng)
         if b1 == pf(x1) and b2 == pf(x2):
             wins += 1

@@ -38,12 +38,10 @@ from .qmath import (
     NEGLIGIBLE,
     DensityOperator,
     DimensionMismatchError,
-    Isometry,
     PureState,
     QUBIT_CAP,
     QubitCapError,
     accept_branch,
-    apply_isometry,
     draw_outcome,
     maximally_mixed,
 )
@@ -142,11 +140,16 @@ def _auth_matrix(scheme: QasScheme, key: int) -> np.ndarray:
     return u[:, :: 1 << scheme.trap_qubits]
 
 
-def auth_isometry(scheme: QasScheme, key: int) -> Isometry:
-    """The encoding isometry for one key, message space into Y."""
+def auth_isometry(scheme: QasScheme, key: int) -> np.ndarray:
+    """``A_key``, the encoding isometry for one key, message space into Y,
+    as a contiguous read-only copy of the design element's columns: the
+    copy is kept because products with the strided view round
+    differently.  Not re-checked (``A† A = I`` holds by construction)."""
     if not 0 <= key < (1 << scheme.key_bits):
         raise ValueError("key outside the key space")
-    return Isometry._trusted(_auth_matrix(scheme, key))
+    a = np.array(_auth_matrix(scheme, key))
+    a.setflags(write=False)
+    return a
 
 
 def adjoint_isometry(scheme: QasScheme, key: int) -> np.ndarray:
@@ -162,8 +165,17 @@ def adjoint_isometry(scheme: QasScheme, key: int) -> np.ndarray:
 
 
 def auth(scheme: QasScheme, key: int, state):
-    """Authenticate a message state; pure in, pure out."""
-    return apply_isometry(auth_isometry(scheme, key), state)
+    """Authenticate a message state: ``A psi`` for a pure state, ``A rho A†``
+    for a density operator, with ``A`` from :func:`auth_isometry`.  Both
+    are states by construction and are not re-checked."""
+    a = auth_isometry(scheme, key)
+    if not isinstance(state, (PureState, DensityOperator)):
+        raise TypeError("expected PureState or DensityOperator")
+    if state.dim != scheme.message_dim:
+        raise DimensionMismatchError("state is not on the message space")
+    if isinstance(state, PureState):
+        return PureState._trusted(a @ state.amplitudes)
+    return DensityOperator._trusted(a @ state.matrix @ a.conj().T)
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +270,7 @@ def acceptance_by_index(scheme: QasScheme, state) -> np.ndarray:
     at which the traps read zero enter, conjugated once per design and
     trap count.
     """
+    state = _on_y(scheme, state)
     design = scheme.design
     if not isinstance(design, EnumeratedDesign):
         raise ValueError("exact per-index acceptance needs an enumerated design")
@@ -266,8 +279,7 @@ def acceptance_by_index(scheme: QasScheme, state) -> np.ndarray:
     if isinstance(state, PureState):
         v = np.einsum("nji,j->ni", cols, state.amplitudes)
         return np.einsum("ni,ni->n", v.conj(), v).real
-    rho = _on_y(scheme, state).matrix
-    return np.einsum("nji,jk,nki->n", cols, rho, design.elements()[:, :, ::step]).real
+    return np.einsum("nji,jk,nki->n", cols, state.matrix, design.elements()[:, :, ::step]).real
 
 
 def avg_wrong_key_accept(

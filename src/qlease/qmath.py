@@ -7,23 +7,23 @@ library inside comfortable double-precision territory.
 
 Validation
 ----------
-Every container (states, operators, isometries and channels) is
-validated once, in its constructor.  Operations trust the containers
-they are given and do not re-check them.  A measurement is the
-two-outcome one that an isometry ``V`` defines (outcome 1 is its range),
-given as the plain array ``V†``, whose orthonormal rows are trusted.  It
-acts on a whole register: a party that holds its own register is
-measured on that register alone, never on a joint state with the
-registers of others.  Results that are states by construction, the outer
-product of :meth:`PureState.density`, the post-states of :func:`collapse`
-(built only where a caller keeps the register) and the density branch of
-:func:`apply_isometry`, are not re-checked either (no eigenvalue
-decomposition, no norm).  Every sampled bit comes from one rule,
-:func:`draw_outcome`: ``Generator.choice``'s arithmetic without its
-re-checks.  The same holds for the authentication scheme's
-results in ``qas``: its encoding isometry (``Isometry._trusted``, still
-a contiguous copy) and the renormalized accept branch that ``verify``
-returns.  The public constructors keep every check.
+Every container (states, operators and channels) is validated once, in
+its constructor.  Operations trust the containers they are given and do
+not re-check them.  A measurement is the two-outcome one that an
+isometry ``V`` defines (outcome 1 is its range), given as the plain
+array ``V†``, whose orthonormal rows are trusted.  It acts on a whole
+register: a party that holds its own register is measured on that
+register alone, never on a joint state with the registers of others.
+Results that are states by construction, the outer product of
+:meth:`PureState.density` and the post-states of :func:`collapse` (built
+only where a caller keeps the register), are not re-checked either (no
+eigenvalue decomposition, no norm).  Every sampled bit comes from one
+rule, :func:`draw_outcome`: ``Generator.choice``'s arithmetic without
+its re-checks.  The same holds for the authentication scheme's results
+in ``qas``: its encoding isometry (a read-only array, columns of a
+design unitary, never a container), the encoded states of ``auth`` and
+the renormalized accept branch that ``verify`` returns.  The public
+constructors keep every check.
 
 Memory
 ------
@@ -228,7 +228,8 @@ class PureState:
         """Freeze ``amplitudes`` in place, without the checks.  Only for
         fresh complex vectors that are unit by construction (a branch of a
         validated state divided by the norm computed from that same
-        branch); the bytes are those the public constructor would keep."""
+        branch, or an isometry applied to a validated state); the bytes
+        are those the public constructor would keep."""
         obj = object.__new__(cls)
         amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
         amps.setflags(write=False)
@@ -275,9 +276,9 @@ class DensityOperator:
     def _trusted(cls, matrix: np.ndarray) -> "DensityOperator":
         """Freeze ``matrix`` in place, without the checks.  Only for fresh
         complex matrices that are density operators by construction from
-        validated ones (the outer product of a unit vector, or a
-        renormalized projection of one); the bytes are those the public
-        constructor would keep."""
+        validated ones (the outer product of a unit vector, a conjugation
+        by an isometry, or a renormalized projection of one); the bytes
+        are those the public constructor would keep."""
         obj = object.__new__(cls)
         mat = np.asarray(matrix, dtype=complex)
         mat.setflags(write=False)
@@ -288,33 +289,6 @@ class DensityOperator:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-
-@dataclass(frozen=True)
-class Isometry:
-    """A matrix ``V`` with ``V† V = I`` (possibly into a larger space)."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        mat = _frozen(np.asarray(self.matrix))
-        if mat.ndim != 2 or mat.shape[0] < mat.shape[1]:
-            raise DimensionMismatchError("isometry needs q_out >= q_in")
-        _qubits_for_dim(mat.shape[0])
-        _qubits_for_dim(mat.shape[1])
-        gram = mat.conj().T @ mat
-        if np.max(np.abs(gram - np.eye(mat.shape[1]))) > ATOL:
-            raise ValueError("matrix is not an isometry within tolerance")
-        object.__setattr__(self, "matrix", mat)
-
-    @classmethod
-    def _trusted(cls, matrix: np.ndarray) -> "Isometry":
-        """A contiguous read-only copy of ``matrix``, without the gram
-        check.  Only for columns taken from a design unitary; the copy
-        is kept because products with a strided view round differently."""
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "matrix", _frozen(matrix))
-        return obj
 
 
 @dataclass(frozen=True)
@@ -497,19 +471,6 @@ def collapse(state, accept: np.ndarray, outcome: int):
         m = q @ state.matrix @ q
         m = m / m.trace().real
     return DensityOperator._trusted((m + m.conj().T) / 2)
-
-
-def apply_isometry(v: Isometry, state):
-    """``V |psi>`` for pure input, ``V rho V†`` for density input (a
-    density operator by construction, not re-checked)."""
-    mat = v.matrix
-    if not isinstance(state, (PureState, DensityOperator)):
-        raise TypeError("expected PureState or DensityOperator")
-    if state.dim != mat.shape[1]:
-        raise DimensionMismatchError("state does not match isometry domain")
-    if isinstance(state, PureState):
-        return PureState(mat @ state.amplitudes)
-    return DensityOperator._trusted(mat @ state.matrix @ mat.conj().T)
 
 
 def apply_channel(ch: KrausChannel, state: DensityOperator):

@@ -46,6 +46,32 @@ def test_design_check_invalid_qubits_usage_error():
     assert err.value.code == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "config,code",
+    [({"qubits": 1}, EXIT_OK), (None, EXIT_USAGE), ({}, EXIT_USAGE), ({"qubits": 9}, EXIT_USAGE)],
+    ids=["config-qubits-1", "no-config", "config-without-qubits", "config-qubits-9"],
+)
+def test_design_check_takes_qubits_from_config(tmp_path, capsys, monkeypatch, config, code):
+    # --qubits may come from argv or from --config; missing from both, or
+    # outside its choices, it is a usage error before any design is built
+    argv = ["design-check"]
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv += ["--config", str(cfg)]
+    if code == EXIT_USAGE:
+        def refuse(*args, **kwargs):
+            raise AssertionError("built before the usage check")
+
+        monkeypatch.setattr("qlease.designs.clifford_design", refuse)
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    if code == EXIT_OK:
+        assert "cardinality   24" in captured.out
+    else:
+        assert captured.err.startswith("error: ")
+
+
 def test_qas_verify_passes(capsys):
     assert main(["qas-verify", "--scheme", "1,1,14", "--seed", "1"]) == EXIT_OK
     out = capsys.readouterr().out

@@ -406,7 +406,7 @@ def test_evaluation_measurement_outcome_one_accepts():
     # enumerated (1,1,6) and indexed (2,1,6 and 3,3,6) designs
     for params, x in itertools.product([(1, 1, 6), (2, 1, 6), (3, 3, 6)], (0, 5, 63)):
         scheme = qas.build_scheme(*params)
-        accept = cp.evaluation_measurement(scheme, x)
+        accept = qas.adjoint_isometry(scheme, x)
         assert accept.shape == (scheme.message_dim, scheme.total_dim)
         assert np.max(np.abs(accept @ accept.conj().T - np.eye(scheme.message_dim))) < ATOL
         assert np.max(np.abs(accept.conj().T @ accept - cp.accept_projector(scheme, x))) < ATOL

@@ -282,7 +282,7 @@ def _joint_register_wins(spec, pirate, charlie, trials, seed) -> int:
         x1, x2 = spec.bob_family(p).sample(rng), spec.charlie_family(p).sample(rng)
         joint = bob if charlie_state is None else _joint(bob, charlie_state)
         n, total = bob.qubits, joint.qubits
-        bob_accept = np.kron(cp.evaluation_measurement(scheme, x1), np.eye(1 << (total - n)))
+        bob_accept = np.kron(qas.adjoint_isometry(scheme, x1), np.eye(1 << (total - n)))
         b1 = measure_projective(joint, bob_accept, rng)
         post = collapse(joint, bob_accept, b1)
         if isinstance(charlie, HonestEvalStrategy):

@@ -8,12 +8,11 @@ import pytest
 from qlease import qas
 from qlease.designs import clifford_enumerate, irreducible_poly
 from qlease.qmath import (
+    ATOL,
     DensityOperator,
     DimensionMismatchError,
-    Isometry,
     PureState,
     accept_branch,
-    apply_isometry,
     maximally_mixed,
     random_density,
     random_pure_state,
@@ -54,7 +53,7 @@ def test_build_scheme_parameter_validation():
 def test_auth_isometry_property(scheme):
     rng = spawn_rng(1)
     for key in rng.integers(1 << 14, size=100):
-        a = qas.auth_isometry(scheme, int(key)).matrix
+        a = qas.auth_isometry(scheme, int(key))
         assert np.max(np.abs(a.conj().T @ a - np.eye(2))) < 1e-9
 
 
@@ -63,6 +62,33 @@ def test_auth_pure_in_pure_out(scheme):
     out = qas.auth(scheme, 7, random_pure_state(1, rng))
     assert isinstance(out, PureState)
     assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("params", [(1, 1, 14), (2, 1, 6), (3, 3, 6)], ids=str)
+def test_auth_pure_state_is_the_encoding_product(params):
+    # A psi with A the trap-zero columns of the key's element: a unit
+    # vector, bit for bit the product with a contiguous copy of the columns
+    scheme = qas.build_scheme(*params)
+    rng = spawn_rng(7)
+    for key in rng.integers(1 << scheme.key_bits, size=5):
+        psi = random_pure_state(scheme.message_qubits, rng)
+        out = qas.auth(scheme, int(key), psi)
+        expected = PureState(np.array(qas._auth_matrix(scheme, int(key))) @ psi.amplitudes)
+        assert out.qubits == scheme.total_qubits
+        assert out.amplitudes.tobytes() == expected.amplitudes.tobytes()
+        assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("params", [(1, 1, 14), (2, 1, 6), (3, 3, 6)], ids=str)
+def test_auth_density_is_the_encoding_conjugation(params):
+    scheme = qas.build_scheme(*params)
+    rng = spawn_rng(6)
+    for key in rng.integers(1 << scheme.key_bits, size=5):
+        rho = random_density(scheme.message_qubits, rng)
+        out = qas.auth(scheme, int(key), rho)
+        a = np.array(qas._auth_matrix(scheme, int(key)))
+        assert isinstance(out, DensityOperator)
+        assert out.matrix.tobytes() == (a @ rho.matrix @ a.conj().T).tobytes()
 
 
 def test_auth_dimension_mismatch(scheme):
@@ -87,7 +113,7 @@ def test_correctness_round_trip(scheme):
 
 def test_verify_orthogonal_complement(scheme):
     # a state orthogonal to the image of A_k never accepts
-    a = qas.auth_isometry(scheme, 5).matrix
+    a = qas.auth_isometry(scheme, 5)
     proj = np.eye(4) - a @ a.conj().T
     vec = proj @ np.array([1.0, 0.3, -0.2, 0.7j])
     vec /= np.linalg.norm(vec)
@@ -103,7 +129,7 @@ def test_verify_maximally_mixed(scheme):
 
 def test_verify_trace_preserving(scheme):
     rng = spawn_rng(4)
-    a = qas.auth_isometry(scheme, 9).matrix
+    a = qas.auth_isometry(scheme, 9)
     for _ in range(10):
         rho = random_density(2, rng)
         p, branch = accept_branch(rho, qas.adjoint_isometry(scheme, 9))
@@ -120,7 +146,7 @@ def test_accept_branch_matches_probability(scheme):
     for _ in range(25):
         rho = random_density(2, rng)
         key = int(rng.integers(1 << 14))
-        a = qas.auth_isometry(scheme, key).matrix
+        a = qas.auth_isometry(scheme, key)
         expected = np.trace(a.conj().T @ rho.matrix @ a).real
         assert abs(qas.verify(scheme, key, rho).accept_probability - expected) < 1e-10
         assert abs(qas.accept_probability(scheme, key, rho) - expected) < 1e-10
@@ -139,7 +165,7 @@ def test_verify_decodes_small_pure_branches_as_states(scheme, p):
     # a pure state accepted with probability p decodes as outer(b, conj(b)) / p,
     # which is exactly Hermitian; A† |psi><psi| A / p rounds each entry on
     # its own, and at p <= 1e-8 failed the Hermiticity check
-    a = qas.auth_isometry(scheme, 77).matrix
+    a = qas.auth_isometry(scheme, 77)
     rng = spawn_rng(31)
     for _ in range(50):
         message = random_pure_state(1, rng)
@@ -158,7 +184,7 @@ def test_verify_decodes_small_density_branches_as_states(scheme, p):
     # a rank-2 state accepted with probability p decodes as the Hermitian
     # part (b + b†) / (2p) of b = A† rho A; b / p alone rounds each entry
     # by about d * eps / p, and failed the Hermiticity check at p <= 1e-8
-    a = qas.auth_isometry(scheme, 77).matrix
+    a = qas.auth_isometry(scheme, 77)
     rng = spawn_rng(33)
     bound = 10 * 4 * np.finfo(float).eps / p  # d = 4, ten times the rounding
     for _ in range(50):
@@ -198,15 +224,16 @@ def test_sampled_verify_branches(scheme):
 
 @pytest.mark.parametrize("params", [(1, 1, 14), (1, 2, 14), (2, 1, 6)], ids=str)
 def test_trusted_results_pass_the_public_checks(params):
-    # auth_isometry, apply_isometry and verify build
-    # their results without re-validation; each must be a contiguous
-    # read-only matrix that the public constructor (gram, Hermiticity,
-    # trace and eigenvalue checks at ATOL) accepts and keeps byte for byte
+    # auth_isometry, auth and verify build their results without
+    # re-validation; each must be a contiguous read-only array that passes
+    # the public checks at ATOL (the gram check A†A = I for the isometry,
+    # the constructors' norm, Hermiticity, trace and eigenvalue checks for
+    # states, which keep it byte for byte)
     scheme = qas.build_scheme(*params)
     rng = spawn_rng(21)
     key = int(rng.integers(1 << scheme.key_bits))
     iso = qas.auth_isometry(scheme, key)
-    encoded = apply_isometry(iso, random_density(scheme.message_qubits, rng))
+    encoded = qas.auth(scheme, key, random_density(scheme.message_qubits, rng))
     u = scheme.design.element(scheme.key_index(key))
     partial = maximally_mixed(scheme.total_qubits)  # accepted with probability 2^-t
     rejected = PureState(u[:, 1])  # a trap qubit reads 1
@@ -216,14 +243,15 @@ def test_trusted_results_pass_the_public_checks(params):
     assert unsampled[2].accept_probability < 1e-12
     sampled = [qas.verify(scheme, key, partial, spawn_rng(21, i)) for i in range(40)]
     assert {o.accepted for o in sampled} == {True, False}
-    results = [
-        (iso.matrix, Isometry),
-        (encoded.matrix, DensityOperator),
-    ] + [(o.message_state.matrix, DensityOperator) for o in unsampled + sampled]
-    for mat, public in results:
+    assert iso.flags.c_contiguous and not iso.flags.writeable
+    assert np.max(np.abs(iso.conj().T @ iso - np.eye(scheme.message_dim))) <= ATOL
+    assert iso.tobytes() == np.array(qas._auth_matrix(scheme, key), dtype=complex).tobytes()
+    assert encoded_pure.amplitudes.tobytes() == PureState(encoded_pure.amplitudes).amplitudes.tobytes()
+    assert not encoded_pure.amplitudes.flags.writeable
+    results = [encoded.matrix] + [o.message_state.matrix for o in unsampled + sampled]
+    for mat in results:
         assert mat.flags.c_contiguous and not mat.flags.writeable
-        assert mat.tobytes() == public(mat).matrix.tobytes()
-    assert iso.matrix.tobytes() == Isometry(qas._auth_matrix(scheme, key)).matrix.tobytes()
+        assert mat.tobytes() == DensityOperator(mat).matrix.tobytes()
 
 
 def test_acceptance_by_index_equals_the_full_conjugate_expressions(scheme):
@@ -239,6 +267,18 @@ def test_acceptance_by_index_equals_the_full_conjugate_expressions(scheme):
         a = arr[:, :, ::2]
         expect = np.einsum("nji,jk,nki->n", a.conj(), rho.matrix, a).real
         assert np.array_equal(qas.acceptance_by_index(scheme, rho), expect)
+
+
+@pytest.mark.parametrize(
+    "state,error",
+    [(zero_state(1), DimensionMismatchError), (maximally_mixed(3), DimensionMismatchError), (np.ones(4) / 2, TypeError)],
+    ids=["pure-one-qubit", "density-three-qubits", "array"],
+)
+def test_acceptance_by_index_checks_the_state(scheme, state, error):
+    # a pure state of the wrong size once reached einsum, whose
+    # broadcasting ValueError named no dimension
+    with pytest.raises(error):
+        qas.acceptance_by_index(scheme, state)
 
 
 def test_wrong_key_design_average_exact(scheme):

@@ -11,12 +11,10 @@ from qlease import qmath
 from qlease.qmath import (
     DensityOperator,
     DimensionMismatchError,
-    Isometry,
     KrausChannel,
     PureState,
     QubitCapError,
     apply_channel,
-    apply_isometry,
     collapse,
     embed_operator,
     haar_unitary,
@@ -63,13 +61,6 @@ def test_density_rejects_negative_eigenvalue():
     m = np.array([[1.5, 0.0], [0.0, -0.5]])
     with pytest.raises(ValueError):
         DensityOperator(m)
-
-def test_isometry_validation():
-    with pytest.raises(ValueError):
-        Isometry(np.array([[1.0, 0.0], [1.0, 0.0]]))
-    v = Isometry(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0]]))
-    assert v.matrix.shape == (4, 2)
-
 
 def test_kraus_channel_validation():
     k0 = np.sqrt(0.5) * np.eye(2)
@@ -480,10 +471,11 @@ def test_measure_then_collapse_is_the_single_call(params, seed, key, kind):
     # the same outcome, the same generator state afterwards, and the same
     # post-state bytes (a density branch as the Hermitian part of the
     # single call's) as drawing and collapsing in one call
-    from qlease.copyprotect import evaluation_measurement, protect
+    from qlease.copyprotect import protect
+    from qlease.qas import adjoint_isometry
 
     scheme = _scheme(params)
-    accept = evaluation_measurement(scheme, key)
+    accept = adjoint_isometry(scheme, key)
     rng = spawn_rng(seed)
     n = scheme.total_qubits
     if kind == "pure":
@@ -512,9 +504,9 @@ def test_collapse_keeps_small_density_branches_states(outcome, p):
     # and key 77: dividing the branch by p rounds each entry on its own,
     # about d * eps / p; before the Hermitian part was taken, 9/50 accept
     # branches failed DensityOperator at p = 1e-8 and 50/50 at p = 1e-10
-    from qlease.copyprotect import evaluation_measurement
+    from qlease.qas import adjoint_isometry
 
-    accept = evaluation_measurement(_scheme((1, 1, 14)), 77)
+    accept = adjoint_isometry(_scheme((1, 1, 14)), 77)
     a = accept.conj().T
     rng = spawn_rng(32)
     bound = 10 * 4 * np.finfo(float).eps / p  # d = 4, ten times the rounding
@@ -623,28 +615,8 @@ def test_projective_measurement_is_read_only():
 
 
 # ---------------------------------------------------------------------------
-# isometries and channels
+# channels
 # ---------------------------------------------------------------------------
-
-
-def test_apply_isometry_identity():
-    rho = random_density(1, spawn_rng(6))
-    out = apply_isometry(Isometry(np.eye(2)), rho)
-    assert np.allclose(out.matrix, rho.matrix)
-
-
-def test_apply_isometry_preserves_norm():
-    rng = spawn_rng(7)
-    v = Isometry(haar_unitary(8, rng)[:, :2])
-    psi = random_pure_state(1, rng)
-    out = apply_isometry(v, psi)
-    assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-9
-
-
-def test_apply_isometry_embedding():
-    embed = Isometry(np.kron(np.eye(2), np.array([[1.0], [0.0]])))
-    out = apply_isometry(embed, ket("1"))
-    assert np.allclose(out.amplitudes, ket("10").amplitudes)
 
 
 def test_apply_channel_identity():
@@ -671,8 +643,7 @@ def test_single_kraus_channel_matches_isometry():
     v = haar_unitary(8, rng)[:, :4]
     rho = random_density(2, rng)
     via_channel = apply_channel(KrausChannel((v,)), rho)
-    via_isometry = apply_isometry(Isometry(v), rho)
-    assert np.allclose(via_channel.matrix, via_isometry.matrix, atol=1e-12)
+    assert np.allclose(via_channel.matrix, v @ rho.matrix @ v.conj().T, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
