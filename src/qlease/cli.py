@@ -366,6 +366,8 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError("--seed must be non-negative")
         for option in ("out", "csv"):
             path = getattr(args, option, None)
+            if path and Path(path).is_dir():
+                raise ConfigError(f"--{option}: {path} is a directory")
             if path and not Path(path).parent.is_dir():
                 raise ConfigError(f"--{option}: directory {Path(path).parent} does not exist")
         return args.func(args)

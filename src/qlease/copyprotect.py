@@ -74,41 +74,26 @@ class PointFunction:
 
 @dataclass(frozen=True)
 class ChallengeDistribution:
-    """A finite distribution on {0,1}^bits: an explicit table, or a shape
-    that holds none.
+    """A distribution on {0,1}^bits that holds no table: mass ``r`` on
+    ``point`` and the rest uniform (r=1 is the point mass, r=1/2 the
+    half-point distribution), or uniform when ``point`` and ``r`` are
+    both None.
 
-    - ``table``: the validated 2^bits probabilities in ``table``,
-    - ``uniform``: every string 1/2^l,
-    - ``biased``: the point with mass r, the rest uniform (r=1 is the
-      point mass, r=1/2 the half-point distribution).
-
-    The shapes sample in constant time, give the baselines their
-    :meth:`exact_shape`, and build :attr:`probs` afresh on each read.
+    It samples in constant time, gives the baselines its
+    :meth:`exact_shape`, and builds :attr:`probs` afresh on each read.
     """
 
     bits: int
-    table: np.ndarray | None = None
-    kind: Literal["table", "uniform", "biased"] = "table"
     point: int | None = None
     r: float | None = None
 
     def __post_init__(self):
-        biased = self.kind == "biased"
-        given = (self.table is not None, self.point is not None, self.r is not None)
-        if self.kind not in ("table", "uniform", "biased") or given != (self.kind == "table", biased, biased):
-            raise ValueError("kind 'table' takes a table, 'biased' a point and r, 'uniform' neither")
         if not isinstance(self.bits, int) or self.bits < 1:
             raise ValueError("bits must be a positive integer")
-        if biased and not (0 <= self.point < self.size and 0.0 <= self.r <= 1.0):
+        if (self.point is None) != (self.r is None):
+            raise ValueError("point and r are given together or not at all")
+        if self.point is not None and not (0 <= self.point < self.size and 0.0 <= self.r <= 1.0):
             raise ValueError("need a point in {0,1}^bits and r in [0, 1]")
-        if self.kind == "table":
-            probs = np.array(self.table, dtype=float)
-            probs.setflags(write=False)
-            if probs.size != self.size:
-                raise DimensionMismatchError("table size must be 2^bits")
-            if np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-12:
-                raise ValueError("probabilities must be nonnegative and sum to 1")
-            object.__setattr__(self, "table", probs)
 
     @property
     def size(self) -> int:
@@ -116,8 +101,6 @@ class ChallengeDistribution:
 
     @property
     def probs(self) -> np.ndarray:
-        if self.kind == "table":
-            return self.table
         probs = np.full(self.size, self._flat())
         if self.point is not None:
             probs[self.point] = self.r
@@ -127,38 +110,29 @@ class ChallengeDistribution:
         return 1.0 / self.size if self.r is None else (1.0 - self.r) / (self.size - 1)
 
     def prob(self, x: int) -> float:
-        if self.kind == "table":
-            return float(self.table[x])
         return self.r if x == self.point else self._flat()
 
-    def exact_shape(self) -> tuple[Fraction, int | None, Fraction] | None:
+    def exact_shape(self) -> tuple[Fraction, int | None, Fraction]:
         """(flat, peak, peak weight) in exact rationals: every string but
-        the peak has the flat weight, and the uniform kind has no peak.
-        None for tables."""
-        if self.kind == "uniform":
+        the peak has the flat weight, and the uniform distribution has no
+        peak."""
+        if self.point is None:
             return Fraction(1, self.size), None, Fraction(1, self.size)
-        if self.kind == "table":
-            return None
         flat, top = _biased_weights(self.bits, self.r)
         return flat, self.point, top
 
     def class_weights(self, key_map: EpsUniformMap) -> np.ndarray:
-        """``Pr[key_map(x) = j]`` for every design index ``j``: a shape's
-        flat weight per preimage plus the peak's excess, a table summed."""
+        """``Pr[key_map(x) = j]`` for every design index ``j``: the flat
+        weight per preimage plus the peak's excess."""
         if key_map.domain_bits != self.bits:
             raise DimensionMismatchError("distribution bit-length mismatch")
-        if self.kind == "table":
-            images = [key_map.apply(x) for x in range(self.size)]
-            return np.bincount(images, weights=self.table, minlength=key_map.range_size)
         weights = key_map.preimage_counts() * self._flat()
         if self.point is not None:
             weights[key_map.apply(self.point)] += self.r - self._flat()
         return weights
 
     def sample(self, rng: np.random.Generator) -> int:
-        if self.kind == "table":
-            return int(rng.choice(self.size, p=self.table))
-        if self.kind == "uniform":
+        if self.point is None:
             return int(rng.integers(self.size))
         if rng.random() < self.r:
             return self.point
@@ -180,18 +154,12 @@ def _biased_weights(bits: int, r: float) -> tuple[Fraction, Fraction]:
 def uniform_points(bits: int) -> ChallengeDistribution:
     """The uniform distribution on {0,1}^bits (used both for challenge
     inputs and for drawing the encoded point itself)."""
-    return ChallengeDistribution(bits, kind="uniform")
+    return ChallengeDistribution(bits)
 
 
 def biased_point(point: int, bits: int, r: float) -> ChallengeDistribution:
     """Mass ``r`` on the point, uniform elsewhere."""
-    return ChallengeDistribution(bits, kind="biased", point=point, r=r)
-
-
-def dhalf(point: int, bits: int) -> ChallengeDistribution:
-    """Mass 1/2 on the point, uniform elsewhere, so the function value is
-    a fair coin."""
-    return biased_point(point, bits, 0.5)
+    return ChallengeDistribution(bits, point, r)
 
 
 @dataclass(frozen=True)

@@ -120,19 +120,13 @@ class PirateMap:
 
 
 class MeasurementStrategy:
-    """Charlie's side: one two-outcome projective measurement per
-    challenge, as ``measure_projective`` takes it; outcome 1 means
-    "answer 1", and the measured register is not kept."""
+    """Charlie's side: one answer bit per challenge, from his whole
+    register, which is not kept."""
 
     name = "strategy"
 
-    def measurement(self, x: int) -> np.ndarray:
-        raise NotImplementedError
-
     def answer(self, state, x, side, rng) -> int:
-        """Measure :meth:`measurement` at challenge ``x`` on Charlie's
-        whole register ``state``; only the bit is kept."""
-        return measure_projective(state, self.measurement(x), rng)
+        raise NotImplementedError
 
 
 class FixedAnswer(MeasurementStrategy):
@@ -147,14 +141,15 @@ class FixedAnswer(MeasurementStrategy):
 
 
 class HonestEvalStrategy(MeasurementStrategy):
-    """Runs the honest evaluation measurement on a program-shaped register."""
+    """Runs the honest evaluation measurement on a program-shaped register:
+    outcome 1 is answer 1."""
 
     def __init__(self, scheme: QasScheme):
         self.scheme = scheme
         self.name = "honest-eval"
 
-    def measurement(self, x: int) -> np.ndarray:
-        return adjoint_isometry(self.scheme, x)
+    def answer(self, state, x, side, rng) -> int:
+        return measure_projective(state, adjoint_isometry(self.scheme, x), rng)
 
 
 class PointGuessStrategy(MeasurementStrategy):
@@ -267,15 +262,12 @@ def _best_guess_rate(circuit_dist: ChallengeDistribution, family: PointFamily) -
     (point != x, x): s*r against (n-1)*c*f at the circuit's peak, and
     c*r against s*f + (n-2)*c*f at each of the n-1 other strings.
 
-    Raises ``ValueError`` for a table circuit, or a family that is not a
+    Raises ``ValueError`` for a family that is not a
     :class:`~qlease.copyprotect.PointFamily` on the circuit's strings.
     """
-    circuit = circuit_dist.exact_shape()
-    if circuit is None:
-        raise ValueError("baselines need a uniform or single-peak circuit distribution")
     if not isinstance(family, PointFamily) or family.bits != circuit_dist.bits:
         raise ValueError("baselines need a PointFamily on the circuit's strings")
-    c, _, s = circuit
+    c, _, s = circuit_dist.exact_shape()
     f, r = family.weights()
     n = circuit_dist.size
     return max(s * r, (n - 1) * c * f) + (n - 1) * max(c * r, s * f + (n - 2) * c * f)

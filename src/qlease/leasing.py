@@ -10,7 +10,9 @@ program at the point passes with probability one.
 
 Compute-and-compare programs (output 1 iff f(x) = y) reduce to point
 functions: lease the point ``y`` and evaluate at ``f(x)``.  The truth
-table of ``f`` travels with the program in the clear.
+table of ``f`` travels with the program in the clear, and
+:func:`pushforward` gives the distribution of the point program's
+challenges as a probability vector.
 """
 
 from __future__ import annotations
@@ -166,15 +168,18 @@ def cc_verify(
     )
 
 
-def pushforward(cf: CompareFunction, dist: ChallengeDistribution) -> ChallengeDistribution:
-    """Push an input distribution through f: the distribution of f(x).
+def pushforward(cf: CompareFunction, dist: ChallengeDistribution) -> np.ndarray:
+    """Push an input distribution through f: the probabilities of f(x),
+    as a read-only vector over {0,1}^out_bits.
 
     Challenges for the underlying point program are distributed exactly
     like this when CC challenges are drawn from ``dist``.
     """
     if dist.bits != cf.in_bits:
         raise DimensionMismatchError("distribution must live on f's domain")
-    return ChallengeDistribution(cf.out_bits, np.bincount(cf.table, dist.probs, 1 << cf.out_bits))
+    probs = np.bincount(cf.table, dist.probs, 1 << cf.out_bits)
+    probs.setflags(write=False)
+    return probs
 
 
 def epsilon_f(p_triv_cc: float, p_triv_pf: float, epsilon: float) -> float:

@@ -192,7 +192,7 @@ def c06_protection_correctness(seed: int) -> CriterionResult:
     gated = scheme.epsilon > 0.5
     for _ in range(50):
         p = int(rng.integers(1 << 14))
-        corr = cp.correctness_exact(scheme, p, cp.dhalf(p, 14))
+        corr = cp.correctness_exact(scheme, p, cp.biased_point(p, 14, 0.5))
         ident = 1.0 - 0.5 * cp.wrong_key_average_excluding(scheme, p)
         worst = max(worst, abs(corr - ident))
         if not gated:
@@ -260,7 +260,7 @@ def c08_reusability(seed: int) -> CriterionResult:
         # Exact damage: dephasing a pure program across the accept split of
         # key x moves it by sqrt(a_x (1 - a_x)) in trace distance, a_x its
         # acceptance probability.
-        dist = cp.dhalf(p, 14)
+        dist = cp.biased_point(p, 14, 0.5)
         acc = np.clip(qas.acceptance_by_index(scheme, original), 0, 1)
         damage = float(dist.class_weights(scheme.key_map) @ np.sqrt(acc * (1 - acc)))
         eta = 1.0 - cp.correctness_exact(scheme, p, dist)
@@ -280,7 +280,7 @@ def c09_mix_correctness(seed: int) -> CriterionResult:
     worst-case per-input guarantee, exhaustively at l = 2."""
     scheme = qas.build_scheme(1, 1, 2)
     fam = designs.PairwisePermFamily(2)
-    eta = 1.0 - min(cp.correctness_exact(scheme, p, cp.dhalf(p, 2)) for p in range(4))
+    eta = 1.0 - min(cp.correctness_exact(scheme, p, cp.biased_point(p, 2, 0.5)) for p in range(4))
     worst = max(
         cp.mix_error_exact(scheme, fam, p, x) for p in range(4) for x in range(4)
     )

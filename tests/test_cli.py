@@ -257,17 +257,22 @@ def test_out_of_range_values_are_usage_errors(argv, capsys, monkeypatch):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-@pytest.mark.parametrize("flag", ["--out", "--csv"])
-def test_missing_output_directory_is_usage_error(flag, tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "flag,is_directory",
+    [("--out", False), ("--csv", False), ("--out", True), ("--csv", True)],
+    ids=["--out", "--csv", "--out-directory", "--csv-directory"],
+)
+def test_missing_output_directory_is_usage_error(flag, is_directory, tmp_path, capsys, monkeypatch):
+    # a path whose directory is missing, or a path that is a directory
     def refuse(*args, **kwargs):
         raise AssertionError("built before the usage check")
 
     monkeypatch.setattr("qlease.qas.build_scheme", refuse)
-    target = tmp_path / "missing" / "report"
+    target = tmp_path if is_directory else tmp_path / "missing" / "report"
     argv = ["cp", "--scheme", "1,1,6", "--trials", "3", flag, str(target)]
     assert main(argv) == EXIT_USAGE
     assert capsys.readouterr().err.startswith("error: ")
-    assert not target.parent.exists()
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(

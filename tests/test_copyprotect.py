@@ -2,6 +2,7 @@
 correctness, the permutation wrapper and the challenge distributions."""
 
 import itertools
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -50,13 +51,13 @@ def test_point_function_range_check():
 
 
 def test_tables_normalized():
-    for dist in (cp.uniform_points(4), cp.dhalf(3, 4), cp.biased_point(3, 4, 0.8)):
+    for dist in (cp.uniform_points(4), cp.biased_point(3, 4, 0.5), cp.biased_point(3, 4, 0.8)):
         assert abs(dist.probs.sum() - 1.0) < 1e-12
         assert np.all(dist.probs >= 0)
 
 
 def test_dhalf_masses():
-    dist = cp.dhalf(5, 4)
+    dist = cp.biased_point(5, 4, 0.5)
     assert dist.prob(5) == 0.5
     assert abs(dist.prob(0) - 0.5 / 15) < 1e-15
 
@@ -74,7 +75,7 @@ def test_point_mass_always_returns_point():
 
 
 def test_dhalf_empirical_frequency():
-    dist = cp.dhalf(2, 6)
+    dist = cp.biased_point(2, 6, 0.5)
     rng = spawn_rng(1)
     hits = sum(dist.sample(rng) == 2 for _ in range(10**4))
     sigma = np.sqrt(0.25 / 10**4)
@@ -108,9 +109,8 @@ def _exact_weight(dist, x):
 
 def test_exact_shape_structured():
     assert cp.uniform_points(3).exact_shape() == (Fraction(1, 8), None, Fraction(1, 8))
-    assert cp.dhalf(0, 3).exact_shape() == (Fraction(1, 14), 0, Fraction(1, 2))
-    table = cp.ChallengeDistribution(1, np.array([0.3, 0.7]))
-    assert table.exact_shape() is None
+    assert cp.biased_point(0, 3, 0.5).exact_shape() == (Fraction(1, 14), 0, Fraction(1, 2))
+    assert cp.biased_point(5, 3, 0.0).exact_shape() == (Fraction(1, 7), 5, Fraction(0))
 
 
 #: (domain bits, |B|): 2^k below, equal to and above the number of indices.
@@ -119,14 +119,12 @@ CLASS_MAPS = [(4, 24), (5, 32), (6, 24), (7, 11)]
 
 def _class_distributions(bits):
     n = 1 << bits
-    table = spawn_rng(bits).random(n)
     return [
         cp.uniform_points(bits),
-        cp.dhalf(3, bits),
+        cp.biased_point(3, bits, 0.5),
         cp.biased_point(n - 1, bits, 0.9),
         cp.biased_point(0, bits, 1.0),
         cp.biased_point(5, bits, 0.0),
-        cp.ChallengeDistribution(bits, table / table.sum()),
     ]
 
 
@@ -138,8 +136,8 @@ def test_class_weights_sum_probs_over_the_key_map(bits, size):
         weights = dist.class_weights(key_map)
         expected = np.bincount(images, weights=dist.probs, minlength=size)
         assert weights.shape == (size,)
-        assert np.max(np.abs(weights - expected)) <= 1e-15, dist.kind
-        assert abs(weights.sum() - 1.0) < 1e-12, dist.kind
+        assert np.max(np.abs(weights - expected)) <= 1e-15, dist
+        assert abs(weights.sum() - 1.0) < 1e-12, dist
 
 
 def test_class_weights_need_the_map_domain():
@@ -150,17 +148,15 @@ def test_class_weights_need_the_map_domain():
 #: Distributions that must be refused when they are built.
 INVALID_DISTRIBUTIONS = {
     "negative-point": lambda: cp.biased_point(-1, 3, 0.5),
-    "point-too-large": lambda: cp.dhalf(9, 3),
-    "zero-bits-dhalf": lambda: cp.dhalf(0, 0),
+    "point-too-large": lambda: cp.biased_point(9, 3, 0.5),
+    "zero-bits-dhalf": lambda: cp.biased_point(0, 0, 0.5),
     "zero-bits-biased": lambda: cp.biased_point(0, 0, 0.3),
     "r-above-one": lambda: cp.biased_point(0, 3, 1.5),
+    "r-nan": lambda: cp.biased_point(0, 3, float("nan")),
     "zero-bits-uniform": lambda: cp.uniform_points(0),
-    "unknown-kind": lambda: cp.ChallengeDistribution(2, [0.25] * 4, kind="dhalf", point=1),
-    "biased-without-r": lambda: cp.ChallengeDistribution(2, kind="biased", point=1),
-    "biased-without-point": lambda: cp.ChallengeDistribution(2, kind="biased", r=0.5),
-    "uniform-with-table": lambda: cp.ChallengeDistribution(2, [0.25] * 4, kind="uniform"),
-    "table-with-point": lambda: cp.ChallengeDistribution(2, [0.25] * 4, point=1),
-    "table-without-table": lambda: cp.ChallengeDistribution(2),
+    # a point and its mass come together, or neither does
+    "biased-without-r": lambda: cp.ChallengeDistribution(2, point=1),
+    "biased-without-point": lambda: cp.ChallengeDistribution(2, r=0.5),
 }
 
 
@@ -186,10 +182,15 @@ def test_point_family_is_validated_when_built(bits, r):
 
 
 def test_structured_distributions_hold_no_array():
-    for dist in (cp.uniform_points(20), cp.dhalf(3, 20), cp.biased_point(3, 20, 0.3), cp.biased_point(1, 20, 1.0)):
-        assert not any(isinstance(value, np.ndarray) for value in vars(dist).values()), dist.kind
-    table = cp.ChallengeDistribution(1, [0.3, 0.7])
-    assert isinstance(table.table, np.ndarray) and table.probs is table.table
+    assert [f.name for f in fields(cp.ChallengeDistribution)] == ["bits", "point", "r"]
+    for dist in (
+        cp.uniform_points(20),
+        cp.biased_point(3, 20, 0.5),
+        cp.biased_point(3, 20, 0.3),
+        cp.biased_point(1, 20, 1.0),
+        cp.biased_point(7, 20, 0.0),
+    ):
+        assert not any(isinstance(value, np.ndarray) for value in vars(dist).values()), dist
 
 
 class _ParentDistribution:
@@ -252,7 +253,7 @@ def _distribution_pairs(draw):
     if kind == "uniform":
         return cp.uniform_points(bits), _ParentDistribution.uniform(bits)
     if kind == "dhalf":
-        return cp.dhalf(point, bits), _ParentDistribution.dhalf(point, bits)
+        return cp.biased_point(point, bits, 0.5), _ParentDistribution.dhalf(point, bits)
     exact = st.sampled_from([0.0, 0.125, 0.3, 0.5, 0.75, 1.0])
     r = draw(st.one_of(exact, st.floats(0.0, 1.0)))
     return cp.biased_point(point, bits, r), _ParentDistribution.biased(point, bits, r)
@@ -445,7 +446,7 @@ def test_reusability_damage_closed_form_matches_brute_force(scheme):
     rng = spawn_rng(15)
     for _ in range(3):
         p = int(rng.integers(64))
-        dist = cp.dhalf(p, 6)
+        dist = cp.biased_point(p, 6, 0.5)
         state = cp.protect(scheme, p).state
         acc = np.clip(qas.acceptance_by_index(scheme, state), 0, 1)
         closed = float(dist.class_weights(scheme.key_map) @ np.sqrt(acc * (1 - acc)))
@@ -464,7 +465,7 @@ def test_average_damage_within_constant_of_eta(scheme):
     rng = spawn_rng(11)
     for _ in range(3):
         p = int(rng.integers(64))
-        dist = cp.dhalf(p, 6)
+        dist = cp.biased_point(p, 6, 0.5)
         state = cp.protect(scheme, p).state
         damage = sum(
             dist.prob(x)
@@ -486,7 +487,7 @@ def test_correctness_point_mass_is_one(scheme):
 
 def test_correctness_identity_with_wrong_key_average(scheme):
     for p in (0, 21, 42):
-        corr = cp.correctness_exact(scheme, p, cp.dhalf(p, 6))
+        corr = cp.correctness_exact(scheme, p, cp.biased_point(p, 6, 0.5))
         ident = 1.0 - 0.5 * cp.wrong_key_average_excluding(scheme, p)
         assert abs(corr - ident) < 1e-9
 
@@ -494,10 +495,7 @@ def test_correctness_identity_with_wrong_key_average(scheme):
 def test_correctness_uniform_off_point(scheme):
     # uniform over x != p: correctness = 1 - wrong-key average excluding p
     p = 13
-    n = 64
-    probs = np.full(n, 1.0 / (n - 1))
-    probs[p] = 0.0
-    dist = cp.ChallengeDistribution(6, probs)
+    dist = cp.biased_point(p, 6, 0.0)
     corr = cp.correctness_exact(scheme, p, dist)
     assert abs(corr - (1.0 - cp.wrong_key_average_excluding(scheme, p))) < 1e-9
 
@@ -506,7 +504,7 @@ def test_correctness_one_minus_epsilon_gate(scheme):
     # the lower bound only binds when the recorded epsilon is <= 1/2
     if scheme.epsilon <= 0.5:
         for p in range(0, 64, 7):
-            assert cp.correctness_exact(scheme, p, cp.dhalf(p, 6)) >= 1 - scheme.epsilon
+            assert cp.correctness_exact(scheme, p, cp.biased_point(p, 6, 0.5)) >= 1 - scheme.epsilon
     else:
         assert scheme.epsilon > 0.5  # gated off at desk scale
 
@@ -558,7 +556,7 @@ def test_mix_encoded_point_marginal_uniform():
 def test_mix_worst_case_error_bound():
     scheme = qas.build_scheme(1, 1, 2)
     fam = PairwisePermFamily(2)
-    eta = 1.0 - min(cp.correctness_exact(scheme, p, cp.dhalf(p, 2)) for p in range(4))
+    eta = 1.0 - min(cp.correctness_exact(scheme, p, cp.biased_point(p, 2, 0.5)) for p in range(4))
     for p in range(4):
         for x in range(4):
             err = cp.mix_error_exact(scheme, fam, p, x)

@@ -153,8 +153,8 @@ def test_best_guess_rate_matches_enumeration(bits):
     n = 1 << bits
     circuits = [
         cp.uniform_points(bits),
-        cp.dhalf(0, bits),
-        cp.dhalf(n - 1, bits),
+        cp.biased_point(0, bits, 0.5),
+        cp.biased_point(n - 1, bits, 0.5),
         cp.biased_point(0, bits, 0.75),
         cp.biased_point(0, bits, 1.0),
     ]
@@ -193,12 +193,13 @@ def test_best_guess_rate_builds_no_distribution(monkeypatch):
 
 
 def test_baselines_reject_tables_and_plain_callables():
-    table = cp.ChallengeDistribution(2, np.array([0.4, 0.3, 0.2, 0.1]))
+    # a probability vector, such as leasing.pushforward returns, is no family
+    table = np.array([0.4, 0.3, 0.2, 0.1])
     for baseline in (p_marg, p_ind):
-        with pytest.raises(ValueError, match="circuit"):
-            baseline(table, cp.PointFamily(2, 0.5))
         with pytest.raises(ValueError, match="PointFamily"):
-            baseline(cp.uniform_points(2), lambda p: cp.dhalf(p, 2))
+            baseline(cp.uniform_points(2), table)
+        with pytest.raises(ValueError, match="PointFamily"):
+            baseline(cp.uniform_points(2), lambda p: cp.biased_point(p, 2, 0.5))
         with pytest.raises(ValueError, match="PointFamily"):
             baseline(cp.uniform_points(2), cp.PointFamily(3, 0.5))
 
@@ -213,13 +214,12 @@ class _NoSplit:
 
 
 def test_bad_baseline_inputs_fail_before_any_trial(scheme, ssl):
-    table = cp.ChallengeDistribution(6, np.full(64, 1 / 64))
-    bad = games.GameSpec(scheme, table, cp.PointFamily(6, 0.5), cp.PointFamily(6, 0.5))
-    with pytest.raises(ValueError, match="circuit"):
+    bad = games.GameSpec(scheme, cp.uniform_points(6), cp.PointFamily(6, 0.5), cp.PointFamily(5, 0.5))
+    with pytest.raises(ValueError, match="PointFamily"):
         run_experiment_free(bad, _NoSplit(), FixedAnswer(0), 10, seed=1)
     with pytest.raises(ValueError, match="PointFamily"):
         run_experiment_ssl(
-            ssl, cp.uniform_points(6), lambda p: cp.dhalf(p, 6), _NoSplit(), FixedAnswer(0), 10, seed=1
+            ssl, cp.uniform_points(6), lambda p: cp.biased_point(p, 6, 0.5), _NoSplit(), FixedAnswer(0), 10, seed=1
         )
 
 
@@ -286,7 +286,7 @@ def _joint_register_wins(spec, pirate, charlie, trials, seed) -> int:
         b1 = measure_projective(joint, bob_accept, rng)
         post = collapse(joint, bob_accept, b1)
         if isinstance(charlie, HonestEvalStrategy):
-            b2 = measure_projective(post, np.kron(np.eye(1 << n), charlie.measurement(x2)), rng)
+            b2 = measure_projective(post, np.kron(np.eye(1 << n), qas.adjoint_isometry(scheme, x2)), rng)
         else:
             b2 = charlie.answer(None, x2, side, rng)
         wins += b1 == pf(x1) and b2 == pf(x2)
@@ -408,7 +408,7 @@ def test_exact_win_rejects_random_splits_and_sampled_designs(scheme, spec):
         exact_win(spec, KeysearchPirate(scheme, 4), FixedAnswer(0))
     with pytest.raises(ValueError):
         exact_win(spec, *keysearch_adversary(scheme, 4))
-    callable_family = games.GameSpec(scheme, spec.circuit_dist, lambda p: cp.dhalf(p, 6), spec.charlie_family)
+    callable_family = games.GameSpec(scheme, spec.circuit_dist, lambda p: cp.biased_point(p, 6, 0.5), spec.charlie_family)
     with pytest.raises(ValueError, match="PointFamily"):
         exact_win(callable_family, *trivial_forward(scheme))
     wide = qas.build_scheme(2, 1, 6)
@@ -467,12 +467,11 @@ def test_exact_win_matches_per_point_sum(bits):
 
 
 def test_exact_win_matches_per_point_sum_on_other_circuits(scheme):
-    table = spawn_rng(64).random(64)
-    circuits = [cp.biased_point(37, 6, 0.3), cp.ChallengeDistribution(6, table / table.sum())]
+    circuits = [cp.biased_point(37, 6, 0.3), cp.biased_point(5, 6, 0.0), cp.biased_point(9, 6, 1.0)]
     for circuit in circuits:
         spec = games.GameSpec(scheme, circuit, cp.PointFamily(6, 0.5), cp.PointFamily(6, 0.75))
         for adversary in _fixed_register_adversaries(scheme):
-            assert abs(exact_win(spec, *adversary) - _per_point_win(spec, *adversary)) <= 1e-15, circuit.kind
+            assert abs(exact_win(spec, *adversary) - _per_point_win(spec, *adversary)) <= 1e-15, circuit
 
 
 def test_point_mass_circuit_protects_one_point(monkeypatch):

@@ -115,7 +115,7 @@ def test_repeated_evaluation_degradation(ssl, scheme):
     rng = spawn_rng(6)
     p = 27
     pf = PointFunction(p, 6)
-    dist = cp.dhalf(p, 6)
+    dist = cp.biased_point(p, 6, 0.5)
     eta = 1.0 - cp.correctness_exact(scheme, p, dist)
     trials = 1500
     rates = []
@@ -208,14 +208,16 @@ def test_cc_verify_equals_point_verify_for_identity(ssl):
 
 def test_pushforward_exact():
     cf = make_cf()
-    dist = cp.dhalf(6, 4)
+    dist = cp.biased_point(6, 4, 0.5)
     pushed = pushforward(cf, dist)
     # independent accumulation oracle
     expect = np.zeros(64)
     for x in range(16):
         expect[cf.f(x)] += dist.prob(x)
-    assert np.max(np.abs(pushed.probs - expect)) < 1e-12
-    assert abs(pushed.probs.sum() - 1.0) < 1e-12
+    assert pushed.shape == (64,)
+    assert np.max(np.abs(pushed - expect)) < 1e-12
+    assert abs(pushed.sum() - 1.0) < 1e-12
+    assert not pushed.flags.writeable
 
 
 def test_pushforward_sampling_agrees():
@@ -227,7 +229,8 @@ def test_pushforward_sampling_agrees():
     n = 20000
     for _ in range(n):
         counts[cf.f(dist.sample(rng))] += 1
-    assert np.max(np.abs(counts / n - pushed.probs)) < 0.02
+    assert np.max(np.abs(counts / n - pushed)) < 0.02
+    assert not pushed.flags.writeable
 
 
 def test_epsilon_f_budget():

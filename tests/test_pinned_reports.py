@@ -76,6 +76,19 @@ PINNED = [
         83,
         "bfbdb95355fe173fb362344c65f4a2472bfc4cec9718b50d8a9e45faf1f355cb",
     ),
+    # The edge masses: Bob's challenge is the point itself (flat weight
+    # 0), and verification never challenges at the point (peak 0, below
+    # the flat weight).
+    (
+        ["cp", "--adversary", "trivial-forward", "--r", "1", "--scheme", "1,1,6"],
+        112,
+        "a09acc0354d4dca0cbe2917d3266f547f655292f9b160e589146392f08059cda",
+    ),
+    (
+        ["ssl", "--adversary", "honest-return", "--r", "0", "--scheme", "1,1,6"],
+        43,
+        "3437edf6050a1221415adb58e3e93060423a5261450870c6336968ec408fcb44",
+    ),
     (
         ["cp", "--adversary", "trivial-forward", "--scheme", "1,1,14"],
         86,
