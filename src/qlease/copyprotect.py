@@ -10,7 +10,7 @@ Evaluation at ``x`` is the two-outcome measurement {I - A_x A_x†,
 A_x A_x†} that the key's encoding isometry ``A_x`` defines: outcome 1,
 acceptance, is the range of ``A_x``.  It is given as ``A_x†``
 (:func:`~qlease.qas.adjoint_isometry`), read from the design: a view of
-the column stack that the exact acceptance vectors read for an
+the column stack that the per-index acceptance vectors read for an
 enumerated design, the cached element's columns for an indexed one.
 The construction's copy-out-the-answer circuit (purified verify, CNOT
 the accept bit onto a fresh qubit, uncompute) leaves the ancillas in |0>
@@ -30,6 +30,7 @@ parameter rides along as classical metadata.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Literal
@@ -37,7 +38,7 @@ from typing import Literal
 import numpy as np
 
 from .designs import EpsUniformMap, PairwisePermFamily
-from .qas import QasScheme, acceptance_by_index, adjoint_isometry, auth, auth_isometry
+from .qas import QasScheme, accept_probability, adjoint_isometry, auth, auth_isometry, summed_acceptance
 from .qmath import (
     DensityOperator,
     DimensionMismatchError,
@@ -52,6 +53,11 @@ class ConsumedProgramError(RuntimeError):
     """The program was already destroyed by a destructive evaluation."""
 
 
+def _is_bit_string(x, bits: int) -> bool:
+    """Whether ``x`` is an integer (not a bool) in {0,1}^bits."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool) and bits >= 1 and 0 <= x < (1 << bits)
+
+
 @dataclass(frozen=True)
 class PointFunction:
     """P_p on ell-bit strings: 1 exactly at the point, 0 elsewhere."""
@@ -60,7 +66,7 @@ class PointFunction:
     bits: int
 
     def __post_init__(self):
-        if self.bits < 1 or not 0 <= self.point < (1 << self.bits):
+        if not _is_bit_string(self.point, self.bits):
             raise ValueError("point outside {0,1}^bits")
 
     def __call__(self, x: int) -> int:
@@ -92,7 +98,7 @@ class ChallengeDistribution:
             raise ValueError("bits must be a positive integer")
         if (self.point is None) != (self.r is None):
             raise ValueError("point and r are given together or not at all")
-        if self.point is not None and not (0 <= self.point < self.size and 0.0 <= self.r <= 1.0):
+        if self.point is not None and not (_is_bit_string(self.point, self.bits) and 0.0 <= self.r <= 1.0):
             raise ValueError("need a point in {0,1}^bits and r in [0, 1]")
 
     @property
@@ -122,8 +128,8 @@ class ChallengeDistribution:
         return flat, self.point, top
 
     def class_weights(self, key_map: EpsUniformMap) -> np.ndarray:
-        """``Pr[key_map(x) = j]`` for every design index ``j``: the flat
-        weight per preimage plus the peak's excess."""
+        """``Pr[key_map(x) = j]`` for every index ``j`` the map reaches: the
+        flat weight per preimage plus the peak's excess."""
         if key_map.domain_bits != self.bits:
             raise DimensionMismatchError("distribution bit-length mismatch")
         weights = key_map.preimage_counts() * self._flat()
@@ -271,28 +277,38 @@ def post_evaluation_state(
 
 
 def correctness_from_answers(
-    scheme: QasScheme, prob_one: np.ndarray, point: int, dist: ChallengeDistribution
+    dist: ChallengeDistribution, point: int, at_point: float, summed: float
 ) -> float:
-    """E_{x<-dist} Pr[the answer at x is P_p(x)], from the probability
-    ``prob_one[j]`` of answering 1 at a challenge of design index j."""
-    one_at_point = prob_one[scheme.key_index(point)]
-    weights = dist.class_weights(scheme.key_map)
-    return float(weights @ (1.0 - prob_one) + dist.prob(point) * (2.0 * one_at_point - 1.0))
+    """E_{x<-dist} Pr[the answer at x is P_p(x)] for answers that read 1
+    at x with probability ``a_x``: ``at_point`` is ``a_p`` and ``summed``
+    the sum of ``a_x`` over every x.  Every x but p has the flat weight:
+    ``prob(p) a_p + flat ((2^k - 1) - (summed - a_p))``."""
+    return dist.prob(point) * at_point + dist._flat() * ((dist.size - 1) - (summed - at_point))
+
+
+def honest_correctness(
+    scheme: QasScheme, state, point: int, dist: ChallengeDistribution
+) -> float:
+    """E_{x<-dist} Pr[honest evaluation of ``state`` at x outputs P_p(x)],
+    from its acceptance at p and its acceptance summed over every key."""
+    if dist.bits != scheme.key_bits:
+        raise DimensionMismatchError("distribution bit-length mismatch")
+    at_point = accept_probability(scheme, point, state)
+    return correctness_from_answers(dist, point, at_point, summed_acceptance(scheme, state))
 
 
 def correctness_exact(
     scheme: QasScheme, point: int, dist: ChallengeDistribution
 ) -> float:
     """E_{x<-dist} Pr[evaluate outputs P_p(x)], computed analytically."""
-    acc = acceptance_by_index(scheme, protect(scheme, point).state)
-    return correctness_from_answers(scheme, acc, point, dist)
+    return honest_correctness(scheme, protect(scheme, point).state, point, dist)
 
 
 def wrong_key_average_excluding(scheme: QasScheme, point: int) -> float:
     """Mean acceptance of the program over uniformly random x != p."""
-    acc = acceptance_by_index(scheme, protect(scheme, point).state)
-    hits = scheme.key_map.preimage_counts() @ acc - acc[scheme.key_index(point)]
-    return float(hits / ((1 << scheme.key_bits) - 1))
+    state = protect(scheme, point).state
+    hits = summed_acceptance(scheme, state) - accept_probability(scheme, point, state)
+    return hits / ((1 << scheme.key_bits) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -344,9 +360,9 @@ def mix_error_exact(
     """Exact per-input error of the mixed scheme at (p, x): the chance,
     over the permutation parameter and the evaluation, that mix_evaluate
     disagrees with P_p(x).  Needs an enumerable family."""
-    acceptance = functools.cache(lambda hp: acceptance_by_index(scheme, protect(scheme, hp).state))
     total = 0.0
     for r in family.params():
-        prob_one = acceptance(family.apply(r, point))[scheme.key_index(family.apply(r, x))]
+        program = protect(scheme, family.apply(r, point)).state
+        prob_one = accept_probability(scheme, family.apply(r, x), program)
         total += (1.0 - prob_one) if x == point else prob_one
     return total / family.size

@@ -215,9 +215,10 @@ class EpsUniformMap:
         return x % self.range_size
 
     def preimage_counts(self) -> np.ndarray:
+        """Preimage counts of the ``min(2**domain_bits, range_size)`` reached indices."""
         a = 1 << self.domain_bits
         q, rem = divmod(a, self.range_size)
-        out = np.full(self.range_size, q, dtype=np.int64)
+        out = np.full(min(a, self.range_size), q, dtype=np.int64)
         out[:rem] += 1
         return out
 

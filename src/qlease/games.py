@@ -26,9 +26,9 @@ with master seed ``s`` uses a generator equal to ``spawn_rng(s, i)``
 (derived in blocks by ``spawn_rngs``), so serial and parallel
 schedules produce identical reports.  For a pirate that hands out fixed
 registers, :func:`exact_win` gives the exact winning
-probability from each register's acceptance at every design index,
-computed from the enumerated design: an independent route against which
-the trial loop is checked.
+probability from each register's acceptance at the point and summed
+over every key, on enumerated and indexed designs alike: an independent
+route against which the trial loop is checked.
 
 Baselines ``p_marg`` and ``p_ind`` are the best challenge-only guessing
 probabilities, for a uniform or single-peak circuit distribution and a
@@ -53,12 +53,12 @@ from .copyprotect import (
     PointFamily,
     PointFunction,
     correctness_from_answers,
+    honest_correctness,
     protect,
     uniform_points,
 )
-from .designs import EnumeratedDesign
 from .leasing import SslScheme
-from .qas import QasScheme, acceptance_by_index, adjoint_isometry
+from .qas import QasScheme, adjoint_isometry
 from .qmath import (
     DensityOperator,
     PureState,
@@ -523,39 +523,29 @@ def exact_win(spec: GameSpec, pirate, charlie: MeasurementStrategy) -> float:
     point only through its program, which depends on it only through its
     design index j; with point-centred families so does each factor.  So
     the sum runs over the indices j the circuit reaches, at their class
-    weight, with j itself as the class's point.  A register handed out
-    again at the next index (a shared ancilla) keeps its acceptance.
+    weight, with j itself as the class's point.  An honest factor reads
+    the register's acceptance at j and summed over every key
+    (:func:`~qlease.copyprotect.honest_correctness`), on any design.
 
     Raises ``ValueError`` for a split that draws randomness (such as
     :class:`KeysearchPirate`), another Charlie, a family that is not a
-    :class:`~qlease.copyprotect.PointFamily`, or a design that is not
-    enumerated.
+    :class:`~qlease.copyprotect.PointFamily`, or too many reached indices.
     """
     scheme = spec.scheme
-    if not isinstance(scheme.design, EnumeratedDesign):
-        raise ValueError("exact_win needs an enumerated design")
     if not isinstance(charlie, (FixedAnswer, HonestEvalStrategy)):
         raise ValueError("exact_win needs Charlie to answer a fixed bit or evaluate honestly")
     if not all(isinstance(family, PointFamily) for family in (spec.bob_family, spec.charlie_family)):
         raise ValueError("exact_win needs PointFamily challenges")
-    fixed = np.full(scheme.design.cardinality, float(charlie.bit)) if isinstance(charlie, FixedAnswer) else None
     weights = spec.circuit_dist.class_weights(scheme.key_map)
-    accepts: dict[int, tuple[object, np.ndarray]] = {}
     total = 0.0
     for j in np.flatnonzero(weights).tolist():
         bob, held, _ = pirate.split(protect(scheme, j).state, j, _NoDraws())
-        # keyed by id, this index's registers only; an entry holds its
-        # register, so the id stays unique while the entry is reused
-        accepts = {
-            id(r): accepts.get(id(r)) or (r, acceptance_by_index(scheme, r))
-            for r in ((bob,) if fixed is not None else (bob, held))
-        }
-        charlie_one = accepts[id(held)][1] if fixed is None else fixed
-        total += (
-            weights[j]
-            * correctness_from_answers(scheme, accepts[id(bob)][1], j, spec.bob_family(j))
-            * correctness_from_answers(scheme, charlie_one, j, spec.charlie_family(j))
-        )
+        if isinstance(charlie, FixedAnswer):
+            bit = float(charlie.bit)
+            charlie_right = correctness_from_answers(spec.charlie_family(j), j, bit, bit * (1 << scheme.key_bits))
+        else:
+            charlie_right = honest_correctness(scheme, held, j, spec.charlie_family(j))
+        total += weights[j] * honest_correctness(scheme, bob, j, spec.bob_family(j)) * charlie_right
     return float(total)
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Literal
 
@@ -46,8 +47,8 @@ from .qmath import (
     maximally_mixed,
 )
 
-#: Exact key-space averaging is allowed up to this many keys.
-MAX_EXACT_KEYS = 1 << 20
+#: Exact key sums build at most this many design elements, those the keys reach.
+MAX_EXACT_INDICES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -265,10 +266,10 @@ def _trap_zero_columns_conj(design: EnumeratedDesign, step: int) -> np.ndarray:
 def acceptance_by_index(scheme: QasScheme, state) -> np.ndarray:
     """Acceptance probability of ``state`` for every design index.
 
-    Needs an enumerated design; this is the workhorse behind exact
-    wrong-key averages and exact correctness numbers.  Only the columns
-    at which the traps read zero enter, conjugated once per design and
-    trap count.
+    Needs an enumerated design; it serves values not linear in acceptance
+    (a key sum is :func:`summed_acceptance`).  Only the columns at which
+    the traps read zero enter, conjugated once per design and trap
+    count.
     """
     state = _on_y(scheme, state)
     design = scheme.design
@@ -282,6 +283,39 @@ def acceptance_by_index(scheme: QasScheme, state) -> np.ndarray:
     return np.einsum("nji,jk,nki->n", cols, state.matrix, design.elements()[:, :, ::step]).real
 
 
+#: Key-summed operators by design, then by scheme shape (m, t, k); an entry
+#: goes with its design, so no cache keeps an indexed design's elements alive.
+_KEY_SUMS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _key_sum_operator(scheme: QasScheme) -> np.ndarray:
+    """``M = sum_x A_x A_x†`` over every key x, from the indices the keys
+    reach at their preimage counts; read-only."""
+    sums = _KEY_SUMS.setdefault(scheme.design, {})
+    shape = (scheme.message_qubits, scheme.trap_qubits, scheme.key_bits)
+    if shape not in sums:
+        counts = scheme.key_map.preimage_counts()
+        if len(counts) > MAX_EXACT_INDICES:
+            raise ValueError(f"exact key sums build at most {MAX_EXACT_INDICES} elements, not {len(counts)}")
+        m = np.zeros((scheme.total_dim, scheme.total_dim), dtype=complex)
+        for j, count in enumerate(counts.tolist()):
+            a = _auth_matrix(scheme, j)
+            m += count * (a @ a.conj().T)
+        m.setflags(write=False)
+        sums[shape] = m
+    return sums[shape]
+
+
+def summed_acceptance(scheme: QasScheme, state) -> float:
+    """Acceptance of ``state`` summed over every key: ``psi† M psi`` or
+    ``Tr(M rho)`` for the key sum ``M`` of the projectors ``A_x A_x†``."""
+    state = _on_y(scheme, state)
+    m = _key_sum_operator(scheme)
+    if isinstance(state, PureState):
+        return float((state.amplitudes.conj() @ m @ state.amplitudes).real)
+    return float(np.einsum("ij,ji->", m, state.matrix).real)
+
+
 def avg_wrong_key_accept(
     scheme: QasScheme,
     state,
@@ -290,11 +324,11 @@ def avg_wrong_key_accept(
 ) -> float:
     """Average acceptance of a fixed state over random keys.
 
-    ``mode="keys"`` averages exactly over the whole key space (via
-    preimage counts of the key map; key space capped at 2^20).
-    ``mode="design"`` averages uniformly over design indices instead,
-    which for any trap scheme equals ``2^-t`` exactly.  An integer mode
-    estimates the key average from that many sampled keys.
+    ``mode="keys"`` averages exactly over the whole key space
+    (:func:`summed_acceptance`).  ``mode="design"`` averages uniformly
+    over design indices instead, which for any trap scheme equals
+    ``2^-t`` exactly.  An integer mode estimates the key average from
+    that many sampled keys.
     """
     if isinstance(mode, int) and not isinstance(mode, bool):
         if mode < 1:
@@ -309,11 +343,7 @@ def avg_wrong_key_accept(
         probs = acceptance_by_index(scheme, state)
         return float(np.mean(probs))
     if mode == "keys":
-        if (1 << scheme.key_bits) > MAX_EXACT_KEYS:
-            raise ValueError("key space too large for exact averaging")
-        probs = acceptance_by_index(scheme, state)
-        weights = scheme.key_map.preimage_counts()
-        return float(weights @ probs / (1 << scheme.key_bits))
+        return summed_acceptance(scheme, state) / (1 << scheme.key_bits)
     raise ValueError(f"unknown mode {mode!r}")
 
 

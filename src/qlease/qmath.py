@@ -314,10 +314,6 @@ class KrausChannel:
     def dim_in(self) -> int:
         return self.kraus_ops[0].shape[1]
 
-    @property
-    def dim_out(self) -> int:
-        return self.kraus_ops[0].shape[0]
-
 
 # ---------------------------------------------------------------------------
 # Constructors

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from qlease import copyprotect as cp
 from qlease import qas
-from qlease.designs import EpsUniformMap, PairwisePermFamily
+from qlease.designs import EpsUniformMap, IndexedCliffordDesign, PairwisePermFamily
 from qlease.qmath import (
     ATOL,
     DensityOperator,
@@ -43,6 +43,12 @@ def test_point_function_evaluation():
 def test_point_function_range_check():
     with pytest.raises(ValueError):
         cp.PointFunction(8, 3)
+
+
+@pytest.mark.parametrize("point", [2.5, True])
+def test_point_function_needs_an_integer_point(point):
+    with pytest.raises(ValueError):
+        cp.PointFunction(point, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -113,8 +119,9 @@ def test_exact_shape_structured():
     assert cp.biased_point(5, 3, 0.0).exact_shape() == (Fraction(1, 7), 5, Fraction(0))
 
 
-#: (domain bits, |B|): 2^k below, equal to and above the number of indices.
-CLASS_MAPS = [(4, 24), (5, 32), (6, 24), (7, 11)]
+#: (domain bits, |B|): 2^k below, equal to and above the number of indices;
+#: the last |B| is the 6-qubit Clifford group's, of which 2^6 keys reach 64.
+CLASS_MAPS = [(4, 24), (5, 32), (6, 24), (7, 11), (6, IndexedCliffordDesign(6).cardinality)]
 
 
 def _class_distributions(bits):
@@ -134,8 +141,10 @@ def test_class_weights_sum_probs_over_the_key_map(bits, size):
     images = [key_map.apply(x) for x in range(1 << bits)]
     for dist in _class_distributions(bits):
         weights = dist.class_weights(key_map)
-        expected = np.bincount(images, weights=dist.probs, minlength=size)
-        assert weights.shape == (size,)
+        # only the indices the map reaches carry a weight
+        reached = min(1 << bits, size)
+        expected = np.bincount(images, weights=dist.probs, minlength=reached)
+        assert weights.shape == (reached,)
         assert np.max(np.abs(weights - expected)) <= 1e-15, dist
         assert abs(weights.sum() - 1.0) < 1e-12, dist
 
@@ -149,6 +158,9 @@ def test_class_weights_need_the_map_domain():
 INVALID_DISTRIBUTIONS = {
     "negative-point": lambda: cp.biased_point(-1, 3, 0.5),
     "point-too-large": lambda: cp.biased_point(9, 3, 0.5),
+    # once built, probs raised IndexError and sample returned 2.5
+    "fractional-point": lambda: cp.biased_point(2.5, 3, 0.5),
+    "bool-point": lambda: cp.biased_point(True, 3, 0.5),
     "zero-bits-dhalf": lambda: cp.biased_point(0, 0, 0.5),
     "zero-bits-biased": lambda: cp.biased_point(0, 0, 0.3),
     "r-above-one": lambda: cp.biased_point(0, 3, 1.5),
@@ -449,7 +461,8 @@ def test_reusability_damage_closed_form_matches_brute_force(scheme):
         dist = cp.biased_point(p, 6, 0.5)
         state = cp.protect(scheme, p).state
         acc = np.clip(qas.acceptance_by_index(scheme, state), 0, 1)
-        closed = float(dist.class_weights(scheme.key_map) @ np.sqrt(acc * (1 - acc)))
+        weights = dist.class_weights(scheme.key_map)
+        closed = float(weights @ np.sqrt(acc[: len(weights)] * (1 - acc[: len(weights)])))
         per_key = np.clip([qas.accept_probability(scheme, x, state) for x in range(64)], 0, 1)
         by_key = float(dist.probs @ np.sqrt(per_key * (1 - per_key)))
         brute = sum(

@@ -411,19 +411,16 @@ def test_exact_win_rejects_random_splits_and_sampled_designs(scheme, spec):
     callable_family = games.GameSpec(scheme, spec.circuit_dist, lambda p: cp.biased_point(p, 6, 0.5), spec.charlie_family)
     with pytest.raises(ValueError, match="PointFamily"):
         exact_win(callable_family, *trivial_forward(scheme))
-    wide = qas.build_scheme(2, 1, 6)
-    with pytest.raises(ValueError, match="enumerated"):
-        exact_win(default_cp_spec(wide), *trivial_forward(wide))
 
 
 def _per_point_win(spec, pirate, charlie) -> float:
     """Reference: the per-point sum, with a 2^k answer table per register
-    at every point of the circuit distribution."""
+    at every point of the circuit distribution, one acceptance per key."""
     scheme = spec.scheme
-    keys = [scheme.key_index(x) for x in range(1 << scheme.key_bits)]
+    keys = range(1 << scheme.key_bits)
 
     def answer_one(register):
-        return qas.acceptance_by_index(scheme, register)[keys]
+        return np.array([qas.accept_probability(scheme, x, register) for x in keys])
 
     def correctness(prob_one, p, dist):
         correct = 1.0 - prob_one
@@ -454,9 +451,10 @@ def _fixed_register_adversaries(scheme):
     ]
 
 
-@pytest.mark.parametrize("bits", [4, 6, 8])
-def test_exact_win_matches_per_point_sum(bits):
-    scheme = qas.build_scheme(1, 1, bits)
+@pytest.mark.parametrize("shape", [(1, 1, 4), (1, 1, 6), (1, 1, 8), (2, 1, 6)], ids=["4", "6", "8", "2,1,6"])
+def test_exact_win_matches_per_point_sum(shape):
+    # 2,1,6 reaches 64 elements of the indexed 3-qubit Clifford group
+    scheme = qas.build_scheme(*shape)
     spec = default_cp_spec(scheme, 0.75)
     ssl = SslScheme(scheme, 0.9)
     leasing = leasing_spec(ssl, spec.circuit_dist, spec.charlie_family)
@@ -494,27 +492,26 @@ def test_point_mass_circuit_protects_one_point(monkeypatch):
     assert abs(value - 0.5 * cp.correctness_exact(scheme, point, spec.bob_family(point))) < 1e-12
 
 
-def test_exact_win_keeps_acceptance_of_one_index(monkeypatch):
-    # the shared ancilla's acceptance is computed once, and each program's
-    # is dropped after its index: 256 vectors of 11,520 floats would take
-    # 22 MiB
+def test_exact_win_peak_memory_stays_small():
+    # one d x d key-summed operator per scheme and no per-index vectors:
+    # 256 vectors of 11,520 floats would take 22 MiB
     scheme = qas.build_scheme(1, 1, 8)
-    pirate, charlie = give_to_charlie(scheme)
-    shared = []
-
-    def counted(scheme, register):
-        shared.append(register is pirate.ancilla)
-        return qas.acceptance_by_index(scheme, register)
-
-    monkeypatch.setattr(games, "acceptance_by_index", counted)
     tracemalloc.start()
     try:
-        exact_win(default_cp_spec(scheme), pirate, charlie)
+        exact_win(default_cp_spec(scheme), *give_to_charlie(scheme))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (shared.count(True), shared.count(False)) == (1, 256)
     assert peak < 8 << 20
+
+
+@pytest.mark.parametrize("split", [trivial_forward, give_to_charlie])
+def test_exact_win_on_six_qubits_matches_the_trial_loop(split):
+    # 3,3,6: 64 elements of the indexed 6-qubit Clifford group
+    scheme = qas.build_scheme(3, 3, 6)
+    spec = default_cp_spec(scheme)
+    rep = run_experiment_free(spec, *split(scheme), 20_000, seed=5)
+    assert rep.ci_lo <= exact_win(spec, *split(scheme)) <= rep.ci_hi
 
 
 # ---------------------------------------------------------------------------

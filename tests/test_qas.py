@@ -1,5 +1,8 @@
 """Tests for the trap-code authentication scheme."""
 
+import gc
+import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -304,6 +307,44 @@ def test_wrong_key_sampled_mode(scheme):
     rho = maximally_mixed(2)
     est = qas.avg_wrong_key_accept(scheme, rho, mode=400, rng=rng)
     assert abs(est - 0.5) < 1e-9  # every key accepts the mixed state at 2^-t
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 6), (1, 1, 14), (2, 1, 6)])
+def test_key_sum_operator_is_the_sum_over_keys(shape):
+    # the same 2^k projectors, grouped by design index or not: each entry
+    # sums 2^k terms of magnitude at most 1
+    scheme = qas.build_scheme(*shape)
+    brute = np.zeros((scheme.total_dim, scheme.total_dim), dtype=complex)
+    for x in range(1 << scheme.key_bits):
+        a = qas.auth_isometry(scheme, x)
+        brute += a @ a.conj().T
+    m = qas._key_sum_operator(scheme)
+    assert np.max(np.abs(m - brute)) <= (1 << scheme.key_bits) * 1e-15
+    rng = spawn_rng(14)
+    for state in (random_pure_state(scheme.total_qubits, rng), random_density(scheme.total_qubits, rng)):
+        by_key = math.fsum(qas.accept_probability(scheme, x, state) for x in range(1 << scheme.key_bits))
+        assert abs(qas.summed_acceptance(scheme, state) - by_key) <= (1 << scheme.key_bits) * 1e-15
+
+
+def test_exact_key_sums_refuse_too_many_indices_before_building_one(monkeypatch):
+    # 2^16 keys reach 2^16 elements of the 6-qubit group, over the cap
+    scheme = qas.build_scheme(3, 3, 16)
+    built = []
+    monkeypatch.setattr(scheme.design, "element", built.append)
+    with pytest.raises(ValueError, match="at most"):
+        qas.avg_wrong_key_accept(scheme, maximally_mixed(6), mode="keys")
+    assert built == []
+
+
+def test_key_sum_cache_goes_with_its_design():
+    # an indexed design keeps up to 64 MiB of built elements, so its key
+    # sums must not keep it alive once its last scheme is gone
+    scheme = qas.build_scheme(2, 1, 6)
+    qas.summed_acceptance(scheme, maximally_mixed(3))
+    design = weakref.ref(scheme.design)
+    del scheme
+    gc.collect()
+    assert design() is None
 
 
 @pytest.mark.parametrize("mode", [0, -3])
