@@ -11,7 +11,7 @@ A_x A_x†} that the key's encoding isometry ``A_x`` defines: outcome 1,
 acceptance, is the range of ``A_x``.  It is given as ``A_x†``
 (:func:`~qlease.qas.adjoint_isometry`), read from the design: a view of
 the column stack that the per-index acceptance vectors read for an
-enumerated design, the cached element's columns for an indexed one.
+enumerated design, built from the cached element for an indexed one.
 The construction's copy-out-the-answer circuit (purified verify, CNOT
 the accept bit onto a fresh qubit, uncompute) leaves the ancillas in |0>
 and acts on the program register exactly as this measurement, so the
@@ -23,8 +23,9 @@ circuit on a register four times the program's size.
 
 :func:`mix_protect` wraps a program with a pairwise independent
 permutation: the point is first pushed through a uniformly random
-``h_r``, and evaluation permutes its input the same way.  The permutation
-parameter rides along as classical metadata.
+``h_r``.  The family and ``r`` ride along as the program's classical
+``mix``, and :func:`evaluate` and :func:`evaluate_preserving` measure a
+mixed program at ``h_r(x)``, never at ``x`` itself.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ import functools
 import numbers
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Literal
 
 import numpy as np
 
@@ -203,20 +203,23 @@ class ProtectedProgram:
     """A program state on Y plus bookkeeping.
 
     Programs are single-owner: destructive evaluation flips ``consumed``
-    and any further use raises.  ``perm_param`` carries the classical
-    permutation parameter of mixed programs.
+    and any further use raises.  A mixed program carries ``mix = (family,
+    r)``, the classical parameter of the permutation ``h_r`` that
+    evaluation applies to its input.
     """
 
     state: PureState | DensityOperator
     scheme: QasScheme
-    kind: Literal["plain", "mixed"] = "plain"
-    perm_param: tuple[int, int] | None = None
-    family: PairwisePermFamily | None = None
+    mix: tuple[PairwisePermFamily, tuple[int, int]] | None = None
     consumed: bool = False
 
-    def _claim(self) -> None:
-        if self.consumed:
-            raise ConsumedProgramError("program was already consumed")
+    def _key(self, x: int) -> int:
+        """The key that evaluation at ``x`` verifies with: ``h_r(x)`` for a
+        mixed program, ``x`` itself otherwise."""
+        if self.mix is None:
+            return x
+        family, r = self.mix
+        return family.apply(r, x)
 
 
 def protect(scheme: QasScheme, point: int) -> ProtectedProgram:
@@ -235,15 +238,17 @@ def accept_projector(scheme: QasScheme, x: int) -> np.ndarray:
 
 
 def evaluate(program: ProtectedProgram, x: int, rng: np.random.Generator) -> int:
-    """Destructive evaluation: verify with key ``x``, output 1 on accept.
+    """Destructive evaluation: verify with key ``x`` (``h_r(x)`` for a
+    mixed program), output 1 on accept.
 
     The program is consumed and no post-state is built; the encoded
-    point always evaluates to 1.  Mixed programs are rejected: they
-    evaluate through :func:`mix_evaluate`.
+    point always evaluates to 1.
     """
-    if program.kind == "mixed":
-        raise ValueError("mixed programs evaluate through mix_evaluate")
-    return _consume(program, x, rng)
+    if program.consumed:
+        raise ConsumedProgramError("program was already consumed")
+    outcome = measure_projective(program.state, adjoint_isometry(program.scheme, program._key(x)), rng)
+    program.consumed = True
+    return outcome
 
 
 def evaluate_preserving(
@@ -253,7 +258,7 @@ def evaluate_preserving(
     draw), with a fresh program holding the post-measurement state.  On
     the encoded point the state comes back exactly unchanged."""
     outcome = evaluate(program, x, rng)
-    post = collapse(program.state, adjoint_isometry(program.scheme, x), outcome)
+    post = collapse(program.state, adjoint_isometry(program.scheme, program._key(x)), outcome)
     return outcome, replace(program, state=post, consumed=False)
 
 
@@ -329,37 +334,15 @@ def mix_protect(
         raise DimensionMismatchError("family bit-length must match the scheme")
     if r is None:
         r = family.sample_param(rng)
-    inner = protect(scheme, family.apply(r, point))
-    return ProtectedProgram(
-        state=inner.state,
-        scheme=scheme,
-        kind="mixed",
-        perm_param=r,
-        family=family,
-    )
-
-
-def mix_evaluate(program: ProtectedProgram, x: int, rng: np.random.Generator) -> int:
-    """Evaluate a mixed program: destructive evaluation at ``h_r(x)``."""
-    if program.kind != "mixed":
-        raise ValueError("mix_evaluate needs a mixed program")
-    return _consume(program, program.family.apply(program.perm_param, x), rng)
-
-
-def _consume(program: ProtectedProgram, key: int, rng: np.random.Generator) -> int:
-    """The bit of honest evaluation at ``key``; consumes the program."""
-    program._claim()
-    outcome = measure_projective(program.state, adjoint_isometry(program.scheme, key), rng)
-    program.consumed = True
-    return outcome
+    return replace(protect(scheme, family.apply(r, point)), mix=(family, r))
 
 
 def mix_error_exact(
     scheme: QasScheme, family: PairwisePermFamily, point: int, x: int
 ) -> float:
     """Exact per-input error of the mixed scheme at (p, x): the chance,
-    over the permutation parameter and the evaluation, that mix_evaluate
-    disagrees with P_p(x).  Needs an enumerable family."""
+    over the permutation parameter and the evaluation, that evaluating a
+    mixed program disagrees with P_p(x).  Needs an enumerable family."""
     total = 0.0
     for r in family.params():
         program = protect(scheme, family.apply(r, point)).state

@@ -29,7 +29,7 @@ this canonical form.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
@@ -190,7 +190,7 @@ class EpsUniformMap:
 
     domain_bits: int
     range_size: int
-    epsilon_prime: Fraction = Fraction(0)
+    epsilon_prime: Fraction = field(init=False)
 
     def __post_init__(self):
         if self.domain_bits < 1 or self.range_size < 1:

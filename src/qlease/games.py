@@ -61,6 +61,7 @@ from .leasing import SslScheme
 from .qas import QasScheme, adjoint_isometry
 from .qmath import (
     DensityOperator,
+    DimensionMismatchError,
     PureState,
     collapse,
     maximally_mixed,
@@ -215,12 +216,23 @@ class KeysearchPirate:
 class GameSpec:
     """Distributions of the game: the circuit (point) distribution, and
     Bob's and Charlie's challenge families (in the leasing game,
-    verification's and the lessee's; see :func:`leasing_spec`)."""
+    verification's and the lessee's; see :func:`leasing_spec`).  Each is
+    on the scheme's key length; a family that is not a
+    :class:`~qlease.copyprotect.PointFamily` is left to the baselines,
+    which reject it."""
 
     scheme: QasScheme
     circuit_dist: ChallengeDistribution
     bob_family: PointFamily
     charlie_family: PointFamily
+
+    def __post_init__(self):
+        parts = (self.circuit_dist, self.bob_family, self.charlie_family)
+        bits = [p.bits for p in parts if isinstance(p, (ChallengeDistribution, PointFamily))]
+        if any(b != self.scheme.key_bits for b in bits):
+            raise DimensionMismatchError(
+                f"distributions on {bits} bits in a game on {self.scheme.key_bits}-bit keys"
+            )
 
 
 def default_cp_spec(scheme: QasScheme, bob_r: float = 0.5) -> GameSpec:

@@ -10,11 +10,11 @@ Verification undoes the unitary for the claimed key and checks that every
 trap qubit reads zero; on acceptance the decoded message register is
 returned, on rejection the maximally mixed state.
 
-The recorded ``epsilon`` is the total-authentication parameter this
+A scheme's ``epsilon`` is the total-authentication parameter this
 construction is entitled to claim: the 2-design term ``2^((6-t)/3)`` plus
 the key-remapping penalty ``epsilon_prime`` of the mod map.  At desk scale
 (small ``t``) this honestly exceeds 1/2; downstream results that assume
-``epsilon <= 1/2`` gate themselves on the recorded value rather than
+``epsilon <= 1/2`` gate themselves on that value rather than
 pretending it is small.
 """
 
@@ -24,7 +24,6 @@ import functools
 import math
 import weakref
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
@@ -60,7 +59,12 @@ class QasScheme:
     key_bits: int
     design: UnitaryDesign
     key_map: EpsUniformMap
-    epsilon: float
+
+    @property
+    def epsilon(self) -> float:
+        """The total-authentication parameter: the design term plus the
+        key map's ``epsilon_prime``."""
+        return design_epsilon(self.trap_qubits) + float(self.key_map.epsilon_prime)
 
     @property
     def total_qubits(self) -> int:
@@ -105,14 +109,9 @@ def existence_epsilon(message_qubits: int, key_bits: int) -> float:
     return 5.0 * 2.0 ** ((5 * message_qubits - key_bits) / 16)
 
 
-def build_scheme(
-    message_qubits: int,
-    trap_qubits: int,
-    key_bits: int,
-    design: UnitaryDesign | None = None,
-) -> QasScheme:
-    """Assemble a scheme; the design defaults to the Clifford group on
-    ``message_qubits + trap_qubits`` qubits."""
+def build_scheme(message_qubits: int, trap_qubits: int, key_bits: int) -> QasScheme:
+    """Assemble a scheme over the Clifford group on ``message_qubits +
+    trap_qubits`` qubits."""
     if message_qubits < 1:
         raise ValueError("need at least one message qubit")
     if trap_qubits < 1:
@@ -122,11 +121,9 @@ def build_scheme(
     total = message_qubits + trap_qubits
     if total > QUBIT_CAP:
         raise QubitCapError(f"{total} qubits exceeds the cap of {QUBIT_CAP}")
-    if design is None:
-        design = clifford_design(total)
+    design = clifford_design(total)
     key_map = EpsUniformMap(key_bits, design.cardinality)
-    epsilon = design_epsilon(trap_qubits) + float(key_map.epsilon_prime)
-    return QasScheme(message_qubits, trap_qubits, key_bits, design, key_map, epsilon)
+    return QasScheme(message_qubits, trap_qubits, key_bits, design, key_map)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +188,7 @@ class VerifyOutcome:
     ``accepted`` is a sampled flag (None when the channel was evaluated
     analytically rather than sampled).  ``message_state`` is the decoded
     state on the accept branch, or the maximally mixed state on reject.
-    ``accept_probability`` is exact in either mode.
+    ``accept_probability`` is exact, sampled or not.
     """
 
     accepted: bool | None
@@ -316,35 +313,10 @@ def summed_acceptance(scheme: QasScheme, state) -> float:
     return float(np.einsum("ij,ji->", m, state.matrix).real)
 
 
-def avg_wrong_key_accept(
-    scheme: QasScheme,
-    state,
-    mode: Literal["keys", "design"] | int = "keys",
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Average acceptance of a fixed state over random keys.
-
-    ``mode="keys"`` averages exactly over the whole key space
-    (:func:`summed_acceptance`).  ``mode="design"`` averages uniformly
-    over design indices instead, which for any trap scheme equals
-    ``2^-t`` exactly.  An integer mode estimates the key average from
-    that many sampled keys.
-    """
-    if isinstance(mode, int) and not isinstance(mode, bool):
-        if mode < 1:
-            raise ValueError(f"mode: a sampled average needs at least one key, got {mode}")
-        if rng is None:
-            raise ValueError("sampled averaging needs an rng")
-        keys = rng.integers(1 << scheme.key_bits, size=mode)
-        return float(
-            np.mean([accept_probability(scheme, int(k), state) for k in keys])
-        )
-    if mode == "design":
-        probs = acceptance_by_index(scheme, state)
-        return float(np.mean(probs))
-    if mode == "keys":
-        return summed_acceptance(scheme, state) / (1 << scheme.key_bits)
-    raise ValueError(f"unknown mode {mode!r}")
+def avg_wrong_key_accept(scheme: QasScheme, state) -> float:
+    """Average acceptance of a fixed state over the whole key space,
+    exactly (:func:`summed_acceptance` over ``2^k``)."""
+    return summed_acceptance(scheme, state) / (1 << scheme.key_bits)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,9 @@ library inside comfortable double-precision territory.
 Validation
 ----------
 Every container (states, operators and channels) is validated once, in
-its constructor.  Operations trust the containers they are given and do
-not re-check them.  A measurement is the two-outcome one that an
+its constructor; a state's qubit count is read from its array's size,
+never passed.  Operations trust the containers they are given and do not
+re-check them.  A measurement is the two-outcome one that an
 isometry ``V`` defines (outcome 1 is its range), given as the plain
 array ``V†``, whose orthonormal rows are trusted.  It acts on a whole
 register: a party that holds its own register is measured on that
@@ -54,7 +55,7 @@ non-spawnable seed stub in place of a ``SeedSequence``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -206,18 +207,10 @@ class PureState:
     """A unit vector over ``qubits`` qubits (length ``2**qubits``)."""
 
     amplitudes: np.ndarray
-    qubits: int = field(default=-1)
 
     def __post_init__(self):
         amps = _frozen(np.asarray(self.amplitudes).reshape(-1))
-        q = _qubits_for_dim(amps.size)
-        if self.qubits == -1:
-            object.__setattr__(self, "qubits", q)
-        elif self.qubits != q:
-            raise DimensionMismatchError(
-                f"{amps.size} amplitudes do not describe {self.qubits} qubits"
-            )
-        _check_cap(q)
+        _check_cap(_qubits_for_dim(amps.size))
         nrm = np.linalg.norm(amps)
         if abs(nrm - 1.0) > ATOL:
             raise ValueError(f"state norm {nrm} is not 1 within {ATOL}")
@@ -234,12 +227,15 @@ class PureState:
         amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
         amps.setflags(write=False)
         object.__setattr__(obj, "amplitudes", amps)
-        object.__setattr__(obj, "qubits", _qubits_for_dim(amps.size))
         return obj
 
     @property
     def dim(self) -> int:
         return self.amplitudes.size
+
+    @property
+    def qubits(self) -> int:
+        return self.dim.bit_length() - 1
 
     def density(self) -> "DensityOperator":
         """``|psi><psi|``, a density operator by construction (not re-checked)."""
@@ -251,18 +247,12 @@ class DensityOperator:
     """A density matrix: Hermitian, unit trace, positive semidefinite."""
 
     matrix: np.ndarray
-    qubits: int = field(default=-1)
 
     def __post_init__(self):
         mat = _frozen(np.asarray(self.matrix))
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise DimensionMismatchError("density operator must be square")
-        q = _qubits_for_dim(mat.shape[0])
-        if self.qubits == -1:
-            object.__setattr__(self, "qubits", q)
-        elif self.qubits != q:
-            raise DimensionMismatchError("qubit count does not match matrix size")
-        _check_cap(q)
+        _check_cap(_qubits_for_dim(mat.shape[0]))
         if np.max(np.abs(mat - mat.conj().T)) > ATOL:
             raise ValueError("density operator is not Hermitian within tolerance")
         tr = np.trace(mat).real
@@ -283,12 +273,15 @@ class DensityOperator:
         mat = np.asarray(matrix, dtype=complex)
         mat.setflags(write=False)
         object.__setattr__(obj, "matrix", mat)
-        object.__setattr__(obj, "qubits", _qubits_for_dim(mat.shape[0]))
         return obj
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+    @property
+    def qubits(self) -> int:
+        return self.dim.bit_length() - 1
 
 
 @dataclass(frozen=True)

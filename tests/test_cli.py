@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from qlease import cli, qas
 from qlease.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
+from qlease.qmath import random_density
 
 
 def test_design_check_one_qubit(capsys):
@@ -77,6 +79,25 @@ def test_qas_verify_passes(capsys):
     out = capsys.readouterr().out
     assert "wrong-key-design-avg" in out
     assert "FAIL" not in out
+
+
+def test_qas_verify_wrong_key_estimate_is_near_the_exact_average(monkeypatch, tmp_path):
+    # at 2,1,6 the check estimates the key average from 500 keys; each
+    # acceptance lies in [0, 1], so by Hoeffding the estimate strays more
+    # than 0.1 from the exact average with probability below 1e-4
+    states = []
+
+    def recorded(qubits, rng):
+        states.append(random_density(qubits, rng))
+        return states[-1]
+
+    monkeypatch.setattr(cli, "random_density", recorded)
+    out = tmp_path / "qas-verify.json"
+    assert main(["qas-verify", "--scheme", "2,1,6", "--seed", "1", "--out", str(out)]) == EXIT_OK
+    (state,) = [s for s in states if s.qubits == 3]
+    (check,) = [c for c in json.loads(out.read_text())["checks"] if c["name"] == "wrong-key-2eps-cap"]
+    exact = qas.avg_wrong_key_accept(qas.build_scheme(2, 1, 6), state)
+    assert abs(check["measured"] - exact) < 0.1
 
 
 def test_qas_verify_corruption_fails(capsys):

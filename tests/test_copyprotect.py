@@ -17,6 +17,7 @@ from qlease.qmath import (
     DensityOperator,
     DimensionMismatchError,
     PureState,
+    collapse,
     random_density,
     spawn_rng,
     state_distance,
@@ -352,7 +353,7 @@ def test_wrong_point_average_matches_design_average():
         wrong = (acc.sum() - acc[p]) / (n - 1)
         assert abs(wrong - cp.wrong_key_average_excluding(scheme, p)) < 1e-15
         total += wrong
-        key_avgs += qas.avg_wrong_key_accept(scheme, state, mode="keys")
+        key_avgs += qas.avg_wrong_key_accept(scheme, state)
     via_enumeration = total / n
     via_key_average = (key_avgs / n * n - 1.0) / (n - 1)
     assert abs(via_enumeration - via_key_average) < 1e-9
@@ -533,7 +534,7 @@ def test_mix_identity_param_matches_plain(scheme):
     prog = cp.mix_protect(scheme, fam, 29, rng, r=(1, 0))
     plain = cp.protect(scheme, 29)
     assert np.allclose(prog.state.amplitudes, plain.state.amplitudes)
-    assert cp.mix_evaluate(prog, 29, rng) == 1
+    assert cp.evaluate(prog, 29, rng) == 1
 
 
 def test_mix_matched_point_always_one(scheme):
@@ -542,20 +543,35 @@ def test_mix_matched_point_always_one(scheme):
     for _ in range(20):
         p = int(rng.integers(64))
         prog = cp.mix_protect(scheme, fam, p, rng)
-        assert cp.mix_evaluate(prog, p, rng) == 1
+        assert cp.evaluate(prog, p, rng) == 1
 
 
-def test_mix_kind_checks(scheme):
+def test_mix_evaluation_reads_the_permuted_key(scheme):
+    # the program encodes h_r(3); verifying at 3 itself would accept it
+    # with probability below 1/2, so 20 draws of 1 show the key h_r(3)
+    fam = PairwisePermFamily(6)
+    r = (5, 17)
+    assert qas.accept_probability(scheme, 3, cp.mix_protect(scheme, fam, 3, None, r=r).state) < 0.5
+    for seed in range(20):
+        assert cp.evaluate(cp.mix_protect(scheme, fam, 3, None, r=r), 3, spawn_rng(seed)) == 1
+    # off the point, the preserving evaluation collapses onto the split of h_r(x)
+    for x in (0, 40):
+        prog = cp.mix_protect(scheme, fam, 3, None, r=r)
+        bit, post = cp.evaluate_preserving(prog, x, spawn_rng(x))
+        expected = collapse(prog.state, qas.adjoint_isometry(scheme, fam.apply(r, x)), bit)
+        assert np.array_equal(post.state.amplitudes, expected.amplitudes)
+        assert post.mix == (fam, r)
+
+
+def test_mix_preserving_evaluation_at_the_point_keeps_the_state(scheme):
     fam = PairwisePermFamily(6)
     rng = spawn_rng(14)
-    prog = cp.mix_protect(scheme, fam, 3, rng)
-    with pytest.raises(ValueError):
-        cp.evaluate(prog, 3, rng)
-    with pytest.raises(ValueError):
-        cp.evaluate_preserving(prog, 3, rng)
-    plain = cp.protect(scheme, 3)
-    with pytest.raises(ValueError):
-        cp.mix_evaluate(plain, 3, rng)
+    for p in (3, 29, 60):
+        prog = cp.mix_protect(scheme, fam, p, rng)
+        bit, post = cp.evaluate_preserving(prog, p, rng)
+        assert bit == 1
+        assert state_distance(post.state, prog.state) < ATOL
+        assert cp.evaluate(post, p, rng) == 1
 
 
 def test_mix_encoded_point_marginal_uniform():

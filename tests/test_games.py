@@ -40,6 +40,7 @@ from qlease.leasing import SslScheme, ssl_verify
 from qlease.qmath import (
     ATOL,
     DensityOperator,
+    DimensionMismatchError,
     KrausChannel,
     PureState,
     apply_channel,
@@ -214,13 +215,28 @@ class _NoSplit:
 
 
 def test_bad_baseline_inputs_fail_before_any_trial(scheme, ssl):
-    bad = games.GameSpec(scheme, cp.uniform_points(6), cp.PointFamily(6, 0.5), cp.PointFamily(5, 0.5))
+    bad = games.GameSpec(scheme, cp.uniform_points(6), cp.PointFamily(6, 0.5), lambda p: cp.biased_point(p, 6, 0.5))
     with pytest.raises(ValueError, match="PointFamily"):
         run_experiment_free(bad, _NoSplit(), FixedAnswer(0), 10, seed=1)
     with pytest.raises(ValueError, match="PointFamily"):
         run_experiment_ssl(
             ssl, cp.uniform_points(6), lambda p: cp.biased_point(p, 6, 0.5), _NoSplit(), FixedAnswer(0), 10, seed=1
         )
+
+
+@pytest.mark.parametrize("bits", [4, 8])
+def test_game_distributions_must_match_the_key_length(scheme, ssl, bits):
+    # unchecked, 4-bit draws on a 6-bit scheme run a whole game at the
+    # wrong odds, and 8-bit ones fail mid-run with "input outside the domain"
+    with pytest.raises(DimensionMismatchError):
+        run_experiment_ssl(ssl, cp.uniform_points(bits), cp.PointFamily(bits, 0.5), _NoSplit(), FixedAnswer(0), 10, 1)
+    for parts in (
+        (cp.uniform_points(bits), cp.PointFamily(6, 0.5), cp.PointFamily(6, 0.5)),
+        (cp.uniform_points(6), cp.PointFamily(bits, 0.5), cp.PointFamily(6, 0.5)),
+        (cp.uniform_points(6), cp.PointFamily(6, 0.5), cp.PointFamily(bits, 0.5)),
+    ):
+        with pytest.raises(DimensionMismatchError):
+            games.GameSpec(scheme, *parts)
 
 
 # ---------------------------------------------------------------------------
@@ -737,9 +753,10 @@ def test_ssl_abort_counts_as_loss(ssl, spec, scheme):
 
 def test_sampled_bits_build_no_post_state(monkeypatch, scheme, spec, ssl):
     # a trial keeps only the two answer bits, and a destructive evaluation
-    # only its bit: with collapse refused, the four zoo games, evaluate,
-    # mix_evaluate and ssl_verify still run, while the callers that keep
-    # the register (keysearch's chain, evaluate_preserving) stop
+    # only its bit: with collapse refused, the four zoo games, evaluate (of
+    # a plain and a mixed program) and ssl_verify still run, while the
+    # callers that keep the register (keysearch's chain,
+    # evaluate_preserving) stop
     def refuse(*args):
         raise AssertionError("a post-state was built")
 
@@ -751,7 +768,7 @@ def test_sampled_bits_build_no_post_state(monkeypatch, scheme, spec, ssl):
         run_experiment_ssl(ssl, spec.circuit_dist, spec.charlie_family, *adversary(ssl), 200, seed=8)
     rng = spawn_rng(9)
     assert cp.evaluate(cp.protect(scheme, 3), 3, rng) == 1
-    assert cp.mix_evaluate(cp.mix_protect(scheme, PairwisePermFamily(6), 3, rng), 3, rng) == 1
+    assert cp.evaluate(cp.mix_protect(scheme, PairwisePermFamily(6), 3, rng), 3, rng) == 1
     pf = cp.PointFunction(3, scheme.key_bits)
     assert ssl_verify(ssl, pf, cp.protect(scheme, 3).state, rng) == 1
     assert ssl_verify(ssl, pf, maximally_mixed(scheme.total_qubits), rng) in (0, 1)

@@ -182,3 +182,20 @@ def test_same_seed_csv_is_pinned(tmp_path, argv, sha256):
     rc = main([*argv, "--trials", TRIALS, "--seed", SEED, "--csv", str(out)])
     assert rc == EXIT_OK
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
+#: The ``qas-verify`` report at seed 1: the exact key and design averages
+#: (enumerated 2-qubit design) and the 500-key estimate (indexed designs).
+PINNED_QAS_VERIFY = [
+    ("1,1,14", "dfadd2d5afcb257cfb9593dd26504b99b020b7df07af4eda6009f45037649663"),
+    ("2,2,10", "4f5ad9e060f9779cc2688502866079303165eee054c05a97f0bbab5bc59d4d10"),
+    ("3,3,20", "eb4fb2d8cc799e36ddd6d347ad72abeb569bfc3e387eed9897fa37e00e8c5e77"),
+]
+
+
+@pytest.mark.parametrize("scheme,sha256", PINNED_QAS_VERIFY, ids=[s for s, _ in PINNED_QAS_VERIFY])
+def test_same_seed_qas_verify_is_pinned(tmp_path, scheme, sha256):
+    out = tmp_path / "qas-verify.json"
+    rc = main(["qas-verify", "--scheme", scheme, "--seed", "1", "--out", str(out)])
+    assert rc == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256

@@ -288,7 +288,7 @@ def test_wrong_key_design_average_exact(scheme):
     rng = spawn_rng(10)
     for _ in range(20):
         rho = random_density(2, rng)
-        avg = qas.avg_wrong_key_accept(scheme, rho, mode="design")
+        avg = float(np.mean(qas.acceptance_by_index(scheme, rho)))
         assert abs(avg - 0.5) < 1e-9
         assert avg <= 2 * scheme.epsilon
 
@@ -298,15 +298,8 @@ def test_wrong_key_average_includes_correct_key(scheme):
     sigma = random_pure_state(1, rng)
     key = 77
     rho = qas.auth(scheme, key, sigma)
-    avg = qas.avg_wrong_key_accept(scheme, rho, mode="keys")
+    avg = qas.avg_wrong_key_accept(scheme, rho)
     assert avg >= 1.0 / (1 << 14)  # the correct key alone contributes this
-
-
-def test_wrong_key_sampled_mode(scheme):
-    rng = spawn_rng(12)
-    rho = maximally_mixed(2)
-    est = qas.avg_wrong_key_accept(scheme, rho, mode=400, rng=rng)
-    assert abs(est - 0.5) < 1e-9  # every key accepts the mixed state at 2^-t
 
 
 @pytest.mark.parametrize("shape", [(1, 1, 6), (1, 1, 14), (2, 1, 6)])
@@ -332,7 +325,7 @@ def test_exact_key_sums_refuse_too_many_indices_before_building_one(monkeypatch)
     built = []
     monkeypatch.setattr(scheme.design, "element", built.append)
     with pytest.raises(ValueError, match="at most"):
-        qas.avg_wrong_key_accept(scheme, maximally_mixed(6), mode="keys")
+        qas.avg_wrong_key_accept(scheme, maximally_mixed(6))
     assert built == []
 
 
@@ -345,13 +338,6 @@ def test_key_sum_cache_goes_with_its_design():
     del scheme
     gc.collect()
     assert design() is None
-
-
-@pytest.mark.parametrize("mode", [0, -3])
-def test_wrong_key_sampled_mode_needs_a_key(scheme, mode):
-    # no key gives no average: an error naming the argument, not nan
-    with pytest.raises(ValueError, match="mode"):
-        qas.avg_wrong_key_accept(scheme, maximally_mixed(2), mode=mode, rng=spawn_rng(12))
 
 
 def test_key_map_consistency(scheme):
