@@ -29,6 +29,7 @@ this canonical form.
 from __future__ import annotations
 
 import operator
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -465,10 +466,12 @@ def _clifford_from_tableau(
     (qubit 0 the most significant bit of the masks x and z) is a row
     permutation and a phase: ``P @ M = phase[:, None] * M[perm]`` with
     ``perm = r ^ x`` and ``phase = i^#Y (-1)^(sign + popcount(z & perm))``.
-    The image of |0...0> is the joint +1 eigenvector of the Z images: the
-    projector is built one ``(1 + Z') / 2`` at a time, and its first nonzero
-    column normalised.  The other columns follow by doubling: for qubit j,
-    the columns with j's bit set are X'_j applied to those already built.
+    The image of |0...0> is the first nonzero column of the projector
+    onto the joint +1 eigenspace of the Z images, normalised.  A column
+    goes through the ``(1 + Z') / 2`` factors on its own, so columns are
+    tried one by one and the 2^n x 2^n projector is never built.  The
+    other columns follow by doubling: for qubit j, the columns with j's
+    bit set are X'_j applied to those already built.
     """
     n = len(rows) // 2
     r = np.arange(1 << n)
@@ -484,13 +487,14 @@ def _clifford_from_tableau(
         i_power = ys + 2 * ((signs >> row) & 1)
         return perm, (1, 1j, -1, -1j)[i_power % 4] * parity[z & perm]
 
-    proj = np.eye(1 << n, dtype=complex)
-    for j in range(n):
-        perm, phase = image(2 * j + 1)
-        proj = (proj + phase[:, None] * proj[perm]) / 2
-    col = int(np.argmax(np.linalg.norm(proj, axis=0) > 1e-9))
-    u0 = proj[:, col]
-    u = np.empty_like(proj)
+    z_images = [image(2 * j + 1) for j in range(n)]
+    for col in r.tolist():
+        u0 = (r == col).astype(complex)
+        for perm, phase in z_images:
+            u0 = (u0 + phase * u0[perm]) / 2
+        if np.linalg.norm(u0) > 1e-9:
+            break
+    u = np.empty((1 << n, 1 << n), dtype=complex)
     u[:, 0] = u0 / np.linalg.norm(u0)
     for j in range(n):
         perm, phase = image(2 * j)
@@ -499,15 +503,17 @@ def _clifford_from_tableau(
     return canonical_phase(u) + 0.0  # normalize -0.0
 
 
-#: Bytes of built elements one :class:`IndexedCliffordDesign` keeps
-#: (1024 elements at 6 qubits).
+#: Bytes of built elements that all live :class:`IndexedCliffordDesign`
+#: objects keep together (1024 elements at 6 qubits).  A collected design
+#: leaves ``_LIVE_DESIGNS``, and so gives its bytes back.
 ELEMENT_CACHE_BYTES = 64 << 20
+_LIVE_DESIGNS: weakref.WeakSet = weakref.WeakSet()
 
 
 class IndexedCliffordDesign(UnitaryDesign):
     """Clifford group accessed through the canonical (symplectic, sign)
     index without enumeration; supports 1..6 qubits.  Built elements are
-    kept until they fill :data:`ELEMENT_CACHE_BYTES`."""
+    kept while those of all live designs fit in :data:`ELEMENT_CACHE_BYTES`."""
 
     def __init__(self, qubits: int):
         if not 1 <= qubits <= 6:
@@ -519,6 +525,7 @@ class IndexedCliffordDesign(UnitaryDesign):
         self._parity = np.array([(-1) ** c.bit_count() for c in range(1 << qubits)])
         self._cache: dict[int, np.ndarray] = {}
         self._cache_bytes = 0
+        _LIVE_DESIGNS.add(self)
 
     def element(self, i: int) -> np.ndarray:
         i = operator.index(i)
@@ -532,14 +539,16 @@ class IndexedCliffordDesign(UnitaryDesign):
             _symplectic_matrix(sympl_idx, self.qubits), sign_idx, self._parity
         )
         u.setflags(write=False)
-        if self._cache_bytes + u.nbytes <= ELEMENT_CACHE_BYTES:
+        if sum(d._cache_bytes for d in _LIVE_DESIGNS) + u.nbytes <= ELEMENT_CACHE_BYTES:
             self._cache[i] = u
             self._cache_bytes += u.nbytes
         return u
 
 
+@lru_cache(maxsize=None)
 def clifford_design(qubits: int) -> UnitaryDesign:
-    """Enumerated group at <= 2 qubits, indexed access at 3..6."""
+    """Enumerated group at <= 2 qubits, indexed access at 3..6: one design
+    per qubit count for the life of the process, shared by its schemes."""
     if qubits <= 2:
         return clifford_enumerate(qubits)
     return IndexedCliffordDesign(qubits)

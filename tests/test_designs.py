@@ -1,6 +1,7 @@
 """Tests for the design ingredients: Clifford groups, pairwise
 independent permutations, and almost-uniform maps."""
 
+import gc
 import hashlib
 import tracemalloc
 from fractions import Fraction
@@ -322,9 +323,23 @@ def test_sample_beyond_int64_in_range_and_deterministic(qubits):
     assert np.max(np.abs(a.conj().T @ a - np.eye(1 << qubits))) < 1e-9
 
 
+def _held_element_bytes():
+    """Bytes of built elements all live indexed designs keep, counted from
+    their caches."""
+    return sum(m.nbytes for d in designs._LIVE_DESIGNS for m in d._cache.values())
+
+
+def test_clifford_design_is_one_object_per_qubit_count():
+    for qubits in range(1, 7):
+        assert clifford_design(qubits) is clifford_design(qubits)
+    assert isinstance(clifford_design(3), IndexedCliffordDesign)
+
+
 def test_indexed_element_cache_is_capped_by_bytes(monkeypatch):
-    # a 4-qubit element is 16 x 16 complex, 4 KiB; cap the cache at three
-    monkeypatch.setattr(designs, "ELEMENT_CACHE_BYTES", 3 * 16 * 16 * 16)
+    # a 4-qubit element is 16 x 16 complex, 4 KiB; the budget is shared by
+    # every live design, so leave room for three beyond what others keep
+    gc.collect()
+    monkeypatch.setattr(designs, "ELEMENT_CACHE_BYTES", _held_element_bytes() + 3 * 16 * 16 * 16)
     design = IndexedCliffordDesign(4)
     indices = [7919 * i for i in range(5)]
     built = [design.element(i) for i in indices]
@@ -333,6 +348,39 @@ def test_indexed_element_cache_is_capped_by_bytes(monkeypatch):
     assert sorted(design._cache) == indices[:3]
     # past the cap, elements are rebuilt with the same bytes
     assert all(np.array_equal(design.element(i), m) for i, m in zip(indices, built))
+
+
+def test_element_budget_caps_all_live_designs_together(monkeypatch):
+    # room for about 100 kB beyond what earlier tests keep: 8 elements at 3
+    # and 4 qubits, then 3 of 16 KiB at 5 and none of 64 KiB at 6
+    gc.collect()
+    budget = _held_element_bytes() + 100_000
+    monkeypatch.setattr(designs, "ELEMENT_CACHE_BYTES", budget)
+    rng = spawn_rng(31)
+    for qubits in (3, 4, 5, 6):
+        design = clifford_design(qubits)
+        for i in uniform_index(design.cardinality, rng, 8):
+            design.element(int(i))
+            assert _held_element_bytes() <= budget
+        assert design._cache_bytes == sum(m.nbytes for m in design._cache.values())
+    assert _held_element_bytes() > budget - 16 * 16 * 16 * 4
+
+
+def test_collected_design_gives_its_bytes_back(monkeypatch):
+    gc.collect()
+    before = _held_element_bytes()
+    monkeypatch.setattr(designs, "ELEMENT_CACHE_BYTES", before + 5 * 16 * 16 * 16)
+    design = IndexedCliffordDesign(4)
+    for i in range(5):
+        design.element(i)
+    assert _held_element_bytes() == before + 5 * 16 * 16 * 16
+    del design
+    gc.collect()
+    assert _held_element_bytes() == before
+    # the bytes given back are free for the next design
+    design = IndexedCliffordDesign(4)
+    design.element(0)
+    assert design._cache_bytes == 16 * 16 * 16
 
 
 # --- the dense tableau builder, kept as the reference for the bitmask one ---
@@ -515,6 +563,16 @@ def test_elements_equal_reference_bytes(qubits):
         u = design.element(i)
         assert u.tobytes() == _ref_element(qubits, i).tobytes(), i
         assert not _has_negative_zero(u), i
+
+
+@pytest.mark.parametrize("qubits", [3, 4, 5, 6])
+def test_cached_design_elements_equal_reference_bytes(qubits):
+    # the design every scheme on this many qubits shares, read twice
+    design = clifford_design(qubits)
+    rng = spawn_rng(40 + qubits)
+    for i in [0, design.cardinality - 1] + [int(i) for i in uniform_index(design.cardinality, rng, 4)]:
+        want = _ref_element(qubits, i).tobytes()
+        assert design.element(i).tobytes() == design.element(i).tobytes() == want, i
 
 
 def test_capped_rebuilds_equal_reference_bytes(monkeypatch):

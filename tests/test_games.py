@@ -2,6 +2,7 @@
 
 import json
 import tracemalloc
+import weakref
 from dataclasses import fields
 from fractions import Fraction
 from statistics import NormalDist
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from qlease import copyprotect as cp
-from qlease import games, qas
+from qlease import designs, games, qas
 from qlease.games import (
     FixedAnswer,
     HonestEvalStrategy,
@@ -528,6 +529,37 @@ def test_exact_win_on_six_qubits_matches_the_trial_loop(split):
     spec = default_cp_spec(scheme)
     rep = run_experiment_free(spec, *split(scheme), 20_000, seed=5)
     assert rep.ci_lo <= exact_win(spec, *split(scheme)) <= rep.ci_hi
+
+
+@pytest.fixture
+def own_clifford_designs(monkeypatch):
+    # Clifford designs cached for this test alone, with the whole element
+    # budget to themselves, whatever earlier tests keep
+    monkeypatch.setattr(designs, "_LIVE_DESIGNS", weakref.WeakSet())
+    designs.clifford_design.cache_clear()
+    yield
+    designs.clifford_design.cache_clear()
+
+
+def test_repeated_schemes_share_built_elements(own_clifford_designs, monkeypatch):
+    # 3,3,10 reaches 1,024 six-qubit elements: 64 MiB, the whole budget
+    assert qas.build_scheme(3, 3, 10) == qas.build_scheme(3, 3, 10)
+    builds = []
+    build = designs._clifford_from_tableau
+
+    def counted(*args):
+        builds.append(args)
+        return build(*args)
+
+    def build_and_win():
+        scheme = qas.build_scheme(3, 3, 10)
+        return repr(exact_win(default_cp_spec(scheme), *give_to_charlie(scheme)))
+
+    monkeypatch.setattr(designs, "_clifford_from_tableau", counted)
+    first = build_and_win()
+    assert len(builds) == 1024
+    assert build_and_win() == first
+    assert len(builds) == 1024
 
 
 # ---------------------------------------------------------------------------

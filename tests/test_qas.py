@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from qlease import qas
-from qlease.designs import clifford_enumerate, irreducible_poly
+from qlease.designs import EpsUniformMap, IndexedCliffordDesign, clifford_enumerate, irreducible_poly
 from qlease.qmath import (
     ATOL,
     DensityOperator,
@@ -331,8 +331,10 @@ def test_exact_key_sums_refuse_too_many_indices_before_building_one(monkeypatch)
 
 def test_key_sum_cache_goes_with_its_design():
     # an indexed design keeps up to 64 MiB of built elements, so its key
-    # sums must not keep it alive once its last scheme is gone
-    scheme = qas.build_scheme(2, 1, 6)
+    # sums must not keep it alive once its last scheme is gone; the design
+    # is built here, since clifford_design keeps its own for the process
+    card = IndexedCliffordDesign(3).cardinality
+    scheme = qas.QasScheme(2, 1, 6, IndexedCliffordDesign(3), EpsUniformMap(6, card))
     qas.summed_acceptance(scheme, maximally_mixed(3))
     design = weakref.ref(scheme.design)
     del scheme
