@@ -220,16 +220,6 @@ CP_ADVERSARIES = ("trivial-forward", "give-to-charlie", "keysearch")
 SSL_ADVERSARIES = ("honest-return", "keep-program")
 
 
-def _cp_adversary(name: str, scheme: qas.QasScheme, args):
-    if name == "trivial-forward":
-        return games.trivial_forward(scheme)
-    if name == "give-to-charlie":
-        return games.give_to_charlie(scheme)
-    if name == "keysearch":
-        return games.keysearch_adversary(scheme, budget_size=args.budget)
-    raise ConfigError(f"unknown cp adversary {name!r}")
-
-
 def _report_game(args, rep: games.GameReport) -> int:
     """Print the report of one game run, emit it, and append its CSV row."""
     _say(args, f"game      {rep.game}   adversary {rep.adversary}")
@@ -251,7 +241,13 @@ def cmd_cp(args) -> int:
         raise ConfigError(f"--budget must lie in 1..{1 << key_bits} (2^k keys)")
     scheme = _build_scheme(args.scheme)
     spec = games.default_cp_spec(scheme, bob_r=args.r)
-    pirate, strategy = _cp_adversary(args.adversary, scheme, args)
+    # the parser and the config check keep the adversary among the choices
+    adversary = {
+        "trivial-forward": games.trivial_forward,
+        "give-to-charlie": games.give_to_charlie,
+        "keysearch": lambda s: games.keysearch_adversary(s, budget_size=args.budget),
+    }[args.adversary]
+    pirate, strategy = adversary(scheme)
     return _report_game(args, games.run_experiment_free(spec, pirate, strategy, args.trials, args.seed))
 
 
@@ -260,7 +256,7 @@ def cmd_ssl(args) -> int:
         raise ConfigError("--r (verification point mass) must lie in [0, 1]")
     scheme = _build_scheme(args.scheme)
     ssl_scheme = SslScheme(scheme, verify_r=args.r)
-    circuit = cp.uniform_points(scheme.key_bits)
+    circuit = cp.ChallengeDistribution(scheme.key_bits)
     challenge = cp.PointFamily(scheme.key_bits, 0.5)
     # the parser and the config check keep the adversary among the choices
     adversary = {"honest-return": games.honest_return, "keep-program": games.keep_program}[args.adversary]

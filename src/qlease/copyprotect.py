@@ -94,7 +94,7 @@ class ChallengeDistribution:
     r: float | None = None
 
     def __post_init__(self):
-        if not isinstance(self.bits, int) or self.bits < 1:
+        if not isinstance(self.bits, int) or isinstance(self.bits, bool) or self.bits < 1:
             raise ValueError("bits must be a positive integer")
         if (self.point is None) != (self.r is None):
             raise ValueError("point and r are given together or not at all")
@@ -157,35 +157,24 @@ def _biased_weights(bits: int, r: float) -> tuple[Fraction, Fraction]:
     return (1 - top) / ((1 << bits) - 1), top
 
 
-def uniform_points(bits: int) -> ChallengeDistribution:
-    """The uniform distribution on {0,1}^bits (used both for challenge
-    inputs and for drawing the encoded point itself)."""
-    return ChallengeDistribution(bits)
-
-
-def biased_point(point: int, bits: int, r: float) -> ChallengeDistribution:
-    """Mass ``r`` on the point, uniform elsewhere."""
-    return ChallengeDistribution(bits, point, r)
-
-
 @dataclass(frozen=True)
 class PointFamily:
     """The point-centred challenge family: at point ``p``, mass ``r`` on
     ``p`` and uniform elsewhere.  Validated once, when it is built;
-    ``family(p)`` is :func:`biased_point`, and :meth:`weights` gives the
-    exact weights that every member shares."""
+    ``family(p)`` is ``ChallengeDistribution(bits, p, r)``, and
+    :meth:`weights` gives the exact weights that every member shares."""
 
     bits: int
     r: float
 
     def __post_init__(self):
-        if not isinstance(self.bits, int) or self.bits < 1:
+        if not isinstance(self.bits, int) or isinstance(self.bits, bool) or self.bits < 1:
             raise ValueError("bits must be a positive integer")
         if not 0.0 <= self.r <= 1.0:
             raise ValueError(f"r must lie in [0, 1], got {self.r}")
 
     def __call__(self, point: int) -> ChallengeDistribution:
-        return biased_point(point, self.bits, self.r)
+        return ChallengeDistribution(self.bits, point, self.r)
 
     def weights(self) -> tuple[Fraction, Fraction]:
         """(flat, peak): the exact weights of every string but the point,
@@ -345,7 +334,7 @@ def mix_error_exact(
     mixed program disagrees with P_p(x).  Needs an enumerable family."""
     total = 0.0
     for r in family.params():
-        program = protect(scheme, family.apply(r, point)).state
-        prob_one = accept_probability(scheme, family.apply(r, x), program)
+        program = mix_protect(scheme, family, point, None, r)
+        prob_one = accept_probability(scheme, program._key(x), program.state)
         total += (1.0 - prob_one) if x == point else prob_one
     return total / family.size

@@ -45,13 +45,8 @@ GENERATOR_SET_VERSION = "v1"
 # ---------------------------------------------------------------------------
 
 
-def _poly_degree(p: int) -> int:
-    return p.bit_length() - 1
-
-
 def _poly_mod(a: int, mod: int) -> int:
-    deg = _poly_degree(mod)
-    while a.bit_length() - 1 >= deg and a:
+    while a.bit_length() >= mod.bit_length():
         a ^= mod << (a.bit_length() - mod.bit_length())
     return a
 
@@ -67,55 +62,18 @@ def _poly_mul(a: int, b: int) -> int:
     return out
 
 
-def _poly_gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, _poly_mod(a, b)
-    return a
-
-
-def _poly_powmod_x(exp: int, mod: int) -> int:
-    """x**exp modulo the polynomial ``mod`` over GF(2)."""
-    result = 1
-    base = _poly_mod(0b10, mod)
-    while exp:
-        if exp & 1:
-            result = _poly_mod(_poly_mul(result, base), mod)
-        base = _poly_mod(_poly_mul(base, base), mod)
-        exp >>= 1
-    return result
-
-
-def _prime_factors(n: int) -> list[int]:
-    out, d = [], 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def is_irreducible(poly: int, bits: int) -> bool:
-    """Rabin's irreducibility test for a degree-``bits`` polynomial over GF(2)."""
-    if _poly_degree(poly) != bits:
-        return False
-    # x^(2^bits) == x (mod poly)
-    if _poly_powmod_x(1 << bits, poly) != _poly_mod(0b10, poly):
-        return False
-    for q in _prime_factors(bits):
-        h = _poly_powmod_x(1 << (bits // q), poly) ^ 0b10
-        if _poly_gcd(poly, h) != 1:
-            return False
-    return True
+    """Whether ``poly`` is an irreducible degree-``bits`` polynomial over
+    GF(2), by the definition: it has degree ``bits`` and no factor of
+    degree 1..``bits // 2`` (a reducible polynomial has one that small)."""
+    return poly.bit_length() - 1 == bits and all(_poly_mod(poly, f) for f in range(2, 1 << (bits // 2 + 1)))
 
 
 @lru_cache(maxsize=None)
 def irreducible_poly(bits: int) -> int:
     """The field-defining polynomial used for GF(2^bits): the smallest
-    irreducible one of that degree (``x^8 + x^4 + x^3 + x + 1`` at 8 bits)."""
+    irreducible one of that degree (``x^8 + x^4 + x^3 + x + 1`` at 8 bits),
+    found by trial division and kept for the life of the process."""
     if bits < 1:
         raise ValueError("bits must be >= 1")
     for candidate in range((1 << bits) + 1, 1 << (bits + 1)):

@@ -55,7 +55,6 @@ from .copyprotect import (
     correctness_from_answers,
     honest_correctness,
     protect,
-    uniform_points,
 )
 from .leasing import SslScheme
 from .qas import QasScheme, adjoint_isometry
@@ -242,7 +241,7 @@ def default_cp_spec(scheme: QasScheme, bob_r: float = 0.5) -> GameSpec:
     bits = scheme.key_bits
     return GameSpec(
         scheme=scheme,
-        circuit_dist=uniform_points(bits),
+        circuit_dist=ChallengeDistribution(bits),
         bob_family=PointFamily(bits, bob_r),
         charlie_family=PointFamily(bits, 0.5),
     )

@@ -112,6 +112,8 @@ def existence_epsilon(message_qubits: int, key_bits: int) -> float:
 def build_scheme(message_qubits: int, trap_qubits: int, key_bits: int) -> QasScheme:
     """Assemble a scheme over the Clifford group on ``message_qubits +
     trap_qubits`` qubits."""
+    if any(isinstance(v, bool) for v in (message_qubits, trap_qubits, key_bits)):
+        raise ValueError("qubit counts and the key length are integers, not bools")
     if message_qubits < 1:
         raise ValueError("need at least one message qubit")
     if trap_qubits < 1:

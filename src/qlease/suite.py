@@ -129,6 +129,16 @@ def c03_design_certificate(seed: int) -> CriterionResult:
     )
 
 
+def _pair_counts(family) -> np.ndarray:
+    """``counts[x0, x1, y0, y1]``: the parameters that send distinct inputs x0, x1 to y0, y1."""
+    n = 1 << family.bits
+    images = np.array([[family.apply(r, x) for x in range(n)] for r in family.params()])
+    x0, x1 = np.nonzero(~np.eye(n, dtype=bool))
+    counts = np.zeros((n, n, n, n), dtype=np.int64)
+    np.add.at(counts, (x0, x1, images[:, x0], images[:, x1]), 1)
+    return counts
+
+
 def c04_pairwise_independence(seed: int) -> CriterionResult:
     """Every distinct input pair maps to every distinct output pair under
     exactly size/(2^l (2^l - 1)) parameters, exhaustively at l = 2, 3."""
@@ -136,23 +146,9 @@ def c04_pairwise_independence(seed: int) -> CriterionResult:
     for bits in (2, 3):
         fam = designs.PairwisePermFamily(bits)
         n = 1 << bits
-        expected = fam.size // (n * (n - 1))
-        counts = np.zeros((n, n, n, n), dtype=np.int64)
-        for r in fam.params():
-            images = [fam.apply(r, x) for x in range(n)]
-            for x0 in range(n):
-                for x1 in range(n):
-                    if x0 != x1:
-                        counts[x0, x1, images[x0], images[x1]] += 1
-        for x0 in range(n):
-            for x1 in range(n):
-                if x0 == x1:
-                    continue
-                for y0 in range(n):
-                    for y1 in range(n):
-                        if y0 == y1:
-                            continue
-                        worst = max(worst, abs(int(counts[x0, x1, y0, y1]) - expected))
+        x0, x1 = np.nonzero(~np.eye(n, dtype=bool))
+        distinct = _pair_counts(fam)[x0, x1][:, x0, x1]
+        worst = max(worst, int(np.abs(distinct - fam.size // (n * (n - 1))).max()))
     return CriterionResult(
         name="pairwise-independence",
         measured=float(worst),
@@ -192,7 +188,7 @@ def c06_protection_correctness(seed: int) -> CriterionResult:
     gated = scheme.epsilon > 0.5
     for _ in range(50):
         p = int(rng.integers(1 << 14))
-        corr = cp.correctness_exact(scheme, p, cp.biased_point(p, 14, 0.5))
+        corr = cp.correctness_exact(scheme, p, cp.ChallengeDistribution(14, p, 0.5))
         ident = 1.0 - 0.5 * cp.wrong_key_average_excluding(scheme, p)
         worst = max(worst, abs(corr - ident))
         if not gated:
@@ -260,7 +256,7 @@ def c08_reusability(seed: int) -> CriterionResult:
         # Exact damage: dephasing a pure program across the accept split of
         # key x moves it by sqrt(a_x (1 - a_x)) in trace distance, a_x its
         # acceptance probability.
-        dist = cp.biased_point(p, 14, 0.5)
+        dist = cp.ChallengeDistribution(14, p, 0.5)
         acc = np.clip(qas.acceptance_by_index(scheme, original), 0, 1)
         damage = float(dist.class_weights(scheme.key_map) @ np.sqrt(acc * (1 - acc)))
         eta = 1.0 - cp.correctness_exact(scheme, p, dist)
@@ -280,7 +276,7 @@ def c09_mix_correctness(seed: int) -> CriterionResult:
     worst-case per-input guarantee, exhaustively at l = 2."""
     scheme = qas.build_scheme(1, 1, 2)
     fam = designs.PairwisePermFamily(2)
-    eta = 1.0 - min(cp.correctness_exact(scheme, p, cp.biased_point(p, 2, 0.5)) for p in range(4))
+    eta = 1.0 - min(cp.correctness_exact(scheme, p, cp.ChallengeDistribution(2, p, 0.5)) for p in range(4))
     worst = max(
         cp.mix_error_exact(scheme, fam, p, x) for p in range(4) for x in range(4)
     )
@@ -305,7 +301,7 @@ def c10_baselines(seed: int) -> CriterionResult:
     and half-point challenges, for both games."""
     ok = True
     for bits in (3, GAME_BITS):
-        d = cp.uniform_points(bits)
+        d = cp.ChallengeDistribution(bits)
         fam = cp.PointFamily(bits, 0.5)
         ok = ok and games.p_marg(d, fam) == Fraction(1, 2)
         ok = ok and games.p_ind(d, fam) == Fraction(1, 2)

@@ -58,31 +58,31 @@ def test_point_function_needs_an_integer_point(point):
 
 
 def test_tables_normalized():
-    for dist in (cp.uniform_points(4), cp.biased_point(3, 4, 0.5), cp.biased_point(3, 4, 0.8)):
+    for dist in (cp.ChallengeDistribution(4), cp.ChallengeDistribution(4, 3, 0.5), cp.ChallengeDistribution(4, 3, 0.8)):
         assert abs(dist.probs.sum() - 1.0) < 1e-12
         assert np.all(dist.probs >= 0)
 
 
 def test_dhalf_masses():
-    dist = cp.biased_point(5, 4, 0.5)
+    dist = cp.ChallengeDistribution(4, 5, 0.5)
     assert dist.prob(5) == 0.5
     assert abs(dist.prob(0) - 0.5 / 15) < 1e-15
 
 
 def test_biased_point_masses():
-    dist = cp.biased_point(2, 3, 0.75)
+    dist = cp.ChallengeDistribution(3, 2, 0.75)
     assert dist.prob(2) == 0.75
     assert abs(dist.prob(0) - 0.25 / 7) < 1e-15
 
 
 def test_point_mass_always_returns_point():
-    dist = cp.biased_point(9, 5, 1.0)
+    dist = cp.ChallengeDistribution(5, 9, 1.0)
     rng = spawn_rng(0)
     assert all(dist.sample(rng) == 9 for _ in range(100))
 
 
 def test_dhalf_empirical_frequency():
-    dist = cp.biased_point(2, 6, 0.5)
+    dist = cp.ChallengeDistribution(6, 2, 0.5)
     rng = spawn_rng(1)
     hits = sum(dist.sample(rng) == 2 for _ in range(10**4))
     sigma = np.sqrt(0.25 / 10**4)
@@ -92,7 +92,7 @@ def test_dhalf_empirical_frequency():
 def test_uniform_chi2():
     from scipy import stats
 
-    dist = cp.uniform_points(3)
+    dist = cp.ChallengeDistribution(3)
     rng = spawn_rng(2)
     counts = np.zeros(8, dtype=int)
     for _ in range(10**4):
@@ -101,7 +101,7 @@ def test_uniform_chi2():
 
 
 def test_sample_pair_independent_product():
-    d1, d2 = cp.biased_point(1, 3, 1.0), cp.uniform_points(3)
+    d1, d2 = cp.ChallengeDistribution(3, 1, 1.0), cp.ChallengeDistribution(3)
     rng = spawn_rng(3)
     first, second = zip(*((d1.sample(rng), d2.sample(rng)) for _ in range(500)))
     assert set(first) == {1}
@@ -115,9 +115,9 @@ def _exact_weight(dist, x):
 
 
 def test_exact_shape_structured():
-    assert cp.uniform_points(3).exact_shape() == (Fraction(1, 8), None, Fraction(1, 8))
-    assert cp.biased_point(0, 3, 0.5).exact_shape() == (Fraction(1, 14), 0, Fraction(1, 2))
-    assert cp.biased_point(5, 3, 0.0).exact_shape() == (Fraction(1, 7), 5, Fraction(0))
+    assert cp.ChallengeDistribution(3).exact_shape() == (Fraction(1, 8), None, Fraction(1, 8))
+    assert cp.ChallengeDistribution(3, 0, 0.5).exact_shape() == (Fraction(1, 14), 0, Fraction(1, 2))
+    assert cp.ChallengeDistribution(3, 5, 0.0).exact_shape() == (Fraction(1, 7), 5, Fraction(0))
 
 
 #: (domain bits, |B|): 2^k below, equal to and above the number of indices;
@@ -128,11 +128,11 @@ CLASS_MAPS = [(4, 24), (5, 32), (6, 24), (7, 11), (6, IndexedCliffordDesign(6).c
 def _class_distributions(bits):
     n = 1 << bits
     return [
-        cp.uniform_points(bits),
-        cp.biased_point(3, bits, 0.5),
-        cp.biased_point(n - 1, bits, 0.9),
-        cp.biased_point(0, bits, 1.0),
-        cp.biased_point(5, bits, 0.0),
+        cp.ChallengeDistribution(bits),
+        cp.ChallengeDistribution(bits, 3, 0.5),
+        cp.ChallengeDistribution(bits, n - 1, 0.9),
+        cp.ChallengeDistribution(bits, 0, 1.0),
+        cp.ChallengeDistribution(bits, 5, 0.0),
     ]
 
 
@@ -152,21 +152,21 @@ def test_class_weights_sum_probs_over_the_key_map(bits, size):
 
 def test_class_weights_need_the_map_domain():
     with pytest.raises(DimensionMismatchError):
-        cp.uniform_points(4).class_weights(EpsUniformMap(5, 24))
+        cp.ChallengeDistribution(4).class_weights(EpsUniformMap(5, 24))
 
 
 #: Distributions that must be refused when they are built.
 INVALID_DISTRIBUTIONS = {
-    "negative-point": lambda: cp.biased_point(-1, 3, 0.5),
-    "point-too-large": lambda: cp.biased_point(9, 3, 0.5),
+    "negative-point": lambda: cp.ChallengeDistribution(3, -1, 0.5),
+    "point-too-large": lambda: cp.ChallengeDistribution(3, 9, 0.5),
     # once built, probs raised IndexError and sample returned 2.5
-    "fractional-point": lambda: cp.biased_point(2.5, 3, 0.5),
-    "bool-point": lambda: cp.biased_point(True, 3, 0.5),
-    "zero-bits-dhalf": lambda: cp.biased_point(0, 0, 0.5),
-    "zero-bits-biased": lambda: cp.biased_point(0, 0, 0.3),
-    "r-above-one": lambda: cp.biased_point(0, 3, 1.5),
-    "r-nan": lambda: cp.biased_point(0, 3, float("nan")),
-    "zero-bits-uniform": lambda: cp.uniform_points(0),
+    "fractional-point": lambda: cp.ChallengeDistribution(3, 2.5, 0.5),
+    "bool-point": lambda: cp.ChallengeDistribution(3, True, 0.5),
+    "zero-bits-dhalf": lambda: cp.ChallengeDistribution(0, 0, 0.5),
+    "zero-bits-biased": lambda: cp.ChallengeDistribution(0, 0, 0.3),
+    "r-above-one": lambda: cp.ChallengeDistribution(3, 0, 1.5),
+    "r-nan": lambda: cp.ChallengeDistribution(3, 0, float("nan")),
+    "zero-bits-uniform": lambda: cp.ChallengeDistribution(0),
     # a point and its mass come together, or neither does
     "biased-without-r": lambda: cp.ChallengeDistribution(2, point=1),
     "biased-without-point": lambda: cp.ChallengeDistribution(2, r=0.5),
@@ -179,9 +179,24 @@ def test_invalid_distributions_fail_at_construction(build):
         build()
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: qas.build_scheme(True, True, 6),
+        lambda: qas.build_scheme(1, 1, True),
+        lambda: cp.ChallengeDistribution(True),
+        lambda: cp.PointFamily(True, 0.5),
+    ],
+    ids=["scheme-qubits", "scheme-key-bits", "distribution", "point-family"],
+)
+def test_bools_are_refused_as_bit_lengths_and_qubit_counts(build):
+    with pytest.raises(ValueError):
+        build()
+
+
 def test_point_family_builds_biased_points():
     family = cp.PointFamily(3, 0.75)
-    assert family(5) == cp.biased_point(5, 3, 0.75)
+    assert family(5) == cp.ChallengeDistribution(3, 5, 0.75)
     assert family.weights() == (Fraction(1, 28), Fraction(3, 4))
     # an r with no short rational keeps its exact binary value
     r = 0.1 + 2.0**-50
@@ -197,11 +212,11 @@ def test_point_family_is_validated_when_built(bits, r):
 def test_structured_distributions_hold_no_array():
     assert [f.name for f in fields(cp.ChallengeDistribution)] == ["bits", "point", "r"]
     for dist in (
-        cp.uniform_points(20),
-        cp.biased_point(3, 20, 0.5),
-        cp.biased_point(3, 20, 0.3),
-        cp.biased_point(1, 20, 1.0),
-        cp.biased_point(7, 20, 0.0),
+        cp.ChallengeDistribution(20),
+        cp.ChallengeDistribution(20, 3, 0.5),
+        cp.ChallengeDistribution(20, 3, 0.3),
+        cp.ChallengeDistribution(20, 1, 1.0),
+        cp.ChallengeDistribution(20, 7, 0.0),
     ):
         assert not any(isinstance(value, np.ndarray) for value in vars(dist).values()), dist
 
@@ -264,12 +279,12 @@ def _distribution_pairs(draw):
     point = draw(st.integers(0, (1 << bits) - 1))
     kind = draw(st.sampled_from(["uniform", "dhalf", "biased"]))
     if kind == "uniform":
-        return cp.uniform_points(bits), _ParentDistribution.uniform(bits)
+        return cp.ChallengeDistribution(bits), _ParentDistribution.uniform(bits)
     if kind == "dhalf":
-        return cp.biased_point(point, bits, 0.5), _ParentDistribution.dhalf(point, bits)
+        return cp.ChallengeDistribution(bits, point, 0.5), _ParentDistribution.dhalf(point, bits)
     exact = st.sampled_from([0.0, 0.125, 0.3, 0.5, 0.75, 1.0])
     r = draw(st.one_of(exact, st.floats(0.0, 1.0)))
-    return cp.biased_point(point, bits, r), _ParentDistribution.biased(point, bits, r)
+    return cp.ChallengeDistribution(bits, point, r), _ParentDistribution.biased(point, bits, r)
 
 
 @settings(max_examples=200, deadline=None)
@@ -459,7 +474,7 @@ def test_reusability_damage_closed_form_matches_brute_force(scheme):
     rng = spawn_rng(15)
     for _ in range(3):
         p = int(rng.integers(64))
-        dist = cp.biased_point(p, 6, 0.5)
+        dist = cp.ChallengeDistribution(6, p, 0.5)
         state = cp.protect(scheme, p).state
         acc = np.clip(qas.acceptance_by_index(scheme, state), 0, 1)
         weights = dist.class_weights(scheme.key_map)
@@ -479,7 +494,7 @@ def test_average_damage_within_constant_of_eta(scheme):
     rng = spawn_rng(11)
     for _ in range(3):
         p = int(rng.integers(64))
-        dist = cp.biased_point(p, 6, 0.5)
+        dist = cp.ChallengeDistribution(6, p, 0.5)
         state = cp.protect(scheme, p).state
         damage = sum(
             dist.prob(x)
@@ -496,12 +511,12 @@ def test_average_damage_within_constant_of_eta(scheme):
 
 
 def test_correctness_point_mass_is_one(scheme):
-    assert abs(cp.correctness_exact(scheme, 9, cp.biased_point(9, 6, 1.0)) - 1.0) < 1e-12
+    assert abs(cp.correctness_exact(scheme, 9, cp.ChallengeDistribution(6, 9, 1.0)) - 1.0) < 1e-12
 
 
 def test_correctness_identity_with_wrong_key_average(scheme):
     for p in (0, 21, 42):
-        corr = cp.correctness_exact(scheme, p, cp.biased_point(p, 6, 0.5))
+        corr = cp.correctness_exact(scheme, p, cp.ChallengeDistribution(6, p, 0.5))
         ident = 1.0 - 0.5 * cp.wrong_key_average_excluding(scheme, p)
         assert abs(corr - ident) < 1e-9
 
@@ -509,7 +524,7 @@ def test_correctness_identity_with_wrong_key_average(scheme):
 def test_correctness_uniform_off_point(scheme):
     # uniform over x != p: correctness = 1 - wrong-key average excluding p
     p = 13
-    dist = cp.biased_point(p, 6, 0.0)
+    dist = cp.ChallengeDistribution(6, p, 0.0)
     corr = cp.correctness_exact(scheme, p, dist)
     assert abs(corr - (1.0 - cp.wrong_key_average_excluding(scheme, p))) < 1e-9
 
@@ -518,7 +533,7 @@ def test_correctness_one_minus_epsilon_gate(scheme):
     # the lower bound only binds when the recorded epsilon is <= 1/2
     if scheme.epsilon <= 0.5:
         for p in range(0, 64, 7):
-            assert cp.correctness_exact(scheme, p, cp.biased_point(p, 6, 0.5)) >= 1 - scheme.epsilon
+            assert cp.correctness_exact(scheme, p, cp.ChallengeDistribution(6, p, 0.5)) >= 1 - scheme.epsilon
     else:
         assert scheme.epsilon > 0.5  # gated off at desk scale
 
@@ -585,7 +600,7 @@ def test_mix_encoded_point_marginal_uniform():
 def test_mix_worst_case_error_bound():
     scheme = qas.build_scheme(1, 1, 2)
     fam = PairwisePermFamily(2)
-    eta = 1.0 - min(cp.correctness_exact(scheme, p, cp.biased_point(p, 2, 0.5)) for p in range(4))
+    eta = 1.0 - min(cp.correctness_exact(scheme, p, cp.ChallengeDistribution(2, p, 0.5)) for p in range(4))
     for p in range(4):
         for x in range(4):
             err = cp.mix_error_exact(scheme, fam, p, x)

@@ -4,6 +4,7 @@ independent permutations, and almost-uniform maps."""
 import gc
 import hashlib
 import tracemalloc
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qlease import designs
+from qlease import designs, suite
 from qlease.designs import (
     EpsUniformMap,
     IndexedCliffordDesign,
@@ -46,6 +47,62 @@ def test_irreducibility_check():
     assert is_irreducible(0b111, 2)
     assert not is_irreducible(0b101, 2)  # x^2 + 1 = (x+1)^2
     assert not is_irreducible(0b100000011, 8)  # divisible by x^2+x+1
+
+
+def _poly_gcd(a: int, b: int) -> int:
+    while b:
+        a, b = b, designs._poly_mod(a, b)
+    return a
+
+
+def _poly_powmod_x(exp: int, mod: int) -> int:
+    """x**exp modulo the polynomial ``mod`` over GF(2)."""
+    result = 1
+    base = designs._poly_mod(0b10, mod)
+    while exp:
+        if exp & 1:
+            result = designs._poly_mod(designs._poly_mul(result, base), mod)
+        base = designs._poly_mod(designs._poly_mul(base, base), mod)
+        exp >>= 1
+    return result
+
+
+def _prime_factors(n: int) -> list[int]:
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def _rabin_irreducible(poly: int, bits: int) -> bool:
+    """Rabin's irreducibility test, the reference for the trial division
+    of ``is_irreducible``: x^(2^bits) = x modulo ``poly``, and ``poly`` is
+    coprime to x^(2^(bits/q)) - x for every prime q dividing ``bits``."""
+    if poly.bit_length() - 1 != bits:
+        return False
+    if _poly_powmod_x(1 << bits, poly) != designs._poly_mod(0b10, poly):
+        return False
+    return all(_poly_gcd(poly, _poly_powmod_x(1 << (bits // q), poly) ^ 0b10) == 1 for q in _prime_factors(bits))
+
+
+def test_irreducibility_equals_rabins_test_through_degree_12():
+    for bits in range(1, 13):
+        for poly in range(1 << bits, 1 << (bits + 1)):
+            assert is_irreducible(poly, bits) == _rabin_irreducible(poly, bits), (bits, poly)
+
+
+def test_field_polynomials_are_pinned_through_20_bits():
+    pinned = [
+        0x3, 0x7, 0xB, 0x13, 0x25, 0x43, 0x83, 0x11B, 0x203, 0x409,
+        0x805, 0x1009, 0x201B, 0x4021, 0x8003, 0x1002B, 0x20009, 0x40009, 0x80027, 0x100009,
+    ]
+    assert [irreducible_poly(bits) for bits in range(1, 21)] == pinned
 
 
 @settings(max_examples=60, deadline=None)
@@ -115,6 +172,53 @@ def test_pairwise_tvd_exhaustive(bits):
             counts[pair] = counts.get(pair, 0) + 1
         assert set(counts) == set(permutations(range(n), 2))
         assert all(v == expected for v in counts.values())
+
+
+@dataclass(frozen=True)
+class _AffineModFamily:
+    """``x -> (m*x + b) mod 2^bits`` over the integers, ``m != 0``: the
+    parameters of the GF(2^bits) family, but not pairwise independent."""
+
+    bits: int
+
+    def params(self):
+        return PairwisePermFamily(self.bits).params()
+
+    def apply(self, r: tuple[int, int], x: int) -> int:
+        m, b = r
+        return (m * x + b) % (1 << self.bits)
+
+
+def _loop_pair_counts(family) -> np.ndarray:
+    """The four-loop count, the reference for ``suite._pair_counts``."""
+    n = 1 << family.bits
+    counts = np.zeros((n, n, n, n), dtype=np.int64)
+    for r in family.params():
+        images = [family.apply(r, x) for x in range(n)]
+        for x0 in range(n):
+            for x1 in range(n):
+                if x0 != x1:
+                    counts[x0, x1, images[x0], images[x1]] += 1
+    return counts
+
+
+def _loop_max_deviation(counts: np.ndarray, expected: int) -> int:
+    n = len(counts)
+    return max(
+        abs(int(counts[x0, x1, y0, y1]) - expected)
+        for x0, x1 in permutations(range(n), 2)
+        for y0, y1 in permutations(range(n), 2)
+    )
+
+
+@pytest.mark.parametrize("bits", [2, 3])
+def test_pair_counts_equal_the_loop_count(bits):
+    family, broken = PairwisePermFamily(bits), _AffineModFamily(bits)
+    assert np.array_equal(suite._pair_counts(family), _loop_pair_counts(family))
+    # the integer affine maps miss the count by 1 (l = 2) and 3 (l = 3), so
+    # a count that drops a pair or an image does not match here either
+    assert np.array_equal(suite._pair_counts(broken), _loop_pair_counts(broken))
+    assert _loop_max_deviation(_loop_pair_counts(broken), 1) == {2: 1, 3: 3}[bits]
 
 
 def test_pairwise_apply_probability_l2():

@@ -110,20 +110,20 @@ def test_p_marg_uniform_dhalf_is_exactly_half(spec):
 
 def test_p_marg_known_circuit_is_one():
     # a point-mass circuit distribution lets Charlie answer perfectly
-    value = p_marg(cp.biased_point(2, 3, 1.0), cp.PointFamily(3, 0.5))
+    value = p_marg(cp.ChallengeDistribution(3, 2, 1.0), cp.PointFamily(3, 0.5))
     assert value == 1
 
 
 def test_p_marg_uniform_challenges_l2():
     # exhaustive enumeration: max(Pr[P=0], Pr[P=1]) = 3/4 per challenge;
     # mass 1/4 on the point of 4 strings is the uniform distribution
-    value = p_marg(cp.uniform_points(2), cp.PointFamily(2, 0.25))
+    value = p_marg(cp.ChallengeDistribution(2), cp.PointFamily(2, 0.25))
     assert value == Fraction(3, 4)
 
 
 def test_p_ind_matches_p_marg_on_shared_shape(spec):
     assert p_ind(spec.circuit_dist, spec.charlie_family) == Fraction(1, 2)
-    assert p_ind(cp.uniform_points(2), cp.PointFamily(2, 0.25)) == Fraction(3, 4)
+    assert p_ind(cp.ChallengeDistribution(2), cp.PointFamily(2, 0.25)) == Fraction(3, 4)
 
 
 def _exact_weight(dist, x) -> Fraction:
@@ -154,11 +154,11 @@ def _enumerated_best_guess(circuit_dist, family) -> Fraction:
 def test_best_guess_rate_matches_enumeration(bits):
     n = 1 << bits
     circuits = [
-        cp.uniform_points(bits),
-        cp.biased_point(0, bits, 0.5),
-        cp.biased_point(n - 1, bits, 0.5),
-        cp.biased_point(0, bits, 0.75),
-        cp.biased_point(0, bits, 1.0),
+        cp.ChallengeDistribution(bits),
+        cp.ChallengeDistribution(bits, 0, 0.5),
+        cp.ChallengeDistribution(bits, n - 1, 0.5),
+        cp.ChallengeDistribution(bits, 0, 0.75),
+        cp.ChallengeDistribution(bits, 0, 1.0),
     ]
     for circuit in circuits:
         for r in (0.0, 0.125, 0.5, 0.75, 1.0, 2.0**-bits):
@@ -173,7 +173,7 @@ def test_best_guess_rate_keeps_no_tables():
     # weight per challenge about 20 MiB; the shapes need a few KiB
     tracemalloc.start()
     try:
-        value = p_marg(cp.uniform_points(16), cp.PointFamily(16, 0.5))
+        value = p_marg(cp.ChallengeDistribution(16), cp.PointFamily(16, 0.5))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -183,7 +183,7 @@ def test_best_guess_rate_keeps_no_tables():
 
 def test_best_guess_rate_builds_no_distribution(monkeypatch):
     # the closed form reads the family's weights, not one distribution per point
-    circuit, family = cp.uniform_points(20), cp.PointFamily(20, 0.5)
+    circuit, family = cp.ChallengeDistribution(20), cp.PointFamily(20, 0.5)
     built = []
     check = cp.ChallengeDistribution.__post_init__
     monkeypatch.setattr(cp.ChallengeDistribution, "__post_init__", lambda self: built.append(check(self)))
@@ -199,11 +199,11 @@ def test_baselines_reject_tables_and_plain_callables():
     table = np.array([0.4, 0.3, 0.2, 0.1])
     for baseline in (p_marg, p_ind):
         with pytest.raises(ValueError, match="PointFamily"):
-            baseline(cp.uniform_points(2), table)
+            baseline(cp.ChallengeDistribution(2), table)
         with pytest.raises(ValueError, match="PointFamily"):
-            baseline(cp.uniform_points(2), lambda p: cp.biased_point(p, 2, 0.5))
+            baseline(cp.ChallengeDistribution(2), lambda p: cp.ChallengeDistribution(2, p, 0.5))
         with pytest.raises(ValueError, match="PointFamily"):
-            baseline(cp.uniform_points(2), cp.PointFamily(3, 0.5))
+            baseline(cp.ChallengeDistribution(2), cp.PointFamily(3, 0.5))
 
 
 class _NoSplit:
@@ -216,12 +216,12 @@ class _NoSplit:
 
 
 def test_bad_baseline_inputs_fail_before_any_trial(scheme, ssl):
-    bad = games.GameSpec(scheme, cp.uniform_points(6), cp.PointFamily(6, 0.5), lambda p: cp.biased_point(p, 6, 0.5))
+    bad = games.GameSpec(scheme, cp.ChallengeDistribution(6), cp.PointFamily(6, 0.5), lambda p: cp.ChallengeDistribution(6, p, 0.5))
     with pytest.raises(ValueError, match="PointFamily"):
         run_experiment_free(bad, _NoSplit(), FixedAnswer(0), 10, seed=1)
     with pytest.raises(ValueError, match="PointFamily"):
         run_experiment_ssl(
-            ssl, cp.uniform_points(6), lambda p: cp.biased_point(p, 6, 0.5), _NoSplit(), FixedAnswer(0), 10, seed=1
+            ssl, cp.ChallengeDistribution(6), lambda p: cp.ChallengeDistribution(6, p, 0.5), _NoSplit(), FixedAnswer(0), 10, seed=1
         )
 
 
@@ -230,11 +230,11 @@ def test_game_distributions_must_match_the_key_length(scheme, ssl, bits):
     # unchecked, 4-bit draws on a 6-bit scheme run a whole game at the
     # wrong odds, and 8-bit ones fail mid-run with "input outside the domain"
     with pytest.raises(DimensionMismatchError):
-        run_experiment_ssl(ssl, cp.uniform_points(bits), cp.PointFamily(bits, 0.5), _NoSplit(), FixedAnswer(0), 10, 1)
+        run_experiment_ssl(ssl, cp.ChallengeDistribution(bits), cp.PointFamily(bits, 0.5), _NoSplit(), FixedAnswer(0), 10, 1)
     for parts in (
-        (cp.uniform_points(bits), cp.PointFamily(6, 0.5), cp.PointFamily(6, 0.5)),
-        (cp.uniform_points(6), cp.PointFamily(bits, 0.5), cp.PointFamily(6, 0.5)),
-        (cp.uniform_points(6), cp.PointFamily(6, 0.5), cp.PointFamily(bits, 0.5)),
+        (cp.ChallengeDistribution(bits), cp.PointFamily(6, 0.5), cp.PointFamily(6, 0.5)),
+        (cp.ChallengeDistribution(6), cp.PointFamily(bits, 0.5), cp.PointFamily(6, 0.5)),
+        (cp.ChallengeDistribution(6), cp.PointFamily(6, 0.5), cp.PointFamily(bits, 0.5)),
     ):
         with pytest.raises(DimensionMismatchError):
             games.GameSpec(scheme, *parts)
@@ -425,7 +425,7 @@ def test_exact_win_rejects_random_splits_and_sampled_designs(scheme, spec):
         exact_win(spec, KeysearchPirate(scheme, 4), FixedAnswer(0))
     with pytest.raises(ValueError):
         exact_win(spec, *keysearch_adversary(scheme, 4))
-    callable_family = games.GameSpec(scheme, spec.circuit_dist, lambda p: cp.biased_point(p, 6, 0.5), spec.charlie_family)
+    callable_family = games.GameSpec(scheme, spec.circuit_dist, lambda p: cp.ChallengeDistribution(6, p, 0.5), spec.charlie_family)
     with pytest.raises(ValueError, match="PointFamily"):
         exact_win(callable_family, *trivial_forward(scheme))
 
@@ -482,7 +482,7 @@ def test_exact_win_matches_per_point_sum(shape):
 
 
 def test_exact_win_matches_per_point_sum_on_other_circuits(scheme):
-    circuits = [cp.biased_point(37, 6, 0.3), cp.biased_point(5, 6, 0.0), cp.biased_point(9, 6, 1.0)]
+    circuits = [cp.ChallengeDistribution(6, 37, 0.3), cp.ChallengeDistribution(6, 5, 0.0), cp.ChallengeDistribution(6, 9, 1.0)]
     for circuit in circuits:
         spec = games.GameSpec(scheme, circuit, cp.PointFamily(6, 0.5), cp.PointFamily(6, 0.75))
         for adversary in _fixed_register_adversaries(scheme):
@@ -494,7 +494,7 @@ def test_point_mass_circuit_protects_one_point(monkeypatch):
     # design index, so one program
     scheme = qas.build_scheme(1, 1, 16)
     point = 40000
-    spec = games.GameSpec(scheme, cp.biased_point(point, 16, 1.0), cp.PointFamily(16, 0.5), cp.PointFamily(16, 0.5))
+    spec = games.GameSpec(scheme, cp.ChallengeDistribution(16, point, 1.0), cp.PointFamily(16, 0.5), cp.PointFamily(16, 0.5))
     protected = []
 
     def counted(scheme, p):

@@ -115,7 +115,7 @@ def test_repeated_evaluation_degradation(ssl, scheme):
     rng = spawn_rng(6)
     p = 27
     pf = PointFunction(p, 6)
-    dist = cp.biased_point(p, 6, 0.5)
+    dist = cp.ChallengeDistribution(6, p, 0.5)
     eta = 1.0 - cp.correctness_exact(scheme, p, dist)
     trials = 1500
     rates = []
@@ -208,7 +208,7 @@ def test_cc_verify_equals_point_verify_for_identity(ssl):
 
 def test_pushforward_exact():
     cf = make_cf()
-    dist = cp.biased_point(6, 4, 0.5)
+    dist = cp.ChallengeDistribution(4, 6, 0.5)
     pushed = pushforward(cf, dist)
     # independent accumulation oracle
     expect = np.zeros(64)
@@ -222,7 +222,7 @@ def test_pushforward_exact():
 
 def test_pushforward_sampling_agrees():
     cf = make_cf()
-    dist = cp.uniform_points(4)
+    dist = cp.ChallengeDistribution(4)
     pushed = pushforward(cf, dist)
     rng = spawn_rng(11)
     counts = np.zeros(64)
