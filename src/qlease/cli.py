@@ -23,7 +23,7 @@ import numpy as np
 from . import copyprotect as cp
 from . import designs, games, qas, suite
 from .leasing import SslScheme
-from .qmath import QubitCapError, random_density, spawn_rng, state_distance
+from .qmath import QubitCapError, random_density, spawn_rng, trace_distance
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -157,13 +157,16 @@ def cmd_qas_verify(args) -> int:
     # desynchronizes the verification key to prove the check has teeth
     shift = 1 if args.inject_keymap_corruption else 0
     worst = 0.0
-    for _ in range(50):
+    decoded = np.empty((50, scheme.message_dim, scheme.message_dim), dtype=complex)
+    inputs = np.empty_like(decoded)
+    for i in range(50):
         key = int(rng.integers(1 << scheme.key_bits))
         state = random_density(scheme.message_qubits, rng)
         vkey = (key + shift) % (1 << scheme.key_bits)
         out = qas.verify(scheme, vkey, qas.auth(scheme, key, state))
         worst = max(worst, abs(out.accept_probability - 1.0))
-        worst = max(worst, state_distance(out.message_state, state))
+        decoded[i], inputs[i] = out.message_state.matrix, state.matrix
+    worst = max(worst, float(np.max(trace_distance(decoded, inputs))))
     checks.append(("correctness", worst, 1e-9, worst < 1e-9))
 
     # wrong-key averages

@@ -37,7 +37,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .designs import EpsUniformMap, PairwisePermFamily
+from .designs import EpsUniformMap, PairwisePermFamily, is_positive_int
 from .qas import QasScheme, accept_probability, adjoint_isometry, auth, auth_isometry, summed_acceptance
 from .qmath import (
     DensityOperator,
@@ -54,8 +54,8 @@ class ConsumedProgramError(RuntimeError):
 
 
 def _is_bit_string(x, bits: int) -> bool:
-    """Whether ``x`` is an integer (not a bool) in {0,1}^bits."""
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool) and bits >= 1 and 0 <= x < (1 << bits)
+    """Whether ``x`` is an integer (not a bool) in {0,1}^bits, for valid ``bits``."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool) and 0 <= x < (1 << bits)
 
 
 @dataclass(frozen=True)
@@ -66,6 +66,8 @@ class PointFunction:
     bits: int
 
     def __post_init__(self):
+        if not is_positive_int(self.bits):
+            raise ValueError("bits must be a positive integer")
         if not _is_bit_string(self.point, self.bits):
             raise ValueError("point outside {0,1}^bits")
 
@@ -94,7 +96,7 @@ class ChallengeDistribution:
     r: float | None = None
 
     def __post_init__(self):
-        if not isinstance(self.bits, int) or isinstance(self.bits, bool) or self.bits < 1:
+        if not is_positive_int(self.bits):
             raise ValueError("bits must be a positive integer")
         if (self.point is None) != (self.r is None):
             raise ValueError("point and r are given together or not at all")
@@ -168,7 +170,7 @@ class PointFamily:
     r: float
 
     def __post_init__(self):
-        if not isinstance(self.bits, int) or isinstance(self.bits, bool) or self.bits < 1:
+        if not is_positive_int(self.bits):
             raise ValueError("bits must be a positive integer")
         if not 0.0 <= self.r <= 1.0:
             raise ValueError(f"r must lie in [0, 1], got {self.r}")

@@ -40,6 +40,11 @@ import numpy as np
 GENERATOR_SET_VERSION = "v1"
 
 
+def is_positive_int(v) -> bool:
+    """The rule for every bit length and range size: an ``int``, not a ``bool``, >= 1."""
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 1
+
+
 # ---------------------------------------------------------------------------
 # GF(2)[x] and GF(2^l)
 # ---------------------------------------------------------------------------
@@ -104,8 +109,8 @@ class PairwisePermFamily:
     bits: int
 
     def __post_init__(self):
-        if self.bits < 1:
-            raise ValueError("bits must be >= 1")
+        if not is_positive_int(self.bits):
+            raise ValueError("bits must be a positive integer")
 
     @property
     def size(self) -> int:
@@ -142,9 +147,10 @@ class EpsUniformMap:
     """The map ``x -> x mod range_size`` from ``{0,1}^domain_bits``.
 
     ``epsilon_prime`` is the exact statistical distance between the image
-    of the uniform distribution and the uniform distribution on the range,
-    computed from preimage counts.  It never exceeds
-    ``range_size / (4 * 2**domain_bits)``.
+    of the uniform distribution and the uniform distribution on the range:
+    ``rem (b - rem) / (a b)`` for ``a = 2**domain_bits``, ``b = range_size``
+    and ``rem = a mod b`` (``rem`` residues have one preimage more than the
+    rest).  It never exceeds ``b / (4 a)``.
     """
 
     domain_bits: int
@@ -152,17 +158,11 @@ class EpsUniformMap:
     epsilon_prime: Fraction = field(init=False)
 
     def __post_init__(self):
-        if self.domain_bits < 1 or self.range_size < 1:
-            raise ValueError("need domain_bits >= 1 and range_size >= 1")
-        a = 1 << self.domain_bits
-        b = self.range_size
-        q, rem = divmod(a, b)
-        # rem residues have q+1 preimages, the rest have q.
-        eps = (
-            rem * abs(Fraction(q + 1, a) - Fraction(1, b))
-            + (b - rem) * abs(Fraction(q, a) - Fraction(1, b))
-        ) / 2
-        object.__setattr__(self, "epsilon_prime", eps)
+        if not (is_positive_int(self.domain_bits) and is_positive_int(self.range_size)):
+            raise ValueError("domain_bits and range_size must be positive integers")
+        a, b = 1 << self.domain_bits, self.range_size
+        rem = a % b
+        object.__setattr__(self, "epsilon_prime", Fraction(rem * (b - rem), a * b))
 
     @property
     def bound(self) -> Fraction:

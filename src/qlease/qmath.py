@@ -375,20 +375,24 @@ def partial_trace(op: DensityOperator, keep: Iterable[int]) -> DensityOperator:
     return DensityOperator(t.reshape(d, d))
 
 
-def trace_norm(x: np.ndarray) -> float:
-    """Schatten-1 norm: the sum of singular values."""
-    return float(np.sum(np.linalg.svd(np.asarray(x), compute_uv=False)))
+def trace_norm(x: np.ndarray) -> float | np.ndarray:
+    """Schatten-1 norm: the sum of singular values, a ``float`` for one
+    matrix and one per matrix of a ``(..., d, d)`` stack (the SVD gufunc
+    runs the one-matrix routine on each, so the bits are the same)."""
+    norms = np.linalg.svd(np.asarray(x), compute_uv=False).sum(axis=-1)
+    return float(norms) if norms.ndim == 0 else norms
 
 
-def trace_distance(x, y) -> float:
-    """Half the trace norm of the difference, for arbitrary linear operators.
+def trace_distance(x, y) -> float | np.ndarray:
+    """Half the trace norm of the difference, for arbitrary linear operators
+    or per matrix of two equal-shaped stacks.
 
     Symmetric, satisfies the triangle inequality, and lies in [0, 1] for
     pairs of density operators.
     """
     mx = x.matrix if hasattr(x, "matrix") else np.asarray(x)
     my = y.matrix if hasattr(y, "matrix") else np.asarray(y)
-    if mx.shape != my.shape or mx.ndim != 2 or mx.shape[0] != mx.shape[1]:
+    if mx.shape != my.shape or mx.ndim < 2 or mx.shape[-1] != mx.shape[-2]:
         raise DimensionMismatchError("trace distance needs equal square shapes")
     return 0.5 * trace_norm(mx - my)
 

@@ -28,6 +28,7 @@ from . import copyprotect as cp
 from . import designs, games, qas
 from .leasing import SslScheme
 from .qmath import (
+    PureState,
     haar_unitary,
     random_density,
     random_pure_state,
@@ -66,20 +67,26 @@ def _sub_seed(seed: int, index: int) -> int:
 
 def c01_qas_correctness(seed: int) -> CriterionResult:
     """Authenticate-then-verify returns the input exactly, accept
-    probability one, for random keys and random pure/mixed states."""
+    probability one, for random keys and random pure/mixed states.  Each
+    (t, key, state) runs through ``qas.auth`` and ``qas.verify``; one
+    stacked ``trace_distance`` call compares every decoded message."""
     worst = 0.0
     rng = spawn_rng(seed, 1)
-    for t in (1, 2):
+    decoded = np.empty((2, 200, 20, 2, 2), dtype=complex)
+    inputs = np.empty((2, 1, 20, 2, 2), dtype=complex)
+    for ti, t in enumerate((1, 2)):
         scheme = qas.build_scheme(1, t, 14)
         keys = rng.integers(1 << 14, size=200)
         states = [random_pure_state(1, rng) for _ in range(10)] + [
             random_density(1, rng) for _ in range(10)
         ]
-        for key in keys:
-            for state in states:
+        inputs[ti, 0] = [(st.density() if isinstance(st, PureState) else st).matrix for st in states]
+        for ki, key in enumerate(keys):
+            for si, state in enumerate(states):
                 out = qas.verify(scheme, int(key), qas.auth(scheme, int(key), state))
                 worst = max(worst, abs(out.accept_probability - 1.0))
-                worst = max(worst, state_distance(out.message_state, state))
+                decoded[ti, ki, si] = out.message_state.matrix
+    worst = max(worst, float(np.max(trace_distance(decoded, np.broadcast_to(inputs, decoded.shape)))))
     return CriterionResult(
         name="qas-correctness",
         measured=worst,
@@ -207,26 +214,25 @@ def c06_protection_correctness(seed: int) -> CriterionResult:
 
 def c07_trace_distance_orthogonal(seed: int) -> CriterionResult:
     """Distance between block states over orthogonal flags is the sum of
-    blockwise distances."""
+    blockwise distances: one stacked ``trace_distance`` call for the
+    blocks and one for the whole spaces, each instance's block distances
+    summed in block order."""
     rng = spawn_rng(seed, 7)
-    worst = 0.0
     dim_a = 4
-    for _ in range(100):
-        j = int(rng.integers(2, 5))
+    sizes = np.empty(100, dtype=int)
+    blocks = np.zeros((2, 100, 4, 4, 4), dtype=complex)
+    lhs = np.zeros((2, 100, dim_a * 4, dim_a * 4), dtype=complex)
+    for i in range(100):
+        j = sizes[i] = int(rng.integers(2, 5))
         basis = haar_unitary(dim_a, rng)[:, :j]
-        rhs_sum = 0.0
-        lhs_x = np.zeros((dim_a * 4, dim_a * 4), dtype=complex)
-        lhs_y = np.zeros_like(lhs_x)
         for jj in range(j):
-            gx = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-            gy = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-            x = gx @ gx.conj().T / 4
-            y = gy @ gy.conj().T / 4
             flag = np.outer(basis[:, jj], basis[:, jj].conj())
-            lhs_x += np.kron(flag, x)
-            lhs_y += np.kron(flag, y)
-            rhs_sum += trace_distance(x, y)
-        worst = max(worst, abs(trace_distance(lhs_x, lhs_y) - rhs_sum))
+            for side in (0, 1):
+                g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+                blocks[side, i, jj] = g @ g.conj().T / 4
+                lhs[side, i] += np.kron(flag, blocks[side, i, jj])
+    rhs = np.cumsum(trace_distance(*blocks), axis=-1)[np.arange(100), sizes - 1]
+    worst = float(np.max(np.abs(trace_distance(*lhs) - rhs)))
     return CriterionResult(
         name="trace-distance-orthogonal",
         measured=worst,

@@ -7,6 +7,8 @@ criterion inside it re-runs everything with the same seed and
 byte-compares the serialized results.
 """
 
+import hashlib
+
 import pytest
 
 from qlease import suite
@@ -57,6 +59,38 @@ def test_qas_correctness_measured_is_pinned(seed, measured):
     # products with the strided column view round differently and move these;
     # verify decodes A† psi as outer(b, conj(b)) / p, whose rounding set seed 4's
     assert suite.c01_qas_correctness(seed).measured == measured
+
+
+#: sha256 of ``battery_json`` over the exact criteria c01-c10, per seed
+EXACT_BATTERY_SHA256 = {
+    0: "fcd475ea632ba84766895217284dedeeff7d9baeaef9bac3d97f0bc43f0c3ed9",
+    1: "07a0b040371c08ae3c70fc5a8282bb686a9c5fbf3c3748affb834c18773c408d",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(EXACT_BATTERY_SHA256))
+def test_exact_criteria_report_is_pinned(seed):
+    # c01 and c07 measure their distances in stacked trace_distance calls,
+    # which must give the bits of one call per matrix
+    results = [
+        suite.c01_qas_correctness(seed),
+        suite.c02_wrong_key_bound(seed),
+        suite.c03_design_certificate(seed),
+        suite.c04_pairwise_independence(seed),
+        suite.c05_eps_uniform(seed),
+        suite.c06_protection_correctness(seed),
+        suite.c07_trace_distance_orthogonal(seed),
+        suite.c08_reusability(seed),
+        suite.c09_mix_correctness(seed),
+        suite.c10_baselines(seed),
+    ]
+    digest = hashlib.sha256(suite.battery_json(results).encode()).hexdigest()
+    assert digest == EXACT_BATTERY_SHA256[seed]
+
+
+@pytest.mark.parametrize("seed", [1, 4])
+def test_trace_distance_orthogonal_measured_is_pinned(seed):
+    assert suite.c07_trace_distance_orthogonal(seed).measured == 1.0658141036401503e-14
 
 
 @pytest.mark.parametrize("name", CRITERIA)

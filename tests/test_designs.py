@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qlease import designs, suite
+from qlease.copyprotect import PointFunction
 from qlease.designs import (
     EpsUniformMap,
     IndexedCliffordDesign,
@@ -271,11 +272,49 @@ def test_eps_uniform_preimages_differ_by_at_most_one():
     assert counts.sum() == 1 << 10
 
 
+def _preimage_epsilon_prime(k: int, b: int) -> Fraction:
+    """Reference: half the L1 distance from uniform, over the rem residues
+    with q + 1 preimages and the b - rem with q."""
+    a = 1 << k
+    q, rem = divmod(a, b)
+    return (
+        rem * abs(Fraction(q + 1, a) - Fraction(1, b))
+        + (b - rem) * abs(Fraction(q, a) - Fraction(1, b))
+    ) / 2
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_eps_uniform_closed_form_matches_preimage_sum(k):
+    # every range size up to 4 * 2^k, so both |B| < |A| and |B| > |A|
+    for b in range(1, 4 * (1 << k) + 1):
+        assert EpsUniformMap(k, b).epsilon_prime == _preimage_epsilon_prime(k, b), b
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 16), st.integers(1, 2**18))
 def test_eps_uniform_bound_property(k, b):
     m = EpsUniformMap(k, b)
+    assert m.epsilon_prime == _preimage_epsilon_prime(k, b)
     assert m.epsilon_prime <= m.bound
+
+
+#: Bit lengths and range sizes that must be refused when they are built.
+INVALID_SIZES = {
+    "perm-bool-bits": lambda: PairwisePermFamily(True),
+    "perm-float-bits": lambda: PairwisePermFamily(2.5),
+    "perm-zero-bits": lambda: PairwisePermFamily(0),
+    "map-bool-bits": lambda: EpsUniformMap(True, 3),
+    "map-bool-range": lambda: EpsUniformMap(3, True),
+    "map-float-range": lambda: EpsUniformMap(3, 2.0),
+    "point-bool-bits": lambda: PointFunction(1, True),
+    "point-float-bits": lambda: PointFunction(1, 2.0),
+}
+
+
+@pytest.mark.parametrize("name", INVALID_SIZES)
+def test_bit_lengths_and_range_sizes_are_positive_ints(name):
+    with pytest.raises(ValueError):
+        INVALID_SIZES[name]()
 
 
 # ---------------------------------------------------------------------------

@@ -145,8 +145,15 @@ def test_trace_distance_zero_vs_plus():
 
 
 def test_trace_distance_dimension_mismatch():
-    with pytest.raises(DimensionMismatchError):
-        trace_distance(np.eye(2), np.eye(4))
+    for x, y in [
+        (np.eye(2), np.eye(4)),
+        (np.zeros((3, 2, 2)), np.zeros((4, 2, 2))),
+        (np.zeros((3, 2, 2)), np.zeros((2, 2))),
+        (np.zeros((3, 2, 4)), np.zeros((3, 2, 4))),
+        (np.zeros(4), np.zeros(4)),
+    ]:
+        with pytest.raises(DimensionMismatchError):
+            trace_distance(x, y)
 
 
 @settings(max_examples=25, deadline=None)
@@ -170,6 +177,30 @@ def test_trace_norm_svd_matches_eigh_for_hermitian(seed):
     diff = random_density(2, rng).matrix - random_density(2, rng).matrix
     via_eig = np.sum(np.abs(np.linalg.eigvalsh(diff)))
     assert abs(trace_norm(diff) - via_eig) < 1e-10
+
+
+def _random_stack(rng, count: int, d: int, hermitian: bool) -> np.ndarray:
+    g = rng.standard_normal((count, d, d)) + 1j * rng.standard_normal((count, d, d))
+    return g @ g.conj().transpose(0, 2, 1) / d if hermitian else g
+
+
+@pytest.mark.parametrize("d", [2, 4, 16])
+@pytest.mark.parametrize("hermitian", [True, False])
+def test_stacked_trace_norms_equal_the_one_matrix_calls(d, hermitian):
+    # the SVD gufunc runs the one-matrix routine on each matrix of a stack,
+    # so every stacked value must equal its one-matrix call bit for bit
+    rng = spawn_rng(d + 100 * hermitian)
+    x = _random_stack(rng, 30, d, hermitian)
+    y = _random_stack(rng, 30, d, hermitian)
+    norms, dists = trace_norm(x), trace_distance(x, y)
+    assert norms.shape == dists.shape == (30,)
+    assert norms.tolist() == [trace_norm(m) for m in x]
+    assert dists.tolist() == [trace_distance(a, b) for a, b in zip(x, y)]
+    nested = trace_distance(x.reshape(5, 6, d, d), y.reshape(5, 6, d, d))
+    assert nested.shape == (5, 6)
+    assert nested.reshape(-1).tolist() == dists.tolist()
+    assert type(trace_norm(x[0])) is float
+    assert type(trace_distance(x[0], y[0])) is float
 
 
 def test_trace_distance_orthogonal_block_lemma():
