@@ -172,9 +172,10 @@ def cmd_qas_verify(args) -> int:
     # wrong-key averages
     state = random_density(scheme.total_qubits, rng)
     expected = 2.0 ** (-scheme.trap_qubits)
-    if scheme.total_qubits <= 2:
-        avg = float(np.mean(qas.acceptance_by_index(scheme, state)))
+    if scheme.design.cardinality <= qas.MAX_EXACT_INDICES:
+        avg = qas.avg_design_accept(scheme, state)
         checks.append(("wrong-key-design-avg", avg, expected, abs(avg - expected) < 1e-9))
+    if min(1 << scheme.key_bits, scheme.design.cardinality) <= qas.MAX_EXACT_INDICES:
         key_avg = qas.avg_wrong_key_accept(scheme, state)
     else:
         # estimated from 500 sampled keys: the exact key sum builds one

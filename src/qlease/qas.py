@@ -262,63 +262,70 @@ def _trap_zero_columns_conj(design: EnumeratedDesign, step: int) -> np.ndarray:
     return cols
 
 
-def acceptance_by_index(scheme: QasScheme, state) -> np.ndarray:
-    """Acceptance probability of ``state`` for every design index.
-
-    Needs an enumerated design; it serves values not linear in acceptance
-    (a key sum is :func:`summed_acceptance`).  Only the columns at which
-    the traps read zero enter, conjugated once per design and trap
-    count.
-    """
-    state = _on_y(scheme, state)
+def acceptance_by_index(scheme: QasScheme, state: PureState) -> np.ndarray:
+    """Acceptance probability of a pure state for every index of an
+    enumerated design, from its trap-zero columns conjugated once per design
+    and trap count.  It serves values not linear in acceptance, such as the
+    reusability damage ``sum_j w_j sqrt(a_j (1 - a_j))``; a linear value is
+    one trace (:func:`summed_acceptance`, :func:`avg_design_accept`)."""
+    if isinstance(_on_y(scheme, state), DensityOperator):
+        raise TypeError("per-index acceptance takes a pure state")
     design = scheme.design
     if not isinstance(design, EnumeratedDesign):
         raise ValueError("exact per-index acceptance needs an enumerated design")
-    step = 1 << scheme.trap_qubits
-    cols = _trap_zero_columns_conj(design, step)
-    if isinstance(state, PureState):
-        v = np.einsum("nji,j->ni", cols, state.amplitudes)
-        return np.einsum("ni,ni->n", v.conj(), v).real
-    return np.einsum("nji,jk,nki->n", cols, state.matrix, design.elements()[:, :, ::step]).real
+    v = np.einsum("nji,j->ni", _trap_zero_columns_conj(design, 1 << scheme.trap_qubits), state.amplitudes)
+    return np.einsum("ni,ni->n", v.conj(), v).real
 
 
-#: Key-summed operators by design, then by scheme shape (m, t, k); an entry
-#: goes with its design, so no cache keeps an indexed design's elements alive.
+#: Index-summed operators by design, then by scheme shape: (m, t, k) for a
+#: key sum, (m, t) for the design sum.  An entry goes with its design, so no
+#: cache keeps an indexed design's elements alive.
 _KEY_SUMS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _key_sum_operator(scheme: QasScheme) -> np.ndarray:
-    """``M = sum_x A_x A_x†`` over every key x, from the indices the keys
-    reach at their preimage counts; read-only."""
-    sums = _KEY_SUMS.setdefault(scheme.design, {})
-    shape = (scheme.message_qubits, scheme.trap_qubits, scheme.key_bits)
+def _index_sum(scheme: QasScheme, state, over_keys: bool) -> float:
+    """``psi† S psi`` or ``Tr(S rho)`` for ``S = sum_j c_j A_j A_j†`` over
+    design indices j: the key sum ``M = sum_x A_x A_x†`` (the min(2^k, |B|)
+    indices the keys reach, at their preimage counts) or the design sum
+    ``D`` (every index once).  ``S`` is built once per design and shape,
+    read-only; the index count is checked before anything is allocated."""
+    state = _on_y(scheme, state)
+    design = scheme.design
+    n = min(1 << scheme.key_bits, design.cardinality) if over_keys else design.cardinality
+    if n > MAX_EXACT_INDICES:
+        raise ValueError(f"exact index sums build at most {MAX_EXACT_INDICES} elements, not {n}")
+    sums = _KEY_SUMS.setdefault(design, {})
+    shape = (scheme.message_qubits, scheme.trap_qubits) + ((scheme.key_bits,) if over_keys else ())
     if shape not in sums:
-        counts = scheme.key_map.preimage_counts()
-        if len(counts) > MAX_EXACT_INDICES:
-            raise ValueError(f"exact key sums build at most {MAX_EXACT_INDICES} elements, not {len(counts)}")
-        m = np.zeros((scheme.total_dim, scheme.total_dim), dtype=complex)
-        for j, count in enumerate(counts.tolist()):
-            a = _auth_matrix(scheme, j)
-            m += count * (a @ a.conj().T)
-        m.setflags(write=False)
-        sums[shape] = m
-    return sums[shape]
+        counts = scheme.key_map.preimage_counts().tolist() if over_keys else [1] * n
+        s = np.zeros((scheme.total_dim, scheme.total_dim), dtype=complex)
+        for j, count in enumerate(counts):
+            a = design.element(j)[:, :: 1 << scheme.trap_qubits]
+            s += count * (a @ a.conj().T)
+        s.setflags(write=False)
+        sums[shape] = s
+    if isinstance(state, PureState):
+        return float((state.amplitudes.conj() @ sums[shape] @ state.amplitudes).real)
+    return float(np.einsum("ij,ji->", sums[shape], state.matrix).real)
 
 
 def summed_acceptance(scheme: QasScheme, state) -> float:
     """Acceptance of ``state`` summed over every key: ``psi† M psi`` or
     ``Tr(M rho)`` for the key sum ``M`` of the projectors ``A_x A_x†``."""
-    state = _on_y(scheme, state)
-    m = _key_sum_operator(scheme)
-    if isinstance(state, PureState):
-        return float((state.amplitudes.conj() @ m @ state.amplitudes).real)
-    return float(np.einsum("ij,ji->", m, state.matrix).real)
+    return _index_sum(scheme, state, over_keys=True)
 
 
 def avg_wrong_key_accept(scheme: QasScheme, state) -> float:
     """Average acceptance of a fixed state over the whole key space,
     exactly (:func:`summed_acceptance` over ``2^k``)."""
     return summed_acceptance(scheme, state) / (1 << scheme.key_bits)
+
+
+def avg_design_accept(scheme: QasScheme, state) -> float:
+    """Average acceptance of a fixed state over the whole design, exactly:
+    ``Tr(D rho) / |B|`` for the design sum ``D``, which is ``2^-t`` for a
+    2-design."""
+    return _index_sum(scheme, state, over_keys=False) / scheme.design.cardinality
 
 
 # ---------------------------------------------------------------------------

@@ -105,7 +105,7 @@ def c02_wrong_key_bound(seed: int) -> CriterionResult:
     cap_ok = True
     for _ in range(20):
         state = random_density(2, rng)
-        design_avg = float(np.mean(qas.acceptance_by_index(scheme, state)))
+        design_avg = qas.avg_design_accept(scheme, state)
         worst = max(worst, abs(design_avg - 0.5))
         key_avg = qas.avg_wrong_key_accept(scheme, state)
         cap_ok = cap_ok and key_avg <= 2 * scheme.epsilon

@@ -61,10 +61,16 @@ def test_qas_correctness_measured_is_pinned(seed, measured):
     assert suite.c01_qas_correctness(seed).measured == measured
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_wrong_key_bound_measured_is_pinned(seed):
+    # the design average is Tr(D rho) / |B| for the cached design sum D
+    assert suite.c02_wrong_key_bound(seed).measured == 1.6653345369377348e-16
+
+
 #: sha256 of ``battery_json`` over the exact criteria c01-c10, per seed
 EXACT_BATTERY_SHA256 = {
-    0: "fcd475ea632ba84766895217284dedeeff7d9baeaef9bac3d97f0bc43f0c3ed9",
-    1: "07a0b040371c08ae3c70fc5a8282bb686a9c5fbf3c3748affb834c18773c408d",
+    0: "3d1210db0caf09c119ed9f745e7cb7107e9c6045a909c2501d555a59006f3b11",
+    1: "076996d799d9c0de5ba5a4a11a779dc0b5f72d570e3c6c5e45cf3b27f8a20cda",
 }
 
 

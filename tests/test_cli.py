@@ -82,9 +82,8 @@ def test_qas_verify_passes(capsys):
 
 
 def test_qas_verify_wrong_key_estimate_is_near_the_exact_average(monkeypatch, tmp_path):
-    # at 2,1,6 the check estimates the key average from 500 keys; each
-    # acceptance lies in [0, 1], so by Hoeffding the estimate strays more
-    # than 0.1 from the exact average with probability below 1e-4
+    # at 2,1,6 the keys reach 64 indices, so the check reads the exact key
+    # average; only above MAX_EXACT_INDICES reached indices does it sample
     states = []
 
     def recorded(qubits, rng):
@@ -97,7 +96,7 @@ def test_qas_verify_wrong_key_estimate_is_near_the_exact_average(monkeypatch, tm
     (state,) = [s for s in states if s.qubits == 3]
     (check,) = [c for c in json.loads(out.read_text())["checks"] if c["name"] == "wrong-key-2eps-cap"]
     exact = qas.avg_wrong_key_accept(qas.build_scheme(2, 1, 6), state)
-    assert abs(check["measured"] - exact) < 0.1
+    assert check["measured"] == exact
 
 
 def test_qas_verify_corruption_fails(capsys):

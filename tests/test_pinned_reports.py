@@ -184,11 +184,12 @@ def test_same_seed_csv_is_pinned(tmp_path, argv, sha256):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
 
-#: The ``qas-verify`` report at seed 1: the exact key and design averages
-#: (enumerated 2-qubit design) and the 500-key estimate (indexed designs).
+#: The ``qas-verify`` report at seed 1: the exact design average (2-qubit
+#: design), the exact key average (up to MAX_EXACT_INDICES reached indices)
+#: and the 500-key estimate above it (3,3,20).
 PINNED_QAS_VERIFY = [
-    ("1,1,14", "dfadd2d5afcb257cfb9593dd26504b99b020b7df07af4eda6009f45037649663"),
-    ("2,2,10", "4f5ad9e060f9779cc2688502866079303165eee054c05a97f0bbab5bc59d4d10"),
+    ("1,1,14", "8e71991961e328c7eb2ccd23c94550b5f902f2577b2a9aa63881f2b578459ed5"),
+    ("2,2,10", "ac7fd94d8c82ef79a47c23c16ec662f548b6c450609f5027ab7f6d5b097e1565"),
     ("3,3,20", "eb4fb2d8cc799e36ddd6d347ad72abeb569bfc3e387eed9897fa37e00e8c5e77"),
 ]
 

@@ -2,13 +2,15 @@
 
 import gc
 import math
+import tracemalloc
 import weakref
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qlease import qas
+from qlease import designs, qas
 from qlease.designs import EpsUniformMap, IndexedCliffordDesign, clifford_enumerate, irreducible_poly
 from qlease.qmath import (
     ATOL,
@@ -257,29 +259,51 @@ def test_trusted_results_pass_the_public_checks(params):
         assert mat.tobytes() == DensityOperator(mat).matrix.tobytes()
 
 
-def test_acceptance_by_index_equals_the_full_conjugate_expressions(scheme):
-    # reference: conjugate every element, then keep the trap-zero columns
+def _acceptance_by_index_reference(scheme, state):
+    # every element conjugated in full, then the trap-zero columns kept
     arr = scheme.design.elements()
+    step = 1 << scheme.trap_qubits
+    if isinstance(state, PureState):
+        v = np.einsum("nji,j->ni", arr.conj(), state.amplitudes)[:, ::step]
+        return np.einsum("ni,ni->n", v.conj(), v).real
+    a = arr[:, :, ::step]
+    return np.einsum("nji,jk,nki->n", a.conj(), state.matrix, a).real
+
+
+def test_acceptance_by_index_equals_the_full_conjugate_expressions(scheme):
     rng = spawn_rng(13)
     for _ in range(20):
         psi = random_pure_state(2, rng)
-        v = np.einsum("nji,j->ni", arr.conj(), psi.amplitudes)[:, ::2]
-        expect = np.einsum("ni,ni->n", v.conj(), v).real
-        assert np.array_equal(qas.acceptance_by_index(scheme, psi), expect)
+        by_index = qas.acceptance_by_index(scheme, psi)
+        assert np.array_equal(by_index, _acceptance_by_index_reference(scheme, psi))
+        # an 11,520-term mean rounds by about 1e-16
+        assert abs(qas.avg_design_accept(scheme, psi) - float(np.mean(by_index))) <= 1e-15
         rho = random_density(2, rng)
-        a = arr[:, :, ::2]
-        expect = np.einsum("nji,jk,nki->n", a.conj(), rho.matrix, a).real
-        assert np.array_equal(qas.acceptance_by_index(scheme, rho), expect)
+        reference = float(np.mean(_acceptance_by_index_reference(scheme, rho)))
+        assert abs(qas.avg_design_accept(scheme, rho) - reference) <= 1e-15
+
+
+def test_design_sum_is_the_identity_over_the_trap_dimension(scheme):
+    qas.avg_design_accept(scheme, maximally_mixed(2))
+    d = qas._KEY_SUMS[scheme.design][(1, 1)]
+    assert not d.flags.writeable
+    assert np.max(np.abs(d / scheme.design.cardinality - 2.0**-scheme.trap_qubits * np.eye(4))) <= 1e-15
 
 
 @pytest.mark.parametrize(
     "state,error",
-    [(zero_state(1), DimensionMismatchError), (maximally_mixed(3), DimensionMismatchError), (np.ones(4) / 2, TypeError)],
-    ids=["pure-one-qubit", "density-three-qubits", "array"],
+    [
+        (zero_state(1), DimensionMismatchError),
+        (maximally_mixed(3), DimensionMismatchError),
+        (np.ones(4) / 2, TypeError),
+        (maximally_mixed(2), TypeError),
+    ],
+    ids=["pure-one-qubit", "density-three-qubits", "array", "density"],
 )
 def test_acceptance_by_index_checks_the_state(scheme, state, error):
     # a pure state of the wrong size once reached einsum, whose
-    # broadcasting ValueError named no dimension
+    # broadcasting ValueError named no dimension; a density operator's
+    # design average is avg_design_accept
     with pytest.raises(error):
         qas.acceptance_by_index(scheme, state)
 
@@ -288,7 +312,7 @@ def test_wrong_key_design_average_exact(scheme):
     rng = spawn_rng(10)
     for _ in range(20):
         rho = random_density(2, rng)
-        avg = float(np.mean(qas.acceptance_by_index(scheme, rho)))
+        avg = qas.avg_design_accept(scheme, rho)
         assert abs(avg - 0.5) < 1e-9
         assert avg <= 2 * scheme.epsilon
 
@@ -311,12 +335,12 @@ def test_key_sum_operator_is_the_sum_over_keys(shape):
     for x in range(1 << scheme.key_bits):
         a = qas.auth_isometry(scheme, x)
         brute += a @ a.conj().T
-    m = qas._key_sum_operator(scheme)
-    assert np.max(np.abs(m - brute)) <= (1 << scheme.key_bits) * 1e-15
     rng = spawn_rng(14)
     for state in (random_pure_state(scheme.total_qubits, rng), random_density(scheme.total_qubits, rng)):
         by_key = math.fsum(qas.accept_probability(scheme, x, state) for x in range(1 << scheme.key_bits))
         assert abs(qas.summed_acceptance(scheme, state) - by_key) <= (1 << scheme.key_bits) * 1e-15
+    m = qas._KEY_SUMS[scheme.design][shape]
+    assert np.max(np.abs(m - brute)) <= (1 << scheme.key_bits) * 1e-15
 
 
 def test_exact_key_sums_refuse_too_many_indices_before_building_one(monkeypatch):
@@ -326,7 +350,35 @@ def test_exact_key_sums_refuse_too_many_indices_before_building_one(monkeypatch)
     monkeypatch.setattr(scheme.design, "element", built.append)
     with pytest.raises(ValueError, match="at most"):
         qas.avg_wrong_key_accept(scheme, maximally_mixed(6))
+    with pytest.raises(ValueError, match="at most"):
+        qas.avg_design_accept(scheme, maximally_mixed(6))
     assert built == []
+
+
+def _element_cache_bytes():
+    return sum(d._cache_bytes for d in designs._LIVE_DESIGNS)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(3, 6), st.data(), st.integers(15, 20))
+def test_exact_index_sums_refuse_before_allocating(qubits, data, key_bits):
+    # 2^k reached indices, or the whole group, exceed the cap: the count
+    # is checked before the 2^k preimage counts (8 MiB at k = 20) or any
+    # element exists
+    trap_qubits = data.draw(st.integers(1, qubits - 1))
+    scheme = qas.build_scheme(qubits - trap_qubits, trap_qubits, key_bits)
+    state = maximally_mixed(qubits)
+    for average in (qas.avg_wrong_key_accept, qas.avg_design_accept):
+        cached = _element_cache_bytes()
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="at most"):
+                average(scheme, state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert _element_cache_bytes() == cached
 
 
 def test_key_sum_cache_goes_with_its_design():
