@@ -156,17 +156,13 @@ def cmd_qas_verify(args) -> int:
     # correctness: verify(auth(.)) round trips; the corruption switch
     # desynchronizes the verification key to prove the check has teeth
     shift = 1 if args.inject_keymap_corruption else 0
-    worst = 0.0
-    decoded = np.empty((50, scheme.message_dim, scheme.message_dim), dtype=complex)
-    inputs = np.empty_like(decoded)
+    keys, states = np.empty(50, dtype=np.int64), []
     for i in range(50):
-        key = int(rng.integers(1 << scheme.key_bits))
-        state = random_density(scheme.message_qubits, rng)
-        vkey = (key + shift) % (1 << scheme.key_bits)
-        out = qas.verify(scheme, vkey, qas.auth(scheme, key, state))
-        worst = max(worst, abs(out.accept_probability - 1.0))
-        decoded[i], inputs[i] = out.message_state.matrix, state.matrix
-    worst = max(worst, float(np.max(trace_distance(decoded, inputs))))
+        keys[i] = rng.integers(1 << scheme.key_bits)
+        states.append(random_density(scheme.message_qubits, rng))
+    accept, decoded = qas.round_trips(scheme, keys, (keys + shift) % (1 << scheme.key_bits), states)
+    distances = trace_distance(decoded, np.stack([state.matrix for state in states]))
+    worst = max(float(np.max(np.abs(accept - 1.0))), float(np.max(distances)))
     checks.append(("correctness", worst, 1e-9, worst < 1e-9))
 
     # wrong-key averages

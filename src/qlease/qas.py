@@ -164,18 +164,70 @@ def adjoint_isometry(scheme: QasScheme, key: int) -> np.ndarray:
     return _auth_matrix(scheme, key).conj().T
 
 
+def _checked(state, dim: int) -> np.ndarray:
+    """``state``, checked to be a state of dimension ``dim``, as an array:
+    a pure state's amplitudes as a ``(dim, 1)`` column, a density matrix."""
+    if not isinstance(state, (PureState, DensityOperator)):
+        raise TypeError("expected PureState or DensityOperator")
+    if state.dim != dim:
+        raise DimensionMismatchError(f"state of dimension {state.dim} where {dim} is expected")
+    return state.amplitudes[:, None] if isinstance(state, PureState) else state.matrix
+
+
+def _encode(a: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``A m`` for columns, ``A m A†`` for density matrices, over stacked
+    isometries laid out as :func:`auth_isometry` lays out one."""
+    return a @ m if m.shape[-1] == 1 else a @ m @ a.conj().swapaxes(-1, -2)
+
+
+def _decode(adj: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(p, decoded)`` through stacked adjoints laid out as
+    :func:`adjoint_isometry` lays out one: ``b = A† e`` or ``A† e A``,
+    ``p = ||b||^2`` or ``Tr b`` clipped to [0, 1], and ``b b† / p`` or the
+    Hermitian part ``(b + b†) / (2p)``, or ``I / d`` below ``NEGLIGIBLE``."""
+    if e.shape[-1] == 1:
+        b = adj @ e
+        p, scale, herm = np.vecdot(b, b, axis=-2)[..., 0].real, 1.0, b * b.conj().swapaxes(-1, -2)
+    else:
+        b = adj @ e @ adj.conj().swapaxes(-1, -2)
+        p, scale, herm = np.trace(b, axis1=-2, axis2=-1).real, 2.0, b + b.conj().swapaxes(-1, -2)
+    p = np.clip(p, 0.0, 1.0)
+    ok = (p >= NEGLIGIBLE)[..., None, None]
+    d = b.shape[-2]
+    return p, np.where(ok, herm / (scale * np.where(ok, p[..., None, None], 1.0)), np.eye(d) / d)
+
+
+def _conj_columns(scheme: QasScheme, keys: np.ndarray) -> np.ndarray:
+    """``conj(A_key)`` for an array of keys, C-contiguous: its ``conj()``
+    and ``swapaxes(-1, -2)`` stack :func:`auth_isometry` and
+    :func:`adjoint_isometry` in their layouts."""
+    if np.any((keys < 0) | (keys >= 1 << scheme.key_bits)):
+        raise ValueError("key outside the key space")
+    if isinstance(scheme.design, EnumeratedDesign):
+        return _trap_zero_columns_conj(scheme.design, 1 << scheme.trap_qubits)[keys % scheme.design.cardinality]
+    cols = np.stack([_auth_matrix(scheme, key) for key in keys.ravel().tolist()])
+    return cols.conj().reshape(keys.shape + cols.shape[1:])
+
+
+def round_trips(scheme: QasScheme, auth_keys, verify_keys, messages) -> tuple[np.ndarray, np.ndarray]:
+    """Unsampled ``Verify(Auth(message))`` for messages all pure or all
+    density operators, with key arrays that broadcast against the message
+    axis: the acceptances and decoded density matrices (:func:`_decode`).
+    The one encode/decode route; :func:`auth` and :func:`verify` are its
+    one-key case, with the same bits."""
+    if len({isinstance(s, PureState) for s in messages}) > 1:
+        raise TypeError("messages are all PureState or all DensityOperator")
+    m = np.stack([_checked(s, scheme.message_dim) for s in messages])
+    encoded = _encode(_conj_columns(scheme, np.asarray(auth_keys)).conj(), m)
+    return _decode(_conj_columns(scheme, np.asarray(verify_keys)).swapaxes(-1, -2), encoded)
+
+
 def auth(scheme: QasScheme, key: int, state):
     """Authenticate a message state: ``A psi`` for a pure state, ``A rho A†``
     for a density operator, with ``A`` from :func:`auth_isometry`.  Both
     are states by construction and are not re-checked."""
-    a = auth_isometry(scheme, key)
-    if not isinstance(state, (PureState, DensityOperator)):
-        raise TypeError("expected PureState or DensityOperator")
-    if state.dim != scheme.message_dim:
-        raise DimensionMismatchError("state is not on the message space")
-    if isinstance(state, PureState):
-        return PureState._trusted(a @ state.amplitudes)
-    return DensityOperator._trusted(a @ state.matrix @ a.conj().T)
+    encoded = _encode(auth_isometry(scheme, key), _checked(state, scheme.message_dim))
+    return PureState._trusted(encoded) if isinstance(state, PureState) else DensityOperator._trusted(encoded)
 
 
 # ---------------------------------------------------------------------------
@@ -198,27 +250,14 @@ class VerifyOutcome:
     accept_probability: float
 
 
-def _on_y(scheme: QasScheme, state):
-    """``state``, checked to be a state on the authenticated space."""
-    if not isinstance(state, (PureState, DensityOperator)):
-        raise TypeError("expected PureState or DensityOperator")
-    if state.dim != scheme.total_dim:
-        raise DimensionMismatchError("state is not on the authenticated space")
-    return state
-
-
 def accept_probability(scheme: QasScheme, key: int, state) -> float:
     """Probability that verification with this key accepts the state,
     ``||A† psi||^2`` or ``Tr(A† rho A)`` (:func:`~qlease.qmath.accept_branch`)."""
-    return accept_branch(_on_y(scheme, state), adjoint_isometry(scheme, key))[0]
+    _checked(state, scheme.total_dim)
+    return accept_branch(state, adjoint_isometry(scheme, key))[0]
 
 
-def verify(
-    scheme: QasScheme,
-    key: int,
-    state,
-    rng: np.random.Generator | None = None,
-) -> VerifyOutcome:
+def verify(scheme: QasScheme, key: int, state, rng: np.random.Generator | None = None) -> VerifyOutcome:
     """The verification channel.
 
     Implements ``rho -> A† rho A (x) |Acc><Acc|
@@ -226,26 +265,14 @@ def verify(
     accept/reject branch is sampled at its analytic probability (by
     :func:`~qlease.qmath.draw_outcome`, the rule of every sampled bit)
     and the corresponding normalized branch returned; without one the
-    outcome stays unsampled (``accepted=None``) and the accept-branch
-    decode is reported alongside the exact probability, unless that
-    probability is below :data:`~qlease.qmath.NEGLIGIBLE`.
-
-    The accept branch is :func:`~qlease.qmath.accept_branch` through
-    ``A†`` (:func:`adjoint_isometry`).  A pure state's ``b = A† psi``
-    decodes as ``outer(b, conj(b)) / p``, exactly Hermitian and rank one
-    at any ``p``; a density operator's ``b = A† rho A`` as its Hermitian
-    part ``(b + b†) / (2p)``, since dividing by ``p`` rounds each entry by
-    about ``d * 2.2e-16 / p``.  The state is validated where
-    it was built, the decoded branch is not re-checked, and the maximally
-    mixed state is built only when it is returned.
+    outcome stays unsampled (``accepted=None``).  The decode is that of
+    :func:`round_trips` through :func:`adjoint_isometry`; the maximally
+    mixed state is built only when a sampled rejection returns it.
     """
-    p, b = accept_branch(_on_y(scheme, state), adjoint_isometry(scheme, key))
-    p = min(max(p, 0.0), 1.0)
-    accepted = None if rng is None else bool(draw_outcome(p, rng))
-    if accepted or (accepted is None and p >= NEGLIGIBLE):
-        decoded = np.outer(b, b.conj()) / p if b.ndim == 1 else (b + b.conj().T) / (2 * p)
-        return VerifyOutcome(accepted, DensityOperator._trusted(decoded), p)
-    return VerifyOutcome(accepted, maximally_mixed(scheme.message_qubits), p)
+    p, decoded = _decode(adjoint_isometry(scheme, key), _checked(state, scheme.total_dim))
+    accepted = None if rng is None else bool(draw_outcome(float(p), rng))
+    message = maximally_mixed(scheme.message_qubits) if accepted is False else DensityOperator._trusted(decoded)
+    return VerifyOutcome(accepted, message, float(p))
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +295,7 @@ def acceptance_by_index(scheme: QasScheme, state: PureState) -> np.ndarray:
     and trap count.  It serves values not linear in acceptance, such as the
     reusability damage ``sum_j w_j sqrt(a_j (1 - a_j))``; a linear value is
     one trace (:func:`summed_acceptance`, :func:`avg_design_accept`)."""
-    if isinstance(_on_y(scheme, state), DensityOperator):
+    if _checked(state, scheme.total_dim).shape[-1] != 1:
         raise TypeError("per-index acceptance takes a pure state")
     design = scheme.design
     if not isinstance(design, EnumeratedDesign):
@@ -289,7 +316,7 @@ def _index_sum(scheme: QasScheme, state, over_keys: bool) -> float:
     indices the keys reach, at their preimage counts) or the design sum
     ``D`` (every index once).  ``S`` is built once per design and shape,
     read-only; the index count is checked before anything is allocated."""
-    state = _on_y(scheme, state)
+    _checked(state, scheme.total_dim)
     design = scheme.design
     n = min(1 << scheme.key_bits, design.cardinality) if over_keys else design.cardinality
     if n > MAX_EXACT_INDICES:

@@ -9,9 +9,11 @@ byte-compares the serialized results.
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from qlease import suite
+from qlease.qmath import haar_unitary, spawn_rng
 
 SEED = 0
 TRIALS = 10000
@@ -97,6 +99,26 @@ def test_exact_criteria_report_is_pinned(seed):
 @pytest.mark.parametrize("seed", [1, 4])
 def test_trace_distance_orthogonal_measured_is_pinned(seed):
     assert suite.c07_trace_distance_orthogonal(seed).measured == 1.0658141036401503e-14
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_flagged_blocks_are_the_kron_sums(seed):
+    # each flag (x) block term is one broadcast product, added in flag
+    # order: bit for bit the sum of np.kron terms, from the same draws
+    sizes, blocks, lhs = suite._flagged_blocks(spawn_rng(seed, 7))
+    rng = spawn_rng(seed, 7)
+    expected = np.zeros_like(lhs)
+    for i in range(100):
+        j = int(rng.integers(2, 5))
+        assert sizes[i] == j
+        basis = haar_unitary(4, rng)[:, :j]
+        for jj in range(j):
+            flag = np.outer(basis[:, jj], basis[:, jj].conj())
+            for side in (0, 1):
+                g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+                assert np.array_equal(blocks[side, i, jj], g @ g.conj().T / 4)
+                expected[side, i] += np.kron(flag, blocks[side, i, jj])
+    assert np.array_equal(lhs, expected)
 
 
 @pytest.mark.parametrize("name", CRITERIA)

@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from qlease.cli import EXIT_OK, main
+from qlease.cli import EXIT_FAIL, EXIT_OK, main
 
 TRIALS = "200"
 SEED = "11"
@@ -186,11 +186,13 @@ def test_same_seed_csv_is_pinned(tmp_path, argv, sha256):
 
 #: The ``qas-verify`` report at seed 1: the exact design average (2-qubit
 #: design), the exact key average (up to MAX_EXACT_INDICES reached indices)
-#: and the 500-key estimate above it (3,3,20).
+#: and the 500-key estimate above it (3,3,20); 3,3,6 round-trips through
+#: 64x8 isometries of an indexed design.
 PINNED_QAS_VERIFY = [
     ("1,1,14", "8e71991961e328c7eb2ccd23c94550b5f902f2577b2a9aa63881f2b578459ed5"),
     ("2,2,10", "ac7fd94d8c82ef79a47c23c16ec662f548b6c450609f5027ab7f6d5b097e1565"),
     ("3,3,20", "eb4fb2d8cc799e36ddd6d347ad72abeb569bfc3e387eed9897fa37e00e8c5e77"),
+    ("3,3,6", "05531e875366c3e6824962e3ed83d498d18ab7356ac415aa7d938b003d1337f0"),
 ]
 
 
@@ -200,3 +202,16 @@ def test_same_seed_qas_verify_is_pinned(tmp_path, scheme, sha256):
     rc = main(["qas-verify", "--scheme", scheme, "--seed", "1", "--out", str(out)])
     assert rc == EXIT_OK
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
+def test_same_seed_corrupted_qas_verify_is_pinned(tmp_path):
+    """The desynchronised verification key at seed 1: two of the 50
+    round trips accept with probability exactly 0, so the run takes the
+    maximally mixed branch of the decode (``tests/test_qas.py`` checks
+    its bits)."""
+    out = tmp_path / "qas-verify.json"
+    rc = main(["qas-verify", "--scheme", "1,1,14", "--seed", "1", "--inject-keymap-corruption", "--out", str(out)])
+    assert rc == EXIT_FAIL
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "269b83be66fc4c75fd25c51d489edaf07a94887a6510fc65d3d3de0b67a03705"
+    )

@@ -16,6 +16,7 @@ from qlease.qmath import (
     ATOL,
     DensityOperator,
     DimensionMismatchError,
+    NEGLIGIBLE,
     PureState,
     accept_branch,
     maximally_mixed,
@@ -257,6 +258,63 @@ def test_trusted_results_pass_the_public_checks(params):
     for mat in results:
         assert mat.flags.c_contiguous and not mat.flags.writeable
         assert mat.tobytes() == DensityOperator(mat).matrix.tobytes()
+
+
+def _per_pair_round_trip(scheme, auth_key, verify_key, state):
+    # one round trip by the per-pair arithmetic: a @ v or a @ rho @ a†,
+    # then b = A† e or A† e A, p = vdot(b, b) or Tr b clipped to [0, 1],
+    # decoded as outer(b, conj(b)) / p or (b + b†) / (2p), or I / d where
+    # p is below NEGLIGIBLE
+    a, adj = qas.auth_isometry(scheme, auth_key), qas.adjoint_isometry(scheme, verify_key)
+    if isinstance(state, PureState):
+        b = adj @ (a @ state.amplitudes)
+        p = min(max(float(np.vdot(b, b).real), 0.0), 1.0)
+        decoded = np.outer(b, b.conj()) / p if p >= NEGLIGIBLE else None
+    else:
+        b = adj @ (a @ state.matrix @ a.conj().T) @ adj.conj().T
+        p = min(max(float(b.trace().real), 0.0), 1.0)
+        decoded = (b + b.conj().T) / (2 * p) if p >= NEGLIGIBLE else None
+    d = scheme.message_dim
+    return p, np.eye(d) / d if decoded is None else decoded
+
+
+@pytest.mark.parametrize("maker", [random_pure_state, random_density], ids=["pure", "density"])
+@pytest.mark.parametrize("params", [(1, 1, 14), (1, 2, 14), (3, 3, 6)], ids=str)
+def test_round_trips_are_the_per_pair_arithmetic(params, maker):
+    # 40 keys broadcast as (40, 1) against 5 messages, and the first 5 keys
+    # zipped with them, verified with the same keys and with the next key
+    # (at 1,1,14 and 1,2,14 some of those accept with probability exactly 0)
+    scheme = qas.build_scheme(*params)
+    rng = spawn_rng(27, *params)
+    keys = rng.integers(1 << scheme.key_bits, size=40)
+    states = [maker(scheme.message_qubits, rng) for _ in range(5)]
+    zeros = 0
+    for verify_keys in (keys, (keys + 1) % (1 << scheme.key_bits)):
+        with np.errstate(all="raise"):
+            broadcast = qas.round_trips(scheme, keys[:, None], verify_keys[:, None], states)
+            zipped = qas.round_trips(scheme, keys[:5], verify_keys[:5], states)
+        assert broadcast[0].shape == (40, 5) and zipped[0].shape == (5,)
+        cases = [(broadcast, (i, j), i, j) for i in range(40) for j in range(5)]
+        cases += [(zipped, (j,), j, j) for j in range(5)]
+        for (accept, decoded), at, i, j in cases:
+            p, expected = _per_pair_round_trip(scheme, int(keys[i]), int(verify_keys[i]), states[j])
+            assert accept[at] == p
+            assert np.array_equal(decoded[at], expected)
+            zeros += p == 0.0
+    assert zeros > 0 or params == (3, 3, 6)
+
+
+def test_round_trips_take_one_kind_of_message(scheme):
+    rng = spawn_rng(28)
+    mixed = [random_pure_state(1, rng), random_density(1, rng)]
+    with pytest.raises(TypeError):
+        qas.round_trips(scheme, 3, 3, mixed)
+    with pytest.raises(TypeError):
+        qas.round_trips(scheme, 3, 3, [np.array([1.0, 0.0])])
+    with pytest.raises(DimensionMismatchError):
+        qas.round_trips(scheme, 3, 3, [zero_state(2)])
+    with pytest.raises(ValueError):
+        qas.round_trips(scheme, 1 << 14, 3, mixed[:1])
 
 
 def _acceptance_by_index_reference(scheme, state):
