@@ -18,7 +18,7 @@ and acts on the program register exactly as this measurement, so the
 measurement is what runs: the same bits and post-states without a
 circuit on a register four times the program's size.
 :func:`evaluate_preserving` hands the program back
-(:func:`~qlease.qmath.collapse`), exactly intact on the encoded point;
+(:func:`~qlease.qmath.measure_and_collapse`), exactly intact on the encoded point;
 :func:`evaluate` consumes it and builds no post-state.
 
 :func:`mix_protect` wraps a program with a pairwise independent
@@ -43,7 +43,7 @@ from .qmath import (
     DensityOperator,
     DimensionMismatchError,
     PureState,
-    collapse,
+    measure_and_collapse,
     measure_projective,
     zero_state,
 )
@@ -246,10 +246,14 @@ def evaluate_preserving(
     program: ProtectedProgram, x: int, rng: np.random.Generator
 ) -> tuple[int, ProtectedProgram]:
     """Program-preserving evaluation: the bit of :func:`evaluate` (the same
-    draw), with a fresh program holding the post-measurement state.  On
-    the encoded point the state comes back exactly unchanged."""
-    outcome = evaluate(program, x, rng)
-    post = collapse(program.state, adjoint_isometry(program.scheme, program._key(x)), outcome)
+    draw), with a fresh program holding the post-measurement state, both
+    from one :func:`~qlease.qmath.measure_and_collapse`.  On the encoded
+    point the state comes back exactly unchanged."""
+    if program.consumed:
+        raise ConsumedProgramError("program was already consumed")
+    accept = adjoint_isometry(program.scheme, program._key(x))
+    outcome, post = measure_and_collapse(program.state, accept, rng)
+    program.consumed = True
     return outcome, replace(program, state=post, consumed=False)
 
 

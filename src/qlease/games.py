@@ -9,7 +9,12 @@ verification is honest Bob on the returned register, and the lessee
 answers the challenge from the kept register as Charlie.  Both forms run
 through one trial loop, whose draws come in a fixed order: the point, the
 pirate's split, Bob's challenge, Charlie's challenge, Bob's measurement,
-then Charlie's answer; a trial is won iff both answers are right.
+then Charlie's answer; a trial is won iff both answers are right.  The
+loop runs blocks of trials in two phases: each trial's draws, where an
+honest measurement draws only its uniform, then every outcome of the
+block from one stacked computation of acceptances.  Since a trial's
+measurements are its last draws, one uniform each, the bits are those of
+measuring in turn; memory is O(block).
 
 Each party holds its own register: a pirate's ``split`` returns Bob's
 state and Charlie's state, and each party measures its whole register
@@ -41,6 +46,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import itertools
 from dataclasses import asdict, dataclass, field, fields, replace
 from fractions import Fraction
 from pathlib import Path
@@ -57,14 +63,16 @@ from .copyprotect import (
     protect,
 )
 from .leasing import SslScheme
-from .qas import QasScheme, adjoint_isometry
+from .qas import QasScheme, acceptances, adjoint_isometry
 from .qmath import (
+    SPAWN_BLOCK,
     DensityOperator,
     DimensionMismatchError,
     PureState,
-    collapse,
     maximally_mixed,
+    measure_and_collapse,
     measure_projective,
+    outcome_at,
     spawn_rngs,
     zero_state,
 )
@@ -199,9 +207,7 @@ class KeysearchPirate:
         and the key found (None if the search came up empty)."""
         state = program_state
         for key in self._candidates(point, rng):
-            accept = adjoint_isometry(self.scheme, key)
-            outcome = measure_projective(state, accept, rng)
-            state = collapse(state, accept, outcome)
+            outcome, state = measure_and_collapse(state, adjoint_isometry(self.scheme, key), rng)
             if outcome == 1:
                 return state, None, key
         return state, None, None
@@ -365,13 +371,23 @@ def _play(spec: GameSpec, pirate, charlie: MeasurementStrategy, trials: int, see
     trial, also when Bob is already wrong; since each trial has its own
     generator, skipping Charlie then would change no report.
 
-    Bob measures ``A_x†`` (:func:`~qlease.qas.adjoint_isometry`), read
-    from the scheme's design; the run keeps no cache of its own beyond
-    each point's program and distributions.
+    Trials run in blocks of :data:`~qlease.qmath.SPAWN_BLOCK`, in two
+    phases.  First each trial draws on its own generator, in the order
+    above; an honest measurement (Bob's, and Charlie's when he is exactly
+    :class:`HonestEvalStrategy` on the game's scheme) draws only its
+    uniform, and any other Charlie answers at once.  Then :func:`~qlease.qmath.outcome_at`
+    decides every outcome of the block at those uniforms, from the
+    acceptance of each distinct (register, design index) pair, all in one
+    stacked product (:func:`~qlease.qas.acceptances`).  The bits are
+    those of measuring in turn, since a trial's measurements are its last
+    draws and each consumes one uniform.  Memory is O(block): a block
+    keeps its registers, by ``id``, until its outcomes are decided, and
+    the run caches only each point's program and distributions.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     scheme = spec.scheme
+    honest = type(charlie) is HonestEvalStrategy and charlie.scheme == scheme
 
     @functools.cache
     def at_point(p: int):
@@ -379,15 +395,27 @@ def _play(spec: GameSpec, pirate, charlie: MeasurementStrategy, trials: int, see
         return program, PointFunction(p, scheme.key_bits), spec.bob_family(p), spec.charlie_family(p)
 
     wins = 0
-    for rng in spawn_rngs(seed, trials):
-        p = spec.circuit_dist.sample(rng)
-        psi, pf, bob_dist, charlie_dist = at_point(p)
-        bob, charlie_state, side = pirate.split(psi, p, rng)
-        x1, x2 = bob_dist.sample(rng), charlie_dist.sample(rng)
-        b1 = measure_projective(bob, adjoint_isometry(scheme, x1), rng)
-        b2 = charlie.answer(charlie_state, x2, side, rng)
-        if b1 == pf(x1) and b2 == pf(x2):
-            wins += 1
+    rngs = spawn_rngs(seed, trials)
+    for _ in range(0, trials, SPAWN_BLOCK):
+        pairs = {}  # (register id, design index) -> (pair number, register, key)
+        asked = []  # per honest measurement: its pair, its uniform, the right bit
+        charlie_right = []
+        for rng in itertools.islice(rngs, SPAWN_BLOCK):
+            p = spec.circuit_dist.sample(rng)
+            psi, pf, bob_dist, charlie_dist = at_point(p)
+            bob, charlie_state, side = pirate.split(psi, p, rng)
+            x1, x2 = bob_dist.sample(rng), charlie_dist.sample(rng)
+            for state, x in ((bob, x1), (charlie_state, x2))[: 1 + honest]:
+                pair = pairs.setdefault((id(state), scheme.key_index(x)), (len(pairs), state, x))
+                asked.append((pair[0], rng.random(), pf(x)))
+            if not honest:
+                charlie_right.append(charlie.answer(charlie_state, x2, side, rng) == pf(x2))
+        _, states, keys = zip(*pairs.values())
+        which, u, right = (np.array(column) for column in zip(*asked))
+        correct = outcome_at(acceptances(scheme, keys, states)[which], u) == right
+        # a trial's measurements are Bob's, then Charlie's when he is honest
+        won = correct.reshape(-1, 2).all(axis=1) if honest else correct & np.array(charlie_right)
+        wins += int(np.count_nonzero(won))
     return wins
 
 

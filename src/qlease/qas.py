@@ -180,17 +180,25 @@ def _encode(a: np.ndarray, m: np.ndarray) -> np.ndarray:
     return a @ m if m.shape[-1] == 1 else a @ m @ a.conj().swapaxes(-1, -2)
 
 
+def _branches(adj: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(b, p)`` through stacked adjoints: ``b = A† e`` and ``p = ||b||^2``
+    for columns, ``b = A† e A`` and ``p = Tr b`` for density matrices,
+    unclipped, with :func:`~qlease.qmath.accept_branch`'s bits per pair."""
+    if e.shape[-1] == 1:
+        b = adj @ e
+        return b, np.vecdot(b, b, axis=-2)[..., 0].real
+    b = adj @ e @ adj.conj().swapaxes(-1, -2)
+    return b, np.trace(b, axis1=-2, axis2=-1).real
+
+
 def _decode(adj: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(p, decoded)`` through stacked adjoints laid out as
     :func:`adjoint_isometry` lays out one: ``b = A† e`` or ``A† e A``,
     ``p = ||b||^2`` or ``Tr b`` clipped to [0, 1], and ``b b† / p`` or the
     Hermitian part ``(b + b†) / (2p)``, or ``I / d`` below ``NEGLIGIBLE``."""
-    if e.shape[-1] == 1:
-        b = adj @ e
-        p, scale, herm = np.vecdot(b, b, axis=-2)[..., 0].real, 1.0, b * b.conj().swapaxes(-1, -2)
-    else:
-        b = adj @ e @ adj.conj().swapaxes(-1, -2)
-        p, scale, herm = np.trace(b, axis1=-2, axis2=-1).real, 2.0, b + b.conj().swapaxes(-1, -2)
+    b, p = _branches(adj, e)
+    bh = b.conj().swapaxes(-1, -2)
+    scale, herm = (1.0, b * bh) if e.shape[-1] == 1 else (2.0, b + bh)
     p = np.clip(p, 0.0, 1.0)
     ok = (p >= NEGLIGIBLE)[..., None, None]
     d = b.shape[-2]
@@ -205,8 +213,10 @@ def _conj_columns(scheme: QasScheme, keys: np.ndarray) -> np.ndarray:
         raise ValueError("key outside the key space")
     if isinstance(scheme.design, EnumeratedDesign):
         return _trap_zero_columns_conj(scheme.design, 1 << scheme.trap_qubits)[keys % scheme.design.cardinality]
-    cols = np.stack([_auth_matrix(scheme, key) for key in keys.ravel().tolist()])
-    return cols.conj().reshape(keys.shape + cols.shape[1:])
+    # one element per distinct key, its own index while 2^k <= |B|
+    distinct, inverse = np.unique(keys.ravel(), return_inverse=True)
+    cols = np.stack([_auth_matrix(scheme, key) for key in distinct.tolist()]).conj()
+    return cols[inverse.reshape(keys.shape)]
 
 
 def round_trips(scheme: QasScheme, auth_keys, verify_keys, messages) -> tuple[np.ndarray, np.ndarray]:
@@ -218,8 +228,9 @@ def round_trips(scheme: QasScheme, auth_keys, verify_keys, messages) -> tuple[np
     if len({isinstance(s, PureState) for s in messages}) > 1:
         raise TypeError("messages are all PureState or all DensityOperator")
     m = np.stack([_checked(s, scheme.message_dim) for s in messages])
-    encoded = _encode(_conj_columns(scheme, np.asarray(auth_keys)).conj(), m)
-    return _decode(_conj_columns(scheme, np.asarray(verify_keys)).swapaxes(-1, -2), encoded)
+    auth_cols = _conj_columns(scheme, np.asarray(auth_keys))
+    verify_cols = auth_cols if verify_keys is auth_keys else _conj_columns(scheme, np.asarray(verify_keys))
+    return _decode(verify_cols.swapaxes(-1, -2), _encode(auth_cols.conj(), m))
 
 
 def auth(scheme: QasScheme, key: int, state):
@@ -255,6 +266,20 @@ def accept_probability(scheme: QasScheme, key: int, state) -> float:
     ``||A† psi||^2`` or ``Tr(A† rho A)`` (:func:`~qlease.qmath.accept_branch`)."""
     _checked(state, scheme.total_dim)
     return accept_branch(state, adjoint_isometry(scheme, key))[0]
+
+
+def acceptances(scheme: QasScheme, keys, states) -> np.ndarray:
+    """The acceptance of verification with ``keys[i]`` on ``states[i]``,
+    pure and density states alike: :func:`accept_probability`'s bits,
+    from one stacked product per kind of state."""
+    keys = np.asarray(keys)
+    p = np.empty(len(states))
+    pure = np.array([isinstance(s, PureState) for s in states], dtype=bool)
+    for kind in (pure, ~pure):
+        if kind.any():
+            e = np.stack([_checked(s, scheme.total_dim) for s, k in zip(states, kind) if k])
+            p[kind] = _branches(_conj_columns(scheme, keys[kind]).swapaxes(-1, -2), e)[1]
+    return p
 
 
 def verify(scheme: QasScheme, key: int, state, rng: np.random.Generator | None = None) -> VerifyOutcome:

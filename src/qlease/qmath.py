@@ -19,12 +19,16 @@ Results that are states by construction, the outer product of
 :meth:`PureState.density` and the post-states of :func:`collapse` (built
 only where a caller keeps the register), are not re-checked either (no
 eigenvalue decomposition, no norm).  Every sampled bit comes from one
-rule, :func:`draw_outcome`: ``Generator.choice``'s arithmetic without
-its re-checks.  The same holds for the authentication scheme's results
-in ``qas``: its encoding isometry (a read-only array, columns of a
-design unitary, never a container), the encoded states of ``auth`` and
-the renormalized accept branch that ``verify`` returns.  The public
-constructors keep every check.
+rule, :func:`outcome_at`: ``Generator.choice``'s arithmetic without its
+re-checks, at a given uniform, on floats and elementwise on arrays alike.
+:func:`draw_outcome` is the rule at one ``rng.random()``; a game decides
+a block of trials' outcomes at uniforms its trials drew earlier.
+:func:`measure_and_collapse` takes one branch for both the outcome and
+the post-state, whose arithmetic :func:`collapse` shares.  The same holds
+for the authentication scheme's results in ``qas``: its encoding isometry
+(a read-only array, columns of a design unitary, never a container), the
+encoded states of ``auth`` and the renormalized accept branch that
+``verify`` returns.  The public constructors keep every check.
 
 Memory
 ------
@@ -409,7 +413,10 @@ def accept_branch(state, accept: np.ndarray) -> tuple[float, np.ndarray]:
     branch ``b = V† psi`` (pure) or ``b = V† rho V`` (density) in ``V``'s
     domain, and its weight ``p1 = ||b||^2`` or ``Tr(b)``, the probability
     that the state lies in the range of ``V``.  With a key's encoding
-    isometry as ``V``, ``p1`` is the acceptance of verification with it."""
+    isometry as ``V``, ``p1`` is the acceptance of verification with it.
+    ``accept`` must act on all of the state's qubits."""
+    if accept.ndim != 2 or accept.shape[1] != state.dim:
+        raise DimensionMismatchError("measurement register does not match the state")
     if isinstance(state, PureState):
         b = accept @ state.amplitudes
         return float(np.vdot(b, b).real), b
@@ -417,19 +424,24 @@ def accept_branch(state, accept: np.ndarray) -> tuple[float, np.ndarray]:
     return float(b.trace().real), b
 
 
-def draw_outcome(p1: float, rng: np.random.Generator) -> int:
-    """The outcome of a two-outcome measurement whose outcome 1 has
-    probability ``p1``: ``rng.choice(2, p=probs)`` without its checks of
-    ``probs``, where ``probs`` is ``[1 - p1, p1]`` with entries below
-    :data:`NEGLIGIBLE` set to 0, renormalized.  The same arithmetic on the
-    same single ``rng.random()`` draw, so the outcome and the generator's
-    state afterwards are those of ``Generator.choice``."""
+def outcome_at(p1, u):
+    """The outcome, at the uniform ``u`` of ``rng.random()``, of
+    ``rng.choice(2, p=probs)`` without its checks (elementwise on arrays),
+    for ``probs = [1 - p1, p1]`` with entries below :data:`NEGLIGIBLE` set
+    to 0 (by a mask: a negative one becomes -0.0, which compares as 0.0
+    does) and renormalized."""
     p0 = 1.0 - p1
-    k0 = 0.0 if p0 < NEGLIGIBLE else p0
-    k1 = 0.0 if p1 < NEGLIGIBLE else p1
+    k0 = p0 * (p0 >= NEGLIGIBLE)
+    k1 = p1 * (p1 >= NEGLIGIBLE)
     total = k0 + k1
     q0, q1 = k0 / total, k1 / total
-    return int(q0 / (q0 + q1) <= rng.random())
+    return q0 / (q0 + q1) <= u
+
+
+def draw_outcome(p1: float, rng: np.random.Generator) -> int:
+    """:func:`outcome_at` at one ``rng.random()`` draw, so the outcome and
+    the generator's state afterwards are those of ``Generator.choice``."""
+    return int(outcome_at(p1, rng.random()))
 
 
 def measure_projective(state, accept: np.ndarray, rng: np.random.Generator) -> int:
@@ -438,17 +450,11 @@ def measure_projective(state, accept: np.ndarray, rng: np.random.Generator) -> i
     all of the state's qubits): the outcome that :func:`draw_outcome`
     draws at the acceptance ``p1`` of :func:`accept_branch`.  Outcome 1 is
     the range of ``V``.  No post-state is built (see :func:`collapse`)."""
-    if accept.ndim != 2 or accept.shape[1] != state.dim:
-        raise DimensionMismatchError("measurement register does not match the state")
     return draw_outcome(accept_branch(state, accept)[0], rng)
 
 
-def collapse(state, accept: np.ndarray, outcome: int):
-    """The post-state of :func:`measure_projective` for a possible
-    ``outcome``: the branch divided by its norm or trace; pure states stay
-    pure.  A density branch is kept as its Hermitian part, since dividing
-    by a weight ``p`` rounds each entry by about ``d * 2.2e-16 / p``."""
-    p1, inner = accept_branch(state, accept)
+def _post_state(state, accept: np.ndarray, outcome: int, p1: float, inner: np.ndarray):
+    """:func:`collapse` from the branch ``(p1, inner)`` already taken."""
     if isinstance(state, PureState):
         # V V† psi, conjugating vectors rather than the matrix
         branch = (inner.conj() @ accept).conj()
@@ -464,6 +470,22 @@ def collapse(state, accept: np.ndarray, outcome: int):
         m = q @ state.matrix @ q
         m = m / m.trace().real
     return DensityOperator._trusted((m + m.conj().T) / 2)
+
+
+def collapse(state, accept: np.ndarray, outcome: int):
+    """The post-state of :func:`measure_projective` for a possible
+    ``outcome``: the branch divided by its norm or trace; pure states stay
+    pure.  A density branch is kept as its Hermitian part, since dividing
+    by a weight ``p`` rounds each entry by about ``d * 2.2e-16 / p``."""
+    return _post_state(state, accept, outcome, *accept_branch(state, accept))
+
+
+def measure_and_collapse(state, accept: np.ndarray, rng: np.random.Generator):
+    """``(outcome, post)``: :func:`measure_projective`'s outcome and
+    :func:`collapse`'s post-state of it, from one :func:`accept_branch`."""
+    p1, inner = accept_branch(state, accept)
+    outcome = draw_outcome(p1, rng)
+    return outcome, _post_state(state, accept, outcome, p1, inner)
 
 
 def apply_channel(ch: KrausChannel, state: DensityOperator):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from qlease import copyprotect as cp
-from qlease import designs, games, qas
+from qlease import designs, games, qas, qmath
 from qlease.games import (
     FixedAnswer,
     HonestEvalStrategy,
@@ -49,6 +49,7 @@ from qlease.qmath import (
     maximally_mixed,
     measure_projective,
     spawn_rng,
+    spawn_rngs,
     zero_state,
 )
 
@@ -350,6 +351,79 @@ def test_six_qubit_game_memory_is_bounded(game, adversary):
         tracemalloc.stop()
     assert rep.trials == 20
     assert peak < 64 << 20
+
+
+def _scalar_trial_wins(spec, pirate, charlie, trials, seed) -> list[bool]:
+    """The trial loop measuring in turn, one trial at a time, as the harness
+    ran before it decided a block's outcomes at once: whether each trial
+    is won."""
+    scheme = spec.scheme
+    won = []
+    for rng in spawn_rngs(seed, trials):
+        p = spec.circuit_dist.sample(rng)
+        pf = cp.PointFunction(p, scheme.key_bits)
+        bob, charlie_state, side = pirate.split(cp.protect(scheme, p).state, p, rng)
+        x1, x2 = spec.bob_family(p).sample(rng), spec.charlie_family(p).sample(rng)
+        b1 = measure_projective(bob, qas.adjoint_isometry(scheme, x1), rng)
+        b2 = charlie.answer(charlie_state, x2, side, rng)
+        won.append(b1 == pf(x1) and b2 == pf(x2))
+    return won
+
+
+class _SometimesOwnKey(HonestEvalStrategy):
+    """Evaluates honestly, half the time at a key of his own drawing: a
+    Charlie who draws from his generator before and in his measurement."""
+
+    def answer(self, state, x, side, rng) -> int:
+        key = x if rng.random() < 0.5 else int(rng.integers(1 << self.scheme.key_bits))
+        return measure_projective(state, qas.adjoint_isometry(self.scheme, key), rng)
+
+
+def _every_adversary(scheme):
+    ssl = SslScheme(scheme, 0.75)
+    spec = default_cp_spec(scheme)
+    leasing = leasing_spec(ssl, spec.circuit_dist, spec.charlie_family)
+    yield spec, trivial_forward(scheme)
+    yield spec, give_to_charlie(scheme)
+    yield spec, (give_to_charlie(scheme)[0], _SometimesOwnKey(scheme))
+    yield leasing, honest_return(ssl)
+    yield leasing, keep_program(ssl)
+    for budget in (1, 4, 16, 64):
+        yield spec, keysearch_adversary(scheme, budget)
+
+
+@pytest.mark.parametrize("params", [(1, 1, 6), (2, 1, 6), (3, 3, 6)], ids=str)
+def test_blocks_win_the_trials_of_the_scalar_loop(params):
+    # every zoo split, keysearch budget and a Charlie who draws, at trial
+    # counts within, at and across the block edges: the wins of measuring
+    # in turn (trial i's generator does not depend on the trial count)
+    scheme = qas.build_scheme(*params)
+    block = qmath.SPAWN_BLOCK
+    for spec, adversary in _every_adversary(scheme):
+        won = _scalar_trial_wins(spec, *adversary, 600, seed=62)
+        for trials in (1, block - 1, block, block + 1, 600):
+            assert games._play(spec, *adversary, trials, seed=62) == sum(won[:trials]), (
+                adversary[0].name, type(adversary[1]).__name__, trials
+            )
+
+
+def test_game_memory_is_one_block():
+    # after a warm-up run, four times the trials take no more memory: each
+    # block's registers and stacked weights go before the next block starts
+    scheme = qas.build_scheme(3, 3, 6)
+    spec = default_cp_spec(scheme)
+    block = qmath.SPAWN_BLOCK
+    run_experiment_free(spec, *give_to_charlie(scheme), 2 * block, seed=63)
+    peaks = []
+    for trials in (2 * block, 8 * block):
+        tracemalloc.start()
+        try:
+            run_experiment_free(spec, *give_to_charlie(scheme), trials, seed=63)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0]
+    assert peaks[1] < 8 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -785,15 +859,17 @@ def test_ssl_abort_counts_as_loss(ssl, spec, scheme):
 
 def test_sampled_bits_build_no_post_state(monkeypatch, scheme, spec, ssl):
     # a trial keeps only the two answer bits, and a destructive evaluation
-    # only its bit: with collapse refused, the four zoo games, evaluate (of
-    # a plain and a mixed program) and ssl_verify still run, while the
+    # only its bit: with both post-state builders (collapse and
+    # measure_and_collapse) refused, the four zoo games, evaluate (of a
+    # plain and a mixed program) and ssl_verify still run, while the
     # callers that keep the register (keysearch's chain,
     # evaluate_preserving) stop
     def refuse(*args):
         raise AssertionError("a post-state was built")
 
-    monkeypatch.setattr(games, "collapse", refuse)
-    monkeypatch.setattr(cp, "collapse", refuse)
+    for module in (games, cp):
+        for builder in ("collapse", "measure_and_collapse"):
+            monkeypatch.setattr(module, builder, refuse, raising=False)
     for adversary in (trivial_forward, give_to_charlie):
         run_experiment_free(spec, *adversary(scheme), 200, seed=8)
     for adversary in (honest_return, keep_program):

@@ -162,6 +162,41 @@ def test_same_seed_report_is_pinned(tmp_path, argv, wins, sha256):
     assert hashlib.sha256(data).hexdigest() == sha256
 
 
+#: Runs of more than one block of trials (``qmath.SPAWN_BLOCK`` = 256),
+#: whose honest measurements are decided a block at a time: the zoo on an
+#: enumerated design, keysearch's chain on an indexed one, and mixed
+#: 64-dimensional registers.  Recorded from the trial loop that measured
+#: one trial at a time.
+PINNED_BLOCKS = [
+    (
+        ["cp", "--adversary", "give-to-charlie", "--scheme", "1,1,6", "--trials", "600"],
+        196,
+        "235b28f8f8c1883f052d80c17c34964e601192b63f6b8441255ae4de2262344b",
+    ),
+    (
+        ["cp", "--adversary", "keysearch", "--budget", "16", "--scheme", "2,1,6", "--trials", "600"],
+        176,
+        "b2dcb330ddcc71633a8b87ac97b0f7c65be3277057e21f608f0349e685f26a5f",
+    ),
+    (
+        ["ssl", "--adversary", "keep-program", "--scheme", "3,3,6", "--trials", "300"],
+        11,
+        "8880ecfacbb13c89aea3cd68cbe7652f8e3f1f93b7f3f84156a2d80e93ffe4f9",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,wins,sha256", PINNED_BLOCKS, ids=[f"{a[0]}-{a[2]}-{a[-3]}" for a, _, _ in PINNED_BLOCKS]
+)
+def test_reports_over_several_blocks_are_pinned(tmp_path, argv, wins, sha256):
+    out = tmp_path / "report.json"
+    assert main([*argv, "--seed", "1", "--out", str(out)]) == EXIT_OK
+    data = out.read_bytes()
+    assert json.loads(data)["wins"] == wins
+    assert hashlib.sha256(data).hexdigest() == sha256
+
+
 #: The ``--csv`` file of one run of each game (header plus one row).
 PINNED_CSV = [
     (

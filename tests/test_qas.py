@@ -304,6 +304,47 @@ def test_round_trips_are_the_per_pair_arithmetic(params, maker):
     assert zeros > 0 or params == (3, 3, 6)
 
 
+@pytest.mark.parametrize("params", [(1, 1, 6), (1, 2, 6), (2, 1, 6), (3, 3, 6), (1, 1, 14)], ids=str)
+def test_stacked_acceptances_are_accept_branch(params):
+    # the acceptance of every (register, key) pair, pure programs and states,
+    # the maximally mixed ancilla and random densities in one call with
+    # repeated keys, is accept_branch's p1 bit for bit, unclipped
+    from qlease.copyprotect import protect
+
+    scheme = qas.build_scheme(*params)
+    rng = spawn_rng(29, *params)
+    n, keyspace = scheme.total_qubits, 1 << scheme.key_bits
+    registers = [protect(scheme, int(x)).state for x in rng.integers(keyspace, size=4)]
+    registers += [random_pure_state(n, rng), maximally_mixed(n), random_density(n, rng)]
+    states = [registers[i] for i in rng.integers(len(registers), size=80)]
+    keys = rng.integers(keyspace, size=80)
+    keys[:10] = keys[10:20]
+    with np.errstate(all="raise"):
+        got = qas.acceptances(scheme, keys, states)
+        expected = [accept_branch(s, qas.adjoint_isometry(scheme, int(x)))[0] for s, x in zip(states, keys)]
+    assert np.array_equal(got, expected)
+    with pytest.raises(TypeError):
+        qas.acceptances(scheme, [1], [None])
+    with pytest.raises(DimensionMismatchError):
+        qas.acceptances(scheme, [1], [zero_state(n + 1)])
+
+
+def test_indexed_keys_are_gathered_once(monkeypatch):
+    # one element per distinct key on an indexed design, and one gather
+    # for both sides of a round trip that verifies with the keys it used
+    scheme = qas.build_scheme(1, 2, 14)
+    gathered = []
+    real = qas._auth_matrix
+    monkeypatch.setattr(qas, "_auth_matrix", lambda s, key: gathered.append(key) or real(s, key))
+    keys = np.array([5, 9, 5, 5, 9, 11])
+    same = qas.round_trips(scheme, keys, keys, [zero_state(1)])
+    assert sorted(gathered) == [5, 9, 11]
+    gathered.clear()
+    copied = qas.round_trips(scheme, keys, keys.copy(), [zero_state(1)])
+    assert sorted(gathered) == [5, 5, 9, 9, 11, 11]
+    assert all(np.array_equal(a, b) for a, b in zip(same, copied))
+
+
 def test_round_trips_take_one_kind_of_message(scheme):
     rng = spawn_rng(28)
     mixed = [random_pure_state(1, rng), random_density(1, rng)]

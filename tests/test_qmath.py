@@ -526,6 +526,15 @@ def test_measure_then_collapse_is_the_single_call(params, seed, key, kind):
         assert post.matrix.tobytes() == ((m + m.conj().T) / 2).tobytes()
     else:
         assert post.amplitudes.tobytes() == reference.amplitudes.tobytes()
+    # the fused call: one branch for the outcome and the post-state
+    fused = spawn_rng(seed, 1)
+    outcome, fused_post = qmath.measure_and_collapse(state, accept, fused)
+    assert outcome == got
+    assert fused.bit_generator.state == ours.bit_generator.state
+    if kind == "mixed":
+        assert fused_post.matrix.tobytes() == post.matrix.tobytes()
+    else:
+        assert fused_post.amplitudes.tobytes() == post.amplitudes.tobytes()
 
 
 @pytest.mark.parametrize("outcome", [1, 0])
@@ -603,6 +612,30 @@ def test_draw_breaks_ties_as_choice():
         p1 = 1.0 - share
         assert np.random.default_rng(0).choice(2, p=_reference_probs(p1)) == outcome
         assert qmath.draw_outcome(p1, np.random.default_rng(0)) == outcome
+
+
+def test_elementwise_decision_is_draw_outcome():
+    # one rule for one draw and for a stack: at and around the 1e-12
+    # cutoff, at the edges, at random weights and at an exact tie, the
+    # elementwise outcomes at a generator's uniforms are draw_outcome's
+    neg = qmath.NEGLIGIBLE
+    u = np.random.default_rng(0).random()
+    weights = [0.0, neg / 2, neg, 1 - neg, 1 - neg / 2, 1 - 1e-13, 1.0, -1e-17, 1 + 2e-16, 1.0 - u]
+    weights += list(np.random.default_rng(1).random(20))
+    with np.errstate(all="raise"):
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            one_by_one = [qmath.draw_outcome(p1, rng) for p1 in weights]
+            draws = np.random.default_rng(seed).random(len(weights))
+            stacked = qmath.outcome_at(np.array(weights), draws)
+            assert stacked.dtype == bool
+            assert stacked.tolist() == [bool(b) for b in one_by_one]
+            assert [qmath.outcome_at(p1, u) for p1, u in zip(weights, draws.tolist())] == stacked.tolist()
+
+
+def test_fused_measurement_checks_the_register():
+    with pytest.raises(DimensionMismatchError):
+        qmath.measure_and_collapse(bell_state(), np.eye(2, 8, dtype=complex), spawn_rng(0))
 
 
 @pytest.mark.parametrize("qubits", [1, 3, 6])
