@@ -177,7 +177,7 @@ def cmd_qas_verify(args) -> int:
         # estimated from 500 sampled keys: the exact key sum builds one
         # element per reached index, up to 2^20 of them
         keys = rng.integers(1 << scheme.key_bits, size=500)
-        key_avg = float(np.mean([qas.accept_probability(scheme, int(k), state) for k in keys]))
+        key_avg = float(np.mean(qas.acceptances(scheme, keys, [state], np.zeros_like(keys))))
     checks.append(
         ("wrong-key-2eps-cap", key_avg, 2 * scheme.epsilon, key_avg <= 2 * scheme.epsilon)
     )

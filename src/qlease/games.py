@@ -10,11 +10,10 @@ answers the challenge from the kept register as Charlie.  Both forms run
 through one trial loop, whose draws come in a fixed order: the point, the
 pirate's split, Bob's challenge, Charlie's challenge, Bob's measurement,
 then Charlie's answer; a trial is won iff both answers are right.  The
-loop runs blocks of trials in two phases: each trial's draws, where an
-honest measurement draws only its uniform, then every outcome of the
-block from one stacked computation of acceptances.  Since a trial's
-measurements are its last draws, one uniform each, the bits are those of
-measuring in turn; memory is O(block).
+loop runs a block's draws first, an honest measurement drawing only its
+uniform, then decides the block's measurements at once (:func:`_play`);
+a trial's measurements are its last draws, one uniform each, so the bits
+are those of measuring in turn, and memory is O(block).
 
 Each party holds its own register: a pirate's ``split`` returns Bob's
 state and Charlie's state, and each party measures its whole register
@@ -375,10 +374,10 @@ def _play(spec: GameSpec, pirate, charlie: MeasurementStrategy, trials: int, see
     phases.  First each trial draws on its own generator, in the order
     above; an honest measurement (Bob's, and Charlie's when he is exactly
     :class:`HonestEvalStrategy` on the game's scheme) draws only its
-    uniform, and any other Charlie answers at once.  Then :func:`~qlease.qmath.outcome_at`
-    decides every outcome of the block at those uniforms, from the
-    acceptance of each distinct (register, design index) pair, all in one
-    stacked product (:func:`~qlease.qas.acceptances`).  The bits are
+    uniform, and any other Charlie answers at once.  Then
+    :func:`~qlease.qmath.outcome_at` decides every outcome of the block at
+    those uniforms, from the acceptance of each distinct (register, design
+    index) pair, in one :func:`~qlease.qas.acceptances` call.  The bits are
     those of measuring in turn, since a trial's measurements are its last
     draws and each consumes one uniform.  Memory is O(block): a block
     keeps its registers, by ``id``, until its outcomes are decided, and
@@ -397,7 +396,8 @@ def _play(spec: GameSpec, pirate, charlie: MeasurementStrategy, trials: int, see
     wins = 0
     rngs = spawn_rngs(seed, trials)
     for _ in range(0, trials, SPAWN_BLOCK):
-        pairs = {}  # (register id, design index) -> (pair number, register, key)
+        registers = {}  # register id -> (register number, register)
+        pairs = {}  # (register id, design index) -> (pair number, register number, key)
         asked = []  # per honest measurement: its pair, its uniform, the right bit
         charlie_right = []
         for rng in itertools.islice(rngs, SPAWN_BLOCK):
@@ -406,13 +406,14 @@ def _play(spec: GameSpec, pirate, charlie: MeasurementStrategy, trials: int, see
             bob, charlie_state, side = pirate.split(psi, p, rng)
             x1, x2 = bob_dist.sample(rng), charlie_dist.sample(rng)
             for state, x in ((bob, x1), (charlie_state, x2))[: 1 + honest]:
-                pair = pairs.setdefault((id(state), scheme.key_index(x)), (len(pairs), state, x))
+                r = registers.setdefault(id(state), (len(registers), state))[0]
+                pair = pairs.setdefault((id(state), scheme.key_index(x)), (len(pairs), r, x))
                 asked.append((pair[0], rng.random(), pf(x)))
             if not honest:
                 charlie_right.append(charlie.answer(charlie_state, x2, side, rng) == pf(x2))
-        _, states, keys = zip(*pairs.values())
+        _, on, keys = zip(*pairs.values())
         which, u, right = (np.array(column) for column in zip(*asked))
-        correct = outcome_at(acceptances(scheme, keys, states)[which], u) == right
+        correct = outcome_at(acceptances(scheme, keys, [s for _, s in registers.values()], on)[which], u) == right
         # a trial's measurements are Bob's, then Charlie's when he is honest
         won = correct.reshape(-1, 2).all(axis=1) if honest else correct & np.array(charlie_right)
         wins += int(np.count_nonzero(won))

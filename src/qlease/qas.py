@@ -41,7 +41,7 @@ from .qmath import (
     PureState,
     QUBIT_CAP,
     QubitCapError,
-    accept_branch,
+    accept_branches,
     draw_outcome,
     maximally_mixed,
 )
@@ -174,29 +174,12 @@ def _checked(state, dim: int) -> np.ndarray:
     return state.amplitudes[:, None] if isinstance(state, PureState) else state.matrix
 
 
-def _encode(a: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """``A m`` for columns, ``A m A†`` for density matrices, over stacked
-    isometries laid out as :func:`auth_isometry` lays out one."""
-    return a @ m if m.shape[-1] == 1 else a @ m @ a.conj().swapaxes(-1, -2)
-
-
-def _branches(adj: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(b, p)`` through stacked adjoints: ``b = A† e`` and ``p = ||b||^2``
-    for columns, ``b = A† e A`` and ``p = Tr b`` for density matrices,
-    unclipped, with :func:`~qlease.qmath.accept_branch`'s bits per pair."""
-    if e.shape[-1] == 1:
-        b = adj @ e
-        return b, np.vecdot(b, b, axis=-2)[..., 0].real
-    b = adj @ e @ adj.conj().swapaxes(-1, -2)
-    return b, np.trace(b, axis1=-2, axis2=-1).real
-
-
 def _decode(adj: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(p, decoded)`` through stacked adjoints laid out as
     :func:`adjoint_isometry` lays out one: ``b = A† e`` or ``A† e A``,
     ``p = ||b||^2`` or ``Tr b`` clipped to [0, 1], and ``b b† / p`` or the
     Hermitian part ``(b + b†) / (2p)``, or ``I / d`` below ``NEGLIGIBLE``."""
-    b, p = _branches(adj, e)
+    b, p = accept_branches(adj, e)
     bh = b.conj().swapaxes(-1, -2)
     scale, herm = (1.0, b * bh) if e.shape[-1] == 1 else (2.0, b + bh)
     p = np.clip(p, 0.0, 1.0)
@@ -215,8 +198,7 @@ def _conj_columns(scheme: QasScheme, keys: np.ndarray) -> np.ndarray:
         return _trap_zero_columns_conj(scheme.design, 1 << scheme.trap_qubits)[keys % scheme.design.cardinality]
     # one element per distinct key, its own index while 2^k <= |B|
     distinct, inverse = np.unique(keys.ravel(), return_inverse=True)
-    cols = np.stack([_auth_matrix(scheme, key) for key in distinct.tolist()]).conj()
-    return cols[inverse.reshape(keys.shape)]
+    return np.stack([_auth_matrix(scheme, key) for key in distinct.tolist()]).conj()[inverse.reshape(keys.shape)]
 
 
 def round_trips(scheme: QasScheme, auth_keys, verify_keys, messages) -> tuple[np.ndarray, np.ndarray]:
@@ -230,14 +212,14 @@ def round_trips(scheme: QasScheme, auth_keys, verify_keys, messages) -> tuple[np
     m = np.stack([_checked(s, scheme.message_dim) for s in messages])
     auth_cols = _conj_columns(scheme, np.asarray(auth_keys))
     verify_cols = auth_cols if verify_keys is auth_keys else _conj_columns(scheme, np.asarray(verify_keys))
-    return _decode(verify_cols.swapaxes(-1, -2), _encode(auth_cols.conj(), m))
+    return _decode(verify_cols.swapaxes(-1, -2), accept_branches(auth_cols.conj(), m)[0])
 
 
 def auth(scheme: QasScheme, key: int, state):
     """Authenticate a message state: ``A psi`` for a pure state, ``A rho A†``
     for a density operator, with ``A`` from :func:`auth_isometry`.  Both
     are states by construction and are not re-checked."""
-    encoded = _encode(auth_isometry(scheme, key), _checked(state, scheme.message_dim))
+    encoded = accept_branches(auth_isometry(scheme, key), _checked(state, scheme.message_dim))[0]
     return PureState._trusted(encoded) if isinstance(state, PureState) else DensityOperator._trusted(encoded)
 
 
@@ -263,22 +245,26 @@ class VerifyOutcome:
 
 def accept_probability(scheme: QasScheme, key: int, state) -> float:
     """Probability that verification with this key accepts the state,
-    ``||A† psi||^2`` or ``Tr(A† rho A)`` (:func:`~qlease.qmath.accept_branch`)."""
-    _checked(state, scheme.total_dim)
-    return accept_branch(state, adjoint_isometry(scheme, key))[0]
+    ``||A† psi||^2`` or ``Tr(A† rho A)``: the one-pair case of
+    :func:`acceptances`, with its bits."""
+    return float(accept_branches(adjoint_isometry(scheme, key), _checked(state, scheme.total_dim))[1])
 
 
-def acceptances(scheme: QasScheme, keys, states) -> np.ndarray:
-    """The acceptance of verification with ``keys[i]`` on ``states[i]``,
-    pure and density states alike: :func:`accept_probability`'s bits,
-    from one stacked product per kind of state."""
-    keys = np.asarray(keys)
-    p = np.empty(len(states))
-    pure = np.array([isinstance(s, PureState) for s in states], dtype=bool)
-    for kind in (pure, ~pure):
-        if kind.any():
-            e = np.stack([_checked(s, scheme.total_dim) for s, k in zip(states, kind) if k])
-            p[kind] = _branches(_conj_columns(scheme, keys[kind]).swapaxes(-1, -2), e)[1]
+def acceptances(scheme: QasScheme, keys, registers, which) -> np.ndarray:
+    """The acceptance of verification with ``keys[i]`` on pure or density
+    ``registers[which[i]]``: each pure register is stacked once and each
+    density matrix broadcast against its pairs' adjoints, never copied."""
+    keys, which = np.asarray(keys), np.asarray(which)
+    e = [_checked(s, scheme.total_dim) for s in registers]
+    pure = np.array([isinstance(s, PureState) for s in registers], dtype=bool)
+    p = np.empty(len(keys))
+    on_pure = pure[which]
+    if on_pure.any():
+        columns = np.stack([m for m, k in zip(e, pure) if k])[(np.cumsum(pure) - 1)[which[on_pure]]]
+        p[on_pure] = accept_branches(_conj_columns(scheme, keys[on_pure]).swapaxes(-1, -2), columns)[1]
+    for r in np.flatnonzero(~pure).tolist():
+        on_r = which == r
+        p[on_r] = accept_branches(_conj_columns(scheme, keys[on_r]).swapaxes(-1, -2), e[r])[1]
     return p
 
 

@@ -423,7 +423,7 @@ def test_game_memory_is_one_block():
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.1 * peaks[0]
-    assert peaks[1] < 8 << 20
+    assert peaks[1] < 4 << 20
 
 
 # ---------------------------------------------------------------------------

@@ -316,17 +316,18 @@ def test_stacked_acceptances_are_accept_branch(params):
     n, keyspace = scheme.total_qubits, 1 << scheme.key_bits
     registers = [protect(scheme, int(x)).state for x in rng.integers(keyspace, size=4)]
     registers += [random_pure_state(n, rng), maximally_mixed(n), random_density(n, rng)]
-    states = [registers[i] for i in rng.integers(len(registers), size=80)]
+    which = rng.integers(len(registers), size=80)
     keys = rng.integers(keyspace, size=80)
     keys[:10] = keys[10:20]
     with np.errstate(all="raise"):
-        got = qas.acceptances(scheme, keys, states)
-        expected = [accept_branch(s, qas.adjoint_isometry(scheme, int(x)))[0] for s, x in zip(states, keys)]
-    assert np.array_equal(got, expected)
+        got = qas.acceptances(scheme, keys, registers, which)
+        expected = [accept_branch(registers[r], qas.adjoint_isometry(scheme, int(x)))[0] for r, x in zip(which, keys)]
+        one_pair = [qas.accept_probability(scheme, int(x), registers[r]) for r, x in zip(which, keys)]
+    assert np.array_equal(got, expected) and np.array_equal(one_pair, expected)
     with pytest.raises(TypeError):
-        qas.acceptances(scheme, [1], [None])
+        qas.acceptances(scheme, [1], [None], [0])
     with pytest.raises(DimensionMismatchError):
-        qas.acceptances(scheme, [1], [zero_state(n + 1)])
+        qas.acceptances(scheme, [1], [zero_state(n + 1)], [0])
 
 
 def test_indexed_keys_are_gathered_once(monkeypatch):
@@ -343,6 +344,23 @@ def test_indexed_keys_are_gathered_once(monkeypatch):
     copied = qas.round_trips(scheme, keys, keys.copy(), [zero_state(1)])
     assert sorted(gathered) == [5, 5, 9, 9, 11, 11]
     assert all(np.array_equal(a, b) for a, b in zip(same, copied))
+
+
+def test_shared_density_register_is_not_copied_per_pair():
+    # 256 pairs on one 64 x 64 register: 256 copies of it would take 16 MiB
+    scheme = qas.build_scheme(3, 3, 6)
+    keys = spawn_rng(30).integers(1 << scheme.key_bits, size=256)
+    rho = maximally_mixed(scheme.total_qubits)
+    which = np.zeros(len(keys), dtype=int)
+    expected = qas.acceptances(scheme, keys, [rho], which)
+    tracemalloc.start()
+    try:
+        got = qas.acceptances(scheme, keys, [rho], which)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, expected)
+    assert peak < len(keys) * rho.matrix.nbytes / 2
 
 
 def test_round_trips_take_one_kind_of_message(scheme):
