@@ -29,6 +29,10 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
+#: ``design-check --pairs`` above this is refused: ``frame_potential`` draws all
+#: indices at once, and 10^6 pairs at 6 qubits take about 96 MB and 5 minutes.
+MAX_PAIRS = 10**6
+
 
 class ConfigError(Exception):
     pass
@@ -117,8 +121,8 @@ def cmd_design_check(args) -> int:
     q = args.qubits
     if q is None:
         raise ConfigError("--qubits is required, on the command line or in --config")
-    if args.pairs is not None and args.pairs < 1:
-        raise ConfigError("--pairs must be positive")
+    if args.pairs is not None and not 1 <= args.pairs <= MAX_PAIRS:
+        raise ConfigError(f"--pairs must lie in 1..{MAX_PAIRS}")
     if args.pairs is None and q > 2:
         raise ConfigError("qubits > 2 needs --pairs for a sampled estimate")
     design = designs.clifford_design(q)
@@ -177,7 +181,7 @@ def cmd_qas_verify(args) -> int:
         # estimated from 500 sampled keys: the exact key sum builds one
         # element per reached index, up to 2^20 of them
         keys = rng.integers(1 << scheme.key_bits, size=500)
-        key_avg = float(np.mean(qas.acceptances(scheme, keys, [state], np.zeros_like(keys))))
+        key_avg = float(np.mean(qas.acceptances(scheme, keys, [state] * len(keys))))
     checks.append(
         ("wrong-key-2eps-cap", key_avg, 2 * scheme.epsilon, key_avg <= 2 * scheme.epsilon)
     )

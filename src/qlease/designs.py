@@ -247,11 +247,9 @@ def uniform_index(n: int, rng: np.random.Generator, size: int | None = None):
 
 
 class UnitaryDesign:
-    """Finite set of unitaries addressable by a canonical index.
-
-    ``element(i)`` is deterministic; ``sample(rng)`` draws an index
-    uniformly, so sampling is exactly uniform over the set.
-    """
+    """Finite set of unitaries addressable by a canonical index:
+    ``element(i)`` is deterministic, and :func:`uniform_index` draws an
+    index exactly uniformly."""
 
     qubits: int
     cardinality: int
@@ -259,9 +257,6 @@ class UnitaryDesign:
 
     def element(self, i: int) -> np.ndarray:
         raise NotImplementedError
-
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        return self.element(int(uniform_index(self.cardinality, rng)))
 
 
 class EnumeratedDesign(UnitaryDesign):

@@ -374,14 +374,14 @@ def _play(spec: GameSpec, pirate, charlie: MeasurementStrategy, trials: int, see
     phases.  First each trial draws on its own generator, in the order
     above; an honest measurement (Bob's, and Charlie's when he is exactly
     :class:`HonestEvalStrategy` on the game's scheme) draws only its
-    uniform, and any other Charlie answers at once.  Then
-    :func:`~qlease.qmath.outcome_at` decides every outcome of the block at
-    those uniforms, from the acceptance of each distinct (register, design
-    index) pair, in one :func:`~qlease.qas.acceptances` call.  The bits are
-    those of measuring in turn, since a trial's measurements are its last
-    draws and each consumes one uniform.  Memory is O(block): a block
-    keeps its registers, by ``id``, until its outcomes are decided, and
-    the run caches only each point's program and distributions.
+    uniform and is recorded with its register and challenge, and any other
+    Charlie answers at once.  Then one :func:`~qlease.qas.acceptances` call
+    and one :func:`~qlease.qmath.outcome_at` call decide the block's
+    measurements.  The bits are those of measuring in turn, since a
+    trial's measurements are its last draws and each consumes one uniform.
+    Memory is O(block): a block keeps its registers until its outcomes are
+    decided, and the run caches only each point's program and
+    distributions.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -396,9 +396,7 @@ def _play(spec: GameSpec, pirate, charlie: MeasurementStrategy, trials: int, see
     wins = 0
     rngs = spawn_rngs(seed, trials)
     for _ in range(0, trials, SPAWN_BLOCK):
-        registers = {}  # register id -> (register number, register)
-        pairs = {}  # (register id, design index) -> (pair number, register number, key)
-        asked = []  # per honest measurement: its pair, its uniform, the right bit
+        asked = []  # per honest measurement: its register, challenge and uniform, the right bit
         charlie_right = []
         for rng in itertools.islice(rngs, SPAWN_BLOCK):
             p = spec.circuit_dist.sample(rng)
@@ -406,14 +404,11 @@ def _play(spec: GameSpec, pirate, charlie: MeasurementStrategy, trials: int, see
             bob, charlie_state, side = pirate.split(psi, p, rng)
             x1, x2 = bob_dist.sample(rng), charlie_dist.sample(rng)
             for state, x in ((bob, x1), (charlie_state, x2))[: 1 + honest]:
-                r = registers.setdefault(id(state), (len(registers), state))[0]
-                pair = pairs.setdefault((id(state), scheme.key_index(x)), (len(pairs), r, x))
-                asked.append((pair[0], rng.random(), pf(x)))
+                asked.append((state, x, rng.random(), pf(x)))
             if not honest:
                 charlie_right.append(charlie.answer(charlie_state, x2, side, rng) == pf(x2))
-        _, on, keys = zip(*pairs.values())
-        which, u, right = (np.array(column) for column in zip(*asked))
-        correct = outcome_at(acceptances(scheme, keys, [s for _, s in registers.values()], on)[which], u) == right
+        registers, keys, u, right = zip(*asked)
+        correct = outcome_at(acceptances(scheme, keys, registers), np.array(u)) == np.array(right)
         # a trial's measurements are Bob's, then Charlie's when he is honest
         won = correct.reshape(-1, 2).all(axis=1) if honest else correct & np.array(charlie_right)
         wins += int(np.count_nonzero(won))

@@ -37,13 +37,13 @@ from .designs import (
 from .qmath import (
     NEGLIGIBLE,
     DensityOperator,
-    DimensionMismatchError,
     PureState,
     QUBIT_CAP,
     QubitCapError,
     accept_branches,
     draw_outcome,
     maximally_mixed,
+    register_array,
 )
 
 #: Exact key sums build at most this many design elements, those the keys reach.
@@ -164,16 +164,6 @@ def adjoint_isometry(scheme: QasScheme, key: int) -> np.ndarray:
     return _auth_matrix(scheme, key).conj().T
 
 
-def _checked(state, dim: int) -> np.ndarray:
-    """``state``, checked to be a state of dimension ``dim``, as an array:
-    a pure state's amplitudes as a ``(dim, 1)`` column, a density matrix."""
-    if not isinstance(state, (PureState, DensityOperator)):
-        raise TypeError("expected PureState or DensityOperator")
-    if state.dim != dim:
-        raise DimensionMismatchError(f"state of dimension {state.dim} where {dim} is expected")
-    return state.amplitudes[:, None] if isinstance(state, PureState) else state.matrix
-
-
 def _decode(adj: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(p, decoded)`` through stacked adjoints laid out as
     :func:`adjoint_isometry` lays out one: ``b = A† e`` or ``A† e A``,
@@ -209,7 +199,7 @@ def round_trips(scheme: QasScheme, auth_keys, verify_keys, messages) -> tuple[np
     one-key case, with the same bits."""
     if len({isinstance(s, PureState) for s in messages}) > 1:
         raise TypeError("messages are all PureState or all DensityOperator")
-    m = np.stack([_checked(s, scheme.message_dim) for s in messages])
+    m = np.stack([register_array(s, scheme.message_dim) for s in messages])
     auth_cols = _conj_columns(scheme, np.asarray(auth_keys))
     verify_cols = auth_cols if verify_keys is auth_keys else _conj_columns(scheme, np.asarray(verify_keys))
     return _decode(verify_cols.swapaxes(-1, -2), accept_branches(auth_cols.conj(), m)[0])
@@ -219,7 +209,7 @@ def auth(scheme: QasScheme, key: int, state):
     """Authenticate a message state: ``A psi`` for a pure state, ``A rho A†``
     for a density operator, with ``A`` from :func:`auth_isometry`.  Both
     are states by construction and are not re-checked."""
-    encoded = accept_branches(auth_isometry(scheme, key), _checked(state, scheme.message_dim))[0]
+    encoded = accept_branches(auth_isometry(scheme, key), register_array(state, scheme.message_dim))[0]
     return PureState._trusted(encoded) if isinstance(state, PureState) else DensityOperator._trusted(encoded)
 
 
@@ -247,16 +237,20 @@ def accept_probability(scheme: QasScheme, key: int, state) -> float:
     """Probability that verification with this key accepts the state,
     ``||A† psi||^2`` or ``Tr(A† rho A)``: the one-pair case of
     :func:`acceptances`, with its bits."""
-    return float(accept_branches(adjoint_isometry(scheme, key), _checked(state, scheme.total_dim))[1])
+    return float(accept_branches(adjoint_isometry(scheme, key), register_array(state, scheme.total_dim))[1])
 
 
-def acceptances(scheme: QasScheme, keys, registers, which) -> np.ndarray:
-    """The acceptance of verification with ``keys[i]`` on pure or density
-    ``registers[which[i]]``: each pure register is stacked once and each
-    density matrix broadcast against its pairs' adjoints, never copied."""
-    keys, which = np.asarray(keys), np.asarray(which)
-    e = [_checked(s, scheme.total_dim) for s in registers]
-    pure = np.array([isinstance(s, PureState) for s in registers], dtype=bool)
+def acceptances(scheme: QasScheme, keys, registers) -> np.ndarray:
+    """The acceptance of verification with ``keys[i]`` on the pure or
+    density register ``registers[i]``.  Each distinct register (by
+    identity) is checked once; the pure ones are stacked once and gathered
+    per pair, and a density matrix is taken against its distinct keys
+    only, so no register is copied per pair."""
+    keys = np.asarray(keys)
+    number = {}  # register id -> its number, in order of first appearance
+    which = np.array([number.setdefault(id(s), len(number)) for s in registers], dtype=int)
+    e = [register_array(s, scheme.total_dim) for s in {id(s): s for s in registers}.values()]
+    pure = np.array([m.shape[-1] == 1 for m in e], dtype=bool)
     p = np.empty(len(keys))
     on_pure = pure[which]
     if on_pure.any():
@@ -264,7 +258,8 @@ def acceptances(scheme: QasScheme, keys, registers, which) -> np.ndarray:
         p[on_pure] = accept_branches(_conj_columns(scheme, keys[on_pure]).swapaxes(-1, -2), columns)[1]
     for r in np.flatnonzero(~pure).tolist():
         on_r = which == r
-        p[on_r] = accept_branches(_conj_columns(scheme, keys[on_r]).swapaxes(-1, -2), e[r])[1]
+        distinct, inverse = np.unique(keys[on_r], return_inverse=True)
+        p[on_r] = accept_branches(_conj_columns(scheme, distinct).swapaxes(-1, -2), e[r])[1][inverse]
     return p
 
 
@@ -280,7 +275,7 @@ def verify(scheme: QasScheme, key: int, state, rng: np.random.Generator | None =
     :func:`round_trips` through :func:`adjoint_isometry`; the maximally
     mixed state is built only when a sampled rejection returns it.
     """
-    p, decoded = _decode(adjoint_isometry(scheme, key), _checked(state, scheme.total_dim))
+    p, decoded = _decode(adjoint_isometry(scheme, key), register_array(state, scheme.total_dim))
     accepted = None if rng is None else bool(draw_outcome(float(p), rng))
     message = maximally_mixed(scheme.message_qubits) if accepted is False else DensityOperator._trusted(decoded)
     return VerifyOutcome(accepted, message, float(p))
@@ -306,13 +301,13 @@ def acceptance_by_index(scheme: QasScheme, state: PureState) -> np.ndarray:
     and trap count.  It serves values not linear in acceptance, such as the
     reusability damage ``sum_j w_j sqrt(a_j (1 - a_j))``; a linear value is
     one trace (:func:`summed_acceptance`, :func:`avg_design_accept`)."""
-    if _checked(state, scheme.total_dim).shape[-1] != 1:
+    psi = register_array(state, scheme.total_dim)
+    if psi.shape[-1] != 1:
         raise TypeError("per-index acceptance takes a pure state")
     design = scheme.design
     if not isinstance(design, EnumeratedDesign):
         raise ValueError("exact per-index acceptance needs an enumerated design")
-    v = np.einsum("nji,j->ni", _trap_zero_columns_conj(design, 1 << scheme.trap_qubits), state.amplitudes)
-    return np.einsum("ni,ni->n", v.conj(), v).real
+    return accept_branches(_trap_zero_columns_conj(design, 1 << scheme.trap_qubits).swapaxes(-1, -2), psi)[1]
 
 
 #: Index-summed operators by design, then by scheme shape: (m, t, k) for a
@@ -327,7 +322,7 @@ def _index_sum(scheme: QasScheme, state, over_keys: bool) -> float:
     indices the keys reach, at their preimage counts) or the design sum
     ``D`` (every index once).  ``S`` is built once per design and shape,
     read-only; the index count is checked before anything is allocated."""
-    _checked(state, scheme.total_dim)
+    register_array(state, scheme.total_dim)
     design = scheme.design
     n = min(1 << scheme.key_bits, design.cardinality) if over_keys else design.cardinality
     if n > MAX_EXACT_INDICES:

@@ -10,27 +10,27 @@ Validation
 Every container (states, operators and channels) is validated once, in
 its constructor; a state's qubit count is read from its array's size,
 never passed.  Operations trust the containers they are given and do not
-re-check them.  A measurement is the two-outcome one that an
-isometry ``V`` defines (outcome 1 is its range), given as the plain
-array ``V†``, whose orthonormal rows are trusted.  It acts on a whole
-register: a party that holds its own register is measured on that
+re-check them; :func:`register_array` is the one check of a register
+against a measurement or a scheme.  A measurement is the two-outcome one
+that an isometry ``V`` defines (outcome 1 is its range), given as the
+plain array ``V†``, whose orthonormal rows are trusted.  It acts on a
+whole register: a party that holds its own register is measured on that
 register alone, never on a joint state with the registers of others.
 Results that are states by construction, the outer product of
-:meth:`PureState.density` and the post-states of :func:`collapse` (built
-only where a caller keeps the register), are not re-checked either (no
-eigenvalue decomposition, no norm); nor are the authentication scheme's
-results in ``qas``: its encoding isometry (a read-only array, columns of
-a design unitary, never a container), the encoded states of ``auth`` and
-the renormalized accept branch that ``verify`` returns.  The public
-constructors keep every check.  A measurement's branch and weight come
-from :func:`accept_branch`, and a stack's from :func:`accept_branches`,
-with the same bits per pair.  Every sampled bit comes from one rule,
-:func:`outcome_at`: ``Generator.choice``'s arithmetic without its
-re-checks, at a given uniform, on floats and elementwise on arrays alike.
-:func:`draw_outcome` is the rule at one ``rng.random()``; a game decides
-a block of trials' outcomes at uniforms its trials drew earlier.
-:func:`measure_and_collapse` takes one branch for both the outcome and
-the post-state, whose arithmetic :func:`collapse` shares.
+:meth:`PureState.density` and the post-states of the one post-state
+builder, :func:`measure_and_collapse` (called only where a caller keeps
+the register), are not re-checked either (no eigenvalue decomposition,
+no norm); nor are the authentication scheme's results in ``qas``: its
+encoding isometry (a read-only array, columns of a design unitary, never
+a container), the encoded states of ``auth`` and the renormalized accept
+branch that ``verify`` returns.  The public constructors keep every
+check.  The weight ``||V† psi||^2`` or ``Tr(V† rho V)`` of an isometry,
+or of a stack, has one kernel, :func:`accept_branches`, and every
+sampled bit one rule, :func:`outcome_at`: ``Generator.choice``'s
+arithmetic without its re-checks, at a given uniform, on floats and
+elementwise on arrays alike.  :func:`draw_outcome` is the rule at one
+``rng.random()``; a game decides a block of trials' outcomes at uniforms
+its trials drew earlier.
 
 Memory
 ------
@@ -410,32 +410,30 @@ def state_distance(a, b) -> float:
     return trace_distance(da, db)
 
 
+def register_array(state, dim: int) -> np.ndarray:
+    """``state``, checked to be a state of dimension ``dim`` (the one
+    register check), as an array: a pure state's amplitudes as a
+    ``(dim, 1)`` column, a density matrix."""
+    if not isinstance(state, (PureState, DensityOperator)):
+        raise TypeError("expected PureState or DensityOperator")
+    if state.dim != dim:
+        raise DimensionMismatchError(f"state of dimension {state.dim} where {dim} is expected")
+    return state.amplitudes[:, None] if isinstance(state, PureState) else state.matrix
+
+
 def accept_branches(m: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(b, p1)``, unclipped, through a matrix ``m`` or a stack of them
     (broadcast as ``matmul`` does): ``b = m e`` and ``p1 = ||b||^2`` for
     columns ``e``, ``b = m e m†`` and ``p1 = Tr b`` for density matrices.
-    With ``m = V†`` these are :func:`accept_branch`'s bits per pair, which
-    one measurement of a pure state takes about 40 % faster unstacked."""
+    With ``m = V†`` for an isometry ``V``, ``p1`` is the weight of the
+    range of ``V``: the one place that weight is computed."""
+    if m.ndim < 2:
+        raise DimensionMismatchError("a measurement is given as the matrix V†, not a vector")
     if e.shape[-1] == 1:
         b = m @ e
         return b, np.vecdot(b, b, axis=-2)[..., 0].real
     b = m @ e @ m.conj().swapaxes(-1, -2)
     return b, np.trace(b, axis1=-2, axis2=-1).real
-
-
-def accept_branch(state, accept: np.ndarray) -> tuple[float, np.ndarray]:
-    """``(p1, b)`` for an isometry ``V`` given as ``accept = V†``: the
-    branch ``b = V† psi`` (pure) or ``b = V† rho V`` (density) in ``V``'s
-    domain, and its weight ``p1 = ||b||^2`` or ``Tr(b)``, the probability
-    that the state lies in the range of ``V``.  ``accept`` must act on
-    all of the state's qubits."""
-    if accept.ndim != 2 or accept.shape[1] != state.dim:
-        raise DimensionMismatchError("measurement register does not match the state")
-    if isinstance(state, PureState):
-        b = accept @ state.amplitudes
-        return float(np.vdot(b, b).real), b
-    b = accept @ state.matrix @ accept.conj().T
-    return float(b.trace().real), b
 
 
 def outcome_at(p1, u):
@@ -461,45 +459,35 @@ def draw_outcome(p1: float, rng: np.random.Generator) -> int:
 def measure_projective(state, accept: np.ndarray, rng: np.random.Generator) -> int:
     """Measure ``{I - V V†, V V†}`` on a whole register, for an isometry
     ``V`` given as ``accept = V†`` (orthonormal rows, trusted, acting on
-    all of the state's qubits): the outcome that :func:`draw_outcome`
-    draws at the acceptance ``p1`` of :func:`accept_branch`.  Outcome 1 is
-    the range of ``V``.  No post-state is built (see :func:`collapse`)."""
-    return draw_outcome(accept_branch(state, accept)[0], rng)
+    all of the state's qubits; outcome 1 is the range of ``V``): the
+    outcome :func:`draw_outcome` draws at the weight from
+    :func:`accept_branches`, with no post-state."""
+    return draw_outcome(float(accept_branches(accept, register_array(state, accept.shape[-1]))[1]), rng)
 
 
-def _post_state(state, accept: np.ndarray, outcome: int, p1: float, inner: np.ndarray):
-    """:func:`collapse` from the branch ``(p1, inner)`` already taken."""
+def measure_and_collapse(state, accept: np.ndarray, rng: np.random.Generator):
+    """``(outcome, post)``: :func:`measure_projective`'s outcome and its
+    post-state, from one branch: the branch divided by its norm or trace;
+    pure states stay pure.  A density branch is kept as its Hermitian
+    part, since dividing by a weight ``p`` rounds each entry by about
+    ``d * 2.2e-16 / p``."""
+    b, p1 = accept_branches(accept, register_array(state, accept.shape[-1]))
+    outcome = draw_outcome(float(p1), rng)
     if isinstance(state, PureState):
         # V V† psi, conjugating vectors rather than the matrix
-        branch = (inner.conj() @ accept).conj()
+        branch = (b[:, 0].conj() @ accept).conj()
         if outcome == 0:
             branch = state.amplitudes - branch
-        return PureState._trusted(branch / np.sqrt(np.vdot(branch, branch).real))
+        return outcome, PureState._trusted(branch / np.sqrt(np.vdot(branch, branch).real))
     v = accept.conj().T
     if outcome == 1:
         # Tr(V b V†) = Tr(b): the weight already computed
-        m = v @ (inner / p1) @ accept
+        m = v @ (b / p1) @ accept
     else:
         q = np.eye(state.dim) - v @ accept
         m = q @ state.matrix @ q
         m = m / m.trace().real
-    return DensityOperator._trusted((m + m.conj().T) / 2)
-
-
-def collapse(state, accept: np.ndarray, outcome: int):
-    """The post-state of :func:`measure_projective` for a possible
-    ``outcome``: the branch divided by its norm or trace; pure states stay
-    pure.  A density branch is kept as its Hermitian part, since dividing
-    by a weight ``p`` rounds each entry by about ``d * 2.2e-16 / p``."""
-    return _post_state(state, accept, outcome, *accept_branch(state, accept))
-
-
-def measure_and_collapse(state, accept: np.ndarray, rng: np.random.Generator):
-    """``(outcome, post)``: :func:`measure_projective`'s outcome and
-    :func:`collapse`'s post-state of it, from one :func:`accept_branch`."""
-    p1, inner = accept_branch(state, accept)
-    outcome = draw_outcome(p1, rng)
-    return outcome, _post_state(state, accept, outcome, p1, inner)
+    return outcome, DensityOperator._trusted((m + m.conj().T) / 2)
 
 
 def apply_channel(ch: KrausChannel, state: DensityOperator):

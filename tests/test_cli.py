@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, report files, config merging, determinism."""
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -256,6 +257,7 @@ def test_invalid_r_usage_error():
         ["cp", "--adversary", "keysearch", "--budget", "65"],
         ["design-check", "--qubits", "1", "--pairs", "0"],
         ["design-check", "--qubits", "1", "--pairs", "-5"],
+        ["design-check", "--qubits", "6", "--pairs", "1000001"],
         ["cp", "--seed", "-1"],
         ["ssl", "--seed", "-1"],
         ["qas-verify", "--seed", "-1"],
@@ -275,6 +277,24 @@ def test_out_of_range_values_are_usage_errors(argv, capsys, monkeypatch):
     monkeypatch.setattr("qlease.designs.clifford_design", refuse)
     assert main(argv) == EXIT_USAGE
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_huge_pair_count_is_refused_before_drawing(capsys, monkeypatch):
+    # frame_potential draws every pair's indices up front: 2 * 10^9 pairs
+    # would ask for tens of GB; the cap admits 10^6 and refuses the rest
+    # with exit 2, no traceback, before anything is drawn
+    tracemalloc.start()
+    try:
+        code = main(["design-check", "--qubits", "6", "--pairs", "2000000000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert peak < 1 << 20
+    monkeypatch.setattr("qlease.designs.frame_potential", lambda design, samples, rng: 2.0)
+    assert main(["design-check", "--qubits", "1", "--pairs", str(cli.MAX_PAIRS)]) == EXIT_OK
 
 
 @pytest.mark.parametrize(

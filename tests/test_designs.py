@@ -432,6 +432,11 @@ def test_indexed_design_members_at_two_qubits():
         assert designs._dedup_key(u) in keys
 
 
+def _sample(design, rng) -> np.ndarray:
+    """A uniformly drawn element of ``design``."""
+    return design.element(int(uniform_index(design.cardinality, rng)))
+
+
 def test_symplectic_group_orders():
     assert num_symplectics(1) == 6
     assert num_symplectics(2) == 720
@@ -439,15 +444,15 @@ def test_symplectic_group_orders():
 
 
 def test_sample_determinism():
-    a = clifford_design(3).sample(spawn_rng(9))
-    b = clifford_design(3).sample(spawn_rng(9))
+    a = _sample(clifford_design(3), spawn_rng(9))
+    b = _sample(clifford_design(3), spawn_rng(9))
     assert np.array_equal(a, b)
 
 
 def test_sample_unitary_at_three_qubits():
     rng = spawn_rng(4)
     for _ in range(10):
-        u = clifford_design(3).sample(rng)
+        u = _sample(clifford_design(3), rng)
         assert np.max(np.abs(u.conj().T @ u - np.eye(8))) < 1e-9
 
 
@@ -461,8 +466,8 @@ def test_sample_beyond_int64_in_range_and_deterministic(qubits):
     assert all(0 <= i < n for i in draws)
     # the top bit of the index range is reached, so the draws span it
     assert max(draws) >= n // 2
-    a = clifford_design(qubits).sample(spawn_rng(13))
-    assert np.array_equal(a, clifford_design(qubits).sample(spawn_rng(13)))
+    a = _sample(clifford_design(qubits), spawn_rng(13))
+    assert np.array_equal(a, _sample(clifford_design(qubits), spawn_rng(13)))
     assert np.max(np.abs(a.conj().T @ a - np.eye(1 << qubits))) < 1e-9
 
 
@@ -774,7 +779,7 @@ def test_sample_uniform_chi2_one_qubit():
     rng = spawn_rng(5)
     counts: dict[bytes, int] = {}
     for _ in range(10**4):
-        key = designs._dedup_key(clifford_design(1).sample(rng))
+        key = designs._dedup_key(_sample(clifford_design(1), rng))
         counts[key] = counts.get(key, 0) + 1
     assert len(counts) == 24
     assert stats.chisquare(list(counts.values())).pvalue > 1e-3
@@ -783,7 +788,7 @@ def test_sample_uniform_chi2_one_qubit():
 def test_canonical_phase_first_entry_positive():
     rng = spawn_rng(6)
     for _ in range(20):
-        u = canonical_phase(clifford_design(2).sample(rng) * np.exp(0.7j))
+        u = canonical_phase(_sample(clifford_design(2), rng) * np.exp(0.7j))
         col = u[:, 0]
         lead = col[np.argmax(np.abs(col) > 1e-12)]
         assert abs(lead.imag) < 1e-12 and lead.real > 0

@@ -45,13 +45,14 @@ from qlease.qmath import (
     KrausChannel,
     PureState,
     apply_channel,
-    collapse,
     maximally_mixed,
     measure_projective,
     spawn_rng,
     spawn_rngs,
     zero_state,
 )
+
+from measurement_reference import collapse
 
 TRIALS = 4000
 
@@ -859,17 +860,15 @@ def test_ssl_abort_counts_as_loss(ssl, spec, scheme):
 
 def test_sampled_bits_build_no_post_state(monkeypatch, scheme, spec, ssl):
     # a trial keeps only the two answer bits, and a destructive evaluation
-    # only its bit: with both post-state builders (collapse and
-    # measure_and_collapse) refused, the four zoo games, evaluate (of a
-    # plain and a mixed program) and ssl_verify still run, while the
-    # callers that keep the register (keysearch's chain,
-    # evaluate_preserving) stop
+    # only its bit: with the one post-state builder, measure_and_collapse,
+    # refused, the four zoo games, evaluate (of a plain and a mixed
+    # program) and ssl_verify still run, while the callers that keep the
+    # register (keysearch's chain, evaluate_preserving) stop
     def refuse(*args):
         raise AssertionError("a post-state was built")
 
     for module in (games, cp):
-        for builder in ("collapse", "measure_and_collapse"):
-            monkeypatch.setattr(module, builder, refuse, raising=False)
+        monkeypatch.setattr(module, "measure_and_collapse", refuse)
     for adversary in (trivial_forward, give_to_charlie):
         run_experiment_free(spec, *adversary(scheme), 200, seed=8)
     for adversary in (honest_return, keep_program):

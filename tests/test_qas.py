@@ -18,7 +18,6 @@ from qlease.qmath import (
     DimensionMismatchError,
     NEGLIGIBLE,
     PureState,
-    accept_branch,
     maximally_mixed,
     random_density,
     random_pure_state,
@@ -26,6 +25,8 @@ from qlease.qmath import (
     state_distance,
     zero_state,
 )
+
+from measurement_reference import accept_branch
 
 
 @pytest.fixture(scope="module")
@@ -308,7 +309,7 @@ def test_round_trips_are_the_per_pair_arithmetic(params, maker):
 def test_stacked_acceptances_are_accept_branch(params):
     # the acceptance of every (register, key) pair, pure programs and states,
     # the maximally mixed ancilla and random densities in one call with
-    # repeated keys, is accept_branch's p1 bit for bit, unclipped
+    # repeated keys, is the reference accept_branch's p1 bit for bit, unclipped
     from qlease.copyprotect import protect
 
     scheme = qas.build_scheme(*params)
@@ -320,14 +321,47 @@ def test_stacked_acceptances_are_accept_branch(params):
     keys = rng.integers(keyspace, size=80)
     keys[:10] = keys[10:20]
     with np.errstate(all="raise"):
-        got = qas.acceptances(scheme, keys, registers, which)
+        got = qas.acceptances(scheme, keys, [registers[r] for r in which])
         expected = [accept_branch(registers[r], qas.adjoint_isometry(scheme, int(x)))[0] for r, x in zip(which, keys)]
         one_pair = [qas.accept_probability(scheme, int(x), registers[r]) for r, x in zip(which, keys)]
     assert np.array_equal(got, expected) and np.array_equal(one_pair, expected)
     with pytest.raises(TypeError):
-        qas.acceptances(scheme, [1], [None], [0])
+        qas.acceptances(scheme, [1], [None])
     with pytest.raises(DimensionMismatchError):
-        qas.acceptances(scheme, [1], [zero_state(n + 1)], [0])
+        qas.acceptances(scheme, [1], [zero_state(n + 1)])
+
+
+@pytest.mark.parametrize("params", [(1, 1, 6), (3, 3, 6), (1, 1, 14), (1, 2, 14)], ids=str)
+def test_acceptances_take_one_register_per_pair(monkeypatch, params):
+    # blocks of pure registers only, densities only and both, each register
+    # object repeated across pairs and beside an equal copy of itself, with
+    # repeated keys and keys that select one design index: the acceptance of
+    # every pair is the reference p1 bit for bit, and each distinct object
+    # is checked once
+    scheme = qas.build_scheme(*params)
+    rng = spawn_rng(31, *params)
+    n, keyspace = scheme.total_qubits, 1 << scheme.key_bits
+    pure = [random_pure_state(n, rng) for _ in range(3)]
+    pure.append(PureState(pure[0].amplitudes))
+    dense = [random_density(n, rng), maximally_mixed(n)]
+    dense.append(DensityOperator(dense[0].matrix))
+    checked = []
+    real = qas.register_array
+    monkeypatch.setattr(qas, "register_array", lambda s, dim: checked.append(s) or real(s, dim))
+    for pool in (pure, dense, pure + dense):
+        registers = [pool[i] for i in rng.integers(len(pool), size=60)]
+        keys = rng.integers(keyspace, size=60)
+        keys[30:] = keys[:30]
+        card = scheme.design.cardinality
+        if card < keyspace:  # x and x + |B| select one design index
+            keys[:5] = card + rng.integers(keyspace - card, size=5)
+            keys[5:10] = keys[:5] - card
+        checked.clear()
+        with np.errstate(all="raise"):
+            got = qas.acceptances(scheme, keys, registers)
+        expected = [accept_branch(s, qas.adjoint_isometry(scheme, int(x)))[0] for s, x in zip(registers, keys)]
+        assert np.array_equal(got, expected)
+        assert sorted(map(id, checked)) == sorted({id(s) for s in registers})
 
 
 def test_indexed_keys_are_gathered_once(monkeypatch):
@@ -351,16 +385,17 @@ def test_shared_density_register_is_not_copied_per_pair():
     scheme = qas.build_scheme(3, 3, 6)
     keys = spawn_rng(30).integers(1 << scheme.key_bits, size=256)
     rho = maximally_mixed(scheme.total_qubits)
-    which = np.zeros(len(keys), dtype=int)
-    expected = qas.acceptances(scheme, keys, [rho], which)
+    registers = [rho] * len(keys)
+    expected = qas.acceptances(scheme, keys, registers)
     tracemalloc.start()
     try:
-        got = qas.acceptances(scheme, keys, [rho], which)
+        got = qas.acceptances(scheme, keys, registers)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert np.array_equal(got, expected)
-    assert peak < len(keys) * rho.matrix.nbytes / 2
+    # the register is taken against its 63 distinct keys, not 256 pairs
+    assert peak < 2 << 20
 
 
 def test_round_trips_take_one_kind_of_message(scheme):
@@ -389,10 +424,13 @@ def _acceptance_by_index_reference(scheme, state):
 
 def test_acceptance_by_index_equals_the_full_conjugate_expressions(scheme):
     rng = spawn_rng(13)
+    adjoints = [qas.adjoint_isometry(scheme, j) for j in range(scheme.design.cardinality)]
     for _ in range(20):
         psi = random_pure_state(2, rng)
         by_index = qas.acceptance_by_index(scheme, psi)
-        assert np.array_equal(by_index, _acceptance_by_index_reference(scheme, psi))
+        assert np.array_equal(by_index, [accept_branch(psi, a)[0] for a in adjoints])
+        # the einsum sums in another order: 4 terms, each rounded by 2.2e-16
+        assert np.max(np.abs(by_index - _acceptance_by_index_reference(scheme, psi))) <= 1e-15
         # an 11,520-term mean rounds by about 1e-16
         assert abs(qas.avg_design_accept(scheme, psi) - float(np.mean(by_index))) <= 1e-15
         rho = random_density(2, rng)

@@ -15,10 +15,10 @@ from qlease.qmath import (
     PureState,
     QubitCapError,
     apply_channel,
-    collapse,
     embed_operator,
     haar_unitary,
     ket,
+    measure_and_collapse,
     measure_projective,
     partial_trace,
     random_density,
@@ -28,6 +28,8 @@ from qlease.qmath import (
     trace_norm,
     zero_state,
 )
+
+from measurement_reference import accept_branch, collapse
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -251,8 +253,7 @@ def test_measure_deterministic_outcome():
     rng = spawn_rng(1)
     accept = _adjoint(ket("1").amplitudes)  # outcome 1 is |1>
     for _ in range(20):
-        outcome = measure_projective(ket("0"), accept, rng)
-        post = collapse(ket("0"), accept, outcome)
+        outcome, post = measure_and_collapse(ket("0"), accept, rng)
         assert outcome == 0
         assert np.allclose(post.amplitudes, ket("0").amplitudes)
 
@@ -277,8 +278,7 @@ def test_measure_bell_first_qubit():
     accept = _adjoint(np.kron(ket("1").amplitudes.reshape(2, 1), np.eye(2)))  # first qubit 1
     counts = [0, 0]
     for _ in range(2000):
-        outcome = measure_projective(bell_state(), accept, rng)
-        post = collapse(bell_state(), accept, outcome)
+        outcome, post = measure_and_collapse(bell_state(), accept, rng)
         counts[outcome] += 1
         expected = ket("00") if outcome == 0 else ket("11")
         assert qmath.state_distance(post, expected) < 1e-9
@@ -350,11 +350,10 @@ def test_local_measurement_matches_dense_lift(pure, positions, total):
 
     rho = placed(own, other)
     lifted = [embed_operator(p, positions, total) for p in _dense_pair(v)]
-    p1, _ = qmath.accept_branch(own, v.conj().T)
+    p1, _ = accept_branch(own, v.conj().T)
     assert abs(p1 - np.trace(lifted[1] @ rho).real) <= qmath.ATOL
     for outcome, big in enumerate(lifted):
-        got = measure_projective(own, v.conj().T, _ForcedDraw(outcome))
-        post = collapse(own, v.conj().T, got)
+        got, post = measure_and_collapse(own, v.conj().T, _ForcedDraw(outcome))
         assert got == outcome
         m = big @ rho @ big
         expected = m / np.trace(m).real
@@ -397,12 +396,11 @@ def test_measurement_matches_the_dense_pair(qubits, pure):
             rho = state.matrix
         pair = _dense_pair(v)
         born = [np.trace(p @ rho).real for p in pair]
-        p1, _ = qmath.accept_branch(state, accept)
+        p1, _ = accept_branch(state, accept)
         assert abs(p1 - born[1]) <= 1e-12 and abs(p1 - weight) <= 1e-12
         possible = [w >= qmath.NEGLIGIBLE for w in born]
         for forced in range(2):
-            got = measure_projective(state, accept, _ForcedDraw(forced))
-            post = collapse(state, accept, got)
+            got, post = measure_and_collapse(state, accept, _ForcedDraw(forced))
             assert possible[got]
             if all(possible):
                 assert got == forced
@@ -444,8 +442,7 @@ def test_post_states_are_density_operators(seed, total, kind):
         state = random_density(total, rng, rank=int(rng.integers(1, (1 << total) + 1)))
     accept = _random_isometry(total, rng).conj().T
     for outcome in range(2):
-        got = measure_projective(state, accept, _ForcedDraw(outcome))
-        post = collapse(state, accept, got)
+        got, post = measure_and_collapse(state, accept, _ForcedDraw(outcome))
         assert got == outcome
         if kind == "pure":
             assert isinstance(post, PureState)
@@ -469,7 +466,7 @@ def _measure_and_collapse_at_once(state, accept, rng):
     the outcome and builds its post-state, the reference for both."""
     if accept.ndim != 2 or accept.shape[1] != state.dim:
         raise DimensionMismatchError("measurement register does not match the state")
-    p1, inner = qmath.accept_branch(state, accept)
+    p1, inner = accept_branch(state, accept)
     outcome = qmath.draw_outcome(p1, rng)
     if isinstance(state, PureState):
         branch = (inner.conj() @ accept).conj()
@@ -562,7 +559,8 @@ def test_collapse_keeps_small_density_branches_states(outcome, p):
             kept.append(accepted if outcome == 1 else rejected)
         mix = rng.random()
         state = DensityOperator(sum(c * np.outer(x, x.conj()) for c, x in zip((mix, 1 - mix), vecs)))
-        post = collapse(state, accept, outcome)
+        got, post = measure_and_collapse(state, accept, _ForcedDraw(outcome))
+        assert got == outcome
         assert post.matrix.tobytes() == DensityOperator(post.matrix).matrix.tobytes()
         expected = sum(c * np.outer(x, x.conj()) for c, x in zip((mix, 1 - mix), kept))
         assert trace_distance(post, expected) < bound
@@ -592,7 +590,7 @@ def test_draw_is_generator_choice():
                 cases += [(PureState(vecs[0]), v.conj().T), (DensityOperator(rho), v.conj().T)]
     draws = 0
     for case, (state, accept) in enumerate(cases):
-        probs = _reference_probs(qmath.accept_branch(state, accept)[0])
+        probs = _reference_probs(accept_branch(state, accept)[0])
         for seed in range(180):
             ours, theirs = np.random.default_rng([case, seed]), np.random.default_rng([case, seed])
             got = measure_projective(state, accept, ours)
@@ -647,8 +645,7 @@ def test_pure_post_state_is_trusted_and_exact(qubits):
     for _ in range(20):
         state = random_pure_state(qubits, rng)
         for outcome in range(2):
-            got = measure_projective(state, accept, _ForcedDraw(outcome))
-            post = collapse(state, accept, got)
+            got, post = measure_and_collapse(state, accept, _ForcedDraw(outcome))
             assert got == outcome
             assert isinstance(post, PureState) and post.qubits == qubits
             assert not post.amplitudes.flags.writeable
