@@ -23,7 +23,7 @@ import numpy as np
 from . import copyprotect as cp
 from . import designs, games, qas, suite
 from .leasing import SslScheme
-from .qmath import QubitCapError, random_density, spawn_rng, trace_distance
+from .qmath import random_density, spawn_rng, trace_distance
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -51,14 +51,6 @@ def _scheme_params(text: str) -> tuple[int, int, int]:
     if not 1 <= k <= 20:
         raise ConfigError("key bits must lie in 1..20 for exact enumeration")
     return m, t, k
-
-
-def _build_scheme(text: str) -> qas.QasScheme:
-    m, t, k = _scheme_params(text)
-    try:
-        return qas.build_scheme(m, t, k)
-    except (QubitCapError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def _config_value(action: argparse.Action, key: str, value):
@@ -153,7 +145,7 @@ def cmd_design_check(args) -> int:
 
 
 def cmd_qas_verify(args) -> int:
-    scheme = _build_scheme(args.scheme)
+    scheme = qas.build_scheme(*_scheme_params(args.scheme))
     rng = spawn_rng(args.seed, 1)
     checks: list[tuple[str, float, float, bool]] = []
 
@@ -240,10 +232,10 @@ def _report_game(args, rep: games.GameReport) -> int:
 def cmd_cp(args) -> int:
     if not 0.5 <= args.r <= 1.0:
         raise ConfigError("--r (Bob's point mass) must lie in [0.5, 1]")
-    key_bits = _scheme_params(args.scheme)[2]
-    if args.adversary == "keysearch" and not 1 <= args.budget <= 1 << key_bits:
-        raise ConfigError(f"--budget must lie in 1..{1 << key_bits} (2^k keys)")
-    scheme = _build_scheme(args.scheme)
+    m, t, k = _scheme_params(args.scheme)
+    if args.adversary == "keysearch" and not 1 <= args.budget <= 1 << k:
+        raise ConfigError(f"--budget must lie in 1..{1 << k} (2^k keys)")
+    scheme = qas.build_scheme(m, t, k)
     spec = games.default_cp_spec(scheme, bob_r=args.r)
     # the parser and the config check keep the adversary among the choices
     adversary = {
@@ -258,7 +250,7 @@ def cmd_cp(args) -> int:
 def cmd_ssl(args) -> int:
     if not 0.0 <= args.r <= 1.0:
         raise ConfigError("--r (verification point mass) must lie in [0, 1]")
-    scheme = _build_scheme(args.scheme)
+    scheme = qas.build_scheme(*_scheme_params(args.scheme))
     ssl_scheme = SslScheme(scheme, verify_r=args.r)
     circuit = cp.ChallengeDistribution(scheme.key_bits)
     challenge = cp.PointFamily(scheme.key_bits, 0.5)

@@ -115,7 +115,7 @@ class ChallengeDistribution:
         return probs
 
     def _flat(self) -> float:
-        return 1.0 / self.size if self.r is None else (1.0 - self.r) / (self.size - 1)
+        return 1.0 / self.size if self.r is None else _flat_weight(self.bits, self.r)
 
     def prob(self, x: int) -> float:
         return self.r if x == self.point else self._flat()
@@ -142,10 +142,20 @@ class ChallengeDistribution:
     def sample(self, rng: np.random.Generator) -> int:
         if self.point is None:
             return int(rng.integers(self.size))
-        if rng.random() < self.r:
-            return self.point
-        other = int(rng.integers(self.size - 1))
-        return other + (other >= self.point)
+        return _draw_near(self.bits, self.point, self.r, rng)
+
+
+def _flat_weight(bits: int, r: float) -> float:
+    """The float weight of each string but the peak under mass ``r`` on one of 2^bits."""
+    return (1.0 - r) / ((1 << bits) - 1)
+
+
+def _draw_near(bits: int, point: int, r: float, rng: np.random.Generator) -> int:
+    """Mass ``r`` on ``point``: a uniform against ``r``, else one of the other 2^bits - 1 strings."""
+    if rng.random() < r:
+        return point
+    other = int(rng.integers((1 << bits) - 1))
+    return other + (other >= point)
 
 
 @functools.lru_cache(maxsize=256)
@@ -163,8 +173,8 @@ def _biased_weights(bits: int, r: float) -> tuple[Fraction, Fraction]:
 class PointFamily:
     """The point-centred challenge family: at point ``p``, mass ``r`` on
     ``p`` and uniform elsewhere.  Validated once, when it is built;
-    ``family(p)`` is ``ChallengeDistribution(bits, p, r)``, and
-    :meth:`weights` gives the exact weights that every member shares."""
+    :meth:`sample` draws at a point, ``family(p)`` is the member
+    ``ChallengeDistribution(bits, p, r)``, :meth:`weights` their exact weights."""
 
     bits: int
     r: float
@@ -177,6 +187,10 @@ class PointFamily:
 
     def __call__(self, point: int) -> ChallengeDistribution:
         return ChallengeDistribution(self.bits, point, self.r)
+
+    def sample(self, point: int, rng: np.random.Generator) -> int:
+        """The challenge at ``point``: the draw of ``family(point).sample(rng)``."""
+        return _draw_near(self.bits, point, self.r, rng)
 
     def weights(self) -> tuple[Fraction, Fraction]:
         """(flat, peak): the exact weights of every string but the point,
@@ -276,32 +290,28 @@ def post_evaluation_state(
 # ---------------------------------------------------------------------------
 
 
-def correctness_from_answers(
-    dist: ChallengeDistribution, point: int, at_point: float, summed: float
-) -> float:
-    """E_{x<-dist} Pr[the answer at x is P_p(x)] for answers that read 1
-    at x with probability ``a_x``: ``at_point`` is ``a_p`` and ``summed``
-    the sum of ``a_x`` over every x.  Every x but p has the flat weight:
-    ``prob(p) a_p + flat ((2^k - 1) - (summed - a_p))``."""
-    return dist.prob(point) * at_point + dist._flat() * ((dist.size - 1) - (summed - at_point))
+def correctness_from_answers(family: PointFamily, at_point: float, summed: float) -> float:
+    """E_{x<-family(p)} Pr[the answer at x is P_p(x)] for answers that read 1
+    at x with probability ``a_x``: ``at_point`` is ``a_p``, ``summed`` their sum
+    over x, and every x but p has the flat weight: ``r a_p + flat ((2^k - 1) - (summed - a_p))``."""
+    size = 1 << family.bits
+    return family.r * at_point + _flat_weight(family.bits, family.r) * ((size - 1) - (summed - at_point))
 
 
-def honest_correctness(
-    scheme: QasScheme, state, point: int, dist: ChallengeDistribution
-) -> float:
-    """E_{x<-dist} Pr[honest evaluation of ``state`` at x outputs P_p(x)],
+def honest_correctness(scheme: QasScheme, state, point: int, family: PointFamily) -> float:
+    """E_{x<-family(p)} Pr[honest evaluation of ``state`` at x outputs P_p(x)],
     from its acceptance at p and its acceptance summed over every key."""
-    if dist.bits != scheme.key_bits:
-        raise DimensionMismatchError("distribution bit-length mismatch")
+    if not isinstance(family, PointFamily):
+        raise TypeError("honest correctness needs a PointFamily of challenges")
+    if family.bits != scheme.key_bits:
+        raise DimensionMismatchError("family bit-length mismatch")
     at_point = accept_probability(scheme, point, state)
-    return correctness_from_answers(dist, point, at_point, summed_acceptance(scheme, state))
+    return correctness_from_answers(family, at_point, summed_acceptance(scheme, state))
 
 
-def correctness_exact(
-    scheme: QasScheme, point: int, dist: ChallengeDistribution
-) -> float:
-    """E_{x<-dist} Pr[evaluate outputs P_p(x)], computed analytically."""
-    return honest_correctness(scheme, protect(scheme, point).state, point, dist)
+def correctness_exact(scheme: QasScheme, point: int, family: PointFamily) -> float:
+    """E_{x<-family(p)} Pr[evaluate outputs P_p(x)], computed analytically."""
+    return honest_correctness(scheme, protect(scheme, point).state, point, family)
 
 
 def wrong_key_average_excluding(scheme: QasScheme, point: int) -> float:

@@ -258,6 +258,12 @@ class UnitaryDesign:
     def element(self, i: int) -> np.ndarray:
         raise NotImplementedError
 
+    def _index(self, i: int) -> int:
+        i = operator.index(i)
+        if not 0 <= i < self.cardinality:
+            raise IndexError("design index out of range")
+        return i
+
 
 class EnumeratedDesign(UnitaryDesign):
     """A design held as an explicit list of canonical-phase unitaries."""
@@ -270,7 +276,7 @@ class EnumeratedDesign(UnitaryDesign):
         self.design_id = design_id
 
     def element(self, i: int) -> np.ndarray:
-        return self._elements[i]
+        return self._elements[self._index(i)]
 
     def elements(self) -> np.ndarray:
         """All elements stacked as an (N, d, d) array."""
@@ -481,9 +487,7 @@ class IndexedCliffordDesign(UnitaryDesign):
         _LIVE_DESIGNS.add(self)
 
     def element(self, i: int) -> np.ndarray:
-        i = operator.index(i)
-        if not 0 <= i < self.cardinality:
-            raise IndexError("design index out of range")
+        i = self._index(i)
         cached = self._cache.get(i)
         if cached is not None:
             return cached

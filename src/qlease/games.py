@@ -56,7 +56,6 @@ import numpy as np
 from .copyprotect import (
     ChallengeDistribution,
     PointFamily,
-    PointFunction,
     correctness_from_answers,
     honest_correctness,
     protect,
@@ -221,9 +220,9 @@ class GameSpec:
     """Distributions of the game: the circuit (point) distribution, and
     Bob's and Charlie's challenge families (in the leasing game,
     verification's and the lessee's; see :func:`leasing_spec`).  Each is
-    on the scheme's key length; a family that is not a
-    :class:`~qlease.copyprotect.PointFamily` is left to the baselines,
-    which reject it."""
+    on the scheme's key length, and each family is a
+    :class:`~qlease.copyprotect.PointFamily`: the challenge is drawn at
+    the point, so it cannot be centred anywhere else."""
 
     scheme: QasScheme
     circuit_dist: ChallengeDistribution
@@ -231,8 +230,9 @@ class GameSpec:
     charlie_family: PointFamily
 
     def __post_init__(self):
-        parts = (self.circuit_dist, self.bob_family, self.charlie_family)
-        bits = [p.bits for p in parts if isinstance(p, (ChallengeDistribution, PointFamily))]
+        if not all(isinstance(f, PointFamily) for f in (self.bob_family, self.charlie_family)):
+            raise ValueError("a game's challenge families must be PointFamily instances")
+        bits = [p.bits for p in (self.circuit_dist, self.bob_family, self.charlie_family)]
         if any(b != self.scheme.key_bits for b in bits):
             raise DimensionMismatchError(
                 f"distributions on {bits} bits in a game on {self.scheme.key_bits}-bit keys"
@@ -380,18 +380,14 @@ def _play(spec: GameSpec, pirate, charlie: MeasurementStrategy, trials: int, see
     measurements.  The bits are those of measuring in turn, since a
     trial's measurements are its last draws and each consumes one uniform.
     Memory is O(block): a block keeps its registers until its outcomes are
-    decided, and the run caches only each point's program and
-    distributions.
+    decided, and the run caches only each point's program.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     scheme = spec.scheme
     honest = type(charlie) is HonestEvalStrategy and charlie.scheme == scheme
 
-    @functools.cache
-    def at_point(p: int):
-        program = protect(scheme, p).state
-        return program, PointFunction(p, scheme.key_bits), spec.bob_family(p), spec.charlie_family(p)
+    program = functools.cache(lambda p: protect(scheme, p).state)
 
     wins = 0
     rngs = spawn_rngs(seed, trials)
@@ -400,13 +396,12 @@ def _play(spec: GameSpec, pirate, charlie: MeasurementStrategy, trials: int, see
         charlie_right = []
         for rng in itertools.islice(rngs, SPAWN_BLOCK):
             p = spec.circuit_dist.sample(rng)
-            psi, pf, bob_dist, charlie_dist = at_point(p)
-            bob, charlie_state, side = pirate.split(psi, p, rng)
-            x1, x2 = bob_dist.sample(rng), charlie_dist.sample(rng)
+            bob, charlie_state, side = pirate.split(program(p), p, rng)
+            x1, x2 = spec.bob_family.sample(p, rng), spec.charlie_family.sample(p, rng)
             for state, x in ((bob, x1), (charlie_state, x2))[: 1 + honest]:
-                asked.append((state, x, rng.random(), pf(x)))
+                asked.append((state, x, rng.random(), x == p))
             if not honest:
-                charlie_right.append(charlie.answer(charlie_state, x2, side, rng) == pf(x2))
+                charlie_right.append(charlie.answer(charlie_state, x2, side, rng) == (x2 == p))
         registers, keys, u, right = zip(*asked)
         correct = outcome_at(acceptances(scheme, keys, registers), np.array(u)) == np.array(right)
         # a trial's measurements are Bob's, then Charlie's when he is honest
@@ -563,24 +558,24 @@ def exact_win(spec: GameSpec, pirate, charlie: MeasurementStrategy) -> float:
     (:func:`~qlease.copyprotect.honest_correctness`), on any design.
 
     Raises ``ValueError`` for a split that draws randomness (such as
-    :class:`KeysearchPirate`), another Charlie, a family that is not a
-    :class:`~qlease.copyprotect.PointFamily`, or too many reached indices.
+    :class:`KeysearchPirate`), another Charlie, an honest Charlie on
+    another scheme, or too many reached indices.
     """
     scheme = spec.scheme
     if not isinstance(charlie, (FixedAnswer, HonestEvalStrategy)):
         raise ValueError("exact_win needs Charlie to answer a fixed bit or evaluate honestly")
-    if not all(isinstance(family, PointFamily) for family in (spec.bob_family, spec.charlie_family)):
-        raise ValueError("exact_win needs PointFamily challenges")
+    if isinstance(charlie, HonestEvalStrategy) and charlie.scheme != scheme:
+        raise ValueError("exact_win needs an honest Charlie on the game's scheme")
     weights = spec.circuit_dist.class_weights(scheme.key_map)
     total = 0.0
     for j in np.flatnonzero(weights).tolist():
         bob, held, _ = pirate.split(protect(scheme, j).state, j, _NoDraws())
         if isinstance(charlie, FixedAnswer):
             bit = float(charlie.bit)
-            charlie_right = correctness_from_answers(spec.charlie_family(j), j, bit, bit * (1 << scheme.key_bits))
+            charlie_right = correctness_from_answers(spec.charlie_family, bit, bit * (1 << scheme.key_bits))
         else:
-            charlie_right = honest_correctness(scheme, held, j, spec.charlie_family(j))
-        total += weights[j] * honest_correctness(scheme, bob, j, spec.bob_family(j)) * charlie_right
+            charlie_right = honest_correctness(scheme, held, j, spec.charlie_family)
+        total += weights[j] * honest_correctness(scheme, bob, j, spec.bob_family) * charlie_right
     return float(total)
 
 

@@ -145,8 +145,6 @@ def auth_isometry(scheme: QasScheme, key: int) -> np.ndarray:
     as a contiguous read-only copy of the design element's columns: the
     copy is kept because products with the strided view round
     differently.  Not re-checked (``A† A = I`` holds by construction)."""
-    if not 0 <= key < (1 << scheme.key_bits):
-        raise ValueError("key outside the key space")
     a = np.array(_auth_matrix(scheme, key))
     a.setflags(write=False)
     return a

@@ -192,7 +192,7 @@ def c06_protection_correctness(seed: int) -> CriterionResult:
     gated = scheme.epsilon > 0.5
     for _ in range(50):
         p = int(rng.integers(1 << 14))
-        corr = cp.correctness_exact(scheme, p, cp.ChallengeDistribution(14, p, 0.5))
+        corr = cp.correctness_exact(scheme, p, cp.PointFamily(14, 0.5))
         ident = 1.0 - 0.5 * cp.wrong_key_average_excluding(scheme, p)
         worst = max(worst, abs(corr - ident))
         if not gated:
@@ -253,6 +253,7 @@ def c08_reusability(seed: int) -> CriterionResult:
     exact_dev = 0.0
     worst_excess = -np.inf
     worst_const = 0.0
+    family = cp.PointFamily(14, 0.5)
     for _ in range(5):
         p = int(rng.integers(1 << 14))
         program = cp.protect(scheme, p)
@@ -264,10 +265,9 @@ def c08_reusability(seed: int) -> CriterionResult:
         # Exact damage: dephasing a pure program across the accept split of
         # key x moves it by sqrt(a_x (1 - a_x)) in trace distance, a_x its
         # acceptance probability.
-        dist = cp.ChallengeDistribution(14, p, 0.5)
         acc = np.clip(qas.acceptance_by_index(scheme, original), 0, 1)
-        damage = float(dist.class_weights(scheme.key_map) @ np.sqrt(acc * (1 - acc)))
-        eta = 1.0 - cp.correctness_exact(scheme, p, dist)
+        damage = float(family(p).class_weights(scheme.key_map) @ np.sqrt(acc * (1 - acc)))
+        eta = 1.0 - cp.correctness_exact(scheme, p, family)
         worst_excess = max(worst_excess, damage - 4 * eta)
         worst_const = max(worst_const, damage / eta)
     return CriterionResult(
@@ -284,7 +284,7 @@ def c09_mix_correctness(seed: int) -> CriterionResult:
     worst-case per-input guarantee, exhaustively at l = 2."""
     scheme = qas.build_scheme(1, 1, 2)
     fam = designs.PairwisePermFamily(2)
-    eta = 1.0 - min(cp.correctness_exact(scheme, p, cp.ChallengeDistribution(2, p, 0.5)) for p in range(4))
+    eta = 1.0 - min(cp.correctness_exact(scheme, p, cp.PointFamily(2, 0.5)) for p in range(4))
     worst = max(
         cp.mix_error_exact(scheme, fam, p, x) for p in range(4) for x in range(4)
     )

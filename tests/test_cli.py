@@ -216,6 +216,11 @@ def test_config_unknown_key_is_usage_error(tmp_path):
     assert main(["cp", "--config", str(cfg)]) == EXIT_USAGE
 
 
+def test_unreadable_config_is_usage_error(tmp_path, capsys):
+    assert main(["cp", "--config", str(tmp_path)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: cannot read config")
+
+
 @pytest.mark.parametrize(
     "command,config,code",
     [
@@ -223,8 +228,9 @@ def test_config_unknown_key_is_usage_error(tmp_path):
         ("cp", {"budget": "3", "adversary": "keysearch"}, EXIT_USAGE),
         ("cp", {"trials": 1.5}, EXIT_USAGE),
         ("ssl", {"trials": 20, "r": 1, "json": True, "adversary": "keep-program"}, EXIT_OK),
+        ("cp", [20], EXIT_USAGE),
     ],
-    ids=["str-seed", "str-budget", "float-trials", "valid"],
+    ids=["str-seed", "str-budget", "float-trials", "valid", "non-object"],
 )
 def test_config_values_take_the_option_types(tmp_path, capsys, command, config, code):
     cfg = tmp_path / "cfg.json"
@@ -265,6 +271,7 @@ def test_invalid_r_usage_error():
         ["suite", "--seed", "-1"],
         ["ssl", "--r", "1.5"],
         ["design-check", "--qubits", "4"],
+        ["cp", "--scheme", "0,1,6"],
     ],
     ids=" ".join,
 )

@@ -204,6 +204,19 @@ def test_point_family_builds_biased_points():
     assert cp.PointFamily(3, r).weights()[1] == Fraction(r)
 
 
+@pytest.mark.parametrize("bits", [1, 6, 20])
+@pytest.mark.parametrize("r", [0.0, 0.5, 0.75, 1.0])
+def test_point_family_draws_its_members_draws(bits, r):
+    # the game draws challenges from the family at a point, without building
+    # the member: the same values, draw for draw, and the same generator state
+    family = cp.PointFamily(bits, r)
+    for point in (0, (1 << bits) - 1):
+        ours, members = spawn_rng(17, bits, point), spawn_rng(17, bits, point)
+        for _ in range(200):
+            assert family.sample(point, ours) == family(point).sample(members)
+        assert ours.bit_generator.state == members.bit_generator.state
+
+
 @pytest.mark.parametrize("bits,r", [(0, 0.5), (-1, 0.5), (2.0, 0.5), (3, -0.1), (3, 1.5), (3, float("nan"))])
 def test_point_family_is_validated_when_built(bits, r):
     with pytest.raises(ValueError):
@@ -502,7 +515,7 @@ def test_average_damage_within_constant_of_eta(scheme):
             * trace_distance(state.density(), cp.post_evaluation_state(scheme, state, x))
             for x in range(64)
         )
-        eta = 1.0 - cp.correctness_exact(scheme, p, dist)
+        eta = 1.0 - cp.correctness_exact(scheme, p, cp.PointFamily(6, 0.5))
         assert damage <= 4 * eta
 
 
@@ -511,13 +524,31 @@ def test_average_damage_within_constant_of_eta(scheme):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "call,error",
+    [
+        (lambda s: cp.protect(s, 64), ValueError),
+        (lambda s: cp.protect(s, -1), ValueError),
+        (lambda s: cp.correctness_exact(s, 3, cp.PointFamily(5, 0.5)), DimensionMismatchError),
+        # a distribution repeats the point and could be centred elsewhere: it
+        # once gave 0.0246 here, where the sum over all 64 challenges is 0.4738
+        (lambda s: cp.correctness_exact(s, 3, cp.ChallengeDistribution(6, 10, 0.9)), TypeError),
+        (lambda s: cp.mix_protect(s, PairwisePermFamily(5), 3, spawn_rng(1)), DimensionMismatchError),
+    ],
+    ids=["point-above", "point-below", "family-bits", "distribution", "mix-family-bits"],
+)
+def test_protection_refuses_inputs_off_the_scheme(scheme, call, error):
+    with pytest.raises(error):
+        call(scheme)
+
+
 def test_correctness_point_mass_is_one(scheme):
-    assert abs(cp.correctness_exact(scheme, 9, cp.ChallengeDistribution(6, 9, 1.0)) - 1.0) < 1e-12
+    assert abs(cp.correctness_exact(scheme, 9, cp.PointFamily(6, 1.0)) - 1.0) < 1e-12
 
 
 def test_correctness_identity_with_wrong_key_average(scheme):
     for p in (0, 21, 42):
-        corr = cp.correctness_exact(scheme, p, cp.ChallengeDistribution(6, p, 0.5))
+        corr = cp.correctness_exact(scheme, p, cp.PointFamily(6, 0.5))
         ident = 1.0 - 0.5 * cp.wrong_key_average_excluding(scheme, p)
         assert abs(corr - ident) < 1e-9
 
@@ -525,8 +556,7 @@ def test_correctness_identity_with_wrong_key_average(scheme):
 def test_correctness_uniform_off_point(scheme):
     # uniform over x != p: correctness = 1 - wrong-key average excluding p
     p = 13
-    dist = cp.ChallengeDistribution(6, p, 0.0)
-    corr = cp.correctness_exact(scheme, p, dist)
+    corr = cp.correctness_exact(scheme, p, cp.PointFamily(6, 0.0))
     assert abs(corr - (1.0 - cp.wrong_key_average_excluding(scheme, p))) < 1e-9
 
 
@@ -534,7 +564,7 @@ def test_correctness_one_minus_epsilon_gate(scheme):
     # the lower bound only binds when the recorded epsilon is <= 1/2
     if scheme.epsilon <= 0.5:
         for p in range(0, 64, 7):
-            assert cp.correctness_exact(scheme, p, cp.ChallengeDistribution(6, p, 0.5)) >= 1 - scheme.epsilon
+            assert cp.correctness_exact(scheme, p, cp.PointFamily(6, 0.5)) >= 1 - scheme.epsilon
     else:
         assert scheme.epsilon > 0.5  # gated off at desk scale
 
@@ -601,7 +631,7 @@ def test_mix_encoded_point_marginal_uniform():
 def test_mix_worst_case_error_bound():
     scheme = qas.build_scheme(1, 1, 2)
     fam = PairwisePermFamily(2)
-    eta = 1.0 - min(cp.correctness_exact(scheme, p, cp.ChallengeDistribution(2, p, 0.5)) for p in range(4))
+    eta = 1.0 - min(cp.correctness_exact(scheme, p, cp.PointFamily(2, 0.5)) for p in range(4))
     for p in range(4):
         for x in range(4):
             err = cp.mix_error_exact(scheme, fam, p, x)

@@ -151,6 +151,8 @@ def test_zero_multiplier_rejected():
     fam = PairwisePermFamily(3)
     with pytest.raises(ValueError):
         fam.apply((0, 1), 2)
+    with pytest.raises(ValueError, match="input"):
+        fam.apply((1, 0), 8)
 
 
 def test_every_param_is_a_permutation():
@@ -308,6 +310,7 @@ INVALID_SIZES = {
     "map-float-range": lambda: EpsUniformMap(3, 2.0),
     "point-bool-bits": lambda: PointFunction(1, True),
     "point-float-bits": lambda: PointFunction(1, 2.0),
+    "field-zero-bits": lambda: irreducible_poly(0),
 }
 
 
@@ -755,6 +758,14 @@ def test_elements_conjugate_paulis_to_the_tableau(qubits, data):
             assert np.max(np.abs(conj - image)) < ATOL, (i, row)
 
 
+@pytest.mark.parametrize("design", [clifford_enumerate(1), IndexedCliffordDesign(1)], ids=["enumerated", "indexed"])
+@pytest.mark.parametrize("i", [-1, 24, 1 << 70])
+def test_element_index_outside_the_design_is_refused(design, i):
+    # numpy would read -1 from the end of an enumerated design's stack
+    with pytest.raises(IndexError):
+        design.element(i)
+
+
 @pytest.mark.parametrize("qubits", [3, 4, 5, 6])
 def test_element_takes_numpy_integer_indices(qubits):
     n = IndexedCliffordDesign(qubits).cardinality
@@ -823,6 +834,14 @@ def test_group_frame_potential_matches_the_exhaustive_gram(qubits):
 def test_frame_potential_single_element():
     trivial = designs.EnumeratedDesign(1, np.stack([np.eye(2, dtype=complex)]), "id")
     assert abs(frame_potential(trivial) - 16.0) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "kwargs,match", [({}, "enumerated"), ({"samples": 10}, "rng")], ids=["exhaustive", "sampled-without-rng"]
+)
+def test_frame_potential_refuses_an_indexed_sum_and_a_missing_rng(kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        frame_potential(IndexedCliffordDesign(3), **kwargs)
 
 
 @pytest.mark.parametrize("samples", [0, -5])

@@ -196,6 +196,21 @@ def test_best_guess_rate_builds_no_distribution(monkeypatch):
     assert len(built) == 1
 
 
+@pytest.mark.parametrize("split", [trivial_forward, give_to_charlie])
+def test_game_trials_build_no_distribution_or_point_function(monkeypatch, split):
+    # a trial draws its challenges from the spec's families at the point and
+    # compares them with the point: no per-point object is built or validated
+    scheme = qas.build_scheme(1, 1, 20)
+    spec = default_cp_spec(scheme)
+    built = []
+    for cls in (cp.ChallengeDistribution, cp.PointFunction):
+        monkeypatch.setattr(cls, "__post_init__", lambda self, check=cls.__post_init__: built.append(check(self)))
+    assert run_experiment_free(spec, *split(scheme), 600, seed=1).wins > 0
+    assert built == []
+    cp.PointFunction(3, 20), spec.bob_family(3)  # the count sees a build
+    assert len(built) == 2
+
+
 def test_baselines_reject_tables_and_plain_callables():
     # a probability vector, such as leasing.pushforward returns, is no family
     table = np.array([0.4, 0.3, 0.2, 0.1])
@@ -218,9 +233,9 @@ class _NoSplit:
 
 
 def test_bad_baseline_inputs_fail_before_any_trial(scheme, ssl):
-    bad = games.GameSpec(scheme, cp.ChallengeDistribution(6), cp.PointFamily(6, 0.5), lambda p: cp.ChallengeDistribution(6, p, 0.5))
+    # the spec itself refuses, so no game can start from it
     with pytest.raises(ValueError, match="PointFamily"):
-        run_experiment_free(bad, _NoSplit(), FixedAnswer(0), 10, seed=1)
+        games.GameSpec(scheme, cp.ChallengeDistribution(6), cp.PointFamily(6, 0.5), lambda p: cp.ChallengeDistribution(6, p, 0.5))
     with pytest.raises(ValueError, match="PointFamily"):
         run_experiment_ssl(
             ssl, cp.ChallengeDistribution(6), lambda p: cp.ChallengeDistribution(6, p, 0.5), _NoSplit(), FixedAnswer(0), 10, seed=1
@@ -435,7 +450,7 @@ def test_game_memory_is_one_block():
 def _mean_correctness(scheme, circuit_dist, family) -> float:
     """E over the circuit distribution of the exact per-point correctness."""
     return sum(
-        circuit_dist.prob(p) * cp.correctness_exact(scheme, p, family(p))
+        circuit_dist.prob(p) * cp.correctness_exact(scheme, p, family)
         for p in range(circuit_dist.size)
     )
 
@@ -445,7 +460,7 @@ def _closed_form_trivial_forward(spec) -> float:
     right, which it is when his challenge misses the point."""
     return sum(
         spec.circuit_dist.prob(p)
-        * cp.correctness_exact(spec.scheme, p, spec.bob_family(p))
+        * cp.correctness_exact(spec.scheme, p, spec.bob_family)
         * (1.0 - spec.charlie_family(p).prob(p))
         for p in range(spec.circuit_dist.size)
     )
@@ -461,7 +476,7 @@ def _closed_form_give_to_charlie(spec) -> float:
     for p in range(spec.circuit_dist.size):
         hit = spec.bob_family(p).prob(p)
         bob = hit * acc + (1.0 - hit) * (1.0 - acc)
-        total += spec.circuit_dist.prob(p) * bob * cp.correctness_exact(spec.scheme, p, spec.charlie_family(p))
+        total += spec.circuit_dist.prob(p) * bob * cp.correctness_exact(spec.scheme, p, spec.charlie_family)
     return total
 
 
@@ -500,9 +515,15 @@ def test_exact_win_rejects_random_splits_and_sampled_designs(scheme, spec):
         exact_win(spec, KeysearchPirate(scheme, 4), FixedAnswer(0))
     with pytest.raises(ValueError):
         exact_win(spec, *keysearch_adversary(scheme, 4))
-    callable_family = games.GameSpec(scheme, spec.circuit_dist, lambda p: cp.ChallengeDistribution(6, p, 0.5), spec.charlie_family)
     with pytest.raises(ValueError, match="PointFamily"):
-        exact_win(callable_family, *trivial_forward(scheme))
+        games.GameSpec(scheme, spec.circuit_dist, lambda p: cp.ChallengeDistribution(6, p, 0.5), spec.charlie_family)
+    # an honest Charlie on another scheme: the trial loop cannot measure his
+    # register, so the exact value refuses rather than use the game's scheme
+    other = HonestEvalStrategy(qas.build_scheme(1, 2, 6))
+    with pytest.raises(DimensionMismatchError):
+        run_experiment_free(spec, give_to_charlie(scheme)[0], other, 10, seed=1)
+    with pytest.raises(ValueError, match="game's scheme"):
+        exact_win(spec, give_to_charlie(scheme)[0], other)
 
 
 def _per_point_win(spec, pirate, charlie) -> float:
@@ -581,7 +602,7 @@ def test_point_mass_circuit_protects_one_point(monkeypatch):
     monkeypatch.setattr(games, "protect", counted)
     value = exact_win(spec, *trivial_forward(scheme))
     assert protected == [scheme.key_index(point)]
-    assert abs(value - 0.5 * cp.correctness_exact(scheme, point, spec.bob_family(point))) < 1e-12
+    assert abs(value - 0.5 * cp.correctness_exact(scheme, point, spec.bob_family)) < 1e-12
 
 
 def test_exact_win_peak_memory_stays_small():
@@ -681,8 +702,8 @@ def test_cheat_double_program_validates_harness(spec, scheme):
     # both parties honest on intact programs: the product of two correctness values
     product = sum(
         spec.circuit_dist.prob(p)
-        * cp.correctness_exact(scheme, p, spec.bob_family(p))
-        * cp.correctness_exact(scheme, p, spec.charlie_family(p))
+        * cp.correctness_exact(scheme, p, spec.bob_family)
+        * cp.correctness_exact(scheme, p, spec.charlie_family)
         for p in range(spec.circuit_dist.size)
     )
     assert abs(oracle - product) <= 1e-15

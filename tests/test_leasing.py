@@ -116,7 +116,7 @@ def test_repeated_evaluation_degradation(ssl, scheme):
     p = 27
     pf = PointFunction(p, 6)
     dist = cp.ChallengeDistribution(6, p, 0.5)
-    eta = 1.0 - cp.correctness_exact(scheme, p, dist)
+    eta = 1.0 - cp.correctness_exact(scheme, p, cp.PointFamily(6, 0.5))
     trials = 1500
     rates = []
     for evals in range(3):
@@ -231,6 +231,20 @@ def test_pushforward_sampling_agrees():
         counts[cf.f(dist.sample(rng))] += 1
     assert np.max(np.abs(counts / n - pushed)) < 0.02
     assert not pushed.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "call,match",
+    [
+        (lambda ssl: cc_lease(ssl, CompareFunction((0, 1), 2, 0)), "target length"),
+        (lambda ssl: cc_eval(ssl_lease(ssl, PointFunction(1, 6)), 0, spawn_rng(1)), "compute-and-compare"),
+        (lambda ssl: pushforward(CompareFunction((0, 1), 6, 0), cp.ChallengeDistribution(6)), "domain"),
+    ],
+    ids=["cc-lease-target-bits", "cc-eval-point-program", "pushforward-domain"],
+)
+def test_compute_and_compare_refusals(ssl, call, match):
+    with pytest.raises(ValueError, match=match):
+        call(ssl)
 
 
 def test_epsilon_f_budget():

@@ -18,6 +18,7 @@ from qlease.qmath import (
     DimensionMismatchError,
     NEGLIGIBLE,
     PureState,
+    QubitCapError,
     maximally_mixed,
     random_density,
     random_pure_state,
@@ -55,6 +56,16 @@ def test_build_scheme_parameter_validation():
         qas.build_scheme(1, 0, 4)
     with pytest.raises(ValueError):
         qas.build_scheme(1, 1, 0)
+    # refused before any design is built
+    with pytest.raises(QubitCapError):
+        qas.build_scheme(7, 6, 4)
+
+
+@pytest.mark.parametrize("isometry", [qas.auth_isometry, qas.adjoint_isometry])
+@pytest.mark.parametrize("key", [-1, 1 << 14])
+def test_isometries_refuse_keys_outside_the_key_space(scheme, isometry, key):
+    with pytest.raises(ValueError):
+        isometry(scheme, key)
 
 
 def test_auth_isometry_property(scheme):
@@ -446,21 +457,23 @@ def test_design_sum_is_the_identity_over_the_trap_dimension(scheme):
 
 
 @pytest.mark.parametrize(
-    "state,error",
+    "shape,state,error",
     [
-        (zero_state(1), DimensionMismatchError),
-        (maximally_mixed(3), DimensionMismatchError),
-        (np.ones(4) / 2, TypeError),
-        (maximally_mixed(2), TypeError),
+        ((1, 1, 14), zero_state(1), DimensionMismatchError),
+        ((1, 1, 14), maximally_mixed(3), DimensionMismatchError),
+        ((1, 1, 14), np.ones(4) / 2, TypeError),
+        ((1, 1, 14), maximally_mixed(2), TypeError),
+        ((2, 1, 6), zero_state(3), ValueError),
     ],
-    ids=["pure-one-qubit", "density-three-qubits", "array", "density"],
+    ids=["pure-one-qubit", "density-three-qubits", "array", "density", "indexed-design"],
 )
-def test_acceptance_by_index_checks_the_state(scheme, state, error):
+def test_acceptance_by_index_checks_the_state(shape, state, error):
     # a pure state of the wrong size once reached einsum, whose
     # broadcasting ValueError named no dimension; a density operator's
-    # design average is avg_design_accept
+    # design average is avg_design_accept; an indexed design has no
+    # enumerated column stack
     with pytest.raises(error):
-        qas.acceptance_by_index(scheme, state)
+        qas.acceptance_by_index(qas.build_scheme(*shape), state)
 
 
 def test_wrong_key_design_average_exact(scheme):

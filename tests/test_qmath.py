@@ -59,6 +59,16 @@ def test_density_rejects_non_hermitian():
         DensityOperator(m)
 
 
+@pytest.mark.parametrize(
+    "matrix,error,match",
+    [(np.full((2, 4), 0.25), DimensionMismatchError, "square"), (np.eye(2), ValueError, "trace")],
+    ids=["non-square", "trace-two"],
+)
+def test_density_rejects_a_non_square_or_unnormalised_matrix(matrix, error, match):
+    with pytest.raises(error, match=match):
+        DensityOperator(matrix)
+
+
 def test_density_rejects_negative_eigenvalue():
     m = np.array([[1.5, 0.0], [0.0, -0.5]])
     with pytest.raises(ValueError):
