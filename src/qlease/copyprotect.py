@@ -9,9 +9,8 @@ wrong-key rate of the underlying scheme.
 Evaluation at ``x`` is the two-outcome measurement {I - A_x A_x†,
 A_x A_x†} that the key's encoding isometry ``A_x`` defines: outcome 1,
 acceptance, is the range of ``A_x``.  It is given as ``A_x†``
-(:func:`~qlease.qas.adjoint_isometry`), read from the design: a view of
-the column stack that the per-index acceptance vectors read for an
-enumerated design, built from the cached element for an indexed one.
+(:func:`~qlease.qas.adjoint_isometry`), the key's columns as the design
+hands them out: a view of its one column stack when it is enumerated.
 The construction's copy-out-the-answer circuit (purified verify, CNOT
 the accept bit onto a fresh qubit, uncompute) leaves the ancillas in |0>
 and acts on the program register exactly as this measurement, so the

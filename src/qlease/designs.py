@@ -171,7 +171,7 @@ class EpsUniformMap:
     def apply(self, x: int) -> int:
         if not 0 <= x < (1 << self.domain_bits):
             raise ValueError("input outside the domain")
-        return x % self.range_size
+        return operator.index(x) % self.range_size
 
     def preimage_counts(self) -> np.ndarray:
         """Preimage counts of the ``min(2**domain_bits, range_size)`` reached indices."""
@@ -210,18 +210,17 @@ def _dedup_key(u: np.ndarray) -> bytes:
 
 
 def _generators(qubits: int) -> list[np.ndarray]:
+    """H and S on each qubit, and CNOT; the caller admits 1 or 2 qubits only."""
     if qubits == 1:
         return [_H, _S]
-    if qubits == 2:
-        eye = np.eye(2, dtype=complex)
-        return [
-            np.kron(_H, eye),
-            np.kron(eye, _H),
-            np.kron(_S, eye),
-            np.kron(eye, _S),
-            _CNOT,
-        ]
-    raise ValueError("explicit enumeration supports 1 or 2 qubits only")
+    eye = np.eye(2, dtype=complex)
+    return [
+        np.kron(_H, eye),
+        np.kron(eye, _H),
+        np.kron(_S, eye),
+        np.kron(eye, _S),
+        _CNOT,
+    ]
 
 
 def uniform_index(n: int, rng: np.random.Generator, size: int | None = None):
@@ -258,6 +257,11 @@ class UnitaryDesign:
     def element(self, i: int) -> np.ndarray:
         raise NotImplementedError
 
+    def conj_columns(self, indices, step: int) -> np.ndarray:
+        """``conj(U_i[:, ::step])``, C-contiguous, for one valid index or an
+        array of them: the trap-zero columns of a scheme with ``step = 2^t``."""
+        raise NotImplementedError
+
     def _index(self, i: int) -> int:
         i = operator.index(i)
         if not 0 <= i < self.cardinality:
@@ -274,9 +278,19 @@ class EnumeratedDesign(UnitaryDesign):
         self._elements.setflags(write=False)
         self.cardinality = len(elements)
         self.design_id = design_id
+        self._conj_stacks: dict[int, np.ndarray] = {}
 
     def element(self, i: int) -> np.ndarray:
         return self._elements[self._index(i)]
+
+    def conj_columns(self, indices, step: int) -> np.ndarray:
+        """From one read-only stack per ``step``, conjugated once: an int
+        index (or a slice) gives a view of it, an array a gather."""
+        stack = self._conj_stacks.get(step)
+        if stack is None:
+            stack = self._conj_stacks[step] = self._elements[:, :, ::step].conj()
+            stack.setflags(write=False)
+        return stack[indices]
 
     def elements(self) -> np.ndarray:
         """All elements stacked as an (N, d, d) array."""
@@ -500,6 +514,13 @@ class IndexedCliffordDesign(UnitaryDesign):
             self._cache[i] = u
             self._cache_bytes += u.nbytes
         return u
+
+    def conj_columns(self, indices, step: int) -> np.ndarray:
+        """One :meth:`element` per distinct index; an array's are stacked and gathered."""
+        if not isinstance(indices, np.ndarray):
+            return self.element(indices)[:, ::step].conj()
+        distinct, inverse = np.unique(indices, return_inverse=True)
+        return np.stack([self.element(i)[:, ::step] for i in distinct.tolist()]).conj()[inverse.reshape(indices.shape)]
 
 
 @lru_cache(maxsize=None)

@@ -373,19 +373,22 @@ def _play(spec: GameSpec, pirate, charlie: MeasurementStrategy, trials: int, see
     Trials run in blocks of :data:`~qlease.qmath.SPAWN_BLOCK`, in two
     phases.  First each trial draws on its own generator, in the order
     above; an honest measurement (Bob's, and Charlie's when he is exactly
-    :class:`HonestEvalStrategy` on the game's scheme) draws only its
-    uniform and is recorded with its register and challenge, and any other
-    Charlie answers at once.  Then one :func:`~qlease.qas.acceptances` call
-    and one :func:`~qlease.qmath.outcome_at` call decide the block's
-    measurements.  The bits are those of measuring in turn, since a
-    trial's measurements are its last draws and each consumes one uniform.
+    :class:`HonestEvalStrategy`) draws only its uniform and is recorded
+    with its register and challenge, and any other Charlie answers at
+    once.  Then one :func:`~qlease.qas.acceptances` call and one
+    :func:`~qlease.qmath.outcome_at` call decide the block's measurements.
+    The bits are those of measuring in turn, since a trial's measurements
+    are its last draws and each consumes one uniform.
     Memory is O(block): a block keeps its registers until its outcomes are
-    decided, and the run caches only each point's program.
+    decided, and the run caches only each point's program.  An honest
+    Charlie (of any subclass) on another scheme is refused before any trial.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     scheme = spec.scheme
-    honest = type(charlie) is HonestEvalStrategy and charlie.scheme == scheme
+    if isinstance(charlie, HonestEvalStrategy) and charlie.scheme != scheme:
+        raise ValueError("an honest Charlie must evaluate on the game's scheme")
+    honest = type(charlie) is HonestEvalStrategy
 
     program = functools.cache(lambda p: protect(scheme, p).state)
 
@@ -565,7 +568,7 @@ def exact_win(spec: GameSpec, pirate, charlie: MeasurementStrategy) -> float:
     if not isinstance(charlie, (FixedAnswer, HonestEvalStrategy)):
         raise ValueError("exact_win needs Charlie to answer a fixed bit or evaluate honestly")
     if isinstance(charlie, HonestEvalStrategy) and charlie.scheme != scheme:
-        raise ValueError("exact_win needs an honest Charlie on the game's scheme")
+        raise ValueError("an honest Charlie must evaluate on the game's scheme")
     weights = spec.circuit_dist.class_weights(scheme.key_map)
     total = 0.0
     for j in np.flatnonzero(weights).tolist():

@@ -20,7 +20,6 @@ pretending it is small.
 
 from __future__ import annotations
 
-import functools
 import math
 import weakref
 from dataclasses import dataclass
@@ -133,33 +132,33 @@ def build_scheme(message_qubits: int, trap_qubits: int, key_bits: int) -> QasSch
 # ---------------------------------------------------------------------------
 
 
-def _auth_matrix(scheme: QasScheme, key: int) -> np.ndarray:
-    u = scheme.design.element(scheme.key_index(key))
-    # Columns of U (x) embedding |v> -> |v>|0^t>: message is the leftmost
-    # (most significant) register, so |v>|0^t> sits at index v * 2^t.
-    return u[:, :: 1 << scheme.trap_qubits]
+def _conj_columns(scheme: QasScheme, keys) -> np.ndarray:
+    """``conj(A_key)``, C-contiguous, for one key or an array of keys: the one
+    reader of a key's columns, every ``2^t``-th of its element's (the message is
+    the most significant register).  Its ``conj()`` and ``swapaxes(-1, -2)``
+    are :func:`auth_isometry` and :func:`adjoint_isometry` in their layouts."""
+    if not isinstance(keys, np.ndarray):
+        indices = scheme.key_index(keys)
+    elif np.any((keys < 0) | (keys >= 1 << scheme.key_bits)):
+        raise ValueError("key outside the key space")
+    else:  # a key is its own index while 2^k <= |B|, which may exceed int64
+        indices = keys % scheme.design.cardinality if 1 << scheme.key_bits > scheme.design.cardinality else keys
+    return scheme.design.conj_columns(indices, 1 << scheme.trap_qubits)
 
 
 def auth_isometry(scheme: QasScheme, key: int) -> np.ndarray:
     """``A_key``, the encoding isometry for one key, message space into Y,
-    as a contiguous read-only copy of the design element's columns: the
-    copy is kept because products with the strided view round
-    differently.  Not re-checked (``A† A = I`` holds by construction)."""
-    a = np.array(_auth_matrix(scheme, key))
+    as a contiguous read-only array.  Not re-checked (``A† A = I`` holds
+    by construction)."""
+    a = _conj_columns(scheme, key).conj()
     a.setflags(write=False)
     return a
 
 
 def adjoint_isometry(scheme: QasScheme, key: int) -> np.ndarray:
-    """``A_key†``, the adjoint of the encoding isometry, as a
-    ``(2**m, 2**(m+t))`` array.  For an enumerated design it is a
-    read-only view of one element of the conjugated trap-zero column
-    stack that :func:`acceptance_by_index` uses, so no call copies;
-    otherwise it is built from the design's element."""
-    design = scheme.design
-    if isinstance(design, EnumeratedDesign):
-        return _trap_zero_columns_conj(design, 1 << scheme.trap_qubits)[scheme.key_index(key)].T
-    return _auth_matrix(scheme, key).conj().T
+    """``A_key†``, the adjoint of the encoding isometry, ``(2**m, 2**(m+t))``:
+    a read-only view of an enumerated design's column stack, so no call copies."""
+    return _conj_columns(scheme, key).T
 
 
 def _decode(adj: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -174,19 +173,6 @@ def _decode(adj: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ok = (p >= NEGLIGIBLE)[..., None, None]
     d = b.shape[-2]
     return p, np.where(ok, herm / (scale * np.where(ok, p[..., None, None], 1.0)), np.eye(d) / d)
-
-
-def _conj_columns(scheme: QasScheme, keys: np.ndarray) -> np.ndarray:
-    """``conj(A_key)`` for an array of keys, C-contiguous: its ``conj()``
-    and ``swapaxes(-1, -2)`` stack :func:`auth_isometry` and
-    :func:`adjoint_isometry` in their layouts."""
-    if np.any((keys < 0) | (keys >= 1 << scheme.key_bits)):
-        raise ValueError("key outside the key space")
-    if isinstance(scheme.design, EnumeratedDesign):
-        return _trap_zero_columns_conj(scheme.design, 1 << scheme.trap_qubits)[keys % scheme.design.cardinality]
-    # one element per distinct key, its own index while 2^k <= |B|
-    distinct, inverse = np.unique(keys.ravel(), return_inverse=True)
-    return np.stack([_auth_matrix(scheme, key) for key in distinct.tolist()]).conj()[inverse.reshape(keys.shape)]
 
 
 def round_trips(scheme: QasScheme, auth_keys, verify_keys, messages) -> tuple[np.ndarray, np.ndarray]:
@@ -284,28 +270,19 @@ def verify(scheme: QasScheme, key: int, state, rng: np.random.Generator | None =
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=4)
-def _trap_zero_columns_conj(design: EnumeratedDesign, step: int) -> np.ndarray:
-    """The conjugated columns of every element at which the traps read
-    zero, ``elements()[:, :, ::step].conj()``, read-only."""
-    cols = design.elements()[:, :, ::step].conj()
-    cols.setflags(write=False)
-    return cols
-
-
 def acceptance_by_index(scheme: QasScheme, state: PureState) -> np.ndarray:
     """Acceptance probability of a pure state for every index of an
-    enumerated design, from its trap-zero columns conjugated once per design
-    and trap count.  It serves values not linear in acceptance, such as the
-    reusability damage ``sum_j w_j sqrt(a_j (1 - a_j))``; a linear value is
-    one trace (:func:`summed_acceptance`, :func:`avg_design_accept`)."""
+    enumerated design, from a view of the design's whole column stack.  It
+    serves values not linear in acceptance, such as the reusability damage
+    ``sum_j w_j sqrt(a_j (1 - a_j))``; a linear value is one trace
+    (:func:`summed_acceptance`, :func:`avg_design_accept`)."""
     psi = register_array(state, scheme.total_dim)
     if psi.shape[-1] != 1:
         raise TypeError("per-index acceptance takes a pure state")
     design = scheme.design
     if not isinstance(design, EnumeratedDesign):
         raise ValueError("exact per-index acceptance needs an enumerated design")
-    return accept_branches(_trap_zero_columns_conj(design, 1 << scheme.trap_qubits).swapaxes(-1, -2), psi)[1]
+    return accept_branches(design.conj_columns(slice(None), 1 << scheme.trap_qubits).swapaxes(-1, -2), psi)[1]
 
 
 #: Index-summed operators by design, then by scheme shape: (m, t, k) for a
@@ -331,8 +308,8 @@ def _index_sum(scheme: QasScheme, state, over_keys: bool) -> float:
         counts = scheme.key_map.preimage_counts().tolist() if over_keys else [1] * n
         s = np.zeros((scheme.total_dim, scheme.total_dim), dtype=complex)
         for j, count in enumerate(counts):
-            a = design.element(j)[:, :: 1 << scheme.trap_qubits]
-            s += count * (a @ a.conj().T)
+            c = design.conj_columns(j, 1 << scheme.trap_qubits)
+            s += count * (c.conj() @ c.T)
         s.setflags(write=False)
         sums[shape] = s
     if isinstance(state, PureState):

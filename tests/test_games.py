@@ -517,13 +517,40 @@ def test_exact_win_rejects_random_splits_and_sampled_designs(scheme, spec):
         exact_win(spec, *keysearch_adversary(scheme, 4))
     with pytest.raises(ValueError, match="PointFamily"):
         games.GameSpec(scheme, spec.circuit_dist, lambda p: cp.ChallengeDistribution(6, p, 0.5), spec.charlie_family)
-    # an honest Charlie on another scheme: the trial loop cannot measure his
-    # register, so the exact value refuses rather than use the game's scheme
-    other = HonestEvalStrategy(qas.build_scheme(1, 2, 6))
-    with pytest.raises(DimensionMismatchError):
-        run_experiment_free(spec, give_to_charlie(scheme)[0], other, 10, seed=1)
-    with pytest.raises(ValueError, match="game's scheme"):
-        exact_win(spec, give_to_charlie(scheme)[0], other)
+
+
+class _HonestSubclass(HonestEvalStrategy):
+    pass
+
+
+class _CountingPirate:
+    """A pirate that records each split it makes and then makes ``inner``'s."""
+
+    def __init__(self, inner):
+        self.inner, self.splits = inner, []
+
+    def split(self, *args):
+        self.splits.append(args)
+        return self.inner.split(*args)
+
+
+@pytest.mark.parametrize("other", [(1, 2, 6), (1, 1, 7), (1, 1, 5)], ids=str)
+@pytest.mark.parametrize("kind", [HonestEvalStrategy, _HonestSubclass], ids=["honest", "subclass"])
+def test_an_honest_charlie_on_another_scheme_is_refused_before_any_split(scheme, spec, ssl, other, kind):
+    # his measurement is not the game's evaluation: on 1,2,6 the register
+    # does not fit it, on 1,1,5 a challenge can leave his key space, and on
+    # 1,1,7 every challenge is a key of his, so a run would go to the end
+    charlie = kind(qas.build_scheme(*other))
+    counted = _CountingPirate(give_to_charlie(scheme)[0])
+    harnesses = [
+        lambda: run_experiment_free(spec, counted, charlie, 10, seed=1),
+        lambda: run_experiment_ssl(ssl, spec.circuit_dist, spec.charlie_family, counted, charlie, 10, seed=1),
+        lambda: exact_win(spec, counted, charlie),
+    ]
+    for harness in harnesses:
+        with pytest.raises(ValueError, match="game's scheme"):
+            harness()
+    assert counted.splits == []
 
 
 def _per_point_win(spec, pirate, charlie) -> float:

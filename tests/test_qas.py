@@ -35,6 +35,12 @@ def scheme():
     return qas.build_scheme(1, 1, 14)
 
 
+def _trap_zero_columns(scheme, key):
+    """Reference ``A_key``: the columns of the key's element at which the
+    traps read zero, every 2^t-th since the message is most significant."""
+    return scheme.design.element(scheme.key_index(key))[:, :: 1 << scheme.trap_qubits]
+
+
 def test_build_scheme_layout(scheme):
     assert scheme.total_qubits == 2
     assert scheme.design.cardinality == 11520
@@ -91,7 +97,7 @@ def test_auth_pure_state_is_the_encoding_product(params):
     for key in rng.integers(1 << scheme.key_bits, size=5):
         psi = random_pure_state(scheme.message_qubits, rng)
         out = qas.auth(scheme, int(key), psi)
-        expected = PureState(np.array(qas._auth_matrix(scheme, int(key))) @ psi.amplitudes)
+        expected = PureState(np.array(_trap_zero_columns(scheme, int(key))) @ psi.amplitudes)
         assert out.qubits == scheme.total_qubits
         assert out.amplitudes.tobytes() == expected.amplitudes.tobytes()
         assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-9
@@ -104,7 +110,7 @@ def test_auth_density_is_the_encoding_conjugation(params):
     for key in rng.integers(1 << scheme.key_bits, size=5):
         rho = random_density(scheme.message_qubits, rng)
         out = qas.auth(scheme, int(key), rho)
-        a = np.array(qas._auth_matrix(scheme, int(key)))
+        a = np.array(_trap_zero_columns(scheme, int(key)))
         assert isinstance(out, DensityOperator)
         assert out.matrix.tobytes() == (a @ rho.matrix @ a.conj().T).tobytes()
 
@@ -263,7 +269,7 @@ def test_trusted_results_pass_the_public_checks(params):
     assert {o.accepted for o in sampled} == {True, False}
     assert iso.flags.c_contiguous and not iso.flags.writeable
     assert np.max(np.abs(iso.conj().T @ iso - np.eye(scheme.message_dim))) <= ATOL
-    assert iso.tobytes() == np.array(qas._auth_matrix(scheme, key), dtype=complex).tobytes()
+    assert iso.tobytes() == np.array(_trap_zero_columns(scheme, key)).tobytes()
     assert encoded_pure.amplitudes.tobytes() == PureState(encoded_pure.amplitudes).amplitudes.tobytes()
     assert not encoded_pure.amplitudes.flags.writeable
     results = [encoded.matrix] + [o.message_state.matrix for o in unsampled + sampled]
@@ -376,12 +382,12 @@ def test_acceptances_take_one_register_per_pair(monkeypatch, params):
 
 
 def test_indexed_keys_are_gathered_once(monkeypatch):
-    # one element per distinct key on an indexed design, and one gather
-    # for both sides of a round trip that verifies with the keys it used
+    # one element read per distinct key on an indexed design, and one
+    # gather for both sides of a round trip that verifies with the keys it used
     scheme = qas.build_scheme(1, 2, 14)
     gathered = []
-    real = qas._auth_matrix
-    monkeypatch.setattr(qas, "_auth_matrix", lambda s, key: gathered.append(key) or real(s, key))
+    real = scheme.design.element
+    monkeypatch.setattr(scheme.design, "element", lambda i: gathered.append(i) or real(i))
     keys = np.array([5, 9, 5, 5, 9, 11])
     same = qas.round_trips(scheme, keys, keys, [zero_state(1)])
     assert sorted(gathered) == [5, 9, 11]
@@ -389,6 +395,31 @@ def test_indexed_keys_are_gathered_once(monkeypatch):
     copied = qas.round_trips(scheme, keys, keys.copy(), [zero_state(1)])
     assert sorted(gathered) == [5, 5, 9, 9, 11, 11]
     assert all(np.array_equal(a, b) for a, b in zip(same, copied))
+
+
+@pytest.mark.parametrize("params", [(1, 1, 6), (2, 1, 6), (1, 2, 6), (3, 3, 6)], ids=str)
+def test_every_key_reads_its_columns_through_one_route(params):
+    # the adjoint is the isometry's conjugate transpose bit for bit, and a
+    # stacked read holds the one-key array in each row, on either design kind
+    scheme = qas.build_scheme(*params)
+    keys = spawn_rng(40).integers(1 << scheme.key_bits, size=(2, 3))
+    stacked = qas._conj_columns(scheme, keys)
+    assert stacked.shape == keys.shape + (scheme.total_dim, scheme.message_dim)
+    for key, row in zip(keys.ravel().tolist(), stacked.reshape(-1, scheme.total_dim, scheme.message_dim)):
+        one = qas._conj_columns(scheme, key)
+        assert one.flags.c_contiguous and row.tobytes() == one.tobytes()
+        assert qas.adjoint_isometry(scheme, key).tobytes() == qas.auth_isometry(scheme, key).conj().T.tobytes()
+        # a numpy key too, where |B| exceeds int64 (6 qubits)
+        assert qas.adjoint_isometry(scheme, np.int64(key)).tobytes() == qas.adjoint_isometry(scheme, key).tobytes()
+    if scheme.design is clifford_enumerate(2):
+        # read-only views of one stack across calls and schemes: key 11523
+        # reaches index 3 under 2^14 keys
+        stack = scheme.design.conj_columns(slice(None), 2).base
+        views = [qas.adjoint_isometry(scheme, 3), qas.adjoint_isometry(qas.build_scheme(1, 1, 14), 11523)]
+        views.append(qas.adjoint_isometry(scheme, 3))
+        for view in views:
+            assert view.base is stack and not view.flags.writeable
+            assert np.shares_memory(view, views[0])
 
 
 def test_shared_density_register_is_not_copied_per_pair():
