@@ -227,9 +227,7 @@ class ProtectedProgram:
 
 
 def protect(scheme: QasScheme, point: int) -> ProtectedProgram:
-    """Encode a point: the pure state Auth_p |0^m>."""
-    if not 0 <= point < (1 << scheme.key_bits):
-        raise ValueError("point does not fit the scheme's key length")
+    """Encode a point: the pure state Auth_p |0^m> (the key map refuses a point outside the key space)."""
     state = auth(scheme, point, zero_state(scheme.message_qubits))
     return ProtectedProgram(state=state, scheme=scheme)
 

@@ -168,10 +168,16 @@ class EpsUniformMap:
     def bound(self) -> Fraction:
         return Fraction(self.range_size, 4 * (1 << self.domain_bits))
 
-    def apply(self, x: int) -> int:
-        if not 0 <= x < (1 << self.domain_bits):
+    def apply(self, x):
+        """``x mod range_size`` for one input or an int array of them; an array is
+        reduced only when ``2**domain_bits > range_size``, which may exceed int64."""
+        if not isinstance(x, np.ndarray):
+            if not 0 <= x < (1 << self.domain_bits):
+                raise ValueError("input outside the domain")
+            return operator.index(x) % self.range_size
+        if np.any((x < 0) | (x >= 1 << self.domain_bits)):
             raise ValueError("input outside the domain")
-        return operator.index(x) % self.range_size
+        return x % self.range_size if 1 << self.domain_bits > self.range_size else x
 
     def preimage_counts(self) -> np.ndarray:
         """Preimage counts of the ``min(2**domain_bits, range_size)`` reached indices."""
@@ -228,21 +234,24 @@ def uniform_index(n: int, rng: np.random.Generator, size: int | None = None):
 
     ``rng.integers`` draws it while ``n`` fits its int64 range.  Larger
     ``n`` (the Clifford groups at 5 and 6 qubits) is drawn by rejection:
-    ``rng.bytes`` supplies the bit length of ``n - 1`` in random bits, and
-    values at or above ``n`` are redrawn, fewer than one in two.
+    an attempt takes the bit length of ``n - 1`` in random bits from one row
+    of uint32 words (the stream ``rng.bytes`` reads, so the values and the
+    generator's later state are those of one ``rng.bytes`` per attempt),
+    and values at or above ``n``, fewer than one in two, are redrawn in the
+    next round of rows, one per value still needed.
     """
     if n <= 1 << 63:
         return rng.integers(n, size=size)
     bits = (n - 1).bit_length()
-    nbytes = (bits + 7) // 8
-
-    def draw() -> int:
-        while True:
-            v = int.from_bytes(rng.bytes(nbytes), "little") >> (8 * nbytes - bits)
+    nbytes, words = (bits + 7) // 8, (bits + 31) // 32
+    wanted, out = 1 if size is None else size, []
+    while len(out) < wanted:
+        drawn = rng.integers(1 << 32, size=(wanted - len(out), words), dtype=np.uint32).astype("<u4").tobytes()
+        for lo in range(0, len(drawn), 4 * words):
+            v = int.from_bytes(drawn[lo : lo + nbytes], "little") >> (8 * nbytes - bits)
             if v < n:
-                return v
-
-    return draw() if size is None else [draw() for _ in range(size)]
+                out.append(v)
+    return out[0] if size is None else out
 
 
 class UnitaryDesign:
@@ -427,13 +436,11 @@ def _symplectic_matrix(i: int, n: int) -> list[int]:
     ]
 
 
-def _clifford_from_tableau(
-    rows: list[int], signs: int, parity: np.ndarray
-) -> np.ndarray:
-    """Dense unitary mapping X_j, Z_j to the signed Paulis of the
-    symplectic rows (row 2j for X_j, row 2j+1 for Z_j; bit r of ``signs``
-    negates row r).  ``parity[c]`` is (-1)^popcount(c) over the 2^n basis
-    indices.
+def _clifford_from_tableau(rows: list[int], signs: int, parity: np.ndarray, step: int) -> np.ndarray:
+    """Every ``step``-th column (a power of 2) of the dense unitary mapping
+    X_j, Z_j to the signed Paulis of the symplectic rows (row 2j for X_j,
+    row 2j+1 for Z_j; bit r of ``signs`` negates row r).  ``parity[c]`` is
+    (-1)^popcount(c) over the 2^n basis indices.
 
     No Pauli is built densely.  A signed Pauli i^#Y (-1)^sign X^x Z^z
     (qubit 0 the most significant bit of the masks x and z) is a row
@@ -444,7 +451,9 @@ def _clifford_from_tableau(
     goes through the ``(1 + Z') / 2`` factors on its own, so columns are
     tried one by one and the 2^n x 2^n projector is never built.  The
     other columns follow by doubling: for qubit j, the columns with j's
-    bit set are X'_j applied to those already built.
+    bit set are X'_j applied to those already built.  The kept columns are
+    0 on the last log2(``step``) qubits, so only the first m are doubled;
+    every entry, column 0 and so the phase have the whole unitary's bits.
     """
     n = len(rows) // 2
     r = np.arange(1 << n)
@@ -467,26 +476,28 @@ def _clifford_from_tableau(
             u0 = (u0 + phase * u0[perm]) / 2
         if np.linalg.norm(u0) > 1e-9:
             break
-    u = np.empty((1 << n, 1 << n), dtype=complex)
+    m = n - (step.bit_length() - 1)
+    u = np.empty((1 << n, 1 << m), dtype=complex)
     u[:, 0] = u0 / np.linalg.norm(u0)
-    for j in range(n):
+    for j in range(m):
         perm, phase = image(2 * j)
-        built = r[: 1 << j] << (n - j)
-        u[:, built | (1 << (n - 1 - j))] = phase[:, None] * u[perm[:, None], built]
+        built = r[: 1 << j] << (m - j)
+        u[:, built | (1 << (m - 1 - j))] = phase[:, None] * u[perm[:, None], built]
     return canonical_phase(u) + 0.0  # normalize -0.0
 
 
-#: Bytes of built elements that all live :class:`IndexedCliffordDesign`
-#: objects keep together (1024 elements at 6 qubits).  A collected design
-#: leaves ``_LIVE_DESIGNS``, and so gives its bytes back.
+#: Bytes of column blocks that all live :class:`IndexedCliffordDesign` objects
+#: keep together (1,024 elements or 8,192 trap-zero blocks at 3,3).  A
+#: collected design leaves ``_LIVE_DESIGNS``, and so gives its bytes back.
 ELEMENT_CACHE_BYTES = 64 << 20
 _LIVE_DESIGNS: weakref.WeakSet = weakref.WeakSet()
 
 
 class IndexedCliffordDesign(UnitaryDesign):
     """Clifford group accessed through the canonical (symplectic, sign)
-    index without enumeration; supports 1..6 qubits.  Built elements are
-    kept while those of all live designs fit in :data:`ELEMENT_CACHE_BYTES`."""
+    index without enumeration; supports 1..6 qubits.  It builds only the
+    block ``U_i[:, ::step]`` it hands out (``element(i)`` at step 1), kept by
+    ``(i, step)`` while all live designs' fit in :data:`ELEMENT_CACHE_BYTES`."""
 
     def __init__(self, qubits: int):
         if not 1 <= qubits <= 6:
@@ -496,31 +507,32 @@ class IndexedCliffordDesign(UnitaryDesign):
         self.cardinality = self._num_sympl * (1 << (2 * qubits))
         self.design_id = f"clifford-ks-q{qubits}-{GENERATOR_SET_VERSION}"
         self._parity = np.array([(-1) ** c.bit_count() for c in range(1 << qubits)])
-        self._cache: dict[int, np.ndarray] = {}
+        self._cache: dict[tuple[int, int], np.ndarray] = {}
         self._cache_bytes = 0
         _LIVE_DESIGNS.add(self)
 
-    def element(self, i: int) -> np.ndarray:
-        i = self._index(i)
-        cached = self._cache.get(i)
+    def _columns(self, i: int, step: int) -> np.ndarray:
+        """``U_i[:, ::step]``, read-only, for a checked index."""
+        cached = self._cache.get((i, step))
         if cached is not None:
             return cached
         sympl_idx, sign_idx = i % self._num_sympl, i // self._num_sympl
-        u = _clifford_from_tableau(
-            _symplectic_matrix(sympl_idx, self.qubits), sign_idx, self._parity
-        )
+        u = _clifford_from_tableau(_symplectic_matrix(sympl_idx, self.qubits), sign_idx, self._parity, step)
         u.setflags(write=False)
         if sum(d._cache_bytes for d in _LIVE_DESIGNS) + u.nbytes <= ELEMENT_CACHE_BYTES:
-            self._cache[i] = u
+            self._cache[i, step] = u
             self._cache_bytes += u.nbytes
         return u
 
+    def element(self, i: int) -> np.ndarray:
+        return self._columns(self._index(i), 1)
+
     def conj_columns(self, indices, step: int) -> np.ndarray:
-        """One :meth:`element` per distinct index; an array's are stacked and gathered."""
+        """One block per distinct index; an array's are stacked and gathered."""
         if not isinstance(indices, np.ndarray):
-            return self.element(indices)[:, ::step].conj()
+            return self._columns(self._index(indices), step).conj()
         distinct, inverse = np.unique(indices, return_inverse=True)
-        return np.stack([self.element(i)[:, ::step] for i in distinct.tolist()]).conj()[inverse.reshape(indices.shape)]
+        return np.stack([self._columns(self._index(i), step) for i in distinct.tolist()]).conj()[inverse.reshape(indices.shape)]
 
 
 @lru_cache(maxsize=None)

@@ -32,6 +32,7 @@ from .designs import (
     UnitaryDesign,
     clifford_design,
     irreducible_poly,
+    is_positive_int,
 )
 from .qmath import (
     NEGLIGIBLE,
@@ -84,8 +85,8 @@ class QasScheme:
             f"-k{self.key_bits}-{self.design.design_id}"
         )
 
-    def key_index(self, key: int) -> int:
-        """Design index selected by a key (the almost-uniform map)."""
+    def key_index(self, key):
+        """Design index selected by a key, or by each of an int array of keys (the almost-uniform map)."""
         return self.key_map.apply(key)
 
 
@@ -111,14 +112,8 @@ def existence_epsilon(message_qubits: int, key_bits: int) -> float:
 def build_scheme(message_qubits: int, trap_qubits: int, key_bits: int) -> QasScheme:
     """Assemble a scheme over the Clifford group on ``message_qubits +
     trap_qubits`` qubits."""
-    if any(isinstance(v, bool) for v in (message_qubits, trap_qubits, key_bits)):
-        raise ValueError("qubit counts and the key length are integers, not bools")
-    if message_qubits < 1:
-        raise ValueError("need at least one message qubit")
-    if trap_qubits < 1:
-        raise ValueError("need at least one trap qubit")
-    if key_bits < 1:
-        raise ValueError("need at least one key bit")
+    if not all(map(is_positive_int, (message_qubits, trap_qubits, key_bits))):
+        raise ValueError("qubit counts and the key length must be positive integers")
     total = message_qubits + trap_qubits
     if total > QUBIT_CAP:
         raise QubitCapError(f"{total} qubits exceeds the cap of {QUBIT_CAP}")
@@ -134,16 +129,10 @@ def build_scheme(message_qubits: int, trap_qubits: int, key_bits: int) -> QasSch
 
 def _conj_columns(scheme: QasScheme, keys) -> np.ndarray:
     """``conj(A_key)``, C-contiguous, for one key or an array of keys: the one
-    reader of a key's columns, every ``2^t``-th of its element's (the message is
-    the most significant register).  Its ``conj()`` and ``swapaxes(-1, -2)``
-    are :func:`auth_isometry` and :func:`adjoint_isometry` in their layouts."""
-    if not isinstance(keys, np.ndarray):
-        indices = scheme.key_index(keys)
-    elif np.any((keys < 0) | (keys >= 1 << scheme.key_bits)):
-        raise ValueError("key outside the key space")
-    else:  # a key is its own index while 2^k <= |B|, which may exceed int64
-        indices = keys % scheme.design.cardinality if 1 << scheme.key_bits > scheme.design.cardinality else keys
-    return scheme.design.conj_columns(indices, 1 << scheme.trap_qubits)
+    reader of a key's columns, every ``2^t``-th of its design element's (the
+    message is the most significant register).  Its ``conj()`` and
+    ``swapaxes(-1, -2)`` are :func:`auth_isometry` and :func:`adjoint_isometry`."""
+    return scheme.design.conj_columns(scheme.key_index(keys), 1 << scheme.trap_qubits)
 
 
 def auth_isometry(scheme: QasScheme, key: int) -> np.ndarray:

@@ -496,7 +496,7 @@ def test_indexed_element_cache_is_capped_by_bytes(monkeypatch):
     built = [design.element(i) for i in indices]
     held = sum(m.nbytes for m in design._cache.values())
     assert held == design._cache_bytes <= designs.ELEMENT_CACHE_BYTES
-    assert sorted(design._cache) == indices[:3]
+    assert sorted(design._cache) == [(i, 1) for i in indices[:3]]
     # past the cap, elements are rebuilt with the same bytes
     assert all(np.array_equal(design.element(i), m) for i, m in zip(indices, built))
 
@@ -782,6 +782,46 @@ def test_uniform_index_within_int64_is_rng_integers():
     n = IndexedCliffordDesign(4).cardinality
     assert np.array_equal(uniform_index(n, spawn_rng(14), 50), spawn_rng(14).integers(n, size=50))
     assert uniform_index(1 << 63, spawn_rng(15)) == spawn_rng(15).integers(1 << 63)
+
+
+def _per_index_uniform_index(n, rng, size):
+    """The reference draw above int64: one ``rng.bytes`` call per attempt,
+    with the bit length of ``n - 1`` in random bits, redrawn at or above ``n``."""
+    bits = (n - 1).bit_length()
+    nbytes = (bits + 7) // 8
+
+    def draw():
+        while True:
+            v = int.from_bytes(rng.bytes(nbytes), "little") >> (8 * nbytes - bits)
+            if v < n:
+                return v
+
+    return draw() if size is None else [draw() for _ in range(size)]
+
+
+@pytest.mark.parametrize("qubits", [5, 6])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_uniform_index_beyond_int64_is_the_per_index_draw(qubits, seed):
+    # the same values, and the generator left in the same state
+    n = IndexedCliffordDesign(qubits).cardinality
+    got, want = spawn_rng(seed), spawn_rng(seed)
+    for size in (3000, None, 0, 1, 500):
+        assert uniform_index(n, got, size) == _per_index_uniform_index(n, want, size)
+    assert got.random() == want.random()
+
+
+@pytest.mark.parametrize(
+    "qubits,t", [(q, t) for q in (3, 4, 5, 6) for t in range(1, q)], ids=str
+)
+def test_column_blocks_are_element_columns(qubits, t):
+    # U_i[:, ::2^t] built alone has the bytes of the whole element's columns
+    design = IndexedCliffordDesign(qubits)
+    n = design.cardinality
+    indices = [0, n - 1] + [int(i) for i in uniform_index(n, spawn_rng(60 + qubits), 6)]
+    for i in indices:
+        block = design._columns(i, 1 << t)
+        assert block.shape == (1 << qubits, 1 << (qubits - t))
+        assert block.tobytes() == np.ascontiguousarray(design.element(i)[:, :: 1 << t]).tobytes(), i
 
 
 def test_sample_uniform_chi2_one_qubit():

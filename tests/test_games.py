@@ -664,6 +664,14 @@ def own_clifford_designs(monkeypatch):
     designs.clifford_design.cache_clear()
 
 
+def test_key_sum_keeps_only_trap_zero_columns(own_clifford_designs):
+    # 2,2,10 reaches 1,024 indices of the 4-qubit design; each keeps its
+    # 16 x 4 trap-zero columns (1 KiB), never the 16 x 16 element
+    scheme = qas.build_scheme(2, 2, 10)
+    qas.avg_wrong_key_accept(scheme, zero_state(4))
+    assert scheme.design._cache_bytes == 1_048_576
+
+
 def test_repeated_schemes_share_built_elements(own_clifford_designs, monkeypatch):
     # 3,3,10 reaches 1,024 six-qubit elements: 64 MiB, the whole budget
     assert qas.build_scheme(3, 3, 10) == qas.build_scheme(3, 3, 10)

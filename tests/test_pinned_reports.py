@@ -12,7 +12,9 @@ import json
 
 import pytest
 
+from qlease import games, qas
 from qlease.cli import EXIT_FAIL, EXIT_OK, main
+from qlease.leasing import SslScheme
 
 TRIALS = "200"
 SEED = "11"
@@ -250,3 +252,29 @@ def test_same_seed_corrupted_qas_verify_is_pinned(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "269b83be66fc4c75fd25c51d489edaf07a94887a6510fc65d3d3de0b67a03705"
     )
+
+
+#: ``repr`` of ``games.exact_win`` for each zoo split at 3,3,10: 1,024 reached
+#: indices of the indexed 6-qubit design, read as trap-zero columns.
+PINNED_EXACT_WIN_3_3_10 = [
+    ("trivial-forward", "0.40169318563660417"),
+    ("give-to-charlie", "0.40169318563660417"),
+    ("honest-return", "0.5"),
+    ("keep-program", "0.100423296409151"),
+]
+
+
+def test_exact_win_at_3_3_10_is_pinned():
+    scheme = qas.build_scheme(3, 3, 10)
+    spec = games.default_cp_spec(scheme)
+    ssl = SslScheme(scheme)
+    leasing = games.leasing_spec(ssl, spec.circuit_dist, spec.charlie_family)
+    games_by_split = {
+        "trivial-forward": (spec, games.trivial_forward(scheme)),
+        "give-to-charlie": (spec, games.give_to_charlie(scheme)),
+        "honest-return": (leasing, games.honest_return(ssl)),
+        "keep-program": (leasing, games.keep_program(ssl)),
+    }
+    for split, value in PINNED_EXACT_WIN_3_3_10:
+        game, adversary = games_by_split[split]
+        assert repr(games.exact_win(game, *adversary)) == value, split

@@ -74,6 +74,21 @@ def test_isometries_refuse_keys_outside_the_key_space(scheme, isometry, key):
         isometry(scheme, key)
 
 
+@pytest.mark.parametrize("params", [(1, 1, 14), (3, 3, 6)], ids=str)
+def test_key_map_on_an_array_is_the_one_key_map(params):
+    # 1,1,14 reduces keys mod |B|; at 3,3,6 |B| exceeds int64 and every key is its index
+    scheme = qas.build_scheme(*params)
+    keys = spawn_rng(50).integers(1 << scheme.key_bits, size=200)
+    keys[:2] = 0, (1 << scheme.key_bits) - 1
+    indices = scheme.key_index(keys)
+    assert indices.tolist() == [scheme.key_index(int(key)) for key in keys]
+    for key in (-1, 1 << scheme.key_bits):
+        with pytest.raises(ValueError):
+            scheme.key_index(key)
+        with pytest.raises(ValueError):
+            scheme.key_index(np.array([0, key]))
+
+
 def test_auth_isometry_property(scheme):
     rng = spawn_rng(1)
     for key in rng.integers(1 << 14, size=100):
@@ -382,12 +397,12 @@ def test_acceptances_take_one_register_per_pair(monkeypatch, params):
 
 
 def test_indexed_keys_are_gathered_once(monkeypatch):
-    # one element read per distinct key on an indexed design, and one
+    # one column-block read per distinct key on an indexed design, and one
     # gather for both sides of a round trip that verifies with the keys it used
     scheme = qas.build_scheme(1, 2, 14)
     gathered = []
-    real = scheme.design.element
-    monkeypatch.setattr(scheme.design, "element", lambda i: gathered.append(i) or real(i))
+    real = scheme.design._columns
+    monkeypatch.setattr(scheme.design, "_columns", lambda i, step: gathered.append(i) or real(i, step))
     keys = np.array([5, 9, 5, 5, 9, 11])
     same = qas.round_trips(scheme, keys, keys, [zero_state(1)])
     assert sorted(gathered) == [5, 9, 11]
