@@ -1,10 +1,10 @@
 """Copy protection of point functions on top of the authentication scheme.
 
 A point ``p`` doubles as the authentication key: the protected program is
-the pure state ``Auth_p |0^m>``.  Evaluating at ``x`` runs verification
-with ``x`` as the claimed key and outputs 1 exactly on acceptance, so the
-encoded point always evaluates to 1 and other inputs reject at the
-wrong-key rate of the underlying scheme.
+``Auth_p |0^m> = A_p e_0``, the first column of the key's encoding isometry
+as the design hands it out.  Evaluating at ``x`` runs verification with
+``x`` as the claimed key and outputs 1 exactly on acceptance, so the encoded
+point always evaluates to 1 and other inputs reject at the wrong-key rate.
 
 Evaluation at ``x`` is the two-outcome measurement {I - A_x A_x†,
 A_x A_x†} that the key's encoding isometry ``A_x`` defines: outcome 1,
@@ -37,14 +37,13 @@ from fractions import Fraction
 import numpy as np
 
 from .designs import EpsUniformMap, PairwisePermFamily, is_positive_int
-from .qas import QasScheme, accept_probability, adjoint_isometry, auth, auth_isometry, summed_acceptance
+from .qas import QasScheme, accept_probability, adjoint_isometry, auth_isometry, summed_acceptance
 from .qmath import (
     DensityOperator,
     DimensionMismatchError,
     PureState,
     measure_and_collapse,
     measure_projective,
-    zero_state,
 )
 
 
@@ -227,9 +226,8 @@ class ProtectedProgram:
 
 
 def protect(scheme: QasScheme, point: int) -> ProtectedProgram:
-    """Encode a point: the pure state Auth_p |0^m> (the key map refuses a point outside the key space)."""
-    state = auth(scheme, point, zero_state(scheme.message_qubits))
-    return ProtectedProgram(state=state, scheme=scheme)
+    """Encode a point: ``Auth_p |0^m> = A_p e_0``, the key's first encoding column, its zeros made +0.0."""
+    return ProtectedProgram(PureState._trusted(auth_isometry(scheme, point)[:, 0] + 0.0), scheme)
 
 
 def accept_projector(scheme: QasScheme, x: int) -> np.ndarray:

@@ -255,9 +255,9 @@ def uniform_index(n: int, rng: np.random.Generator, size: int | None = None):
 
 
 class UnitaryDesign:
-    """Finite set of unitaries addressable by a canonical index:
-    ``element(i)`` is deterministic, and :func:`uniform_index` draws an
-    index exactly uniformly."""
+    """Finite set of unitaries addressable by a canonical index: ``element(i)``
+    is deterministic, :func:`uniform_index` draws one exactly uniformly, and
+    the dict ``index_sums`` keeps the index sums built from it, by scheme shape."""
 
     qubits: int
     cardinality: int
@@ -288,6 +288,7 @@ class EnumeratedDesign(UnitaryDesign):
         self.cardinality = len(elements)
         self.design_id = design_id
         self._conj_stacks: dict[int, np.ndarray] = {}
+        self.index_sums = {}
 
     def element(self, i: int) -> np.ndarray:
         return self._elements[self._index(i)]
@@ -509,6 +510,7 @@ class IndexedCliffordDesign(UnitaryDesign):
         self._parity = np.array([(-1) ** c.bit_count() for c in range(1 << qubits)])
         self._cache: dict[tuple[int, int], np.ndarray] = {}
         self._cache_bytes = 0
+        self.index_sums = {}
         _LIVE_DESIGNS.add(self)
 
     def _columns(self, i: int, step: int) -> np.ndarray:

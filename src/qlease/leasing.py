@@ -123,6 +123,8 @@ def ssl_verify(
 ) -> int:
     """Check a returned state: sample x from the verification distribution
     and destructively evaluate; accept iff the output matches P_p(x)."""
+    if pf.bits != scheme.base.key_bits:
+        raise DimensionMismatchError("point length must match the scheme")
     x = verify_distribution(scheme, pf).sample(rng)
     outcome = evaluate(ProtectedProgram(state=returned, scheme=scheme.base), x, rng)
     accept = int(outcome == pf(x))

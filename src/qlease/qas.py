@@ -21,7 +21,6 @@ pretending it is small.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -274,24 +273,18 @@ def acceptance_by_index(scheme: QasScheme, state: PureState) -> np.ndarray:
     return accept_branches(design.conj_columns(slice(None), 1 << scheme.trap_qubits).swapaxes(-1, -2), psi)[1]
 
 
-#: Index-summed operators by design, then by scheme shape: (m, t, k) for a
-#: key sum, (m, t) for the design sum.  An entry goes with its design, so no
-#: cache keeps an indexed design's elements alive.
-_KEY_SUMS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 def _index_sum(scheme: QasScheme, state, over_keys: bool) -> float:
     """``psi† S psi`` or ``Tr(S rho)`` for ``S = sum_j c_j A_j A_j†`` over
     design indices j: the key sum ``M = sum_x A_x A_x†`` (the min(2^k, |B|)
     indices the keys reach, at their preimage counts) or the design sum
-    ``D`` (every index once).  ``S`` is built once per design and shape,
-    read-only; the index count is checked before anything is allocated."""
+    ``D`` (every index once).  ``S`` is built once, read-only, and kept in the
+    design's ``index_sums`` under (m, t, k) or (m, t); the count is checked first."""
     register_array(state, scheme.total_dim)
     design = scheme.design
     n = min(1 << scheme.key_bits, design.cardinality) if over_keys else design.cardinality
     if n > MAX_EXACT_INDICES:
         raise ValueError(f"exact index sums build at most {MAX_EXACT_INDICES} elements, not {n}")
-    sums = _KEY_SUMS.setdefault(design, {})
+    sums = design.index_sums
     shape = (scheme.message_qubits, scheme.trap_qubits) + ((scheme.key_bits,) if over_keys else ())
     if shape not in sums:
         counts = scheme.key_map.preimage_counts().tolist() if over_keys else [1] * n

@@ -322,6 +322,7 @@ class KrausChannel:
 def ket(bits: str) -> PureState:
     """Computational basis state, e.g. ``ket('01')`` for ``|01>``."""
     q = len(bits)
+    _check_cap(q)
     idx = int(bits, 2) if q else 0
     amps = np.zeros(1 << q, dtype=complex)
     amps[idx] = 1.0
@@ -333,17 +334,20 @@ def zero_state(qubits: int) -> PureState:
 
 
 def maximally_mixed(qubits: int) -> DensityOperator:
+    _check_cap(qubits)
     d = 1 << qubits
     return DensityOperator(np.eye(d) / d)
 
 
 def random_pure_state(qubits: int, rng: np.random.Generator) -> PureState:
+    _check_cap(qubits)
     d = 1 << qubits
     v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     return PureState(v / np.linalg.norm(v))
 
 
 def random_density(qubits: int, rng: np.random.Generator, rank: int | None = None) -> DensityOperator:
+    _check_cap(qubits)
     d = 1 << qubits
     r = d if rank is None else rank
     g = rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r))

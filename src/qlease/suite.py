@@ -264,9 +264,10 @@ def c08_reusability(seed: int) -> CriterionResult:
             exact_dev = max(exact_dev, 1.0)
         # Exact damage: dephasing a pure program across the accept split of
         # key x moves it by sqrt(a_x (1 - a_x)) in trace distance, a_x its
-        # acceptance probability.
+        # acceptance probability.  Summed by numpy's pairwise sum, not a
+        # BLAS dot, whose threaded form sums in per-thread parts.
         acc = np.clip(qas.acceptance_by_index(scheme, original), 0, 1)
-        damage = float(family(p).class_weights(scheme.key_map) @ np.sqrt(acc * (1 - acc)))
+        damage = float(np.sum(family(p).class_weights(scheme.key_map) * np.sqrt(acc * (1 - acc))))
         eta = 1.0 - cp.correctness_exact(scheme, p, family)
         worst_excess = max(worst_excess, damage - 4 * eta)
         worst_const = max(worst_const, damage / eta)

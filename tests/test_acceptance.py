@@ -8,6 +8,10 @@ byte-compares the serialized results.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -96,6 +100,20 @@ def test_exact_criteria_report_is_pinned(seed):
     ]
     digest = hashlib.sha256(suite.battery_json(results).encode()).hexdigest()
     assert digest == EXACT_BATTERY_SHA256[seed]
+
+
+def test_reusability_reads_the_same_at_any_blas_thread_count():
+    # c08's damage sums 11,520 weighted terms; as a BLAS dot product its
+    # threaded form summed in per-thread parts, and seeds 2, 4 and 5 read
+    # differently under one and two threads
+    code = "from qlease import suite; print([repr(suite.c08_reusability(s).measured) for s in (2, 4, 5)])"
+    src = str(Path(suite.__file__).parents[1])
+    reports = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        reports.append(subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout)
+    assert reports[0] == reports[1]
 
 
 @pytest.mark.parametrize("seed", [1, 4])

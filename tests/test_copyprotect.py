@@ -21,6 +21,7 @@ from qlease.qmath import (
     spawn_rng,
     state_distance,
     trace_distance,
+    zero_state,
 )
 
 from measurement_reference import collapse
@@ -329,6 +330,21 @@ def test_protect_is_deterministic_unit_vector(scheme):
     # the program is the keyed unitary applied to |0...0>
     u = scheme.design.element(scheme.key_index(12))
     assert np.allclose(a.state.amplitudes, u[:, 0])
+
+
+@pytest.mark.parametrize(
+    "shape", [(1, 1, 6), (2, 1, 6), (3, 3, 6), (1, 5, 8), (5, 1, 8), (1, 1, 14)], ids=lambda s: ",".join(map(str, s))
+)
+def test_protect_is_the_encoded_zero_state_bit_for_bit(shape):
+    # the program is read as the key's first encoding column; auth encodes
+    # |0^m> through the product, which leaves +0.0 where the column may
+    # hold -0.0 (412 of the 16,384 programs at 1,1,14 differ only so); at
+    # most 4,096 keys, evenly spaced
+    scheme = qas.build_scheme(*shape)
+    zero = zero_state(scheme.message_qubits)
+    for p in range(0, 1 << scheme.key_bits, max(1, (1 << scheme.key_bits) >> 12)):
+        expected = qas.auth(scheme, p, zero).amplitudes
+        assert cp.protect(scheme, p).state.amplitudes.tobytes() == expected.tobytes()
 
 
 def test_distinct_points_distinct_states(scheme):

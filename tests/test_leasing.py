@@ -20,7 +20,7 @@ from qlease.leasing import (
     verify_distribution,
 )
 from qlease.copyprotect import PointFunction
-from qlease.qmath import maximally_mixed, spawn_rng, state_distance
+from qlease.qmath import DimensionMismatchError, maximally_mixed, spawn_rng, state_distance
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +48,22 @@ def test_lease_is_protect_passthrough(ssl, scheme):
 def test_lease_length_mismatch(ssl):
     with pytest.raises(Exception):
         ssl_lease(ssl, PointFunction(1, 4))
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda s, state, rng: ssl_verify(SslScheme(s, verify_r=0.5), PointFunction(3, 4), state, rng),
+        lambda s, state, rng: cc_verify(SslScheme(s, verify_r=0.5), CompareFunction.identity(4, 3), state, rng),
+    ],
+    ids=["ssl", "cc"],
+)
+def test_verify_refuses_a_point_of_another_length(scheme, check):
+    # it once drew every challenge from the 16 strings of 4 bits, not from
+    # the 64 keys, and accepted an honest program at rate 0.645
+    rng = spawn_rng(3)
+    with pytest.raises(DimensionMismatchError):
+        check(scheme, cp.protect(scheme, 3).state, rng)
 
 
 def test_eval_at_point_keeps_program(ssl):

@@ -497,7 +497,7 @@ def test_acceptance_by_index_equals_the_full_conjugate_expressions(scheme):
 
 def test_design_sum_is_the_identity_over_the_trap_dimension(scheme):
     qas.avg_design_accept(scheme, maximally_mixed(2))
-    d = qas._KEY_SUMS[scheme.design][(1, 1)]
+    d = scheme.design.index_sums[1, 1]
     assert not d.flags.writeable
     assert np.max(np.abs(d / scheme.design.cardinality - 2.0**-scheme.trap_qubits * np.eye(4))) <= 1e-15
 
@@ -553,7 +553,7 @@ def test_key_sum_operator_is_the_sum_over_keys(shape):
     for state in (random_pure_state(scheme.total_qubits, rng), random_density(scheme.total_qubits, rng)):
         by_key = math.fsum(qas.accept_probability(scheme, x, state) for x in range(1 << scheme.key_bits))
         assert abs(qas.summed_acceptance(scheme, state) - by_key) <= (1 << scheme.key_bits) * 1e-15
-    m = qas._KEY_SUMS[scheme.design][shape]
+    m = scheme.design.index_sums[shape]
     assert np.max(np.abs(m - brute)) <= (1 << scheme.key_bits) * 1e-15
 
 

@@ -85,6 +85,31 @@ def test_qubit_cap_enforced():
         zero_state(13)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda rng: zero_state(16),
+        lambda rng: qmath.maximally_mixed(10),
+        lambda rng: random_pure_state(16, rng),
+        lambda rng: random_density(9, rng),
+    ],
+    ids=["zero-state", "maximally-mixed", "random-pure", "random-density"],
+)
+def test_state_constructors_refuse_over_the_cap_before_allocating(monkeypatch, build):
+    # each once built its whole array (24 MiB for maximally_mixed(10))
+    # before the container refused it
+    monkeypatch.setattr(qmath, "QUBIT_CAP", 2)
+    rng = spawn_rng(0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(QubitCapError):
+            build(rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 10
+
+
 # ---------------------------------------------------------------------------
 # partial trace
 # ---------------------------------------------------------------------------
