@@ -4,7 +4,8 @@ Subcommands configure schemes and games, run them, and emit both a human
 table on stdout and machine-readable artifacts on request (JSON via
 --out, CSV appends via --csv).  Under --json stdout holds only the JSON
 report and the human table goes to stderr.  Exit codes: 0 success, 1 a
-criterion or invariant failed, 2 usage or configuration error.
+criterion or invariant failed, 2 usage or configuration error, including
+an --out or --csv file that cannot be written.
 
 All randomness flows from --seed; reports carry no timestamps, so two
 runs with the same arguments produce byte-identical files.  Options may
@@ -96,12 +97,20 @@ def _say(args, line: str) -> None:
     print(line, file=sys.stderr if args.json else sys.stdout)
 
 
+def _write(option: str, path: str, write) -> None:
+    """Call ``write``; a file the OS refuses to write is a usage error."""
+    try:
+        write()
+    except OSError as exc:
+        raise ConfigError(f"--{option}: cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _emit(args, payload: dict | list) -> None:
     text = json.dumps(payload, indent=2)
     if args.json:
         print(text)
     if getattr(args, "out", None):
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
+        _write("out", args.out, lambda: Path(args.out).write_text(text + "\n", encoding="utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +234,7 @@ def _report_game(args, rep: games.GameReport) -> int:
     _say(args, f"baseline  {rep.baseline:.4f}   theorem bound {rep.bound:.4f}")
     _emit(args, rep.to_json_dict())
     if args.csv:
-        games.append_csv(rep, args.csv)
+        _write("csv", args.csv, lambda: games.append_csv(rep, args.csv))
     return EXIT_OK
 
 

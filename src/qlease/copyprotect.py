@@ -322,30 +322,24 @@ def wrong_key_average_excluding(scheme: QasScheme, point: int) -> float:
 
 
 def mix_protect(
-    scheme: QasScheme,
-    family: PairwisePermFamily,
-    point: int,
-    rng: np.random.Generator,
-    r: tuple[int, int] | None = None,
+    scheme: QasScheme, point: int, rng: np.random.Generator, r: tuple[int, int] | None = None
 ) -> ProtectedProgram:
-    """Protect ``h_r(p)`` for a uniformly random permutation parameter
-    (or a forced one), recording ``r`` as classical metadata."""
-    if family.bits != scheme.key_bits:
-        raise DimensionMismatchError("family bit-length must match the scheme")
+    """Protect ``h_r(p)`` for a uniformly random (or a forced) parameter ``r``
+    of ``PairwisePermFamily(scheme.key_bits)``, recorded as classical metadata."""
+    family = PairwisePermFamily(scheme.key_bits)
     if r is None:
         r = family.sample_param(rng)
     return replace(protect(scheme, family.apply(r, point)), mix=(family, r))
 
 
-def mix_error_exact(
-    scheme: QasScheme, family: PairwisePermFamily, point: int, x: int
-) -> float:
+def mix_error_exact(scheme: QasScheme, point: int, x: int) -> float:
     """Exact per-input error of the mixed scheme at (p, x): the chance,
     over the permutation parameter and the evaluation, that evaluating a
-    mixed program disagrees with P_p(x).  Needs an enumerable family."""
+    mixed program disagrees with P_p(x), over all (2^k - 1) 2^k parameters."""
+    family = PairwisePermFamily(scheme.key_bits)
     total = 0.0
     for r in family.params():
-        program = mix_protect(scheme, family, point, None, r)
+        program = mix_protect(scheme, point, None, r)
         prob_one = accept_probability(scheme, program._key(x), program.state)
         total += (1.0 - prob_one) if x == point else prob_one
     return total / family.size

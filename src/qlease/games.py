@@ -9,9 +9,11 @@ verification is honest Bob on the returned register, and the lessee
 answers the challenge from the kept register as Charlie.  Both forms run
 through one trial loop, whose draws come in a fixed order: the point, the
 pirate's split, Bob's challenge, Charlie's challenge, Bob's measurement,
-then Charlie's answer; a trial is won iff both answers are right.  The
-loop runs a block's draws first, an honest measurement drawing only its
-uniform, then decides the block's measurements at once (:func:`_play`);
+then Charlie's answer; a trial is won iff both answers are right.  Bob,
+and a Charlie who is exactly :class:`HonestEvalStrategy`, are measured on
+the game's scheme; any other Charlie answers through his own ``answer``.
+The loop runs a block's draws first, an honest measurement drawing only
+its uniform, then decides the block's measurements at once (:func:`_play`);
 a trial's measurements are its last draws, one uniform each, so the bits
 are those of measuring in turn, and memory is O(block).
 
@@ -69,6 +71,7 @@ from .qmath import (
     PureState,
     maximally_mixed,
     measure_and_collapse,
+    # not called here: perfbench/test_tracer.py reads games.measure_projective
     measure_projective,
     outcome_at,
     spawn_rngs,
@@ -147,15 +150,11 @@ class FixedAnswer(MeasurementStrategy):
 
 
 class HonestEvalStrategy(MeasurementStrategy):
-    """Runs the honest evaluation measurement on a program-shaped register:
-    outcome 1 is answer 1."""
+    """Honest evaluation, outcome 1 being answer 1: a marker with no scheme
+    and no ``answer``, since the harnesses measure its register on the
+    game's scheme, as they measure Bob's."""
 
-    def __init__(self, scheme: QasScheme):
-        self.scheme = scheme
-        self.name = "honest-eval"
-
-    def answer(self, state, x, side, rng) -> int:
-        return measure_projective(state, adjoint_isometry(self.scheme, x), rng)
+    name = "honest-eval"
 
 
 class PointGuessStrategy(MeasurementStrategy):
@@ -374,20 +373,21 @@ def _play(spec: GameSpec, pirate, charlie: MeasurementStrategy, trials: int, see
     phases.  First each trial draws on its own generator, in the order
     above; an honest measurement (Bob's, and Charlie's when he is exactly
     :class:`HonestEvalStrategy`) draws only its uniform and is recorded
-    with its register and challenge, and any other Charlie answers at
-    once.  Then one :func:`~qlease.qas.acceptances` call and one
-    :func:`~qlease.qmath.outcome_at` call decide the block's measurements.
+    with its register and challenge, and any other Charlie (subclasses
+    too) answers at once through his own ``answer``.  Then one
+    :func:`~qlease.qas.acceptances` and one :func:`~qlease.qmath.outcome_at`
+    call decide the block's measurements.
     The bits are those of measuring in turn, since a trial's measurements
     are its last draws and each consumes one uniform.
     Memory is O(block): a block keeps its registers until its outcomes are
-    decided, and the run caches only each point's program.  An honest
-    Charlie (of any subclass) on another scheme is refused before any trial.
+    decided, and the run caches only each point's program.  A key search
+    on another scheme than the game's is refused before any split.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     scheme = spec.scheme
-    if isinstance(charlie, HonestEvalStrategy) and charlie.scheme != scheme:
-        raise ValueError("an honest Charlie must evaluate on the game's scheme")
+    if isinstance(pirate, KeysearchPirate) and pirate.scheme != scheme:
+        raise ValueError("a key search must run on the game's scheme")
     honest = type(charlie) is HonestEvalStrategy
 
     program = functools.cache(lambda p: protect(scheme, p).state)
@@ -503,7 +503,7 @@ def give_to_charlie(scheme: QasScheme) -> tuple[PirateMap, MeasurementStrategy]:
     """Charlie gets the intact program and evaluates honestly; Bob gets a
     maximally mixed dummy."""
     pirate = PirateMap(maximally_mixed(scheme.total_qubits), keep=True, name="give-to-charlie")
-    return pirate, HonestEvalStrategy(scheme)
+    return pirate, HonestEvalStrategy()
 
 
 def keysearch_adversary(
@@ -550,34 +550,32 @@ def exact_win(spec: GameSpec, pirate, charlie: MeasurementStrategy) -> float:
     Each party measures only its own register, so the win rate is
     ``sum_p w_p Pr[Bob correct | beta_p] Pr[Charlie correct | sigma_p]``
     for the registers ``(beta_p, sigma_p)`` the pirate hands out at point
-    ``p``.  Bob evaluates honestly; Charlie answers a fixed bit
-    (:class:`FixedAnswer`) or evaluates honestly
-    (:class:`HonestEvalStrategy`).  A split's registers may depend on the
-    point only through its program, which depends on it only through its
-    design index j; with point-centred families so does each factor.  So
-    the sum runs over the indices j the circuit reaches, at their class
-    weight, with j itself as the class's point.  An honest factor reads
-    the register's acceptance at j and summed over every key
-    (:func:`~qlease.copyprotect.honest_correctness`), on any design.
+    ``p``.  Bob evaluates honestly; Charlie is exactly :class:`FixedAnswer`
+    (one factor at every point) or :class:`HonestEvalStrategy`, not a
+    subclass, whose own ``answer`` the trial loop runs.  A split's
+    registers may depend on the point only through its program, which
+    depends on it only through its design index j; with point-centred
+    families so does each factor.  So the sum runs over the indices j the
+    circuit reaches, at their class weight, with j itself as the class's
+    point.  An honest factor reads the register's acceptance at j and
+    summed over every key (:func:`~qlease.copyprotect.honest_correctness`),
+    on any design.
 
     Raises ``ValueError`` for a split that draws randomness (such as
-    :class:`KeysearchPirate`), another Charlie, an honest Charlie on
-    another scheme, or too many reached indices.
+    :class:`KeysearchPirate`), any other Charlie, or too many reached indices.
     """
     scheme = spec.scheme
-    if not isinstance(charlie, (FixedAnswer, HonestEvalStrategy)):
-        raise ValueError("exact_win needs Charlie to answer a fixed bit or evaluate honestly")
-    if isinstance(charlie, HonestEvalStrategy) and charlie.scheme != scheme:
-        raise ValueError("an honest Charlie must evaluate on the game's scheme")
+    honest = type(charlie) is HonestEvalStrategy
+    if not honest and type(charlie) is not FixedAnswer:
+        raise ValueError("exact_win needs Charlie to be exactly FixedAnswer or HonestEvalStrategy")
+    if not honest:
+        bit = float(charlie.bit)
+        fixed_right = correctness_from_answers(spec.charlie_family, bit, bit * (1 << scheme.key_bits))
     weights = spec.circuit_dist.class_weights(scheme.key_map)
     total = 0.0
     for j in np.flatnonzero(weights).tolist():
         bob, held, _ = pirate.split(protect(scheme, j).state, j, _NoDraws())
-        if isinstance(charlie, FixedAnswer):
-            bit = float(charlie.bit)
-            charlie_right = correctness_from_answers(spec.charlie_family, bit, bit * (1 << scheme.key_bits))
-        else:
-            charlie_right = honest_correctness(scheme, held, j, spec.charlie_family)
+        charlie_right = honest_correctness(scheme, held, j, spec.charlie_family) if honest else fixed_right
         total += weights[j] * honest_correctness(scheme, bob, j, spec.bob_family) * charlie_right
     return float(total)
 

@@ -284,11 +284,8 @@ def c09_mix_correctness(seed: int) -> CriterionResult:
     """The permutation wrapper turns average-case correctness into a
     worst-case per-input guarantee, exhaustively at l = 2."""
     scheme = qas.build_scheme(1, 1, 2)
-    fam = designs.PairwisePermFamily(2)
     eta = 1.0 - min(cp.correctness_exact(scheme, p, cp.PointFamily(2, 0.5)) for p in range(4))
-    worst = max(
-        cp.mix_error_exact(scheme, fam, p, x) for p in range(4) for x in range(4)
-    )
+    worst = max(cp.mix_error_exact(scheme, p, x) for p in range(4) for x in range(4))
     return CriterionResult(
         name="mix-worst-case-correctness",
         measured=worst,

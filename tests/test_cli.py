@@ -323,6 +323,24 @@ def test_missing_output_directory_is_usage_error(flag, is_directory, tmp_path, c
 
 
 @pytest.mark.parametrize(
+    "flag,writer",
+    [("--out", "pathlib.Path.write_text"), ("--csv", "qlease.games.append_csv")],
+    ids=["--out", "--csv"],
+)
+def test_unwritable_output_is_usage_error(flag, writer, tmp_path, capsys, monkeypatch):
+    # a file the OS refuses once the game has run: exit 2 with one line,
+    # not a traceback under exit 1, the criterion-failed code
+    def refuse(*args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(writer, refuse)
+    argv = ["cp", "--scheme", "1,1,6", "--trials", "3", flag, str(tmp_path / "report")]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag}: cannot write ") and err.endswith("Permission denied\n")
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["cp", "--trials", "20"],

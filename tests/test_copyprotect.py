@@ -549,9 +549,8 @@ def test_average_damage_within_constant_of_eta(scheme):
         # a distribution repeats the point and could be centred elsewhere: it
         # once gave 0.0246 here, where the sum over all 64 challenges is 0.4738
         (lambda s: cp.correctness_exact(s, 3, cp.ChallengeDistribution(6, 10, 0.9)), TypeError),
-        (lambda s: cp.mix_protect(s, PairwisePermFamily(5), 3, spawn_rng(1)), DimensionMismatchError),
     ],
-    ids=["point-above", "point-below", "family-bits", "distribution", "mix-family-bits"],
+    ids=["point-above", "point-below", "family-bits", "distribution"],
 )
 def test_protection_refuses_inputs_off_the_scheme(scheme, call, error):
     with pytest.raises(error):
@@ -591,20 +590,18 @@ def test_correctness_one_minus_epsilon_gate(scheme):
 
 
 def test_mix_identity_param_matches_plain(scheme):
-    fam = PairwisePermFamily(6)
     rng = spawn_rng(12)
-    prog = cp.mix_protect(scheme, fam, 29, rng, r=(1, 0))
+    prog = cp.mix_protect(scheme, 29, rng, r=(1, 0))
     plain = cp.protect(scheme, 29)
     assert np.allclose(prog.state.amplitudes, plain.state.amplitudes)
     assert cp.evaluate(prog, 29, rng) == 1
 
 
 def test_mix_matched_point_always_one(scheme):
-    fam = PairwisePermFamily(6)
     rng = spawn_rng(13)
     for _ in range(20):
         p = int(rng.integers(64))
-        prog = cp.mix_protect(scheme, fam, p, rng)
+        prog = cp.mix_protect(scheme, p, rng)
         assert cp.evaluate(prog, p, rng) == 1
 
 
@@ -613,12 +610,12 @@ def test_mix_evaluation_reads_the_permuted_key(scheme):
     # with probability below 1/2, so 20 draws of 1 show the key h_r(3)
     fam = PairwisePermFamily(6)
     r = (5, 17)
-    assert qas.accept_probability(scheme, 3, cp.mix_protect(scheme, fam, 3, None, r=r).state) < 0.5
+    assert qas.accept_probability(scheme, 3, cp.mix_protect(scheme, 3, None, r=r).state) < 0.5
     for seed in range(20):
-        assert cp.evaluate(cp.mix_protect(scheme, fam, 3, None, r=r), 3, spawn_rng(seed)) == 1
+        assert cp.evaluate(cp.mix_protect(scheme, 3, None, r=r), 3, spawn_rng(seed)) == 1
     # off the point, the preserving evaluation collapses onto the split of h_r(x)
     for x in (0, 40):
-        prog = cp.mix_protect(scheme, fam, 3, None, r=r)
+        prog = cp.mix_protect(scheme, 3, None, r=r)
         bit, post = cp.evaluate_preserving(prog, x, spawn_rng(x))
         expected = collapse(prog.state, qas.adjoint_isometry(scheme, fam.apply(r, x)), bit)
         assert np.array_equal(post.state.amplitudes, expected.amplitudes)
@@ -626,10 +623,9 @@ def test_mix_evaluation_reads_the_permuted_key(scheme):
 
 
 def test_mix_preserving_evaluation_at_the_point_keeps_the_state(scheme):
-    fam = PairwisePermFamily(6)
     rng = spawn_rng(14)
     for p in (3, 29, 60):
-        prog = cp.mix_protect(scheme, fam, p, rng)
+        prog = cp.mix_protect(scheme, p, rng)
         bit, post = cp.evaluate_preserving(prog, p, rng)
         assert bit == 1
         assert state_distance(post.state, prog.state) < ATOL
@@ -646,11 +642,10 @@ def test_mix_encoded_point_marginal_uniform():
 
 def test_mix_worst_case_error_bound():
     scheme = qas.build_scheme(1, 1, 2)
-    fam = PairwisePermFamily(2)
     eta = 1.0 - min(cp.correctness_exact(scheme, p, cp.PointFamily(2, 0.5)) for p in range(4))
     for p in range(4):
         for x in range(4):
-            err = cp.mix_error_exact(scheme, fam, p, x)
+            err = cp.mix_error_exact(scheme, p, x)
             assert err <= 2 * eta + 1e-12
             if x == p:
                 assert err < 1e-12

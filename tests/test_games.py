@@ -36,7 +36,6 @@ from qlease.games import (
     trivial_forward,
     wilson_interval,
 )
-from qlease.designs import PairwisePermFamily
 from qlease.leasing import SslScheme, ssl_verify
 from qlease.qmath import (
     ATOL,
@@ -319,7 +318,7 @@ def _joint_register_wins(spec, pirate, charlie, trials, seed) -> int:
         bob_accept = np.kron(qas.adjoint_isometry(scheme, x1), np.eye(1 << (total - n)))
         b1 = measure_projective(joint, bob_accept, rng)
         post = collapse(joint, bob_accept, b1)
-        if isinstance(charlie, HonestEvalStrategy):
+        if type(charlie) is HonestEvalStrategy:
             b2 = measure_projective(post, np.kron(np.eye(1 << n), qas.adjoint_isometry(scheme, x2)), rng)
         else:
             b2 = charlie.answer(None, x2, side, rng)
@@ -381,18 +380,32 @@ def _scalar_trial_wins(spec, pirate, charlie, trials, seed) -> list[bool]:
         bob, charlie_state, side = pirate.split(cp.protect(scheme, p).state, p, rng)
         x1, x2 = spec.bob_family(p).sample(rng), spec.charlie_family(p).sample(rng)
         b1 = measure_projective(bob, qas.adjoint_isometry(scheme, x1), rng)
-        b2 = charlie.answer(charlie_state, x2, side, rng)
+        if type(charlie) is HonestEvalStrategy:
+            b2 = measure_projective(charlie_state, qas.adjoint_isometry(scheme, x2), rng)
+        else:
+            b2 = charlie.answer(charlie_state, x2, side, rng)
         won.append(b1 == pf(x1) and b2 == pf(x2))
     return won
 
 
 class _SometimesOwnKey(HonestEvalStrategy):
-    """Evaluates honestly, half the time at a key of his own drawing: a
-    Charlie who draws from his generator before and in his measurement."""
+    """Evaluates honestly on his own scheme, half the time at a key of his
+    own drawing: a Charlie who draws from his generator before and in his
+    measurement, and who answers through his own ``answer``."""
+
+    def __init__(self, scheme):
+        self.scheme = scheme
 
     def answer(self, state, x, side, rng) -> int:
         key = x if rng.random() < 0.5 else int(rng.integers(1 << self.scheme.key_bits))
         return measure_projective(state, qas.adjoint_isometry(self.scheme, key), rng)
+
+
+class _AlwaysOne(FixedAnswer):
+    """Built with a bit, but answers 1 through his own ``answer``."""
+
+    def answer(self, state, x, side, rng) -> int:
+        return 1
 
 
 def _every_adversary(scheme):
@@ -402,6 +415,7 @@ def _every_adversary(scheme):
     yield spec, trivial_forward(scheme)
     yield spec, give_to_charlie(scheme)
     yield spec, (give_to_charlie(scheme)[0], _SometimesOwnKey(scheme))
+    yield spec, (trivial_forward(scheme)[0], _AlwaysOne(0))
     yield leasing, honest_return(ssl)
     yield leasing, keep_program(ssl)
     for budget in (1, 4, 16, 64):
@@ -410,9 +424,10 @@ def _every_adversary(scheme):
 
 @pytest.mark.parametrize("params", [(1, 1, 6), (2, 1, 6), (3, 3, 6)], ids=str)
 def test_blocks_win_the_trials_of_the_scalar_loop(params):
-    # every zoo split, keysearch budget and a Charlie who draws, at trial
-    # counts within, at and across the block edges: the wins of measuring
-    # in turn (trial i's generator does not depend on the trial count)
+    # every zoo split, keysearch budget, a Charlie who draws and a fixed
+    # Charlie who answers another bit than his class's, at trial counts
+    # within, at and across the block edges: the wins of measuring in turn
+    # (trial i's generator does not depend on the trial count)
     scheme = qas.build_scheme(*params)
     block = qmath.SPAWN_BLOCK
     for spec, adversary in _every_adversary(scheme):
@@ -499,7 +514,7 @@ def test_exact_win_matches_closed_forms_in_leasing(scheme, spec, verify_r):
 def test_return_garbage_matches_exact_win(scheme, spec, ssl, game):
     # no closed form covers this split: Bob gets |0...0>, Charlie the program
     pirate = PirateMap(zero_state(scheme.total_qubits), keep=True, name="return-garbage")
-    charlie = HonestEvalStrategy(scheme)
+    charlie = HonestEvalStrategy()
     if game == "cp":
         rep = run_experiment_free(spec, pirate, charlie, TRIALS, seed=62)
         exact = exact_win(spec, pirate, charlie)
@@ -519,38 +534,44 @@ def test_exact_win_rejects_random_splits_and_sampled_designs(scheme, spec):
         games.GameSpec(scheme, spec.circuit_dist, lambda p: cp.ChallengeDistribution(6, p, 0.5), spec.charlie_family)
 
 
-class _HonestSubclass(HonestEvalStrategy):
-    pass
+@pytest.mark.parametrize(
+    "pirating,make",
+    [(trivial_forward, lambda s: _AlwaysOne(0)), (give_to_charlie, _SometimesOwnKey)],
+    ids=["fixed-subclass", "honest-subclass"],
+)
+def test_exact_win_refuses_a_subclass_of_its_charlies(scheme, pirating, make):
+    # the trial loop runs a subclass's own answer, so the value of its
+    # class is not its win rate: _AlwaysOne(0) once got fixed-0's 0.1679,
+    # where its trials read 0.507 and fixed-1's exact value is 0.5038
+    spec = games.GameSpec(scheme, cp.ChallengeDistribution(6), cp.PointFamily(6, 0.5), cp.PointFamily(6, 0.75))
+    with pytest.raises(ValueError, match="exactly"):
+        exact_win(spec, pirating(scheme)[0], make(scheme))
 
 
-class _CountingPirate:
-    """A pirate that records each split it makes and then makes ``inner``'s."""
+def test_exact_win_reads_a_fixed_bit_once(scheme, spec, monkeypatch):
+    # a fixed answer's factor is the same at every one of the 64 indices
+    calls = []
+    rule = games.correctness_from_answers
+    monkeypatch.setattr(games, "correctness_from_answers", lambda *args: calls.append(args) or rule(*args))
+    value = exact_win(spec, *trivial_forward(scheme))
+    assert len(calls) == 1
+    assert abs(value - _closed_form_trivial_forward(spec)) <= 1e-15
 
-    def __init__(self, inner):
-        self.inner, self.splits = inner, []
 
-    def split(self, *args):
-        self.splits.append(args)
-        return self.inner.split(*args)
+@pytest.mark.parametrize("other", [(1, 1, 7), (1, 1, 5), (1, 2, 6)], ids=str)
+def test_a_key_search_on_another_scheme_is_refused_before_any_split(scheme, spec, ssl, other, monkeypatch):
+    # its candidates are keys of its own scheme: on 1,1,7 a run went to
+    # the end at 0.4115 (0.4295 on its own scheme), and on 1,1,5 and 1,2,6
+    # it failed mid-run
+    def refuse(*args):
+        raise AssertionError("a split ran before the key search's scheme was checked")
 
-
-@pytest.mark.parametrize("other", [(1, 2, 6), (1, 1, 7), (1, 1, 5)], ids=str)
-@pytest.mark.parametrize("kind", [HonestEvalStrategy, _HonestSubclass], ids=["honest", "subclass"])
-def test_an_honest_charlie_on_another_scheme_is_refused_before_any_split(scheme, spec, ssl, other, kind):
-    # his measurement is not the game's evaluation: on 1,2,6 the register
-    # does not fit it, on 1,1,5 a challenge can leave his key space, and on
-    # 1,1,7 every challenge is a key of his, so a run would go to the end
-    charlie = kind(qas.build_scheme(*other))
-    counted = _CountingPirate(give_to_charlie(scheme)[0])
-    harnesses = [
-        lambda: run_experiment_free(spec, counted, charlie, 10, seed=1),
-        lambda: run_experiment_ssl(ssl, spec.circuit_dist, spec.charlie_family, counted, charlie, 10, seed=1),
-        lambda: exact_win(spec, counted, charlie),
-    ]
-    for harness in harnesses:
-        with pytest.raises(ValueError, match="game's scheme"):
-            harness()
-    assert counted.splits == []
+    monkeypatch.setattr(KeysearchPirate, "split", refuse)
+    adversary = keysearch_adversary(qas.build_scheme(*other), 4)
+    with pytest.raises(ValueError, match="game's scheme"):
+        run_experiment_free(spec, *adversary, 10, seed=1)
+    with pytest.raises(ValueError, match="game's scheme"):
+        run_experiment_ssl(ssl, spec.circuit_dist, spec.charlie_family, *adversary, 10, seed=1)
 
 
 def _per_point_win(spec, pirate, charlie) -> float:
@@ -586,7 +607,7 @@ def _fixed_register_adversaries(scheme):
     return [
         trivial_forward(scheme),
         give_to_charlie(scheme),
-        (garbage, HonestEvalStrategy(scheme)),
+        (garbage, HonestEvalStrategy()),
         cheat_double_program(scheme),
     ]
 
@@ -727,7 +748,7 @@ class _Cloner:
 
 
 def cheat_double_program(scheme):
-    return _Cloner(scheme), HonestEvalStrategy(scheme)
+    return _Cloner(scheme), HonestEvalStrategy()
 
 
 def test_cheat_double_program_validates_harness(spec, scheme):
@@ -903,7 +924,7 @@ def test_ssl_abort_counts_as_loss(ssl, spec, scheme):
         spec.circuit_dist,
         spec.charlie_family,
         swap_in_garbage,
-        HonestEvalStrategy(scheme),
+        HonestEvalStrategy(),
         2000,
         seed=55,
     )
@@ -931,7 +952,7 @@ def test_sampled_bits_build_no_post_state(monkeypatch, scheme, spec, ssl):
         run_experiment_ssl(ssl, spec.circuit_dist, spec.charlie_family, *adversary(ssl), 200, seed=8)
     rng = spawn_rng(9)
     assert cp.evaluate(cp.protect(scheme, 3), 3, rng) == 1
-    assert cp.evaluate(cp.mix_protect(scheme, PairwisePermFamily(6), 3, rng), 3, rng) == 1
+    assert cp.evaluate(cp.mix_protect(scheme, 3, rng), 3, rng) == 1
     pf = cp.PointFunction(3, scheme.key_bits)
     assert ssl_verify(ssl, pf, cp.protect(scheme, 3).state, rng) == 1
     assert ssl_verify(ssl, pf, maximally_mixed(scheme.total_qubits), rng) in (0, 1)
