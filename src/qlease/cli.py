@@ -5,7 +5,8 @@ table on stdout and machine-readable artifacts on request (JSON via
 --out, CSV appends via --csv).  Under --json stdout holds only the JSON
 report and the human table goes to stderr.  Exit codes: 0 success, 1 a
 criterion or invariant failed, 2 usage or configuration error, including
-an --out or --csv file that cannot be written.
+an --out or --csv file that cannot be written, which is found before
+anything runs.
 
 All randomness flows from --seed; reports carry no timestamps, so two
 runs with the same arguments produce byte-identical files.  Options may
@@ -372,10 +373,19 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError("--seed must be non-negative")
         for option in ("out", "csv"):
             path = getattr(args, option, None)
-            if path and Path(path).is_dir():
+            if not path:
+                continue
+            target = Path(path)
+            if target.is_dir():
                 raise ConfigError(f"--{option}: {path} is a directory")
-            if path and not Path(path).parent.is_dir():
-                raise ConfigError(f"--{option}: directory {Path(path).parent} does not exist")
+            if not target.parent.is_dir():
+                raise ConfigError(f"--{option}: directory {target.parent} does not exist")
+            # open it now, so that a file the OS refuses stops the command
+            # before any run; a file made here is removed again
+            existed = target.exists()
+            _write(option, path, lambda: target.open("a").close())
+            if not existed:
+                target.unlink()
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -22,9 +22,13 @@ circuit on a register four times the program's size.
 
 :func:`mix_protect` wraps a program with a pairwise independent
 permutation: the point is first pushed through a uniformly random
-``h_r``.  The family and ``r`` ride along as the program's classical
-``mix``, and :func:`evaluate` and :func:`evaluate_preserving` measure a
-mixed program at ``h_r(x)``, never at ``x`` itself.
+``h_r`` of ``PairwisePermFamily(scheme.key_bits)``.  ``r`` rides along as
+the program's classical ``mix``, and :func:`evaluate` and
+:func:`evaluate_preserving` measure a mixed program at ``h_r(x)``, never
+at ``x`` itself.  A compute-and-compare program (see :mod:`qlease.leasing`)
+carries f's truth table as ``table`` and is measured at ``f(x)`` (at
+``h_r(f(x))`` when also mixed); these two are the only classical data a
+program holds.
 """
 
 from __future__ import annotations
@@ -203,26 +207,34 @@ class PointFamily:
 
 @dataclass
 class ProtectedProgram:
-    """A program state on Y plus bookkeeping.
+    """A program state on Y plus the classical data its evaluation reads,
+    and nothing else: the program of a point, a mixed program, and a
+    leased compute-and-compare program are all this one type.
 
     Programs are single-owner: destructive evaluation flips ``consumed``
-    and any further use raises.  A mixed program carries ``mix = (family,
-    r)``, the classical parameter of the permutation ``h_r`` that
-    evaluation applies to its input.
+    and any further use raises.  A mixed program carries ``mix = r``, the
+    parameter of the permutation ``h_r`` of the scheme's key space that
+    evaluation applies to its input.  A compute-and-compare program
+    carries ``table``, the public truth table of ``f``, which evaluation
+    applies first.  Neither names the encoded point.
     """
 
     state: PureState | DensityOperator
     scheme: QasScheme
-    mix: tuple[PairwisePermFamily, tuple[int, int]] | None = None
+    mix: tuple[int, int] | None = None
+    table: tuple[int, ...] | None = None
     consumed: bool = False
 
     def _key(self, x: int) -> int:
-        """The key that evaluation at ``x`` verifies with: ``h_r(x)`` for a
-        mixed program, ``x`` itself otherwise."""
-        if self.mix is None:
-            return x
-        family, r = self.mix
-        return family.apply(r, x)
+        """The key that evaluation at ``x`` verifies with: ``h_r(f(x))``,
+        where ``f`` is ``table`` and each step is skipped when unset."""
+        if self.table is not None:
+            if not 0 <= x < len(self.table):
+                raise ValueError("input outside the domain of f")
+            x = self.table[x]
+        if self.mix is not None:
+            x = PairwisePermFamily(self.scheme.key_bits).apply(self.mix, x)
+        return x
 
 
 def protect(scheme: QasScheme, point: int) -> ProtectedProgram:
@@ -238,8 +250,9 @@ def accept_projector(scheme: QasScheme, x: int) -> np.ndarray:
 
 
 def evaluate(program: ProtectedProgram, x: int, rng: np.random.Generator) -> int:
-    """Destructive evaluation: verify with key ``x`` (``h_r(x)`` for a
-    mixed program), output 1 on accept.
+    """Destructive evaluation: verify with the key of ``x`` (``f(x)``,
+    ``h_r(x)`` or ``h_r(f(x))`` as the program carries a table, a mix or
+    both), output 1 on accept.
 
     The program is consumed and no post-state is built; the encoded
     point always evaluates to 1.
@@ -329,7 +342,7 @@ def mix_protect(
     family = PairwisePermFamily(scheme.key_bits)
     if r is None:
         r = family.sample_param(rng)
-    return replace(protect(scheme, family.apply(r, point)), mix=(family, r))
+    return replace(protect(scheme, family.apply(r, point)), mix=r)
 
 
 def mix_error_exact(scheme: QasScheme, point: int, x: int) -> float:

@@ -342,12 +342,10 @@ CSV_HEADER = ["schema_version", *(f.name for f in fields(GameReport) if f.name !
 
 
 def append_csv(report: GameReport, path: str | Path) -> None:
-    """Append one result row, writing the header on first use."""
-    path = Path(path)
-    fresh = not path.exists()
-    with path.open("a", newline="") as fh:
+    """Append one result row, writing the header first when the file is empty."""
+    with Path(path).open("a", newline="") as fh:
         writer = csv.writer(fh)
-        if fresh:
+        if fh.tell() == 0:
             writer.writerow(CSV_HEADER)
         writer.writerow(report.csv_row())
 

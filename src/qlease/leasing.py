@@ -1,23 +1,25 @@
 """Software leasing built on the copy-protection scheme.
 
-Leasing a point function hands out exactly the protected program; the
-secret key is empty.  Evaluation preserves the program (the two-outcome
-measurement of :func:`evaluate_preserving`), so an honest lessee can keep
-using it.  Verification of a returned
+A lease is the protected program itself, a
+:class:`~qlease.copyprotect.ProtectedProgram`; the secret key is empty.
+The Lessor is :func:`ssl_lease` (or :func:`cc_lease`), Run is
+:func:`~qlease.copyprotect.evaluate_preserving`, which hands the program
+back so an honest lessee can keep using it, and Check is
+:func:`ssl_verify` (or :func:`cc_verify`).  Verification of a returned
 state samples a challenge from a per-circuit verification distribution
-(default: the point itself) and destructively evaluates — an intact
+(default: the point itself) and destructively evaluates; an intact
 program at the point passes with probability one.
 
 Compute-and-compare programs (output 1 iff f(x) = y) reduce to point
 functions: lease the point ``y`` and evaluate at ``f(x)``.  The truth
-table of ``f`` travels with the program in the clear, and
-:func:`pushforward` gives the distribution of the point program's
-challenges as a probability vector.
+table of ``f`` travels with the program in the clear, as its ``table``;
+the target ``y`` does not.  :func:`pushforward` gives the distribution
+of the point program's challenges as a probability vector.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,10 +28,11 @@ from .copyprotect import (
     PointFamily,
     PointFunction,
     ProtectedProgram,
+    _is_bit_string,
     evaluate,
-    evaluate_preserving,
     protect,
 )
+from .designs import is_positive_int
 from .qas import QasScheme
 from .qmath import DensityOperator, DimensionMismatchError, PureState
 
@@ -51,7 +54,10 @@ class SslScheme:
 
 @dataclass(frozen=True)
 class CompareFunction:
-    """CC_{f,y}: outputs 1 on x iff f(x) = y, with f an explicit table."""
+    """CC_{f,y}: outputs 1 on x iff f(x) = y, with f an explicit table.
+
+    ``out_bits`` is a positive integer, and every table entry and the
+    target are integers (not bools) in {0,1}^out_bits."""
 
     table: tuple[int, ...]
     out_bits: int
@@ -61,10 +67,12 @@ class CompareFunction:
         n = len(self.table)
         if n < 1 or n & (n - 1):
             raise ValueError("table length must be a power of two")
-        if any(not 0 <= v < (1 << self.out_bits) for v in self.table):
-            raise ValueError("table values must fit in out_bits")
-        if not 0 <= self.target < (1 << self.out_bits):
-            raise ValueError("target must fit in out_bits")
+        if not is_positive_int(self.out_bits):
+            raise ValueError("out_bits must be a positive integer")
+        if not all(_is_bit_string(v, self.out_bits) for v in self.table):
+            raise ValueError("table values must be integers in {0,1}^out_bits")
+        if not _is_bit_string(self.target, self.out_bits):
+            raise ValueError("target must be an integer in {0,1}^out_bits")
         object.__setattr__(self, "table", tuple(self.table))
 
     @property
@@ -82,36 +90,16 @@ class CompareFunction:
         return cls(tuple(range(1 << bits)), bits, target)
 
 
-@dataclass
-class LeasedProgram:
-    """Either a bare point program or a (truth table, point program) pair."""
-
-    point_program: ProtectedProgram
-    point: PointFunction
-    compare: CompareFunction | None = None
-
-
 def verify_distribution(scheme: SslScheme, pf: PointFunction) -> ChallengeDistribution:
     """The challenge distribution used by verification for this circuit."""
     return PointFamily(pf.bits, scheme.verify_r)(pf.point)
 
 
-def ssl_lease(scheme: SslScheme, pf: PointFunction) -> LeasedProgram:
-    """Lease a point function (the protected program, verbatim)."""
+def ssl_lease(scheme: SslScheme, pf: PointFunction) -> ProtectedProgram:
+    """Lease a point function: the protected program, verbatim."""
     if pf.bits != scheme.base.key_bits:
         raise DimensionMismatchError("point length must match the scheme")
-    return LeasedProgram(point_program=protect(scheme.base, pf.point), point=pf)
-
-
-def ssl_eval(
-    program: LeasedProgram, x: int, rng: np.random.Generator
-) -> tuple[int, LeasedProgram]:
-    """Program-preserving evaluation; returns the bit and the updated
-    program."""
-    bit, post = evaluate_preserving(program.point_program, x, rng)
-    return bit, LeasedProgram(
-        point_program=post, point=program.point, compare=program.compare
-    )
+    return protect(scheme.base, pf.point)
 
 
 def ssl_verify(
@@ -138,23 +126,12 @@ def ssl_verify(
 # ---------------------------------------------------------------------------
 
 
-def cc_lease(scheme: SslScheme, cf: CompareFunction) -> LeasedProgram:
-    """Lease CC_{f,y}: the truth table in the clear plus a leased point
-    program for the target y."""
+def cc_lease(scheme: SslScheme, cf: CompareFunction) -> ProtectedProgram:
+    """Lease CC_{f,y}: the protected program of the target y, carrying
+    f's truth table in the clear, so that evaluation at x reads f(x)."""
     if cf.out_bits != scheme.base.key_bits:
         raise DimensionMismatchError("target length must match the scheme")
-    pf = PointFunction(cf.target, cf.out_bits)
-    leased = ssl_lease(scheme, pf)
-    return LeasedProgram(point_program=leased.point_program, point=pf, compare=cf)
-
-
-def cc_eval(
-    program: LeasedProgram, x: int, rng: np.random.Generator
-) -> tuple[int, LeasedProgram]:
-    """Evaluate the point program at f(x)."""
-    if program.compare is None:
-        raise ValueError("cc_eval needs a compute-and-compare program")
-    return ssl_eval(program, program.compare.f(x), rng)
+    return replace(protect(scheme.base, cf.target), table=cf.table)
 
 
 def cc_verify(

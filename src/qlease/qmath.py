@@ -67,6 +67,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 #: Structural identities (norms, traces, unitarity) hold to this tolerance.
+#: Each check reads ``not deviation <= ATOL``, so that a NaN fails it.
 ATOL = 1e-9
 #: Hard cap on total qubits of any constructed object; everything in this
 #: library fits comfortably below it.
@@ -218,7 +219,7 @@ class PureState:
         amps = _frozen(np.asarray(self.amplitudes).reshape(-1))
         _check_cap(_qubits_for_dim(amps.size))
         nrm = np.linalg.norm(amps)
-        if abs(nrm - 1.0) > ATOL:
+        if not abs(nrm - 1.0) <= ATOL:
             raise ValueError(f"state norm {nrm} is not 1 within {ATOL}")
         object.__setattr__(self, "amplitudes", amps)
 
@@ -259,12 +260,12 @@ class DensityOperator:
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise DimensionMismatchError("density operator must be square")
         _check_cap(_qubits_for_dim(mat.shape[0]))
-        if np.max(np.abs(mat - mat.conj().T)) > ATOL:
+        if not np.max(np.abs(mat - mat.conj().T)) <= ATOL:
             raise ValueError("density operator is not Hermitian within tolerance")
         tr = np.trace(mat).real
-        if abs(tr - 1.0) > ATOL:
+        if not abs(tr - 1.0) <= ATOL:
             raise ValueError(f"trace {tr} is not 1 within {ATOL}")
-        if np.min(np.linalg.eigvalsh(mat)) < -ATOL:
+        if not np.min(np.linalg.eigvalsh(mat)) >= -ATOL:
             raise ValueError("density operator has a negative eigenvalue")
         object.__setattr__(self, "matrix", mat)
 
@@ -305,7 +306,7 @@ class KrausChannel:
         if any(k.shape != shape for k in ops):
             raise DimensionMismatchError("Kraus operators must share one shape")
         gram = sum(k.conj().T @ k for k in ops)
-        if np.max(np.abs(gram - np.eye(shape[1]))) > ATOL:
+        if not np.max(np.abs(gram - np.eye(shape[1]))) <= ATOL:
             raise ValueError("Kraus operators do not sum to identity")
         object.__setattr__(self, "kraus_ops", ops)
 
@@ -350,6 +351,8 @@ def random_density(qubits: int, rng: np.random.Generator, rank: int | None = Non
     _check_cap(qubits)
     d = 1 << qubits
     r = d if rank is None else rank
+    if r < 1:
+        raise ValueError(f"rank must be at least 1, got {r}")
     g = rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r))
     m = g @ g.conj().T
     return DensityOperator(m / np.trace(m).real)

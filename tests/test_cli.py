@@ -340,6 +340,38 @@ def test_unwritable_output_is_usage_error(flag, writer, tmp_path, capsys, monkey
     assert err.startswith(f"error: {flag}: cannot write ") and err.endswith("Permission denied\n")
 
 
+@pytest.mark.parametrize("flag", ["--out", "--csv"])
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+def test_unwritable_output_is_found_before_the_game_runs(flag, existing, tmp_path, capsys, monkeypatch):
+    # it was once found only after the whole run, when the report was written
+    def refuse_open(*args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    def refuse_run(*args, **kwargs):
+        raise AssertionError("the game ran before the usage check")
+
+    target = tmp_path / "report"
+    if existing:
+        target.write_text("kept\n")
+    monkeypatch.setattr("pathlib.Path.open", refuse_open)
+    monkeypatch.setattr("qlease.games.run_experiment_free", refuse_run)
+    assert main(["cp", "--scheme", "1,1,6", "--trials", "3", flag, str(target)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag}: cannot write ") and err.endswith("Permission denied\n")
+    monkeypatch.undo()
+    assert [p.read_text() for p in tmp_path.iterdir()] == (["kept\n"] if existing else [])
+
+
+@pytest.mark.parametrize("flag", ["--out", "--csv"])
+def test_the_early_open_leaves_no_new_file_behind_a_later_usage_error(flag, tmp_path):
+    # the path is opened before the command's own checks; a budget above
+    # 2^k is refused after it, and must not leave an empty report
+    target = tmp_path / "report"
+    argv = ["cp", "--scheme", "1,1,6", "--adversary", "keysearch", "--budget", "65", flag, str(target)]
+    assert main(argv) == EXIT_USAGE
+    assert not target.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -619,7 +619,7 @@ def test_mix_evaluation_reads_the_permuted_key(scheme):
         bit, post = cp.evaluate_preserving(prog, x, spawn_rng(x))
         expected = collapse(prog.state, qas.adjoint_isometry(scheme, fam.apply(r, x)), bit)
         assert np.array_equal(post.state.amplitudes, expected.amplitudes)
-        assert post.mix == (fam, r)
+        assert post.mix == r
 
 
 def test_mix_preserving_evaluation_at_the_point_keeps_the_state(scheme):

@@ -997,6 +997,17 @@ def test_csv_append(tmp_path, spec, scheme):
     assert lines[1] == lines[2]
 
 
+def test_csv_append_writes_the_header_to_an_empty_file(tmp_path, spec, scheme):
+    # it once wrote the header only when the file was missing
+    rep = run_experiment_free(spec, *trivial_forward(scheme), 30, seed=58)
+    path = tmp_path / "results.csv"
+    path.touch()
+    append_csv(rep, path)
+    lines = path.read_text().splitlines()
+    assert lines[0] == ",".join(games.CSV_HEADER)
+    assert len(lines) == 2
+
+
 def test_security_bounds_loose_but_respected(spec, scheme, ssl):
     # sanity only: a finite zoo cannot certify the theorem
     rep = run_experiment_free(spec, *trivial_forward(scheme), 600, seed=59)

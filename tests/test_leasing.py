@@ -1,6 +1,8 @@
 """Tests for leasing: point functions, compute-and-compare lift,
 verification and degradation under repeated evaluation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,18 +11,18 @@ from qlease import qas
 from qlease.leasing import (
     CompareFunction,
     SslScheme,
-    cc_eval,
     cc_lease,
     cc_verify,
     epsilon_f,
     pushforward,
-    ssl_eval,
     ssl_lease,
     ssl_verify,
     verify_distribution,
 )
-from qlease.copyprotect import PointFunction
+from qlease.copyprotect import PointFunction, evaluate, evaluate_preserving
+from qlease.designs import PairwisePermFamily
 from qlease.qmath import DimensionMismatchError, maximally_mixed, spawn_rng, state_distance
+from measurement_reference import collapse
 
 
 @pytest.fixture(scope="module")
@@ -36,13 +38,9 @@ def ssl(scheme):
 def test_lease_is_protect_passthrough(ssl, scheme):
     pf = PointFunction(18, 6)
     leased = ssl_lease(ssl, pf)
-    assert np.array_equal(
-        leased.point_program.state.amplitudes, cp.protect(scheme, 18).state.amplitudes
-    )
+    assert np.array_equal(leased.state.amplitudes, cp.protect(scheme, 18).state.amplitudes)
     again = ssl_lease(ssl, pf)
-    assert np.array_equal(
-        leased.point_program.state.amplitudes, again.point_program.state.amplitudes
-    )
+    assert np.array_equal(leased.state.amplitudes, again.state.amplitudes)
 
 
 def test_lease_length_mismatch(ssl):
@@ -70,11 +68,11 @@ def test_eval_at_point_keeps_program(ssl):
     rng = spawn_rng(1)
     pf = PointFunction(44, 6)
     leased = ssl_lease(ssl, pf)
-    original = leased.point_program.state
+    original = leased.state
     for _ in range(4):
-        bit, leased = ssl_eval(leased, 44, rng)
+        bit, leased = evaluate_preserving(leased, 44, rng)
         assert bit == 1
-    assert state_distance(leased.point_program.state, original) < 1e-9
+    assert state_distance(leased.state, original) < 1e-9
 
 
 def test_verify_honest_program_accepts(ssl):
@@ -82,7 +80,7 @@ def test_verify_honest_program_accepts(ssl):
     pf = PointFunction(7, 6)
     for _ in range(50):
         leased = ssl_lease(ssl, pf)
-        assert ssl_verify(ssl, pf, leased.point_program.state, rng) == 1
+        assert ssl_verify(ssl, pf, leased.state, rng) == 1
 
 
 def test_verify_maximally_mixed_rate(ssl, scheme):
@@ -116,7 +114,7 @@ def test_verify_transcript(ssl):
     pf = PointFunction(11, 6)
     log: list = []
     leased = ssl_lease(ssl, pf)
-    ssl_verify(ssl, pf, leased.point_program.state, rng, transcript=log)
+    ssl_verify(ssl, pf, leased.state, rng, transcript=log)
     assert log == [{"x": 11, "outcome": 1, "accept": 1}]
 
 
@@ -140,8 +138,8 @@ def test_repeated_evaluation_degradation(ssl, scheme):
         for _ in range(trials):
             leased = ssl_lease(ssl, pf)
             for _ in range(evals):
-                _, leased = ssl_eval(leased, dist.sample(rng), rng)
-            accepted += ssl_verify(ssl, pf, leased.point_program.state, rng)
+                _, leased = evaluate_preserving(leased, dist.sample(rng), rng)
+            accepted += ssl_verify(ssl, pf, leased.state, rng)
         rates.append(accepted / trials)
     noise = 4 * np.sqrt(0.25 / trials)
     assert rates[0] > 1 - 1e-9
@@ -164,22 +162,21 @@ def make_cf() -> CompareFunction:
     return CompareFunction(table, 6, table[6])
 
 
-def test_cc_payload_point_is_target(ssl):
+def test_cc_payload_point_is_target(ssl, scheme):
+    # the target is in the quantum payload only; the table is in the clear
     cf = make_cf()
     leased = cc_lease(ssl, cf)
-    assert leased.point.point == cf.target
-    assert leased.compare.table == cf.table  # stored verbatim
+    assert np.array_equal(leased.state.amplitudes, cp.protect(scheme, cf.target).state.amplitudes)
+    assert leased.table == cf.table  # stored verbatim
 
 
 def test_cc_identity_recovers_point_functions(ssl, scheme):
     cf = CompareFunction.identity(6, 23)
     leased = cc_lease(ssl, cf)
     plain = ssl_lease(ssl, PointFunction(23, 6))
-    assert np.array_equal(
-        leased.point_program.state.amplitudes, plain.point_program.state.amplitudes
-    )
+    assert np.array_equal(leased.state.amplitudes, plain.state.amplitudes)
     rng = spawn_rng(7)
-    bit, _ = cc_eval(leased, 23, rng)
+    bit, _ = evaluate_preserving(leased, 23, rng)
     assert bit == 1
 
 
@@ -188,26 +185,77 @@ def test_cc_eval_accepting_input(ssl):
     rng = spawn_rng(8)
     leased = cc_lease(ssl, cf)
     assert cf(6) == 1
-    bit, _ = cc_eval(leased, 6, rng)
+    bit, _ = evaluate_preserving(leased, 6, rng)
     assert bit == 1
 
 
 def test_cc_eval_matches_point_eval_bitwise(ssl):
-    # composition property under a shared seed
+    # composition property under a shared seed: the CC program at x is the
+    # point program of the target at f(x), bit for bit and state for state
     cf = make_cf()
     for x in range(16):
-        a = cc_eval(cc_lease(ssl, cf), x, spawn_rng(100 + x))[0]
-        b = ssl_eval(
-            ssl_lease(ssl, PointFunction(cf.target, 6)), cf.f(x), spawn_rng(100 + x)
-        )[0]
+        a, a_post = evaluate_preserving(cc_lease(ssl, cf), x, spawn_rng(100 + x))
+        b, b_post = evaluate_preserving(ssl_lease(ssl, PointFunction(cf.target, 6)), cf.f(x), spawn_rng(100 + x))
         assert a == b
+        assert np.array_equal(a_post.state.amplitudes, b_post.state.amplitudes)
+        assert a_post.table == cf.table
+
+
+def test_cc_destructive_eval_matches_point_eval_bitwise(ssl):
+    cf = make_cf()
+    for x in range(16):
+        leased = cc_lease(ssl, cf)
+        a = evaluate(leased, x, spawn_rng(100 + x))
+        b = evaluate(ssl_lease(ssl, PointFunction(cf.target, 6)), cf.f(x), spawn_rng(100 + x))
+        assert leased.consumed and a == b
+        if cf(x):
+            assert a == 1
+
+
+@pytest.mark.parametrize(
+    "lease",
+    [
+        lambda ssl: ssl_lease(ssl, PointFunction(40, 6)),
+        lambda ssl: cc_lease(ssl, CompareFunction.identity(6, 40)),
+        lambda ssl: cc_lease(ssl, make_cf()),
+    ],
+    ids=["point", "cc-identity", "cc-table"],
+)
+def test_a_lease_holds_no_circuit_and_no_target(ssl, lease):
+    # the lessee gets the program and f's public table, nothing naming the point
+    leased = lease(ssl)
+    assert type(leased) is cp.ProtectedProgram
+    assert [f.name for f in dataclasses.fields(leased)] == ["state", "scheme", "mix", "table", "consumed"]
+    assert leased.mix is None
+    assert leased.table is None or all(isinstance(v, int) for v in leased.table)
+    assert not any(isinstance(v, (PointFunction, CompareFunction)) for v in vars(leased).values())
+
+
+def test_a_mixed_cc_program_is_measured_at_the_permuted_image(ssl, scheme):
+    # h_r(f(x)): the key is f's image pushed through h_r, never x or f(x) alone
+    cf = make_cf()
+    r = (5, 17)
+    fam = PairwisePermFamily(6)
+    def program():
+        return dataclasses.replace(cp.mix_protect(scheme, cf.target, None, r=r), table=cf.table)
+
+    for x in range(16):
+        prog = program()
+        assert prog._key(x) == fam.apply(r, cf.f(x))
+        bit, post = evaluate_preserving(prog, x, spawn_rng(200 + x))
+        expected = collapse(prog.state, qas.adjoint_isometry(scheme, fam.apply(r, cf.f(x))), bit)
+        assert np.array_equal(post.state.amplitudes, expected.amplitudes)
+        if cf(x):
+            assert bit == 1
+        assert (post.mix, post.table) == (r, cf.table)
+    assert evaluate(program(), 6, spawn_rng(0)) == 1
 
 
 def test_cc_verify_honest_and_mixed(ssl):
     cf = make_cf()
     rng = spawn_rng(9)
     leased = cc_lease(ssl, cf)
-    assert cc_verify(ssl, cf, leased.point_program.state, rng) == 1
+    assert cc_verify(ssl, cf, leased.state, rng) == 1
     rejects = sum(
         1 - cc_verify(ssl, cf, maximally_mixed(2), rng) for _ in range(2000)
     )
@@ -216,7 +264,7 @@ def test_cc_verify_honest_and_mixed(ssl):
 
 def test_cc_verify_equals_point_verify_for_identity(ssl):
     cf = CompareFunction.identity(6, 40)
-    state = ssl_lease(ssl, PointFunction(40, 6)).point_program.state
+    state = ssl_lease(ssl, PointFunction(40, 6)).state
     a = cc_verify(ssl, cf, state, spawn_rng(10))
     b = ssl_verify(ssl, PointFunction(40, 6), state, spawn_rng(10))
     assert a == b == 1
@@ -253,10 +301,12 @@ def test_pushforward_sampling_agrees():
     "call,match",
     [
         (lambda ssl: cc_lease(ssl, CompareFunction((0, 1), 2, 0)), "target length"),
-        (lambda ssl: cc_eval(ssl_lease(ssl, PointFunction(1, 6)), 0, spawn_rng(1)), "compute-and-compare"),
         (lambda ssl: pushforward(CompareFunction((0, 1), 6, 0), cp.ChallengeDistribution(6)), "domain"),
+        # a negative index once read the table from its end: f(15) at x = -1
+        (lambda ssl: evaluate(cc_lease(ssl, make_cf()), -1, spawn_rng(1)), "domain of f"),
+        (lambda ssl: evaluate_preserving(cc_lease(ssl, make_cf()), 16, spawn_rng(1)), "domain of f"),
     ],
-    ids=["cc-lease-target-bits", "cc-eval-point-program", "pushforward-domain"],
+    ids=["cc-lease-target-bits", "pushforward-domain", "cc-eval-negative-input", "cc-eval-input-past-the-table"],
 )
 def test_compute_and_compare_refusals(ssl, call, match):
     with pytest.raises(ValueError, match=match):
@@ -275,6 +325,17 @@ def test_compare_function_validation():
         CompareFunction((0, 4), 2, 0)  # value outside range
     with pytest.raises(ValueError):
         CompareFunction((0, 1), 2, 9)  # target outside range
+
+
+@pytest.mark.parametrize(
+    "args",
+    [((0,), 0, 0), ((0, 1), True, 1), ((0, 1), 1.0, 1), ((0.5, 1), 1, 1), ((True, 1), 1, 1), ((0, 1), 1, 1.0), ((0, 1), 1, False)],
+    ids=["zero-bits", "bool-bits", "float-bits", "float-entry", "bool-entry", "float-target", "bool-target"],
+)
+def test_compare_function_refuses_values_off_the_bit_length_rule(args):
+    # out_bits is an int >= 1, and entries and target are ints in {0,1}^out_bits
+    with pytest.raises(ValueError):
+        CompareFunction(*args)
 
 
 @pytest.mark.parametrize("r", [1.5, -0.1, float("nan")])

@@ -80,6 +80,33 @@ def test_kraus_channel_validation():
         KrausChannel((k0,))  # not trace preserving
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: PureState(np.array([np.nan, 0.0])),
+        lambda: DensityOperator(np.full((2, 2), np.nan)),
+        lambda: DensityOperator(np.diag([np.nan, 1.0])),
+        lambda: DensityOperator(np.array([[0.5, np.nan], [np.nan, 0.5]])),
+        lambda: KrausChannel((np.full((2, 2), np.nan),)),
+    ],
+    ids=["pure", "density-all", "density-diagonal", "density-off-diagonal", "kraus"],
+)
+def test_a_nan_fails_every_container_check(build):
+    # each check once read ``deviation > ATOL``, which a NaN passes
+    with pytest.raises(ValueError):
+        build()
+
+
+@pytest.mark.parametrize("rank", [0, -1])
+def test_random_density_refuses_a_rank_below_one_before_drawing(rank):
+    # rank 0 once gave an all-NaN "density operator" after a RuntimeWarning
+    rng = spawn_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="rank"):
+        random_density(1, rng, rank=rank)
+    assert rng.bit_generator.state == before
+
+
 def test_qubit_cap_enforced():
     with pytest.raises(QubitCapError):
         zero_state(13)
