@@ -223,6 +223,8 @@ def cmd_qas_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 CP_ADVERSARIES = ("trivial-forward", "give-to-charlie", "keysearch")
+#: The keysearch budget when ``--budget`` is not given.
+KEYSEARCH_BUDGET = 4
 SSL_ADVERSARIES = ("honest-return", "keep-program")
 
 
@@ -242,8 +244,11 @@ def _report_game(args, rep: games.GameReport) -> int:
 def cmd_cp(args) -> int:
     if not 0.5 <= args.r <= 1.0:
         raise ConfigError("--r (Bob's point mass) must lie in [0.5, 1]")
+    if args.adversary != "keysearch" and args.budget is not None:
+        raise ConfigError(f"--budget applies to the keysearch adversary only, not {args.adversary}")
+    budget = KEYSEARCH_BUDGET if args.budget is None else args.budget
     m, t, k = _scheme_params(args.scheme)
-    if args.adversary == "keysearch" and not 1 <= args.budget <= 1 << k:
+    if args.adversary == "keysearch" and not 1 <= budget <= 1 << k:
         raise ConfigError(f"--budget must lie in 1..{1 << k} (2^k keys)")
     scheme = qas.build_scheme(m, t, k)
     spec = games.default_cp_spec(scheme, bob_r=args.r)
@@ -251,7 +256,7 @@ def cmd_cp(args) -> int:
     adversary = {
         "trivial-forward": games.trivial_forward,
         "give-to-charlie": games.give_to_charlie,
-        "keysearch": lambda s: games.keysearch_adversary(s, budget_size=args.budget),
+        "keysearch": lambda s: games.keysearch_adversary(s, budget_size=budget),
     }[args.adversary]
     pirate, strategy = adversary(scheme)
     return _report_game(args, games.run_experiment_free(spec, pirate, strategy, args.trials, args.seed))
@@ -335,7 +340,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--adversary", type=str, default="trivial-forward", choices=CP_ADVERSARIES)
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--r", type=float, default=0.5, help="mass of Bob's challenge on the point")
-    p.add_argument("--budget", type=int, default=4, help="keysearch budget size")
+    p.add_argument(
+        "--budget", type=int, default=None, help=f"keysearch budget size (keysearch only; default {KEYSEARCH_BUDGET})"
+    )
     p.add_argument("--csv", type=str, default=None, help="append a result row to this CSV")
     p.set_defaults(func=cmd_cp)
 

@@ -8,20 +8,26 @@ leasing game is the same game on :func:`leasing_spec`: the lessor's
 verification is honest Bob on the returned register, and the lessee
 answers the challenge from the kept register as Charlie.  Both forms run
 through one trial loop, whose draws come in a fixed order: the point, the
-pirate's split, Bob's challenge, Charlie's challenge, Bob's measurement,
-then Charlie's answer; a trial is won iff both answers are right.  Bob,
-and a Charlie who is exactly :class:`HonestEvalStrategy`, are measured on
-the game's scheme; any other Charlie answers through his own ``answer``.
-The loop runs a block's draws first, an honest measurement drawing only
-its uniform, then decides the block's measurements at once (:func:`_play`);
-a trial's measurements are its last draws, one uniform each, so the bits
-are those of measuring in turn, and memory is O(block).
+pirate's split (a key search's candidates, then one uniform per key it
+tests), Bob's challenge, Charlie's challenge, Bob's measurement, then
+Charlie's answer; a trial is won iff both answers are right.  Bob, and a
+Charlie who is exactly :class:`HonestEvalStrategy`, are measured on the
+game's scheme; any other Charlie answers through his own ``answer``.
+The loop runs a block of trials in three phases (:func:`_play`): the
+draws of each trial's point and split; the block's key-search chains,
+in lock-step, one stacked measurement per step for every search still
+running (:func:`_search`); then the measurements: each trial draws its
+challenges, an honest measurement drawing only its uniform, and the
+block's honest measurements are decided at once.  Every trial draws on
+its own generator, in its own order, and a trial's measurements are its
+last draws, one uniform each, so the bits are those of running the
+trials one at a time, and memory is O(block).
 
 Each party holds its own register: a pirate's ``split`` returns Bob's
 state and Charlie's state, and each party measures its whole register
 and nothing else, so Bob's measurement leaves Charlie's register
-untouched; a trial keeps only the two bits, so only keysearch's chain
-builds a post-state.  This covers every pirate shipped here, whose two
+untouched; a trial keeps only the two bits, so only keysearch's chains
+build post-states.  This covers every pirate shipped here, whose two
 registers are separate tensor factors; a pirate that entangles them would
 need a joint register.  The shipped pirates hand one party the program and
 the other a fixed ancilla (:class:`PirateMap`), or search for the key
@@ -69,8 +75,9 @@ from .qmath import (
     DensityOperator,
     DimensionMismatchError,
     PureState,
+    accept_branches,
+    collapse_pure,
     maximally_mixed,
-    measure_and_collapse,
     # not called here: perfbench/test_tracer.py reads games.measure_projective
     measure_projective,
     outcome_at,
@@ -79,6 +86,10 @@ from .qmath import (
 )
 
 CSV_SCHEMA_VERSION = 1
+#: A key search's trials whose chains run in lock-step hold at most this
+#: many candidate keys: a block of 256 at budgets up to 256, one trial at
+#: a time at a full 2^20-key budget.
+SEARCH_KEYS = 1 << 16
 
 
 def wilson_interval(wins: int, trials: int, confidence: float = 0.99) -> tuple[float, float]:
@@ -167,6 +178,15 @@ class PointGuessStrategy(MeasurementStrategy):
         return int(side is not None and x == side)
 
 
+@dataclass(frozen=True)
+class KeyChain:
+    """A key search not yet run: the program and the candidate keys to try
+    on it, in order.  :func:`_play` runs a block's chains in lock-step."""
+
+    program: PureState
+    keys: list[int]
+
+
 class KeysearchPirate:
     """Brute-force key search: try candidate keys one by one, coherently,
     stopping at the first acceptance.
@@ -180,7 +200,9 @@ class KeysearchPirate:
     Every candidate test is the projective accept-check for that key;
     wrong-key tests damage the program and may stop the search at a false
     acceptance, which is the error-accumulation mechanism this adversary
-    exists to demonstrate.
+    exists to demonstrate.  Bob gets the searched program, Charlie no
+    register, and Charlie's side information is the key found (None if the
+    search came up empty).
     """
 
     def __init__(self, scheme: QasScheme, budget_size: int):
@@ -191,23 +213,48 @@ class KeysearchPirate:
         self.name = f"keysearch-{budget_size}"
 
     def _candidates(self, point: int, rng: np.random.Generator) -> list[int]:
-        # every key but the point, in order, then shuffled
-        others = np.arange((1 << self.scheme.key_bits) - 1)
-        others[point:] += 1
-        rng.shuffle(others)
+        # every key but the point, shuffled: a permutation shifted past the point
+        others = rng.permutation((1 << self.scheme.key_bits) - 1)
+        others += others >= point
         keys = others[: self.budget_size - 1].tolist()
         keys.insert(int(rng.integers(self.budget_size)), point)
         return keys
 
     def split(self, program_state: PureState, point: int, rng: np.random.Generator):
-        """Returns the searched program for Bob, no register for Charlie,
-        and the key found (None if the search came up empty)."""
-        state = program_state
-        for key in self._candidates(point, rng):
-            outcome, state = measure_and_collapse(state, adjoint_isometry(self.scheme, key), rng)
-            if outcome == 1:
-                return state, None, key
-        return state, None, None
+        """Draws the candidate list; returns the search, not yet run, as
+        Bob's register, and no register or side information for Charlie
+        (:func:`_search` runs it)."""
+        return KeyChain(program_state, self._candidates(point, rng)), None, None
+
+
+def _search(scheme: QasScheme, chains: list[KeyChain], rngs: list[np.random.Generator]):
+    """Run key searches in lock-step: ``(posts, found)``, the searched
+    programs as the rows of an (n, d) array and the key each search
+    stopped at (None if none was accepted).
+
+    At each step one :func:`~qlease.qmath.accept_branches` call weighs the
+    next candidate of every search still running, each draws its uniform
+    on its own generator, and :func:`~qlease.qmath.outcome_at` and
+    :func:`~qlease.qmath.collapse_pure` decide and collapse them all: the
+    bits and draws of running each search on its own, one
+    :func:`~qlease.qmath.measure_and_collapse` per candidate.
+    """
+    posts = np.stack([chain.program.amplitudes for chain in chains])
+    found = [None] * len(chains)
+    running = np.arange(len(chains))
+    for step in range(len(chains[0].keys)):
+        trials = running.tolist()
+        keys = np.array([chains[i].keys[step] for i in trials])
+        accept = adjoint_isometry(scheme, keys)
+        b, p1 = accept_branches(accept, posts[running, :, None])
+        accepted = outcome_at(p1, np.array([rngs[i].random() for i in trials]))
+        posts[running] = collapse_pure(accept, posts[running], b, accepted)
+        for i in running[accepted].tolist():
+            found[i] = chains[i].keys[step]
+        running = running[~accepted]
+        if not running.size:
+            break
+    return posts, found
 
 
 # ---------------------------------------------------------------------------
@@ -360,51 +407,70 @@ def _play(spec: GameSpec, pirate, charlie: MeasurementStrategy, trials: int, see
 
     Trial ``i`` uses a generator equal to ``spawn_rng(seed, i)`` (from
     :func:`~qlease.qmath.spawn_rngs`) and draws, in order: the
-    point, the pirate's split, Bob's challenge, Charlie's challenge,
+    point, the pirate's split (for a key search, its candidates and then
+    one uniform per key it tests), Bob's challenge, Charlie's challenge,
     Bob's honest measurement on his register, and Charlie's answer from
     his own register, which Bob's measurement leaves untouched.  The
     trial is won iff both answers are right.  Charlie answers in every
     trial, also when Bob is already wrong; since each trial has its own
     generator, skipping Charlie then would change no report.
 
-    Trials run in blocks of :data:`~qlease.qmath.SPAWN_BLOCK`, in two
-    phases.  First each trial draws on its own generator, in the order
-    above; an honest measurement (Bob's, and Charlie's when he is exactly
-    :class:`HonestEvalStrategy`) draws only its uniform and is recorded
-    with its register and challenge, and any other Charlie (subclasses
-    too) answers at once through his own ``answer``.  Then one
-    :func:`~qlease.qas.acceptances` and one :func:`~qlease.qmath.outcome_at`
-    call decide the block's measurements.
+    Trials run in blocks of :data:`~qlease.qmath.SPAWN_BLOCK` (a key
+    search's blocks hold at most :data:`SEARCH_KEYS` candidate keys), in
+    three phases, each trial drawing on its own generator in the order
+    above.  First the draws: each trial's point and split.  Then the
+    lock-step chains: a key search's splits are its chains, and the
+    block's run together (:func:`_search`), each drawing one uniform per
+    key it tests, before any challenge is drawn.  Last the measurements:
+    each trial draws its challenges; an honest measurement (Bob's, and
+    Charlie's when he is exactly :class:`HonestEvalStrategy`) draws only
+    its uniform and is recorded with its register and challenge, and any
+    other Charlie (subclasses too) answers at once through his own
+    ``answer``; then one :func:`~qlease.qas.acceptances` and one
+    :func:`~qlease.qmath.outcome_at` call decide the block's honest
+    measurements, a key search's searched programs read as one (n, d)
+    stack.
     The bits are those of measuring in turn, since a trial's measurements
     are its last draws and each consumes one uniform.
     Memory is O(block): a block keeps its registers until its outcomes are
     decided, and the run caches only each point's program.  A key search
-    on another scheme than the game's is refused before any split.
+    on another scheme than the game's, or with an honest Charlie (it
+    leaves him no register), is refused before any split.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     scheme = spec.scheme
-    if isinstance(pirate, KeysearchPirate) and pirate.scheme != scheme:
-        raise ValueError("a key search must run on the game's scheme")
     honest = type(charlie) is HonestEvalStrategy
+    search = isinstance(pirate, KeysearchPirate)
+    if search and pirate.scheme != scheme:
+        raise ValueError("a key search must run on the game's scheme")
+    if search and honest:
+        raise ValueError("a key search leaves an honest Charlie no register")
+    block = min(SPAWN_BLOCK, max(1, SEARCH_KEYS // pirate.budget_size)) if search else SPAWN_BLOCK
 
     program = functools.cache(lambda p: protect(scheme, p).state)
 
     wins = 0
     rngs = spawn_rngs(seed, trials)
-    for _ in range(0, trials, SPAWN_BLOCK):
+    for _ in range(0, trials, block):
+        trial_rngs = list(itertools.islice(rngs, block))
+        points = [spec.circuit_dist.sample(rng) for rng in trial_rngs]
+        splits = [pirate.split(program(p), p, rng) for p, rng in zip(points, trial_rngs)]
+        if search:
+            posts, found = _search(scheme, [chain for chain, _, _ in splits], trial_rngs)
+            splits = [(None, None, key) for key in found]
         asked = []  # per honest measurement: its register, challenge and uniform, the right bit
         charlie_right = []
-        for rng in itertools.islice(rngs, SPAWN_BLOCK):
-            p = spec.circuit_dist.sample(rng)
-            bob, charlie_state, side = pirate.split(program(p), p, rng)
+        for (bob, charlie_state, side), p, rng in zip(splits, points, trial_rngs):
             x1, x2 = spec.bob_family.sample(p, rng), spec.charlie_family.sample(p, rng)
             for state, x in ((bob, x1), (charlie_state, x2))[: 1 + honest]:
                 asked.append((state, x, rng.random(), x == p))
             if not honest:
                 charlie_right.append(charlie.answer(charlie_state, x2, side, rng) == (x2 == p))
         registers, keys, u, right = zip(*asked)
-        correct = outcome_at(acceptances(scheme, keys, registers), np.array(u)) == np.array(right)
+        # a key search's trials ask one measurement each, Bob's on his row
+        p1 = acceptances(scheme, keys, posts if search else registers)
+        correct = outcome_at(p1, np.array(u)) == np.array(right)
         # a trial's measurements are Bob's, then Charlie's when he is honest
         won = correct.reshape(-1, 2).all(axis=1) if honest else correct & np.array(charlie_right)
         wins += int(np.count_nonzero(won))

@@ -143,10 +143,11 @@ def auth_isometry(scheme: QasScheme, key: int) -> np.ndarray:
     return a
 
 
-def adjoint_isometry(scheme: QasScheme, key: int) -> np.ndarray:
-    """``A_key†``, the adjoint of the encoding isometry, ``(2**m, 2**(m+t))``:
-    a read-only view of an enumerated design's column stack, so no call copies."""
-    return _conj_columns(scheme, key).T
+def adjoint_isometry(scheme: QasScheme, key) -> np.ndarray:
+    """``A_key†``, the adjoint of the encoding isometry, ``(2**m, 2**(m+t))``,
+    or a stack of them for an array of keys: for one key a read-only view
+    of an enumerated design's column stack, so no call copies."""
+    return _conj_columns(scheme, key).swapaxes(-1, -2)
 
 
 def _decode(adj: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -217,8 +218,12 @@ def acceptances(scheme: QasScheme, keys, registers) -> np.ndarray:
     density register ``registers[i]``.  Each distinct register (by
     identity) is checked once; the pure ones are stacked once and gathered
     per pair, and a density matrix is taken against its distinct keys
-    only, so no register is copied per pair."""
+    only, so no register is copied per pair.  ``registers`` may also be
+    an (n, d) array whose rows are pure registers' amplitudes, trusted
+    as post-states are: the stack the gather builds, with the same bits."""
     keys = np.asarray(keys)
+    if isinstance(registers, np.ndarray):
+        return accept_branches(adjoint_isometry(scheme, keys), registers[..., None])[1]
     number = {}  # register id -> its number, in order of first appearance
     which = np.array([number.setdefault(id(s), len(number)) for s in registers], dtype=int)
     e = [register_array(s, scheme.total_dim) for s in {id(s): s for s in registers}.values()]
@@ -227,11 +232,11 @@ def acceptances(scheme: QasScheme, keys, registers) -> np.ndarray:
     on_pure = pure[which]
     if on_pure.any():
         columns = np.stack([m for m, k in zip(e, pure) if k])[(np.cumsum(pure) - 1)[which[on_pure]]]
-        p[on_pure] = accept_branches(_conj_columns(scheme, keys[on_pure]).swapaxes(-1, -2), columns)[1]
+        p[on_pure] = accept_branches(adjoint_isometry(scheme, keys[on_pure]), columns)[1]
     for r in np.flatnonzero(~pure).tolist():
         on_r = which == r
         distinct, inverse = np.unique(keys[on_r], return_inverse=True)
-        p[on_r] = accept_branches(_conj_columns(scheme, distinct).swapaxes(-1, -2), e[r])[1][inverse]
+        p[on_r] = accept_branches(adjoint_isometry(scheme, distinct), e[r])[1][inverse]
     return p
 
 

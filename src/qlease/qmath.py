@@ -17,10 +17,13 @@ plain array ``V†``, whose orthonormal rows are trusted.  It acts on a
 whole register: a party that holds its own register is measured on that
 register alone, never on a joint state with the registers of others.
 Results that are states by construction, the outer product of
-:meth:`PureState.density` and the post-states of the one post-state
-builder, :func:`measure_and_collapse` (called only where a caller keeps
-the register), are not re-checked either (no eigenvalue decomposition,
-no norm); nor are the authentication scheme's results in ``qas``: its
+:meth:`PureState.density` and the post-states, are not re-checked
+either (no eigenvalue decomposition, no norm).  Pure post-states have one
+builder, :func:`collapse_pure`, on a stack of registers (a game's key
+searches collapse a block of trials' registers at once);
+:func:`measure_and_collapse` runs it on a stack of one and builds the
+mixed ones, and is called only where a caller keeps the register.  Nor
+are the authentication scheme's results in ``qas`` re-checked: its
 encoding isometry (a read-only array, columns of a design unitary, never
 a container), the encoded states of ``auth`` and the renormalized accept
 branch that ``verify`` returns.  The public constructors keep every
@@ -472,20 +475,31 @@ def measure_projective(state, accept: np.ndarray, rng: np.random.Generator) -> i
     return draw_outcome(float(accept_branches(accept, register_array(state, accept.shape[-1]))[1]), rng)
 
 
+def collapse_pure(accept: np.ndarray, psi: np.ndarray, b: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
+    """The post-states of a stack of measurements of pure registers, one
+    per row of ``psi`` (n, d), at the ``outcomes`` (n,) drawn: ``accept``
+    is the (n, m, d) stack of ``V†`` and ``b`` the branches ``V† psi``
+    that :func:`accept_branches` returned for them.  Each row is
+    ``V V† psi``, or ``psi`` minus it for outcome 0, divided by its norm,
+    each norm from ``np.vdot`` of its own row.  The one post-state builder
+    of pure registers."""
+    # V V† psi, conjugating vectors rather than the matrices
+    branch = (b.conj().swapaxes(-1, -2) @ accept)[:, 0].conj()
+    branch = np.where(outcomes[:, None], branch, psi - branch)
+    return branch / np.sqrt([np.vdot(row, row).real for row in branch])[:, None]
+
+
 def measure_and_collapse(state, accept: np.ndarray, rng: np.random.Generator):
     """``(outcome, post)``: :func:`measure_projective`'s outcome and its
     post-state, from one branch: the branch divided by its norm or trace;
-    pure states stay pure.  A density branch is kept as its Hermitian
-    part, since dividing by a weight ``p`` rounds each entry by about
-    ``d * 2.2e-16 / p``."""
+    pure states stay pure, through :func:`collapse_pure` with a stack of
+    one.  A density branch is kept as its Hermitian part, since dividing
+    by a weight ``p`` rounds each entry by about ``d * 2.2e-16 / p``."""
     b, p1 = accept_branches(accept, register_array(state, accept.shape[-1]))
     outcome = draw_outcome(float(p1), rng)
     if isinstance(state, PureState):
-        # V V† psi, conjugating vectors rather than the matrix
-        branch = (b[:, 0].conj() @ accept).conj()
-        if outcome == 0:
-            branch = state.amplitudes - branch
-        return outcome, PureState._trusted(branch / np.sqrt(np.vdot(branch, branch).real))
+        post = collapse_pure(accept[None], state.amplitudes[None], b[None], np.array([outcome == 1]))
+        return outcome, PureState._trusted(post[0])
     v = accept.conj().T
     if outcome == 1:
         # Tr(V b V†) = Tr(b): the weight already computed

@@ -4,13 +4,16 @@
 
 The package computes every weight in one stacked kernel,
 ``qmath.accept_branches``, and every post-state in
-``qmath.measure_and_collapse``; the tests hold both to these unstacked
-products (``np.vdot`` and ``.trace()``), bit for bit where they say so.
+``qmath.collapse_pure`` (a stack of pure registers) or
+``qmath.measure_and_collapse``; the tests hold them to these unstacked
+products (``np.vdot`` and ``.trace()``), bit for bit where they say so,
+and a game's lock-step key searches to :func:`run_chain`.
 """
 
 import numpy as np
 
-from qlease.qmath import DensityOperator, DimensionMismatchError, PureState
+from qlease.qas import adjoint_isometry
+from qlease.qmath import DensityOperator, DimensionMismatchError, PureState, draw_outcome
 
 
 def accept_branch(state, accept: np.ndarray) -> tuple[float, np.ndarray]:
@@ -43,3 +46,18 @@ def collapse(state, accept: np.ndarray, outcome: int):
         m = q @ state.matrix @ q
         m = m / m.trace().real
     return DensityOperator._trusted((m + m.conj().T) / 2)
+
+
+def run_chain(scheme, chain, rng):
+    """A key search's chain run on its own, one candidate at a time, each
+    outcome drawn by ``qmath.draw_outcome`` at this module's weight:
+    ``(post, key)``, the searched program and the key the search stopped
+    at (None if no candidate was accepted)."""
+    state = chain.program
+    for key in chain.keys:
+        accept = adjoint_isometry(scheme, key)
+        outcome = draw_outcome(accept_branch(state, accept)[0], rng)
+        state = collapse(state, accept, outcome)
+        if outcome == 1:
+            return state, key
+    return state, None

@@ -158,6 +158,37 @@ def test_cp_keysearch_budget_flag(tmp_path):
     assert "keysearch-4" in json.loads(out.read_text())["adversary"]
 
 
+def test_cp_keysearch_budget_defaults_to_4(tmp_path):
+    out = tmp_path / "ks.json"
+    assert main(["cp", "--adversary", "keysearch", "--trials", "20", "--seed", "2", "--out", str(out)]) == EXIT_OK
+    assert json.loads(out.read_text())["adversary"] == "keysearch-4/point-guess"
+
+
+@pytest.mark.parametrize(
+    "argv,config",
+    [
+        (["cp", "--budget", "4"], None),
+        (["cp", "--adversary", "give-to-charlie", "--budget", "16"], None),
+        (["cp", "--adversary", "trivial-forward"], {"budget": 4}),
+        (["cp", "--adversary", "give-to-charlie"], {"budget": 4, "adversary": "keysearch"}),
+    ],
+    ids=["flag-default-adversary", "flag", "config", "config-adversary-flag-wins"],
+)
+def test_budget_without_keysearch_is_a_usage_error(tmp_path, capsys, monkeypatch, argv, config):
+    # a budget is read only by keysearch: given with another adversary it
+    # is refused before any scheme is built, not silently ignored
+    def refuse(*args, **kwargs):
+        raise AssertionError("built before the usage check")
+
+    monkeypatch.setattr("qlease.qas.build_scheme", refuse)
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = [*argv, "--config", str(cfg)]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: --budget applies to the keysearch adversary only")
+
+
 def test_ssl_run(tmp_path):
     out = tmp_path / "ssl.json"
     rc = main(

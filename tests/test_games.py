@@ -9,12 +9,14 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qlease import copyprotect as cp
 from qlease import designs, games, qas, qmath
 from qlease.games import (
     FixedAnswer,
     HonestEvalStrategy,
+    KeyChain,
     KeysearchPirate,
     PirateMap,
     append_csv,
@@ -51,7 +53,7 @@ from qlease.qmath import (
     zero_state,
 )
 
-from measurement_reference import collapse
+from measurement_reference import collapse, run_chain
 
 TRIALS = 4000
 
@@ -370,14 +372,16 @@ def test_six_qubit_game_memory_is_bounded(game, adversary):
 
 def _scalar_trial_wins(spec, pirate, charlie, trials, seed) -> list[bool]:
     """The trial loop measuring in turn, one trial at a time, as the harness
-    ran before it decided a block's outcomes at once: whether each trial
-    is won."""
+    ran before it decided a block's outcomes and ran a block's key
+    searches at once: whether each trial is won."""
     scheme = spec.scheme
     won = []
     for rng in spawn_rngs(seed, trials):
         p = spec.circuit_dist.sample(rng)
         pf = cp.PointFunction(p, scheme.key_bits)
         bob, charlie_state, side = pirate.split(cp.protect(scheme, p).state, p, rng)
+        if isinstance(bob, KeyChain):
+            bob, side = run_chain(scheme, bob, rng)
         x1, x2 = spec.bob_family(p).sample(rng), spec.charlie_family(p).sample(rng)
         b1 = measure_projective(bob, qas.adjoint_isometry(scheme, x1), rng)
         if type(charlie) is HonestEvalStrategy:
@@ -841,6 +845,81 @@ def test_keysearch_candidates_match_delete(scheme, point, budget):
         assert ours.random() == theirs.random()
 
 
+def _lockstep_against_reference(scheme, budget, trials, seed):
+    """Run ``trials`` key searches of ``budget`` candidates in lock-step
+    and one at a time (:func:`run_chain`), each trial on two copies of its
+    generator: the same post-state bits, keys found and next draws.
+    Returns the steps at which the searches ended (``budget`` if none
+    accepted)."""
+    pirate = KeysearchPirate(scheme, budget)
+    circuit = cp.ChallengeDistribution(scheme.key_bits)
+    ours, theirs = list(spawn_rngs(seed, trials)), list(spawn_rngs(seed, trials))
+    chains, expected = [], []
+    for mine, ref in zip(ours, theirs):
+        p = circuit.sample(mine)
+        assert circuit.sample(ref) == p
+        program = cp.protect(scheme, p).state
+        chains.append(pirate.split(program, p, mine)[0])
+        expected.append(run_chain(scheme, pirate.split(program, p, ref)[0], ref))
+    posts, found = games._search(scheme, chains, ours)
+    assert posts.shape == (trials, scheme.total_dim)
+    for i, (post, key) in enumerate(expected):
+        assert np.array_equal(posts[i], post.amplitudes), i
+        assert found[i] == key and type(found[i]) is type(key), i
+        assert ours[i].random() == theirs[i].random(), i
+    return {budget if key is None else chain.keys.index(key) for chain, key in zip(chains, found)}
+
+
+@pytest.mark.parametrize("params", [(1, 1, 6), (2, 1, 6), (3, 3, 6)], ids=str)
+@pytest.mark.parametrize("budget", [1, 4, 16, 64])
+def test_lockstep_search_is_the_per_trial_chain(params, budget):
+    # stacks of 1 to 600 searches, below, above and past two of the game's
+    # 256-trial blocks, whose chains end at different steps; budget 64 is
+    # the whole key space
+    scheme = qas.build_scheme(*params)
+    ends = set()
+    for trials in (1, 255, 257, 600):
+        ends |= _lockstep_against_reference(scheme, budget, trials, seed=64 + trials)
+    assert len(ends) > 1 or budget == 1
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 64), st.integers(1, 300))
+def test_lockstep_search_property(seed, budget, trials):
+    _lockstep_against_reference(qas.build_scheme(1, 1, 6), budget, trials, seed)
+
+
+@pytest.mark.parametrize("keys", [16, 100, 1 << 16])
+def test_search_blocks_do_not_change_wins(spec, scheme, monkeypatch, keys):
+    # blocks of 1, 6 and 256 trials at budget 16: the same wins
+    expected = games._play(spec, *keysearch_adversary(scheme, 16), 300, seed=65)
+    monkeypatch.setattr(games, "SEARCH_KEYS", keys)
+    assert games._play(spec, *keysearch_adversary(scheme, 16), 300, seed=65) == expected
+
+
+def test_search_memory_is_one_block_of_candidates():
+    # at a full 2^14-key budget a block holds four trials' candidates, so
+    # four times the trials take no more memory
+    scheme = qas.build_scheme(1, 1, 14)
+    spec = default_cp_spec(scheme)
+    adversary = keysearch_adversary(scheme, 1 << 14)
+    run_experiment_free(spec, *adversary, 4, seed=66)
+    peaks = []
+    for trials in (8, 32):
+        tracemalloc.start()
+        try:
+            run_experiment_free(spec, *adversary, trials, seed=66)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0]
+
+
+def test_keysearch_refuses_an_honest_charlie(spec, scheme):
+    with pytest.raises(ValueError, match="honest Charlie"):
+        run_experiment_free(spec, KeysearchPirate(scheme, 4), HonestEvalStrategy(), 10, seed=1)
+
+
 def test_keysearch_budget_validation(scheme):
     with pytest.raises(ValueError):
         keysearch_adversary(scheme, budget_size=0)
@@ -937,15 +1016,17 @@ def test_ssl_abort_counts_as_loss(ssl, spec, scheme):
 
 def test_sampled_bits_build_no_post_state(monkeypatch, scheme, spec, ssl):
     # a trial keeps only the two answer bits, and a destructive evaluation
-    # only its bit: with the one post-state builder, measure_and_collapse,
-    # refused, the four zoo games, evaluate (of a plain and a mixed
-    # program) and ssl_verify still run, while the callers that keep the
-    # register (keysearch's chain, evaluate_preserving) stop
+    # only its bit: with the post-state builders refused where they are
+    # imported (games runs its key searches on collapse_pure, copyprotect
+    # calls measure_and_collapse), the four zoo games, evaluate (of a
+    # plain and a mixed program) and ssl_verify still run, while the
+    # callers that keep the register (keysearch's chains,
+    # evaluate_preserving) stop
     def refuse(*args):
         raise AssertionError("a post-state was built")
 
-    for module in (games, cp):
-        monkeypatch.setattr(module, "measure_and_collapse", refuse)
+    monkeypatch.setattr(games, "collapse_pure", refuse)
+    monkeypatch.setattr(cp, "measure_and_collapse", refuse)
     for adversary in (trivial_forward, give_to_charlie):
         run_experiment_free(spec, *adversary(scheme), 200, seed=8)
     for adversary in (honest_return, keep_program):

@@ -180,6 +180,13 @@ PINNED_BLOCKS = [
         176,
         "b2dcb330ddcc71633a8b87ac97b0f7c65be3277057e21f608f0349e685f26a5f",
     ),
+    # Up to 64 key checks per trial on the indexed 6-qubit design, over
+    # three blocks; recorded from the search run one trial at a time.
+    (
+        ["cp", "--adversary", "keysearch", "--budget", "64", "--scheme", "3,3,6", "--trials", "600"],
+        155,
+        "870112c0162cf566b5e57e598d7816e2c3ebaf0cf05fdcf52a5751010bf8d431",
+    ),
     (
         ["ssl", "--adversary", "keep-program", "--scheme", "3,3,6", "--trials", "300"],
         11,
