@@ -22,8 +22,8 @@ Clifford groups :func:`clifford_frame_potential` gives the same moment
 exactly from one trace per element.
 
 Global phases are fixed throughout by making the first nonzero entry of
-the first column real and positive; deduplication and determinism rely on
-this canonical form.
+the first column real and positive; determinism relies on this canonical
+form.  The enumeration deduplicates on tableau codes, which are exact.
 """
 
 from __future__ import annotations
@@ -208,13 +208,6 @@ def canonical_phase(u: np.ndarray) -> np.ndarray:
     return u * (abs(z) / z)
 
 
-def _dedup_key(u: np.ndarray) -> bytes:
-    # Clifford entries live on the grid {0, ±2^{-j/2}} x 8th roots of unity,
-    # far from any rounding boundary at 6 decimals.
-    r = np.round(u, 6) + 0.0  # normalize -0.0
-    return r.tobytes()
-
-
 def _generators(qubits: int) -> list[np.ndarray]:
     """H and S on each qubit, and CNOT; the caller admits 1 or 2 qubits only."""
     if qubits == 1:
@@ -307,9 +300,26 @@ class EnumeratedDesign(UnitaryDesign):
         return self._elements
 
 
-#: Frontier elements multiplied out at once by :func:`clifford_enumerate`;
-#: bounds the product stack at 256 x 5 generators x 4 x 4 complex (320 KiB).
-_CLOSURE_BLOCK = 256
+def _tableau_images(codes: np.ndarray, qubits: int) -> np.ndarray:
+    """The (n, G) tableau codes of ``g U``, for the n codes of elements U
+    and each generator g of :func:`_generators` in its order.
+
+    A code holds the images of X_j and Z_j (rows 2j and 2j+1), each in
+    2q+1 bits: bit 2j the X part on qubit j, 2j+1 its Z part, 2q the sign.
+    Conjugating by g updates every row at once through the Aaronson-
+    Gottesman rules: H swaps X and Z and S adds X to Z, each flipping the
+    sign on Y; CNOT (control 0, target 1) adds X_0 to X_1 and Z_1 to Z_0,
+    flipping the sign where x_0 z_1 (x_1 + z_0 + 1) is odd.
+    """
+    ones = sum(1 << r * (2 * qubits + 1) for r in range(2 * qubits))  # bit 0 of each row
+    x = [(codes >> 2 * a) & ones for a in range(qubits)]
+    z = [(codes >> 2 * a + 1) & ones for a in range(qubits)]
+    y = [(xa & za) << 2 * qubits for xa, za in zip(x, z)]
+    images = [codes ^ y[a] ^ (x[a] ^ z[a]) * (3 << 2 * a) for a in range(qubits)]
+    images += [codes ^ y[a] ^ (x[a] << 2 * a + 1) for a in range(qubits)]
+    if qubits == 2:
+        images.append(codes ^ ((x[0] & z[1] & (x[1] ^ z[0] ^ ones)) << 4) ^ (x[0] << 2) ^ (z[1] << 1))
+    return np.stack(images, axis=1)
 
 
 @lru_cache(maxsize=4)
@@ -319,44 +329,38 @@ def clifford_enumerate(qubits: int) -> EnumeratedDesign:
     Cardinality is 24 at one qubit and 11520 at two; anything larger is
     out of enumeration range.
 
-    The closure is breadth-first and blocked: each level's frontier is
-    taken ``_CLOSURE_BLOCK`` elements at a time, one stacked matmul gives
-    every ``g @ u`` of the block in (u, g) order, the phases and the
-    6-decimal keys are fixed for the whole stack, and one pass over its
-    rows appends the unseen ones in the order they are met.  That is the
-    order of the element-by-element loop (for u in the frontier, for g in
-    the generators), so the indices the key maps use are unchanged.  The
-    phase factor is ``abs(z) / z`` on each numpy scalar, as
-    :func:`canonical_phase` computes it: the array expression
-    ``np.abs(z) / z`` differs from it in the last bit, and the element
-    bytes must not move.
+    The closure is breadth-first on tableau codes (:func:`_tableau_images`),
+    which are equal exactly when two elements are equal modulo phase.  A
+    level's codes, met in (u, g) order, keep the first meeting of each code
+    not seen before, in the order met: the order of the element-by-element
+    loop (for u in the frontier, for g in the generators).  Only those get
+    a matrix, ``g @ u`` in one gathered matmul.  The phase factor is
+    ``abs(z) / z`` on each numpy scalar, as :func:`canonical_phase`
+    computes it (the array expression ``np.abs(z) / z`` differs from it in
+    the last bit, and the element bytes must not move), once per distinct
+    bit pattern of ``z``.
     """
     if qubits not in (1, 2):
         raise ValueError("clifford_enumerate supports qubits in {1, 2}")
     gens = np.stack(_generators(qubits))
-    dim = 1 << qubits
-    start = canonical_phase(np.eye(dim, dtype=complex))
-    seen = {_dedup_key(start)}
+    start = canonical_phase(np.eye(1 << qubits, dtype=complex))
+    codes = np.array([sum(1 << r * (2 * qubits + 2) for r in range(2 * qubits))])  # the identity's
+    seen = np.zeros(1 << 2 * qubits * (2 * qubits + 1), dtype=bool)
+    seen[codes] = True
     levels = [start[None]]
-    frontier = levels[0]
-    while len(frontier):
-        nxt = []
-        for lo in range(0, len(frontier), _CLOSURE_BLOCK):
-            block = frontier[lo : lo + _CLOSURE_BLOCK]
-            prods = np.matmul(gens, block[:, None]).reshape(-1, dim, dim)
-            col = prods[:, :, 0]
-            z = col[np.arange(len(col)), np.argmax(np.abs(col) > 1e-12, axis=1)]
-            prods *= np.array([abs(c) / c for c in z])[:, None, None]
-            keys = np.round(prods, 6) + 0.0  # as _dedup_key
-            fresh = []
-            for i, key in enumerate(keys):
-                key = key.tobytes()
-                if key not in seen:
-                    seen.add(key)
-                    fresh.append(i)
-            nxt.append(prods[fresh])
-        frontier = np.concatenate(nxt)
-        levels.append(frontier)
+    while len(codes):
+        met = _tableau_images(codes, qubits).ravel()
+        fresh = np.flatnonzero(~seen[met])
+        first = fresh[np.sort(np.unique(met[fresh], return_index=True)[1])]
+        codes = met[first]
+        seen[codes] = True
+        u, g = np.divmod(first, len(gens))
+        prods = np.matmul(gens[g], levels[-1][u])
+        col = prods[:, :, 0]
+        z = col[np.arange(len(col)), np.argmax(np.abs(col) > 1e-12, axis=1)]
+        bits, inverse = np.unique(z.view("V16"), return_inverse=True)
+        prods *= np.array([abs(c) / c for c in bits.view(complex)])[inverse, None, None]
+        levels.append(prods)
     return EnumeratedDesign(
         qubits, np.concatenate(levels), f"clifford-enum-q{qubits}-{GENERATOR_SET_VERSION}"
     )

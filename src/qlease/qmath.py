@@ -481,12 +481,12 @@ def collapse_pure(accept: np.ndarray, psi: np.ndarray, b: np.ndarray, outcomes: 
     is the (n, m, d) stack of ``V†`` and ``b`` the branches ``V† psi``
     that :func:`accept_branches` returned for them.  Each row is
     ``V V† psi``, or ``psi`` minus it for outcome 0, divided by its norm,
-    each norm from ``np.vdot`` of its own row.  The one post-state builder
-    of pure registers."""
+    all norms from one ``np.vecdot``, which gives each row's ``np.vdot``
+    bit for bit.  The one post-state builder of pure registers."""
     # V V† psi, conjugating vectors rather than the matrices
     branch = (b.conj().swapaxes(-1, -2) @ accept)[:, 0].conj()
     branch = np.where(outcomes[:, None], branch, psi - branch)
-    return branch / np.sqrt([np.vdot(row, row).real for row in branch])[:, None]
+    return branch / np.sqrt(np.vecdot(branch, branch).real)[:, None]
 
 
 def measure_and_collapse(state, accept: np.ndarray, rng: np.random.Generator):

@@ -338,24 +338,31 @@ def test_clifford_elements_unitary():
         assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-9
 
 
+def _dedup_key(u: np.ndarray) -> bytes:
+    # Clifford entries live on the grid {0, ±2^{-j/2}} x 8th roots of unity,
+    # far from any rounding boundary at 6 decimals.
+    r = np.round(u, 6) + 0.0  # normalize -0.0
+    return r.tobytes()
+
+
 def test_clifford_elements_distinct_canonical():
     design = clifford_enumerate(1)
-    keys = {designs._dedup_key(design.element(i)) for i in range(24)}
+    keys = {_dedup_key(design.element(i)) for i in range(24)}
     assert len(keys) == 24
 
 
 def test_clifford_closed_under_product_and_inverse():
     design = clifford_enumerate(2)
-    keys = {designs._dedup_key(u) for u in design.elements()}
+    keys = {_dedup_key(u) for u in design.elements()}
     rng = spawn_rng(2)
     for _ in range(1000):
         i, j = rng.integers(design.cardinality, size=2)
         prod = canonical_phase(design.element(int(i)) @ design.element(int(j)))
-        assert designs._dedup_key(prod) in keys
+        assert _dedup_key(prod) in keys
     for _ in range(50):
         i = int(rng.integers(design.cardinality))
         inv = canonical_phase(design.element(i).conj().T)
-        assert designs._dedup_key(inv) in keys
+        assert _dedup_key(inv) in keys
 
 
 def _enumerate_one_by_one(qubits: int) -> np.ndarray:
@@ -363,14 +370,14 @@ def _enumerate_one_by_one(qubits: int) -> np.ndarray:
     generators, keep canonical_phase(g @ u) if its key is new."""
     gens = designs._generators(qubits)
     start = canonical_phase(np.eye(1 << qubits, dtype=complex))
-    seen = {designs._dedup_key(start): start}
+    seen = {_dedup_key(start): start}
     frontier = [start]
     while frontier:
         nxt = []
         for u in frontier:
             for g in gens:
                 v = canonical_phase(g @ u)
-                key = designs._dedup_key(v)
+                key = _dedup_key(v)
                 if key not in seen:
                     seen[key] = v
                     nxt.append(v)
@@ -400,14 +407,63 @@ def test_blocked_closure_equals_one_by_one_loop(qubits):
 
 
 def test_enumeration_memory_peak():
-    # the element-by-element loop peaked at 12.8 MiB (tracemalloc)
+    # the element-by-element loop peaked at 12.8 MiB, the blocked closure on
+    # float keys at 9.3 MiB and the closure on tableau codes at 6.6 MiB
     tracemalloc.start()
     try:
         clifford_enumerate.__wrapped__(2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 12.8 * 2**20
+    assert peak <= 8 * 2**20
+
+
+_PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[1, 0], [0, -1]], [[0, -1j], [1j, 0]]])
+
+
+def _pauli(row: int, qubits: int) -> np.ndarray:
+    """The signed Pauli of a tableau row: bit 2j the X part on qubit j (qubit 0
+    the leftmost factor), bit 2j+1 its Z part, bit 2q the sign."""
+    out = np.eye(1)
+    for j in range(qubits):
+        out = np.kron(out, _PAULIS[(row >> 2 * j) & 3])
+    return -out if row >> 2 * qubits & 1 else out
+
+
+def _pauli_rows(ops: np.ndarray, qubits: int) -> np.ndarray:
+    """The tableau row of each signed Pauli in a stack, read from its floats:
+    its one overlap Tr(P† op) / d of modulus 1, with the overlap's sign."""
+    rows = np.arange(1 << 2 * qubits)
+    basis = np.stack([_pauli(int(r), qubits) for r in rows])
+    overlaps = np.einsum("pij,...ij->...p", basis.conj(), ops) / (1 << qubits)
+    at = np.argmax(np.abs(overlaps), axis=-1)
+    coeff = np.take_along_axis(overlaps, at[..., None], axis=-1)[..., 0]
+    assert np.allclose(np.abs(overlaps).sum(axis=-1), 1, atol=1e-9)
+    assert np.allclose(np.abs(coeff.real), 1, atol=1e-9)
+    return rows[at] | (coeff.real < 0).astype(int) << 2 * qubits
+
+
+@pytest.mark.parametrize("qubits", [1, 2])
+def test_tableau_rules_conjugate_every_signed_pauli(qubits):
+    # each generator's integer rule against the float product g P g†, on
+    # every signed Pauli in row 0 of a code (the other rows zero)
+    rows = np.arange(1 << 2 * qubits + 1)
+    images = designs._tableau_images(rows, qubits)
+    for g, gate in enumerate(designs._generators(qubits)):
+        conjugated = np.stack([gate @ _pauli(int(r), qubits) @ gate.conj().T for r in rows])
+        assert np.array_equal(images[:, g], _pauli_rows(conjugated, qubits)), g
+
+
+@pytest.mark.parametrize("qubits", [1, 2])
+def test_enumerated_tableaux_are_distinct(qubits):
+    # an element's tableau read from its floats, U X_j U† and U Z_j U†: equal
+    # exactly when the elements are equal modulo phase
+    elements = clifford_enumerate(qubits).elements()
+    paulis = np.stack([_pauli(1 << r, qubits) for r in range(2 * qubits)])
+    images = elements[:, None] @ paulis @ elements.conj().swapaxes(-1, -2)[:, None]
+    rows = _pauli_rows(images, qubits)
+    codes = (rows << np.arange(2 * qubits) * (2 * qubits + 1)).sum(axis=1)
+    assert len(np.unique(codes)) == len(elements) == {1: 24, 2: 11520}[qubits]
 
 
 def test_enumeration_range_errors():
@@ -420,19 +476,19 @@ def test_enumeration_range_errors():
 def test_indexed_design_matches_enumeration_at_one_qubit():
     idx = IndexedCliffordDesign(1)
     assert idx.cardinality == 24
-    enum_keys = {designs._dedup_key(u) for u in clifford_enumerate(1).elements()}
-    idx_keys = {designs._dedup_key(idx.element(i)) for i in range(24)}
+    enum_keys = {_dedup_key(u) for u in clifford_enumerate(1).elements()}
+    idx_keys = {_dedup_key(idx.element(i)) for i in range(24)}
     assert idx_keys == enum_keys
 
 
 def test_indexed_design_members_at_two_qubits():
     idx = IndexedCliffordDesign(2)
     assert idx.cardinality == 11520
-    keys = {designs._dedup_key(u) for u in clifford_enumerate(2).elements()}
+    keys = {_dedup_key(u) for u in clifford_enumerate(2).elements()}
     rng = spawn_rng(3)
     for _ in range(40):
         u = idx.element(int(rng.integers(idx.cardinality)))
-        assert designs._dedup_key(u) in keys
+        assert _dedup_key(u) in keys
 
 
 def _sample(design, rng) -> np.ndarray:
@@ -830,7 +886,7 @@ def test_sample_uniform_chi2_one_qubit():
     rng = spawn_rng(5)
     counts: dict[bytes, int] = {}
     for _ in range(10**4):
-        key = designs._dedup_key(_sample(clifford_design(1), rng))
+        key = _dedup_key(_sample(clifford_design(1), rng))
         counts[key] = counts.get(key, 0) + 1
     assert len(counts) == 24
     assert stats.chisquare(list(counts.values())).pvalue > 1e-3

@@ -596,6 +596,17 @@ def test_measure_then_collapse_is_the_single_call(params, seed, key, kind):
         assert fused_post.amplitudes.tobytes() == post.amplitudes.tobytes()
 
 
+@settings(max_examples=200, deadline=None)
+@given(seeds, st.integers(2, 64), st.integers(1, 300))
+def test_vecdot_norms_are_the_row_vdots(seed, d, n):
+    # collapse_pure's norms, all rows in one np.vecdot, against np.vdot of
+    # each row on its own, bit for bit
+    rng = spawn_rng(seed)
+    rows = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+    expected = np.array([np.vdot(row, row).real for row in rows])
+    assert np.vecdot(rows, rows).real.tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("outcome", [1, 0])
 @pytest.mark.parametrize("p", [1e-7, 1e-8, 1e-10])
 def test_collapse_keeps_small_density_branches_states(outcome, p):
