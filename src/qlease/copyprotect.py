@@ -34,13 +34,12 @@ program holds.
 from __future__ import annotations
 
 import functools
-import numbers
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 
-from .designs import EpsUniformMap, PairwisePermFamily, is_positive_int
+from .designs import EpsUniformMap, PairwisePermFamily, is_bit_string, is_positive_int
 from .qas import QasScheme, accept_probability, adjoint_isometry, auth_isometry, summed_acceptance
 from .qmath import (
     DensityOperator,
@@ -55,11 +54,6 @@ class ConsumedProgramError(RuntimeError):
     """The program was already destroyed by a destructive evaluation."""
 
 
-def _is_bit_string(x, bits: int) -> bool:
-    """Whether ``x`` is an integer (not a bool) in {0,1}^bits, for valid ``bits``."""
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool) and 0 <= x < (1 << bits)
-
-
 @dataclass(frozen=True)
 class PointFunction:
     """P_p on ell-bit strings: 1 exactly at the point, 0 elsewhere."""
@@ -70,7 +64,7 @@ class PointFunction:
     def __post_init__(self):
         if not is_positive_int(self.bits):
             raise ValueError("bits must be a positive integer")
-        if not _is_bit_string(self.point, self.bits):
+        if not is_bit_string(self.point, self.bits):
             raise ValueError("point outside {0,1}^bits")
 
     def __call__(self, x: int) -> int:
@@ -102,7 +96,7 @@ class ChallengeDistribution:
             raise ValueError("bits must be a positive integer")
         if (self.point is None) != (self.r is None):
             raise ValueError("point and r are given together or not at all")
-        if self.point is not None and not (_is_bit_string(self.point, self.bits) and 0.0 <= self.r <= 1.0):
+        if self.point is not None and not (is_bit_string(self.point, self.bits) and 0.0 <= self.r <= 1.0):
             raise ValueError("need a point in {0,1}^bits and r in [0, 1]")
 
     @property
@@ -229,7 +223,7 @@ class ProtectedProgram:
         """The key that evaluation at ``x`` verifies with: ``h_r(f(x))``,
         where ``f`` is ``table`` and each step is skipped when unset."""
         if self.table is not None:
-            if not 0 <= x < len(self.table):
+            if not is_bit_string(x, len(self.table).bit_length() - 1):
                 raise ValueError("input outside the domain of f")
             x = self.table[x]
         if self.mix is not None:

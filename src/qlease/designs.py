@@ -38,11 +38,17 @@ from typing import Iterator
 import numpy as np
 
 GENERATOR_SET_VERSION = "v1"
+_INTEGERS = (int, np.integer)
 
 
 def is_positive_int(v) -> bool:
     """The rule for every bit length and range size: an ``int``, not a ``bool``, >= 1."""
     return isinstance(v, int) and not isinstance(v, bool) and v >= 1
+
+
+def is_bit_string(x, bits: int) -> bool:
+    """The rule for every key, point and input: an integer (numpy's too), not a bool, in {0,1}^bits."""
+    return isinstance(x, _INTEGERS) and not isinstance(x, bool) and 0 <= x < (1 << bits)
 
 
 # ---------------------------------------------------------------------------
@@ -129,12 +135,11 @@ class PairwisePermFamily:
 
     def apply(self, r: tuple[int, int], x: int) -> int:
         m, b = r
-        n = 1 << self.bits
-        if not (1 <= m < n and 0 <= b < n):
+        if not (is_bit_string(m, self.bits) and m != 0 and is_bit_string(b, self.bits)):
             raise ValueError("parameter out of range (m must be nonzero)")
-        if not 0 <= x < n:
+        if not is_bit_string(x, self.bits):
             raise ValueError("input out of range")
-        return gf_mul(m, x, self.bits) ^ b
+        return gf_mul(int(m), int(x), self.bits) ^ int(b)
 
 
 # ---------------------------------------------------------------------------
@@ -169,13 +174,13 @@ class EpsUniformMap:
         return Fraction(self.range_size, 4 * (1 << self.domain_bits))
 
     def apply(self, x):
-        """``x mod range_size`` for one input or an int array of them; an array is
+        """``x mod range_size`` for one bit string or an int array of them; an array is
         reduced only when ``2**domain_bits > range_size``, which may exceed int64."""
         if not isinstance(x, np.ndarray):
-            if not 0 <= x < (1 << self.domain_bits):
+            if not is_bit_string(x, self.domain_bits):
                 raise ValueError("input outside the domain")
             return operator.index(x) % self.range_size
-        if np.any((x < 0) | (x >= 1 << self.domain_bits)):
+        if x.dtype.kind in "bf" or np.any((x < 0) | (x >= 1 << self.domain_bits)):
             raise ValueError("input outside the domain")
         return x % self.range_size if 1 << self.domain_bits > self.range_size else x
 
@@ -600,8 +605,8 @@ def frame_potential(
             overlaps = flat[lo : lo + block].conj() @ flat.T
             total += float(np.sum(np.abs(overlaps) ** 4))
         return total / design.cardinality**2
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
+    if not is_positive_int(samples):
+        raise ValueError(f"samples must be a positive integer, got {samples!r}")
     if rng is None:
         raise ValueError("sampled frame potential needs an rng")
     ii = uniform_index(design.cardinality, rng, samples)

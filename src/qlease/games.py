@@ -68,6 +68,7 @@ from .copyprotect import (
     honest_correctness,
     protect,
 )
+from .designs import is_positive_int
 from .leasing import SslScheme
 from .qas import QasScheme, acceptances, adjoint_isometry
 from .qmath import (
@@ -206,7 +207,7 @@ class KeysearchPirate:
     """
 
     def __init__(self, scheme: QasScheme, budget_size: int):
-        if not 1 <= budget_size <= 1 << scheme.key_bits:
+        if not (is_positive_int(budget_size) and budget_size <= 1 << scheme.key_bits):
             raise ValueError("budget_size outside the key space")
         self.scheme = scheme
         self.budget_size = budget_size

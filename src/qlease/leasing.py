@@ -28,11 +28,10 @@ from .copyprotect import (
     PointFamily,
     PointFunction,
     ProtectedProgram,
-    _is_bit_string,
     evaluate,
     protect,
 )
-from .designs import is_positive_int
+from .designs import is_bit_string, is_positive_int
 from .qas import QasScheme
 from .qmath import DensityOperator, DimensionMismatchError, PureState
 
@@ -69,9 +68,9 @@ class CompareFunction:
             raise ValueError("table length must be a power of two")
         if not is_positive_int(self.out_bits):
             raise ValueError("out_bits must be a positive integer")
-        if not all(_is_bit_string(v, self.out_bits) for v in self.table):
+        if not all(is_bit_string(v, self.out_bits) for v in self.table):
             raise ValueError("table values must be integers in {0,1}^out_bits")
-        if not _is_bit_string(self.target, self.out_bits):
+        if not is_bit_string(self.target, self.out_bits):
             raise ValueError("target must be an integer in {0,1}^out_bits")
         object.__setattr__(self, "table", tuple(self.table))
 

@@ -21,7 +21,7 @@ pretending it is small.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,13 +51,22 @@ MAX_EXACT_INDICES = 1 << 14
 
 @dataclass(frozen=True)
 class QasScheme:
-    """Immutable bundle of parameters plus the design and key map."""
+    """A scheme is its (m, t, k), by which it compares and hashes: the Clifford
+    design on ``m + t`` qubits and the almost-uniform key map onto it follow."""
 
     message_qubits: int
     trap_qubits: int
     key_bits: int
-    design: UnitaryDesign
-    key_map: EpsUniformMap
+    design: UnitaryDesign = field(init=False, repr=False, compare=False)
+    key_map: EpsUniformMap = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if not all(map(is_positive_int, (self.message_qubits, self.trap_qubits, self.key_bits))):
+            raise ValueError("qubit counts and the key length must be positive integers")
+        if self.total_qubits > QUBIT_CAP:
+            raise QubitCapError(f"{self.total_qubits} qubits exceeds the cap of {QUBIT_CAP}")
+        object.__setattr__(self, "design", clifford_design(self.total_qubits))
+        object.__setattr__(self, "key_map", EpsUniformMap(self.key_bits, self.design.cardinality))
 
     @property
     def epsilon(self) -> float:
@@ -109,16 +118,8 @@ def existence_epsilon(message_qubits: int, key_bits: int) -> float:
 
 
 def build_scheme(message_qubits: int, trap_qubits: int, key_bits: int) -> QasScheme:
-    """Assemble a scheme over the Clifford group on ``message_qubits +
-    trap_qubits`` qubits."""
-    if not all(map(is_positive_int, (message_qubits, trap_qubits, key_bits))):
-        raise ValueError("qubit counts and the key length must be positive integers")
-    total = message_qubits + trap_qubits
-    if total > QUBIT_CAP:
-        raise QubitCapError(f"{total} qubits exceeds the cap of {QUBIT_CAP}")
-    design = clifford_design(total)
-    key_map = EpsUniformMap(key_bits, design.cardinality)
-    return QasScheme(message_qubits, trap_qubits, key_bits, design, key_map)
+    """The scheme of (m, t, k): ``QasScheme(m, t, k)``."""
+    return QasScheme(message_qubits, trap_qubits, key_bits)
 
 
 # ---------------------------------------------------------------------------

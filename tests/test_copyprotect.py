@@ -2,7 +2,7 @@
 correctness, the permutation wrapper and the challenge distributions."""
 
 import itertools
-from dataclasses import fields
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -555,6 +555,66 @@ def test_average_damage_within_constant_of_eta(scheme):
 def test_protection_refuses_inputs_off_the_scheme(scheme, call, error):
     with pytest.raises(error):
         call(scheme)
+
+
+#: Every entry that takes a key, a point or an input, called at ``key``.
+KEY_ENTRIES = {
+    "protect": lambda s, key: cp.protect(s, key),
+    "evaluate": lambda s, key: cp.evaluate(cp.protect(s, 1), key, spawn_rng(0)),
+    "evaluate-preserving": lambda s, key: cp.evaluate_preserving(cp.protect(s, 1), key, spawn_rng(0)),
+    "adjoint-isometry": lambda s, key: qas.adjoint_isometry(s, key),
+    "acceptances": lambda s, key: qas.acceptances(s, [key], [cp.protect(s, 1).state]),
+    "mix-protect": lambda s, key: cp.mix_protect(s, key, spawn_rng(0)),
+    "perm-input": lambda s, key: PairwisePermFamily(s.key_bits).apply((1, 0), key),
+    "perm-slope": lambda s, key: PairwisePermFamily(s.key_bits).apply((key, 0), 1),
+    "perm-shift": lambda s, key: PairwisePermFamily(s.key_bits).apply((1, key), 1),
+    "table-evaluate": lambda s, key: cp.evaluate(
+        replace(cp.protect(s, 3), table=tuple(range(1 << s.key_bits))), key, spawn_rng(0)
+    ),
+}
+
+
+@pytest.mark.parametrize("key", [True, 1.0, 1.5, np.float64(1.0), np.bool_(True)], ids=repr)
+@pytest.mark.parametrize("entry", KEY_ENTRIES.values(), ids=KEY_ENTRIES.keys())
+def test_every_key_entry_takes_bit_strings_only(scheme, entry, key):
+    # True once measured and protected at key 1, and acceptances at 1.5
+    # ended in numpy's IndexError
+    with pytest.raises(ValueError):
+        entry(scheme, key)
+
+
+@pytest.mark.parametrize("keys", [np.array([True]), np.array([1.0]), np.array([0, 1.5])], ids=str)
+def test_key_arrays_of_bools_or_floats_are_refused(scheme, keys):
+    for call in (
+        lambda: scheme.key_index(keys),
+        lambda: qas.adjoint_isometry(scheme, keys),
+        lambda: qas.acceptances(scheme, keys, [cp.protect(scheme, 1).state] * len(keys)),
+    ):
+        with pytest.raises(ValueError):
+            call()
+
+
+@pytest.mark.parametrize("kind", [np.int64, np.uint64])
+def test_numpy_integer_keys_give_the_bits_of_python_ints(scheme, kind):
+    mixed = cp.mix_protect(scheme, 9, spawn_rng(3))
+    tabled = replace(cp.protect(scheme, 3), table=tuple(range(64)))
+    for key in (0, 9, 63):
+        same = [
+            (lambda k: cp.protect(scheme, k).state.amplitudes.tobytes()),
+            (lambda k: qas.adjoint_isometry(scheme, k).tobytes()),
+            (lambda k: cp.mix_protect(scheme, k, spawn_rng(4)).state.amplitudes.tobytes()),
+            (lambda k: cp.evaluate_preserving(replace(mixed), k, spawn_rng(5))[1].state.amplitudes.tobytes()),
+            (lambda k: cp.evaluate_preserving(replace(tabled), k, spawn_rng(5))[1].state.amplitudes.tobytes()),
+        ]
+        for read in same:
+            assert read(kind(key)) == read(key)
+        assert scheme.key_index(kind(key)) == scheme.key_index(key)
+        # a numpy slope once failed in gf_mul with AttributeError
+        family = PairwisePermFamily(6)
+        assert family.apply((kind(key | 1), kind(key)), kind(key)) == family.apply((key | 1, key), key)
+        assert qas.acceptances(scheme, np.array([key], dtype=kind), [mixed.state]).tobytes() == (
+            qas.acceptances(scheme, [key], [mixed.state]).tobytes()
+        )
 
 
 def test_correctness_point_mass_is_one(scheme):

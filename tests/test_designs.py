@@ -940,9 +940,10 @@ def test_frame_potential_refuses_an_indexed_sum_and_a_missing_rng(kwargs, match)
         frame_potential(IndexedCliffordDesign(3), **kwargs)
 
 
-@pytest.mark.parametrize("samples", [0, -5])
+@pytest.mark.parametrize("samples", [0, -5, 2.0, True])
 def test_frame_potential_needs_a_sample(samples):
-    # no pair gives no estimate: an error naming the argument, not nan
+    # no pair gives no estimate: an error naming the argument, not nan;
+    # a float or bool count once ended in numpy's TypeError
     for design in (clifford_enumerate(1), designs.IndexedCliffordDesign(3)):
         with pytest.raises(ValueError, match="samples"):
             frame_potential(design, samples=samples, rng=spawn_rng(16))

@@ -578,6 +578,20 @@ def test_a_key_search_on_another_scheme_is_refused_before_any_split(scheme, spec
         run_experiment_ssl(ssl, spec.circuit_dist, spec.charlie_family, *adversary, 10, seed=1)
 
 
+def test_a_key_search_runs_on_a_game_built_after_a_design_cache_clear(spec):
+    # its scheme and the game's are equal by (m, t, k) though each has its
+    # own design, which give the same bits
+    before = keysearch_adversary(qas.build_scheme(1, 1, 6), 4)
+    designs.clifford_design.cache_clear()
+    designs.clifford_enumerate.cache_clear()
+    scheme = qas.build_scheme(1, 1, 6)
+    assert before[0].scheme.design is not scheme.design
+    after = default_cp_spec(scheme)
+    assert after == spec
+    fresh = keysearch_adversary(scheme, 4)
+    assert run_experiment_free(after, *before, 300, seed=2) == run_experiment_free(spec, *fresh, 300, seed=2)
+
+
 def _per_point_win(spec, pirate, charlie) -> float:
     """Reference: the per-point sum, with a 2^k answer table per register
     at every point of the circuit distribution, one acceptance per key."""
@@ -925,6 +939,10 @@ def test_keysearch_budget_validation(scheme):
         keysearch_adversary(scheme, budget_size=0)
     with pytest.raises(ValueError):
         keysearch_adversary(scheme, budget_size=65)
+    # a count follows is_positive_int: True was once budget 1, "keysearch-True"
+    for budget in (True, 2.0):
+        with pytest.raises(ValueError):
+            KeysearchPirate(scheme, budget)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import gc
 import math
 import tracemalloc
 import weakref
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qlease import designs, qas
-from qlease.designs import EpsUniformMap, IndexedCliffordDesign, clifford_enumerate, irreducible_poly
+from qlease.designs import clifford_enumerate, irreducible_poly
 from qlease.qmath import (
     ATOL,
     DensityOperator,
@@ -65,6 +66,35 @@ def test_build_scheme_parameter_validation():
     # refused before any design is built
     with pytest.raises(QubitCapError):
         qas.build_scheme(7, 6, 4)
+
+
+@pytest.mark.parametrize("params", [(1, 1, 6), (2, 1, 6)], ids=str)
+def test_a_scheme_is_its_m_t_k(params):
+    # its design and key map follow from (m, t, k), so two schemes of one
+    # shape are equal even when a cleared design cache built each its own
+    scheme = qas.QasScheme(*params)
+    assert scheme == qas.build_scheme(*params) and hash(scheme) == hash(qas.build_scheme(*params))
+    assert [f.name for f in fields(qas.QasScheme) if f.init] == ["message_qubits", "trap_qubits", "key_bits"]
+    designs.clifford_design.cache_clear()
+    designs.clifford_enumerate.cache_clear()
+    again = qas.QasScheme(*params)
+    assert again.design is not scheme.design
+    assert again == scheme and hash(again) == hash(scheme)
+    assert again.key_map == scheme.key_map
+
+
+@pytest.mark.parametrize(
+    "params,error",
+    [((0, 1, 6), ValueError), ((True, 1, 6), ValueError), ((1, 1, 0), ValueError), ((7, 6, 1), QubitCapError)],
+    ids=["zero-message", "bool-message", "zero-key", "over-the-cap"],
+)
+def test_a_scheme_refuses_what_build_scheme_refuses(params, error):
+    for build in (qas.QasScheme, qas.build_scheme):
+        with pytest.raises(error, match="positive integers" if error is ValueError else "exceeds the cap"):
+            build(*params)
+    # a given design on 3 qubits once made 1,1,6 a scheme whose programs had 8 entries
+    with pytest.raises(TypeError):
+        qas.QasScheme(1, 1, 6, designs.clifford_design(3))
 
 
 @pytest.mark.parametrize("isometry", [qas.auth_isometry, qas.adjoint_isometry])
@@ -597,12 +627,13 @@ def test_exact_index_sums_refuse_before_allocating(qubits, data, key_bits):
 
 def test_key_sum_cache_goes_with_its_design():
     # an indexed design keeps up to 64 MiB of built elements, so its key
-    # sums must not keep it alive once its last scheme is gone; the design
-    # is built here, since clifford_design keeps its own for the process
-    card = IndexedCliffordDesign(3).cardinality
-    scheme = qas.QasScheme(2, 1, 6, IndexedCliffordDesign(3), EpsUniformMap(6, card))
+    # sums must not keep it alive once its last scheme is gone and the
+    # design caches, which keep one design per qubit count, are cleared
+    scheme = qas.build_scheme(2, 1, 6)
     qas.summed_acceptance(scheme, maximally_mixed(3))
     design = weakref.ref(scheme.design)
+    designs.clifford_design.cache_clear()
+    designs.clifford_enumerate.cache_clear()
     del scheme
     gc.collect()
     assert design() is None
