@@ -33,7 +33,6 @@ program holds.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -154,7 +153,6 @@ def _draw_near(bits: int, point: int, r: float, rng: np.random.Generator) -> int
     return other + (other >= point)
 
 
-@functools.lru_cache(maxsize=256)
 def _biased_weights(bits: int, r: float) -> tuple[Fraction, Fraction]:
     """Exact (flat, peak) weights of mass ``r`` on one of 2^bits strings:
     the peak is the simplest rational with denominator at most 10^12 that

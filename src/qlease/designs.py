@@ -29,7 +29,6 @@ form.  The enumeration deduplicates on tableau codes, which are exact.
 from __future__ import annotations
 
 import operator
-import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -327,7 +326,6 @@ def _tableau_images(codes: np.ndarray, qubits: int) -> np.ndarray:
     return np.stack(images, axis=1)
 
 
-@lru_cache(maxsize=4)
 def clifford_enumerate(qubits: int) -> EnumeratedDesign:
     """The full Clifford group modulo phase, by closure under generators.
 
@@ -496,18 +494,16 @@ def _clifford_from_tableau(rows: list[int], signs: int, parity: np.ndarray, step
     return canonical_phase(u) + 0.0  # normalize -0.0
 
 
-#: Bytes of column blocks that all live :class:`IndexedCliffordDesign` objects
-#: keep together (1,024 elements or 8,192 trap-zero blocks at 3,3).  A
-#: collected design leaves ``_LIVE_DESIGNS``, and so gives its bytes back.
+#: Bytes of column blocks one :class:`IndexedCliffordDesign` keeps (1,024
+#: elements or 8,192 trap-zero blocks at 3,3); they go with the design.
 ELEMENT_CACHE_BYTES = 64 << 20
-_LIVE_DESIGNS: weakref.WeakSet = weakref.WeakSet()
 
 
 class IndexedCliffordDesign(UnitaryDesign):
     """Clifford group accessed through the canonical (symplectic, sign)
     index without enumeration; supports 1..6 qubits.  It builds only the
     block ``U_i[:, ::step]`` it hands out (``element(i)`` at step 1), kept by
-    ``(i, step)`` while all live designs' fit in :data:`ELEMENT_CACHE_BYTES`."""
+    ``(i, step)`` while its own blocks fit in :data:`ELEMENT_CACHE_BYTES`."""
 
     def __init__(self, qubits: int):
         if not 1 <= qubits <= 6:
@@ -520,7 +516,6 @@ class IndexedCliffordDesign(UnitaryDesign):
         self._cache: dict[tuple[int, int], np.ndarray] = {}
         self._cache_bytes = 0
         self.index_sums = {}
-        _LIVE_DESIGNS.add(self)
 
     def _columns(self, i: int, step: int) -> np.ndarray:
         """``U_i[:, ::step]``, read-only, for a checked index."""
@@ -530,7 +525,7 @@ class IndexedCliffordDesign(UnitaryDesign):
         sympl_idx, sign_idx = i % self._num_sympl, i // self._num_sympl
         u = _clifford_from_tableau(_symplectic_matrix(sympl_idx, self.qubits), sign_idx, self._parity, step)
         u.setflags(write=False)
-        if sum(d._cache_bytes for d in _LIVE_DESIGNS) + u.nbytes <= ELEMENT_CACHE_BYTES:
+        if self._cache_bytes + u.nbytes <= ELEMENT_CACHE_BYTES:
             self._cache[i, step] = u
             self._cache_bytes += u.nbytes
         return u
@@ -539,11 +534,12 @@ class IndexedCliffordDesign(UnitaryDesign):
         return self._columns(self._index(i), 1)
 
     def conj_columns(self, indices, step: int) -> np.ndarray:
-        """One block per distinct index; an array's are stacked and gathered."""
+        """One block per distinct index; an array's (none for an empty one) are stacked and gathered."""
         if not isinstance(indices, np.ndarray):
             return self._columns(self._index(indices), step).conj()
         distinct, inverse = np.unique(indices, return_inverse=True)
-        return np.stack([self._columns(self._index(i), step) for i in distinct.tolist()]).conj()[inverse.reshape(indices.shape)]
+        blocks = np.array([self._columns(self._index(i), step) for i in distinct.tolist()], dtype=complex)
+        return blocks.reshape(-1, 1 << self.qubits, (1 << self.qubits) // step).conj()[inverse.reshape(indices.shape)]
 
 
 @lru_cache(maxsize=None)
@@ -636,5 +632,7 @@ def clifford_frame_potential(qubits: int) -> float:
     over every element once as ``V`` does, for each ``U``, so the N^2
     pair sum of :func:`frame_potential` collapses to N traces.
     """
-    traces = np.trace(clifford_enumerate(qubits).elements(), axis1=1, axis2=2)
+    if qubits not in (1, 2):
+        raise ValueError("the exact frame potential needs an enumerated group: qubits in {1, 2}")
+    traces = np.trace(clifford_design(qubits).elements(), axis1=1, axis2=2)
     return float(np.mean(np.abs(traces) ** 4))

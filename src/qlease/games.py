@@ -434,12 +434,15 @@ def _play(spec: GameSpec, pirate, charlie: MeasurementStrategy, trials: int, see
     The bits are those of measuring in turn, since a trial's measurements
     are its last draws and each consumes one uniform.
     Memory is O(block): a block keeps its registers until its outcomes are
-    decided, and the run caches only each point's program.  A key search
-    on another scheme than the game's, or with an honest Charlie (it
-    leaves him no register), is refused before any split.
+    decided, and the run keeps only the programs of one block's points.
+    A trial count not a positive ``int``, a seed not a non-negative ``int``
+    (a bool is neither), and a key search on another scheme than the game's
+    or with an honest Charlie (it leaves him no register) are refused first.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    if not is_positive_int(trials):
+        raise ValueError(f"trials must be a positive integer, got {trials!r}")
+    if not (isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     scheme = spec.scheme
     honest = type(charlie) is HonestEvalStrategy
     search = isinstance(pirate, KeysearchPirate)
@@ -449,7 +452,7 @@ def _play(spec: GameSpec, pirate, charlie: MeasurementStrategy, trials: int, see
         raise ValueError("a key search leaves an honest Charlie no register")
     block = min(SPAWN_BLOCK, max(1, SEARCH_KEYS // pirate.budget_size)) if search else SPAWN_BLOCK
 
-    program = functools.cache(lambda p: protect(scheme, p).state)
+    program = functools.lru_cache(maxsize=SPAWN_BLOCK)(lambda p: protect(scheme, p).state)
 
     wins = 0
     rngs = spawn_rngs(seed, trials)

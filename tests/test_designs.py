@@ -4,6 +4,7 @@ independent permutations, and almost-uniform maps."""
 import gc
 import hashlib
 import tracemalloc
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
@@ -411,7 +412,7 @@ def test_enumeration_memory_peak():
     # float keys at 9.3 MiB and the closure on tableau codes at 6.6 MiB
     tracemalloc.start()
     try:
-        clifford_enumerate.__wrapped__(2)
+        clifford_enumerate(2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -530,12 +531,6 @@ def test_sample_beyond_int64_in_range_and_deterministic(qubits):
     assert np.max(np.abs(a.conj().T @ a - np.eye(1 << qubits))) < 1e-9
 
 
-def _held_element_bytes():
-    """Bytes of built elements all live indexed designs keep, counted from
-    their caches."""
-    return sum(m.nbytes for d in designs._LIVE_DESIGNS for m in d._cache.values())
-
-
 def test_clifford_design_is_one_object_per_qubit_count():
     for qubits in range(1, 7):
         assert clifford_design(qubits) is clifford_design(qubits)
@@ -543,10 +538,8 @@ def test_clifford_design_is_one_object_per_qubit_count():
 
 
 def test_indexed_element_cache_is_capped_by_bytes(monkeypatch):
-    # a 4-qubit element is 16 x 16 complex, 4 KiB; the budget is shared by
-    # every live design, so leave room for three beyond what others keep
-    gc.collect()
-    monkeypatch.setattr(designs, "ELEMENT_CACHE_BYTES", _held_element_bytes() + 3 * 16 * 16 * 16)
+    # a 4-qubit element is 16 x 16 complex, 4 KiB: room for three
+    monkeypatch.setattr(designs, "ELEMENT_CACHE_BYTES", 3 * 16 * 16 * 16)
     design = IndexedCliffordDesign(4)
     indices = [7919 * i for i in range(5)]
     built = [design.element(i) for i in indices]
@@ -557,37 +550,44 @@ def test_indexed_element_cache_is_capped_by_bytes(monkeypatch):
     assert all(np.array_equal(design.element(i), m) for i, m in zip(indices, built))
 
 
-def test_element_budget_caps_all_live_designs_together(monkeypatch):
-    # room for about 100 kB beyond what earlier tests keep: 8 elements at 3
-    # and 4 qubits, then 3 of 16 KiB at 5 and none of 64 KiB at 6
-    gc.collect()
-    budget = _held_element_bytes() + 100_000
-    monkeypatch.setattr(designs, "ELEMENT_CACHE_BYTES", budget)
-    rng = spawn_rng(31)
-    for qubits in (3, 4, 5, 6):
-        design = clifford_design(qubits)
-        for i in uniform_index(design.cardinality, rng, 8):
-            design.element(int(i))
-            assert _held_element_bytes() <= budget
-        assert design._cache_bytes == sum(m.nbytes for m in design._cache.values())
-    assert _held_element_bytes() > budget - 16 * 16 * 16 * 4
+def test_each_live_design_has_its_own_element_budget(monkeypatch):
+    # two live designs each fill a budget of three 4-qubit elements, and
+    # neither's blocks leave the other less room
+    monkeypatch.setattr(designs, "ELEMENT_CACHE_BYTES", 3 * 16 * 16 * 16)
+    first, second = IndexedCliffordDesign(4), IndexedCliffordDesign(4)
+    for design in (first, second, first):
+        for i in range(5):
+            design.element(i)
+        assert sorted(design._cache) == [(i, 1) for i in range(3)]
+        assert design._cache_bytes == sum(m.nbytes for m in design._cache.values()) == 3 * 16 * 16 * 16
 
 
-def test_collected_design_gives_its_bytes_back(monkeypatch):
-    gc.collect()
-    before = _held_element_bytes()
-    monkeypatch.setattr(designs, "ELEMENT_CACHE_BYTES", before + 5 * 16 * 16 * 16)
+def test_a_collected_design_takes_its_blocks_with_it():
     design = IndexedCliffordDesign(4)
-    for i in range(5):
-        design.element(i)
-    assert _held_element_bytes() == before + 5 * 16 * 16 * 16
+    block = weakref.ref(design.element(0))
+    assert block() is design._cache[0, 1]
     del design
     gc.collect()
-    assert _held_element_bytes() == before
-    # the bytes given back are free for the next design
-    design = IndexedCliffordDesign(4)
-    design.element(0)
-    assert design._cache_bytes == 16 * 16 * 16
+    assert block() is None
+
+
+def test_exact_frame_potential_reads_the_cached_group(monkeypatch):
+    # the one cache of an enumerated group is clifford_design's
+    calls = []
+    enumerate_ = designs.clifford_enumerate
+
+    def counted(qubits):
+        calls.append(qubits)
+        return enumerate_(qubits)
+
+    for qubits in (1, 2):
+        clifford_design(qubits)
+    monkeypatch.setattr(designs, "clifford_enumerate", counted)
+    for qubits in (1, 2):
+        assert abs(designs.clifford_frame_potential(qubits) - 2.0) < 1e-12
+    assert calls == []
+    with pytest.raises(ValueError, match="enumerated"):
+        designs.clifford_frame_potential(3)
 
 
 # --- the dense tableau builder, kept as the reference for the bitmask one ---

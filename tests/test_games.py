@@ -2,7 +2,6 @@
 
 import json
 import tracemalloc
-import weakref
 from dataclasses import fields
 from fractions import Fraction
 from statistics import NormalDist
@@ -583,7 +582,6 @@ def test_a_key_search_runs_on_a_game_built_after_a_design_cache_clear(spec):
     # own design, which give the same bits
     before = keysearch_adversary(qas.build_scheme(1, 1, 6), 4)
     designs.clifford_design.cache_clear()
-    designs.clifford_enumerate.cache_clear()
     scheme = qas.build_scheme(1, 1, 6)
     assert before[0].scheme.design is not scheme.design
     after = default_cp_spec(scheme)
@@ -694,10 +692,9 @@ def test_exact_win_on_six_qubits_matches_the_trial_loop(split):
 
 
 @pytest.fixture
-def own_clifford_designs(monkeypatch):
-    # Clifford designs cached for this test alone, with the whole element
-    # budget to themselves, whatever earlier tests keep
-    monkeypatch.setattr(designs, "_LIVE_DESIGNS", weakref.WeakSet())
+def own_clifford_designs():
+    # Clifford designs built for this test alone, with empty block caches,
+    # whatever earlier tests built
     designs.clifford_design.cache_clear()
     yield
     designs.clifford_design.cache_clear()
@@ -808,9 +805,19 @@ def test_harness_register_shape_check(spec, scheme, ssl):
         )
 
 
-def test_zero_trials_rejected(spec, scheme):
-    with pytest.raises(ValueError):
-        run_experiment_free(spec, *trivial_forward(scheme), 0, seed=48)
+def test_zero_trials_rejected(spec, scheme, ssl, monkeypatch):
+    # and every count or seed off the rule: a count is a positive int and
+    # a seed a non-negative int, neither a bool, checked in both harnesses
+    # before the first point is drawn
+    def refuse(*args):
+        raise AssertionError("drawn before the check")
+
+    monkeypatch.setattr(games, "spawn_rngs", refuse)
+    for trials, seed in [(0, 48), (True, 48), (2.0, 48), (10, True), (10, 1.5), (10, -1)]:
+        with pytest.raises(ValueError, match="trials|seed"):
+            run_experiment_free(spec, *trivial_forward(scheme), trials, seed=seed)
+        with pytest.raises(ValueError, match="trials|seed"):
+            run_experiment_ssl(ssl, spec.circuit_dist, spec.charlie_family, *honest_return(ssl), trials, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -909,6 +916,24 @@ def test_search_blocks_do_not_change_wins(spec, scheme, monkeypatch, keys):
     expected = games._play(spec, *keysearch_adversary(scheme, 16), 300, seed=65)
     monkeypatch.setattr(games, "SEARCH_KEYS", keys)
     assert games._play(spec, *keysearch_adversary(scheme, 16), 300, seed=65) == expected
+
+
+def test_run_memory_is_one_block_of_programs():
+    # a run keeps the programs of at most one block's points, so eight
+    # times the trials, most at a point not met before, take no more memory
+    scheme = qas.build_scheme(1, 1, 14)
+    spec = default_cp_spec(scheme)
+    adversary = trivial_forward(scheme)
+    run_experiment_free(spec, *adversary, 300, seed=67)
+    peaks = []
+    for trials in (2048, 16_384):
+        tracemalloc.start()
+        try:
+            run_experiment_free(spec, *adversary, trials, seed=67)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 1 << 20
 
 
 def test_search_memory_is_one_block_of_candidates():

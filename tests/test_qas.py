@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qlease import designs, qas
-from qlease.designs import clifford_enumerate, irreducible_poly
+from qlease.designs import clifford_design, irreducible_poly
 from qlease.qmath import (
     ATOL,
     DensityOperator,
@@ -45,7 +45,7 @@ def _trap_zero_columns(scheme, key):
 def test_build_scheme_layout(scheme):
     assert scheme.total_qubits == 2
     assert scheme.design.cardinality == 11520
-    assert scheme.design is clifford_enumerate(2)
+    assert scheme.design is clifford_design(2)
     assert scheme.message_dim == 2
 
 
@@ -76,7 +76,6 @@ def test_a_scheme_is_its_m_t_k(params):
     assert scheme == qas.build_scheme(*params) and hash(scheme) == hash(qas.build_scheme(*params))
     assert [f.name for f in fields(qas.QasScheme) if f.init] == ["message_qubits", "trap_qubits", "key_bits"]
     designs.clifford_design.cache_clear()
-    designs.clifford_enumerate.cache_clear()
     again = qas.QasScheme(*params)
     assert again.design is not scheme.design
     assert again == scheme and hash(again) == hash(scheme)
@@ -442,6 +441,19 @@ def test_indexed_keys_are_gathered_once(monkeypatch):
     assert all(np.array_equal(a, b) for a, b in zip(same, copied))
 
 
+@pytest.mark.parametrize("params", [(1, 1, 6), (2, 1, 6), (3, 3, 6)], ids=str)
+def test_empty_key_arrays_give_empty_stacks(params):
+    # on either design kind: no key, no block, and the stacks keep their shape
+    scheme = qas.build_scheme(*params)
+    d, md = scheme.total_dim, scheme.message_dim
+    none = np.array([], dtype=np.int64)
+    adj = qas.adjoint_isometry(scheme, none)
+    assert adj.shape == (0, md, d) and adj.dtype == complex
+    assert qas.acceptances(scheme, none, np.empty((0, d), dtype=complex)).shape == (0,)
+    p, decoded = qas.round_trips(scheme, none, none, [zero_state(scheme.message_qubits)])
+    assert p.shape == (0,) and decoded.shape == (0, md, md)
+
+
 @pytest.mark.parametrize("params", [(1, 1, 6), (2, 1, 6), (1, 2, 6), (3, 3, 6)], ids=str)
 def test_every_key_reads_its_columns_through_one_route(params):
     # the adjoint is the isometry's conjugate transpose bit for bit, and a
@@ -456,7 +468,7 @@ def test_every_key_reads_its_columns_through_one_route(params):
         assert qas.adjoint_isometry(scheme, key).tobytes() == qas.auth_isometry(scheme, key).conj().T.tobytes()
         # a numpy key too, where |B| exceeds int64 (6 qubits)
         assert qas.adjoint_isometry(scheme, np.int64(key)).tobytes() == qas.adjoint_isometry(scheme, key).tobytes()
-    if scheme.design is clifford_enumerate(2):
+    if scheme.design is clifford_design(2):
         # read-only views of one stack across calls and schemes: key 11523
         # reaches index 3 under 2^14 keys
         stack = scheme.design.conj_columns(slice(None), 2).base
@@ -599,10 +611,6 @@ def test_exact_key_sums_refuse_too_many_indices_before_building_one(monkeypatch)
     assert built == []
 
 
-def _element_cache_bytes():
-    return sum(d._cache_bytes for d in designs._LIVE_DESIGNS)
-
-
 @settings(max_examples=30, deadline=None)
 @given(st.integers(3, 6), st.data(), st.integers(15, 20))
 def test_exact_index_sums_refuse_before_allocating(qubits, data, key_bits):
@@ -613,7 +621,7 @@ def test_exact_index_sums_refuse_before_allocating(qubits, data, key_bits):
     scheme = qas.build_scheme(qubits - trap_qubits, trap_qubits, key_bits)
     state = maximally_mixed(qubits)
     for average in (qas.avg_wrong_key_accept, qas.avg_design_accept):
-        cached = _element_cache_bytes()
+        cached = scheme.design._cache_bytes
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="at most"):
@@ -622,18 +630,17 @@ def test_exact_index_sums_refuse_before_allocating(qubits, data, key_bits):
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
-        assert _element_cache_bytes() == cached
+        assert scheme.design._cache_bytes == cached
 
 
 def test_key_sum_cache_goes_with_its_design():
     # an indexed design keeps up to 64 MiB of built elements, so its key
     # sums must not keep it alive once its last scheme is gone and the
-    # design caches, which keep one design per qubit count, are cleared
+    # design cache, which keeps one design per qubit count, is cleared
     scheme = qas.build_scheme(2, 1, 6)
     qas.summed_acceptance(scheme, maximally_mixed(3))
     design = weakref.ref(scheme.design)
     designs.clifford_design.cache_clear()
-    designs.clifford_enumerate.cache_clear()
     del scheme
     gc.collect()
     assert design() is None
